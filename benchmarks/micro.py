@@ -320,9 +320,17 @@ def probe_layer_records(quick: bool, repeat: int) -> list[dict]:
     miss_rounds = 1_600 // shrink
     snoop_rounds = 4_000 // shrink
     line = 32
-    #: per-CPU private blocks far apart (never the same set or line)
+    #: per-CPU private blocks far apart: never the same line, but
+    #: 0x4000 is a multiple of every test-scale cache's way size, so in
+    #: a cache the CPUs share the four blocks land on the same sets
     private_base = [0x10000 + cpu * 0x4000 for cpu in range(n_cpus)]
     hit_lines = 8
+    #: the hit storm's blocks sit back to back instead — 32 consecutive
+    #: lines, distinct sets in a private L1 and in the 64-line shared
+    #: one alike, so every hierarchy keeps them all resident
+    hit_base = [
+        0x10000 + cpu * hit_lines * line for cpu in range(n_cpus)
+    ]
 
     def build(arch):
         config = config_for_scale("test", n_cpus)
@@ -337,22 +345,31 @@ def probe_layer_records(quick: bool, repeat: int) -> list[dict]:
         for cpu in range(n_cpus):
             for index in range(hit_lines):
                 at = mem.access(
-                    cpu, load, private_base[cpu] + index * line, at
+                    cpu, load, hit_base[cpu] + index * line, at
                 ).done
         lanes = [mem.fast_lanes(cpu)[1] for cpu in range(n_cpus)]
         count = 0
+        declined = 0
         for _ in range(hit_rounds):
             for cpu in range(n_cpus):
                 lane = lanes[cpu]
-                base = private_base[cpu]
+                base = hit_base[cpu]
                 for index in range(hit_lines):
                     done = lane(base + index * line, at)
                     if done < 0:  # lane declined: take the general path
+                        declined += 1
                         done = mem.access(
                             cpu, load, base + index * line, at
                         ).done
                     at = done
                     count += 1
+        if declined * 100 > count:
+            # A storm the lane mostly declines times the miss path
+            # under the hit storm's name; refuse to record it.
+            raise RuntimeError(
+                f"probe_hit_storm/{arch}: the fast lane declined "
+                f"{declined} of {count} probes (>1 %)"
+            )
         return count
 
     def miss_storm():

@@ -1,0 +1,167 @@
+#!/usr/bin/env python
+"""Regenerate the golden stats that pin the MXS pipeline's behaviour.
+
+Runs every registered hierarchy x {eqntott, ear, multiprog, the
+ledger's storm synthetic} x a handful of ``CpuParams`` variants under
+MXS at test scale and dumps, per case, the full
+``SystemStats.to_dict()`` payload plus the per-CPU counters the stats
+object does not carry (functional-unit structural stalls, MSHR
+merges/allocations/full stalls, BTB lookups/hits) to
+``tests/data/mxs_golden.json``. The committed file was produced by the
+pre-rewrite pipeline (dict wake-up, full-ROB select, string-keyed FU
+pool); ``tests/test_mxs_golden.py`` asserts the current pipeline
+reproduces it bit-for-bit, fast lane on and off.
+
+The variants exist because the default parameters leave rules
+unexercised: ``window < rob`` is the only case where the select bound
+binds, ``mshrs=1`` makes MSHR-full replays (which keep the memory port
+claimed) common, and the wide/wrong-path variants cover the remaining
+``CpuParams`` fields.
+
+It also writes ``tests/data/mxs_midrun_ckpt.json.gz``: one golden case
+paused mid-run (full ROB, the window bound binding, fills in flight)
+and snapshot in the ``repro.ckpt/1`` wire format — the committed blob
+was written by the pre-rewrite pipeline, and the suite asserts it still
+restores and runs on to the golden stats.
+
+Only rerun this script to *extend* the matrix — never to paper over a
+mismatch, which is exactly the regression the suite exists to catch.
+"""
+
+from __future__ import annotations
+
+import functools
+import gzip
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.ckpt import snapshot_system
+from repro.core.configs import CpuParams, config_for_scale
+from repro.core.system import System
+from repro.mem.functional import FunctionalMemory
+from repro.mem.topology import topology_names
+from repro.workloads import WORKLOADS, synthetic
+
+SCALE = "test"
+N_CPUS = 4
+_DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+GOLDEN_PATH = _DATA / "mxs_golden.json"
+CKPT_PATH = _DATA / "mxs_midrun_ckpt.json.gz"
+#: the golden case the mid-run blob pauses, and where
+CKPT_CASE = "shared-mem/storm/window8"
+CKPT_PAUSE = 9000
+
+#: The ledger's coherence-storm synthetic at test scale (a copy of
+#: ``benchmarks/ledger/matrix.py``'s STORM_PARAMS — the ledger pins its
+#: own matrices and is not importable from here).
+_STORM = functools.partial(
+    synthetic.make,
+    phases=12,
+    seed=1996,
+    sharing=0.6,
+    store_ratio=0.4,
+    grain=64,
+    private_bytes=65536,
+    shared_bytes=8192,
+    compute_per_access=0,
+)
+
+GOLDEN_WORKLOADS = {
+    "eqntott": WORKLOADS["eqntott"],
+    "ear": WORKLOADS["ear"],
+    "multiprog": WORKLOADS["multiprog"],
+    "storm": _STORM,
+}
+
+GOLDEN_PARAMS = {
+    "default": {},
+    "window8": {"window": 8, "rob": 32},
+    "mshrs1": {"mshrs": 1},
+    "wrongpath": {"wrong_path_fetch": True},
+    "wide4": {"width": 4, "fetch_width": 4},
+}
+
+
+def case_keys() -> list[str]:
+    return [
+        f"{arch}/{workload}/{params}"
+        for arch in topology_names()
+        for workload in GOLDEN_WORKLOADS
+        for params in GOLDEN_PARAMS
+    ]
+
+
+def pipeline_counters(system: System) -> list[dict]:
+    """Per-CPU counters that live on the CPU, not in ``SystemStats``."""
+    return [
+        {
+            "fus.structural_stalls": cpu.fus.structural_stalls,
+            "mshrs.merges": cpu.mshrs.merges,
+            "mshrs.allocations": cpu.mshrs.allocations,
+            "mshrs.full_stalls": cpu.mshrs.full_stalls,
+            "btb.lookups": cpu.btb.lookups,
+            "btb.hits": cpu.btb.hits,
+        }
+        for cpu in system.cpus
+    ]
+
+
+def build_case(
+    key: str, fast_lane: bool = True, checkpointing: bool = False
+) -> System:
+    arch, workload_name, params_name = key.split("/")
+    config = config_for_scale(SCALE, N_CPUS, l1_fast_path=fast_lane)
+    workload = GOLDEN_WORKLOADS[workload_name](
+        N_CPUS, FunctionalMemory(), SCALE
+    )
+    return System(
+        arch,
+        workload,
+        cpu_model="mxs",
+        mem_config=config,
+        cpu_params=CpuParams(**GOLDEN_PARAMS[params_name]),
+        checkpointing=checkpointing,
+    )
+
+
+def run_case(key: str, fast_lane: bool = True) -> dict:
+    system = build_case(key, fast_lane)
+    stats = system.run()
+    return {"stats": stats.to_dict(), "cpus": pipeline_counters(system)}
+
+
+def midrun_snapshot() -> dict:
+    system = build_case(CKPT_CASE, checkpointing=True)
+    system.run(pause_at=CKPT_PAUSE)
+    return snapshot_system(system)
+
+
+def main() -> int:
+    golden = {}
+    for key in case_keys():
+        print(f"running {key} ...", flush=True)
+        golden[key] = run_case(key)
+    _DATA.mkdir(parents=True, exist_ok=True)
+    GOLDEN_PATH.write_text(
+        json.dumps(
+            {"scale": SCALE, "n_cpus": N_CPUS, "cases": golden},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN_PATH} ({len(golden)} cases)")
+    raw = json.dumps(midrun_snapshot(), separators=(",", ":"))
+    # mtime=0 keeps the compressed bytes deterministic.
+    with gzip.GzipFile(CKPT_PATH, "wb", mtime=0) as blob:
+        blob.write(raw.encode("utf-8"))
+    print(f"wrote {CKPT_PATH} ({CKPT_CASE} paused at {CKPT_PAUSE})")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

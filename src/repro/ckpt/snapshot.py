@@ -31,7 +31,8 @@ from __future__ import annotations
 from collections import deque
 
 from repro.errors import CheckpointError
-from repro.isa.instructions import Instruction, OpClass
+from repro.cpu.mxs.funits import UNITS
+from repro.isa.instructions import FU_KINDS, Instruction, OpClass
 from repro.mem.bank import BankedResource, Resource
 from repro.mem.bus import SnoopyBus
 from repro.mem.cache import CacheArray
@@ -504,8 +505,12 @@ def _mxs_state(cpu) -> dict:
             "hits": btb.hits,
         },
         "fus": {
-            "used": dict(cpu.fus._used),
-            "cycle": cpu.fus._cycle,
+            "used": {
+                kind: units - free
+                for kind, units, free in zip(FU_KINDS, UNITS, cpu.fus.free)
+                if free != units
+            },
+            "cycle": cpu.fus.cycle,
             "structural_stalls": cpu.fus.structural_stalls,
         },
         "mshrs": {
@@ -607,26 +612,32 @@ def _restore_cpu(cpu, state: dict) -> None:
     if isinstance(cpu, MxsCpu):
         mxs = state["mxs"]
         cpu._program_done = state["program_done"]
-        cpu.rob.clear()
-        cpu._by_seq.clear()
+        # The wire format carries the ROB rows only; producer links
+        # and the unissued list are derived state, rebuilt here the
+        # way fetch builds them (a producer that already graduated is
+        # ready by construction, so a missing row is no link).
+        rob = cpu.rob
+        rob.clear()
+        cpu._unissued.clear()
         for seq, inst, issued, done, dmiss, extra, mispred in mxs["rob"]:
             record = _Record(seq, _decode_inst(inst))
-            record.issued = issued
             record.done = done
             record.dcache_miss = dmiss
             record.extra_hit_latency = extra
             record.mispredicted = mispred
-            cpu.rob.append(record)
-            # _by_seq is rebuilt from the ROB alone: graduated records
-            # linger in the live dict for up to 128 sequence numbers,
-            # but a graduated producer always reads as "ready" in
-            # _deps_ready — exactly what a missing entry reads as.
-            cpu._by_seq[record.seq] = record
+            if not issued:
+                src1, src2 = record.inst.src1, record.inst.src2
+                if 0 < src1 <= len(rob):
+                    record.dep1 = rob[-src1]
+                if 0 < src2 <= len(rob):
+                    record.dep2 = rob[-src2]
+                cpu._unissued.append(record)
+            rob.append(record)
         blocked = mxs["blocked_index"]
         cpu._blocked_record = (
             cpu.rob[blocked] if blocked is not None else None
         )
-        cpu._seq = mxs["seq"]
+        cpu._seq = cpu._flushed_seq = mxs["seq"]
         cpu._fetch_line = mxs["fetch_line"]
         cpu._fetch_unblock = mxs["fetch_unblock"]
         cpu._fetch_reason = mxs["fetch_reason"]
@@ -643,12 +654,15 @@ def _restore_cpu(cpu, state: dict) -> None:
             entry.counter = counter
         btb.lookups = mxs["btb"]["lookups"]
         btb.hits = mxs["btb"]["hits"]
-        cpu.fus._used = dict(mxs["fus"]["used"])
-        cpu.fus._cycle = mxs["fus"]["cycle"]
+        used = mxs["fus"]["used"]
+        cpu.fus.free = [
+            units - used.get(kind, 0) for kind, units in zip(FU_KINDS, UNITS)
+        ]
+        cpu.fus.cycle = mxs["fus"]["cycle"]
         cpu.fus.structural_stalls = mxs["fus"]["structural_stalls"]
-        cpu.mshrs._entries = {
-            line: done for line, done in mxs["mshrs"]["entries"]
-        }
+        cpu.mshrs.load(
+            {line: done for line, done in mxs["mshrs"]["entries"]}
+        )
         cpu.mshrs.merges = mxs["mshrs"]["merges"]
         cpu.mshrs.allocations = mxs["mshrs"]["allocations"]
         cpu.mshrs.full_stalls = mxs["mshrs"]["full_stalls"]

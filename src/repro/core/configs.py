@@ -44,7 +44,10 @@ class CpuParams:
     """MXS microarchitecture parameters (paper Section 2.1)."""
 
     width: int = 2              # 2-way issue
-    window: int = 32            # centralized instruction window
+    #: centralized instruction window: select considers the first
+    #: ``window`` reorder-buffer positions, so it is bounded by the ROB
+    #: (``window >= rob`` all mean "the whole ROB")
+    window: int = 32
     rob: int = 32               # reorder buffer entries
     btb_entries: int = 1024     # branch target buffer
     mshrs: int = 4              # outstanding data-cache misses
@@ -63,6 +66,8 @@ class CpuParams:
             raise ConfigError("window and ROB must be positive")
         if self.btb_entries <= 0 or self.btb_entries & (self.btb_entries - 1):
             raise ConfigError("BTB entries must be a power of two")
+        if self.mshrs <= 0:
+            raise ConfigError("MSHR count must be positive")
 
 
 def paper_config(n_cpus: int = 4, **overrides) -> MemConfig:

@@ -65,11 +65,16 @@ class BranchTargetBuffer:
                 entry.counter -= 1
 
     def correct(self, pc: int, taken: bool, target: int) -> bool:
-        """Would the current prediction match this outcome?"""
-        predicted_taken, predicted_target = self.predict(pc)
-        self.lookups -= 1  # probe, not a real lookup
-        if predicted_taken != taken:
+        """Would the current prediction match this outcome?
+
+        :meth:`predict` without the lookup count (a probe, not a real
+        lookup; a matching entry still counts as a hit), one call per
+        fetched branch.
+        """
+        entry = self._table[(pc >> 2) & self._mask]
+        if entry.tag != pc:
+            return not taken  # no entry predicts not-taken
+        self.hits += 1
+        if (entry.counter >= 2) != taken:
             return False
-        if taken and predicted_target != target:
-            return False
-        return True
+        return not taken or entry.target == target

@@ -24,9 +24,9 @@ from collections import deque
 
 from repro.cpu.base import BaseCpu
 from repro.cpu.mxs.btb import BranchTargetBuffer
-from repro.cpu.mxs.funits import FunctionalUnits
+from repro.cpu.mxs.funits import UNITS, FunctionalUnits
 from repro.errors import SimulationError
-from repro.isa.instructions import FU_LATENCY, Instruction, OpClass
+from repro.isa.instructions import FU_INDEX, FU_LATENCY, Instruction, OpClass
 from repro.mem.mshr import MshrFile
 from repro.mem.types import AccessKind, StallLevel
 
@@ -42,28 +42,52 @@ _BLOCK_ICACHE = "icache"
 _BLOCK_BRANCH = "branch"
 _BLOCK_VALUE = "value"
 
+#: Lost-graduation-slot causes (Figure 11's three stall classes).
+_LOST_PIPELINE = 0
+_LOST_DCACHE = 1
+_LOST_ICACHE = 2
+
+_BRANCH = OpClass.BRANCH
+_BRANCH_LATENCY = FU_LATENCY[_BRANCH]
+
+#: ``Instruction.mcode`` values.
+_LOAD, _LL, _STORE, _SC = 1, 2, 3, 4
+
 
 class _Record:
-    """One in-flight instruction in the window/ROB."""
+    """One in-flight instruction in the window/ROB.
+
+    ``done`` is ``_INF`` until the instruction issues, so "issued" and
+    "result ready at cycle c" are both one comparison on it. ``dep1``
+    and ``dep2`` link to the producers of the source operands while
+    those are still in flight; select clears each link the first time
+    it finds the producer ready, so an issued record links to nothing.
+    """
 
     __slots__ = (
         "seq",
         "inst",
-        "issued",
         "done",
         "dcache_miss",
         "extra_hit_latency",
         "mispredicted",
+        "dep1",
+        "dep2",
     )
 
     def __init__(self, seq: int, inst: Instruction) -> None:
         self.seq = seq
         self.inst = inst
-        self.issued = False
         self.done = _INF
         self.dcache_miss = False
         self.extra_hit_latency = False
         self.mispredicted = False
+        self.dep1: _Record | None = None
+        self.dep2: _Record | None = None
+
+    @property
+    def issued(self) -> bool:
+        return self.done != _INF
 
 
 class MxsCpu(BaseCpu):
@@ -76,8 +100,14 @@ class MxsCpu(BaseCpu):
         "mshrs",
         "mxs",
         "rob",
-        "_by_seq",
+        "_unissued",
+        "_width",
+        "_window",
+        "_rob_size",
+        "_fetch_width",
         "_seq",
+        "_flushed_seq",
+        "_flushed_instructions",
         "_fetch_line",
         "_fetch_unblock",
         "_fetch_reason",
@@ -91,14 +121,29 @@ class MxsCpu(BaseCpu):
         from repro.core.configs import CpuParams
 
         self.params = params or CpuParams()
+        self._width = self.params.width
+        self._window = self.params.window
+        self._rob_size = self.params.rob
+        self._fetch_width = self.params.fetch_width
         self.btb = BranchTargetBuffer(self.params.btb_entries)
         self.fus = FunctionalUnits()
         self.mshrs = MshrFile(self.params.mshrs)
         self.mxs = self.stats.mxs[self.cpu_id]
         self.rob: deque[_Record] = deque()
-        self._by_seq: dict[int, _Record] = {}
+        # The ROB's not-yet-issued records, oldest first: all select
+        # ever looks at.
+        self._unissued: list[_Record] = []
         self._seq = 0
+        # Every record is one fetched instruction and one I-fetch, and
+        # every graduation one retired instruction, so tick() bumps
+        # only ``_seq``/``instructions`` and flush_stats() folds the
+        # deltas since the last flush into the stats objects.
+        self._flushed_seq = 0
+        self._flushed_instructions = 0
         self._fetch_line = -1
+        # Fetch may run once this cycle arrives; ``_INF`` while a
+        # mispredicted branch or value-producing access
+        # (``_blocked_record``) is unresolved.
         self._fetch_unblock = 0
         self._fetch_reason: str | None = None
         self._blocked_record: _Record | None = None
@@ -109,25 +154,205 @@ class MxsCpu(BaseCpu):
 
     def tick(self, cycle: int) -> None:
         """One pipeline cycle: graduate, issue, fetch, then pick the
-        next cycle this CPU can make progress."""
+        next cycle this CPU can make progress.
+
+        Graduation, lost-slot attribution, select with the
+        functional-unit claim, and fetch with the generator pull all
+        run inline here: one Python call per cycle on the simulator's
+        second-hottest path, plus one per memory op or branch issued.
+        """
         mxs = self.mxs
+        rob = self.rob
+        width = self._width
         mxs.cycles += 1
-        mxs.window_occupancy_sum += len(self.rob)
-        width = self.params.width
+        mxs.window_occupancy_sum += len(rob)
 
-        graduated = self._graduate(cycle)
-        lost = width - graduated
-        lost_reason = None
-        if lost > 0:
-            lost_reason = self._attribute_lost_slots(lost)
+        # Graduate in order, up to ``width`` completed heads.
+        graduated = 0
+        while rob and rob[0].done <= cycle:
+            rob.popleft()
+            graduated += 1
+            if graduated == width:
+                break
+        lost_reason = _LOST_PIPELINE
+        if graduated:
+            self.instructions += graduated
+        if graduated < width:
+            # Charge the unfilled slots to whatever blocks the ROB head
+            # (or, with an empty ROB, the fetch stage). Unready
+            # dependences, FU latency, branch resolution, the extra
+            # shared-L1 hit time and bank contention are all pipeline.
+            lost = width - graduated
+            if rob:
+                if rob[0].dcache_miss:
+                    lost_reason = _LOST_DCACHE
+                    mxs.slots_lost_dcache += lost
+                else:
+                    mxs.slots_lost_pipeline += lost
+            elif self._fetch_reason == _BLOCK_ICACHE:
+                lost_reason = _LOST_ICACHE
+                mxs.slots_lost_icache += lost
+            else:
+                mxs.slots_lost_pipeline += lost
 
-        issued = self._issue(cycle)
-        mxs.issued += issued
-        fetched = self._fetch(cycle)
+        # Select: oldest first among the unissued records inside the
+        # window (the first ``window`` ROB positions), up to ``width``.
+        issued = 0
+        unissued = self._unissued
+        if unissued:
+            limit = rob[0].seq + self._window
+            fus = self.fus
+            free = fus.free
+            fu_stale = True
+            stalls = 0
+            picked = []
+            for record in unissued:
+                if record.seq >= limit:
+                    break
+                producer = record.dep1
+                if producer is not None:
+                    if producer.done > cycle:
+                        continue
+                    record.dep1 = None
+                producer = record.dep2
+                if producer is not None:
+                    if producer.done > cycle:
+                        continue
+                    record.dep2 = None
+                inst = record.inst
+                op = inst.op
+                # FunctionalUnits.try_issue, inlined.
+                kind = FU_INDEX[op]
+                if fu_stale:
+                    fu_stale = False
+                    fus.cycle = cycle
+                    free[:] = UNITS
+                units = free[kind]
+                if not units:
+                    stalls += 1
+                    continue
+                free[kind] = units - 1
+                if inst.mcode:
+                    if not self._issue_memory(record, cycle):
+                        # MSHRs full — leave it in the window (the
+                        # memory port stays claimed for this cycle).
+                        continue
+                elif op is _BRANCH:
+                    self._issue_branch(record, cycle)
+                else:
+                    record.done = cycle + FU_LATENCY[op]
+                picked.append(record)
+                issued += 1
+                if issued == width:
+                    break
+            if stalls:
+                fus.structural_stalls += stalls
+            if issued:
+                mxs.issued += issued
+                for record in picked:
+                    unissued.remove(record)
+
+        # Fetch up to ``fetch_width`` instructions into the ROB, unless
+        # blocked (I-cache refill, unresolved branch or value) or done.
+        fetched = 0
+        if self._fetch_unblock <= cycle and not self._program_done:
+            self._fetch_reason = None
+            budget = self._rob_size - len(rob)
+            if budget > self._fetch_width:
+                budget = self._fetch_width
+            pending = self._pending_inst
+            if pending is not None:
+                self._pending_inst = None
+            ckpt_log = self._ckpt_log
+            seq = self._seq
+            while fetched < budget:
+                if pending is not None:
+                    inst = pending
+                    pending = None
+                else:
+                    # BaseCpu.next_instruction, inlined.
+                    try:
+                        if self._has_value:
+                            self._has_value = False
+                            value, self._send_value = self._send_value, None
+                            if ckpt_log is not None:
+                                ckpt_log.append(value)
+                            inst = self.program.send(value)
+                        else:
+                            self._started = True
+                            inst = next(self.program)
+                    except StopIteration:
+                        self._program_done = True
+                        break
+                    if ckpt_log is not None:
+                        self._ckpt_advances += 1
+                line = inst.pc >> self._line_shift
+                if line != self._fetch_line:
+                    self._fetch_line = line
+                    if (
+                        not self._fast_lane
+                        or self._lane_ifetch(inst.pc, cycle) < 0
+                    ):
+                        result = self.memory.access(
+                            self.cpu_id, AccessKind.IFETCH, inst.pc, cycle
+                        )
+                        if result.done - cycle > 1:
+                            self._pending_inst = inst
+                            self._fetch_unblock = result.done
+                            self._fetch_reason = _BLOCK_ICACHE
+                            # This attempt's I-fetch; the retry counts
+                            # again with the record it then creates.
+                            self._ifetch_pending += 1
+                            if self._obs is not None:
+                                self._obs.record_ifetch_miss(
+                                    self.cpu_id, cycle, result.done - cycle
+                                )
+                            break
+                record = _Record(seq, inst)
+                # Wake-up links: a producer ``offset`` instructions back
+                # is ``rob[-offset]`` while it is still in the ROB; one
+                # that already graduated is ready by construction.
+                in_flight = len(rob)
+                offset = inst.src1
+                if offset and offset <= in_flight:
+                    producer = rob[-offset]
+                    if producer.done > cycle:
+                        record.dep1 = producer
+                offset = inst.src2
+                if offset and offset <= in_flight:
+                    producer = rob[-offset]
+                    if producer.done > cycle:
+                        record.dep2 = producer
+                rob.append(record)
+                unissued.append(record)
+                seq += 1
+                fetched += 1
+
+                if inst.op is _BRANCH:
+                    mxs.branches += 1
+                    if not self.btb.correct(inst.pc, inst.taken, inst.target):
+                        mxs.mispredicts += 1
+                        record.mispredicted = True
+                        self._blocked_record = record
+                        self._fetch_unblock = _INF
+                        self._fetch_reason = _BLOCK_BRANCH
+                        break
+                elif (
+                    inst.want_value
+                    or inst.mcode == _LL
+                    or inst.mcode == _SC
+                ):
+                    # The program needs this value to generate what
+                    # follows.
+                    self._blocked_record = record
+                    self._fetch_unblock = _INF
+                    self._fetch_reason = _BLOCK_VALUE
+                    break
+            self._seq = seq
         if fetched == 0 and not self._program_done:
             mxs.fetch_stall_cycles += 1
 
-        if self._program_done and not self.rob:
+        if self._program_done and not rob:
             self.done = True
             return
 
@@ -143,108 +368,21 @@ class MxsCpu(BaseCpu):
             return
         span = next_event - cycle - 1
         mxs.cycles += span
-        mxs.window_occupancy_sum += len(self.rob) * span
-        if lost_reason == _BLOCK_ICACHE:
+        mxs.window_occupancy_sum += len(rob) * span
+        if lost_reason == _LOST_ICACHE:
             mxs.slots_lost_icache += width * span
-        elif lost_reason == "dcache":
+        elif lost_reason == _LOST_DCACHE:
             mxs.slots_lost_dcache += width * span
         else:
             mxs.slots_lost_pipeline += width * span
         self.resume = next_event
 
     # ------------------------------------------------------------------
-    # graduate
-
-    def _graduate(self, cycle: int) -> int:
-        rob = self.rob
-        graduated = 0
-        width = self.params.width
-        mxs = self.mxs
-        while graduated < width and rob:
-            head = rob[0]
-            if not head.issued or head.done > cycle:
-                break
-            rob.popleft()
-            graduated += 1
-            mxs.graduated += 1
-            self.instructions += 1
-            self._by_seq.pop(head.seq - 128, None)
-        return graduated
-
-    def _attribute_lost_slots(self, lost: int) -> str:
-        """Charge unfilled graduation slots; returns the reason used."""
-        mxs = self.mxs
-        if self.rob:
-            head = self.rob[0]
-            if head.issued and head.dcache_miss:
-                mxs.slots_lost_dcache += lost
-                return "dcache"
-            # Unready dependences, FU latency, branch resolution, the
-            # extra shared-L1 hit time and bank contention all land here.
-            mxs.slots_lost_pipeline += lost
-            return "pipeline"
-        if self._fetch_reason == _BLOCK_ICACHE:
-            mxs.slots_lost_icache += lost
-            return _BLOCK_ICACHE
-        mxs.slots_lost_pipeline += lost
-        return "pipeline"
-
-    # ------------------------------------------------------------------
     # issue
-
-    def _deps_ready(self, record: _Record, cycle: int) -> bool:
-        inst = record.inst
-        by_seq = self._by_seq
-        offset = inst.src1
-        if offset:
-            producer = by_seq.get(record.seq - offset)
-            if producer is not None and (
-                not producer.issued or producer.done > cycle
-            ):
-                return False
-        offset = inst.src2
-        if offset:
-            producer = by_seq.get(record.seq - offset)
-            if producer is not None and (
-                not producer.issued or producer.done > cycle
-            ):
-                return False
-        return True
-
-    def _issue(self, cycle: int) -> int:
-        issued = 0
-        width = self.params.width
-        window = self.params.window
-        scanned = 0
-        for record in self.rob:
-            if issued >= width:
-                break
-            scanned += 1
-            if scanned > window:
-                break
-            if record.issued:
-                continue
-            if not self._deps_ready(record, cycle):
-                continue
-            op = record.inst.op
-            if not self.fus.try_issue(op, cycle):
-                continue
-            if record.inst.is_memory:
-                if not self._issue_memory(record, cycle):
-                    # MSHRs full — leave it in the window.
-                    continue
-            elif op is OpClass.BRANCH:
-                self._issue_branch(record, cycle)
-            else:
-                record.issued = True
-                record.done = cycle + FU_LATENCY[op]
-            issued += 1
-        return issued
 
     def _issue_branch(self, record: _Record, cycle: int) -> None:
         inst = record.inst
-        record.issued = True
-        record.done = cycle + FU_LATENCY[OpClass.BRANCH]
+        record.done = cycle + _BRANCH_LATENCY
         self.btb.update(inst.pc, inst.taken, inst.target)
         if record is self._blocked_record:
             # Mispredicted: fetch restarts when the branch resolves.
@@ -267,28 +405,28 @@ class MxsCpu(BaseCpu):
         line_bytes = 1 << self._line_shift
         # One wrong-path line per fetchable group of stall cycles.
         stall = max(record.done - cycle, 1)
-        lines = max(stall * self.params.fetch_width * 4 // line_bytes, 1)
+        lines = max(stall * self._fetch_width * 4 // line_bytes, 1)
         for index in range(min(lines, 4)):
             addr = wrong_pc + index * line_bytes
             self.memory.access(self.cpu_id, AccessKind.IFETCH, addr, cycle)
-            self.mxs.squashed += self.params.fetch_width
+            self.mxs.squashed += self._fetch_width
 
     def _issue_memory(self, record: _Record, cycle: int) -> bool:
         inst = record.inst
-        op = inst.op
+        mcode = inst.mcode
         memory = self.memory
-        if op is OpClass.LOAD or op is OpClass.LL:
+        if mcode <= _LL:  # LOAD / LL
             line = inst.addr >> self._line_shift
-            self.mshrs.retire(cycle)
-            pending = self.mshrs.probe(line)
+            mshrs = self.mshrs
+            mshrs.retire(cycle)
+            pending = mshrs.probe(line)
             if pending is not None and pending > cycle:
                 # Merge with the in-flight fill of the same line.
-                self.mshrs.allocate(line, pending)  # counts the merge
-                record.issued = True
+                mshrs.allocate(line, pending)  # counts the merge
                 record.done = pending
                 record.dcache_miss = True
-                if inst.want_value or op is OpClass.LL:
-                    self._resolve_value(record)
+                if inst.want_value or mcode == _LL:
+                    self._resolve_value(record, pending)
                 return True
             # L1 hit fast lane. Only after the MSHR probe: a line with
             # an in-flight fill is already resident (fills insert at
@@ -297,24 +435,23 @@ class MxsCpu(BaseCpu):
             if self._fast_lane:
                 done = self._lane_load(inst.addr, cycle)
                 if done >= 0:
-                    record.issued = True
                     record.done = done
                     if done - cycle > 1:
                         record.extra_hit_latency = True
-                    if inst.want_value or op is OpClass.LL:
-                        self._resolve_value(record, result_done=done)
+                    if inst.want_value or mcode == _LL:
+                        self._resolve_value(record, done)
                     return True
             result = memory.access(
                 self.cpu_id, AccessKind.LOAD, inst.addr, cycle
             )
             if result.level in _MISS_LEVELS:
-                if self.mshrs.full:
+                if mshrs.full:
                     # Cannot track the miss; replay next cycle. The
                     # access already reserved resources — accepted
                     # imprecision of eager reservation, rare with a
                     # 4-entry file.
                     return False
-                self.mshrs.allocate(line, result.done)
+                mshrs.allocate(line, result.done)
                 record.dcache_miss = True
                 if self._obs is not None:
                     self._obs.record_stall(
@@ -322,27 +459,22 @@ class MxsCpu(BaseCpu):
                     )
             elif result.level == StallLevel.L1:
                 record.extra_hit_latency = True
-            record.issued = True
             record.done = result.done
-            if inst.want_value or op is OpClass.LL:
-                self._resolve_value(record, result_done=result.done)
+            if inst.want_value or mcode == _LL:
+                self._resolve_value(record, result.done)
             return True
 
         # Stores and SCs.
-        if op is OpClass.STORE and inst.value is None and self._fast_lane:
+        if mcode == _STORE and inst.value is None and self._fast_lane:
             # Value-less posted store: the ROB retires it next cycle
             # regardless of the drain, so only the cache/buffer state
             # changes matter — exactly what the fast lane performs.
             if self._lane_store(inst.addr, cycle) >= 0:
-                record.issued = True
                 record.done = cycle + 1
                 return True
-        kind = (
-            AccessKind.STORE_COND if op is OpClass.SC else AccessKind.STORE
-        )
+        kind = AccessKind.STORE_COND if mcode == _SC else AccessKind.STORE
         result = memory.access(self.cpu_id, kind, inst.addr, cycle)
-        record.issued = True
-        if op is OpClass.SC:
+        if mcode == _SC:
             # The SC outcome gates the program: complete at visibility.
             record.done = result.visible_cycle
             success = self.functional.store_conditional(
@@ -365,11 +497,10 @@ class MxsCpu(BaseCpu):
                 )
         return True
 
-    def _resolve_value(self, record: _Record, result_done: int | None = None) -> None:
+    def _resolve_value(self, record: _Record, done: int) -> None:
         """Produce the loaded value for a want_value load or LL."""
-        done = result_done if result_done is not None else record.done
         inst = record.inst
-        if inst.op is OpClass.LL:
+        if inst.mcode == _LL:
             value = self.functional.load_linked(self.cpu_id, inst.addr, done)
         else:
             value = self.functional.read(inst.addr, done, cpu=self.cpu_id)
@@ -379,94 +510,40 @@ class MxsCpu(BaseCpu):
             self._blocked_record = None
 
     # ------------------------------------------------------------------
-    # fetch
-
-    def _fetch(self, cycle: int) -> int:
-        if self._program_done:
-            return 0
-        if self._fetch_unblock > cycle:
-            return 0
-        if self._blocked_record is not None:
-            return 0
-        self._fetch_reason = None
-
-        fetched = 0
-        params = self.params
-        rob = self.rob
-        memory = self.memory
-        while fetched < params.fetch_width:
-            if len(rob) >= params.rob:
-                break
-            inst = self._pending_inst
-            if inst is None:
-                inst = self.next_instruction()
-                if inst is None:
-                    self._program_done = True
-                    break
-            self._ifetch_pending += 1
-            line = inst.pc >> self._line_shift
-            if line != self._fetch_line:
-                self._fetch_line = line
-                if (
-                    not self._fast_lane
-                    or self._lane_ifetch(inst.pc, cycle) < 0
-                ):
-                    result = memory.access(
-                        self.cpu_id, AccessKind.IFETCH, inst.pc, cycle
-                    )
-                    if result.done - cycle > 1:
-                        self._pending_inst = inst
-                        self._fetch_unblock = result.done
-                        self._fetch_reason = _BLOCK_ICACHE
-                        if self._obs is not None:
-                            self._obs.record_ifetch_miss(
-                                self.cpu_id, cycle, result.done - cycle
-                            )
-                        return fetched
-            self._pending_inst = None
-            record = _Record(self._seq, inst)
-            self._seq += 1
-            self._by_seq[record.seq] = record
-            rob.append(record)
-            fetched += 1
-            self.mxs.fetched += 1
-
-            op = inst.op
-            if op is OpClass.BRANCH:
-                self.mxs.branches += 1
-                if not self.btb.correct(inst.pc, inst.taken, inst.target):
-                    self.mxs.mispredicts += 1
-                    record.mispredicted = True
-                    self._blocked_record = record
-                    self._fetch_unblock = _INF
-                    self._fetch_reason = _BLOCK_BRANCH
-                    return fetched
-            elif inst.want_value or op is OpClass.LL or op is OpClass.SC:
-                # The program needs this value to generate what follows.
-                self._blocked_record = record
-                self._fetch_unblock = _INF
-                self._fetch_reason = _BLOCK_VALUE
-                return fetched
-        return fetched
-
-    # ------------------------------------------------------------------
 
     def _next_event_time(self, cycle: int) -> int:
         """Earliest future cycle at which pipeline state can change."""
         earliest = _INF
         for record in self.rob:
-            if record.issued and cycle < record.done < earliest:
+            if cycle < record.done < earliest:
                 earliest = record.done
         if (
-            self._blocked_record is None
-            and not self._program_done
-            and self._fetch_unblock > cycle
-            and self._fetch_unblock < earliest
+            not self._program_done
+            and cycle < self._fetch_unblock < earliest
         ):
             earliest = self._fetch_unblock
         if earliest == _INF:
             return cycle + 1
         return earliest
+
+    def flush_stats(self) -> None:
+        """Fold fetched/graduated counts into the stats objects.
+
+        Each record is one fetched instruction and one I-fetch, each
+        graduation one retired instruction, so the deltas of ``_seq``
+        and ``instructions`` since the last flush feed those counters
+        (the stalled-fetch I-fetches ride ``_ifetch_pending``).
+        """
+        delta = self._seq - self._flushed_seq
+        if delta:
+            self._flushed_seq = self._seq
+            self._l1i_stats.reads += delta
+            self.mxs.fetched += delta
+        delta = self.instructions - self._flushed_instructions
+        if delta:
+            self._flushed_instructions = self.instructions
+            self.mxs.graduated += delta
+        super().flush_stats()
 
     def finish(self, cycle: int) -> None:
         """End-of-run invariant: the reorder buffer must have drained."""

@@ -9,43 +9,36 @@ two (one for memory operations).
 
 from __future__ import annotations
 
-from repro.isa.instructions import OpClass, fu_kind
+from repro.isa.instructions import FU_INDEX, FU_KINDS, OpClass
 
-_UNITS_PER_KIND = {
-    "ialu": 2,
-    "imul": 2,
-    "idiv": 2,
-    "branch": 2,
-    "fadd": 2,
-    "fmul": 2,
-    "fdiv": 2,
-    "mem": 1,
-}
+#: Units per kind, indexed like :data:`~repro.isa.instructions.FU_KINDS`.
+UNITS = tuple(1 if kind == "mem" else 2 for kind in FU_KINDS)
 
 
 class FunctionalUnits:
-    """Per-cycle issue-slot tracking for each functional-unit kind."""
+    """Per-cycle issue-slot tracking for each functional-unit kind.
 
-    __slots__ = ("_used", "_cycle", "structural_stalls")
+    ``free[k]`` is the number of kind-``k`` units still unclaimed in
+    cycle ``cycle``; the first claim attempt of a new cycle refills it.
+    ``MxsCpu.tick`` inlines :meth:`try_issue`.
+    """
+
+    __slots__ = ("free", "cycle", "structural_stalls")
 
     def __init__(self) -> None:
-        self._used: dict[str, int] = {}
-        self._cycle = -1
+        self.free = list(UNITS)
+        self.cycle = -1
         self.structural_stalls = 0
 
     def try_issue(self, op: OpClass, cycle: int) -> bool:
         """Claim a unit of the right kind for this cycle."""
-        if cycle != self._cycle:
-            self._cycle = cycle
-            self._used.clear()
-        kind = fu_kind(op)
-        used = self._used.get(kind, 0)
-        if used >= _UNITS_PER_KIND[kind]:
+        free = self.free
+        if cycle != self.cycle:
+            self.cycle = cycle
+            free[:] = UNITS
+        kind = FU_INDEX[op]
+        if not free[kind]:
             self.structural_stalls += 1
             return False
-        self._used[kind] = used + 1
+        free[kind] -= 1
         return True
-
-    @staticmethod
-    def units_for(op: OpClass) -> int:
-        return _UNITS_PER_KIND[fu_kind(op)]

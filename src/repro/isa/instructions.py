@@ -85,6 +85,17 @@ _MEMORY_OPS = frozenset(
     (OpClass.LOAD, OpClass.STORE, OpClass.LL, OpClass.SC)
 )
 
+#: Functional-unit kinds in pool-index order (the MXS pool's
+#: per-cycle counters are indexed by position here).
+FU_KINDS = ("mem", "ialu", "imul", "idiv", "branch", "fadd", "fmul", "fdiv")
+
+#: Pool index per op class, indexed by the :class:`OpClass` value:
+#: position of the op's kind in :data:`FU_KINDS`. A table rather than
+#: an ``Instruction`` slot — instructions are memoized by the tens of
+#: thousands, and a slot only MXS reads showed up as +1 % peak RSS on
+#: the Mipsy and replay workloads.
+FU_INDEX = tuple(FU_KINDS.index(_FU_KIND[op]) for op in OpClass)
+
 #: Precomputed memory-op dispatch codes (``Instruction.mcode``): 0 for
 #: compute/branch, small ints for the memory ops. The hot tick loops
 #: dispatch on this one int slot instead of chains of enum identity

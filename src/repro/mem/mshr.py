@@ -12,29 +12,42 @@ from __future__ import annotations
 
 from repro.errors import SimulationError
 
+_NEVER = 1 << 62
+
 
 class MshrFile:
     """Tracks in-flight line fills for one CPU's data cache."""
 
-    __slots__ = ("capacity", "_entries", "merges", "allocations", "full_stalls")
+    __slots__ = (
+        "capacity",
+        "_entries",
+        "_earliest",
+        "merges",
+        "allocations",
+        "full_stalls",
+    )
 
     def __init__(self, capacity: int = 4) -> None:
         if capacity <= 0:
             raise SimulationError("MSHR capacity must be positive")
         self.capacity = capacity
         self._entries: dict[int, int] = {}  # line_addr -> fill-done cycle
+        # Earliest fill-done cycle among the entries (``_NEVER`` when
+        # empty): lets retire() return before scanning anything.
+        self._earliest = _NEVER
         self.merges = 0
         self.allocations = 0
         self.full_stalls = 0
 
     def retire(self, now: int) -> None:
         """Free every entry whose fill completed at or before ``now``."""
-        entries = self._entries
-        if not entries:
+        if now < self._earliest:
             return
+        entries = self._entries
         done = [line for line, t in entries.items() if t <= now]
         for line in done:
             del entries[line]
+        self._earliest = min(entries.values(), default=_NEVER)
 
     def probe(self, line_addr: int) -> int | None:
         """Completion cycle of an in-flight fill of this line, if any."""
@@ -51,13 +64,22 @@ class MshrFile:
             self.merges += 1
             if done < self._entries[line_addr]:
                 self._entries[line_addr] = done
+                if done < self._earliest:
+                    self._earliest = done
             return True
         if len(self._entries) >= self.capacity:
             self.full_stalls += 1
             return False
         self._entries[line_addr] = done
+        if done < self._earliest:
+            self._earliest = done
         self.allocations += 1
         return True
+
+    def load(self, entries: dict[int, int]) -> None:
+        """Replace the in-flight fills (checkpoint restore)."""
+        self._entries = dict(entries)
+        self._earliest = min(entries.values(), default=_NEVER)
 
     @property
     def outstanding(self) -> int:
@@ -69,6 +91,4 @@ class MshrFile:
 
     def earliest_completion(self) -> int | None:
         """Completion cycle of the oldest outstanding fill, if any."""
-        if not self._entries:
-            return None
-        return min(self._entries.values())
+        return self._earliest if self._entries else None

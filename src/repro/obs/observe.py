@@ -108,8 +108,10 @@ class Observation:
             sampler.add_gauge(
                 f"cpu{cid}.mshr", lambda c=cpu: c.mshrs.outstanding
             )
+            # Every graduation retires one instruction; ``mxs.graduated``
+            # itself only folds at flush_stats() and would lag.
             sampler.add_rate(
-                f"cpu{cid}.graduated", lambda c=cpu: c.mxs.graduated
+                f"cpu{cid}.graduated", lambda c=cpu: c.instructions
             )
             return
         # The busy counter batches between stalls; busy_cycles() folds

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.core.configs import test_config as make_test_config
@@ -10,6 +13,16 @@ from repro.mem.functional import FunctionalMemory
 from repro.sim.stats import SystemStats
 from repro.sync.barrier import Barrier
 from repro.workloads.base import Workload
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module: a golden generator is
+    also the case matrix of the suite that checks its output."""
+    path = Path(__file__).parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)

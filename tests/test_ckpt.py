@@ -8,9 +8,12 @@ CPU model — including with observability attached.
 
 from __future__ import annotations
 
+import gc
+import gzip
 import json
 
 import pytest
+from conftest import load_script
 
 from repro.ckpt import (
     SNAPSHOT_FORMAT,
@@ -165,6 +168,52 @@ def test_checkpoint_resume_non_default_topology(arch, n_cpus, cpu_model):
     fresh = build_system(arch, cpu_model, n_cpus=n_cpus)
     restore_system(fresh, state)
     assert fresh.run().to_dict() == baseline
+
+
+# ----------------------------------------------------------------------
+# MXS: the wire format across the pipeline rewrite
+#
+# tests/data/mxs_midrun_ckpt.json.gz was written by the pipeline that
+# kept a seq -> record dict and a string-keyed FU pool. The format
+# carries neither producer links nor the unissued list — both are
+# derived from the ROB rows on restore — so that blob must still load.
+
+_MXS_GEN = load_script("gen_mxs_golden")
+
+
+def _committed_mxs_blob() -> dict:
+    return json.loads(gzip.decompress(_MXS_GEN.CKPT_PATH.read_bytes()))
+
+
+def test_pre_rewrite_mxs_blob_restores_and_runs_to_golden():
+    golden = json.loads(_MXS_GEN.GOLDEN_PATH.read_text(encoding="utf-8"))
+    fresh = _MXS_GEN.build_case(_MXS_GEN.CKPT_CASE, checkpointing=True)
+    restore_system(fresh, _committed_mxs_blob())
+    stats = fresh.run()
+    assert {
+        "stats": stats.to_dict(),
+        "cpus": _MXS_GEN.pipeline_counters(fresh),
+    } == golden["cases"][_MXS_GEN.CKPT_CASE]
+
+
+def test_mxs_snapshot_matches_pre_rewrite_blob():
+    committed = _committed_mxs_blob()
+    state = roundtrip(_MXS_GEN.midrun_snapshot())
+    # The package version is the one field allowed to move.
+    state["meta"]["version"] = committed["meta"]["version"]
+    assert state == committed
+
+
+def test_mxs_finished_run_leaves_no_record_reachable():
+    # Wake-up links are cleared as producers become ready, so a
+    # dependence chain cannot keep graduated records alive behind the
+    # ROB: once the run is over, nothing in flight is left anywhere.
+    from repro.cpu.mxs.core import _Record
+
+    system = build_system("shared-mem", "mxs")
+    system.run()
+    gc.collect()
+    assert not [o for o in gc.get_objects() if type(o) is _Record]
 
 
 def test_restore_rejects_stage_count_mismatch():

@@ -100,3 +100,18 @@ def test_examples_exist_and_are_executable_scripts():
             "#!"
         ), example
         assert "def main" in text, example
+
+
+def test_version_has_a_single_source():
+    # pyproject.toml takes the version from the package (no second
+    # literal to drift), and the changelog's newest entry is that
+    # version. Plain text checks: tomllib needs Python 3.11.
+    root = SRC_ROOT.parent.parent
+    pyproject = (root / "pyproject.toml").read_text()
+    project = pyproject.split("[project]")[1].split("\n[")[0]
+    assert 'dynamic = ["version"]' in project
+    assert "\nversion =" not in project
+    assert 'version = { attr = "repro.__version__" }' in pyproject
+    changelog = (root / "CHANGELOG.md").read_text()
+    newest = changelog.split("\n## ", 1)[1].split("\n", 1)[0].strip()
+    assert newest == repro.__version__

@@ -200,6 +200,18 @@ def test_narrow_window_hurts_memory_overlap():
     narrow, _ = run_micro(script, window=4, rob=4)
     assert narrow.cycles > wide.cycles
 
+
+def test_window_counts_rob_positions():
+    """Select sees the first ``window`` ROB positions: a window inside
+    a larger ROB binds on its own, one beyond the ROB is the ROB."""
+    script = [("load", i * 7) for i in range(10)]
+    whole, _ = run_micro(script, window=32, rob=32)
+    beyond, _ = run_micro(script, window=64, rob=32)
+    inside, _ = run_micro(script, window=4, rob=32)
+    assert beyond.to_dict() == whole.to_dict()
+    assert inside.cycles > whole.cycles
+
+
 def test_wrong_path_fetch_pollutes_and_slows():
     """With wrong-path fetch on, unpredictable branches cost more
     (I-cache pollution + refill traffic) and squashed slots appear."""

@@ -85,6 +85,8 @@ def test_cpu_params_validation():
         CpuParams(btb_entries=1000)  # not a power of two
     with pytest.raises(ConfigError):
         CpuParams(window=0)
+    with pytest.raises(ConfigError):
+        CpuParams(mshrs=0)  # used to surface from MshrFile at build time
 
 
 # ----------------------------------------------------------------------
