@@ -12,8 +12,10 @@ Scenario (see docs/SERVICE.md):
    ``Job.run()`` of the identical spec — the service must be
    bit-identical to local execution.
 4. Scrape ``/v1/metrics`` and assert the dedup is visible in the
-   counters, then SIGINT the daemon and require a clean rc=0
-   shutdown and a validatable telemetry event log.
+   counters — and the wire path in its own: no more connections than
+   clients plus this script's probes, no more status requests than one
+   per elapsed long-poll hold — then SIGINT the daemon and require a
+   clean rc=0 shutdown and a validatable telemetry event log.
 
 Exit status 0 on success; any divergence prints the failure and
 returns 1. Telemetry artifacts land in ``--state-dir`` (default
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import signal
 import subprocess
 import sys
 import tempfile
 import time
-import urllib.error
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -37,6 +39,7 @@ sys.path.insert(0, "src")
 
 from repro.obs.bus import validate_events
 from repro.serve import ServiceClient, ServiceError, job_from_payload
+from repro.serve.client import HOLD_SHARE
 
 SPECS = {
     "fft-a": {"workload": "fft", "arch": "shared-l2", "n_cpus": 4},
@@ -56,7 +59,7 @@ def wait_for_health(client: ServiceClient, timeout: float = 30.0) -> None:
         try:
             if client.health().get("ok"):
                 return
-        except (ServiceError, urllib.error.URLError, OSError):
+        except ServiceError:
             pass
         if time.monotonic() > deadline:
             raise RuntimeError("daemon never became healthy")
@@ -100,18 +103,22 @@ def main() -> int:
                 name, spec = name_spec
                 own = ServiceClient(server)
                 job_id = own.submit(spec)["id"]
+                started = time.monotonic()
                 status = own.wait(job_id, timeout=300)
+                waited = time.monotonic() - started
                 print(f"[client] {name}: {status['state']} "
                       f"(attempts={status['attempts']})", flush=True)
-                return name, job_id, status, own.result(job_id)
+                # a wait is one status request per hold it sat through
+                holds = 1 + int(waited / (own.timeout * HOLD_SHARE))
+                return name, job_id, status, own.result(job_id), holds
 
             with ThreadPoolExecutor(max_workers=4) as pool:
-                outcomes = dict(
-                    (name, (job_id, status, result))
-                    for name, job_id, status, result in pool.map(
-                        drive, SPECS.items()
-                    )
-                )
+                driven = list(pool.map(drive, SPECS.items()))
+            outcomes = {
+                name: (job_id, status, result)
+                for name, job_id, status, result, _ in driven
+            }
+            holds = sum(row[-1] for row in driven)
 
             for name, (_, status, _) in outcomes.items():
                 if status["state"] not in ("done", "cached"):
@@ -152,6 +159,33 @@ def main() -> int:
             ):
                 if needle not in metrics:
                     failures.append(f"metrics missing {needle!r}")
+
+            # wire path: `client` is this script's one probe connection
+            # (its refused attempts before the daemon was up never
+            # reached it) and made the one plain status() call above
+            def counter(name):
+                match = re.search(
+                    rf"^{re.escape(name)} (\d+)$", metrics, re.M
+                )
+                return int(match.group(1)) if match else -1
+
+            connections = counter("repro_service_http_connections_total")
+            if not 1 <= connections <= len(SPECS) + 1:
+                failures.append(
+                    f"{connections} connections opened by "
+                    f"{len(SPECS)} clients + 1 probe"
+                )
+            polls = counter(
+                'repro_service_http_requests_total{endpoint="status"}'
+            )
+            if not len(SPECS) <= polls - 1 <= holds:
+                failures.append(
+                    f"{polls - 1} status requests for {holds} "
+                    "long-poll hold(s): wait() is polling"
+                )
+            else:
+                print(f"[wire] {connections} connections, {polls - 1} "
+                      f"status requests for {holds} hold(s)", flush=True)
         finally:
             daemon.send_signal(signal.SIGINT)
             try:
@@ -178,7 +212,8 @@ def main() -> int:
         for failure in failures:
             print(f"FAIL {failure}")
         return 1
-    print("serve smoke: dedup, differential, metrics, shutdown all ok")
+    print("serve smoke: dedup, differential, metrics, wire path, "
+          "shutdown all ok")
     return 0
 
 

@@ -5,7 +5,7 @@ This package turns the batch-oriented fault-tolerant
 :class:`ServiceDaemon` front-ends an async priority
 :class:`~repro.serve.queue.JobQueue` and a persistent warm worker pool
 (:class:`~repro.core.runner.RunnerSession`) with a small JSON HTTP API
-— submit, poll, fetch, cancel, stream events, scrape metrics — and
+— submit, wait, fetch, cancel, stream events, scrape metrics — and
 :class:`ServiceClient` (plus the ``repro client`` CLI) consumes it.
 Jobs are content-addressed by :meth:`~repro.core.runner.Job.key`, so
 identical specs from any number of clients dedup to a single

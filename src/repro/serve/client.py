@@ -1,9 +1,9 @@
 """Python client for the ``repro serve`` daemon.
 
 :class:`ServiceClient` wraps the JSON HTTP API in plain method calls
-built on ``urllib`` (stdlib only, matching the daemon's
+built on ``http.client`` (stdlib only, matching the daemon's
 no-new-dependencies rule): submit a :class:`~repro.core.runner.Job` or
-a raw wire payload, poll status, block until terminal, fetch the full
+a raw wire payload, read status, block until terminal, fetch the full
 :class:`~repro.core.experiment.ExperimentResult`, cancel, and follow
 the live NDJSON event stream. The ``repro client`` CLI subcommands are
 thin shells over this class.
@@ -11,11 +11,14 @@ thin shells over this class.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 from typing import Iterator
+from urllib.parse import urlsplit
 
 from repro.core.experiment import ExperimentResult
 from repro.core.runner import Job
@@ -24,6 +27,14 @@ from repro.serve import wire
 from repro.serve.queue import TERMINAL_STATES
 
 DEFAULT_SERVER = "http://127.0.0.1:8765"
+
+#: Share of the socket timeout :meth:`ServiceClient.wait` asks the
+#: daemon to hold a status request for; the rest is for the answer to a
+#: hold that ran out to arrive in.
+HOLD_SHARE = 0.8
+#: Floor on one round of :meth:`ServiceClient.wait` when the daemon
+#: answers ahead of the hold (it predates ``?wait=``, or is draining).
+EARLY_ANSWER_PACE_S = 0.2
 
 
 class ServiceError(ReproError):
@@ -34,12 +45,33 @@ class ServiceError(ReproError):
         self.code = code
 
 
+def _close_all(connections: dict, lock: threading.Lock) -> None:
+    with lock:
+        doomed = list(connections.values())
+        connections.clear()
+    for connection in doomed:
+        if connection.sock is not None:
+            # Say goodbye on the wire: close() alone tells the daemon
+            # nothing while a forked child holds a copy of the socket.
+            try:
+                connection.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        connection.close()
+
+
 class ServiceClient:
     """Talks to one ``repro serve`` daemon.
 
     ``server`` is the base URL (scheme + host + port). ``timeout`` is
-    the per-request socket timeout; long waits are built from repeated
-    short polls, so a slow simulation never trips it.
+    the per-request socket timeout; :meth:`wait` asks the daemon to
+    hold each status request for less than that, so a slow simulation
+    never trips it.
+
+    Each thread that calls into a client gets its own persistent
+    connection, opened on first use and kept until :meth:`close` (also
+    the context-manager exit, and what happens when the client is
+    garbage-collected), so one instance may be shared between threads.
     """
 
     def __init__(
@@ -49,8 +81,96 @@ class ServiceClient:
     ) -> None:
         self.server = server.rstrip("/")
         self.timeout = timeout
+        self._url = urlsplit(self.server)
+        self._lock = threading.Lock()
+        #: thread ident -> that thread's connection
+        self._connections: dict[int, http.client.HTTPConnection] = {}
+        weakref.finalize(self, _close_all, self._connections, self._lock)
+
+    def close(self) -> None:
+        """Close every connection; the next call opens a fresh one."""
+        _close_all(self._connections, self._lock)
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport ------------------------------------------------------
+
+    def _new_connection(
+        self, timeout: float | None
+    ) -> http.client.HTTPConnection:
+        # http.client sets TCP_NODELAY on every socket it connects.
+        factory = {
+            "http": http.client.HTTPConnection,
+            "https": http.client.HTTPSConnection,
+        }.get(self._url.scheme)
+        try:
+            host, port = self._url.hostname, self._url.port
+        except ValueError:  # a port that is not a number
+            host = None
+        if factory is None or not host:
+            raise ServiceError(
+                f"not an http(s) server URL: {self.server!r}"
+            )
+        return factory(host, port, timeout=timeout)
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: bytes | None = None,
+        accept: str = "application/json",
+    ) -> bytes:
+        """One request on this thread's connection; the response body.
+
+        Raises :class:`ServiceError` for a transport failure or an
+        error status (``code`` set, with the daemon's ``error`` text).
+        """
+        headers = {"Accept": accept}
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        ident = threading.get_ident()
+        connection = self._connections.get(ident)
+        if connection is None:
+            connection = self._new_connection(self.timeout)
+            with self._lock:
+                self._connections[ident] = connection
+        while True:
+            kept = connection.sock is not None
+            try:
+                connection.request(
+                    method, self._url.path + path, body=body,
+                    headers=headers,
+                )
+                response = connection.getresponse()
+                raw = response.read()
+                break
+            except (http.client.HTTPException, OSError) as error:
+                connection.close()
+                # A kept socket the daemon has since dropped (idle
+                # timeout, restart) fails on its next use: go again,
+                # once, on a new one. Every call is safe to repeat —
+                # submit is idempotent by content address.
+                if kept and isinstance(error, ConnectionError):
+                    continue
+                raise ServiceError(
+                    f"cannot reach {self.server}: {error}"
+                ) from error
+        if response.status >= 400:
+            detail = ""
+            try:
+                detail = json.loads(raw).get("error", "")
+            except (ValueError, AttributeError):
+                pass  # body may not be JSON
+            raise ServiceError(
+                f"{method} {path} failed: HTTP {response.status}"
+                + (f" — {detail}" if detail else ""),
+                code=response.status,
+            )
+        return raw
 
     def _request(
         self,
@@ -58,35 +178,11 @@ class ServiceClient:
         path: str,
         payload: dict | None = None,
     ) -> dict:
-        body = None
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.server + path, data=body, headers=headers, method=method
+        body = (
+            None if payload is None
+            else json.dumps(payload).encode("utf-8")
         )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            detail = ""
-            try:
-                document = json.loads(error.read().decode("utf-8"))
-                detail = document.get("error", "")
-            except Exception:  # noqa: BLE001 - body may not be JSON
-                pass
-            raise ServiceError(
-                f"{method} {path} failed: HTTP {error.code}"
-                + (f" — {detail}" if detail else ""),
-                code=error.code,
-            ) from error
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cannot reach {self.server}: {error.reason}"
-            ) from error
+        return json.loads(self._exchange(method, path, body))
 
     # -- submission -----------------------------------------------------
 
@@ -106,36 +202,43 @@ class ServiceClient:
                 payload["priority"] = priority
         return self._request("POST", "/v1/jobs", payload)
 
-    # -- polling --------------------------------------------------------
+    # -- status ---------------------------------------------------------
 
     def status(self, job_id: str) -> dict:
         """Current lifecycle status of ``job_id``."""
         return self._request("GET", f"/v1/jobs/{job_id}")
 
-    def wait(
-        self,
-        job_id: str,
-        timeout: float | None = None,
-        poll: float = 0.2,
-    ) -> dict:
-        """Poll until ``job_id`` is terminal; returns the final status.
+    def wait(self, job_id: str, timeout: float | None = None) -> dict:
+        """Block until ``job_id`` is terminal; returns the final status.
 
-        Raises :class:`ServiceError` when ``timeout`` (seconds) expires
-        first.
+        Long-polls: each status request carries ``?wait=S`` and the
+        daemon answers when the job ends or the hold ``S`` runs out, so
+        a job of any length within one hold costs one request. Raises
+        :class:`ServiceError` when ``timeout`` (seconds) expires first.
         """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
         while True:
-            status = self.status(job_id)
+            asked = time.monotonic()
+            hold = self.timeout * HOLD_SHARE
+            if deadline is not None:
+                hold = max(0.0, min(hold, deadline - asked))
+            status = self._request(
+                "GET", f"/v1/jobs/{job_id}?wait={hold:.3f}"
+            )
             if status["state"] in TERMINAL_STATES:
                 return status
-            if deadline is not None and time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError(
                     f"job {job_id} still {status['state']} after "
                     f"{timeout:g}s"
                 )
-            time.sleep(poll)
+            early = (
+                asked + min(hold, EARLY_ANSWER_PACE_S) - time.monotonic()
+            )
+            if early > 0:
+                time.sleep(early)
 
     # -- results --------------------------------------------------------
 
@@ -187,32 +290,36 @@ class ServiceClient:
 
         Yields each bus event routed to the job as a dict; the last
         item is the synthetic ``serve.state`` record carrying the final
-        state. The HTTP connection stays open for the job's lifetime,
-        so no socket timeout is applied.
+        state. The stream has a connection of its own, open for the
+        job's lifetime, so no socket timeout is applied.
         """
-        request = urllib.request.Request(
-            f"{self.server}/v1/jobs/{job_id}/events",
-            headers={"Accept": "application/x-ndjson"},
-        )
+        connection = self._new_connection(None)
         try:
-            with urllib.request.urlopen(request) as response:
-                for raw in response:
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    try:
-                        yield json.loads(line)
-                    except ValueError:
-                        continue
-        except urllib.error.HTTPError as error:
+            connection.request(
+                "GET",
+                f"{self._url.path}/v1/jobs/{job_id}/events",
+                headers={"Accept": "application/x-ndjson"},
+            )
+            response = connection.getresponse()
+            if response.status != 200:
+                raise ServiceError(
+                    f"watch {job_id} failed: HTTP {response.status}",
+                    code=response.status,
+                )
+            for raw in response:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                try:
+                    yield json.loads(line)
+                except ValueError:
+                    continue
+        except (http.client.HTTPException, OSError) as error:
             raise ServiceError(
-                f"watch {job_id} failed: HTTP {error.code}",
-                code=error.code,
+                f"cannot reach {self.server}: {error}"
             ) from error
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cannot reach {self.server}: {error.reason}"
-            ) from error
+        finally:
+            connection.close()
 
     # -- daemon introspection -------------------------------------------
 
@@ -230,16 +337,6 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """The Prometheus text exposition (raw body)."""
-        request = urllib.request.Request(
-            self.server + "/v1/metrics",
-            headers={"Accept": "text/plain"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                f"cannot reach {self.server}: {error}"
-            ) from error
+        return self._exchange(
+            "GET", "/v1/metrics", accept="text/plain"
+        ).decode("utf-8")

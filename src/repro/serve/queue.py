@@ -64,7 +64,10 @@ class JobRecord:
     ``id`` is the job's content address; ``submits`` counts how many
     client submissions this record absorbed (dedup factor);
     ``attempts`` counts dispatches to the pool including crash
-    retries. ``result`` is populated on ``done``/``cached``.
+    retries. ``result_body`` is populated on ``done``/``cached``: the
+    ``GET /v1/jobs/{id}/result`` document, encoded once when the
+    result lands — a record that has one never changes again, so every
+    fetch sends the same bytes.
     """
 
     id: str
@@ -76,7 +79,7 @@ class JobRecord:
     error: str | None = None
     timed_out: bool = False
     cancel_requested: bool = False
-    result: ExperimentResult | None = None
+    result_body: bytes | None = None
     cached: bool = False
     seq: int = 0
     submitted_at: float = field(default_factory=time.time)
@@ -113,8 +116,10 @@ class JobQueue:
 
     Lower ``priority`` runs sooner; ties break by submission order.
     Every state transition notifies the shared condition, which
-    :meth:`claim` (the scheduler's blocking pop) and :meth:`wait_idle`
-    (the drain barrier) wait on.
+    :meth:`claim` (the scheduler's blocking pop), :meth:`wait_idle`
+    (the drain barrier) and :meth:`wait_terminal` (a parked
+    ``?wait=`` request) wait on. A waiter that passed its owner's stop
+    event is released by :meth:`wake`.
     """
 
     def __init__(self) -> None:
@@ -123,6 +128,8 @@ class JobQueue:
         self._records: dict[str, JobRecord] = {}
         self._heap: list[tuple[int, int, str]] = []
         self._seq = 0
+        #: Requests inside :meth:`wait_terminal` right now.
+        self.parked = 0
 
     # -- submission -----------------------------------------------------
 
@@ -138,7 +145,7 @@ class JobQueue:
         with self._cond:
             record = self._records.get(key)
             if record is not None and (
-                not record.terminal or record.result is not None
+                not record.terminal or record.result_body is not None
             ):
                 record.submits += 1
                 return record, True
@@ -153,11 +160,16 @@ class JobQueue:
 
     # -- scheduler side -------------------------------------------------
 
-    def claim(self, timeout: float | None = None) -> JobRecord | None:
-        """Pop the highest-priority queued record; ``None`` on timeout.
+    def claim(
+        self,
+        timeout: float | None = None,
+        stop: threading.Event | None = None,
+    ) -> JobRecord | None:
+        """Pop the highest-priority queued record.
 
-        Heap entries whose record was cancelled or re-queued under a
-        newer seq are stale and skipped.
+        Returns ``None`` on timeout, or once ``stop`` is set and the
+        queue has been :meth:`wake`-d. Heap entries whose record was
+        cancelled or re-queued under a newer seq are stale and skipped.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
@@ -171,12 +183,19 @@ class JobQueue:
                         and record.state == QUEUED
                     ):
                         return record
+                if stop is not None and stop.is_set():
+                    return None
                 if deadline is None:
                     self._cond.wait()
                 else:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or not self._cond.wait(remaining):
                         return None
+
+    def wake(self) -> None:
+        """Make every waiter look at its stop event again."""
+        with self._cond:
+            self._cond.notify_all()
 
     def mark_running(self, record: JobRecord) -> bool:
         """Transition a claimed record to ``running``.
@@ -211,12 +230,23 @@ class JobQueue:
         cached: bool = False,
     ) -> None:
         """Record a successful completion (``done`` or ``cached``)."""
+        state = CACHED if cached else DONE
+        body = json.dumps(
+            {
+                "id": record.id,
+                "state": state,
+                "cached": cached,
+                "attempts": record.attempts,
+                "result": result.to_dict(),
+            },
+            sort_keys=True,
+        ).encode("utf-8")
         with self._cond:
             if record.terminal:
                 return
-            record.result = result
+            record.result_body = body
             record.cached = cached
-            record.state = CACHED if cached else DONE
+            record.state = state
             record.finished_at = time.time()
             self._cond.notify_all()
 
@@ -275,6 +305,33 @@ class JobQueue:
         """The record for ``job_id``, or ``None``."""
         with self._lock:
             return self._records.get(job_id)
+
+    def wait_terminal(
+        self, job_id: str, timeout: float, released: threading.Event
+    ) -> JobRecord | None:
+        """Park until ``job_id`` is terminal; returns its record.
+
+        Comes back early — with the record as it stands — when
+        ``timeout`` runs out or ``released`` is set and the queue
+        :meth:`wake`-d, and at once with ``None`` for an unknown id.
+        """
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            self.parked += 1
+            try:
+                while True:
+                    record = self._records.get(job_id)
+                    remaining = deadline - time.monotonic()
+                    if (
+                        record is None
+                        or record.terminal
+                        or released.is_set()
+                        or remaining <= 0
+                    ):
+                        return record
+                    self._cond.wait(remaining)
+            finally:
+                self.parked -= 1
 
     def records(self) -> list[JobRecord]:
         """All records in submission order."""

@@ -77,7 +77,7 @@ class Scheduler:
 
     def _loop(self) -> None:
         while not self._stop.is_set():
-            record = self.queue.claim(timeout=0.2)
+            record = self.queue.claim(stop=self._stop)
             if record is None:
                 continue
             if self._stop.is_set():
@@ -204,8 +204,9 @@ class Scheduler:
         allowed up to ``timeout`` seconds to land first.
         """
         self._stop.set()
-        # The 0.2 s claim()/acquire() timeouts bound how long the
-        # dispatcher takes to notice the stop flag.
+        # claim() re-reads the stop flag when woken; a dispatcher held
+        # on a full pool notices within the 0.2 s acquire() timeout.
+        self.queue.wake()
         if self._thread.is_alive():
             self._thread.join(timeout=max(1.0, timeout))
         if force:

@@ -13,7 +13,10 @@ by the stdlib ``ThreadingHTTPServer`` (no new dependencies):
                                       idempotent — identical specs
                                       dedup to one record, cached specs
                                       return instantly
-``GET  /v1/jobs/{id}``                lifecycle status + attempt count
+``GET  /v1/jobs/{id}``                lifecycle status + attempt count;
+                                      ``?wait=S`` parks the request
+                                      until the job is terminal or
+                                      ``S`` seconds pass
 ``GET  /v1/jobs/{id}/result``         the full ExperimentResult JSON
 ``POST /v1/jobs/{id}/cancel``         cancel (queued: immediately;
                                       running: result discarded)
@@ -30,15 +33,24 @@ for a grace period, SIGKILLs what remains, persists every unfinished
 job to a :class:`~repro.serve.queue.QueueManifest` for
 ``repro serve --resume``, and flushes the event bus so the telemetry
 log is complete.
+
+Connections are HTTP/1.1 keep-alive: one handler thread per client
+socket, ``TCP_NODELAY`` set, each response leaving in one send, idle
+sockets dropped after :data:`IDLE_TIMEOUT_S`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import selectors
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qs
 
 import repro
 from repro.core.runner import ResultCache, Runner
@@ -54,6 +66,15 @@ from repro.serve.queue import (
     QueueManifest,
 )
 from repro.serve.scheduler import Scheduler
+
+#: Longest a ``?wait=`` request is held before it is answered with the
+#: job's current (non-terminal) status; clients ask again.
+MAX_HOLD_S = 30.0
+#: Seconds a keep-alive socket may sit between requests before its
+#: handler thread gives it up.
+IDLE_TIMEOUT_S = 30.0
+#: Largest request body read; a longer ``Content-Length`` is a 413.
+MAX_BODY_BYTES = 1 << 20
 
 
 class EventRouter:
@@ -191,7 +212,7 @@ class ServiceDaemon:
             (self.host, self._requested_port), _Handler, self
         )
         self._server_thread = threading.Thread(
-            target=self._httpd.serve_forever,
+            target=self._httpd.serve_until_stopped,
             name="repro-serve-http",
             daemon=True,
         )
@@ -223,11 +244,12 @@ class ServiceDaemon:
     def shutdown(self, grace: float = 10.0) -> bool:
         """Drain and stop everything; returns ``True`` if fully drained.
 
-        Stops accepting, waits up to ``grace`` seconds for the queue to
-        go idle, force-stops the scheduler (SIGKILLing workers still
-        simulating), persists the unfinished tail to the queue
-        manifest, flushes and stops the bus, and closes the listener.
-        Idempotent.
+        Stops accepting, answers every parked ``?wait=`` request with
+        its job's current status, waits up to ``grace`` seconds for the
+        queue to go idle, force-stops the scheduler (SIGKILLing workers
+        still simulating), persists the unfinished tail to the queue
+        manifest, flushes and stops the bus, and closes the listener
+        and every client socket still open. Idempotent.
         """
         with self._shutdown_lock:
             if self._shut:
@@ -235,6 +257,7 @@ class ServiceDaemon:
             self._shut = True
         self._accepting = False
         self._stopping.set()
+        self.queue.wake()
         drained = self.queue.wait_idle(timeout=grace)
         if self.scheduler is not None:
             self.scheduler.stop(timeout=max(1.0, grace), force=True)
@@ -254,7 +277,7 @@ class ServiceDaemon:
         obs_bus.set_current(self._previous_handle)
         self.bus.stop()
         if self._httpd is not None:
-            self._httpd.shutdown()
+            self._httpd.stop()
             if self._server_thread is not None:
                 self._server_thread.join(timeout=5.0)
             self._httpd.server_close()
@@ -331,10 +354,21 @@ class ServiceDaemon:
 
     # -- introspection --------------------------------------------------
 
-    def status(self, job_id: str) -> dict | None:
-        """Status document for one job; ``None`` for unknown ids."""
-        record = self.queue.get(job_id)
+    def status(self, job_id: str, wait: float = 0.0) -> dict | None:
+        """Status document for one job; ``None`` for unknown ids.
+
+        ``wait`` (seconds, clamped to :data:`MAX_HOLD_S`) parks the
+        caller until the job is terminal; a daemon that is stopping
+        answers at once.
+        """
+        record = self.queue.wait_terminal(
+            job_id, min(wait, MAX_HOLD_S), self._stopping
+        )
         return None if record is None else record.status()
+
+    def open_connections(self) -> int:
+        """Client sockets the HTTP front end currently holds open."""
+        return self._httpd.open_connections() if self._httpd else 0
 
     def queue_info(self) -> dict:
         """The ``GET /v1/queue`` document."""
@@ -408,7 +442,27 @@ class ServiceDaemon:
             "# TYPE repro_service_uptime_seconds gauge",
             "repro_service_uptime_seconds "
             f"{(time.time() - self.started_at) if self.started_at else 0.0!r}",
+            "# HELP repro_service_longpoll_parked Status requests held "
+            "by ?wait= right now.",
+            "# TYPE repro_service_longpoll_parked gauge",
+            f"repro_service_longpoll_parked {self.queue.parked}",
         ]
+        if self._httpd is not None:
+            connections, requests = self._httpd.traffic()
+            lines += [
+                "# HELP repro_service_http_connections_total Client "
+                "connections accepted.",
+                "# TYPE repro_service_http_connections_total counter",
+                f"repro_service_http_connections_total {connections}",
+                "# HELP repro_service_http_requests_total Requests "
+                "routed, by endpoint.",
+                "# TYPE repro_service_http_requests_total counter",
+            ]
+            for endpoint, count in sorted(requests.items()):
+                lines.append(
+                    "repro_service_http_requests_total"
+                    f'{{endpoint="{endpoint}"}} {count}'
+                )
         if self.cache is not None:
             lines += [
                 "# HELP repro_service_cache_ops Result-cache counters "
@@ -464,21 +518,113 @@ class ServiceDaemon:
 
 
 class _ServeHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server carrying a reference to its daemon."""
+    """Threading HTTP server carrying a reference to its daemon.
+
+    Also the keeper of the connection books: which client sockets are
+    open (so shutdown can hang up on them) and how many connections and
+    requests there have been (``/v1/metrics``).
+    """
 
     daemon_threads = True
     allow_reuse_address = True
+    # handle_request() is only called on a readable listener; it must
+    # not sit in a select of its own if that connection is gone again.
+    timeout = 0
 
     def __init__(self, address, handler, service: ServiceDaemon) -> None:
         super().__init__(address, handler)
         self.service = service
+        self._waker, self._wakee = socket.socketpair()
+        self._lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+        self._connections = 0
+        self._requests: dict[str, int] = {}
+
+    # -- accept loop ----------------------------------------------------
+
+    def serve_until_stopped(self) -> None:
+        """Accept connections until :meth:`stop`; no poll interval."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wakee, selectors.EVENT_READ)
+            while True:
+                for key, _ in selector.select():
+                    if key.fileobj is self._wakee:
+                        return
+                    self.handle_request()
+
+    def stop(self) -> None:
+        """End :meth:`serve_until_stopped` now."""
+        self._waker.send(b"\0")
+
+    def server_close(self) -> None:
+        """Close the listener and hang up on every client still open."""
+        super().server_close()
+        self._waker.close()
+        self._wakee.close()
+        with self._lock:
+            still_open = list(self._open)
+        for connection in still_open:
+            # Read side only: the handler thread sees end-of-stream and
+            # closes the socket itself, after any answer it is writing.
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
+
+    # -- connection books -----------------------------------------------
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._open.add(request)
+            self._connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        """A client that hung up mid-exchange is not worth a traceback."""
+        if not isinstance(
+            sys.exc_info()[1], (ConnectionError, TimeoutError)
+        ):
+            super().handle_error(request, client_address)
+
+    def count(self, endpoint: str) -> None:
+        """Book one routed request."""
+        with self._lock:
+            self._requests[endpoint] = self._requests.get(endpoint, 0) + 1
+
+    def traffic(self) -> tuple[int, dict[str, int]]:
+        """Connections accepted and requests routed per endpoint."""
+        with self._lock:
+            return self._connections, dict(self._requests)
+
+    def open_connections(self) -> int:
+        """Client sockets currently open."""
+        with self._lock:
+            return len(self._open)
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes the ``/v1`` API onto :class:`ServiceDaemon` methods."""
+    """Routes the ``/v1`` API onto :class:`ServiceDaemon` methods.
+
+    One instance serves one client socket for as long as the client
+    keeps it: every path must leave the socket at the start of the next
+    request, or say ``Connection: close``.
+    """
 
     server: _ServeHTTPServer
     protocol_version = "HTTP/1.1"
+    # Keep-alive with Nagle on stalls every small exchange ~40 ms
+    # against the peer's delayed ACK.
+    disable_nagle_algorithm = True
+    # Buffered, so headers and body leave in one send when
+    # handle_one_request() flushes after the verb.
+    wbufsize = 1 << 16
+    timeout = IDLE_TIMEOUT_S
 
     @property
     def service(self) -> ServiceDaemon:
@@ -490,31 +636,58 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing -------------------------------------------------------
 
-    def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, code: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
+    def _send_bytes(self, code: int, body: bytes, content_type: str) -> None:
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, code: int, payload: dict) -> None:
+        self._send_bytes(
+            code,
+            json.dumps(payload, sort_keys=True).encode("utf-8"),
+            "application/json",
+        )
 
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
 
-    def _read_body(self) -> dict | None:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        raw = self.rfile.read(length) if length > 0 else b""
+    def _route(self) -> tuple[list[str], str]:
+        path, _, query = self.path.partition("?")
+        return [p for p in path.split("/") if p], query
+
+    def _drain_body(self) -> bytes | None:
+        """Take the request body off the socket, whatever the route.
+
+        A body left unread would be parsed as the next request on this
+        connection. One that cannot be framed or is too long is refused
+        unread — error sent, connection closing, ``None`` returned.
+        """
+        header = self.headers.get("Content-Length")
+        if header is None:
+            if self.headers.get("Transfer-Encoding") is None:
+                # No framing header means no body (RFC 7230 §3.3.3);
+                # ``curl -X POST .../cancel`` sends exactly this.
+                return b""
+            refusal = (400, "Transfer-Encoding is not supported; "
+                            "send Content-Length")
+        elif not header.isdigit():
+            refusal = (400, f"bad Content-Length: {header!r}")
+        elif int(header) > MAX_BODY_BYTES:
+            refusal = (413, f"request body over {MAX_BODY_BYTES} bytes")
+        else:
+            body = self.rfile.read(int(header))
+            if len(body) == int(header):
+                return body
+            refusal = (400, "request body shorter than Content-Length")
+        self.close_connection = True
+        self._error(*refusal)
+        return None
+
+    def _json_object(self, raw: bytes) -> dict | None:
         try:
             payload = json.loads(raw.decode("utf-8")) if raw else {}
         except (UnicodeDecodeError, ValueError):
@@ -525,13 +698,31 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return payload
 
+    def _hold_seconds(self, query: str) -> float | None:
+        """The ``?wait=`` value; 400 sent and ``None`` if not a number."""
+        values = parse_qs(query).get("wait") if query else None
+        if not values:
+            return 0.0
+        try:
+            hold = float(values[-1])
+        except ValueError:
+            hold = math.nan
+        if math.isnan(hold):
+            self._error(400, "wait must be a number of seconds")
+            return None
+        return max(0.0, hold)
+
     # -- verbs ----------------------------------------------------------
 
     def do_POST(self) -> None:
         """``POST /v1/jobs`` and ``POST /v1/jobs/{id}/cancel``."""
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        body = self._drain_body()
+        if body is None:
+            return
+        parts, _ = self._route()
         if parts == ["v1", "jobs"]:
-            payload = self._read_body()
+            self.server.count("submit")
+            payload = self._json_object(body)
             if payload is None:
                 return
             if not self.service.accepting:
@@ -554,35 +745,48 @@ class _Handler(BaseHTTPRequestHandler):
             and parts[:2] == ["v1", "jobs"]
             and parts[3] == "cancel"
         ):
+            self.server.count("cancel")
             response = self.service.cancel(parts[2])
             if response is None:
                 self._error(404, f"unknown job {parts[2]}")
                 return
             self._send_json(200, response)
             return
+        self.server.count("other")
         self._error(404, f"no such endpoint: POST {self.path}")
 
     def do_GET(self) -> None:
         """All ``GET /v1/...`` read endpoints."""
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
+        if self._drain_body() is None:
+            return
+        parts, query = self._route()
+        count = self.server.count
         if parts == ["v1", "health"]:
+            count("health")
             self._send_json(200, self.service.health())
             return
         if parts == ["v1", "queue"]:
+            count("queue")
             self._send_json(200, self.service.queue_info())
             return
         if parts == ["v1", "cache"]:
+            count("cache")
             self._send_json(200, self.service.cache_info())
             return
         if parts == ["v1", "metrics"]:
-            self._send_text(
+            count("metrics")
+            self._send_bytes(
                 200,
-                self.service.metrics_text(),
+                self.service.metrics_text().encode("utf-8"),
                 "text/plain; version=0.0.4",
             )
             return
         if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            status = self.service.status(parts[2])
+            count("status")
+            hold = self._hold_seconds(query)
+            if hold is None:
+                return
+            status = self.service.status(parts[2], wait=hold)
             if status is None:
                 self._error(404, f"unknown job {parts[2]}")
                 return
@@ -590,11 +794,14 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if len(parts) == 4 and parts[:2] == ["v1", "jobs"]:
             if parts[3] == "result":
+                count("result")
                 self._get_result(parts[2])
                 return
             if parts[3] == "events":
+                count("events")
                 self._get_events(parts[2])
                 return
+        count("other")
         self._error(404, f"no such endpoint: GET {self.path}")
 
     def _get_result(self, job_id: str) -> None:
@@ -602,17 +809,8 @@ class _Handler(BaseHTTPRequestHandler):
         if record is None:
             self._error(404, f"unknown job {job_id}")
             return
-        if record.result is not None:
-            self._send_json(
-                200,
-                {
-                    "id": record.id,
-                    "state": record.state,
-                    "cached": record.cached,
-                    "attempts": record.attempts,
-                    "result": record.result.to_dict(),
-                },
-            )
+        if record.result_body is not None:
+            self._send_bytes(200, record.result_body, "application/json")
             return
         if record.terminal:
             self._send_json(
@@ -645,6 +843,7 @@ class _Handler(BaseHTTPRequestHandler):
         # connection closes with it.
         self.send_header("Connection", "close")
         self.end_headers()
+        self.wfile.flush()
         try:
             for line in self.service.stream_events(job_id):
                 self.wfile.write(line.encode("utf-8") + b"\n")
