@@ -24,20 +24,20 @@ flattened away).
 
 from __future__ import annotations
 
+import os
 from array import array
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from typing import NamedTuple
-
-from repro.errors import ConfigError, ReproError, WorkloadError
+from repro.errors import ConfigError, WorkloadError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.hierarchy import MemConfig
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
-from repro.trace.format import TraceRecord
+from repro.trace.format import Row, parse_rows, per_cpu_columns
 from repro.trace.replay import _DEFAULT_PC
 
+_IFETCH = int(AccessKind.IFETCH)
 _LOAD = int(AccessKind.LOAD)
 _STORE = int(AccessKind.STORE)
 _SC = int(AccessKind.STORE_COND)
@@ -55,96 +55,54 @@ class PackedTrace:
 
     __slots__ = ("n_cpus", "n_records", "kinds", "addrs", "pcs")
 
-    def __init__(
-        self, n_cpus: int, records: Iterable[TraceRecord] = ()
-    ) -> None:
-        if n_cpus <= 0:
-            raise WorkloadError("n_cpus must be positive")
-        self.n_cpus = n_cpus
-        #: per-CPU reference kinds (AccessKind values; IFETCH folded)
-        self.kinds = [array("b") for _ in range(n_cpus)]
-        #: per-CPU effective addresses
-        self.addrs = [array("q") for _ in range(n_cpus)]
-        #: per-CPU fetch pc of each reference
-        self.pcs = [array("q") for _ in range(n_cpus)]
-        self.n_records = 0
-        pcs = [_DEFAULT_PC] * n_cpus
-        for record in records:
-            cpu = record.cpu
-            if cpu >= n_cpus:
-                raise WorkloadError(
-                    f"trace references cpu {cpu} but the machine has "
-                    f"{n_cpus}"
-                )
-            self.n_records += 1
-            if record.kind == AccessKind.IFETCH:
-                pcs[cpu] = record.pc or record.addr
-                continue
-            self.kinds[cpu].append(int(record.kind))
-            self.addrs[cpu].append(record.addr)
-            self.pcs[cpu].append(pcs[cpu])
-        if self.n_records == 0:
-            raise WorkloadError("empty trace")
+    def __init__(self, n_cpus: int, records: Iterable[Row] = ()) -> None:
+        self._fold(*per_cpu_columns(n_cpus, records))
 
     @classmethod
     def from_file(cls, n_cpus: int, path: str | Path) -> "PackedTrace":
-        """Decode a trace file directly into packed columns.
+        """Decode a trace file into packed columns.
 
-        A bulk parser equivalent to ``cls(n_cpus, read_trace(path))``
-        but several times faster: no :class:`TraceRecord` objects, no
-        generator hops — one loop appending straight into the columns.
+        Equivalent to ``cls(n_cpus, read_trace(path))`` without the
+        record objects.
         """
-        self = cls.__new__(cls)
-        if n_cpus <= 0:
-            raise WorkloadError("n_cpus must be positive")
-        self.n_cpus = n_cpus
-        self.kinds = [array("b") for _ in range(n_cpus)]
-        self.addrs = [array("q") for _ in range(n_cpus)]
-        self.pcs = [array("q") for _ in range(n_cpus)]
-        self.n_records = 0
-        n_records = 0
-        pcs_cur = [_DEFAULT_PC] * n_cpus
-        kind_append = [column.append for column in self.kinds]
-        addr_append = [column.append for column in self.addrs]
-        pc_append = [column.append for column in self.pcs]
         with Path(path).open() as handle:
-            for line in handle:
-                head = line[:1]
-                if head == "#" or head == "\n" or not head:
-                    continue
-                try:
-                    cpu_s, code, addr_s, pc_s = line.split()
-                    cpu = int(cpu_s)
-                except ValueError:
-                    raise ReproError(
-                        f"malformed trace line: {line.strip()!r}"
-                    ) from None
-                if cpu >= n_cpus:
-                    raise WorkloadError(
-                        f"trace references cpu {cpu} but the machine "
-                        f"has {n_cpus}"
-                    )
-                n_records += 1
-                if code == "L":
-                    kind_append[cpu](_LOAD)
-                elif code == "S":
-                    kind_append[cpu](_STORE)
-                elif code == "I":
-                    pcs_cur[cpu] = int(pc_s, 16) or int(addr_s, 16)
-                    continue
-                elif code == "C":
-                    kind_append[cpu](_SC)
-                else:
-                    raise ReproError(
-                        f"unknown access kind {code!r} in trace line "
-                        f"{line.strip()!r}"
-                    )
-                addr_append[cpu](int(addr_s, 16))
-                pc_append[cpu](pcs_cur[cpu])
-        if n_records == 0:
-            raise WorkloadError("empty trace")
-        self.n_records = n_records
+            return cls(n_cpus, parse_rows(handle))
+
+    @classmethod
+    def from_columns(
+        cls, kinds: list[array], addrs: list[array]
+    ) -> "PackedTrace":
+        """Pack per-CPU columns (see :mod:`repro.trace.format`) as a
+        :class:`~repro.trace.recorder.TraceRecorder` fills them."""
+        self = cls.__new__(cls)
+        self._fold(kinds, addrs)
         return self
+
+    def _fold(self, kinds: list[array], addrs: list[array]) -> None:
+        """Drop the I-fetch rows, carrying their pcs onto the
+        references that follow them."""
+        self.n_cpus = len(kinds)
+        self.n_records = sum(map(len, kinds))
+        if self.n_records == 0:
+            raise WorkloadError("empty trace")
+        #: per-CPU reference kinds (AccessKind values; IFETCH folded)
+        self.kinds = [array("b") for _ in kinds]
+        #: per-CPU effective addresses
+        self.addrs = [array("q") for _ in kinds]
+        #: per-CPU fetch pc of each reference
+        self.pcs = [array("q") for _ in kinds]
+        for cpu, (cpu_kinds, cpu_addrs) in enumerate(zip(kinds, addrs)):
+            keep_kind = self.kinds[cpu].append
+            keep_addr = self.addrs[cpu].append
+            keep_pc = self.pcs[cpu].append
+            pc = _DEFAULT_PC
+            for kind, addr in zip(cpu_kinds, cpu_addrs):
+                if kind == _IFETCH:
+                    pc = addr
+                else:
+                    keep_kind(kind)
+                    keep_addr(addr)
+                    keep_pc(pc)
 
     def __len__(self) -> int:
         """Executed (non-fetch) references across all CPUs."""
@@ -209,13 +167,14 @@ def _read_sidecar(path: Path, n_cpus: int, stat) -> "PackedTrace | None":
         return None
 
 
-def _write_sidecar(path: Path, n_cpus: int, stat, packed: PackedTrace):
+def _write_sidecar(
+    path: Path, n_cpus: int, stat, packed: PackedTrace
+) -> int:
     """Best-effort: cache the decode as a binary sidecar beside the
     trace (native byte order — a local cache, not an interchange
-    format). Failures (read-only store, races) are silently ignored;
-    the text trace stays the source of truth."""
-    import os
-
+    format); returns the bytes written. Failures (read-only store,
+    races) are silently ignored and count as 0; the text trace stays
+    the source of truth."""
     sidecar = _sidecar_path(path, n_cpus)
     tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
     try:
@@ -233,9 +192,34 @@ def _write_sidecar(path: Path, n_cpus: int, stat, packed: PackedTrace):
                 packed.kinds[c].tofile(handle)
                 packed.addrs[c].tofile(handle)
                 packed.pcs[c].tofile(handle)
+            written = handle.tell()
         tmp.replace(sidecar)
     except OSError:
         tmp.unlink(missing_ok=True)
+        return 0
+    return written
+
+
+def _memo_key(path: Path, n_cpus: int, stat) -> tuple:
+    return (os.fspath(path), n_cpus, stat.st_size, stat.st_mtime_ns)
+
+
+def _remember(key: tuple, packed: PackedTrace) -> None:
+    while len(_DECODE_CACHE) >= _DECODE_CACHE_CAP:
+        _DECODE_CACHE.pop(next(iter(_DECODE_CACHE)))
+    _DECODE_CACHE[key] = packed
+
+
+def seed_packed(path: Path, stat, packed: PackedTrace) -> int:
+    """Publish ``packed`` as the decode of the trace at ``path``.
+
+    For a recorder that still holds the stream it just wrote: ``stat``
+    is that text file's, and the sidecar and this process's memo are
+    filled exactly as the first :func:`load_packed` would have filled
+    them, minus the text parse. Returns the sidecar bytes written.
+    """
+    _remember(_memo_key(path, packed.n_cpus, stat), packed)
+    return _write_sidecar(path, packed.n_cpus, stat, packed)
 
 
 def load_packed(n_cpus: int, path: str | Path) -> PackedTrace:
@@ -245,23 +229,21 @@ def load_packed(n_cpus: int, path: str | Path) -> PackedTrace:
     never served stale; entries evict oldest-first past the cap. On a
     memo miss the decode is loaded from (or cached into) a binary
     sidecar beside the trace, so across processes each trace pays the
-    text parse exactly once. The returned object is shared — callers
-    must treat it as read-only (the kernel does).
+    text parse at most once — never, when the
+    :class:`~repro.trace.store.TraceStore` recorded it. The returned
+    object is shared — callers must treat it as read-only (the kernel
+    does).
     """
-    import os
-
     path = Path(path)
     stat = os.stat(path)
-    key = (os.fspath(path), n_cpus, stat.st_size, stat.st_mtime_ns)
+    key = _memo_key(path, n_cpus, stat)
     packed = _DECODE_CACHE.get(key)
     if packed is None:
         packed = _read_sidecar(path, n_cpus, stat)
         if packed is None:
             packed = PackedTrace.from_file(n_cpus, path)
             _write_sidecar(path, n_cpus, stat, packed)
-        while len(_DECODE_CACHE) >= _DECODE_CACHE_CAP:
-            _DECODE_CACHE.pop(next(iter(_DECODE_CACHE)))
-        _DECODE_CACHE[key] = packed
+        _remember(key, packed)
     return packed
 
 
@@ -326,9 +308,6 @@ def replay_kernel(
     resume = [0] * n_cpus
     done = [False] * n_cpus
     fetch_line = [-1] * n_cpus
-    instructions = [0] * n_cpus
-    ifetch_pending = [0] * n_cpus
-    busy_pending = [0] * n_cpus
 
     access = memory.access
     # Per-CPU fast-lane closures, indexed by CPU id — the same bound
@@ -391,9 +370,9 @@ def replay_kernel(
                 addr = addrs[c][i]
                 pc = pcs[c][i]
 
-                # Mipsy: every instruction counts one I-fetch; only
-                # line crossings probe the I-cache.
-                ifetch_pending[c] += 1
+                # Mipsy: every instruction counts one I-fetch and one
+                # busy cycle (folded from ``index`` in the epilogue);
+                # only line crossings probe the I-cache.
                 exec_start = cycle
                 line = pc >> line_shift
                 if line != fetch_line[c]:
@@ -404,9 +383,6 @@ def replay_kernel(
                         if fetch_done - cycle > 1:
                             breakdowns[c].istall += fetch_done - cycle - 1
                             exec_start = fetch_done - 1
-
-                busy_pending[c] += 1
-                instructions[c] += 1
 
                 kind = kind_c[i]
                 if kind == _LOAD:
@@ -483,16 +459,16 @@ def replay_kernel(
 
     # System.run epilogue: fold the batched counters, account the
     # drain, stamp totals. (finish() and validate() are no-ops for
-    # Mipsy and trace replay.)
+    # Mipsy and trace replay.) MipsyCpu.flush_stats: a CPU's column
+    # index is its retired-instruction count, and every instruction is
+    # exactly one I-fetch and one busy cycle.
     for c in range(n_cpus):
-        if ifetch_pending[c]:
-            l1i[c].reads += ifetch_pending[c]
-        if busy_pending[c]:
-            breakdowns[c].busy += busy_pending[c]
+        l1i[c].reads += index[c]
+        breakdowns[c].busy += index[c]
     end_cycle = max(resume)
     end_cycle = max(end_cycle, memory.drain(cycle))
     stats.cycles = end_cycle
-    stats.instructions = sum(instructions)
+    stats.instructions = sum(index)
     return KernelRun(
         stats=stats,
         truncated=truncated,

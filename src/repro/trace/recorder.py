@@ -1,83 +1,133 @@
 """Capture the reference stream of a running simulation.
 
 A :class:`TraceRecorder` wraps any
-:class:`~repro.mem.hierarchy.MemorySystem`: every ``access`` call is
-recorded (in issue order) and then forwarded unchanged, so the
-simulation behaves identically while the trace accumulates.
+:class:`~repro.mem.hierarchy.MemorySystem`: every reference is noted
+in its CPU's columns (see :mod:`repro.trace.format`) and forwarded
+unchanged, so the simulation behaves identically while the trace
+accumulates. Per-CPU issue order is all a trace keeps — the canonical
+file groups by CPU and replay splits by CPU — so the recorder needs no
+cross-CPU order and the CPU models may batch compute runs as usual.
 """
 
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.types import AccessKind, AccessResult
-from repro.trace.format import TraceRecord, write_trace
+from repro.trace.format import TraceRecord, write_columns
+
+_IFETCH = int(AccessKind.IFETCH)
+_LOAD = int(AccessKind.LOAD)
+_STORE = int(AccessKind.STORE)
 
 
 class TraceRecorder(MemorySystem):
     """Transparent recording proxy around a memory system."""
 
-    #: the recorder must see every reference at its own tick, in
-    #: cross-CPU issue order — no compute-run batching upstream
-    batchable = False
-
     def __init__(self, inner: MemorySystem) -> None:
         super().__init__(inner.config, inner.stats)
         self.name = inner.name
         self.inner = inner
-        self.records: list[TraceRecord] = []
-        # The recorder has no PC information at this layer; CPUs pass
-        # the address being fetched for IFETCH, which doubles as the pc.
+        n_cpus = inner.config.n_cpus
+        #: per-CPU kind codes, I-fetch rows included
+        self.kinds = [array("b") for _ in range(n_cpus)]
+        #: per-CPU addresses (an I-fetch row's address is its pc: the
+        #: recorder has no other PC information at this layer)
+        self.addrs = [array("q") for _ in range(n_cpus)]
         self._limit: int | None = None
 
     def limit(self, max_records: int) -> "TraceRecorder":
-        """Stop recording (but keep simulating) after ``max_records``."""
+        """Stop recording (but keep simulating) after ``max_records``.
+
+        "The first N" means N in cross-CPU issue order, so a limited
+        recorder is not :attr:`batchable`. Set the limit before the
+        CPUs bind (:func:`record_run` binds them).
+        """
         self._limit = max_records
         return self
+
+    @property
+    def batchable(self) -> bool:
+        """Whether CPU models may retire compute runs ahead of the run
+        loop: always, unless a :meth:`limit` counts across CPUs."""
+        return self._limit is None
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The captured stream as tuples, in canonical order."""
+        return [
+            TraceRecord(
+                cpu, AccessKind(kind), addr, addr if kind == _IFETCH else 0
+            )
+            for cpu, columns in enumerate(zip(self.kinds, self.addrs))
+            for kind, addr in zip(*columns)
+        ]
+
+    def _note(self, cpu: int, kind: int, addr: int) -> None:
+        if self._limit is None or len(self) < self._limit:
+            self.kinds[cpu].append(kind)
+            self.addrs[cpu].append(addr)
 
     def access(
         self, cpu: int, kind: AccessKind, addr: int, at: int
     ) -> AccessResult:
         """Record the reference, then forward it unchanged."""
-        if self._limit is None or len(self.records) < self._limit:
-            pc = addr if kind == AccessKind.IFETCH else 0
-            self.records.append(TraceRecord(cpu, kind, addr, pc))
+        self._note(cpu, kind, addr)
         return self.inner.access(cpu, kind, addr, at)
 
-    # The base-class fast_* methods decline (-1), which would silently
+    # The base-class fast lane declines (-1), which would silently
     # disable the wrapped system's L1-hit fast lane for the whole run —
     # still correct (the lane declines into access()) but slow. Forward
     # the lane and record the references it resolves instead; declines
     # are *not* recorded here because the CPU retries them via access().
 
+    def fast_lanes(self, cpu):
+        """The inner system's bound lanes, each noting what it resolves.
+
+        One extra frame per reference and no allocation. A limited
+        recorder takes the base class's adapters over the ``fast_*``
+        methods below, which check the limit.
+        """
+        if self._limit is not None:
+            return super().fast_lanes(cpu)
+        note_kind = self.kinds[cpu].append
+        note_addr = self.addrs[cpu].append
+
+        def noting(lane, kind):
+            def fast(addr, at):
+                done = lane(addr, at)
+                if done >= 0:
+                    note_kind(kind)
+                    note_addr(addr)
+                return done
+
+            return fast
+
+        return tuple(
+            map(noting, self.inner.fast_lanes(cpu), (_IFETCH, _LOAD, _STORE))
+        )
+
     def fast_load(self, cpu: int, addr: int, at: int) -> int:
         """Forward the load fast lane, recording resolved hits."""
         done = self.inner.fast_load(cpu, addr, at)
-        if done >= 0 and (
-            self._limit is None or len(self.records) < self._limit
-        ):
-            self.records.append(TraceRecord(cpu, AccessKind.LOAD, addr, 0))
+        if done >= 0:
+            self._note(cpu, _LOAD, addr)
         return done
 
     def fast_ifetch(self, cpu: int, addr: int, at: int) -> int:
         """Forward the I-fetch fast lane, recording resolved hits."""
         done = self.inner.fast_ifetch(cpu, addr, at)
-        if done >= 0 and (
-            self._limit is None or len(self.records) < self._limit
-        ):
-            self.records.append(
-                TraceRecord(cpu, AccessKind.IFETCH, addr, addr)
-            )
+        if done >= 0:
+            self._note(cpu, _IFETCH, addr)
         return done
 
     def fast_store(self, cpu: int, addr: int, at: int) -> int:
         """Forward the posted-store fast lane, recording resolved hits."""
         done = self.inner.fast_store(cpu, addr, at)
-        if done >= 0 and (
-            self._limit is None or len(self.records) < self._limit
-        ):
-            self.records.append(TraceRecord(cpu, AccessKind.STORE, addr, 0))
+        if done >= 0:
+            self._note(cpu, _STORE, addr)
         return done
 
     def drain(self, at: int) -> int:
@@ -99,18 +149,19 @@ class TraceRecorder(MemorySystem):
     # ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> int:
-        """Write the captured trace to ``path``; returns record count."""
-        return write_trace(path, self.records)
+        """Write the captured trace to ``path`` in canonical order;
+        returns the record count."""
+        return write_columns(path, self.kinds, self.addrs)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(map(len, self.kinds))
 
 
 def record_run(system, path: str | Path | None = None) -> TraceRecorder:
     """Wrap ``system``'s memory with a recorder, run, optionally save.
 
-    Returns the recorder (its ``records`` hold the trace). The system
-    must not have been run yet.
+    Returns the recorder (its columns hold the trace). The system must
+    not have been run yet.
     """
     recorder = TraceRecorder(system.memory)
     system.memory = recorder

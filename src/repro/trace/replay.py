@@ -16,10 +16,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Iterable
 
-from repro.errors import WorkloadError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.types import AccessKind
-from repro.trace.format import TraceRecord, read_trace
+from repro.trace.format import Row, parse_rows, per_cpu_columns
 from repro.workloads.base import Workload
 
 #: pc used for references recorded without fetch context
@@ -35,46 +34,37 @@ class TraceWorkload(Workload):
         self,
         n_cpus: int,
         functional: FunctionalMemory,
-        records: Iterable[TraceRecord] = (),
+        records: Iterable[Row] = (),
     ) -> None:
         super().__init__(n_cpus, functional)
-        self.streams: list[list[TraceRecord]] = [[] for _ in range(n_cpus)]
-        count = 0
-        for record in records:
-            if record.cpu >= n_cpus:
-                raise WorkloadError(
-                    f"trace references cpu {record.cpu} but the machine "
-                    f"has {n_cpus}"
-                )
-            self.streams[record.cpu].append(record)
-            count += 1
-        if count == 0:
-            raise WorkloadError("empty trace")
+        #: per-CPU columns of the stream (see :mod:`repro.trace.format`)
+        self.kinds, self.addrs = per_cpu_columns(n_cpus, records)
         self.replayed = 0
 
     @classmethod
     def from_file(
         cls, n_cpus: int, functional: FunctionalMemory, path: str | Path
     ) -> "TraceWorkload":
-        return cls(n_cpus, functional, read_trace(path))
+        with Path(path).open() as handle:
+            return cls(n_cpus, functional, parse_rows(handle))
 
     def program(self, cpu_id: int):
         """Re-issue this CPU's recorded reference stream."""
         from repro.isa.instructions import Instruction, OpClass
 
         pc = _DEFAULT_PC
-        for record in self.streams[cpu_id]:
-            if record.kind == AccessKind.IFETCH:
+        for kind, addr in zip(self.kinds[cpu_id], self.addrs[cpu_id]):
+            if kind == AccessKind.IFETCH:
                 # The fetch itself: subsequent references execute at
                 # this pc. The pc stays *constant* until the next
                 # recorded fetch, so the replaying CPU's line-crossing
                 # probe fires exactly where the recorded stream fetched
                 # — the I-cache sees the recorded stream, nothing more.
-                pc = record.pc or record.addr
+                pc = addr
                 continue
-            if record.kind == AccessKind.LOAD:
+            if kind == AccessKind.LOAD:
                 op = OpClass.LOAD
-            elif record.kind == AccessKind.STORE_COND:
+            elif kind == AccessKind.STORE_COND:
                 # Replayed SCs re-issue as SCs: the bus/coherence
                 # traffic of a conditional store is reproduced, and
                 # with no recorded reservations every replayed SC
@@ -83,7 +73,7 @@ class TraceWorkload(Workload):
                 op = OpClass.SC
             else:
                 op = OpClass.STORE
-            yield Instruction(op, pc=pc, addr=record.addr)
+            yield Instruction(op, pc=pc, addr=addr)
             self.replayed += 1
 
 

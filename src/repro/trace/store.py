@@ -53,7 +53,7 @@ class TraceStore:
     """On-disk, content-addressed trace artifacts.
 
     Each instance counts its traffic (``hits``/``misses``/``records``
-    plus bytes written at record time) in a
+    plus bytes written at record time, text and sidecar) in a
     :class:`~repro.obs.registry.Registry`; with a batch telemetry bus
     current in the process, lookups and recordings also land on it as
     ``trace.hit``/``trace.record`` events.
@@ -156,15 +156,20 @@ class TraceStore:
 
         One ordinary interpreter run of the generated workload on
         :data:`REFERENCE_ARCH`, wrapped in the
-        :class:`~repro.trace.recorder.TraceRecorder`; the stream is
-        written in canonical per-CPU order (atomic rename, so
-        concurrent recorders of the same key never tear the file).
+        :class:`~repro.trace.recorder.TraceRecorder`; the recorder's
+        per-CPU columns are written out as the canonical text trace
+        (atomic rename, so concurrent recorders of the same key never
+        tear the file) and, while they are still in memory, packed and
+        published as the decode cache
+        (:func:`~repro.trace.kernel.seed_packed`) — the first replay of
+        a fresh recording, in this process or another, never parses
+        the text.
         """
         from repro.core.configs import config_for_scale
         from repro.core.runner import Job
         from repro.core.system import System
         from repro.mem.functional import FunctionalMemory
-        from repro.trace.format import canonical_order, write_trace
+        from repro.trace.kernel import PackedTrace, seed_packed
         from repro.trace.recorder import record_run
 
         key = self.key(workload, scale, n_cpus)
@@ -192,8 +197,16 @@ class TraceStore:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        count = write_trace(tmp, canonical_order(recorder.records))
+        count = recorder.save(tmp)
+        # The decode cache is keyed on the text file's size and mtime,
+        # both of which the rename preserves. Taken from our own file,
+        # not from ``path`` afterwards: a concurrent recorder of the
+        # same key may replace the (byte-identical) text at any moment,
+        # and then the worst a mismatched key costs is one re-parse.
+        stat = tmp.stat()
         tmp.replace(path)
+        packed = PackedTrace.from_columns(recorder.kinds, recorder.addrs)
+        sidecar_bytes = seed_packed(path, stat, packed)
         meta = {
             "key": key,
             "spec": self.spec(workload, scale, n_cpus),
@@ -206,7 +219,9 @@ class TraceStore:
         meta_tmp.write_text(json.dumps(meta, sort_keys=True, indent=2))
         meta_tmp.replace(path.with_suffix(".json"))
         self.metrics.counter("records").inc()
-        self.metrics.counter("bytes_written").inc(path.stat().st_size)
+        self.metrics.counter("bytes_written").inc(
+            stat.st_size + sidecar_bytes
+        )
         obs_bus.emit(
             "trace.record",
             key=key,

@@ -18,6 +18,7 @@ from repro.trace import (
     read_trace,
     write_trace,
 )
+from repro.trace.kernel import PackedTrace
 from repro.trace.recorder import record_run
 from repro.trace.replay import replay_trace
 
@@ -162,6 +163,58 @@ def test_replay_rejects_out_of_range_cpu():
     records = [TraceRecord(7, AccessKind.LOAD, 0x100, 0)]
     with pytest.raises(WorkloadError):
         TraceWorkload(4, FunctionalMemory(), records)
+
+
+def _from_file(build):
+    """``build`` driven through a trace file holding the given lines."""
+
+    def entry(lines, tmp_path):
+        path = tmp_path / "hostile.trace"
+        path.write_text("# hand-written\n0 I 400000 400000\n" + lines)
+        return build(path)
+
+    return entry
+
+
+HOSTILE_ENTRIES = {
+    "PackedTrace.from_file": _from_file(
+        lambda path: PackedTrace.from_file(4, path)
+    ),
+    "TraceWorkload.from_file": _from_file(
+        lambda path: TraceWorkload.from_file(4, FunctionalMemory(), path)
+    ),
+    "PackedTrace(records)": lambda lines, tmp_path: PackedTrace(
+        4, map(TraceRecord.from_line, lines.splitlines())
+    ),
+    "TraceWorkload(records)": lambda lines, tmp_path: TraceWorkload(
+        4, FunctionalMemory(), map(TraceRecord.from_line, lines.splitlines())
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", HOSTILE_ENTRIES)
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        # used to land, silently, in the *last* CPU's stream
+        ("-1 L 1000 0", WorkloadError),
+        ("4 L 1000 0", WorkloadError),
+        # used to escape as a bare ValueError
+        ("0 L zz 0", ReproError),
+        ("0 I 400000 qq", ReproError),
+        # used to escape as OverflowError from the packed column (and
+        # to replay, unpacked, as an address no machine has)
+        ("0 L 8000000000000000 0", WorkloadError),
+        ("0 I 400000 8000000000000000", WorkloadError),
+    ],
+)
+def test_hostile_rows_get_typed_errors_naming_the_row(
+    entry, line, error, tmp_path
+):
+    with pytest.raises(error) as raised:
+        HOSTILE_ENTRIES[entry](line + "\n", tmp_path)
+    assert line in str(raised.value)
+    assert isinstance(raised.value, ReproError)  # never a bare builtin
 
 
 def test_sync_heavy_stream_replays_with_same_kind_sequence(tmp_path):

@@ -1,0 +1,312 @@
+"""The cold replay path, pinned on counts and bytes (never clocks).
+
+``TraceStore.record`` runs the reference machine under a column
+recorder, writes the canonical text from the columns and publishes the
+decode (binary sidecar + per-process memo) in the same step. What must
+hold: the text is the same bytes however the recording run was driven
+(batched or not, fast lane or not); the first ``load_packed`` after a
+recording — here or in another process — parses no text; the published
+decode is exactly what a parse of the text gives; and the size/mtime
+guard still retires both caches when the text changes.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import SharingWorkload
+
+import repro
+from repro.core.configs import config_for_scale
+from repro.core.runner import Job
+from repro.core.system import System
+from repro.mem.functional import FunctionalMemory
+from repro.mem.hierarchy import MemorySystem
+from repro.mem.topology import topology_names
+from repro.trace import kernel
+from repro.trace.kernel import PackedTrace, load_packed
+from repro.trace.recorder import TraceRecorder
+from repro.trace.store import TraceStore
+
+APPS = ("eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "multiprog")
+N_CPUS = 4
+SRC = str(Path(repro.__file__).resolve().parents[1])
+
+
+def build(arch, workload, fast_lane=True):
+    """A fresh test-scale system; ``workload`` is a registry name or
+    ``"sharing"`` for the sync-heavy toy."""
+    functional = FunctionalMemory()
+    if workload == "sharing":
+        built = SharingWorkload(N_CPUS, functional, rounds=2)
+    else:
+        factory = Job(arch=arch, workload=workload).resolve_factory()
+        built = factory(N_CPUS, functional, "test")
+    config = config_for_scale("test", N_CPUS)
+    if not fast_lane:
+        config = config.with_overrides(l1_fast_path=False)
+    return System(arch, built, mem_config=config, max_cycles=50_000_000)
+
+
+def record(system, recorder=None, batched=True):
+    """``record_run`` with the knobs the tests turn."""
+    if recorder is None:
+        recorder = TraceRecorder(system.memory)
+    system.memory = recorder
+    for cpu in system.cpus:
+        cpu.bind_memory(recorder)
+        if not batched:
+            cpu._batchable = False
+    system.run()
+    assert not system.truncated
+    return recorder
+
+
+def recorded_text(system, tmp_path, **knobs):
+    recorder = record(system, **knobs)
+    path = tmp_path / "recorded.trace"
+    assert recorder.save(path) == len(recorder)
+    return path.read_bytes()
+
+
+@pytest.fixture
+def counted_parses(monkeypatch):
+    """Counts ``PackedTrace.from_file`` calls (the text parse)."""
+    calls = []
+    original = PackedTrace.from_file.__func__
+
+    def counting(cls, n_cpus, path):
+        calls.append(path)
+        return original(cls, n_cpus, path)
+
+    monkeypatch.setattr(PackedTrace, "from_file", classmethod(counting))
+    return calls
+
+
+def same_columns(left: PackedTrace, right: PackedTrace) -> bool:
+    return (
+        left.n_cpus == right.n_cpus
+        and left.n_records == right.n_records
+        and left.kinds == right.kinds
+        and left.addrs == right.addrs
+        and left.pcs == right.pcs
+    )
+
+
+#: a fresh interpreter that loads each trace path given on argv with
+#: the text parser booby-trapped, printing the record counts
+FRESH_LOAD = """
+import sys
+from repro.trace import kernel
+
+def trap(*args):
+    raise AssertionError("text parse in a fresh process")
+
+kernel.PackedTrace.from_file = trap
+for path in sys.argv[1:]:
+    print(kernel.load_packed(4, path).n_records)
+"""
+
+
+def in_fresh_process(script, *args):
+    result = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+# ----------------------------------------------------------------------
+# (a) the text does not depend on how the recording run was driven
+
+
+@pytest.mark.parametrize("workload", ("eqntott", "fft", "sharing"))
+@pytest.mark.parametrize("arch", topology_names())
+def test_text_identical_batched_or_not_and_lane_or_not(
+    arch, workload, tmp_path
+):
+    system = build(arch, workload)
+    reference = recorded_text(system, tmp_path)
+    # the reference run really did batch compute runs under recording
+    assert all(cpu._batchable for cpu in system.cpus)
+
+    unbatched = recorded_text(build(arch, workload), tmp_path, batched=False)
+    assert unbatched == reference
+    no_lane = recorded_text(build(arch, workload, fast_lane=False), tmp_path)
+    assert no_lane == reference
+
+
+# ----------------------------------------------------------------------
+# (b) record publishes the decode: no text parse here or elsewhere
+
+
+def test_record_seeds_memo_and_sidecar_for_every_app(
+    tmp_path, counted_parses
+):
+    store = TraceStore(tmp_path)
+    paths = {app: store.record(app, "test", N_CPUS) for app in APPS}
+    seeded = {app: load_packed(N_CPUS, paths[app]) for app in APPS}
+    assert counted_parses == []
+
+    for app in APPS:
+        assert kernel._sidecar_path(paths[app], N_CPUS).is_file()
+        parsed = PackedTrace.from_file(N_CPUS, paths[app])
+        assert same_columns(seeded[app], parsed), app
+
+    counts = in_fresh_process(FRESH_LOAD, *paths.values())
+    assert counts == [str(seeded[app].n_records) for app in APPS]
+
+    # stats() agrees with what is on disk: text and sidecar both count
+    on_disk = sum(
+        entry.stat().st_size
+        for entry in tmp_path.rglob("*")
+        if entry.suffix in (".trace", ".packed")
+    )
+    assert store.stats()["bytes_written"] == on_disk
+
+
+# ----------------------------------------------------------------------
+# (c) the size/mtime guard, and concurrent recorders of one key
+
+
+def test_touch_and_re_record_retire_memo_and_sidecar(
+    tmp_path, counted_parses
+):
+    store = TraceStore(tmp_path)
+    path = store.record("fft", "test", N_CPUS)
+    seeded = load_packed(N_CPUS, path)
+
+    os.utime(path, ns=(1, 1))  # same bytes, another mtime
+    assert kernel._read_sidecar(path, N_CPUS, os.stat(path)) is None
+    reparsed = load_packed(N_CPUS, path)
+    assert counted_parses == [path]
+    assert reparsed is not seeded and same_columns(reparsed, seeded)
+    # ... and that load re-published the sidecar under the new stat
+    assert kernel._read_sidecar(path, N_CPUS, os.stat(path)) is not None
+
+    again = store.record("fft", "test", N_CPUS)
+    assert again == path
+    assert kernel._read_sidecar(path, N_CPUS, os.stat(path)) is not None
+    reseeded = load_packed(N_CPUS, path)
+    assert counted_parses == [path]  # no further parse
+    assert reseeded is not reparsed and same_columns(reseeded, seeded)
+
+
+RECORD_FFT = """
+import sys
+from repro.trace.store import TraceStore
+
+print(TraceStore(sys.argv[1]).record("fft", "test", 4))
+"""
+
+
+def test_concurrent_recorders_leave_a_loadable_trace(tmp_path):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    racers = [
+        subprocess.Popen(
+            [sys.executable, "-c", RECORD_FFT, str(tmp_path)],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(3)
+    ]
+    outputs = [racer.communicate(timeout=120) for racer in racers]
+    assert [racer.returncode for racer in racers] == [0, 0, 0], outputs
+    (path,) = {Path(out.strip()) for out, _ in outputs}
+
+    # Whichever text and whichever sidecar won their renames, the
+    # decode served is the decode of the text that is there.
+    assert same_columns(
+        load_packed(N_CPUS, path), PackedTrace.from_file(N_CPUS, path)
+    )
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+# ----------------------------------------------------------------------
+# (d) limit(n): the first n references in cross-CPU issue order
+
+
+class IssueOrderLog(MemorySystem):
+    """An independent proxy that logs every reference in the order
+    the run loop issues them (unbatched, like a limited recorder)."""
+
+    batchable = False
+
+    def __init__(self, inner):
+        super().__init__(inner.config, inner.stats)
+        self.name = inner.name
+        self.inner = inner
+        self.log = []
+
+    def access(self, cpu, kind, addr, at):
+        self.log.append((cpu, int(kind), addr))
+        return self.inner.access(cpu, kind, addr, at)
+
+    def _lane(self, lane, cpu, kind, addr, at):
+        done = lane(cpu, addr, at)
+        if done >= 0:
+            self.log.append((cpu, kind, addr))
+        return done
+
+    def fast_ifetch(self, cpu, addr, at):
+        return self._lane(self.inner.fast_ifetch, cpu, 0, addr, at)
+
+    def fast_load(self, cpu, addr, at):
+        return self._lane(self.inner.fast_load, cpu, 1, addr, at)
+
+    def fast_store(self, cpu, addr, at):
+        return self._lane(self.inner.fast_store, cpu, 2, addr, at)
+
+    def drain(self, at):
+        return self.inner.drain(at)
+
+
+@pytest.mark.parametrize("fast_lane", (True, False))
+def test_limit_keeps_the_first_n_in_issue_order(fast_lane):
+    logged = build("shared-l2", "sharing", fast_lane=fast_lane)
+    issue_order = record(logged, IssueOrderLog(logged.memory)).log
+
+    n = len(issue_order) // 3
+    limited = build("shared-l2", "sharing", fast_lane=fast_lane)
+    recorder = TraceRecorder(limited.memory).limit(n)
+    assert not recorder.batchable
+    record(limited, recorder)
+    assert not any(cpu._batchable for cpu in limited.cpus)
+    assert limited.stats.to_dict() == logged.stats.to_dict()
+
+    assert len(recorder) == n
+    kept = [(r.cpu, int(r.kind), r.addr) for r in recorder.records]
+    assert kept == sorted(issue_order[:n], key=lambda ref: ref[0])
+    # both routes into the recorder were taken
+    if fast_lane:
+        assert {kind for _, kind, _ in kept} >= {0, 1, 2}
+
+    assert TraceRecorder(build("shared-l2", "sharing").memory).batchable
+
+
+# ----------------------------------------------------------------------
+# (e) seeding respects the memo's cap
+
+
+def test_seeded_memo_never_exceeds_its_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernel, "_DECODE_CACHE", {})
+    store = TraceStore(tmp_path)
+    recordings = [(app, N_CPUS) for app in APPS] + [("fft", 2), ("ear", 2)]
+    assert len(recordings) > kernel._DECODE_CACHE_CAP
+    for app, n_cpus in recordings:
+        path = store.record(app, "test", n_cpus)
+        assert len(kernel._DECODE_CACHE) <= kernel._DECODE_CACHE_CAP
+        # the newest recording is the one still seeded
+        assert any(key[0] == os.fspath(path) for key in kernel._DECODE_CACHE)
+    assert len(kernel._DECODE_CACHE) == kernel._DECODE_CACHE_CAP
