@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Microbenchmarks for the simulator's host-performance hot paths.
 
-Five scenarios, each chosen to stress one layer of the simulator:
+Six scenarios, each chosen to stress one layer of the simulator:
 
 * ``l1_hit_storm``   — private arrays that fit in L1: after warmup every
   access takes the L1 fast lane. Measures the per-instruction floor
@@ -32,6 +32,14 @@ Five scenarios, each chosen to stress one layer of the simulator:
   gate's direct pin on the probe layer — they are enforced even where
   the end-to-end records only warn (``bench_gate.py --enforce``).
 
+* ``spin_wait`` — one CPU computes while the other three wait for it
+  at a barrier, round after round: nearly every simulated instruction
+  is a spin iteration. On a private-L1 preset (shared-l2) the waiting
+  CPUs park and their iterations are settled arithmetically; on
+  shared-l1 each iteration is still one Mipsy tick. Records simulated
+  spin iterations per host second; enforced by the bench gate
+  (``--enforce spin_``) so losing either mechanism fails CI.
+
 Output is JSON (``--out``, default ``benchmarks/results/microbench.json``)
 with one record per (scenario, arch, cpu_model): host wall seconds,
 simulated cycles, and cycles per host second. ``--quick`` shrinks the
@@ -54,6 +62,7 @@ import time
 from repro.core.runner import Job
 from repro.mem.functional import FunctionalMemory
 from repro.perf import sim_speed, time_call
+from repro.sync.barrier import Barrier
 from repro.workloads.base import Workload
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -163,6 +172,36 @@ class SharedReadStorm(Workload):
             em.jump(0)
             for i in range(self.array_words):
                 yield em.load(base + 4 * i)
+
+
+class SpinWait(Workload):
+    """CPU 0 computes ``work`` instructions per round; everyone else
+    goes straight to the round's barrier and spins until it arrives."""
+
+    name = "micro-spin-wait"
+
+    def __init__(
+        self,
+        n_cpus: int,
+        functional: FunctionalMemory,
+        rounds: int = 80,
+        work: int = 10_000,
+    ) -> None:
+        super().__init__(n_cpus, functional)
+        self.rounds = rounds
+        self.work = work
+        self.region = self.code.region("micro.spin", 8)
+        self.barrier = Barrier("micro.spin.bar", self.code, self.data, n_cpus)
+
+    def program(self, cpu_id: int):
+        ctx = self.context(cpu_id)
+        em = ctx.emitter(self.region)
+        for _ in range(self.rounds):
+            if cpu_id == 0:
+                for _ in range(self.work):
+                    em.jump(0)
+                    yield em.ialu()
+            yield from self.barrier.wait(ctx)
 
 
 def _factory(cls, **kwargs):
@@ -434,6 +473,52 @@ def probe_layer_records(quick: bool, repeat: int) -> list[dict]:
     return records
 
 
+#: spin_wait presets: one whose L1Ds are private (waiting CPUs park)
+#: and the shared-L1 one (every iteration still ticks)
+SPIN_ARCHS = ("shared-l2", "shared-l1")
+
+
+def spin_wait_records(quick: bool, repeat: int) -> list[dict]:
+    """Time barrier waiting itself: simulated spin iterations per
+    host second, on a private-L1 and on the shared-L1 preset.
+
+    The iteration count is the retired instructions that are not the
+    worker's compute, halved (load + branch) — it includes the few
+    dozen arrival instructions per round, under 1 % here, and is the
+    same number whichever way the simulator gets through the wait.
+    """
+    rounds = 10 if quick else 80
+    work = 10_000
+    spin = _factory(SpinWait, rounds=rounds, work=work)
+    records = []
+    for arch in SPIN_ARCHS:
+        job = Job(arch=arch, workload=spin, scale="test",
+                  max_cycles=MAX_CYCLES)
+        # Best-of-3 floor, as for the probe records: these are
+        # enforced, so their minima must not wobble with host load.
+        result, wall = time_call(job.run, repeat=max(repeat, 3))
+        stats = result.stats
+        iterations = (stats.instructions - rounds * work) // 2
+        rate = iterations / wall if wall > 0 else 0.0
+        records.append({
+            "name": "spin_wait",
+            "arch": arch,
+            "cpu_model": job.cpu_model,
+            "wall_seconds": round(wall, 4),
+            "cycles": stats.cycles,
+            "instructions": stats.instructions,
+            "spin_iterations": iterations,
+            "spin_iterations_per_host_second": round(rate),
+        })
+        print(
+            f"  {'spin_wait':<20} {arch:<10} {job.cpu_model:<6} "
+            f"{wall:7.3f}s  {iterations:>10} it   "
+            f"{rate / 1e6:6.2f} Mi/s",
+            flush=True,
+        )
+    return records
+
+
 def run_benches(quick: bool, repeat: int) -> dict:
     """Execute every bench in-process; returns the JSON payload."""
     records = []
@@ -456,6 +541,7 @@ def run_benches(quick: bool, repeat: int) -> dict:
             flush=True,
         )
     records.extend(probe_layer_records(quick, repeat))
+    records.extend(spin_wait_records(quick, repeat))
     records.extend(replay_pair_records(quick, repeat))
     return {
         "when": time.strftime("%Y-%m-%dT%H:%M:%S"),

@@ -34,8 +34,10 @@ underlying simulations in N worker processes, and cache results
 on disk keyed by the full job spec (``--no-cache`` bypasses,
 ``--cache-dir`` relocates; see repro.core.runner). ``run --profile``
 executes the simulation in-process under cProfile and prints the
-hottest functions (see docs/PERFORMANCE.md); ``--profile-out PATH``
-also writes the full report to a file.
+hottest functions, after a ``spin waits`` line saying how many spin
+iterations were accounted for in bulk instead of issued (see
+docs/PERFORMANCE.md); ``--profile-out PATH`` also writes the full
+report to a file.
 
 ``run`` can attach observability (see docs/OBSERVABILITY.md):
 ``--sample-interval N`` samples per-component utilization every N
@@ -789,6 +791,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.events is not None:
             print(f"events written to {args.events}")
     if profile_text is not None:
+        spin = result.extras.get("spin")
+        if spin is not None:
+            # Why a run with long waits was fast: how much of its
+            # spinning was accounted for instead of issued.
+            print(
+                f"  spin waits    {spin['parks']} parks, "
+                f"{spin['settled_iterations']} iterations settled in "
+                f"bulk ({spin['disturbed_wakes']} woken by another CPU, "
+                f"{spin['deadline_wakes']} at their own deadline)"
+            )
         print()
         print(profile_text, end="")
         if args.profile_out is not None:

@@ -214,6 +214,9 @@ def run_one(
         "resources": system.memory.resource_report(max(stats.cycles, 1)),
         "truncated": system.truncated,
         "sync": workload.sync_report(),
+        # Host-side only: like "checkpoint", not among the keys
+        # to_dict() carries into payloads, caches or the wire.
+        "spin": system.spin_report(),
     }
     if ckpt_extras is not None:
         extras["checkpoint"] = ckpt_extras

@@ -10,6 +10,8 @@ must hold for any result out of this simulator to be trustworthy:
 4. MESI invariants hold after a sharing-heavy run.
 5. Mipsy accounting identity: busy cycles == instructions.
 6. Runs are deterministic.
+7. A declared spin loop that Mipsy runs and parks itself leaves every
+   statistic where stepping it through the thread program does.
 
 Intended for CI and for quickly validating local modifications; the
 full evidence lives in tests/ and benchmarks/.
@@ -27,7 +29,9 @@ from repro.errors import ReproError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.types import AccessKind
 from repro.sim.stats import SystemStats
+from repro.sync.lock import SpinLock
 from repro.workloads import WORKLOADS
+from repro.workloads.base import Workload
 
 
 class SelfCheckFailure(ReproError):
@@ -73,34 +77,67 @@ def check_table2_latencies() -> str:
     return f"Table 2 L1 hit latencies: {' / '.join(measured_all)} cycles"
 
 
+class LockedCounter(Workload):
+    """Every CPU increments one lock-protected counter ``rounds`` times."""
+
+    name = "selfcheck-counter"
+
+    def __init__(self, n_cpus, functional, rounds=6):
+        super().__init__(n_cpus, functional)
+        self.rounds = rounds
+        self.region = self.code.region("sc.body", 16)
+        self.lock = SpinLock("sc.lock", self.code, self.data)
+        self.addr = self.data.alloc_line()
+
+    def program(self, cpu_id):
+        """Acquire, read-modify-write the counter, release."""
+        ctx = self.context(cpu_id)
+        em = ctx.emitter(self.region)
+        for _ in range(self.rounds):
+            yield from self.lock.acquire(ctx)
+            em.jump(0)
+            value = yield em.load(self.addr, want_value=True)
+            yield em.ialu(src1=1)
+            yield em.store(self.addr, value + 1)
+            yield from self.lock.release(ctx)
+
+
+class FlagHandoff(Workload):
+    """CPU 0 computes, then raises a flag the other CPUs spin on with
+    a declared spin (:meth:`~repro.isa.stream.Emitter.spin_load`)."""
+
+    name = "selfcheck-handoff"
+
+    def __init__(self, n_cpus, functional, work=400):
+        super().__init__(n_cpus, functional)
+        self.work = work
+        self.region = self.code.region("sc.handoff", 8)
+        self.flag = self.data.alloc_line()
+
+    def program(self, cpu_id):
+        """The producer's compute run, or the consumers' spin."""
+        em = self.context(cpu_id).emitter(self.region)
+        if cpu_id == 0:
+            for _ in range(self.work):
+                em.jump(0)
+                yield em.ialu()
+            yield em.store(self.flag, 1)
+            return
+        em.jump(2)
+        top = em.label()
+        while True:
+            raised = yield em.spin_load(self.flag, until=1)
+            if raised == 1:
+                yield em.branch(False)
+                return
+            yield em.branch(True, to=top)
+
+
 def check_synchronization() -> str:
     """A lock-protected counter loses no updates on any architecture."""
-    from repro.sync.lock import SpinLock
-    from repro.workloads.base import Workload
-
-    class Counter(Workload):
-        name = "selfcheck-counter"
-
-        def __init__(self, n_cpus, functional):
-            super().__init__(n_cpus, functional)
-            self.region = self.code.region("sc.body", 16)
-            self.lock = SpinLock("sc.lock", self.code, self.data)
-            self.addr = self.data.alloc_line()
-
-        def program(self, cpu_id):
-            ctx = self.context(cpu_id)
-            em = ctx.emitter(self.region)
-            for _ in range(6):
-                yield from self.lock.acquire(ctx)
-                em.jump(0)
-                value = yield em.load(self.addr, want_value=True)
-                yield em.ialu(src1=1)
-                yield em.store(self.addr, value + 1)
-                yield from self.lock.release(ctx)
-
     for arch in ARCHITECTURES:
         functional = FunctionalMemory()
-        workload = Counter(4, functional)
+        workload = LockedCounter(4, functional)
         system = System(
             arch, workload, mem_config=test_config(), max_cycles=1_000_000
         )
@@ -171,6 +208,37 @@ def check_determinism() -> str:
     return f"two runs identical at {first[0]} cycles"
 
 
+def check_spin_elision() -> str:
+    """A parked spin loop costs exactly what the stepped one does."""
+    settled = 0
+    for arch in ARCHITECTURES:
+        outcomes = []
+        for stepped in (False, True):
+            workload = FlagHandoff(4, FunctionalMemory())
+            # Checkpoint recording is one of the conditions under which
+            # every spin iteration goes through the thread program.
+            system = System(
+                arch,
+                workload,
+                mem_config=test_config(),
+                max_cycles=1_000_000,
+                checkpointing=stepped,
+            )
+            outcomes.append(system.run().to_dict())
+            report = system.spin_report()
+            _check(
+                not (stepped and report["parks"]),
+                f"{arch}: a checkpoint-recording run parked a CPU",
+            )
+            settled += report["settled_iterations"]
+        _check(
+            outcomes[0] == outcomes[1],
+            f"{arch}: parked and stepped spin loops disagree",
+        )
+    _check(settled > 0, "no spin iteration was ever settled in bulk")
+    return f"{settled} spin iterations settled in bulk, statistics identical"
+
+
 CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("table2", check_table2_latencies),
     ("synchronization", check_synchronization),
@@ -178,6 +246,7 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("mesi", check_mesi_invariants),
     ("accounting", check_accounting),
     ("determinism", check_determinism),
+    ("spin-elision", check_spin_elision),
 )
 
 

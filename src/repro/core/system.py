@@ -4,9 +4,11 @@ A :class:`System` is one architecture + one CPU model + one workload.
 The run loop advances simulated time cycle by cycle, ticking every CPU
 whose ``resume`` time has arrived, in a rotating order so that no CPU
 systematically wins ties for shared resources. When every CPU is
-stalled, the loop fast-forwards to the earliest resume time — spin
-loops and long memory stalls cost no host time beyond the instructions
-actually executed.
+stalled, the loop fast-forwards to the earliest resume time — long
+memory stalls cost no host time beyond the instructions actually
+executed, and neither does a declared spin loop whose next iterations
+are already decided: its CPU *parks* (:mod:`repro.cpu.mipsy`) and the
+loop here only has to notice when another CPU's tick changes that.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from repro.mem.topology import resolve_topology
 from repro.cpu.mipsy import MipsyCpu
 from repro.cpu.mxs import MxsCpu
 from repro.errors import ConfigError, DeadlockError
-from repro.mem.functional import FunctionalMemory
+from repro.mem.cache import EVICT_EPOCH
+from repro.mem.functional import NEVER, FunctionalMemory
 from repro.mem.hierarchy import MemConfig
 from repro.obs import ObsConfig, Observation
 from repro.sim.engine import Engine
@@ -93,6 +96,13 @@ class System:
         # or a restore).
         self._cycle = 0
 
+        # Mipsy CPUs parked on a declared spin loop, and the write
+        # count / eviction epoch last looked at while any were.
+        self._parked: list[MipsyCpu] = []
+        self._spin_seq = 0
+        self._spin_epoch = 0
+        self._spin_wakes = {"disturbed": 0, "deadline": 0}
+
         self.cpus = []
         for cpu_id in range(config.n_cpus):
             program = workload.program(cpu_id)
@@ -100,6 +110,7 @@ class System:
                 cpu = MipsyCpu(
                     cpu_id, self.memory, self.functional, self.stats, program
                 )
+                cpu._spin_parked = self._parked
             else:
                 cpu = MxsCpu(
                     cpu_id,
@@ -160,6 +171,7 @@ class System:
         horizon = pause if pause < max_cycles else max_cycles
         for cpu in self.cpus:
             cpu._batch_horizon = horizon
+        parked = self._parked
         obs = self.obs
         sampler = obs.sampler if obs is not None else None
         next_sample = sampler.next_boundary if sampler is not None else huge
@@ -180,6 +192,13 @@ class System:
             # any CPU ticks past the limit (and before the watchdog can
             # mistake the jump for a deadlock).
             if cycle >= max_cycles:
+                if self.max_cycles is None:
+                    # Only parked CPUs with nothing pending sleep this
+                    # long: every live CPU waits on a word nobody will
+                    # write. (Stepped, they would retire instructions
+                    # forever and the watchdog would call it progress.)
+                    raise self._spin_deadlock()
+                self._spin_release(horizon)
                 self.truncated = True
                 break
 
@@ -187,6 +206,7 @@ class System:
             # re-runs the whole iteration (obs sampling, engine poll,
             # CPU ticks) exactly as an uninterrupted run would.
             if cycle >= pause:
+                self._spin_release(horizon)
                 self.paused = True
                 break
 
@@ -235,11 +255,17 @@ class System:
                 # the still-running ones in the same pass (the values
                 # are final once each CPU has ticked).
                 earliest = huge
-                for cpu in orders[cycle % n_cpus]:
+                order = orders[cycle % n_cpus]
+                for cpu in order:
                     if cpu.done:
                         continue
                     if cpu.resume <= cycle:
-                        cpu.tick(cycle)
+                        if parked:
+                            woken = self._spin_tick(cpu, cycle, order)
+                            if woken < earliest:
+                                earliest = woken
+                        else:
+                            cpu.tick(cycle)
                         if cpu.done:
                             finished = True
                             continue
@@ -294,3 +320,84 @@ class System:
         if not self.truncated:
             self.workload.validate()
         return self.stats
+
+    # ------------------------------------------------------------------
+    # parked spin loops (see repro.cpu.mipsy)
+
+    def _spin_tick(self, cpu, cycle: int, order: list) -> int:
+        """Tick ``cpu`` at ``cycle`` while some CPU is parked.
+
+        A parked ``cpu`` has reached its deadline: it is settled up to
+        ``cycle`` and issues this iteration for real. After the tick,
+        if a write was recorded or a line evicted, every parked CPU
+        whose line left its L1D or whose word was written is settled
+        up to this tick's place in the cycle's rotation ``order`` —
+        its iteration at ``cycle`` itself counts only if its slot came
+        first — and woken. Returns the earliest resume among woken
+        CPUs the rotation already passed (the caller's running minimum
+        missed them), else ``NEVER``.
+        """
+        parked = self._parked
+        if cpu._spin_base >= 0:
+            cpu.spin_wake(cycle)
+            parked.remove(cpu)
+            self._spin_wakes["deadline"] += 1
+        cpu.tick(cycle)
+        woken = NEVER
+        seq = self.functional._seq
+        epoch = EVICT_EPOCH[0]
+        if seq == self._spin_seq and epoch == self._spin_epoch:
+            return woken
+        wrote = seq != self._spin_seq
+        self._spin_seq = seq
+        self._spin_epoch = epoch
+        for other in parked[:]:
+            if other is cpu or not other.spin_disturbed(wrote):
+                continue
+            passed = order.index(other) < order.index(cpu)
+            other.spin_wake(cycle + 1 if passed else cycle)
+            parked.remove(other)
+            self._spin_wakes["disturbed"] += 1
+            if passed and other.resume < woken:
+                woken = other.resume
+        return woken
+
+    def _spin_release(self, horizon: int) -> None:
+        """Wake every parked CPU at a truncation or pause, settled to
+        the run's ``horizon`` and never past it. (No sleep outlasts the
+        horizon, so with anyone parked the run stopped exactly there
+        and a resumed run reaches each woken CPU's next iteration on
+        time.)"""
+        for cpu in self._parked:
+            cpu.spin_wake(horizon)
+        self._parked.clear()
+
+    def _spin_deadlock(self) -> DeadlockError:
+        """Every live CPU is parked with no write pending anywhere."""
+        waits = ", ".join(
+            f"cpu{cpu.cpu_id} on {cpu._pending_inst.addr:#x}"
+            for cpu in self._parked
+        )
+        return DeadlockError(
+            max(cpu._spin_base for cpu in self._parked),
+            detail=f"every running CPU spins on a word no one will "
+                   f"write: {waits}",
+        )
+
+    def spin_report(self) -> dict[str, int]:
+        """What spin-wait elision did on this run (host-side only;
+        never part of ``SystemStats`` or a result payload).
+
+        ``parks``: times a CPU went to sleep on a declared spin;
+        ``settled_iterations``: spin iterations accounted for
+        arithmetically instead of issued; ``disturbed_wakes`` /
+        ``deadline_wakes``: sleeps ended by another CPU's eviction or
+        write, against those that ran to the cycle the sleeper chose.
+        """
+        cpus = self.cpus if self.cpu_model == "mipsy" else ()
+        return {
+            "parks": sum(cpu.spin_parks for cpu in cpus),
+            "settled_iterations": sum(cpu.spin_settled for cpu in cpus),
+            "disturbed_wakes": self._spin_wakes["disturbed"],
+            "deadline_wakes": self._spin_wakes["deadline"],
+        }

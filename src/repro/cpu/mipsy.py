@@ -12,11 +12,34 @@ execution-time breakdowns straightforward: total time = busy + stalls.
 Synchronization spin loops run as real instructions (load + branch per
 iteration), so time spent waiting at locks and barriers shows up as CPU
 time exactly as the paper describes.
+
+Spin-wait elision
+-----------------
+
+A *declared* spin (:class:`~repro.isa.instructions.SpinLoad`) still
+costs those cycles and still retires those instructions, but the host
+does not re-simulate an iteration that cannot turn out differently:
+
+* a failed iteration (loaded value is not the exit value) is finished
+  inside the load's own tick — the back-branch retires with it and the
+  load stays armed — so the thread program is resumed only with the
+  value that ends the spin;
+* where the memory system declares the L1D private and single-cycle
+  (:meth:`~repro.mem.hierarchy.MemorySystem.spin_port`) the armed CPU
+  *parks*: it sleeps until the first load cycle that something already
+  recorded could make different, and :meth:`MipsyCpu.spin_wake`
+  accounts for the iterations in between arithmetically. The run loop
+  (:mod:`repro.core.system`) wakes a parked CPU early when its line
+  leaves its L1 or its word gets a new write.
+
+Every counter ends where stepping the loop would have left it.
 """
 
 from __future__ import annotations
 
 from repro.cpu.base import BaseCpu
+from repro.isa.instructions import SpinLoad
+from repro.mem.functional import NEVER
 from repro.mem.types import AccessKind, StallLevel
 
 
@@ -28,6 +51,13 @@ class MipsyCpu(BaseCpu):
         "_pending_inst",
         "_exhausted",
         "_flushed_instructions",
+        "_spin_port",
+        "_spin_parked",
+        "_spin_base",
+        "_spin_seq",
+        "_spin_way",
+        "spin_parks",
+        "spin_settled",
     )
 
     def __init__(self, *args, **kwargs) -> None:
@@ -43,6 +73,24 @@ class MipsyCpu(BaseCpu):
         # counters at once — two attribute increments saved per
         # instruction on the hottest path in the simulator.
         self._flushed_instructions = 0
+        # Spin-wait parking (see the module docstring). The system
+        # hands every CPU the one list of parked CPUs it watches;
+        # without it (a CPU driven outside a System) nothing parks.
+        self._spin_parked: list | None = None
+        #: load cycle of the first iteration not yet accounted for
+        #: while parked, -1 otherwise
+        self._spin_base = -1
+        # functional._seq and the line's way in the L1D at park time
+        self._spin_seq = 0
+        self._spin_way = -1
+        #: host-side tallies for System.spin_report()
+        self.spin_parks = 0
+        self.spin_settled = 0
+
+    def bind_memory(self, memory) -> None:
+        """Bind the lanes and ask ``memory`` for this CPU's spin port."""
+        super().bind_memory(memory)
+        self._spin_port = memory.spin_port(self.cpu_id)
 
     def tick(self, cycle: int) -> None:
         """Execute at most one instruction starting at ``cycle``.
@@ -167,15 +215,47 @@ class MipsyCpu(BaseCpu):
                     if stall > 0:
                         self.breakdown.l1d += stall
                     if mcode == 2:
-                        self._has_value = True
-                        self._send_value = self.functional.load_linked(
+                        value = self.functional.load_linked(
                             self.cpu_id, inst.addr, done
                         )
                     elif inst.want_value:
-                        self._has_value = True
-                        self._send_value = self.functional.read(
+                        value = self.functional.read(
                             inst.addr, done, cpu=self.cpu_id
                         )
+                    else:
+                        self.resume = done
+                        return
+                    if (
+                        inst.__class__ is SpinLoad
+                        and value != inst.until
+                        and done < self._batch_horizon
+                        and inst.back.pc >> self._line_shift
+                        == self._fetch_line
+                        and self._batchable
+                        and self._ckpt_log is None
+                        and self._obs is None
+                    ):
+                        # A failed iteration of a declared spin: the
+                        # back-branch retires here too and the load
+                        # stays armed, so the thread program is only
+                        # resumed with the value that ends the spin.
+                        # Left to the program under the conditions
+                        # that switch compute-run batching off, when
+                        # the branch needs an I-fetch of its own, and
+                        # at the run's horizon (truncation and pause
+                        # see exactly the stepped stream).
+                        self.instructions += 1
+                        self._pending_inst = inst
+                        retries = inst.retries
+                        if retries is not None:
+                            retries[0] += 1
+                        if self._spin_port is None:
+                            self.resume = done + 1
+                        else:
+                            self._spin_park(inst, done)
+                        return
+                    self._has_value = True
+                    self._send_value = value
                     self.resume = done
                     return
             result = self.memory.access(
@@ -221,6 +301,75 @@ class MipsyCpu(BaseCpu):
                 self._obs.record_stall(self.cpu_id, level, exec_start, stall)
         self.apply_memory_semantics(inst, result)
         self.resume = result.done
+
+    # ------------------------------------------------------------------
+    # spin-wait elision
+
+    def _spin_park(self, inst: SpinLoad, done: int) -> None:
+        """Set ``resume`` after a failed spin iteration whose load
+        completed at ``done``, parking if the iterations that follow
+        are already decided.
+
+        They load at ``done + 1``, ``done + 3``, ... and read the word
+        one cycle later. The first that can differ is the first whose
+        read is at or past the earlier of the word's next change and
+        the horizon; all before it fail alike.
+        """
+        resume = done + 1
+        parked = self._spin_parked
+        if parked is not None:
+            functional = self.functional
+            horizon = self._batch_horizon
+            limit = functional.stable_until(inst.addr, done, self.cpu_id)
+            if horizon < limit:
+                limit = horizon
+            skipped = (limit - resume) >> 1
+            if skipped > 0:
+                self._spin_base = resume
+                self._spin_seq = functional._seq
+                self._spin_way = self._spin_port[0].find(
+                    inst.addr >> self._line_shift
+                )
+                self.spin_parks += 1
+                parked.append(self)
+                # (NEVER exactly, so the run loop can tell "nothing
+                # pending" from a far deadline.)
+                resume = NEVER if limit == NEVER else resume + 2 * skipped
+        self.resume = resume
+
+    def spin_wake(self, limit: int) -> None:
+        """Leave the parked state, accounting for every iteration
+        whose load cycle is below ``limit`` as if each had been
+        issued: two instructions, one L1D read, one retry, the LRU
+        touch (if the line is still there) and, for ``LL``, the
+        reservation of the last one. The next iteration is issued for
+        real at its own cycle."""
+        base = self._spin_base
+        if base < limit:
+            count = (limit - base + 1) >> 1
+            base += 2 * count
+            inst = self._pending_inst
+            self.instructions += 2 * count
+            array, stats = self._spin_port
+            stats.reads += count
+            array.probe(inst.addr >> self._line_shift)
+            retries = inst.retries
+            if retries is not None:
+                retries[0] += count
+            if inst.mcode == 2:
+                self.functional.relink(self.cpu_id, base - 1)
+            self.spin_settled += count
+        self.resume = base
+        self._spin_base = -1
+
+    def spin_disturbed(self, wrote: bool) -> bool:
+        """Whether a parked CPU's next iteration may no longer repeat
+        the last: its line left the L1D or (looked at only when some
+        write was recorded, ``wrote``) its word got a new write."""
+        addr = self._pending_inst.addr
+        if self._spin_port[0].tags[self._spin_way] != addr >> self._line_shift:
+            return True
+        return wrote and self.functional.written_since(addr, self._spin_seq)
 
     def busy_cycles(self) -> int:
         """Busy cycles so far: one per instruction, flushed or not."""

@@ -193,3 +193,28 @@ class Instruction:
         if self.is_branch:
             parts.append(f"taken={self.taken}")
         return f"<Inst {' '.join(parts)}>"
+
+
+class SpinLoad(Instruction):
+    """The load of a declared two-instruction spin loop.
+
+    To every consumer this is the plain ``LOAD want_value`` / ``LL`` it
+    subclasses (same ``op``, same ``mcode``), so MXS, observed and
+    checkpoint-recording runs step the loop through the thread program
+    as they always did. The extra slots let Mipsy run a *failed*
+    iteration itself (:meth:`repro.cpu.mipsy.MipsyCpu.tick`). They live
+    on a subclass because instructions are memoized by the tens of
+    thousands and only a handful per workload are spin loads.
+
+    Attributes:
+        until: the value that ends the spin; any other loaded value
+            means the loop takes ``back`` and re-issues this load.
+        back: the memoized taken branch from the slot after the load
+            back to it — the very object ``Emitter.branch(True, to=…)``
+            yields there.
+        retries: ``None``, or a one-element list the CPU bumps once per
+            failed iteration it runs without resuming the program (the
+            owning primitive's retry counter).
+    """
+
+    __slots__ = ("until", "back", "retries")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.errors import WorkloadError
 from repro.isa.codegen import CodeRegion
-from repro.isa.instructions import Instruction, OpClass
+from repro.isa.instructions import Instruction, OpClass, SpinLoad
 
 #: Per-region cap on memoized instructions; beyond it, emits are
 #: constructed fresh (correct either way — the memo is pure reuse).
@@ -280,6 +280,66 @@ class Emitter:
             inst = Instruction(
                 _LL, pc=region.pc_of(index), addr=addr, want_value=True
             )
+            if len(cache) < _MEMO_CAP:
+                cache[key] = inst
+        return inst
+
+    def spin_load(
+        self,
+        addr: int,
+        until: int,
+        linked: bool = False,
+        retries: list | None = None,
+    ) -> SpinLoad:
+        """Emit the load of a two-instruction spin on ``addr``.
+
+        The loop around it stays in the thread program, in exactly
+        this shape — the slot after the load holds the back-branch::
+
+            top = em.label()
+            while True:
+                value = yield em.spin_load(addr, until=want)
+                if value == want:
+                    break
+                yield em.branch(True, to=top)
+
+        The instruction is the ordinary value-returning load (an
+        ``LL`` with ``linked``) and may come back with any value, so
+        the loop must keep handling a mismatch; declaring the exit
+        value lets Mipsy run mismatching iterations without resuming
+        the program. ``retries`` is a one-element counter cell bumped
+        once for each iteration the program is not shown (bound when
+        the slot's instruction is first built).
+        """
+        region = self.region
+        index = self._index
+        self._index = index + 1
+        size = region.size
+        op = _LL if linked else _LOAD
+        key = (index % size, op, addr, until, "spin")
+        cache = region._inst_cache
+        inst = cache.get(key)
+        if inst is None:
+            # The back-branch shares the memo entry branch() uses at
+            # the next slot, so the CPU and the program retire the
+            # same object.
+            back_key = ((index + 1) % size, _BRANCH, True, index % size, 0)
+            back = cache.get(back_key)
+            if back is None:
+                back = Instruction(
+                    _BRANCH,
+                    pc=region.pc_of(index + 1),
+                    taken=True,
+                    target=region.pc_of(index),
+                )
+                if len(cache) < _MEMO_CAP:
+                    cache[back_key] = back
+            inst = SpinLoad(
+                op, pc=region.pc_of(index), addr=addr, want_value=True
+            )
+            inst.until = until
+            inst.back = back
+            inst.retries = retries
             if len(cache) < _MEMO_CAP:
                 cache[key] = inst
         return inst

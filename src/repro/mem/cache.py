@@ -74,6 +74,14 @@ EXCLUSIVE = 2
 MODIFIED = 3
 
 
+#: Bumped whenever any cache loses a line through :meth:`CacheArray.evict`
+#: — the only way a line leaves a cache other than its own fills. The
+#: run loop compares it for *change* to learn that a parked spinner's
+#: line may have left its L1 (``repro.core.system``); it is never read
+#: as a count, so sharing it between systems only costs a spare check.
+EVICT_EPOCH = [0]
+
+
 class CacheLine:
     """Detached tag-array snapshot for one resident line.
 
@@ -284,6 +292,7 @@ class CacheArray:
         if way < 0:
             return -1
         self.tags[way] = -1
+        EVICT_EPOCH[0] += 1
         if coherence:
             self.tracker.note_invalidation(line_addr)
         return self.states[way]

@@ -22,6 +22,11 @@ from bisect import bisect_right, insort
 
 _HISTORY_CAP = 128
 
+#: "No cycle": what :meth:`FunctionalMemory.stable_until` returns when
+#: nothing already recorded can change a read (the run loop's own
+#: "never" value, so the two compare equal).
+NEVER = 1 << 62
+
 
 class FunctionalMemory:
     """Word-granular value store with timed visibility and LL/SC."""
@@ -89,6 +94,36 @@ class FunctionalMemory:
             return 0
         return history[index - 1][2]
 
+    def stable_until(self, addr: int, at: int, cpu: int | None = None) -> int:
+        """First cycle after ``at`` at which :meth:`read` can return
+        something else, assuming no further write is recorded.
+
+        ``read(addr, t, cpu)`` is constant for ``at <= t <
+        stable_until(addr, at, cpu)``: the only things that move it are
+        the reader's own in-flight store ceasing to forward and the
+        next recorded write becoming visible. :data:`NEVER` when
+        neither is pending.
+        """
+        until = NEVER
+        if cpu is not None:
+            own = self._own.get((cpu, addr))
+            if own is not None and own[1] > at:
+                until = own[1]
+        history = self._history.get(addr)
+        if history and history[-1][0] > at:
+            pending = history[bisect_right(history, (at, self._seq, 0))][0]
+            if pending < until:
+                until = pending
+        return until
+
+    def written_since(self, addr: int, seq: int) -> bool:
+        """Whether a write to ``addr`` was recorded at or after global
+        write number ``seq`` (a value of ``_seq`` read earlier)."""
+        history = self._history.get(addr)
+        if not history:
+            return False
+        return any(entry[1] >= seq for entry in reversed(history))
+
     def last_write_time(self, addr: int) -> int | None:
         """Completion time of the most recent write, or ``None``."""
         history = self._history.get(addr)
@@ -111,6 +146,12 @@ class FunctionalMemory:
         observed_seq = history[-1][1] if history else -1
         self._reservations[cpu] = (addr, at, observed_seq)
         return self.read(addr, at, cpu=cpu)
+
+    def relink(self, cpu: int, at: int) -> None:
+        """Move ``cpu``'s reservation to cycle ``at``: what repeating
+        its last LL then, with no write recorded in between, leaves."""
+        addr, _at, observed_seq = self._reservations[cpu]
+        self._reservations[cpu] = (addr, at, observed_seq)
 
     def store_conditional(
         self, cpu: int, addr: int, value: int, at: int

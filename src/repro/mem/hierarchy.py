@@ -185,10 +185,11 @@ class MemorySystem(ABC):
     name: str = "abstract"
 
     #: whether CPU models may retire runs of compute instructions ahead
-    #: of the run loop (Mipsy's batching). True for the real memory
-    #: systems — their fast lanes are pure timing closures — but
-    #: recording proxies observe every lane call in cross-CPU issue
-    #: order and must see the unbatched stream.
+    #: of the run loop (Mipsy's batching, and the back-branch of a
+    #: declared spin loop). True for the real memory systems — their
+    #: fast lanes are pure timing closures — but a proxy that counts
+    #: lane calls in cross-CPU issue order (a limited trace recorder)
+    #: must see the unbatched stream.
     batchable: bool = True
 
     def __init__(self, config: MemConfig, stats: SystemStats) -> None:
@@ -257,6 +258,22 @@ class MemorySystem(ABC):
             lambda addr, at: fast_load(cpu, addr, at),
             lambda addr, at: fast_store(cpu, addr, at),
         )
+
+    def spin_port(self, cpu: int):
+        """``(CacheArray, CacheStats)`` of ``cpu``'s L1D when a load
+        that hits there is private and single-cycle, else ``None``.
+
+        Declaring the port promises that :meth:`fast_lanes`' load lane,
+        on a resident line, does exactly ``stats.reads += 1`` plus one
+        LRU touch and returns ``at + 1``, and that nothing but
+        ``cpu``'s own accesses and :meth:`CacheArray.evict
+        <repro.mem.cache.CacheArray.evict>` changes what is resident —
+        which is what lets the run loop account for a parked spin
+        loop's iterations arithmetically instead of issuing them. The
+        default declines; a system that declines still has every spin
+        iteration's load issued through its lanes.
+        """
+        return None
 
     def line_addr(self, addr: int) -> int:
         """Line address of a byte address under this configuration."""

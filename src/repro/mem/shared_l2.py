@@ -211,6 +211,14 @@ class SharedL2System(MemorySystem):
             self._lane_store[cpu],
         )
 
+    def spin_port(self, cpu: int):
+        """The private L1D, under directory invalidation (write-update
+        refreshes sharers in place, so a copy's value can change
+        without the line leaving)."""
+        if self.config.l1_coherence != "invalidate":
+            return None
+        return self.l1d[cpu], self._l1d_stats[cpu]
+
     def fast_load(self, cpu: int, addr: int, at: int) -> int:
         """Private write-through L1D hit (single cycle); -1 on miss."""
         return self._lane_load[cpu](addr, at)

@@ -227,6 +227,10 @@ class SharedL3System(MemorySystem):
             self._lane_store[cpu],
         )
 
+    def spin_port(self, cpu: int):
+        """The private L1D (this topology always invalidates)."""
+        return self.l1d[cpu], self._l1d_stats[cpu]
+
     def fast_load(self, cpu: int, addr: int, at: int) -> int:
         """Private write-through L1D hit (single cycle); -1 on miss."""
         return self._lane_load[cpu](addr, at)

@@ -180,6 +180,10 @@ class SharedMemorySystem(MemorySystem):
             self._lane_store[cpu],
         )
 
+    def spin_port(self, cpu: int):
+        """The private write-back L1D (loads are MESI-state-blind)."""
+        return self.l1d[cpu], self._l1d_stats[cpu]
+
     def fast_load(self, cpu: int, addr: int, at: int) -> int:
         """Private write-back L1D hit (single cycle); -1 on miss."""
         return self._lane_load[cpu](addr, at)

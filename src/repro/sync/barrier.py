@@ -86,7 +86,7 @@ class Barrier:
         yield from self.lock.release(ctx)
         spin = em.label()
         while True:
-            observed = yield em.load(self.sense_addr, want_value=True)
+            observed = yield em.spin_load(self.sense_addr, until=sense)
             if observed == sense:
                 yield em.branch(False)
                 if obs is not None:

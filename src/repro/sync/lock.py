@@ -13,6 +13,12 @@ While the lock is held, spinners loop on the LL, which *hits in their
 cache* after the first read — so spinning costs CPU time, not memory
 traffic, until the release store invalidates the line (or, in the
 shared-L1 architecture, simply updates the one shared copy).
+
+The ``ll``/``bnez`` pair is a declared spin
+(:meth:`~repro.isa.stream.Emitter.spin_load`): Mipsy may run an
+iteration that finds the lock held without resuming :meth:`acquire`,
+bumping the lock's retry counter itself, so ``contended_retries``
+reads the same either way.
 """
 
 from __future__ import annotations
@@ -33,10 +39,21 @@ class SpinLock:
         self.addr = data.alloc_line()
         self.region = code.region(f"{name}.acquire", _ACQUIRE_SLOTS)
         self.acquires = 0
-        self.contended_retries = 0
+        # One-element cell shared with the spin load, so a CPU that
+        # runs a held-lock iteration itself still counts the retry.
+        self._retries = [0]
         #: attached Observation (set by Observation._attach_sync);
         #: contended acquires emit sync-wait events through it
         self.obs = None
+
+    @property
+    def contended_retries(self) -> int:
+        """Acquire attempts that found the lock held or lost the SC."""
+        return self._retries[0]
+
+    @contended_retries.setter
+    def contended_retries(self, count: int) -> None:
+        self._retries[0] = count
 
     def acquire(self, ctx: ThreadContext):
         """Spin until the lock is claimed (use with ``yield from``)."""
@@ -46,11 +63,14 @@ class SpinLock:
         obs = self.obs
         start = obs.now if obs is not None else 0
         contended = False
+        retries = self._retries
         while True:
-            value = yield em.ll(self.addr)
+            value = yield em.spin_load(
+                self.addr, until=0, linked=True, retries=retries
+            )
             if value:
                 # Held: spin on the cached copy.
-                self.contended_retries += 1
+                retries[0] += 1
                 contended = True
                 yield em.branch(True, to=top)
                 continue
@@ -69,7 +89,7 @@ class SpinLock:
                     )
                 return
             # Lost the SC race.
-            self.contended_retries += 1
+            retries[0] += 1
             contended = True
             yield em.branch(True, to=top)
 

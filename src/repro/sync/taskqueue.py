@@ -48,7 +48,13 @@ class TaskQueue:
             functional.poke(addr, head)
 
     def pop(self, ctx: ThreadContext, queue: int):
-        """Pop one task index from ``queue``; returns ``None`` if empty."""
+        """Pop one task index from ``queue``; returns ``None`` if empty.
+
+        The retry loop (``ll`` · ``ialu`` · ``sc``) is *not* a declared
+        spin (:meth:`~repro.isa.stream.Emitter.spin_load`): each pass
+        writes, and what it writes depends on what it read, so every
+        pass goes through this generator.
+        """
         em = ctx.emitter(self.region)
         em.jump(0)
         top = em.label()

@@ -7,6 +7,13 @@ unchanged, so the simulation behaves identically while the trace
 accumulates. Per-CPU issue order is all a trace keeps — the canonical
 file groups by CPU and replay splits by CPU — so the recorder needs no
 cross-CPU order and the CPU models may batch compute runs as usual.
+
+The recorder does not forward :meth:`MemorySystem.spin_port
+<repro.mem.hierarchy.MemorySystem.spin_port>` (it keeps the base
+class's ``None``), so no CPU parks on a spin loop while recording:
+every iteration's load still comes through the lanes below and lands
+in the trace, limited or not. (A limited recorder is not batchable,
+which also keeps each iteration in the thread program.)
 """
 
 from __future__ import annotations
