@@ -24,6 +24,14 @@ and snapshot in the ``repro.ckpt/1`` wire format — the committed blob
 was written by the pre-rewrite pipeline, and the suite asserts it still
 restores and runs on to the golden stats.
 
+It also writes ``tests/data/hierarchy_midrun_ckpt.json.gz``: the storm
+synthetic under Mipsy paused mid-run on ``shared-l2``, ``shared-l3``
+(4 CPUs) and ``cluster-l1`` (16 CPUs), each snapshot beside the stats
+of the uninterrupted run. The committed blobs were written by the five
+per-preset ``MemorySystem`` classes; the suite asserts the spec-driven
+disciplines that replaced them restore each one and finish on the same
+stats — the frozen ``repro.ckpt/1`` memory section.
+
 Only rerun this script to *extend* the matrix — never to paper over a
 mismatch, which is exactly the regression the suite exists to catch.
 """
@@ -53,6 +61,15 @@ CKPT_PATH = _DATA / "mxs_midrun_ckpt.json.gz"
 #: the golden case the mid-run blob pauses, and where
 CKPT_CASE = "shared-mem/storm/window8"
 CKPT_PAUSE = 9000
+
+HIERARCHY_CKPT_PATH = _DATA / "hierarchy_midrun_ckpt.json.gz"
+#: preset -> (CPUs, pause cycle) of the Mipsy storm runs the hierarchy
+#: blob pauses (each about half way)
+HIERARCHY_CKPT_CASES = {
+    "shared-l2": (4, 11700),
+    "shared-l3": (4, 15700),
+    "cluster-l1": (16, 24700),
+}
 
 #: The ledger's coherence-storm synthetic at test scale (a copy of
 #: ``benchmarks/ledger/matrix.py``'s STORM_PARAMS — the ledger pins its
@@ -139,6 +156,37 @@ def midrun_snapshot() -> dict:
     return snapshot_system(system)
 
 
+def build_hierarchy_case(arch: str) -> System:
+    n_cpus, _pause = HIERARCHY_CKPT_CASES[arch]
+    return System(
+        arch,
+        _STORM(n_cpus, FunctionalMemory(), SCALE),
+        cpu_model="mipsy",
+        mem_config=config_for_scale(SCALE, n_cpus),
+        checkpointing=True,
+    )
+
+
+def hierarchy_snapshots() -> dict:
+    """Per preset: the mid-run snapshot and the uninterrupted stats."""
+    cases = {}
+    for arch, (_n_cpus, pause) in HIERARCHY_CKPT_CASES.items():
+        paused = build_hierarchy_case(arch)
+        paused.run(pause_at=pause)
+        cases[arch] = {
+            "snapshot": snapshot_system(paused),
+            "final": build_hierarchy_case(arch).run().to_dict(),
+        }
+    return cases
+
+
+def _write_blob(path: Path, payload: dict) -> None:
+    raw = json.dumps(payload, separators=(",", ":"))
+    # mtime=0 keeps the compressed bytes deterministic.
+    with gzip.GzipFile(path, "wb", mtime=0) as blob:
+        blob.write(raw.encode("utf-8"))
+
+
 def main() -> int:
     golden = {}
     for key in case_keys():
@@ -155,11 +203,10 @@ def main() -> int:
         encoding="utf-8",
     )
     print(f"wrote {GOLDEN_PATH} ({len(golden)} cases)")
-    raw = json.dumps(midrun_snapshot(), separators=(",", ":"))
-    # mtime=0 keeps the compressed bytes deterministic.
-    with gzip.GzipFile(CKPT_PATH, "wb", mtime=0) as blob:
-        blob.write(raw.encode("utf-8"))
+    _write_blob(CKPT_PATH, midrun_snapshot())
     print(f"wrote {CKPT_PATH} ({CKPT_CASE} paused at {CKPT_PAUSE})")
+    _write_blob(HIERARCHY_CKPT_PATH, hierarchy_snapshots())
+    print(f"wrote {HIERARCHY_CKPT_PATH} ({', '.join(HIERARCHY_CKPT_CASES)})")
     return 0
 
 

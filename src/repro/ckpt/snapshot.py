@@ -40,30 +40,10 @@ from repro.mem.coherence.directory import Directory
 from repro.mem.crossbar import Crossbar, MultistageCrossbar
 from repro.mem.mainmem import MainMemory
 from repro.mem.writebuffer import WriteBuffer
-from repro.sim.stats import CacheStats, CycleBreakdown, MxsStats
+from repro.sim.stats import CycleBreakdown, MxsStats
 
 #: Snapshot wire-format identifier; bumped on any incompatible change.
 SNAPSHOT_FORMAT = "repro.ckpt/1"
-
-#: Memory-system attributes that are not simulation state: ``config``
-#: is immutable input, ``stats`` restores through ``SystemStats``,
-#: ``obs`` restores through the observation block, the snoop
-#: controller holds only references to caches serialized elsewhere,
-#: and the ``_lane_*`` lists are per-CPU fast-path closures over the
-#: packed cache arrays — pure code, rebuilt by the constructor, that
-#: read the restored arrays in place.
-_SKIP_MEMORY_ATTRS = frozenset(
-    {
-        "config",
-        "stats",
-        "obs",
-        "snoop",
-        "topology",
-        "_lane_ifetch",
-        "_lane_load",
-        "_lane_store",
-    }
-)
 
 _MXS_STATS_FIELDS = (
     "cycles",
@@ -128,17 +108,7 @@ def _decode_inst(data: list) -> Instruction:
 
 
 # ---------------------------------------------------------------------------
-# memory-system components (reflective walker)
-
-
-def _is_cache_stats(value) -> bool:
-    if isinstance(value, CacheStats):
-        return True
-    return (
-        isinstance(value, list)
-        and bool(value)
-        and all(isinstance(item, CacheStats) for item in value)
-    )
+# memory-system components (what MemorySystem.components() declares)
 
 
 def _encode_resource(res: Resource) -> list:
@@ -150,7 +120,7 @@ def _restore_resource(res: Resource, data: list) -> None:
 
 
 def _encode_component(value):
-    """Serialize one memory-system attribute (type-dispatched)."""
+    """Serialize one declared memory component (type-dispatched)."""
     if value is None:
         return None
     if isinstance(value, list):
@@ -163,22 +133,18 @@ def _encode_component(value):
             "sets": value.export_sets(),
             "invalidated": sorted(value.tracker._invalidated),
         }
-    if isinstance(value, Crossbar):
-        return {
+    if isinstance(value, (Crossbar, MultistageCrossbar)):
+        state = {
             "banks": _encode_component(value.banks),
             "ports": [_encode_resource(port) for port in value.ports],
-            "wait_cycles": value.wait_cycles,
         }
-    if isinstance(value, MultistageCrossbar):
-        return {
-            "banks": _encode_component(value.banks),
-            "ports": [_encode_resource(port) for port in value.ports],
-            "switches": [
+        if value.switches:
+            state["switches"] = [
                 [_encode_resource(switch) for switch in column]
                 for column in value.switches
-            ],
-            "wait_cycles": value.wait_cycles,
-        }
+            ]
+        state["wait_cycles"] = value.wait_cycles
+        return state
     if isinstance(value, BankedResource):
         return [_encode_resource(bank) for bank in value.banks]
     if isinstance(value, Resource):
@@ -221,7 +187,7 @@ def _encode_component(value):
 
 
 def _restore_component(value, data) -> None:
-    """Restore one attribute in place (mirror of :func:`_encode_component`)."""
+    """Restore one component in place (mirror of :func:`_encode_component`)."""
     if value is None:
         if data is not None:
             raise CheckpointError(
@@ -255,17 +221,11 @@ def _restore_component(value, data) -> None:
         value.import_sets(sets)
         value.tracker._invalidated = set(data["invalidated"])
         return
-    if isinstance(value, Crossbar):
+    if isinstance(value, (Crossbar, MultistageCrossbar)):
         _restore_component(value.banks, data["banks"])
         for port, port_data in zip(value.ports, data["ports"]):
             _restore_resource(port, port_data)
-        value.wait_cycles = data["wait_cycles"]
-        return
-    if isinstance(value, MultistageCrossbar):
-        _restore_component(value.banks, data["banks"])
-        for port, port_data in zip(value.ports, data["ports"]):
-            _restore_resource(port, port_data)
-        columns = data["switches"]
+        columns = data.get("switches", [])
         if len(columns) != len(value.switches):
             raise CheckpointError(
                 f"interconnect stage mismatch: {len(value.switches)} live "
@@ -318,29 +278,19 @@ def _restore_component(value, data) -> None:
 
 
 def _memory_state(memory) -> dict:
-    out = {}
-    for name in sorted(vars(memory)):
-        if name in _SKIP_MEMORY_ATTRS:
-            continue
-        value = getattr(memory, name)
-        if _is_cache_stats(value):
-            continue
-        out[name] = _encode_component(value)
-    return out
+    return {
+        name: _encode_component(component)
+        for name, component in sorted(memory.components().items())
+    }
 
 
 def _restore_memory(memory, state: dict) -> None:
-    for name in sorted(vars(memory)):
-        if name in _SKIP_MEMORY_ATTRS:
-            continue
-        value = getattr(memory, name)
-        if _is_cache_stats(value):
-            continue
+    for name, component in sorted(memory.components().items()):
         if name not in state:
             raise CheckpointError(
-                f"checkpoint has no state for memory attribute {name!r}"
+                f"checkpoint has no state for memory component {name!r}"
             )
-        _restore_component(value, state[name])
+        _restore_component(component, state[name])
 
 
 # ---------------------------------------------------------------------------

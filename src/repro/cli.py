@@ -114,7 +114,7 @@ from repro.core.configs import ARCHITECTURES, CPU_MODELS
 from repro.core.experiment import run_architecture_comparison
 from repro.core.runner import Job, ResultCache, Runner, default_cache_dir
 from repro.core.sweeps import sweep_cpu_count, sweep_mem_field, speedup_table
-from repro.mem.topology import get_preset, topology_names
+from repro.mem.topology import get_builder, get_preset, topology_names
 from repro.core.report import (
     format_bar_chart,
     format_breakdown_table,
@@ -662,11 +662,19 @@ def _cmd_list() -> int:
         doc = (WORKLOADS[name].__module__ or "").split(".")[-1]
         print(f"  {name:<10} (repro.workloads.{doc})")
     print("topologies:")
+    kinds = []
     for name in topology_names():
         preset = get_preset(name)
         paper = "paper" if name in ARCHITECTURES else "extra"
         print(f"  {name:<12} [{preset.kind}, {preset.default_cpus} "
               f"cpus, {paper}] {preset.description}")
+        if preset.kind not in kinds:
+            kinds.append(preset.kind)
+    print("coherence disciplines (a topology's kind):")
+    for kind in kinds:
+        builder = get_builder(kind)
+        summary = " ".join((builder.__doc__ or "").split("\n\n")[0].split())
+        print(f"  {kind:<17} {builder.__name__}: {summary}")
     print(f"cpu models:    {', '.join(CPU_MODELS)}")
     print(f"scales:        {', '.join(_SCALES)}")
     return 0

@@ -1,28 +1,29 @@
-"""Memory-system models, composed from declarative topology specs.
+"""Memory-system models, built from declarative topology specs.
 
 The package provides the building blocks (cache arrays, banked
 resources, buses, crossbars, main memory, coherence engines, the timed
 functional memory used for synchronization), the :class:`Topology`
 spec language plus its preset/builder registries
-(:mod:`repro.mem.topology`), and one complete memory system per
-registered topology kind:
+(:mod:`repro.mem.topology`), and the hierarchy itself: one scaffold,
+:class:`~repro.mem.hierarchy.MemorySystem` (private I-caches, write
+buffers, access dispatch, fast lanes, resource reporting), under three
+coherence disciplines — the three places the paper lets CPUs share:
 
-* :class:`~repro.mem.shared_l1.SharedL1System` — CPUs share a banked
-  write-back L1 data cache through a crossbar (paper Section 2.2);
-* :class:`~repro.mem.shared_l2.SharedL2System` — private write-through
-  L1s over a shared, banked write-back L2 with directory invalidation
-  (Section 2.3);
+* :class:`~repro.mem.shared_primary.SharedPrimarySystem` — one banked
+  write-back L1 data cache behind a single- or multi-stage crossbar,
+  no coherence machinery (Section 2.2; the ``shared-l1`` and
+  ``cluster-l1`` presets);
+* :class:`~repro.mem.shared_secondary.SharedSecondarySystem` — one or
+  more private write-through levels over a shared, banked write-back
+  level with directory invalidation or update (Section 2.3; the
+  ``shared-l2`` and ``shared-l3`` presets);
 * :class:`~repro.mem.shared_mem.SharedMemorySystem` — private L1+L2 per
   CPU kept coherent by a snoopy MESI bus with cache-to-cache transfers
-  (Section 2.4);
-* :class:`~repro.mem.cluster.ClusterSharedL1System` — a MemPool-style
-  many-core cluster pooling its L1 behind a multi-stage crossbar;
-* :class:`~repro.mem.shared_l3.SharedL3System` — private L1+L2 per CPU
-  over a shared, banked L3 (3D-stacked design point).
+  (Section 2.4; the ``shared-mem`` preset).
 
-The paper's three architectures are the ``shared-l1`` / ``shared-l2``
-/ ``shared-mem`` presets; ``repro list`` enumerates all of them (see
-docs/TOPOLOGIES.md).
+Each is built from the resolved spec alone: every ``CacheLevel`` /
+``Interconnect`` field is honoured or rejected with a ``ConfigError``.
+``repro list`` enumerates the presets (see docs/TOPOLOGIES.md).
 """
 
 from repro.mem.types import AccessKind, AccessResult, StallLevel
@@ -36,17 +37,16 @@ from repro.mem.topology import (
     Topology,
     TopologyPreset,
     build_topology,
+    get_builder,
     get_preset,
     register_builder,
     register_topology,
     resolve_topology,
     topology_names,
 )
-from repro.mem.shared_l1 import SharedL1System
-from repro.mem.shared_l2 import SharedL2System
+from repro.mem.shared_primary import SharedPrimarySystem
+from repro.mem.shared_secondary import SharedSecondarySystem
 from repro.mem.shared_mem import SharedMemorySystem
-from repro.mem.cluster import ClusterSharedL1System
-from repro.mem.shared_l3 import SharedL3System
 
 __all__ = [
     "AccessKind",
@@ -63,14 +63,13 @@ __all__ = [
     "Topology",
     "TopologyPreset",
     "build_topology",
+    "get_builder",
     "get_preset",
     "register_builder",
     "register_topology",
     "resolve_topology",
     "topology_names",
-    "SharedL1System",
-    "SharedL2System",
+    "SharedPrimarySystem",
+    "SharedSecondarySystem",
     "SharedMemorySystem",
-    "ClusterSharedL1System",
-    "SharedL3System",
 ]

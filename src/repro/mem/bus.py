@@ -78,6 +78,13 @@ class SnoopyBus:
             self._record("writeback", start, self.timing.writeback_occupancy)
         return start + self.timing.writeback_occupancy
 
+    def obs_counters(self):
+        """``(probe name, getter)``: transactions granted, cycles waited."""
+        return (
+            ("bus.transactions", lambda: self.transactions),
+            ("bus.wait", lambda: self.resource.wait_cycles),
+        )
+
     @property
     def busy_cycles(self) -> int:
         return self.resource.busy_cycles

@@ -20,10 +20,154 @@ latency constant so the memory systems read as the paper describes.
 
 from __future__ import annotations
 
+from repro.errors import ConfigError
 from repro.mem.bank import BankedResource, Resource
 
 
-class Crossbar:
+def build_crossbar(
+    name: str, level, interconnect, n_ports: int, line_size: int
+):
+    """The interconnect a spec puts in front of its first shared level.
+
+    One stage is a :class:`Crossbar`, several a
+    :class:`MultistageCrossbar` with one switch column per intermediate
+    stage. The spec states the path twice — the shared ``level``'s
+    latency/occupancy/banks and the ``interconnect``'s stages — so the
+    two must agree: the stage latencies sum to the level's latency and
+    the occupancies match.
+    """
+    stages = tuple(interconnect.stage_latencies)
+    expected = "crossbar" if len(stages) == 1 else "multistage"
+    if not stages or interconnect.kind != expected:
+        raise ConfigError(
+            f"interconnect kind {interconnect.kind!r} with "
+            f"{len(stages)} stage(s) cannot front shared level "
+            f"{level.name!r}: one stage is a 'crossbar', several are "
+            "'multistage'"
+        )
+    if sum(stages) != level.latency:
+        raise ConfigError(
+            f"interconnect stage_latencies {stages} sum to {sum(stages)} "
+            f"but shared level {level.name!r} has latency {level.latency}"
+        )
+    if interconnect.occupancy != level.occupancy:
+        raise ConfigError(
+            f"interconnect occupancy {interconnect.occupancy} differs from "
+            f"shared level {level.name!r} occupancy {level.occupancy}"
+        )
+    if len(stages) == 1:
+        return Crossbar(
+            name,
+            level.banks,
+            line_size,
+            latency=level.latency,
+            occupancy=level.occupancy,
+            n_ports=n_ports,
+        )
+    return MultistageCrossbar(
+        name,
+        level.banks,
+        line_size,
+        stage_latencies=stages,
+        occupancy=level.occupancy,
+        n_ports=n_ports,
+    )
+
+
+def crossbar_resources(prefix: str, xbar, ports: bool = True):
+    """``(report key, probe name, resource)`` for a crossbar's CPU-side
+    ports (optional), banks and switch columns — the declaration format
+    of :meth:`repro.mem.hierarchy.MemorySystem._resources`."""
+    named = []
+    if ports:
+        named += [
+            (f"{prefix}.port{i}", port) for i, port in enumerate(xbar.ports)
+        ]
+    named += [
+        (f"{prefix}.bank{i}", bank) for i, bank in enumerate(xbar.banks.banks)
+    ]
+    named += [
+        (f"{prefix}.s{stage}.sw{i}", switch)
+        for stage, column in enumerate(xbar.switches)
+        for i, switch in enumerate(column)
+    ]
+    return [(key, f"{key}.busy", resource) for key, resource in named]
+
+
+class _Interconnect:
+    """What both crossbars share: the per-CPU ports and banks a request
+    is routed over (``_route``), the conflict accounting, and the
+    non-queueing shadow probe."""
+
+    __slots__ = (
+        "name", "latency", "occupancy", "banks", "ports", "wait_cycles",
+        "obs",
+    )
+
+    def _emit_conflict(self, addr: int, at: int, wait: int, port: int) -> None:
+        """One conflict event on the bank's track (observability on)."""
+        self.obs.emit(
+            f"{self.name}[{self.banks.bank_index(addr)}]",
+            "conflict",
+            "xbar",
+            at,
+            wait,
+            {"port": port},
+        )
+
+    def probe(self, addr: int, at: int, port: int = 0) -> int:
+        """Record the contention a request *would* see, without queueing.
+
+        The optimistic shared-L1 path completes hits in one cycle by
+        fiat, so a shadow crossbar driven through :meth:`access` would
+        queue unboundedly (its grant times never slow the CPUs down).
+        This variant counts the collision but starts service at ``at``
+        regardless — per-bank busy becomes *demand* utilization (it may
+        exceed 1.0 when oversubscribed) and the conflict wait per
+        request stays bounded by the occupancy.
+
+        Returns the conflict wait observed.
+        """
+        hold = self.occupancy
+        path = self._route(addr, port)
+        wait = max(res.next_free for res in path) - at
+        if wait > 0:
+            self.wait_cycles += wait
+            if self.obs is not None:
+                self._emit_conflict(addr, at, wait, port)
+        else:
+            wait = 0
+        end = at + hold
+        for res in path:
+            if res.next_free < end:
+                res.next_free = end
+            res.busy_cycles += hold
+            res.requests += 1
+        return wait
+
+    def obs_counters(self):
+        """``(probe name, getter)``: requests granted, cycles in conflict."""
+        return (
+            (f"{self.name}.grants", lambda: self.requests),
+            (f"{self.name}.conflict", lambda: self.wait_cycles),
+        )
+
+    def bank_index(self, addr: int) -> int:
+        """Index of the bank serving ``addr``."""
+        return self.banks.bank_index(addr)
+
+    @property
+    def conflict_cycles(self) -> int:
+        """Total cycles requests spent queued on busy ports, switches
+        or banks."""
+        return self.wait_cycles
+
+    @property
+    def requests(self) -> int:
+        return self.banks.requests
+
+
+class Crossbar(_Interconnect):
     """Fixed-latency crossbar with per-CPU ports and per-bank servers.
 
     A request holds both its CPU-side port and its target bank for the
@@ -33,10 +177,10 @@ class Crossbar:
     port even when they hit different banks).
     """
 
-    __slots__ = (
-        "name", "latency", "occupancy", "banks", "ports", "wait_cycles",
-        "obs",
-    )
+    __slots__ = ()
+
+    #: a single stage has no intermediate switch columns
+    switches = ()
 
     def __init__(
         self,
@@ -86,14 +230,7 @@ class Crossbar:
         wait = start - at
         self.wait_cycles += wait
         if self.obs is not None and wait > 0:
-            self.obs.emit(
-                f"{self.name}[{self.banks.bank_index(addr)}]",
-                "conflict",
-                "xbar",
-                at,
-                wait,
-                {"port": port},
-            )
+            self._emit_conflict(addr, at, wait, port)
         return start + self.latency, wait
 
     def make_lane(self, port: int, occupancy: int | None = None):
@@ -136,65 +273,12 @@ class Crossbar:
 
         return lane
 
-    def probe(self, addr: int, at: int, port: int = 0) -> int:
-        """Record the contention a request *would* see, without queueing.
-
-        The optimistic shared-L1 path completes hits in one cycle by
-        fiat, so a shadow crossbar driven through :meth:`access` would
-        queue unboundedly (its grant times never slow the CPUs down).
-        This variant counts the collision but starts service at ``at``
-        regardless — per-bank busy becomes *demand* utilization (it may
-        exceed 1.0 when oversubscribed) and the conflict wait per
-        request stays bounded by the occupancy.
-
-        Returns the conflict wait observed.
-        """
-        hold = self.occupancy
-        port_res = self.ports[port]
-        bank = self.banks.bank_of(addr)
-        busy_until = port_res.next_free
-        if bank.next_free > busy_until:
-            busy_until = bank.next_free
-        wait = busy_until - at
-        if wait > 0:
-            self.wait_cycles += wait
-            if self.obs is not None:
-                self.obs.emit(
-                    f"{self.name}[{self.banks.bank_index(addr)}]",
-                    "conflict",
-                    "xbar",
-                    at,
-                    wait,
-                    {"port": port},
-                )
-        else:
-            wait = 0
-        end = at + hold
-        if port_res.next_free < end:
-            port_res.next_free = end
-        port_res.busy_cycles += hold
-        port_res.requests += 1
-        if bank.next_free < end:
-            bank.next_free = end
-        bank.busy_cycles += hold
-        bank.requests += 1
-        return wait
-
-    def bank_index(self, addr: int) -> int:
-        """Index of the bank serving ``addr``."""
-        return self.banks.bank_index(addr)
-
-    @property
-    def conflict_cycles(self) -> int:
-        """Total cycles requests spent queued on busy ports or banks."""
-        return self.wait_cycles
-
-    @property
-    def requests(self) -> int:
-        return self.banks.requests
+    def _route(self, addr: int, port: int) -> list:
+        """The port and bank a request from ``port`` to ``addr`` holds."""
+        return [self.ports[port], self.banks.bank_of(addr)]
 
 
-class MultistageCrossbar:
+class MultistageCrossbar(_Interconnect):
     """A pipelined multi-stage interconnect (MemPool-style cluster).
 
     At 16+ cores a single-stage crossbar's wiring does not close
@@ -212,10 +296,7 @@ class MultistageCrossbar:
     counters) so the memory systems can use either.
     """
 
-    __slots__ = (
-        "name", "stage_latencies", "latency", "occupancy", "radix",
-        "banks", "ports", "switches", "wait_cycles", "obs",
-    )
+    __slots__ = ("stage_latencies", "radix", "switches")
 
     def __init__(
         self,
@@ -285,14 +366,7 @@ class MultistageCrossbar:
         wait = start - at
         self.wait_cycles += wait
         if self.obs is not None and wait > 0:
-            self.obs.emit(
-                f"{self.name}[{self.banks.bank_index(addr)}]",
-                "conflict",
-                "xbar",
-                at,
-                wait,
-                {"port": port},
-            )
+            self._emit_conflict(addr, at, wait, port)
         return start + self.latency, wait
 
     def make_lane(self, port: int, occupancy: int | None = None):
@@ -330,44 +404,3 @@ class MultistageCrossbar:
             return start + latency
 
         return lane
-
-    def probe(self, addr: int, at: int, port: int = 0) -> int:
-        """Shadow variant of :meth:`access` (see :meth:`Crossbar.probe`):
-        counts the conflict a request would see without queueing."""
-        hold = self.occupancy
-        path = self._route(addr, port)
-        busy_until = max(res.next_free for res in path)
-        wait = busy_until - at
-        if wait > 0:
-            self.wait_cycles += wait
-            if self.obs is not None:
-                self.obs.emit(
-                    f"{self.name}[{self.banks.bank_index(addr)}]",
-                    "conflict",
-                    "xbar",
-                    at,
-                    wait,
-                    {"port": port},
-                )
-        else:
-            wait = 0
-        end = at + hold
-        for res in path:
-            if res.next_free < end:
-                res.next_free = end
-            res.busy_cycles += hold
-            res.requests += 1
-        return wait
-
-    def bank_index(self, addr: int) -> int:
-        """Index of the bank serving ``addr``."""
-        return self.banks.bank_index(addr)
-
-    @property
-    def conflict_cycles(self) -> int:
-        """Total cycles requests spent queued along busy paths."""
-        return self.wait_cycles
-
-    @property
-    def requests(self) -> int:
-        return self.banks.requests

@@ -1,20 +1,28 @@
-"""Memory-system configuration and the common interface.
+"""Memory-system configuration and the scaffold every hierarchy shares.
 
 :class:`MemConfig` collects every geometry and timing knob the
 topology presets draw from; the scale presets in
 :mod:`repro.core.configs` fill it in with the paper's Table 2 numbers.
-:class:`MemorySystem` is the interface the CPU models drive.
+:class:`MemorySystem` is the interface the CPU models drive *and* the
+part of a hierarchy that does not depend on how its CPUs share: the
+private instruction caches, the per-CPU write buffers, the access
+dispatch, the fast lanes and the resource reporting. What is left to a
+subclass is a coherence discipline (:mod:`repro.mem.shared_primary`,
+:mod:`repro.mem.shared_secondary`, :mod:`repro.mem.shared_mem`), each
+built from the resolved :class:`~repro.mem.topology.Topology` alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.mem.bus import BusTiming
-from repro.mem.types import AccessKind, AccessResult
+from repro.mem.cache import SHARED, CacheArray
+from repro.mem.mainmem import MainMemory
+from repro.mem.types import AccessKind, AccessResult, StallLevel
+from repro.mem.writebuffer import WriteBuffer
 from repro.sim.stats import CacheStats, MissKind, SystemStats
 
 
@@ -90,7 +98,9 @@ class MemConfig:
     mshr_entries: int = 4
 
     # Mipsy runs the shared-L1 architecture optimistically (1-cycle hit,
-    # no bank contention) per Section 4; MXS turns this off.
+    # no bank contention) per Section 4; MXS turns this off. Applies to
+    # a single-stage crossbar only: a multi-stage interconnect is always
+    # paid.
     shared_l1_optimistic: bool = False
 
     # Resolve L1 hits through the single-probe fast lane
@@ -99,11 +109,12 @@ class MemConfig:
     # path and assert identical statistics.
     l1_fast_path: bool = True
 
-    # Shared-L2 L1 coherence policy (Section 2.3: "all processors
-    # caching the line must receive invalidates or updates").
-    # "invalidate" drops remote copies; "update" refreshes them in
-    # place — spinners keep hitting locally but every write busies the
-    # sharers' caches.
+    # Private-cache coherence policy under a directory (Section 2.3:
+    # "all processors caching the line must receive invalidates or
+    # updates"). "invalidate" drops remote copies; "update" refreshes
+    # them in place — spinners keep hitting locally but every write
+    # busies the sharers' caches. Disciplines without a directory
+    # (shared-primary, shared-memory) reject "update".
     l1_coherence: str = "invalidate"
 
     bus: BusTiming = field(default_factory=BusTiming)
@@ -172,16 +183,33 @@ class MemConfig:
         )
 
 
-class MemorySystem(ABC):
-    """Interface between the CPU models and a memory architecture.
+
+
+def _decline(addr: int, at: int) -> int:
+    """The lane of a system that resolves nothing ahead of ``access``."""
+    return -1
+
+
+class MemorySystem:
+    """The CPU-facing interface and the scaffold under every hierarchy.
 
     One call per dynamic memory operation or I-cache-line fetch:
     :meth:`access` applies all state changes (fills, evictions,
     coherence actions) and returns when the access completes and which
     level serviced it. The CPU attributes stall time from the result.
+
+    A hierarchy is a subclass that calls :meth:`_scaffold` with its
+    resolved topology, builds what its coherence discipline adds,
+    implements ``_load`` / ``_store`` / ``_refill_ifetch`` and the
+    store lane, declares its busy resources (:meth:`_resources`) and
+    checkpoint components (:meth:`components`), and finishes with
+    :meth:`_build_lanes`. Everything else here is shared. A *proxy*
+    (the trace recorder, test stubs) skips the scaffold and overrides
+    the interface methods it forwards; what it leaves alone declines,
+    drains nothing and reports nothing.
     """
 
-    #: short name used in reports (the topology preset name)
+    #: short name used in reports (the topology's name once scaffolded)
     name: str = "abstract"
 
     #: whether CPU models may retire runs of compute instructions ahead
@@ -198,37 +226,185 @@ class MemorySystem(ABC):
         #: attached :class:`~repro.obs.observe.Observation`, or ``None``
         #: (the default — no hook anywhere fires without it)
         self.obs = None
+        #: private instruction caches, one per CPU
+        self.l1i: list[CacheArray] = []
+        #: per-CPU write buffers posted stores drain through
+        self._buffers: list[WriteBuffer] = []
+        #: per-CPU ``(ifetch, load, store)`` fast-lane closures
+        self._lanes = [(_decline, _decline, _decline)] * config.n_cpus
+        #: per-CPU ``(CacheArray, CacheStats)`` of the L1Ds a spinning
+        #: CPU may park on; empty when the discipline has none
+        self._spin_ports: list[tuple] = []
+        #: the interconnect the CPUs share (a crossbar or the bus): once
+        #: observability attaches it emits the contention events and
+        #: contributes its ``obs_counters()`` to the sampler
+        self._link = None
+        self._line_shift = config.line_size.bit_length() - 1
 
-    @abstractmethod
+    def _scaffold(self, topology) -> tuple:
+        """Build what every hierarchy has; returns the level specs.
+
+        The I-caches and the write-buffer depth have no field in the
+        spec and come from the :class:`MemConfig`, like main-memory
+        timing does in the disciplines.
+        """
+        config = self.config
+        self.topology = topology
+        self.name = topology.name
+        self.l1i, self._l1i_stats = self._per_cpu_caches(
+            "l1i", config.l1i_size, config.l1i_assoc
+        )
+        self._buffers = [
+            WriteBuffer(config.write_buffer_depth)
+            for _ in range(config.n_cpus)
+        ]
+        return topology.levels
+
+    def _per_cpu_caches(
+        self, name: str, size: int, assoc: int
+    ) -> tuple[list, list]:
+        """One ``cpuN.<name>`` array and stats block per CPU."""
+        names = [f"cpu{i}.{name}" for i in range(self.config.n_cpus)]
+        line = self.config.line_size
+        return (
+            [CacheArray(full, size, assoc, line) for full in names],
+            [self.stats.cache(full) for full in names],
+        )
+
+    def _main_memory(self) -> MainMemory:
+        """Main memory, timed by the ``MemConfig`` (no spec field)."""
+        config = self.config
+        return MainMemory(
+            config.mem_latency,
+            config.mem_occupancy,
+            config.n_mem_banks,
+            config.line_size,
+        )
+
+    def _reject(self, where: str, field: str, why: str) -> None:
+        """Refuse a spec field this discipline cannot honour."""
+        raise ConfigError(
+            f"topology {self.topology.name!r} ({self.topology.kind}): "
+            f"{where} {field} {why}"
+        )
+
+    def _require_private_l1d(self, level) -> None:
+        """The private L1D contract of the load lane and the spin port:
+        one unbanked single-cycle array per CPU."""
+        if level.name != "l1d":
+            self._reject("first level", "name", "must be 'l1d'")
+        if level.arrays(self.config.n_cpus) != self.config.n_cpus:
+            self._reject("level 'l1d'", "sharing", "must be 1 (private)")
+        for name in ("latency", "occupancy", "banks"):
+            if getattr(level, name) != 1:
+                self._reject(
+                    "level 'l1d'",
+                    name,
+                    f"must be 1 (a private L1 is one single-cycle array), "
+                    f"got {getattr(level, name)}",
+                )
+
+    # ------------------------------------------------------------------
+    # the general path
+
     def access(
         self, cpu: int, kind: AccessKind, addr: int, at: int
     ) -> AccessResult:
         """Perform one access for ``cpu`` starting at cycle ``at``."""
+        if kind == AccessKind.IFETCH:
+            return self._ifetch(cpu, addr, at)
+        if kind == AccessKind.LOAD:
+            return self._load(cpu, addr, at)
+        return self._store(cpu, addr, at, posted=kind == AccessKind.STORE)
+
+    def _ifetch(self, cpu: int, addr: int, at: int) -> AccessResult:
+        cache = self.l1i[cpu]
+        line_addr = addr >> self._line_shift
+        if cache.probe(line_addr) >= 0:
+            return AccessResult(at + 1, StallLevel.NONE)
+        # Code is never invalidated: every I-miss is a replacement miss.
+        self._l1i_stats[cpu].read_misses_repl += 1
+        done, level = self._refill_ifetch(cpu, addr, line_addr, at + 1)
+        cache.fill(line_addr, SHARED)
+        return AccessResult(done, level)
 
     # ------------------------------------------------------------------
     # L1 hit fast lane
     #
     # The common case by far is an L1 hit: probe the tag dict, refresh
-    # LRU, bump a counter, done one cycle later. The fast methods
-    # resolve exactly that case and return the completion cycle as a
-    # plain int; they return -1 (no state changed) whenever anything
-    # beyond the single-probe hit is involved — a miss, an upgrade, a
-    # coherence action — and the CPU falls back to :meth:`access`.
-    # Implementations must be behaviorally invisible: with the lane
-    # disabled (``config.l1_fast_path = False``) every statistic and
-    # cycle count must come out identical. The defaults below decline
-    # every access, so a wrapper that overrides nothing still sees the
-    # full stream through access() — at the cost of silently disabling
-    # the lane; wrappers that care about speed (the trace recorder)
-    # forward the fast methods and record the hits they resolve.
+    # LRU, bump a counter, done one cycle later. The lanes resolve
+    # exactly that case and return the completion cycle as a plain int;
+    # they return -1 (no state changed) whenever anything beyond the
+    # single-probe hit is involved — a miss, an upgrade, a coherence
+    # action — and the CPU falls back to :meth:`access`. Lanes must be
+    # behaviorally invisible: with them disabled
+    # (``config.l1_fast_path = False``) every statistic and cycle count
+    # must come out identical. They are per-CPU closures specialized
+    # when the system is built, so nothing on the per-access path asks
+    # what shape the hierarchy has. A proxy that forwards nothing keeps
+    # the declining lanes and still sees the full stream through
+    # access(); one that cares about speed (the trace recorder) wraps
+    # the inner system's lanes in its own ``fast_lanes``.
 
-    def fast_load(self, cpu: int, addr: int, at: int) -> int:
-        """L1 hit fast path for a data load; -1 means take ``access``."""
-        return -1
+    def _build_lanes(self) -> None:
+        self._lanes = [
+            (
+                self._make_ifetch_lane(cpu),
+                self._make_load_lane(cpu),
+                self._make_store_lane(cpu),
+            )
+            for cpu in range(self.config.n_cpus)
+        ]
+
+    def _make_ifetch_lane(self, cpu: int):
+        probe = self.l1i[cpu].make_probe()
+        shift = self._line_shift
+
+        def fast_ifetch(addr: int, at: int) -> int:
+            if probe(addr >> shift) < 0:
+                return -1
+            return at + 1
+
+        return fast_ifetch
+
+    def _make_load_lane(self, cpu: int):
+        """A private single-cycle L1D hit. Loads never change coherence
+        state on a hit, so the lane is state-blind; a miss returns -1
+        with nothing touched (the general path re-probes — a missing
+        probe does not mutate, so the double probe is invisible)."""
+        probe = self.l1d[cpu].make_probe()
+        stats = self._l1d_stats[cpu]
+        shift = self._line_shift
+
+        def fast_load(addr: int, at: int) -> int:
+            if probe(addr >> shift) < 0:
+                return -1
+            stats.reads += 1
+            return at + 1
+
+        return fast_load
+
+    def _make_store_lane(self, cpu: int):
+        """The posted-store lane; a discipline without one declines."""
+        return _decline
+
+    def fast_lanes(self, cpu: int) -> tuple:
+        """Per-CPU fast-lane closures ``(ifetch, load, store)``.
+
+        Each closure takes ``(addr, at)`` and returns the completion
+        cycle or -1. The CPU models bind these once at construction so
+        the per-access cost is one call with the probe constants
+        captured as cell variables.
+        """
+        return self._lanes[cpu]
 
     def fast_ifetch(self, cpu: int, addr: int, at: int) -> int:
         """L1 hit fast path for an I-fetch; -1 means take ``access``."""
-        return -1
+        return self._lanes[cpu][0](addr, at)
+
+    def fast_load(self, cpu: int, addr: int, at: int) -> int:
+        """L1 hit fast path for a data load; -1 means take ``access``."""
+        return self._lanes[cpu][1](addr, at)
 
     def fast_store(self, cpu: int, addr: int, at: int) -> int:
         """L1 hit fast path for a *posted, value-less* store.
@@ -237,27 +413,7 @@ class MemorySystem(ABC):
         int return carries the CPU-release cycle but not the visibility
         time a value publish would need); -1 means take ``access``.
         """
-        return -1
-
-    def fast_lanes(self, cpu):
-        """Per-CPU fast-lane closures ``(ifetch, load, store)``.
-
-        Each closure takes ``(addr, at)`` and returns the completion
-        cycle or -1 (same contract as the ``fast_*`` methods). The CPU
-        models bind these once at construction so the per-access cost
-        is one call with the probe constants captured as cell
-        variables. The default adapts the ``fast_*`` methods, so a
-        wrapper that only overrides those still works; systems with a
-        real lane build specialized closures instead.
-        """
-        fast_ifetch = self.fast_ifetch
-        fast_load = self.fast_load
-        fast_store = self.fast_store
-        return (
-            lambda addr, at: fast_ifetch(cpu, addr, at),
-            lambda addr, at: fast_load(cpu, addr, at),
-            lambda addr, at: fast_store(cpu, addr, at),
-        )
+        return self._lanes[cpu][2](addr, at)
 
     def spin_port(self, cpu: int):
         """``(CacheArray, CacheStats)`` of ``cpu``'s L1D when a load
@@ -269,47 +425,97 @@ class MemorySystem(ABC):
         ``cpu``'s own accesses and :meth:`CacheArray.evict
         <repro.mem.cache.CacheArray.evict>` changes what is resident —
         which is what lets the run loop account for a parked spin
-        loop's iterations arithmetically instead of issuing them. The
-        default declines; a system that declines still has every spin
+        loop's iterations arithmetically instead of issuing them. A
+        discipline grants it by filling ``_spin_ports``: private L1Ds
+        kept coherent by invalidation qualify, a shared L1 or
+        write-update (a copy's value changes without the line leaving)
+        does not. A system that declines still has every spin
         iteration's load issued through its lanes.
         """
-        return None
+        return self._spin_ports[cpu] if self._spin_ports else None
 
     def line_addr(self, addr: int) -> int:
         """Line address of a byte address under this configuration."""
-        return addr // self.config.line_size
+        return addr >> self._line_shift
 
     def drain(self, at: int) -> int:
         """Cycle by which all posted work (write buffers) completes."""
-        return at
+        latest = at
+        for buffer in self._buffers:
+            t = buffer.drain_time(at)
+            if t > latest:
+                latest = t
+        return latest
+
+    # ------------------------------------------------------------------
+    # declared resources: utilization report, sampler probes, checkpoint
+
+    def _resources(self, probing: bool = False):
+        """Yield ``(report key, probe name, resource)`` for every busy
+        timeline (port, bank, switch, bus, memory) the discipline owns.
+
+        Either name may be ``None`` to leave the resource out of
+        :meth:`resource_report` or :meth:`obs_probes`; ``probing`` is
+        set for the latter, for the one discipline whose probes watch a
+        different object than its report.
+        """
+        return ()
 
     def resource_report(self, cycles: int) -> dict[str, float]:
         """Utilization (busy fraction of ``cycles``) per shared resource.
 
-        Keys are short resource names; implementations report the
-        ports, banks, buses and memory modules that can bottleneck
-        them. Used by the CLI and the reports to show *where* the time
-        went, not just how much.
+        Keys are short resource names: the ports, banks, buses and
+        memory modules that can bottleneck the hierarchy. Used by the
+        CLI and the reports to show *where* the time went, not just how
+        much.
         """
-        return {}
-
-    # ------------------------------------------------------------------
-    # observability (opt-in; see repro.obs)
+        return {
+            key: resource.busy_cycles / cycles if cycles else 0.0
+            for key, _probe, resource in self._resources()
+            if key is not None
+        }
 
     def attach_obs(self, obs) -> None:
-        """Attach an :class:`~repro.obs.observe.Observation`.
-
-        Subclasses override to wire their interconnects (crossbar, bus)
-        and to build any obs-only shadow resources, then call this base
-        to store the reference.
-        """
+        """Attach an :class:`~repro.obs.observe.Observation` and wire
+        the shared link for its contention / transaction events."""
         self.obs = obs
+        if self._link is not None:
+            self._link.obs = obs
 
     def obs_probes(self) -> list[tuple]:
         """Sampler probes as ``(kind, name, fn)`` tuples.
 
         ``kind`` is ``"rate"`` (cumulative counter, sampled as
         delta-per-cycle) or ``"gauge"`` (instantaneous value). Called
-        once, after :meth:`attach_obs`. The default exposes nothing.
+        once, after :meth:`attach_obs`: the link's counters, every
+        declared resource's busy cycles and each write buffer's fill.
         """
-        return []
+        probes = []
+        if self._link is not None:
+            probes += [
+                ("rate", name, fn) for name, fn in self._link.obs_counters()
+            ]
+        for _key, name, resource in self._resources(probing=True):
+            if name is not None:
+                probes.append(
+                    ("rate", name, lambda r=resource: r.busy_cycles)
+                )
+        for index, buffer in enumerate(self._buffers):
+            probes.append(
+                ("gauge", f"cpu{index}.wb", lambda b=buffer: b.occupancy)
+            )
+        return probes
+
+    def components(self) -> dict:
+        """Checkpoint wire name → live component, for every piece of
+        simulation state the system owns.
+
+        :mod:`repro.ckpt.snapshot` serializes exactly this mapping (in
+        sorted-name order) and restores into it; statistics, the
+        configuration and the lanes (pure code over the arrays) travel
+        elsewhere or not at all. The names are the ``repro.ckpt/1``
+        wire format: a discipline extends the mapping and must keep
+        them stable. Plain ints are geometry constants recorded so a
+        restore can refuse a differently-shaped target.
+        """
+        return {"l1i": self.l1i, "_line_shift": self._line_shift}

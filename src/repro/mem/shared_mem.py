@@ -16,150 +16,116 @@ L1 so the L2 tags can answer snoops for the pair.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.mem.bank import Resource
 from repro.mem.bus import SnoopyBus
-from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED, CacheArray
+from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED
 from repro.mem.coherence.mesi import SnoopController
 from repro.mem.hierarchy import MemConfig, MemorySystem, count_miss
-from repro.mem.types import AccessKind, AccessResult, StallLevel
-from repro.mem.writebuffer import WriteBuffer
+from repro.mem.types import AccessResult, StallLevel
 from repro.sim.stats import SystemStats
 
 
 class SharedMemorySystem(MemorySystem):
     """Private L1+L2 per CPU over a snoopy MESI bus."""
 
-    name = "shared-mem"
-
-    def __init__(self, config: MemConfig, stats: SystemStats) -> None:
+    def __init__(
+        self, topology, config: MemConfig, stats: SystemStats
+    ) -> None:
         super().__init__(config, stats)
-        line = config.line_size
-        n_cpus = config.n_cpus
-        self.l1i = [
-            CacheArray(f"cpu{i}.l1i", config.l1i_size, config.l1i_assoc, line)
-            for i in range(n_cpus)
-        ]
-        self._l1i_stats = [stats.cache(f"cpu{i}.l1i") for i in range(n_cpus)]
-        self.l1d = [
-            CacheArray(f"cpu{i}.l1d", config.l1d_size, config.l1d_assoc, line)
-            for i in range(n_cpus)
-        ]
-        self._l1d_stats = [stats.cache(f"cpu{i}.l1d") for i in range(n_cpus)]
-        self.l2 = [
-            CacheArray(f"cpu{i}.l2", config.l2_size, config.l2_assoc, line)
-            for i in range(n_cpus)
-        ]
-        self._l2_stats = [stats.cache(f"cpu{i}.l2") for i in range(n_cpus)]
-        self.l2_ports = [Resource(f"cpu{i}.l2.port") for i in range(n_cpus)]
-        self.bus = SnoopyBus(config.bus)
+        levels = self._scaffold(topology)
+        if [level.name for level in levels] != ["l1d", "l2"]:
+            self._reject("the", "levels", "must be exactly ('l1d', 'l2')")
+        l1, l2 = levels
+        self._require_private_l1d(l1)
+        if l2.arrays(config.n_cpus) != config.n_cpus:
+            self._reject(
+                "level 'l2'",
+                "sharing",
+                "must be 1: a shared level cannot sit above a snoopy bus",
+            )
+        if l2.banks != 1:
+            self._reject("level 'l2'", "banks", "must be 1 on a private level")
+        for level in levels:
+            if level.write_policy != "writeback":
+                self._reject(
+                    f"level {level.name!r}",
+                    "write_policy",
+                    "must be 'writeback' (MESI keeps dirty lines private)",
+                )
+        link = topology.interconnect
+        if link.kind != "bus" or len(link.stage_latencies) != 1:
+            self._reject(
+                "interconnect", "kind", "must be a single-stage 'bus'"
+            )
+        if config.l1_coherence != "invalidate":
+            self._reject(
+                "MemConfig",
+                "l1_coherence",
+                f"{config.l1_coherence!r} needs a directory; the snoopy "
+                "MESI bus always invalidates",
+            )
+        cpus = range(config.n_cpus)
+        self.l1d, self._l1d_stats = self._per_cpu_caches(
+            "l1d", l1.size, l1.assoc
+        )
+        self.l2, self._l2_stats = self._per_cpu_caches(
+            "l2", l2.size, l2.assoc
+        )
+        self.l2_ports = [Resource(f"cpu{i}.l2.port") for i in cpus]
+        self._l2_latency = l2.latency
+        self._l2_occupancy = l2.occupancy
+        # The spec carries the bus's memory-read point; the other
+        # transaction timings have no field there and stay MemConfig's.
+        self.bus = SnoopyBus(
+            dataclasses.replace(
+                config.bus,
+                mem_latency=link.latency,
+                mem_occupancy=link.occupancy,
+            )
+        )
+        self._link = self.bus
         self.snoop = SnoopController(
             self.l1d, self.l2, self._l1d_stats, self._l2_stats
         )
-        self._store_buffers = [
-            WriteBuffer(config.write_buffer_depth) for _ in range(n_cpus)
-        ]
-        self._line_shift = self.l1d[0].line_shift
+        # Loads are MESI-state-blind, so a spinner may park on its L1D.
+        self._spin_ports = list(zip(self.l1d, self._l1d_stats))
         self._build_lanes()
 
-    def attach_obs(self, obs) -> None:
-        """Wire the snoopy bus for per-transaction events."""
-        super().attach_obs(obs)
-        self.bus.obs = obs
-
-    def obs_probes(self) -> list[tuple]:
-        """Bus busy/transaction rates, private L2 port busy and
-        write-buffer fill."""
-        probes: list[tuple] = [
-            ("rate", "bus.busy", lambda: self.bus.resource.busy_cycles),
-            ("rate", "bus.transactions", lambda: self.bus.transactions),
-            ("rate", "bus.wait", lambda: self.bus.resource.wait_cycles),
+    def _resources(self, probing: bool = False):
+        return [
+            ("bus", "bus.busy", self.bus.resource),
+            *(
+                (f"cpu{i}.l2.port", f"cpu{i}.l2port.busy", port)
+                for i, port in enumerate(self.l2_ports)
+            ),
         ]
-        for index, port in enumerate(self.l2_ports):
-            probes.append(
-                (
-                    "rate",
-                    f"cpu{index}.l2port.busy",
-                    lambda p=port: p.busy_cycles,
-                )
-            )
-        for index, buffer in enumerate(self._store_buffers):
-            probes.append(
-                ("gauge", f"cpu{index}.wb", lambda b=buffer: b.occupancy)
-            )
-        return probes
 
-    def drain(self, at: int) -> int:
-        """Completion time of everything still in the store buffers."""
-        latest = at
-        for buffer in self._store_buffers:
-            t = buffer.drain_time(at)
-            if t > latest:
-                latest = t
-        return latest
-
-    def resource_report(self, cycles: int) -> dict[str, float]:
-        """Busy fractions of the system bus and the private L2 ports."""
-        report = {"bus": self.bus.resource.utilization(cycles)}
-        for index, port in enumerate(self.l2_ports):
-            report[f"cpu{index}.l2.port"] = port.utilization(cycles)
-        return report
+    def components(self) -> dict:
+        """The scaffold's, plus both private levels, the L2 ports, the
+        bus and the store buffers (the snoop controller holds only
+        references to the caches)."""
+        return {
+            **super().components(),
+            "_store_buffers": self._buffers,
+            "bus": self.bus,
+            "l1d": self.l1d,
+            "l2": self.l2,
+            "l2_ports": self.l2_ports,
+        }
 
     # ------------------------------------------------------------------
-
-    def access(
-        self, cpu: int, kind: AccessKind, addr: int, at: int
-    ) -> AccessResult:
-        """Dispatch one access through the bus-based request paths."""
-        if kind == AccessKind.IFETCH:
-            return self._ifetch(cpu, addr, at)
-        if kind == AccessKind.LOAD:
-            return self._load(cpu, addr, at)
-        return self._store(cpu, addr, at, posted=kind == AccessKind.STORE)
-
-    # ------------------------------------------------------------------
-    # L1 hit fast lane: private single-cycle L1s, so a hit is a packed
-    # tag probe + LRU stamp (+ the read counter on the data side).
-    # Loads never change MESI state on a hit, so the lane is
-    # state-blind; a miss returns -1 with nothing touched. The lanes
-    # are per-CPU closures with the probe constants captured as cell
-    # variables (see MemorySystem.fast_lanes).
-
-    def _build_lanes(self) -> None:
-        n_cpus = self.config.n_cpus
-        self._lane_ifetch = [self._make_ifetch_lane(c) for c in range(n_cpus)]
-        self._lane_load = [self._make_load_lane(c) for c in range(n_cpus)]
-        self._lane_store = [self._make_store_lane(c) for c in range(n_cpus)]
-
-    def _make_ifetch_lane(self, cpu: int):
-        probe = self.l1i[cpu].make_probe()
-        shift = self._line_shift
-
-        def fast_ifetch(addr: int, at: int) -> int:
-            if probe(addr >> shift) < 0:
-                return -1
-            return at + 1
-
-        return fast_ifetch
-
-    def _make_load_lane(self, cpu: int):
-        probe = self.l1d[cpu].make_probe()
-        stats = self._l1d_stats[cpu]
-        shift = self._line_shift
-
-        def fast_load(addr: int, at: int) -> int:
-            if probe(addr >> shift) < 0:
-                return -1
-            stats.reads += 1
-            return at + 1
-
-        return fast_load
+    # Fast lanes: the scaffold's private single-cycle load and I-fetch
+    # lanes, plus a store lane for the one case that needs no
+    # transaction.
 
     def _make_store_lane(self, cpu: int):
         # Only an already-MODIFIED line may absorb a posted store
         # without a transaction (E/S states need upgrades).
         probe_dirty = self.l1d[cpu].make_probe_dirty()
         stats = self._l1d_stats[cpu]
-        buffer = self._store_buffers[cpu]
+        buffer = self._buffers[cpu]
         shift = self._line_shift
 
         def fast_store(addr: int, at: int) -> int:
@@ -172,57 +138,24 @@ class SharedMemorySystem(MemorySystem):
 
         return fast_store
 
-    def fast_lanes(self, cpu):
-        """Specialized per-CPU closures (see the base class)."""
-        return (
-            self._lane_ifetch[cpu],
-            self._lane_load[cpu],
-            self._lane_store[cpu],
-        )
-
-    def spin_port(self, cpu: int):
-        """The private write-back L1D (loads are MESI-state-blind)."""
-        return self.l1d[cpu], self._l1d_stats[cpu]
-
-    def fast_load(self, cpu: int, addr: int, at: int) -> int:
-        """Private write-back L1D hit (single cycle); -1 on miss."""
-        return self._lane_load[cpu](addr, at)
-
-    def fast_ifetch(self, cpu: int, addr: int, at: int) -> int:
-        """Private I-cache hit (single cycle); -1 on miss."""
-        return self._lane_ifetch[cpu](addr, at)
-
-    def fast_store(self, cpu: int, addr: int, at: int) -> int:
-        """Posted store hitting an already-MODIFIED private L1 line;
-        -1 otherwise (E/S states need upgrades — general path)."""
-        return self._lane_store[cpu](addr, at)
-
     # ------------------------------------------------------------------
 
-    def _ifetch(self, cpu: int, addr: int, at: int) -> AccessResult:
-        cache = self.l1i[cpu]
-        line_addr = addr >> self._line_shift
-        if cache.probe(line_addr) >= 0:
-            return AccessResult(at + 1, StallLevel.NONE)
-        self._l1i_stats[cpu].read_misses_repl += 1
-        start = self.l2_ports[cpu].acquire(at + 1, self.config.l2_occupancy)
+    def _refill_ifetch(
+        self, cpu: int, addr: int, line_addr: int, at: int
+    ) -> tuple[int, StallLevel]:
+        # Instruction lines are read-only: no snoop, memory supplies.
+        start = self.l2_ports[cpu].acquire(at, self._l2_occupancy)
         self._l2_stats[cpu].reads += 1
         l2 = self.l2[cpu]
         if l2.probe(line_addr) >= 0:
-            done = start + self.config.l2_latency
-            level = StallLevel.L2
-        else:
-            miss_kind = l2.classify_line(line_addr)
-            count_miss(self._l2_stats[cpu], miss_kind, is_store=False)
-            done = self.bus.memory_read(start + self.config.l2_latency)
-            victim = l2.fill(line_addr, SHARED)
-            if victim >= 0:
-                self._handle_l2_eviction(cpu, victim, start)
-            level = StallLevel.MEM
-        cache.fill(line_addr, SHARED)
-        return AccessResult(done, level)
-
-    # ------------------------------------------------------------------
+            return start + self._l2_latency, StallLevel.L2
+        miss_kind = l2.classify_line(line_addr)
+        count_miss(self._l2_stats[cpu], miss_kind, is_store=False)
+        done = self.bus.memory_read(start + self._l2_latency)
+        victim = l2.fill(line_addr, SHARED)
+        if victim >= 0:
+            self._handle_l2_eviction(cpu, victim, start)
+        return done, StallLevel.MEM
 
     def _load(self, cpu: int, addr: int, at: int) -> AccessResult:
         cache = self.l1d[cpu]
@@ -235,19 +168,18 @@ class SharedMemorySystem(MemorySystem):
         miss_kind = cache.classify_line(line_addr)
         count_miss(cache_stats, miss_kind, is_store=False)
 
-        config = self.config
-        start = self.l2_ports[cpu].acquire(at + 1, config.l2_occupancy)
+        start = self.l2_ports[cpu].acquire(at + 1, self._l2_occupancy)
         self._l2_stats[cpu].reads += 1
         l2 = self.l2[cpu]
         l2_state = l2.probe(line_addr)
         if l2_state >= 0:
-            done = start + config.l2_latency
+            done = start + self._l2_latency
             level = StallLevel.L2
             l1_state = SHARED if l2_state == SHARED else EXCLUSIVE
         else:
             l2_miss = l2.classify_line(line_addr)
             count_miss(self._l2_stats[cpu], l2_miss, is_store=False)
-            bus_at = start + config.l2_latency
+            bus_at = start + self._l2_latency
             remote_copy = self.snoop.any_remote_copy(cpu, line_addr)
             source = self.snoop.snoop_read(cpu, line_addr)
             if source == "c2c":
@@ -278,7 +210,7 @@ class SharedMemorySystem(MemorySystem):
         if not posted:
             done, level = self._store_path(cpu, addr, at)
             return AccessResult(done, level)
-        buffer = self._store_buffers[cpu]
+        buffer = self._buffers[cpu]
         release, stalled = buffer.admit(at)
         # The drain enters the memory pipeline now; only the CPU is
         # held back when the buffer is full.
@@ -292,7 +224,6 @@ class SharedMemorySystem(MemorySystem):
     ) -> tuple[int, StallLevel]:
         cache = self.l1d[cpu]
         cache_stats = self._l1d_stats[cpu]
-        config = self.config
         line_addr = addr >> self._line_shift
 
         state = cache.probe(line_addr)
@@ -317,27 +248,27 @@ class SharedMemorySystem(MemorySystem):
         miss_kind = cache.classify_line(line_addr)
         count_miss(cache_stats, miss_kind, is_store=True)
 
-        start = self.l2_ports[cpu].acquire(at + 1, config.l2_occupancy)
+        start = self.l2_ports[cpu].acquire(at + 1, self._l2_occupancy)
         self._l2_stats[cpu].writes += 1
         l2 = self.l2[cpu]
         l2_state = l2.probe(line_addr)
         if l2_state >= 0:
             if l2_state == SHARED:
-                done = self.bus.upgrade(start + config.l2_latency)
+                done = self.bus.upgrade(start + self._l2_latency)
                 self.snoop.upgrade(cpu, line_addr)
                 if self.obs is not None:
                     self.obs.record_coherence(
-                        cpu, "upgrade", start + config.l2_latency
+                        cpu, "upgrade", start + self._l2_latency
                     )
                 level = StallLevel.MEM
             else:
-                done = start + config.l2_latency
+                done = start + self._l2_latency
                 level = StallLevel.L2
             l2.set_state(line_addr, MODIFIED)
         else:
             l2_miss = l2.classify_line(line_addr)
             count_miss(self._l2_stats[cpu], l2_miss, is_store=True)
-            bus_at = start + config.l2_latency
+            bus_at = start + self._l2_latency
             source = self.snoop.snoop_write(cpu, line_addr)
             if self.obs is not None:
                 self.obs.record_coherence(
@@ -370,7 +301,7 @@ class SharedMemorySystem(MemorySystem):
         if victim & 3 != MODIFIED:
             return
         self._l1d_stats[cpu].writebacks += 1
-        self.l2_ports[cpu].acquire(at, self.config.l2_occupancy)
+        self.l2_ports[cpu].acquire(at, self._l2_occupancy)
         # Inclusion guarantees the line is present; ownership is already
         # MODIFIED there (mirrored at write time).
         self.l2[cpu].set_state(victim >> 2, MODIFIED)

@@ -16,7 +16,11 @@ registries:
   shared-L3 hierarchy).
 * **builders** (:func:`register_builder`): constructors keyed by the
   spec's ``kind`` that turn a resolved ``Topology`` into a live
-  :class:`~repro.mem.hierarchy.MemorySystem`.
+  :class:`~repro.mem.hierarchy.MemorySystem`. A kind names a coherence
+  discipline — the paper's three places to share: the primary cache, a
+  lower cache level, the memory bus — and the discipline builds the
+  whole machine from the rest of the spec, honouring every field or
+  refusing it with a ``ConfigError``.
 
 Everything downstream — ``System``, the runner's cache keys, sweeps,
 figures, checkpointing, observability, the CLI — consumes topologies
@@ -31,6 +35,9 @@ from typing import Callable
 
 from repro.errors import ConfigError
 from repro.mem.hierarchy import MemConfig, MemorySystem
+from repro.mem.shared_mem import SharedMemorySystem
+from repro.mem.shared_primary import SharedPrimarySystem
+from repro.mem.shared_secondary import SharedSecondarySystem
 from repro.sim.stats import SystemStats
 
 #: CPUs sharing one cache array when every CPU shares it.
@@ -109,10 +116,14 @@ class CacheLevel:
 class Interconnect:
     """How CPUs reach the first shared resource.
 
-    ``kind`` is descriptive (``direct``, ``crossbar``, ``multistage``,
-    ``bus``); ``stage_latencies`` lists the per-stage pipeline delays a
-    request crosses (their sum is the interconnect's latency
-    contribution).
+    ``kind`` is ``crossbar`` (one stage), ``multistage`` (several, one
+    switch column per intermediate stage) or ``bus``;
+    ``stage_latencies`` lists the per-stage pipeline delays a request
+    crosses (their sum is the interconnect's latency) and
+    ``occupancy`` how long each resource on the path is held. The
+    coherence discipline builds the interconnect from these and
+    refuses a kind it does not have or one that disagrees with the
+    stage count.
     """
 
     kind: str = "direct"
@@ -152,7 +163,8 @@ class Interconnect:
 class Topology:
     """A complete machine shape: cores, cache levels, interconnect.
 
-    ``kind`` selects the builder (see :func:`register_builder`);
+    ``kind`` selects the coherence discipline that builds the machine
+    from the rest of the spec (see :func:`register_builder`);
     ``name`` is the identity used in reports, cache keys and snapshot
     metadata. Two runs with equal ``to_dict()`` payloads simulate the
     same machine.
@@ -210,7 +222,11 @@ class Topology:
 # builder registry: topology.kind -> MemorySystem constructor
 
 _BUILDERS: dict[str, Callable[[Topology, MemConfig, SystemStats],
-                              MemorySystem]] = {}
+                              MemorySystem]] = {
+    "shared-primary": SharedPrimarySystem,
+    "shared-secondary": SharedSecondarySystem,
+    "shared-memory": SharedMemorySystem,
+}
 
 
 def register_builder(kind: str):
@@ -223,19 +239,23 @@ def register_builder(kind: str):
     return decorate
 
 
+def get_builder(kind: str):
+    """The builder registered for ``kind`` (ConfigError if absent)."""
+    try:
+        return _BUILDERS[kind]
+    except KeyError:
+        raise ConfigError(
+            f"no builder registered for topology kind {kind!r}; "
+            f"known kinds: {sorted(_BUILDERS)}"
+        ) from None
+
+
 def build_topology(
     topology: Topology, config: MemConfig, stats: SystemStats
 ) -> MemorySystem:
     """Instantiate the memory system a resolved topology describes."""
     topology.validate()
-    try:
-        builder = _BUILDERS[topology.kind]
-    except KeyError:
-        raise ConfigError(
-            f"no builder registered for topology kind {topology.kind!r}; "
-            f"known kinds: {sorted(_BUILDERS)}"
-        ) from None
-    return builder(topology, config, stats)
+    return get_builder(topology.kind)(topology, config, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +474,7 @@ def _shared_mem_topology(n_cpus: int, config: MemConfig) -> Topology:
 
 @register_topology(
     "cluster-l1",
-    kind="clustered-primary",
+    kind="shared-primary",
     default_cpus=16,
     description=(
         "16-core MemPool-style cluster: one pooled L1 data cache "
@@ -468,7 +488,7 @@ def _cluster_l1_topology(n_cpus: int, config: MemConfig) -> Topology:
     banks = max(config.n_l1_banks, _next_pow2(max(n_cpus // 4, 1)))
     return Topology(
         name="cluster-l1",
-        kind="clustered-primary",
+        kind="shared-primary",
         n_cpus=n_cpus,
         levels=(
             CacheLevel(
@@ -500,7 +520,7 @@ def _cluster_l1_topology(n_cpus: int, config: MemConfig) -> Topology:
 
 @register_topology(
     "shared-l3",
-    kind="shared-tertiary",
+    kind="shared-secondary",
     default_cpus=4,
     description=(
         "3-level hierarchy: private L1 and L2 per core over a "
@@ -513,7 +533,7 @@ def _shared_l3_topology(n_cpus: int, config: MemConfig) -> Topology:
     private_l2 = max(config.l2_size // 8, config.line_size * 4)
     return Topology(
         name="shared-l3",
-        kind="shared-tertiary",
+        kind="shared-secondary",
         n_cpus=n_cpus,
         levels=(
             CacheLevel(
@@ -556,45 +576,3 @@ def _next_pow2(n: int) -> int:
     while power < n:
         power <<= 1
     return power
-
-
-# ---------------------------------------------------------------------------
-# builders for the paper kinds (the classes consume MemConfig directly;
-# their geometry is definitionally what the paper presets describe, so
-# the spec is advisory and results stay bit-identical to the
-# pre-registry dispatch)
-
-
-@register_builder("shared-primary")
-def _build_shared_primary(topology, config, stats):
-    from repro.mem.shared_l1 import SharedL1System
-
-    return SharedL1System(config, stats)
-
-
-@register_builder("shared-secondary")
-def _build_shared_secondary(topology, config, stats):
-    from repro.mem.shared_l2 import SharedL2System
-
-    return SharedL2System(config, stats)
-
-
-@register_builder("shared-memory")
-def _build_shared_memory(topology, config, stats):
-    from repro.mem.shared_mem import SharedMemorySystem
-
-    return SharedMemorySystem(config, stats)
-
-
-@register_builder("clustered-primary")
-def _build_clustered_primary(topology, config, stats):
-    from repro.mem.cluster import ClusterSharedL1System
-
-    return ClusterSharedL1System(topology, config, stats)
-
-
-@register_builder("shared-tertiary")
-def _build_shared_tertiary(topology, config, stats):
-    from repro.mem.shared_l3 import SharedL3System
-
-    return SharedL3System(topology, config, stats)

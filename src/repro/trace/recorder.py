@@ -21,6 +21,7 @@ from __future__ import annotations
 from array import array
 from pathlib import Path
 
+from repro.errors import CheckpointError
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.types import AccessKind, AccessResult
 from repro.trace.format import TraceRecord, write_columns
@@ -94,11 +95,15 @@ class TraceRecorder(MemorySystem):
         """The inner system's bound lanes, each noting what it resolves.
 
         One extra frame per reference and no allocation. A limited
-        recorder takes the base class's adapters over the ``fast_*``
-        methods below, which check the limit.
+        recorder adapts the ``fast_*`` methods below, which check the
+        limit.
         """
         if self._limit is not None:
-            return super().fast_lanes(cpu)
+            return (
+                lambda addr, at: self.fast_ifetch(cpu, addr, at),
+                lambda addr, at: self.fast_load(cpu, addr, at),
+                lambda addr, at: self.fast_store(cpu, addr, at),
+            )
         note_kind = self.kinds[cpu].append
         note_addr = self.addrs[cpu].append
 
@@ -152,6 +157,13 @@ class TraceRecorder(MemorySystem):
     def obs_probes(self) -> list[tuple]:
         """Forwarded to the wrapped memory system."""
         return self.inner.obs_probes()
+
+    def components(self) -> dict:
+        """A recording run cannot be checkpointed: the columns captured
+        so far are not part of the snapshot wire format."""
+        raise CheckpointError(
+            "cannot checkpoint a system whose memory is a TraceRecorder"
+        )
 
     # ------------------------------------------------------------------
 

@@ -204,6 +204,45 @@ def test_mxs_snapshot_matches_pre_rewrite_blob():
     assert state == committed
 
 
+# ----------------------------------------------------------------------
+# Memory section: the wire format across the hierarchy merge
+#
+# tests/data/hierarchy_midrun_ckpt.json.gz was written by the five
+# per-preset MemorySystem classes (their ``vars()``, reflectively).
+# The three spec-built disciplines declare the same component names,
+# so those blobs must restore and finish on the stats their writers
+# reached — for a two-level directory machine, a three-level one, and
+# the 16-core multi-stage cluster.
+
+
+def _committed_hierarchy_blobs() -> dict:
+    return json.loads(
+        gzip.decompress(_MXS_GEN.HIERARCHY_CKPT_PATH.read_bytes())
+    )
+
+
+@pytest.mark.parametrize("arch", _MXS_GEN.HIERARCHY_CKPT_CASES)
+def test_pre_merge_hierarchy_blob_restores_and_finishes(arch):
+    committed = _committed_hierarchy_blobs()[arch]
+    fresh = _MXS_GEN.build_hierarchy_case(arch)
+    restore_system(fresh, committed["snapshot"])
+    finished = fresh.run().to_dict()
+    assert finished == committed["final"]
+    assert finished == _MXS_GEN.build_hierarchy_case(arch).run().to_dict()
+
+
+def test_hierarchy_snapshots_match_pre_merge_blobs():
+    committed = _committed_hierarchy_blobs()
+    state = roundtrip(_MXS_GEN.hierarchy_snapshots())
+    assert set(state) == set(committed)
+    for arch, case in state.items():
+        # The package version is the one field allowed to move.
+        case["snapshot"]["meta"]["version"] = committed[arch]["snapshot"][
+            "meta"
+        ]["version"]
+        assert case == committed[arch], arch
+
+
 def test_mxs_finished_run_leaves_no_record_reachable():
     # Wake-up links are cleared as producers become ready, so a
     # dependence chain cannot keep graduated records alive behind the

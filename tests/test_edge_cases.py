@@ -128,14 +128,13 @@ class _OneLoadWorkload(Workload):
 
 
 def _make_protocol_cpu():
-    from repro.core.configs import test_config
-    from repro.mem.shared_l2 import SharedL2System
+    from repro.core.configs import build_memory, test_config
     from repro.sim.stats import SystemStats
 
     functional = FunctionalMemory()
     workload = _OneLoadWorkload(1, functional)
     stats = SystemStats.for_cpus(1)
-    memory = SharedL2System(test_config(1), stats)
+    memory = build_memory("shared-l2", test_config(1), stats)
     cpu = _ProtocolCpu(0, memory, functional, stats, workload.program(0))
     return cpu, workload, functional
 

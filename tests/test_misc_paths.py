@@ -4,13 +4,13 @@ import pytest
 
 from conftest import LoopWorkload, SharingWorkload, build_system
 
+from repro.core.configs import build_memory
 from repro.core.configs import test_config as make_test_config
 from repro.core.selfcheck import CHECKS, SelfCheckFailure, run_selfcheck
 from repro.core.system import System
 from repro.errors import ConfigError, ProtocolError, ReproError, WorkloadError
 from repro.mem.cache import LineState
 from repro.mem.functional import FunctionalMemory
-from repro.mem.shared_mem import SharedMemorySystem
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
 from repro.workloads.base import Workload
@@ -25,7 +25,7 @@ ADDR = 0x1000_0000
 
 def test_store_miss_with_l2_shared_copy_upgrades():
     stats = SystemStats.for_cpus(4)
-    system = SharedMemorySystem(make_test_config(), stats)
+    system = build_memory("shared-mem", make_test_config(), stats)
     # Two CPUs read: both L2s hold the line SHARED.
     system.access(0, AccessKind.LOAD, ADDR, 0)
     system.access(1, AccessKind.LOAD, ADDR, 200)

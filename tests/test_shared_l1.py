@@ -2,26 +2,25 @@
 
 import pytest
 
+from repro.core.configs import build_memory
 from repro.core.configs import test_config as make_test_config
-from repro.mem.shared_l1 import SharedL1System
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
 
 
+def _build(optimistic: bool):
+    config = make_test_config(shared_l1_optimistic=optimistic)
+    return build_memory("shared-l1", config, SystemStats.for_cpus(4))
+
+
 @pytest.fixture
 def system():
-    config = make_test_config()
-    config.shared_l1_optimistic = False
-    stats = SystemStats.for_cpus(4)
-    return SharedL1System(config, stats)
+    return _build(optimistic=False)
 
 
 @pytest.fixture
 def optimistic():
-    config = make_test_config()
-    config.shared_l1_optimistic = True
-    stats = SystemStats.for_cpus(4)
-    return SharedL1System(config, stats)
+    return _build(optimistic=True)
 
 
 ADDR = 0x1000_0000

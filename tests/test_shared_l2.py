@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.core.configs import build_memory
 from repro.core.configs import test_config as make_test_config
-from repro.mem.shared_l2 import SharedL2System
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
 
@@ -13,7 +13,7 @@ ADDR = 0x1000_0000
 @pytest.fixture
 def system():
     stats = SystemStats.for_cpus(4)
-    return SharedL2System(make_test_config(), stats)
+    return build_memory("shared-l2", make_test_config(), stats)
 
 
 def test_cold_load_misses_to_memory(system):
@@ -69,10 +69,10 @@ def test_store_miss_does_not_allocate_in_l1(system):
 
 def test_store_allocates_in_l2(system):
     system.access(0, AccessKind.STORE, ADDR, 0)
-    assert system.l2.contains(ADDR)
+    assert system.shared.contains(ADDR)
     from repro.mem.cache import LineState
 
-    assert system.l2.state_of(ADDR) == LineState.MODIFIED
+    assert system.shared.state_of(ADDR) == LineState.MODIFIED
 
 
 def test_directory_tracks_l1_fills(system):
@@ -86,11 +86,11 @@ def test_l2_replacement_invalidates_l1_copies_as_replacement(system):
     system.access(0, AccessKind.LOAD, ADDR, 0)
     # Conflict the (direct-mapped at test scale) L2 set.
     t = 100
-    for k in range(1, system.l2.assoc + 1):
+    for k in range(1, system.shared.assoc + 1):
         t = system.access(
-            0, AccessKind.LOAD, ADDR + k * system.l2.size, t
+            0, AccessKind.LOAD, ADDR + k * system.shared.size, t
         ).done
-    assert not system.l2.contains(ADDR)
+    assert not system.shared.contains(ADDR)
     assert not system.l1d[0].contains(ADDR)
     # Replacement-caused: the next miss is a replacement miss.
     before = system.stats.cache("cpu0.l1d").read_misses_inval

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core.configs import build_memory
 from repro.core.configs import test_config as make_test_config
 from repro.mem.cache import LineState
-from repro.mem.shared_mem import SharedMemorySystem
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
 
@@ -14,7 +14,7 @@ ADDR = 0x1000_0000
 @pytest.fixture
 def system():
     stats = SystemStats.for_cpus(4)
-    return SharedMemorySystem(make_test_config(), stats)
+    return build_memory("shared-mem", make_test_config(), stats)
 
 
 def test_cold_load_uses_bus_memory(system):

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.configs import config_for_scale
+from repro.core.configs import build_memory, config_for_scale
 from repro.core.system import System
 from repro.errors import ConfigError
-from repro.mem.cluster import ClusterSharedL1System
 from repro.mem.crossbar import Crossbar, MultistageCrossbar
 from repro.mem.functional import FunctionalMemory
-from repro.mem.shared_l1 import SharedL1System
-from repro.mem.shared_l2 import SharedL2System
-from repro.mem.shared_l3 import SharedL3System
 from repro.mem.shared_mem import SharedMemorySystem
+from repro.mem.shared_primary import SharedPrimarySystem
+from repro.mem.shared_secondary import SharedSecondarySystem
 from repro.mem.topology import (
     PAPER_TOPOLOGIES,
     CacheLevel,
@@ -151,19 +149,22 @@ def test_build_topology_unknown_kind():
 @pytest.mark.parametrize(
     "name,cls",
     [
-        ("shared-l1", SharedL1System),
-        ("shared-l2", SharedL2System),
+        ("shared-l1", SharedPrimarySystem),
+        ("shared-l2", SharedSecondarySystem),
         ("shared-mem", SharedMemorySystem),
-        ("cluster-l1", ClusterSharedL1System),
-        ("shared-l3", SharedL3System),
+        ("cluster-l1", SharedPrimarySystem),
+        ("shared-l3", SharedSecondarySystem),
     ],
 )
 def test_builders_produce_expected_system(name, cls):
     n = get_preset(name).default_cpus
     config = config_for_scale("test", n)
-    topology = resolve_topology(name, config)
-    memory = build_topology(topology, config, SystemStats.for_cpus(n))
-    assert isinstance(memory, cls)
+    memory = build_memory(name, config, SystemStats.for_cpus(n))
+    # Five presets, three coherence disciplines: the class is chosen by
+    # the spec's kind and everything else by the spec's contents.
+    assert type(memory) is cls
+    assert memory.name == name
+    assert memory.topology == resolve_topology(name, config)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +191,9 @@ def test_shared_l3_has_three_levels():
         SystemStats.for_cpus(4),
     )
     assert isinstance(memory.crossbar, Crossbar)
-    assert len(memory.l1d) == 4 and len(memory.l2) == 4
-    assert memory.l3.size == config.l3_size
+    levels = memory.components()
+    assert len(levels["l1d"]) == 4 and len(levels["l2"]) == 4
+    assert levels["l3"].size == config.l3_size
 
 
 @pytest.mark.parametrize("cpu_model", ("mipsy", "mxs"))

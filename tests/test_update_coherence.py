@@ -5,12 +5,12 @@ import pytest
 
 from conftest import SharingWorkload, build_system
 
+from repro.core.configs import build_memory
 from repro.core.configs import test_config as make_test_config
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.hierarchy import MemConfig
-from repro.mem.shared_l2 import SharedL2System
 from repro.mem.types import AccessKind
 from repro.sim.stats import SystemStats
 
@@ -18,10 +18,8 @@ ADDR = 0x1000_0000
 
 
 def make_update_system():
-    config = make_test_config()
-    config.l1_coherence = "update"
-    stats = SystemStats.for_cpus(4)
-    return SharedL2System(config, stats)
+    config = make_test_config(l1_coherence="update")
+    return build_memory("shared-l2", config, SystemStats.for_cpus(4))
 
 
 def test_config_rejects_unknown_policy():
