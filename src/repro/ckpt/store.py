@@ -10,13 +10,12 @@ the blob by the SHA-256 of the *uncompressed* JSON:
     <root>/ab/abcdef1234....json.gz     # the blob
     <root>/latest/<key>.json            # per-job "latest" pointer
 
-The digest doubles as an integrity check: :meth:`CheckpointStore.load`
-re-hashes the decompressed bytes and refuses blobs that do not match
-their name, so a truncated or corrupted file surfaces as a
-:class:`~repro.errors.CheckpointError` instead of a silently wrong
-resume. All writes are atomic (temp file + rename), so a run killed
-mid-checkpoint leaves either the previous blob or the new one, never a
-torn file.
+The digest doubles as this facade's integrity check over
+:class:`~repro.core.store.ArtifactStore`: every read re-hashes the
+decompressed bytes, so a damaged blob is evicted and surfaces as a
+:class:`~repro.errors.CheckpointError`, never as a wrong resume — and
+a job resuming *on its own* restarts from cycle 0 instead
+(:meth:`CheckpointStore.latest`).
 """
 
 from __future__ import annotations
@@ -25,13 +24,12 @@ import gzip
 import hashlib
 import io
 import json
-import os
 import re
 from pathlib import Path
 
-from repro.errors import CheckpointError
+from repro.core.store import ArtifactStore, counted
+from repro.errors import ArtifactMiss, CheckpointError
 from repro.obs import bus as obs_bus
-from repro.obs.registry import Registry
 
 _DIGEST_RE = re.compile(r"^[0-9a-f]{64}$")
 _KEY_SANITIZE_RE = re.compile(r"[^A-Za-z0-9._=-]+")
@@ -47,95 +45,86 @@ def sanitize_key(key: str) -> str:
     return _KEY_SANITIZE_RE.sub("_", key)
 
 
-class CheckpointStore:
+class CheckpointStore(ArtifactStore):
     """Directory of content-addressed checkpoint blobs.
 
-    Each instance counts its traffic (``saves``/``loads``/``dedups``
-    plus bytes in both directions) in a
-    :class:`~repro.obs.registry.Registry`; when a batch telemetry bus
-    is current in the process, saves and loads also land on it as
-    ``ckpt.save``/``ckpt.load`` events — including from pool workers,
-    where periodic mid-run checkpoints actually happen.
+    Counted as ``saves``/``loads``/``dedups`` plus bytes in both
+    directions and, with a batch bus current, emitted as ``ckpt.*``
+    events — including from pool workers, where periodic mid-run
+    checkpoints actually happen.
     """
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.metrics = Registry()
+    kind = "ckpt"
+    suffix = ".json.gz"
 
-    @property
-    def saves(self) -> int:
-        return self.metrics.counter("saves").value
-
-    @property
-    def loads(self) -> int:
-        return self.metrics.counter("loads").value
-
-    def stats(self) -> dict:
-        """Counter snapshot for reports and rollups."""
-        return {
-            name: counter.value
-            for name, counter in sorted(self.metrics.counters.items())
-        }
+    saves = counted("saves")
+    loads = counted("loads")
 
     # ------------------------------------------------------------------
     # blobs
 
-    def _blob_path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest}.json.gz"
+    def _verified(self, digest: str) -> bytes:
+        """The canonical JSON of blob ``digest``, held to its name."""
+
+        def check(blob: bytes) -> bytes:
+            raw = gzip.decompress(blob)
+            actual = hashlib.sha256(raw).hexdigest()
+            if actual != digest:
+                raise ValueError(f"fails its content hash (got {actual})")
+            return raw
+
+        return self.read(self.path(digest), check)
 
     def save(self, state: dict, key: str | None = None) -> str:
         """Write ``state``; returns its digest.
 
-        With ``key`` given, the per-key "latest" pointer is updated to
-        the new blob (atomically, after the blob itself is durable), so
-        a resume that asks for the latest checkpoint of a job can never
-        observe a pointer to a blob that does not exist yet.
+        A blob already there is kept only if it still verifies (a
+        damaged one is evicted and rewritten). With ``key`` given, the
+        per-key "latest" pointer moves to the blob after the blob is
+        published, so a resume never sees a pointer ahead of its blob.
         """
         raw = _canonical_bytes(state)
         digest = hashlib.sha256(raw).hexdigest()
-        path = self._blob_path(digest)
-        deduped = path.exists()
-        if not deduped:
-            path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self._verified(digest)
+            deduped = True
+        except ArtifactMiss:
+            deduped = False
             buffer = io.BytesIO()
             # mtime=0 keeps the compressed bytes deterministic too.
             with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as zf:
                 zf.write(raw)
-            tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-            tmp.write_bytes(buffer.getvalue())
-            os.replace(tmp, path)
-            self.metrics.counter("bytes_written").inc(len(raw))
-        self.metrics.counter("saves").inc()
+            self.publish(self.path(digest), buffer.getvalue())
+            self.count("bytes_written", len(raw))
+        self.count("saves")
         if deduped:
-            self.metrics.counter("dedups").inc()
+            self.count("dedups")
         obs_bus.emit(
             "ckpt.save", digest=digest, bytes=len(raw), deduped=deduped
         )
         if key is not None:
-            self._write_latest(key, digest, state)
+            pointer = {
+                "key": key,
+                "digest": digest,
+                "cycle": state.get("meta", {}).get("cycle", 0),
+            }
+            self.publish(
+                self._latest_path(key), json.dumps(pointer, indent=2)
+            )
         return digest
 
     def load(self, digest: str) -> dict:
         """Read and verify the blob named ``digest``."""
         if not _DIGEST_RE.match(digest):
             raise CheckpointError(f"malformed checkpoint digest {digest!r}")
-        path = self._blob_path(digest)
         try:
-            raw = gzip.decompress(path.read_bytes())
-        except FileNotFoundError:
-            raise CheckpointError(f"no checkpoint blob {digest}") from None
-        except OSError as error:
+            raw = self._verified(digest)
+        except ArtifactMiss as miss:
             raise CheckpointError(
-                f"unreadable checkpoint blob {digest}: {error}"
-            ) from error
-        actual = hashlib.sha256(raw).hexdigest()
-        if actual != digest:
-            raise CheckpointError(
-                f"checkpoint blob {digest} fails its content hash "
-                f"(got {actual}); the file is corrupt"
-            )
-        self.metrics.counter("loads").inc()
-        self.metrics.counter("bytes_read").inc(len(raw))
+                str(miss) if miss.corrupt else f"no checkpoint blob {digest}"
+            ) from miss
+        self.count("loads")
+        self.count("bytes_read", len(raw))
         obs_bus.emit("ckpt.load", digest=digest, bytes=len(raw))
         return json.loads(raw)
 
@@ -153,38 +142,30 @@ class CheckpointStore:
     def _latest_path(self, key: str) -> Path:
         return self.root / "latest" / f"{sanitize_key(key)}.json"
 
-    def _write_latest(self, key: str, digest: str, state: dict) -> None:
-        meta = state.get("meta", {})
-        payload = {
-            "key": key,
-            "digest": digest,
-            "cycle": meta.get("cycle", 0),
-        }
-        path = self._latest_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(payload, indent=2))
-        os.replace(tmp, path)
-
     def latest(self, key: str) -> str | None:
-        """Digest of the most recent checkpoint saved under ``key``."""
-        path = self._latest_path(key)
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # A torn pointer is impossible (atomic rename) but a
-            # hand-damaged one should read as "no checkpoint".
-            return None
-        digest = payload.get("digest")
-        if isinstance(digest, str) and _DIGEST_RE.match(digest):
+        """Digest of the newest *loadable* checkpoint saved under ``key``.
+
+        What a job resuming on its own asks. A pointer is as good as
+        its blob: damaged, dangling, or naming a blob that no longer
+        verifies, it is dropped and reads as "no checkpoint" — one
+        restart from cycle 0, not the same failure at every attempt.
+        """
+        pointer = self._latest_path(key)
+
+        def check(data: bytes) -> str:
+            digest = json.loads(data)["digest"]
+            if not (isinstance(digest, str) and _DIGEST_RE.match(digest)):
+                raise ValueError("pointer names no digest")
             return digest
-        return None
+
+        try:
+            digest = self.read(pointer, check)
+            self._verified(digest)
+        except ArtifactMiss:
+            self.clear_latest(key)
+            return None
+        return digest
 
     def clear_latest(self, key: str) -> None:
         """Drop the latest pointer for ``key`` (job completed)."""
-        try:
-            self._latest_path(key).unlink()
-        except FileNotFoundError:
-            pass
+        self._latest_path(key).unlink(missing_ok=True)

@@ -3,28 +3,13 @@
 The paper's evaluation is an embarrassingly parallel matrix — three
 architectures x seven workloads x two CPU models, plus ablation sweeps
 — and every point is an independent simulation. This module turns that
-observation into infrastructure:
-
-* :class:`Job` — a picklable description of one simulation (architecture,
-  workload *name*, CPU model, scale, config overrides). Workloads are
-  resolved through the :data:`repro.workloads.WORKLOADS` registry on the
-  worker side, so a job crosses process boundaries as a few strings and
-  ints rather than a live object graph.
-* :class:`Runner` — executes a batch of jobs over a
-  ``concurrent.futures.ProcessPoolExecutor`` (``jobs=N``), with a serial
-  in-process fallback for ``jobs=1`` (debugging, non-picklable factories)
-  that produces bit-identical results.
-* :class:`ResultCache` — a content-addressed on-disk cache keyed by the
-  SHA-256 of the job spec plus a fingerprint of the package source, so
-  re-running an unchanged figure is instant and editing the simulator
-  invalidates every stale entry.
-* :class:`RunReport` — per-job wall times, cache hit/miss counts and
-  worker utilization, for the CLI and scripts to surface.
-
-Everything that previously looped ``run_one`` serially —
-:func:`repro.core.experiment.run_architecture_comparison`, the sweep
-helpers, the benchmark harness, ``scripts/reproduce_all.py`` — now
-submits batches here.
+observation into infrastructure: :class:`Job` (one simulation as
+picklable plain data), :class:`Runner` (a batch over a process pool, or
+serially in process with bit-identical results), :class:`ResultCache`
+(finished results in the content-addressed :mod:`repro.core.store`),
+:class:`RunnerSession` (the warm pool and the one completion decision
+the ``repro serve`` scheduler shares) and :class:`RunReport` (per-job
+wall times, cache counts, worker utilization).
 """
 
 from __future__ import annotations
@@ -36,9 +21,13 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -50,24 +39,21 @@ from repro.core.experiment import (
     WorkloadFactory,
     run_one,
 )
-from repro.errors import ConfigError, JobTimeoutError
+from repro.core.store import (
+    ArtifactStore,
+    address,
+    counted,
+    default_cache_dir,
+    publish,
+    read_document,
+)
+from repro.errors import ArtifactMiss, ConfigError, JobTimeoutError
 from repro.obs import bus as obs_bus
-from repro.obs.registry import Registry
 
 
 def default_jobs() -> int:
     """Worker-count default: every core the host offers."""
     return os.cpu_count() or 1
-
-
-def default_cache_dir() -> Path:
-    """Cache location: ``$REPRO_CACHE_DIR``, else XDG cache dir."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env).expanduser()
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg).expanduser() if xdg else Path.home() / ".cache"
-    return base / "repro-isca96"
 
 
 # ----------------------------------------------------------------------
@@ -168,16 +154,19 @@ class Job:
             )
         return text
 
-    def resolve_topology(self):
-        """The concrete :class:`~repro.mem.topology.Topology` this job
-        simulates (preset resolved against the scaled config)."""
-        from repro.core.configs import config_for_scale
-        from repro.mem.topology import resolve_topology
-
+    def mem_config(self):
+        """The scaled ``MemConfig`` with this job's overrides applied."""
         config = config_for_scale(self.scale, self.n_cpus)
         if self.overrides:
             config = config.with_overrides(**self.overrides)
-        return resolve_topology(self.arch, config)
+        return config
+
+    def resolve_topology(self):
+        """The concrete :class:`~repro.mem.topology.Topology` this job
+        simulates (preset resolved against the scaled config)."""
+        from repro.mem.topology import resolve_topology
+
+        return resolve_topology(self.arch, self.mem_config())
 
     def spec(self) -> dict:
         """The canonical JSON-serializable description of this job.
@@ -212,16 +201,7 @@ class Job:
 
     def key(self) -> str:
         """Content address: SHA-256 over the spec + code fingerprint."""
-        payload = json.dumps(
-            {
-                "spec": self.spec(),
-                "version": repro.__version__,
-                "source": _source_fingerprint(),
-            },
-            sort_keys=True,
-            default=str,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return address(self.spec())
 
     def run(
         self,
@@ -238,31 +218,31 @@ class Job:
         it, a job with ``ckpt_dir`` resumes from its latest checkpoint
         automatically when one exists.
         """
-        config = config_for_scale(self.scale, self.n_cpus)
-        if self.overrides:
-            config = config.with_overrides(**self.overrides)
+        config = self.mem_config()
         if obs is None and self.obs_sample > 0:
             from repro.obs import ObsConfig
 
             obs = ObsConfig(sample_interval=self.obs_sample)
-        ckpt_key = None
-        if self.ckpt_dir:
+        if self.ckpt_dir and resume_from is None:
             from repro.ckpt import CheckpointStore
 
-            ckpt_key = self.key()
-            if resume_from is None:
-                resume_from = CheckpointStore(self.ckpt_dir).latest(
-                    ckpt_key
-                )
+            resume_from = CheckpointStore(self.ckpt_dir).latest(self.key())
         if self.replay:
             from repro.trace.backend import run_replay
 
             return run_replay(
                 self, config, obs=obs, resume_from=resume_from
             )
+        return self.run_factory(
+            self.resolve_factory(), config, obs, resume_from
+        )
+
+    def run_factory(self, factory, config, obs, resume_from):
+        """:func:`run_one` over ``factory`` with this job's machine and
+        execution policy (the replay lane runs its trace this way)."""
         return run_one(
             self.arch,
-            self.resolve_factory(),
+            factory,
             cpu_model=self.cpu_model,
             scale=self.scale,
             n_cpus=self.n_cpus,
@@ -272,7 +252,7 @@ class Job:
             obs=obs,
             checkpoint_every=self.ckpt_every if self.ckpt_dir else 0,
             checkpoint_dir=self.ckpt_dir,
-            checkpoint_key=ckpt_key,
+            checkpoint_key=self.key() if self.ckpt_dir else None,
             resume_from=resume_from,
         )
 
@@ -310,16 +290,15 @@ def _execute_job(
     With a bus ``handle`` (a picklable manager-queue proxy), the worker
     installs it as the process-current emitter — so store-level hooks
     (checkpoint saves, trace records) flow without plumbing — announces
-    itself on first use, and brackets the execution in
-    ``job.start``/``job.finish`` (or ``job.timeout``/``job.fail``)
-    events. Emission is a synchronous RPC into the manager process, so
-    everything emitted before a SIGKILL survives the worker.
+    itself on first use, and brackets the execution in ``job.start`` /
+    ``job.finish`` (or ``job.timeout`` / ``job.fail``). Emission is a
+    synchronous RPC into the manager process, so everything emitted
+    before a SIGKILL survives the worker.
 
     ``tag`` is an opaque caller identity (the service layer's job id)
     stamped onto every lifecycle event, so a consumer that knows only
-    the tag — the daemon's per-job event stream — can follow this
-    execution without parsing labels (two distinct specs can share a
-    label; tags are unique).
+    the tag can follow this execution without parsing labels (two
+    distinct specs can share a label; tags are unique).
     """
     if handle is None:
         return _run_with_timeout(job)
@@ -334,18 +313,13 @@ def _execute_job(
     started = time.perf_counter()
     try:
         result = _run_with_timeout(job)
-    except JobTimeoutError as error:
-        handle.emit(
-            "job.timeout", job=label, attempt=attempt, error=str(error),
-            **extra,
-        )
-        raise
     except Exception as error:
+        timed_out, text = _classify(error)
         handle.emit(
-            "job.fail",
+            "job.timeout" if timed_out else "job.fail",
             job=label,
             attempt=attempt,
-            error=f"{type(error).__name__}: {error}",
+            error=text,
             **extra,
         )
         raise
@@ -358,6 +332,14 @@ def _execute_job(
         **extra,
     )
     return result
+
+
+def _classify(error: Exception) -> tuple[bool, str]:
+    """``(timed_out, text)`` of a failed execution: a blown budget
+    speaks for itself, anything else is named by its type."""
+    if isinstance(error, JobTimeoutError):
+        return True, str(error)
+    return False, f"{type(error).__name__}: {error}"
 
 
 def _run_with_timeout(job: Job) -> ExperimentResult:
@@ -392,221 +374,79 @@ def _run_with_timeout(job: Job) -> ExperimentResult:
         signal.signal(signal.SIGALRM, previous)
 
 
-_FINGERPRINT: str | None = None
-
-
-def _source_fingerprint() -> str:
-    """Digest of the installed package source (path, size, mtime).
-
-    Part of every cache key: editing any module under ``repro``
-    invalidates the whole cache, so a stale entry can never shadow a
-    code change — without requiring a version bump per edit.
-    """
-    global _FINGERPRINT
-    if _FINGERPRINT is None:
-        root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            stat = path.stat()
-            digest.update(
-                f"{path.relative_to(root)}:{stat.st_size}:"
-                f"{stat.st_mtime_ns}\n".encode("utf-8")
-            )
-        _FINGERPRINT = digest.hexdigest()
-    return _FINGERPRINT
-
-
 # ----------------------------------------------------------------------
 # On-disk result cache
 
-try:
-    import fcntl as _fcntl
-except ImportError:  # pragma: no cover — non-POSIX hosts
-    _fcntl = None
 
-
-@contextmanager
-def _publish_lock(path: Path):
-    """Advisory per-key lock held across a cache publish.
-
-    Uses ``fcntl.flock`` on a sibling lock file where available and
-    degrades to a no-op elsewhere — the atomic rename remains the
-    correctness backstop for readers either way.
-    """
-    if _fcntl is None:
-        yield
-        return
-    try:
-        handle = open(path, "w")
-    except OSError:
-        yield
-        return
-    try:
-        _fcntl.flock(handle, _fcntl.LOCK_EX)
-        yield
-    finally:
-        try:
-            _fcntl.flock(handle, _fcntl.LOCK_UN)
-        except OSError:
-            pass
-        handle.close()
-        try:
-            path.unlink()
-        except OSError:
-            pass
-
-
-class ResultCache:
+class ResultCache(ArtifactStore):
     """Content-addressed store of :class:`ExperimentResult` payloads.
 
-    Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is
-    :meth:`Job.key`. Each file holds the job spec (for debuggability)
-    and the result's :meth:`~ExperimentResult.to_dict` dump. Entries
-    are written atomically (tmp + rename) so concurrent runners sharing
-    a cache directory never observe torn files; corrupt or unreadable
-    entries are treated as misses and dropped.
-
-    Two further guards harden the daemon path, where many writers and
-    readers share one store indefinitely: publishes of the same key are
-    serialized by a per-key advisory lock (``fcntl.flock`` where the
-    platform has it, a no-op elsewhere), so two workers finishing the
-    same simulation can never interleave their tmp-and-rename windows;
-    and every read audits the embedded content address against the
-    entry's filename, so a torn, truncated or misplaced entry is
-    evicted as corrupt rather than returned.
-
-    Every instance counts its own traffic in a
-    :class:`~repro.obs.registry.Registry` (``hits``/``misses``/
-    ``stores``/``evictions`` plus bytes moved), with or without a bus;
-    when a batch bus is current, each operation also lands on it as a
-    ``cache.*`` event. The counters feed :meth:`Runner.summary` and
-    ``RunReport.to_dict()["result_cache"]``.
+    ``<root>/<key[:2]>/<key>.json`` where ``key`` is :meth:`Job.key`;
+    each file holds the job spec (for debuggability), the result's
+    :meth:`~ExperimentResult.to_dict` dump and a SHA-256 of both, and
+    this facade's own check is that an entry claims the address it is
+    filed under and its hash. Counted as ``hits``/``misses``/``stores``
+    plus bytes moved (``RunReport.to_dict()["result_cache"]``) and,
+    with a batch bus current, emitted as ``cache.*`` events.
     """
 
-    def __init__(self, root: str | Path | None = None) -> None:
-        self.root = Path(root).expanduser() if root else default_cache_dir()
-        self.metrics = Registry()
+    kind = "cache"
+    suffix = ".json"
+    default_root = staticmethod(default_cache_dir)
 
-    @property
-    def hits(self) -> int:
-        return self.metrics.counter("hits").value
+    hits = counted("hits")
+    misses = counted("misses")
+    stores = counted("stores")
 
-    @property
-    def misses(self) -> int:
-        return self.metrics.counter("misses").value
-
-    @property
-    def stores(self) -> int:
-        return self.metrics.counter("stores").value
-
-    @property
-    def evictions(self) -> int:
-        return self.metrics.counter("evictions").value
-
-    def stats(self) -> dict:
-        """Counter snapshot for reports and ``bench_runner.json``."""
-        return {
-            name: counter.value
-            for name, counter in sorted(self.metrics.counters.items())
-        }
+    @staticmethod
+    def _digest(entry: dict) -> str:
+        """SHA-256 of an entry (less its own ``sha256`` field): JSON
+        survives a flipped digit, so parsing alone proves nothing."""
+        text = json.dumps(entry, sort_keys=True)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def path_for(self, job: Job) -> Path:
         """Where ``job``'s result lives (whether or not it exists)."""
-        key = job.key()
-        return self.root / key[:2] / f"{key}.json"
+        return self.path(job.key())
 
     def get(self, job: Job) -> ExperimentResult | None:
         """The cached result for ``job``, or ``None`` on a miss."""
-        path = self.path_for(job)
+        key = job.key()
+
+        def check(data: bytes):
+            payload = json.loads(data)
+            claimed = payload.pop("sha256")
+            if payload["key"] != key or claimed != self._digest(payload):
+                raise ValueError("not the entry filed under this address")
+            return ExperimentResult.from_dict(payload["result"]), len(data)
+
         try:
-            text = path.read_text()
-            payload = json.loads(text)
-            # Integrity audit: the entry must claim the content address
-            # it is filed under, or it is torn/misplaced — evict it.
-            if payload.get("key") != path.stem:
-                raise ValueError("content address mismatch")
-            result = ExperimentResult.from_dict(payload["result"])
-        except FileNotFoundError:
-            self.metrics.counter("misses").inc()
-            obs_bus.emit("cache.miss", key=path.stem)
+            result, size = self.read(self.path(key), check)
+        except ArtifactMiss as miss:
+            self.count("misses")
+            obs_bus.emit("cache.miss", key=key, corrupt=miss.corrupt)
             return None
-        except (OSError, ValueError, KeyError, TypeError):
-            self._evict(path)
-            self.metrics.counter("misses").inc()
-            obs_bus.emit("cache.miss", key=path.stem, corrupt=True)
-            return None
-        self.metrics.counter("hits").inc()
-        self.metrics.counter("bytes_read").inc(len(text))
-        obs_bus.emit("cache.hit", key=path.stem, bytes=len(text))
+        self.count("hits")
+        self.count("bytes_read", size)
+        obs_bus.emit("cache.hit", key=key, bytes=size)
         return result
 
     def put(self, job: Job, result: ExperimentResult) -> None:
-        """Store ``result`` under ``job``'s content address.
-
-        The publish (tmp write + rename) happens under a per-key
-        advisory lock so concurrent same-key writers are serialized;
-        the rename itself stays atomic, so lockless readers (and
-        platforms without ``fcntl``) still never see a torn entry.
-        """
-        path = self.path_for(job)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "key": job.key(),
-            "spec": job.spec(),
+        """Store ``result`` under ``job``'s content address."""
+        spec = job.spec()
+        key = address(spec)
+        entry = {
+            "key": key,
+            "spec": spec,
             "version": repro.__version__,
             "result": result.to_dict(),
         }
-        text = json.dumps(payload, sort_keys=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        with _publish_lock(path.parent / f".{path.name}.lock"):
-            tmp.write_text(text)
-            tmp.replace(path)
-        self.metrics.counter("stores").inc()
-        self.metrics.counter("bytes_written").inc(len(text))
-        obs_bus.emit("cache.store", key=path.stem, bytes=len(text))
-
-    def disk_stats(self) -> dict:
-        """Scan the on-disk store: entry count, bytes, age span.
-
-        Unlike :meth:`stats` (this instance's in-memory traffic
-        counters), this inspects the shared directory itself — what
-        ``repro cache stats`` surfaces for a store that many runners,
-        daemons and CI jobs write to.
-        """
-        entries = 0
-        total_bytes = 0
-        oldest: float | None = None
-        newest: float | None = None
-        for entry in self.root.glob("??/*.json"):
-            try:
-                stat = entry.stat()
-            except OSError:
-                continue  # racing eviction
-            entries += 1
-            total_bytes += stat.st_size
-            mtime = stat.st_mtime
-            oldest = mtime if oldest is None else min(oldest, mtime)
-            newest = mtime if newest is None else max(newest, mtime)
-        return {
-            "root": str(self.root),
-            "entries": entries,
-            "bytes": total_bytes,
-            "oldest_mtime": oldest,
-            "newest_mtime": newest,
-        }
-
-    def _evict(self, path: Path) -> None:
-        """Drop a corrupt entry (counted, unlike a plain miss)."""
-        self.metrics.counter("evictions").inc()
-        obs_bus.emit("cache.evict", key=path.stem)
-        self._drop(path)
-
-    @staticmethod
-    def _drop(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        entry["sha256"] = self._digest(entry)
+        text = json.dumps(entry, sort_keys=True)
+        self.publish(self.path(key), text)
+        self.count("stores")
+        self.count("bytes_written", len(text))
+        obs_bus.emit("cache.store", key=key, bytes=len(text))
 
 
 # ----------------------------------------------------------------------
@@ -618,10 +458,9 @@ class JobOutcome:
     """One job's result plus how it was obtained.
 
     ``result`` is ``None`` when the job failed: ``timed_out`` marks a
-    blown wall-clock budget, otherwise ``error`` carries the failure
-    text (an exception from the simulation, or quarantine after
-    repeated worker crashes). ``attempts`` counts executions including
-    retries after crashes.
+    blown wall-clock budget, ``quarantined`` a job whose workers kept
+    dying, ``error`` carries the failure text. ``attempts`` counts
+    executions including retries after crashes.
     """
 
     job: Job
@@ -631,6 +470,7 @@ class JobOutcome:
     error: str | None = None
     timed_out: bool = False
     attempts: int = 1
+    quarantined: bool = False
 
     @property
     def failed(self) -> bool:
@@ -758,32 +598,24 @@ class BatchManifest:
     """On-disk record of which jobs of a batch have completed.
 
     One JSON file mapping :meth:`Job.key` to the finished result
-    payload. The runner records every success as it lands (atomic
-    tmp + rename per update, so a kill mid-batch leaves a readable
-    manifest), and the pre-pass skips jobs already present — this is
-    what ``scripts/reproduce_all.py --resume`` builds on. Keys include
-    the package source fingerprint, so a manifest written by different
-    code never satisfies a resume.
+    payload. The runner records every success as it lands (one atomic
+    :func:`~repro.core.store.publish` per update) and the pre-pass
+    skips jobs already present (``scripts/reproduce_all.py --resume``).
+    Keys include the source fingerprint, so a manifest written by
+    different code never satisfies a resume.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._entries: dict[str, dict] = {}
-        self.telemetry: dict | None = None
-        try:
-            payload = json.loads(self.path.read_text())
-            entries = payload.get("jobs", {})
-            if isinstance(entries, dict):
-                self._entries = entries
-            telemetry = payload.get("telemetry")
-            if isinstance(telemetry, dict):
-                self.telemetry = telemetry
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError):
-            # Unreadable manifest: treat as empty rather than failing
-            # the batch; completed work is re-run, never lost.
-            self._entries = {}
+        payload = read_document(self.path)
+        entries = payload.get("jobs")
+        self._entries: dict[str, dict] = (
+            entries if isinstance(entries, dict) else {}
+        )
+        telemetry = payload.get("telemetry")
+        self.telemetry: dict | None = (
+            telemetry if isinstance(telemetry, dict) else None
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -812,13 +644,10 @@ class BatchManifest:
         self._write()
 
     def _write(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         payload = {"version": repro.__version__, "jobs": self._entries}
         if self.telemetry is not None:
             payload["telemetry"] = self.telemetry
-        tmp = self.path.parent / f".{self.path.name}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.path)
+        publish(self.path, json.dumps(payload, sort_keys=True))
 
 
 class Runner:
@@ -841,25 +670,21 @@ class Runner:
     are recorded as they land, and jobs already in the manifest are
     skipped (reported as cached) — the resumable-batch layer.
 
-    Fault tolerance: a worker killed mid-job (OOM killer, node
-    preemption) breaks the whole ``ProcessPoolExecutor``. Instead of
-    aborting the batch, the runner rebuilds the pool, requeues every
-    job the broken pool failed to finish, and retries each at most
-    ``max_retries`` times — with ``ckpt_dir`` set on the jobs, each
-    retry resumes from the job's last checkpoint rather than cycle 0.
-    A job still crashing after its retries is quarantined: recorded as
-    a failed :class:`JobOutcome` so the rest of the batch completes.
-    Timeouts are terminal (a retry would time out again); other
-    exceptions from a parallel run are recorded as failures, while the
-    serial path re-raises them (debugging-friendly, and the historical
-    contract).
+    Fault tolerance is :meth:`RunnerSession.settle`, shared with the
+    ``repro serve`` scheduler: a worker killed mid-job (OOM killer,
+    node preemption) costs a pool rebuild and a retry — from the job's
+    last checkpoint when ``ckpt_dir`` is set — up to ``max_retries``
+    times, then quarantine; a timeout or an exception is a failed
+    :class:`JobOutcome`, so the rest of the batch completes (the serial
+    path re-raises exceptions other than timeouts: the historical,
+    debugging-friendly contract). A finished simulation is delivered
+    whether or not cache and manifest could take it (:meth:`_publish`).
 
     ``bus`` is an optional started :class:`~repro.obs.bus.EventBus`:
-    with one attached, the batch emits the full fleet event stream
-    (job/worker/pool lifecycle from the runner and its workers,
-    ``cache.*``/``ckpt.*``/``trace.*`` from the instrumented stores)
-    and the report carries the bus rollup. Without one — the default —
-    not a single event object is constructed.
+    with one attached, the batch emits the fleet event stream (job,
+    worker and pool lifecycle, ``cache.*``/``ckpt.*``/``trace.*`` from
+    the stores) and the report carries its rollup. Without one — the
+    default — not a single event object is constructed.
     """
 
     def __init__(
@@ -899,16 +724,14 @@ class Runner:
                 f"{self.cache.misses} miss(es), "
                 f"{self.cache.stores} store(s)"
             )
+            if self.cache.publish_errors:
+                text += f", {self.cache.publish_errors} publish error(s)"
         return text
 
     def session(self) -> "RunnerSession":
-        """Open a persistent warm pool for incremental submission.
-
-        Alongside the closed-batch :meth:`run`, a session lets a
-        long-lived caller (the ``repro serve`` daemon) submit jobs one
-        at a time against workers that stay warm between them, and
-        collect each result independently. See :class:`RunnerSession`.
-        """
+        """Open a warm pool for incremental submission — what a
+        long-lived caller (the ``repro serve`` daemon) uses instead of
+        the closed-batch :meth:`run`. See :class:`RunnerSession`."""
         return RunnerSession(self)
 
     def run(self, batch: Sequence[Job]) -> RunReport:
@@ -918,8 +741,7 @@ class Runner:
         previous_handle = None
         if handle is not None:
             # Current-handle for the parent process: store hooks that
-            # fire here (cache pre-pass gets, cache puts on completion)
-            # reach the bus without explicit plumbing.
+            # fire here (cache gets and puts) reach the bus unplumbed.
             previous_handle = obs_bus.set_current(handle)
             handle.emit("batch.start", jobs=len(batch))
         report: RunReport | None = None
@@ -945,32 +767,27 @@ class Runner:
         started = time.perf_counter()
         outcomes: list[JobOutcome | None] = [None] * len(batch)
 
+        def skip(index: int, result: ExperimentResult, source: str) -> None:
+            job = batch[index]
+            outcomes[index] = JobOutcome(job, result, cached=True)
+            if handle is not None:
+                handle.emit("job.cached", job=job.label(), source=source)
+            self._tick(f"[{source}] {job.label()}")
+
         pending: list[tuple[int, Job]] = []
-        hits = 0
         for index, job in enumerate(batch):
             done = self.manifest.get(job) if self.manifest else None
             if done is not None:
-                hits += 1
-                outcomes[index] = JobOutcome(job, done, cached=True)
-                if handle is not None:
-                    handle.emit(
-                        "job.cached", job=job.label(), source="manifest"
-                    )
-                self._tick(f"[manifest] {job.label()}")
+                skip(index, done, "manifest")
                 continue
             cached = self.cache.get(job) if self.cache else None
-            if cached is not None:
-                hits += 1
-                outcomes[index] = JobOutcome(job, cached, cached=True)
-                if self.manifest is not None:
-                    self.manifest.record(job, cached)
-                if handle is not None:
-                    handle.emit(
-                        "job.cached", job=job.label(), source="cache"
-                    )
-                self._tick(f"[cache] {job.label()}")
-            else:
+            if cached is None:
                 pending.append((index, job))
+                continue
+            if self.manifest is not None:
+                self._publish(self.manifest.record, job, cached)
+            skip(index, cached, "cache")
+        hits = len(batch) - len(pending)
 
         workers = min(self.n_jobs, len(pending)) if pending else 1
         crashes = 0
@@ -979,13 +796,11 @@ class Runner:
                 try:
                     result = _execute_job(job, handle)
                 except JobTimeoutError as error:
-                    outcomes[index] = self._fail(
-                        job, str(error), timed_out=True
-                    )
+                    outcomes[index] = self._fail(job, error)
                 else:
-                    outcomes[index] = self._finish(index, job, result)
+                    outcomes[index] = self._deliver(job, result)
         else:
-            crashes = self._run_pool(pending, workers, outcomes, handle)
+            crashes = self._run_session(pending, outcomes)
 
         report = RunReport(
             outcomes=[outcome for outcome in outcomes if outcome is not None],
@@ -999,109 +814,66 @@ class Runner:
         self.last_report = report
         return report
 
-    def _run_pool(
+    def _run_session(
         self,
         pending: list[tuple[int, Job]],
-        workers: int,
         outcomes: list[JobOutcome | None],
-        handle: "obs_bus.BusHandle | None" = None,
     ) -> int:
-        """Parallel execution with crash recovery; returns crash count.
+        """Parallel execution; returns the crash count. Everything is
+        submitted up front, each future that lands is settled, and a
+        job settled as "retry" goes back into the (rebuilt) pool."""
+        session = self.session()
+        inflight: dict[Future, tuple[int, Job, int, int]] = {}
 
-        Each pass runs the queue over a fresh pool. A broken pool
-        (worker killed) fails every unfinished future with
-        ``BrokenProcessPool``; those jobs are requeued for the next
-        pass until their retry budget runs out. With a bus attached,
-        the queue is drained (:meth:`~repro.obs.bus.EventBus.flush`)
-        before the rebuild is recorded, so every event the dead pool's
-        workers managed to emit is already in the log when the
-        ``pool.rebuild`` marker lands.
-        """
-        queue = list(pending)
-        attempts = {index: 0 for index, _ in pending}
-        crashes = 0
-        while queue:
-            requeue: list[tuple[int, Job]] = []
-            pool_broke = False
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(
-                        _execute_job, job, handle, attempts[index] + 1
-                    ): (index, job)
-                    for index, job in queue
-                }
-                for future in as_completed(futures):
-                    index, job = futures[future]
-                    attempts[index] += 1
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        pool_broke = True
-                        if attempts[index] > self.max_retries:
-                            if handle is not None:
-                                handle.emit(
-                                    "job.quarantined",
-                                    job=job.label(),
-                                    attempts=attempts[index],
-                                )
-                            outcomes[index] = self._fail(
-                                job,
-                                f"quarantined after {attempts[index]} "
-                                "crashed attempt(s)",
-                                attempts=attempts[index],
-                            )
-                        else:
-                            if handle is not None:
-                                handle.emit(
-                                    "job.retry",
-                                    job=job.label(),
-                                    attempt=attempts[index],
-                                )
-                            self._tick(f"[retry] {job.label()}")
-                            requeue.append((index, job))
-                    except JobTimeoutError as error:
-                        outcomes[index] = self._fail(
-                            job,
-                            str(error),
-                            timed_out=True,
-                            attempts=attempts[index],
-                        )
-                    except Exception as error:  # noqa: BLE001
-                        # A deterministic failure inside the simulation
-                        # (bad config, workload bug): retrying cannot
-                        # help, record it and keep the batch going.
-                        outcomes[index] = self._fail(
-                            job,
-                            f"{type(error).__name__}: {error}",
-                            attempts=attempts[index],
-                        )
+        def submit(index: int, job: Job, attempt: int) -> None:
+            future, generation = session.submit(job, attempt)
+            inflight[future] = (index, job, generation, attempt)
+
+        try:
+            for index, job in pending:
+                submit(index, job, 1)
+            while inflight:
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index, job, generation, attempt = inflight.pop(future)
+                    outcome = session.settle(
+                        job, future, generation, attempt
+                    )
+                    if outcome is None:
+                        submit(index, job, attempt + 1)
                     else:
-                        outcomes[index] = self._finish(
-                            index, job, result, attempts=attempts[index]
-                        )
-            if pool_broke:
-                crashes += 1
-                if self.bus is not None:
-                    # Drain everything the dead pool's workers emitted
-                    # before marking the rebuild in the stream.
-                    self.bus.flush()
-                if handle is not None:
-                    handle.emit("worker.death", crashes=crashes)
-                    handle.emit("pool.rebuild", requeued=len(requeue))
-            queue = requeue
-        return crashes
+                        outcomes[index] = outcome
+            return session.generation  # one rebuild per crash
+        finally:
+            session.close()
 
-    def _finish(
+    def _publish(self, put, job: Job, result: ExperimentResult) -> None:
+        """``put(job, result)`` into the cache or the manifest. A
+        failure (full disk, read-only root) costs the entry, never the
+        finished simulation: counted by the store, ``cache.error`` on
+        the bus, and the caller delivers the result regardless."""
+        try:
+            put(job, result)
+        except OSError as error:
+            sink = type(put.__self__).__name__
+            text = _classify(error)[1]
+            obs_bus.emit(
+                "cache.error", job=job.label(), sink=sink, error=text
+            )
+            self._tick(f"[publish failed] {job.label()}: {sink}: {text}")
+
+    def _deliver(
         self,
-        index: int,
         job: Job,
         result: ExperimentResult,
         attempts: int = 1,
+        publish: bool = True,
     ) -> JobOutcome:
-        if self.cache is not None:
-            self.cache.put(job, result)
-        if self.manifest is not None:
-            self.manifest.record(job, result)
+        """Publish, then deliver: the success half of every dispatch."""
+        if publish and self.cache is not None:
+            self._publish(self.cache.put, job, result)
+        if publish and self.manifest is not None:
+            self._publish(self.manifest.record, job, result)
         self._tick(f"[{result.wall_seconds:5.1f}s] {job.label()}")
         return JobOutcome(
             job,
@@ -1113,55 +885,53 @@ class Runner:
     def _fail(
         self,
         job: Job,
-        error: str,
-        timed_out: bool = False,
+        error: Exception | str,
         attempts: int = 1,
+        quarantined: bool = False,
     ) -> JobOutcome:
+        """The failure half: an exception is classified, a string
+        (quarantine) is taken as given."""
+        timed_out, text = (
+            (False, error) if isinstance(error, str) else _classify(error)
+        )
         self._tick(
-            f"[{'timeout' if timed_out else 'failed'}] {job.label()}: "
-            f"{error}"
+            f"[{'timeout' if timed_out else 'failed'}] {job.label()}: {text}"
         )
         return JobOutcome(
             job,
             None,
-            error=error,
+            error=text,
             timed_out=timed_out,
             attempts=attempts,
+            quarantined=quarantined,
         )
 
 
 class RunnerSession:
     """Persistent warm worker pool with an incremental submit API.
 
-    :meth:`Runner.run` executes one closed batch and tears its pool
-    down; a session keeps the ``ProcessPoolExecutor`` alive across
-    arbitrarily many submissions — the simulation service's warm pool.
-    ``submit`` hands one :class:`Job` to the pool and returns a
-    ``concurrent.futures.Future`` plus the pool *generation* it was
-    submitted against; the caller collects results (or failures) from
-    the future at its own pace.
+    A session keeps the ``ProcessPoolExecutor`` alive across any
+    number of submissions: :meth:`Runner.run` opens one per parallel
+    batch, the simulation service holds one as its warm pool.
+    ``submit`` returns a ``Future`` plus the pool *generation* it was
+    submitted against; when the future is done the caller passes both
+    to :meth:`settle`, the one place that decides what it means.
 
-    Fault model: a SIGKILLed worker breaks the whole executor, failing
-    every in-flight future with ``BrokenProcessPool``. Each collector
-    then calls :meth:`rebuild` with its submission's generation — the
-    first call replaces the pool (and returns ``True``, so exactly one
-    caller reports the rebuild), later calls with the same stale
-    generation are no-ops. Retry/backoff policy stays with the caller;
-    the session only guarantees a healthy pool to resubmit into.
-
-    The session inherits the owning runner's telemetry: with a bus
-    attached, submitted jobs emit the same ``job.*``/``worker.*``
-    lifecycle events batch jobs do.
+    A SIGKILLed worker breaks the whole executor, failing every
+    in-flight future with ``BrokenProcessPool``; the first of them to
+    be settled replaces the pool (:meth:`rebuild` succeeds once per
+    generation), the rest find a healthy pool to be resubmitted into.
+    With a bus on the runner, jobs emit the batch lifecycle events.
     """
 
     def __init__(self, runner: "Runner") -> None:
         self.runner = runner
-        self.workers = runner.n_jobs
         self._handle = (
             runner.bus.handle() if runner.bus is not None else None
         )
         self._lock = threading.Lock()
-        self._pool: ProcessPoolExecutor | None = None
+        # workers are forked by the first submit, not here
+        self._pool = ProcessPoolExecutor(max_workers=runner.n_jobs)
         self._generation = 0
         self._closed = False
 
@@ -1171,30 +941,20 @@ class RunnerSession:
         with self._lock:
             return self._generation
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        """Build the executor lazily (caller holds the lock)."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
     def submit(
         self,
         job: Job,
         attempt: int = 1,
         tag: str | None = None,
     ) -> tuple[Future, int]:
-        """Queue ``job`` on the warm pool.
-
-        Returns ``(future, generation)``; pass the generation back to
-        :meth:`rebuild` if the future fails with ``BrokenProcessPool``.
-        ``attempt`` and ``tag`` are forwarded to the telemetry events.
-        """
+        """Queue ``job`` on the warm pool; returns ``(future,
+        generation)``, both of which :meth:`settle` wants back.
+        ``attempt`` and ``tag`` are forwarded to the telemetry events."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("RunnerSession is closed")
-            pool = self._ensure_pool()
             try:
-                future = pool.submit(
+                future = self._pool.submit(
                     _execute_job, job, self._handle, attempt, tag
                 )
             except BrokenProcessPool:
@@ -1206,15 +966,66 @@ class RunnerSession:
                 )
             return future, self._generation
 
-    def rebuild(self, generation: int) -> bool:
-        """Replace the pool if ``generation`` is still the current one.
+    def settle(
+        self,
+        job: Job,
+        future: Future,
+        generation: int,
+        attempt: int,
+        tag: str | None = None,
+        discard: bool = False,
+    ) -> JobOutcome | None:
+        """What the finished ``future`` of ``job``'s ``attempt`` means.
 
-        Returns ``True`` when this call performed the rebuild — the
-        caller owning that ``True`` should emit the single
-        ``worker.death``/``pool.rebuild`` telemetry pair. Stale
-        generations (another collector already rebuilt) and closed
-        sessions return ``False``.
+        Decided here once, for the batch runner and the service
+        scheduler alike. A dead worker (``BrokenProcessPool``) rebuilds
+        the pool, once per generation, and returns ``None`` — resubmit
+        as attempt + 1 — or, past ``max_retries``, a quarantined
+        outcome. A blown budget or any other exception is terminal. A
+        result is published, then delivered; ``discard`` (a client
+        withdrew) skips the publish. ``tag`` rides on the events.
         """
+        runner = self.runner
+        extra = {} if tag is None else {"tag": tag}
+        try:
+            result = future.result()
+        except BrokenProcessPool:
+            if self.rebuild(generation):
+                # Drain what the dead pool's workers emitted first.
+                if runner.bus is not None:
+                    runner.bus.flush()
+                self._emit("worker.death", crashes=self.generation, **extra)
+                self._emit(
+                    "pool.rebuild", generation=self.generation, **extra
+                )
+            label = job.label()
+            if attempt <= runner.max_retries:
+                self._emit("job.retry", job=label, attempt=attempt, **extra)
+                runner._tick(f"[retry] {label}")
+                return None
+            self._emit(
+                "job.quarantined", job=label, attempts=attempt, **extra
+            )
+            return runner._fail(
+                job,
+                f"quarantined after {attempt} crashed attempt(s)",
+                attempt,
+                quarantined=True,
+            )
+        except Exception as error:  # noqa: BLE001
+            # A blown budget or a deterministic failure (bad config,
+            # workload bug): a retry would only repeat it.
+            return runner._fail(job, error, attempt)
+        return runner._deliver(job, result, attempt, publish=not discard)
+
+    def _emit(self, kind: str, **fields) -> None:
+        if self._handle is not None:
+            self._handle.emit(kind, **fields)
+
+    def rebuild(self, generation: int) -> bool:
+        """Replace the pool if ``generation`` is still current; returns
+        whether this call did. A stale generation (another future of
+        the broken pool was settled first) or a closed session: no."""
         with self._lock:
             if self._closed or generation != self._generation:
                 return False
@@ -1222,28 +1033,20 @@ class RunnerSession:
             return True
 
     def _rebuild_locked(self) -> None:
-        pool, self._pool = self._pool, None
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        self._pool = ProcessPoolExecutor(max_workers=self.runner.n_jobs)
         self._generation += 1
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
 
     def pids(self) -> list[int]:
         """Live worker process ids (ops introspection, fault tests)."""
         with self._lock:
-            if self._pool is None:
-                return []
-            processes = getattr(self._pool, "_processes", None) or {}
-            return list(processes.keys())
+            return list(getattr(self._pool, "_processes", None) or {})
 
     def close(self, force: bool = False) -> None:
-        """Shut the pool down.
-
-        ``force=True`` SIGKILLs the workers instead of waiting for
-        in-flight jobs — the daemon's hard-shutdown path, where
-        unfinished jobs are persisted to a queue manifest and re-run
-        (resuming from their checkpoints) on the next start.
-        """
+        """Shut the pool down. ``force=True`` SIGKILLs the workers
+        instead of waiting for in-flight jobs — the daemon's hard
+        shutdown, whose unfinished jobs go to the queue manifest and
+        resume from their checkpoints on the next start."""
         with self._lock:
             self._closed = True
             pool, self._pool = self._pool, None
@@ -1261,19 +1064,6 @@ class RunnerSession:
             pool.shutdown(wait=True)
 
 
-def run_jobs(
-    batch: Sequence[Job],
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-    progress: Callable[[str], None] | None = None,
-    manifest: BatchManifest | None = None,
-    bus: "obs_bus.EventBus | None" = None,
-) -> RunReport:
-    """One-shot convenience wrapper around :class:`Runner`."""
-    return Runner(
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        manifest=manifest,
-        bus=bus,
-    ).run(batch)
+def run_jobs(batch: Sequence[Job], **runner_options) -> RunReport:
+    """One-shot ``Runner(**runner_options).run(batch)``."""
+    return Runner(**runner_options).run(batch)

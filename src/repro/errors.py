@@ -50,6 +50,20 @@ class CheckpointError(SimulationError):
     """
 
 
+class ArtifactMiss(ReproError):
+    """A store holds no usable artifact under an address.
+
+    ``reason`` is ``None`` when nothing is filed there; otherwise
+    (``corrupt``) it says which integrity check what was there failed —
+    and that file is already evicted, so the next publish starts clean.
+    """
+
+    def __init__(self, message: str, reason: str | None = None) -> None:
+        super().__init__(message)
+        self.reason = reason
+        self.corrupt = reason is not None
+
+
 class JobTimeoutError(ReproError):
     """A batch job exceeded its configured wall-clock budget.
 

@@ -56,10 +56,11 @@ EVENT_KINDS = frozenset({
     "job.retry", "job.cached", "job.quarantined", "job.cancelled",
     # worker-pool lifecycle
     "worker.spawn", "worker.death", "pool.rebuild",
-    # artifact stores
-    "cache.hit", "cache.miss", "cache.store", "cache.evict",
-    "ckpt.save", "ckpt.load",
-    "trace.record", "trace.hit", "trace.replay",
+    # artifact stores (*.evict: an entry failed its store's integrity
+    # check; cache.error: a finished result could not be published)
+    "cache.hit", "cache.miss", "cache.store", "cache.evict", "cache.error",
+    "ckpt.save", "ckpt.load", "ckpt.evict",
+    "trace.record", "trace.hit", "trace.replay", "trace.evict",
 })
 
 #: Event kinds that must carry a ``job`` label.

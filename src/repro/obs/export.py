@@ -26,22 +26,6 @@ _JOB_STATUS = {
     "job.cancelled": "cancelled",
 }
 
-#: event kind → op label on repro_cache_ops_total
-_CACHE_OPS = {
-    "cache.hit": "hit",
-    "cache.miss": "miss",
-    "cache.store": "store",
-    "cache.evict": "evict",
-}
-
-_STORE_OPS = {
-    "ckpt.save": ("ckpt", "save"),
-    "ckpt.load": ("ckpt", "load"),
-    "trace.record": ("trace", "record"),
-    "trace.hit": ("trace", "hit"),
-    "trace.replay": ("trace", "replay"),
-}
-
 
 def rollup_events(events: Iterable[BusEvent | dict]) -> dict:
     """Reduce a batch event stream to JSON-serializable counters."""
@@ -70,13 +54,12 @@ def rollup_events(events: Iterable[BusEvent | dict]) -> dict:
             if kind == "job.finish" and isinstance(wall, (int, float)):
                 wall_sum += wall
                 wall_count += 1
-        elif kind in _CACHE_OPS:
-            op = _CACHE_OPS[kind]
+        elif kind.startswith("cache."):
+            # op label on repro_cache_ops_total: hit, miss, store, ...
+            op = kind.partition(".")[2]
             cache_ops[op] = cache_ops.get(op, 0) + 1
-        elif kind in _STORE_OPS:
-            store, op = _STORE_OPS[kind]
-            label = f"{store}.{op}"
-            store_ops[label] = store_ops.get(label, 0) + 1
+        elif kind.startswith(("ckpt.", "trace.")):
+            store_ops[kind] = store_ops.get(kind, 0) + 1
         elif kind == "job.retry":
             retries += 1
         elif kind == "pool.rebuild":

@@ -22,16 +22,13 @@ resubmitting a spec whose record failed, was cancelled or was
 quarantined starts a fresh attempt under the same id.
 
 :class:`QueueManifest` persists the non-terminal tail of the queue at
-shutdown (the same atomic tmp-and-rename idiom as
-:class:`~repro.core.runner.BatchManifest`) so ``repro serve --resume``
-can re-enqueue unfinished work.
+shutdown so ``repro serve --resume`` can re-enqueue unfinished work.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -40,6 +37,7 @@ from pathlib import Path
 import repro
 from repro.core.experiment import ExperimentResult
 from repro.core.runner import Job
+from repro.core.store import publish, read_document
 from repro.serve import wire
 
 # Job lifecycle states (wire-visible strings).
@@ -223,6 +221,17 @@ class JobQueue:
             )
             self._cond.notify_all()
 
+    def _land(self, record: JobRecord, state: str, **fields) -> None:
+        """Move a record that is not yet terminal to a terminal state."""
+        with self._cond:
+            if record.terminal:
+                return
+            for name, value in fields.items():
+                setattr(record, name, value)
+            record.state = state
+            record.finished_at = time.time()
+            self._cond.notify_all()
+
     def finish(
         self,
         record: JobRecord,
@@ -241,14 +250,7 @@ class JobQueue:
             },
             sort_keys=True,
         ).encode("utf-8")
-        with self._cond:
-            if record.terminal:
-                return
-            record.result_body = body
-            record.cached = cached
-            record.state = state
-            record.finished_at = time.time()
-            self._cond.notify_all()
+        self._land(record, state, result_body=body, cached=cached)
 
     def fail(
         self,
@@ -258,23 +260,16 @@ class JobQueue:
         quarantined: bool = False,
     ) -> None:
         """Record a terminal failure (error, timeout, or quarantine)."""
-        with self._cond:
-            if record.terminal:
-                return
-            record.error = error
-            record.timed_out = timed_out
-            record.state = QUARANTINED if quarantined else FAILED
-            record.finished_at = time.time()
-            self._cond.notify_all()
+        self._land(
+            record,
+            QUARANTINED if quarantined else FAILED,
+            error=error,
+            timed_out=timed_out,
+        )
 
     def mark_cancelled(self, record: JobRecord) -> None:
         """Finalize a cancellation (queued skip or discarded result)."""
-        with self._cond:
-            if record.terminal:
-                return
-            record.state = CANCELLED
-            record.finished_at = time.time()
-            self._cond.notify_all()
+        self._land(record, CANCELLED)
 
     # -- client side ----------------------------------------------------
 
@@ -356,29 +351,19 @@ class JobQueue:
 
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until every record is terminal (the drain barrier)."""
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while any(
-                not record.terminal
-                for record in self._records.values()
-            ):
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        return False
-            return True
+            return self._cond.wait_for(
+                lambda: all(r.terminal for r in self._records.values()),
+                timeout,
+            )
 
 
 class QueueManifest:
     """On-disk record of jobs the daemon accepted but did not finish.
 
-    One JSON file of wire payloads plus queue metadata, written
-    atomically (tmp + rename, the :class:`BatchManifest` idiom) by the
-    graceful-shutdown path and re-enqueued by ``repro serve --resume``.
-    Results never live here — finished work is already in the
-    content-addressed :class:`ResultCache`.
+    One JSON file of wire payloads plus queue metadata, published at
+    graceful shutdown and re-enqueued by ``repro serve --resume``.
+    Results never live here: finished work is in the result cache.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -403,10 +388,7 @@ class QueueManifest:
                 if isinstance(record.job.workload, str)
             ],
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.parent / f".{self.path.name}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.path)
+        publish(self.path, json.dumps(payload, sort_keys=True))
 
     def load(self) -> list[dict]:
         """Read persisted entries; unreadable manifests load as empty.
@@ -415,13 +397,7 @@ class QueueManifest:
         — feed the payloads back through
         :func:`repro.serve.wire.job_from_payload` to re-enqueue.
         """
-        try:
-            payload = json.loads(self.path.read_text())
-        except FileNotFoundError:
-            return []
-        except (OSError, ValueError):
-            return []
-        jobs = payload.get("jobs")
+        jobs = read_document(self.path).get("jobs")
         return [
             entry for entry in (jobs if isinstance(jobs, list) else [])
             if isinstance(entry, dict) and isinstance(

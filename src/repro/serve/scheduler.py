@@ -3,31 +3,27 @@
 The :class:`Scheduler` owns one dispatcher thread and one
 :class:`~repro.core.runner.RunnerSession`. The thread claims the
 highest-priority queued record, serves it straight from the
-content-addressed :class:`ResultCache` when possible (``job.cached``
-on the bus, no worker touched), and otherwise dispatches it to the
-warm pool under a bounded-slot semaphore — at most ``runner.n_jobs``
-simulations in flight, however fast clients submit.
+:class:`ResultCache` when possible (``job.cached``, no worker touched),
+and otherwise dispatches it to the warm pool under a bounded-slot
+semaphore: at most ``runner.n_jobs`` simulations in flight.
 
-Completions are handled on executor callback threads with the same
-fault policy the batch :class:`~repro.core.runner.Runner` applies: a
-SIGKILLed worker breaks the pool and fails every in-flight future
-with ``BrokenProcessPool``; the first completion to notice rebuilds
-the session pool (one ``worker.death``/``pool.rebuild`` pair on the
-bus) and every crashed job is re-queued until its ``max_retries``
-budget runs out, after which it is quarantined. Jobs whose record has
-``cancel_requested`` set get their result discarded and land as
-``cancelled`` — process workers are never interrupted mid-simulation,
-because killing one would break the pool for innocent neighbours.
+Completions are handled on executor callback threads. What a finished
+future means — crash, timeout, failure, result — is decided by
+:meth:`~repro.core.runner.RunnerSession.settle`, as for the batch
+runner; this module maps the outcome onto the queue and adds what a
+batch does not have: shutdown takes unfinished jobs back to
+``queued``, and a job with ``cancel_requested`` set has its result
+discarded and lands as ``cancelled`` — workers are never interrupted
+mid-simulation: killing one breaks the pool for innocent neighbours.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.runner import Runner
-from repro.errors import JobTimeoutError
 from repro.serve.queue import JobQueue, JobRecord
 
 
@@ -38,9 +34,6 @@ class Scheduler:
         self.runner = runner
         self.queue = queue
         self.session = runner.session()
-        self._handle = (
-            runner.bus.handle() if runner.bus is not None else None
-        )
         self._slots = threading.BoundedSemaphore(runner.n_jobs)
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
@@ -68,10 +61,9 @@ class Scheduler:
         self._thread.start()
 
     def _emit(self, kind: str, record: JobRecord, **fields) -> None:
-        if self._handle is not None:
-            self._handle.emit(
-                kind, job=record.job.label(), tag=record.id, **fields
-            )
+        self.session._emit(
+            kind, job=record.job.label(), tag=record.id, **fields
+        )
 
     # -- dispatch side --------------------------------------------------
 
@@ -85,17 +77,24 @@ class Scheduler:
                 return
             self._dispatch(record)
 
+    def serve_cached(self, record: JobRecord, source: str) -> bool:
+        """Finish ``record`` from the result cache, if it is there."""
+        cache = self.runner.cache
+        result = cache.get(record.job) if cache is not None else None
+        if result is None:
+            return False
+        self.queue.finish(record, result, cached=True)
+        self._emit("job.cached", record, source=source)
+        return True
+
     def _dispatch(self, record: JobRecord) -> None:
         # Cache pre-pass before consuming a worker slot: a second
         # daemon sharing the cache directory (or a restart) may have
         # published the result since this record was submitted.
-        cache = self.runner.cache
-        if cache is not None and not record.cancel_requested:
-            result = cache.get(record.job)
-            if result is not None:
-                self.queue.finish(record, result, cached=True)
-                self._emit("job.cached", record, source="dispatch")
-                return
+        if not record.cancel_requested and self.serve_cached(
+            record, "dispatch"
+        ):
+            return
         while not self._slots.acquire(timeout=0.2):
             if self._stop.is_set():
                 self.queue.requeue(record)
@@ -127,69 +126,48 @@ class Scheduler:
         self, record: JobRecord, generation: int, future: Future
     ) -> None:
         try:
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                self._crashed(record, generation)
-            except CancelledError:
-                # Shutdown cancelled the future before a worker picked
-                # it up; leave the record queued for the manifest.
+            if future.cancelled() or (
+                self._stop.is_set()
+                and isinstance(future.exception(), BrokenProcessPool)
+            ):
+                # Shutdown took the job back (never started, or its
+                # worker SIGKILLed by the forced close): leave it
+                # queued for the manifest.
                 self.queue.requeue(record)
-            except JobTimeoutError as error:
-                self.queue.fail(record, str(error), timed_out=True)
-            except Exception as error:  # noqa: BLE001
-                # Deterministic failure inside the simulation — a retry
-                # cannot help (same policy as the batch runner).
-                self.queue.fail(
-                    record, f"{type(error).__name__}: {error}"
-                )
-            else:
-                if record.cancel_requested:
-                    # The simulation ran to completion but the client
-                    # withdrew the request: discard, do not publish.
-                    self.queue.mark_cancelled(record)
-                    self._emit("job.cancelled", record, discarded=True)
-                else:
-                    if self.runner.cache is not None:
-                        self.runner.cache.put(record.job, result)
-                    self.queue.finish(record, result)
+                return
+            outcome = self.session.settle(
+                record.job,
+                future,
+                generation,
+                record.attempts,
+                tag=record.id,
+                discard=record.cancel_requested,
+            )
+            if outcome is not None and not outcome.failed:
                 with self._lock:
                     self._executed += 1
+            if record.cancel_requested and (
+                outcome is None or not outcome.failed
+            ):
+                # The client withdrew the request: nothing is
+                # retried, nothing was published.
+                self.queue.mark_cancelled(record)
+                self._emit("job.cancelled", record, crashed=outcome is None)
+            elif outcome is None:
+                self.queue.requeue(record)
+            elif outcome.failed:
+                self.queue.fail(
+                    record,
+                    outcome.error,
+                    timed_out=outcome.timed_out,
+                    quarantined=outcome.quarantined,
+                )
+            else:
+                self.queue.finish(record, outcome.result)
         finally:
             with self._lock:
                 self._inflight.pop(record.id, None)
             self._slots.release()
-
-    def _crashed(self, record: JobRecord, generation: int) -> None:
-        """A worker died under this job; rebuild, then retry or bury."""
-        if self.session.rebuild(generation):
-            # This callback owns the rebuild: drain everything the dead
-            # pool's workers managed to emit, then mark the event pair.
-            if self.runner.bus is not None:
-                self.runner.bus.flush()
-            if self._handle is not None:
-                self._handle.emit("worker.death", tag=record.id)
-                self._handle.emit(
-                    "pool.rebuild", generation=self.session.generation
-                )
-        if self._stop.is_set():
-            self.queue.requeue(record)
-        elif record.cancel_requested:
-            self.queue.mark_cancelled(record)
-            self._emit("job.cancelled", record, crashed=True)
-        elif record.attempts > self.runner.max_retries:
-            self._emit(
-                "job.quarantined", record, attempts=record.attempts
-            )
-            self.queue.fail(
-                record,
-                f"quarantined after {record.attempts} crashed "
-                "attempt(s)",
-                quarantined=True,
-            )
-        else:
-            self._emit("job.retry", record, attempt=record.attempts + 1)
-            self.queue.requeue(record)
 
     # -- shutdown -------------------------------------------------------
 
@@ -197,11 +175,10 @@ class Scheduler:
         """Stop dispatching and tear the pool down.
 
         With ``force=True`` the session is closed first — SIGKILLing
-        any workers still simulating, which settles their futures with
-        ``BrokenProcessPool`` and rolls the records back to ``queued``
-        (so the shutdown manifest captures them; checkpoint auto-resume
-        makes the re-run cheap). With ``force=False`` in-flight work is
-        allowed up to ``timeout`` seconds to land first.
+        workers still simulating, which rolls their records back to
+        ``queued`` for the shutdown manifest (checkpoint auto-resume
+        makes the re-run cheap). With ``force=False`` in-flight work
+        gets ``timeout`` seconds to land.
         """
         self._stop.set()
         # claim() re-reads the stop flag when woken; a dispatcher held

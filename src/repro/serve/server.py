@@ -310,19 +310,11 @@ class ServiceDaemon:
         except ReproError as error:
             raise wire.WireError(str(error)) from error
         record, deduped = self.queue.submit(job, priority)
-        if not deduped and self.cache is not None:
-            # Submit-time cache pre-check: a spec already published by
-            # an earlier run (or another daemon sharing the cache
+        if not deduped:
+            # Submit-time pre-check: a spec already published by an
+            # earlier run (or another daemon sharing the cache
             # directory) returns instantly, touching no worker.
-            result = self.cache.get(job)
-            if result is not None:
-                self.queue.finish(record, result, cached=True)
-                self.bus.emit(
-                    "job.cached",
-                    job=job.label(),
-                    tag=record.id,
-                    source="submit",
-                )
+            self.scheduler.serve_cached(record, "submit")
         return {
             "id": record.id,
             "state": record.state,

@@ -22,11 +22,11 @@ from __future__ import annotations
 import time
 from pathlib import Path
 
-from repro.core.experiment import ExperimentResult, run_one
-from repro.errors import ConfigError
+from repro.core.experiment import ExperimentResult
+from repro.errors import ArtifactMiss
 from repro.mem.hierarchy import MemConfig
 from repro.obs import bus as obs_bus
-from repro.trace.store import TraceStore
+from repro.trace.store import TraceStore, check_text
 
 
 def run_replay(
@@ -42,24 +42,26 @@ def run_replay(
     looked up by the job's workload/scale/CPU count only, so every
     point of a sweep shares one recording.
     """
-    if not isinstance(job.workload, str):
-        raise ConfigError(
-            "replay jobs need a registry workload name (the trace "
-            f"artifact is keyed by it); got {job.workload!r}"
-        )
     store = TraceStore(job.trace_dir)
-    trace_path = store.get_or_record(job.workload, job.scale, job.n_cpus)
-
     checkpointing = bool(job.ckpt_dir) or resume_from is not None
     use_kernel = (
         job.cpu_model == "mipsy" and obs is None and not checkpointing
     )
-    if use_kernel:
-        result = _run_kernel(job, config, trace_path)
-    else:
-        result = _run_interpreter(
-            job, config, trace_path, obs=obs, resume_from=resume_from
+
+    def replay():
+        path = store.get_or_record(job.workload, job.scale, job.n_cpus)
+        if use_kernel:
+            return path, _run_kernel(job, config, path)
+        return path, _run_interpreter(
+            job, config, path, obs=obs, resume_from=resume_from
         )
+
+    try:
+        trace_path, result = replay()
+    except ArtifactMiss:
+        # The text failed its digest where an engine went to parse it
+        # and is evicted already: record it afresh, once.
+        trace_path, result = replay()
     result.extras["backend"] = "replay"
     result.extras.setdefault("replay", {})["trace"] = trace_path.name
     obs_bus.emit(
@@ -106,24 +108,10 @@ def _run_interpreter(
     from repro.trace.replay import TraceWorkload
 
     def factory(n_cpus, functional, scale):
+        check_text(trace_path)
         return TraceWorkload.from_file(n_cpus, functional, trace_path)
 
-    ckpt_key = job.key() if job.ckpt_dir else None
-    result = run_one(
-        job.arch,
-        factory,
-        cpu_model=job.cpu_model,
-        scale=job.scale,
-        n_cpus=job.n_cpus,
-        mem_config=config,
-        cpu_params=job.cpu_params,
-        max_cycles=job.max_cycles,
-        obs=obs,
-        checkpoint_every=job.ckpt_every if job.ckpt_dir else 0,
-        checkpoint_dir=job.ckpt_dir,
-        checkpoint_key=ckpt_key,
-        resume_from=resume_from,
-    )
+    result = job.run_factory(factory, config, obs, resume_from)
     # The result describes the *replayed* workload, not the replay
     # vehicle: report it under the recorded workload's name.
     result.workload = job.workload_key()

@@ -25,17 +25,20 @@ flattened away).
 from __future__ import annotations
 
 import os
+import zlib
 from array import array
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from repro.errors import ConfigError, WorkloadError
+from repro.core.store import publish, read_verified
+from repro.errors import ArtifactMiss, ConfigError, WorkloadError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.hierarchy import MemConfig
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
 from repro.trace.format import Row, parse_rows, per_cpu_columns
 from repro.trace.replay import _DEFAULT_PC
+from repro.trace.store import check_text
 
 _IFETCH = int(AccessKind.IFETCH)
 _LOAD = int(AccessKind.LOAD)
@@ -116,8 +119,9 @@ class PackedTrace:
 _DECODE_CACHE: dict = {}
 _DECODE_CACHE_CAP = 8
 
-#: binary sidecar format marker; bump when the layout changes
-_SIDECAR_MAGIC = b"repro-packed-v1\n"
+#: sidecar format marker, bumped with the layout (another version's
+#: sidecar is stale, not an error: re-derived over)
+_SIDECAR_MAGIC = b"repro-packed-v2\n"
 
 
 def _sidecar_path(path: Path, n_cpus: int) -> Path:
@@ -125,45 +129,45 @@ def _sidecar_path(path: Path, n_cpus: int) -> Path:
 
 
 def _read_sidecar(path: Path, n_cpus: int, stat) -> "PackedTrace | None":
-    """Load a previously written binary sidecar, or ``None``.
+    """Load a previously published binary sidecar, or ``None``.
 
-    The header re-checks the source trace's size and mtime, so a
-    re-recorded trace can never be served a stale decode.
+    A CRC-32 of everything after the magic has a damaged sidecar
+    evicted, not replayed as a different workload; the header's copy of
+    the source trace's size and mtime keeps a re-recorded trace from
+    being served a stale decode.
     """
-    sidecar = _sidecar_path(path, n_cpus)
+
+    def decode(data: bytes) -> "PackedTrace | None":
+        head = len(_SIDECAR_MAGIC)
+        if data[:head] != _SIDECAR_MAGIC:
+            return None
+        body = memoryview(data)[head + 4:]
+        if zlib.crc32(body) != int.from_bytes(data[head:head + 4], "little"):
+            raise ValueError("sidecar fails its CRC")
+        header = array("q")
+        header.frombytes(body[:8 * (4 + n_cpus)])
+        size, mtime_ns, cpus, n_records = header[:4]
+        if (size, mtime_ns, cpus) != (stat.st_size, stat.st_mtime_ns, n_cpus):
+            return None
+        columns = []
+        at = 8 * len(header)
+        for count in header[4:]:
+            for code in "bqq":  # kinds, addrs, pcs of one CPU
+                column = array(code)
+                width = count * column.itemsize
+                column.frombytes(body[at:at + width])
+                columns.append(column)
+                at += width
+        packed = PackedTrace.__new__(PackedTrace)
+        packed.n_cpus, packed.n_records = n_cpus, n_records
+        packed.kinds = columns[0::3]
+        packed.addrs = columns[1::3]
+        packed.pcs = columns[2::3]
+        return packed
+
     try:
-        with sidecar.open("rb") as handle:
-            if handle.read(len(_SIDECAR_MAGIC)) != _SIDECAR_MAGIC:
-                return None
-            header = array("q")
-            header.fromfile(handle, 4 + n_cpus)
-            size, mtime_ns, cpus, n_records = header[:4]
-            if (
-                size != stat.st_size
-                or mtime_ns != stat.st_mtime_ns
-                or cpus != n_cpus
-            ):
-                return None
-            packed = PackedTrace.__new__(PackedTrace)
-            packed.n_cpus = n_cpus
-            packed.n_records = n_records
-            packed.kinds = []
-            packed.addrs = []
-            packed.pcs = []
-            for c in range(n_cpus):
-                count = header[4 + c]
-                kinds = array("b")
-                addrs = array("q")
-                pcs = array("q")
-                if count:
-                    kinds.fromfile(handle, count)
-                    addrs.fromfile(handle, count)
-                    pcs.fromfile(handle, count)
-                packed.kinds.append(kinds)
-                packed.addrs.append(addrs)
-                packed.pcs.append(pcs)
-            return packed
-    except (OSError, EOFError):
+        return read_verified(_sidecar_path(path, n_cpus), decode, "trace")
+    except ArtifactMiss:
         return None
 
 
@@ -173,31 +177,30 @@ def _write_sidecar(
     """Best-effort: cache the decode as a binary sidecar beside the
     trace (native byte order — a local cache, not an interchange
     format); returns the bytes written. Failures (read-only store,
-    races) are silently ignored and count as 0; the text trace stays
-    the source of truth."""
-    sidecar = _sidecar_path(path, n_cpus)
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
-    try:
+    full disk) count as 0; the text trace stays the source of truth."""
+    header = array("q", [
+        stat.st_size,
+        stat.st_mtime_ns,
+        n_cpus,
+        packed.n_records,
+        *map(len, packed.kinds),
+    ])
+    body = [header]
+    for c in range(n_cpus):
+        body += (packed.kinds[c], packed.addrs[c], packed.pcs[c])
+    crc = 0
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
+    chunks = [_SIDECAR_MAGIC, crc.to_bytes(4, "little"), *body]
+
+    def write(tmp: Path) -> None:
         with tmp.open("wb") as handle:
-            handle.write(_SIDECAR_MAGIC)
-            header = array("q", [
-                stat.st_size,
-                stat.st_mtime_ns,
-                n_cpus,
-                packed.n_records,
-            ])
-            header.extend(len(kinds) for kinds in packed.kinds)
-            header.tofile(handle)
-            for c in range(n_cpus):
-                packed.kinds[c].tofile(handle)
-                packed.addrs[c].tofile(handle)
-                packed.pcs[c].tofile(handle)
-            written = handle.tell()
-        tmp.replace(sidecar)
+            handle.writelines(chunks)
+
+    try:
+        return publish(_sidecar_path(path, n_cpus), write).st_size
     except OSError:
-        tmp.unlink(missing_ok=True)
         return 0
-    return written
 
 
 def _memo_key(path: Path, n_cpus: int, stat) -> tuple:
@@ -229,10 +232,9 @@ def load_packed(n_cpus: int, path: str | Path) -> PackedTrace:
     never served stale; entries evict oldest-first past the cap. On a
     memo miss the decode is loaded from (or cached into) a binary
     sidecar beside the trace, so across processes each trace pays the
-    text parse at most once — never, when the
-    :class:`~repro.trace.store.TraceStore` recorded it. The returned
-    object is shared — callers must treat it as read-only (the kernel
-    does).
+    text parse at most once — never, when a store recorded it — and a
+    parse first holds a store's text to the digest in its meta. The
+    returned object is shared: treat it as read-only (the kernel does).
     """
     path = Path(path)
     stat = os.stat(path)
@@ -241,6 +243,7 @@ def load_packed(n_cpus: int, path: str | Path) -> PackedTrace:
     if packed is None:
         packed = _read_sidecar(path, n_cpus, stat)
         if packed is None:
+            check_text(path)
             packed = PackedTrace.from_file(n_cpus, path)
             _write_sidecar(path, n_cpus, stat, packed)
         _remember(key, packed)

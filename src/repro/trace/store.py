@@ -10,26 +10,34 @@ sweep. First use records the trace automatically (one interpreter run
 on the fixed reference machine); every subsequent replay job, whatever
 its architecture or ``MemConfig``, reuses the file.
 
-Layout mirrors :class:`~repro.core.runner.ResultCache`:
-``<root>/<key[:2]>/<key>.trace`` plus a ``.json`` sidecar with the
-spec, written atomically. The default root lives *beside* the result
-cache (``<cache>/traces``), but it is a separate layer: clearing
-results (``--no-cache``) does not discard recorded traces.
+A facade over :class:`~repro.core.store.ArtifactStore`:
+``<key>.trace``, the hidden ``.packed`` decode sidecar the replay
+kernel loads, and — published last, so its presence says the others
+are complete — a ``.json`` meta with the text's byte count and
+SHA-256, which :meth:`TraceStore.get` and :func:`check_text` hold the
+text to, so a damaged trace is recorded again instead of replaying as
+a different workload. The default root lives *beside* the result cache
+(``<cache>/traces``): ``--no-cache`` does not discard recorded traces.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Iterator
 
 import repro
-from repro.errors import ConfigError, ReproError
+from repro.core.store import (
+    ArtifactStore,
+    address,
+    counted,
+    default_cache_dir,
+    read_verified,
+)
+from repro.errors import ArtifactMiss, ConfigError, ReproError
 from repro.obs import bus as obs_bus
-from repro.obs.registry import Registry
 
 #: The fixed reference machine every trace is recorded on. The
 #: baseline architecture keeps the recorded stream topology-neutral,
@@ -44,41 +52,61 @@ TRACE_FORMAT_VERSION = 2
 
 def default_trace_dir() -> Path:
     """The trace store's home beside the result cache: ``<cache>/traces``."""
-    from repro.core.runner import default_cache_dir
-
     return default_cache_dir() / "traces"
 
 
-class TraceStore:
+def _files(path: Path) -> Iterator[Path]:
+    """Everything filed for the trace at ``path``: text, meta, and a
+    decode sidecar per CPU count it was packed for. Evicted together
+    (lazily: the directory is only scanned if it comes to that)."""
+    yield path
+    yield path.with_suffix(".json")
+    yield from path.parent.glob(f".{path.name}.*.packed")
+
+
+def _sha256_of(path: Path) -> str:
+    """Digest of a file too big to want in memory whole."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def check_text(path: Path) -> None:
+    """Hold the trace text at ``path`` to the SHA-256 in its meta.
+
+    For whoever is about to parse it. A trace without a meta is no
+    store's and has nothing to be held to; one that fails is evicted
+    and raised as a corrupt :class:`~repro.errors.ArtifactMiss` — the
+    next ``get_or_record`` records it afresh.
+    """
+    meta = path.with_suffix(".json")
+    if not meta.is_file():
+        return
+
+    def check(text: bytes) -> None:
+        claimed = json.loads(meta.read_bytes())["sha256"]
+        if hashlib.sha256(text).hexdigest() != claimed:
+            raise ValueError("text fails the content hash in its meta")
+
+    read_verified(path, check, "trace", also=_files(path))
+
+
+class TraceStore(ArtifactStore):
     """On-disk, content-addressed trace artifacts.
 
-    Each instance counts its traffic (``hits``/``misses``/``records``
-    plus bytes written at record time, text and sidecar) in a
-    :class:`~repro.obs.registry.Registry`; with a batch telemetry bus
-    current in the process, lookups and recordings also land on it as
-    ``trace.hit``/``trace.record`` events.
+    Counted as ``hits``/``misses``/``records`` plus bytes written at
+    record time (text and sidecar) and, with a batch bus current,
+    emitted as ``trace.*`` events.
     """
 
-    def __init__(self, root: str | Path | None = None) -> None:
-        self.root = (
-            Path(root).expanduser() if root else default_trace_dir()
-        )
-        self.metrics = Registry()
+    kind = "trace"
+    suffix = ".trace"
+    default_root = staticmethod(default_trace_dir)
 
-    @property
-    def hits(self) -> int:
-        return self.metrics.counter("hits").value
-
-    @property
-    def records(self) -> int:
-        return self.metrics.counter("records").value
-
-    def stats(self) -> dict:
-        """Counter snapshot for reports and rollups."""
-        return {
-            name: counter.value
-            for name, counter in sorted(self.metrics.counters.items())
-        }
+    hits = counted("hits")
+    records = counted("records")
 
     # ------------------------------------------------------------------
     # identity
@@ -87,7 +115,7 @@ class TraceStore:
         """The canonical description of one recorded trace."""
         if not isinstance(workload, str):
             raise ConfigError(
-                "trace recording needs a registry workload name; got "
+                "a trace is keyed by its workload's registry name; got "
                 f"{workload!r}"
             )
         return {
@@ -104,68 +132,53 @@ class TraceStore:
 
     def key(self, workload: str, scale: str, n_cpus: int) -> str:
         """SHA-256 content address of one trace artifact."""
-        from repro.core.runner import _source_fingerprint
-
-        payload = json.dumps(
-            {
-                "spec": self.spec(workload, scale, n_cpus),
-                "version": repro.__version__,
-                "source": _source_fingerprint(),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def path_for(self, key: str) -> Path:
-        """Sharded on-disk location of the trace with this key."""
-        return self.root / key[:2] / f"{key}.trace"
+        return address(self.spec(workload, scale, n_cpus))
 
     # ------------------------------------------------------------------
     # lookup and recording
 
     def get(self, workload: str, scale: str, n_cpus: int) -> Path | None:
-        """Path of the recorded trace, or ``None`` when absent."""
-        path = self.path_for(self.key(workload, scale, n_cpus))
-        return path if path.is_file() else None
+        """Path of the recorded trace, or ``None`` when there is none.
 
-    def get_or_record(
-        self,
-        workload: str,
-        scale: str,
-        n_cpus: int,
-        progress: Callable[[str], None] | None = None,
-    ) -> Path:
-        """The recorded trace, recording it first on a miss."""
+        Recorded means: the meta is there, claims this address, and the
+        text is the size it says. Anything less is evicted — except a
+        text whose meta is not there *yet* (its recorder is mid-way).
+        """
         key = self.key(workload, scale, n_cpus)
-        path = self.path_for(key)
-        if path.is_file():
-            self.metrics.counter("hits").inc()
-            obs_bus.emit("trace.hit", key=key, workload=workload)
-        else:
-            self.metrics.counter("misses").inc()
-            if progress is not None:
-                progress(
-                    f"[record] {workload}/{scale}/{n_cpus}cpu "
-                    f"on {REFERENCE_ARCH}"
-                )
-            path = self.record(workload, scale, n_cpus)
+        path = self.path(key)
+
+        def check(data: bytes) -> None:
+            meta = json.loads(data)
+            if (meta["key"], meta["bytes"]) != (key, path.stat().st_size):
+                raise ValueError("text is not what its meta recorded")
+
+        try:
+            self.read(path.with_suffix(".json"), check, _files(path))
+        except ArtifactMiss:
+            return None
+        return path
+
+    def get_or_record(self, workload: str, scale: str, n_cpus: int) -> Path:
+        """The recorded trace, recording it first on a miss."""
+        path = self.get(workload, scale, n_cpus)
+        if path is None:
+            self.count("misses")
+            return self.record(workload, scale, n_cpus)
+        self.count("hits")
+        obs_bus.emit("trace.hit", key=path.stem, workload=workload)
         return path
 
     def record(self, workload: str, scale: str, n_cpus: int) -> Path:
         """Record ``workload`` on the reference machine and store it.
 
         One ordinary interpreter run of the generated workload on
-        :data:`REFERENCE_ARCH`, wrapped in the
-        :class:`~repro.trace.recorder.TraceRecorder`; the recorder's
-        per-CPU columns are written out as the canonical text trace
-        (atomic rename, so concurrent recorders of the same key never
-        tear the file) and, while they are still in memory, packed and
-        published as the decode cache
-        (:func:`~repro.trace.kernel.seed_packed`) — the first replay of
-        a fresh recording, in this process or another, never parses
-        the text.
+        :data:`REFERENCE_ARCH` under a
+        :class:`~repro.trace.recorder.TraceRecorder`, whose per-CPU
+        columns are published as the canonical text and, while still
+        in memory, packed and published as the decode cache
+        (:func:`~repro.trace.kernel.seed_packed`): the first replay of
+        a fresh recording never parses the text. The meta goes last.
         """
-        from repro.core.configs import config_for_scale
         from repro.core.runner import Job
         from repro.core.system import System
         from repro.mem.functional import FunctionalMemory
@@ -173,17 +186,12 @@ class TraceStore:
         from repro.trace.recorder import record_run
 
         key = self.key(workload, scale, n_cpus)
-        factory = Job(
-            arch=REFERENCE_ARCH, workload=workload
-        ).resolve_factory()
-        functional = FunctionalMemory()
-        built = factory(n_cpus, functional, scale)
-        config = config_for_scale(scale, n_cpus)
+        job = Job(REFERENCE_ARCH, workload, scale=scale, n_cpus=n_cpus)
         system = System(
             REFERENCE_ARCH,
-            built,
+            job.resolve_factory()(n_cpus, FunctionalMemory(), scale),
             cpu_model=REFERENCE_CPU_MODEL,
-            mem_config=config,
+            mem_config=job.mem_config(),
         )
         started = time.perf_counter()
         recorder = record_run(system)
@@ -194,39 +202,36 @@ class TraceStore:
                 "the trace would be partial"
             )
 
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        count = recorder.save(tmp)
-        # The decode cache is keyed on the text file's size and mtime,
-        # both of which the rename preserves. Taken from our own file,
-        # not from ``path`` afterwards: a concurrent recorder of the
-        # same key may replace the (byte-identical) text at any moment,
-        # and then the worst a mismatched key costs is one re-parse.
-        stat = tmp.stat()
-        tmp.replace(path)
+        path = self.path(key)
+        # The decode cache is keyed on the size and mtime of the text
+        # *we* wrote: a concurrent recorder of the same key may replace
+        # the (byte-identical) text at any moment, and then the worst a
+        # mismatched key costs is one re-parse.
+        stat = self.publish(path, recorder.save)
         packed = PackedTrace.from_columns(recorder.kinds, recorder.addrs)
         sidecar_bytes = seed_packed(path, stat, packed)
         meta = {
             "key": key,
             "spec": self.spec(workload, scale, n_cpus),
             "version": repro.__version__,
-            "records": count,
+            "records": len(recorder),
+            "bytes": stat.st_size,
+            "sha256": _sha256_of(path),
             "reference_cycles": system.stats.cycles,
             "record_wall_seconds": wall,
         }
-        meta_tmp = path.parent / f".{path.name}.meta.{os.getpid()}.tmp"
-        meta_tmp.write_text(json.dumps(meta, sort_keys=True, indent=2))
-        meta_tmp.replace(path.with_suffix(".json"))
-        self.metrics.counter("records").inc()
-        self.metrics.counter("bytes_written").inc(
-            stat.st_size + sidecar_bytes
+        self.publish(
+            path.with_suffix(".json"),
+            json.dumps(meta, sort_keys=True, indent=2),
         )
+        self.count("records")
+        self.count("bytes_written", stat.st_size + sidecar_bytes)
         obs_bus.emit(
             "trace.record",
             key=key,
             workload=workload,
-            records=count,
+            records=len(recorder),
             record_wall_seconds=wall,
         )
         return path
+

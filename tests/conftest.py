@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,20 @@ def _isolated_result_cache(tmp_path, monkeypatch):
     user's real on-disk result cache (~/.cache/repro-isca96).
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "repro-cache"))
+
+
+class RecordingHandle:
+    """In-process stand-in for a BusHandle (store-hook tests)."""
+
+    def __init__(self):
+        self.events = []
+        self.parent_pid = os.getpid()
+
+    def emit(self, kind, **fields):
+        self.events.append((kind, fields))
+
+    def kinds(self):
+        return [kind for kind, _ in self.events]
 
 
 class LoopWorkload(Workload):

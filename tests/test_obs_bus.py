@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import io
 import json
-import os
 
 import pytest
+
+from conftest import RecordingHandle
 
 from repro.cli import main
 from repro.core.runner import BatchManifest, Job, ResultCache, Runner
@@ -50,20 +51,6 @@ def _clean_current_handle():
     """Never leak a process-current bus handle between tests."""
     yield
     obs_bus.set_current(None)
-
-
-class RecordingHandle:
-    """In-process stand-in for a BusHandle (store-hook tests)."""
-
-    def __init__(self):
-        self.events = []
-        self.parent_pid = os.getpid()
-
-    def emit(self, kind, **fields):
-        self.events.append((kind, fields))
-
-    def kinds(self):
-        return [kind for kind, _ in self.events]
 
 
 def quick_job(arch: str = "shared-l1", workload: str = "fft") -> Job:

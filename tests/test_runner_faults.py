@@ -397,9 +397,10 @@ def test_manifest_does_not_record_failures(tmp_path, monkeypatch):
 
 def test_manifest_tolerates_garbage_file(tmp_path):
     path = tmp_path / "manifest.json"
-    path.write_text("{not json")
-    manifest = BatchManifest(path)
-    assert len(manifest) == 0
+    for garbage in ("{not json", "[1, 2]", '{"jobs": 7}'):
+        path.write_text(garbage)
+        manifest = BatchManifest(path)
+        assert len(manifest) == 0
     job = normal_job()
     report = Runner(jobs=1, manifest=manifest).run([job])
     assert not report.failures
