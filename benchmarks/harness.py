@@ -1,10 +1,10 @@
-"""Shared machinery for the per-figure benchmark harnesses.
+"""pytest-benchmark glue for the per-figure benchmark harnesses.
 
 Every benchmark runs one workload across the three architectures at
-``bench`` scale, prints the paper's data series (normalized
-execution-time breakdown + miss-rate table, or the MXS IPC table), and
-writes the same text into ``benchmarks/results/<name>.txt`` so
-EXPERIMENTS.md can reference the measured numbers.
+the figures' operating point (:mod:`repro.core.paper`: ``bench``
+scale, ``BENCH_OVERRIDES``), prints the paper's data series and writes
+the same text into ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md
+can reference the measured numbers.
 
 Shape assertions are deliberately loose — the reproduction targets who
 wins and by roughly what factor, not absolute cycle counts (see
@@ -13,40 +13,16 @@ DESIGN.md Section 5 on scaling).
 
 from __future__ import annotations
 
-import csv
 import pathlib
 
 from repro.core.experiment import (
     ExperimentResult,
     run_architecture_comparison,
 )
-from repro.core.figures import render_comparison_figure
-from repro.core.paper import PAPER_EXPECTATIONS, check_figure, format_check_report
-from repro.errors import ReproError
-from repro.core.report import (
-    format_breakdown_table,
-    format_ipc_table,
-    format_miss_rate_table,
-    normalized_times,
-)
-from repro.workloads import WORKLOADS
+from repro.core.paper import BENCH_MAX_CYCLES as MAX_CYCLES  # noqa: F401
+from repro.core.paper import BENCH_OVERRIDES, FIGURES, write_figure
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Per-workload memory-config overrides used by the benches. Ocean runs
-#: at the 1/4 cache scale because its boundary-to-area ratio (the
-#: paper's "small amount of communication at the edges") cannot be
-#: preserved on a 1/8-scale grid.
-BENCH_OVERRIDES: dict[str, dict] = {
-    "ocean": {
-        "l1d_size": 4096,
-        "l1i_size": 4096,
-        "l2_size": 512 * 1024,
-    },
-}
-
-#: Hard ceiling so a regression can never hang the bench suite.
-MAX_CYCLES = 30_000_000
 
 
 def run_matrix(
@@ -69,8 +45,6 @@ def run_matrix(
     overrides = dict(BENCH_OVERRIDES.get(workload, {}))
     if extra_overrides:
         overrides.update(extra_overrides)
-    if workload not in WORKLOADS:
-        raise ReproError(f"unknown workload {workload!r}")
     return run_architecture_comparison(
         workload,
         cpu_model=cpu_model,
@@ -83,83 +57,9 @@ def run_matrix(
     )
 
 
-def report(
-    name: str,
-    title: str,
-    results: dict[str, ExperimentResult],
-    mxs: bool = False,
-) -> str:
-    """Format, print, and persist one figure's data series."""
-    lines = [title, "=" * len(title), ""]
-    if mxs:
-        lines.append(format_ipc_table(results))
-    else:
-        lines.append(format_breakdown_table(results))
-        lines.append("")
-        lines.append(format_miss_rate_table(results))
-    times = normalized_times(results)
-    lines.append("")
-    lines.append(
-        "normalized time vs shared-mem: "
-        + "  ".join(f"{arch}={value:.3f}" for arch, value in times.items())
-    )
-    lines.append(
-        "host speed: "
-        + "  ".join(
-            f"{arch}={result.wall_seconds:.2f}s"
-            f"/{result.cycles / max(result.wall_seconds, 1e-9) / 1e6:.1f}Mc/s"
-            for arch, result in results.items()
-        )
-    )
-    figure = name.split("_")[0].replace("fig0", "fig")
-    if not mxs and figure in PAPER_EXPECTATIONS:
-        lines.append("")
-        lines.append("paper claims:")
-        lines.append(format_check_report(check_figure(results, figure)))
-    text = "\n".join(lines)
-    print()
-    print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    _write_csv(name, results)
-    try:
-        render_comparison_figure(results, title, RESULTS_DIR / f"{name}.svg")
-    except ReproError:
-        pass  # e.g. a single-architecture sweep with no baseline
-    return text
-
-
-def _write_csv(name: str, results: dict[str, ExperimentResult]) -> None:
-    """Machine-readable companion to the text series."""
-    path = RESULTS_DIR / f"{name}.csv"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([
-            "arch", "cycles", "instructions", "ipc",
-            "busy", "istall", "l1d", "l2", "mem", "c2c", "storebuf",
-            "l1r_pct", "l1i_pct", "l2r_pct", "l2i_pct",
-        ])
-        for arch, result in results.items():
-            breakdown = result.stats.aggregate_breakdown()
-            l1 = result.stats.aggregate_caches(".l1d")
-            l2 = result.stats.aggregate_caches(".l2")
-            writer.writerow([
-                arch,
-                result.cycles,
-                result.instructions,
-                f"{result.stats.ipc:.4f}",
-                breakdown.busy,
-                breakdown.istall,
-                breakdown.l1d,
-                breakdown.l2,
-                breakdown.mem,
-                breakdown.c2c,
-                breakdown.storebuf,
-                f"{100 * l1.miss_rate_repl:.3f}",
-                f"{100 * l1.miss_rate_inval:.3f}",
-                f"{100 * l2.miss_rate_repl:.3f}",
-                f"{100 * l2.miss_rate_inval:.3f}",
-            ])
+def report(name: str, results: dict[str, ExperimentResult]) -> str:
+    """Print and persist the catalog figure ``name`` under results/."""
+    return write_figure(FIGURES[name], results, RESULTS_DIR)
 
 
 def run_benchmarked(benchmark, workload, cpu_model="mipsy", **kwargs):

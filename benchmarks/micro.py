@@ -14,7 +14,7 @@ Six scenarios, each chosen to stress one layer of the simulator:
   optimistically, so only MXS exercises bank arbitration).
 * ``ocean_slice``    — a real workload (Ocean) across every
   architecture x CPU model: the end-to-end number that the
-  ``reproduce_all`` wall-clock ultimately follows.
+  ``python -m repro reproduce`` wall-clock ultimately follows.
 * ``replay_interpreter`` / ``replay_kernel`` — the *same* recorded
   eqntott trace replayed per architecture through the ordinary
   interpreter (``TraceWorkload`` + ``System``) and through the
@@ -68,8 +68,8 @@ from repro.workloads.base import Workload
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 DEFAULT_OUT = RESULTS_DIR / "microbench.json"
 
-#: Ocean at bench scale needs the harness's 1/4-scale caches (see
-#: benchmarks/harness.py BENCH_OVERRIDES) to keep its boundary-to-area
+#: Ocean at bench scale needs the figures' 1/4-scale caches (see
+#: repro.core.paper.BENCH_OVERRIDES) to keep its boundary-to-area
 #: ratio meaningful.
 OCEAN_BENCH_OVERRIDES = {
     "l1d_size": 4096,

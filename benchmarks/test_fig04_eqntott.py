@@ -15,7 +15,7 @@ from repro.core.report import normalized_times
 
 def test_fig04_eqntott(benchmark):
     results = run_benchmarked(benchmark, "eqntott")
-    report("fig04_eqntott", "Figure 4 - Eqntott (Mipsy)", results)
+    report("fig04_eqntott", results)
 
     times = normalized_times(results)
     # Who wins, in order — and the baseline loses by a clear margin.

@@ -14,7 +14,7 @@ from repro.core.report import normalized_times
 
 def test_fig05_mp3d(benchmark):
     results = run_benchmarked(benchmark, "mp3d")
-    report("fig05_mp3d", "Figure 5 - MP3D (Mipsy)", results)
+    report("fig05_mp3d", results)
 
     times = normalized_times(results)
     # The shared-L1 advantage collapses: it performs within noise of

@@ -18,7 +18,7 @@ from repro.core.report import normalized_times
 
 def test_fig06_ocean(benchmark):
     results = run_benchmarked(benchmark, "ocean")
-    report("fig06_ocean", "Figure 6 - Ocean (Mipsy)", results)
+    report("fig06_ocean", results)
 
     times = normalized_times(results)
     # Differences are modest; shared-L1 slightly ahead, shared-L2 the

@@ -13,7 +13,7 @@ from repro.core.report import normalized_times
 
 def test_fig07_volpack(benchmark):
     results = run_benchmarked(benchmark, "volpack")
-    report("fig07_volpack", "Figure 7 - Volpack (Mipsy)", results)
+    report("fig07_volpack", results)
 
     times = normalized_times(results)
     assert times["shared-l1"] < 1.0

@@ -15,7 +15,7 @@ from repro.core.report import normalized_times
 
 def test_fig08_ear(benchmark):
     results = run_benchmarked(benchmark, "ear")
-    report("fig08_ear", "Figure 8 - Ear (Mipsy)", results)
+    report("fig08_ear", results)
 
     times = normalized_times(results)
     assert times["shared-l1"] < times["shared-l2"] < 1.0

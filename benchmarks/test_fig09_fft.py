@@ -14,7 +14,7 @@ from repro.core.report import normalized_times
 
 def test_fig09_fft(benchmark):
     results = run_benchmarked(benchmark, "fft")
-    report("fig09_fft", "Figure 9 - FFT (Mipsy)", results)
+    report("fig09_fft", results)
 
     times = normalized_times(results)
     # All three in the same ballpark...

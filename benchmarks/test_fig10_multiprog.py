@@ -16,8 +16,7 @@ from repro.core.report import normalized_times
 
 def test_fig10_multiprog(benchmark):
     results = run_benchmarked(benchmark, "multiprog")
-    report("fig10_multiprog", "Figure 10 - Multiprogramming + OS (Mipsy)",
-           results)
+    report("fig10_multiprog", results)
 
     times = normalized_times(results)
     # shared-L1 close to the baseline; shared-L2 behind both.

@@ -48,12 +48,7 @@ def test_fig11_mxs(benchmark):
 
     for app in _APPS:
         _mipsy, mxs = runs[app]
-        report(
-            f"fig11_{app}_mxs",
-            f"Figure 11 - {app} (MXS, ideal IPC = 2)",
-            mxs,
-            mxs=True,
-        )
+        report(f"fig11_{app}_mxs", mxs)
 
     def ipc(results, arch):
         return results[arch].per_cpu_ipc

@@ -13,14 +13,14 @@ itself in a subprocess and compares the result. Records present on one
 side only are reported but never fail the gate (new benchmarks must be
 landable without first rewriting the baseline).
 
-The gate also checks the ``reproduce_all`` wall-clock trajectory in
-``benchmarks/results/bench_runner.json``: the latest entry is compared
-against the most recent earlier entry with the *same profile* —
-(quick, jobs, cache, backend) must all match, so a replayed run is
-never judged against an interpreter baseline (or vice versa), and
-cached runs never race uncached ones. Entries written before the
-backend field existed count as ``interpreter``. ``--skip-runner``
-disables this check.
+The gate also checks the ``python -m repro reproduce`` wall-clock
+trajectory in ``benchmarks/results/bench_runner.json``: the latest
+entry is compared against the most recent earlier entry with the
+*same profile* — (quick, jobs, cache, backend) must all match, so a
+replayed run is never judged against an interpreter baseline (or vice
+versa), and cached runs never race uncached ones. Entries written
+before the backend field existed count as ``interpreter``.
+``--skip-runner`` disables this check.
 
 Typical use::
 
@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--skip-runner", action="store_true",
-        help="skip the reproduce_all wall-clock trajectory check",
+        help="skip the `repro reproduce` wall-clock trajectory check",
     )
     args = parser.parse_args(argv)
 

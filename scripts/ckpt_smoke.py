@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""End-to-end crash-recovery smoke test for the resumable batch layer.
+"""End-to-end crash-recovery smoke test: re-running a batch resumes it.
 
 Scenario (this is the CI ``ckpt-smoke`` job; see docs/CHECKPOINTING.md):
 
-1. Run ``reproduce_all --quick`` to completion — the baseline manifest
-   records every job's final statistics.
-2. Start the same evaluation again with in-run checkpointing enabled,
-   wait until a few jobs have landed in its manifest, then SIGKILL the
-   whole process group mid-batch (the OOM-killer / preemption case).
-3. Rerun the same command with ``--resume``: it must skip every
-   already-recorded job and finish the rest.
-4. Assert the interrupted-then-resumed manifest covers exactly the
-   same jobs as the baseline, with identical per-job statistics —
-   crash recovery changed nothing but the wall clock.
+1. Run ``python -m repro reproduce --quick`` to completion against a
+   result cache of its own — the baseline: every job's final
+   statistics, by content address.
+2. Start the same evaluation again against a second, empty cache with
+   in-run checkpointing enabled, wait until a few results have been
+   published into it, then SIGKILL the whole process group mid-batch
+   (the OOM-killer / preemption case).
+3. Run the same command again: it must take every published job from
+   the cache and simulate only the rest.
+4. Assert the interrupted-then-re-run cache covers exactly the same
+   jobs as the baseline, with identical per-job statistics — crash
+   recovery changed nothing but the wall clock.
 
 Exit status 0 on success; any deviation prints a diagnostic and
 returns 1.
@@ -31,29 +33,27 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-REPRODUCE = REPO / "scripts" / "reproduce_all.py"
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.core.runner import ResultCache  # noqa: E402
 
 
-def manifest_jobs(path: Path) -> dict[str, dict]:
-    """Job-key -> entry map from a batch manifest (empty if absent)."""
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return {}
-    jobs = payload.get("jobs", {})
-    return jobs if isinstance(jobs, dict) else {}
+def cache_entries(root: Path) -> dict[str, dict]:
+    """Job key -> published entry for every result under ``root``."""
+    entries = {}
+    for path in ResultCache(root).root.glob("??/[!.]*.json"):
+        entry = json.loads(path.read_text())
+        entries[entry["key"]] = entry
+    return entries
 
 
-def reproduce_cmd(manifest: Path, extra: list[str]) -> list[str]:
+def reproduce_cmd(workdir: Path, name: str, extra: list[str]) -> list[str]:
     return [
-        sys.executable,
-        str(REPRODUCE),
+        sys.executable, "-m", "repro", "reproduce",
+        str(workdir / f"results_{name}"),
         "--quick",
-        "--no-cache",
-        "--jobs",
-        "2",
-        "--manifest",
-        str(manifest),
+        "--jobs", "2",
+        "--cache-dir", str(workdir / f"cache_{name}"),
         *extra,
     ]
 
@@ -65,7 +65,7 @@ def run_to_completion(cmd: list[str], env: dict) -> str:
     sys.stdout.write(proc.stdout)
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
-        raise SystemExit(f"FAIL: {' '.join(cmd[1:3])} exited "
+        raise SystemExit(f"FAIL: {' '.join(cmd[1:4])} exited "
                          f"{proc.returncode}")
     return proc.stdout
 
@@ -78,7 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--kill-after-jobs", type=int, default=3, metavar="N",
-        help="SIGKILL the interrupted run once N jobs are recorded",
+        help="SIGKILL the interrupted run once N results are published",
     )
     parser.add_argument(
         "--checkpoint-every", type=int, default=200_000, metavar="CYCLES",
@@ -93,27 +93,25 @@ def main(argv: list[str] | None = None) -> int:
 
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="ckpt-smoke-"))
     workdir.mkdir(parents=True, exist_ok=True)
-    base_manifest = workdir / "manifest_baseline.json"
-    int_manifest = workdir / "manifest_interrupted.json"
-    ckpt_dir = workdir / "ckpts"
+    int_cache = ResultCache(workdir / "cache_interrupted")
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
     print("=== phase 1: uninterrupted baseline ===", flush=True)
-    run_to_completion(reproduce_cmd(base_manifest, []), env)
-    baseline = manifest_jobs(base_manifest)
+    run_to_completion(reproduce_cmd(workdir, "baseline", []), env)
+    baseline = cache_entries(workdir / "cache_baseline")
     if not baseline:
-        print("FAIL: baseline manifest is empty")
+        print("FAIL: the baseline published no results")
         return 1
-    print(f"baseline: {len(baseline)} job(s) recorded")
+    print(f"baseline: {len(baseline)} job(s) published")
 
     print("=== phase 2: SIGKILL mid-batch ===", flush=True)
-    ckpt_flags = [
+    interrupted = reproduce_cmd(workdir, "interrupted", [
         "--checkpoint-every", str(args.checkpoint_every),
-        "--ckpt-dir", str(ckpt_dir),
-    ]
+        "--checkpoint-dir", str(workdir / "ckpts"),
+    ])
     # Own process group so the kill takes out pool workers too.
     victim = subprocess.Popen(
-        reproduce_cmd(int_manifest, ckpt_flags),
+        interrupted,
         env=env,
         start_new_session=True,
         stdout=subprocess.DEVNULL,
@@ -121,13 +119,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     deadline = time.monotonic() + args.kill_timeout
     while True:
-        landed = len(manifest_jobs(int_manifest))
-        if landed >= args.kill_after_jobs:
+        if int_cache.disk_stats()["entries"] >= args.kill_after_jobs:
             break
         if victim.poll() is not None:
-            # Finished before we could kill it — the resume below then
-            # degenerates to "skip everything", which still validates
-            # the manifest comparison, so only warn.
+            # Finished before we could kill it — the re-run below then
+            # degenerates to "everything cached", which still validates
+            # the comparison, so only warn.
             print("warning: run finished before the kill threshold")
             break
         if time.monotonic() > deadline:
@@ -139,35 +136,33 @@ def main(argv: list[str] | None = None) -> int:
     if victim.poll() is None:
         os.killpg(victim.pid, signal.SIGKILL)
         victim.wait()
-        print(f"killed mid-batch with {len(manifest_jobs(int_manifest))} "
-              f"job(s) recorded")
+    landed = int_cache.disk_stats()["entries"]
+    print(f"killed mid-batch with {landed} job(s) published")
 
-    print("=== phase 3: resume ===", flush=True)
-    before_resume = set(manifest_jobs(int_manifest))
-    out = run_to_completion(
-        reproduce_cmd(int_manifest, ckpt_flags + ["--resume"]), env
-    )
-    if before_resume and "[manifest]" not in out:
-        print("FAIL: resume re-ran jobs the manifest had recorded")
+    print("=== phase 3: the same command again ===", flush=True)
+    out = run_to_completion(interrupted, env)
+    if out.count("[cache]") != landed:
+        print(f"FAIL: {landed} job(s) were published before the kill "
+              f"but the re-run took {out.count('[cache]')} from the cache")
         return 1
 
     print("=== phase 4: compare against baseline ===", flush=True)
-    resumed = manifest_jobs(int_manifest)
+    resumed = cache_entries(int_cache.root)
     if set(resumed) != set(baseline):
         print(f"FAIL: job sets differ "
               f"(baseline {len(baseline)}, resumed {len(resumed)})")
         return 1
     mismatched = [
-        entry["label"]
+        entry["spec"]
         for key, entry in baseline.items()
         if resumed[key]["result"]["stats"] != entry["result"]["stats"]
     ]
     if mismatched:
         print("FAIL: per-job statistics diverged after crash recovery:")
-        for label in mismatched:
-            print(f"  {label}")
+        for spec in mismatched:
+            print(f"  {spec['workload']}/{spec['arch']}/{spec['cpu_model']}")
         return 1
-    print(f"OK: {len(baseline)} job(s), interrupted+resumed statistics "
+    print(f"OK: {len(baseline)} job(s), interrupted+re-run statistics "
           f"identical to the uninterrupted run")
     return 0
 

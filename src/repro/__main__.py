@@ -1,6 +1,6 @@
 """``python -m repro`` entry point."""
 
-from repro.cli import main
+from repro.command import main
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -85,15 +85,16 @@ def test_config(n_cpus: int = 4, **overrides) -> MemConfig:
     return paper_config(n_cpus=n_cpus, **overrides).scaled(32)
 
 
+#: Scale name -> the configuration it means, smallest first: what
+#: ``--scale`` accepts and ``repro list`` prints.
+SCALES = {"test": test_config, "bench": bench_config, "paper": paper_config}
+
+
 def config_for_scale(scale: str, n_cpus: int = 4, **overrides) -> MemConfig:
     """Map a workload scale name to its memory configuration."""
-    if scale == "paper":
-        return paper_config(n_cpus, **overrides)
-    if scale == "bench":
-        return bench_config(n_cpus, **overrides)
-    if scale == "test":
-        return test_config(n_cpus, **overrides)
-    raise ConfigError(f"unknown scale {scale!r}; use paper/bench/test")
+    if scale not in SCALES:
+        raise ConfigError(f"unknown scale {scale!r}; use paper/bench/test")
+    return SCALES[scale](n_cpus, **overrides)
 
 
 def build_memory(

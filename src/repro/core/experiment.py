@@ -142,6 +142,30 @@ class ExperimentResult:
         )
 
 
+def build_system(
+    arch: str,
+    factory: WorkloadFactory,
+    scale: str = "test",
+    n_cpus: int = 4,
+    mem_config: MemConfig | None = None,
+    **system_options,
+) -> System:
+    """The one place a job description becomes a machine: a fresh
+    functional memory, the workload built on it at ``scale``, the
+    scale's own ``mem_config`` unless one is given, and the
+    :class:`System` around them (``system_options`` are its keywords:
+    CPU model and parameters, cycle cap, observability,
+    checkpointing). :func:`run_one` and
+    :meth:`repro.core.runner.Job.build` both come through here."""
+    workload = factory(n_cpus, FunctionalMemory(), scale)
+    config = (
+        mem_config
+        if mem_config is not None
+        else config_for_scale(scale, n_cpus)
+    )
+    return System(arch, workload, mem_config=config, **system_options)
+
+
 def run_one(
     arch: str,
     factory: WorkloadFactory,
@@ -179,23 +203,19 @@ def run_one(
         raise ConfigError(
             "checkpoint_every/resume_from require checkpoint_dir"
         )
-    functional = FunctionalMemory()
-    workload = factory(n_cpus, functional, scale)
-    config = (
-        mem_config
-        if mem_config is not None
-        else config_for_scale(scale, n_cpus)
-    )
-    system = System(
+    system = build_system(
         arch,
-        workload,
+        factory,
+        scale,
+        n_cpus,
+        mem_config,
         cpu_model=cpu_model,
-        mem_config=config,
         cpu_params=cpu_params,
         max_cycles=max_cycles,
         obs=obs,
         checkpointing=checkpointing,
     )
+    workload = system.workload
     started = time.perf_counter()
     if checkpointing:
         stats, ckpt_extras = _run_checkpointed(

@@ -1,10 +1,15 @@
-"""The paper's qualitative claims, as checkable data.
+"""The paper's evaluation as data: its claims and its figures.
 
 Every figure discussion in Section 4 makes specific claims — who wins,
 which miss component dominates, which architecture pays which cost.
 This module encodes those claims as data
 (:data:`PAPER_EXPECTATIONS`) and provides :func:`check_figure`, which
 evaluates a result set against them and reports which claims hold.
+Beside them sits the figure catalog (:data:`FIGURES`): which workload
+and CPU model each rendered figure runs, at what operating point
+(:func:`figure_jobs`), and how its series is written out
+(:func:`write_figure`) — read by ``repro reproduce``, ``repro list``
+and the per-figure harnesses under ``benchmarks/``.
 
 The benchmark harnesses assert the subset of claims the scaled
 reproduction is expected to satisfy; users running their own
@@ -21,11 +26,21 @@ known ones and why they appear at reduced scale.)
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterable
 
+from repro.core.configs import ARCHITECTURES
 from repro.core.experiment import ExperimentResult
-from repro.core.report import normalized_times
+from repro.core.figures import render_comparison_figure
+from repro.core.report import (
+    format_breakdown_table,
+    format_ipc_table,
+    format_miss_rate_table,
+    normalized_times,
+)
+from repro.core.runner import Job
 from repro.errors import ReproError
 
 Check = Callable[[dict[str, ExperimentResult]], tuple[bool, str]]
@@ -340,3 +355,162 @@ def format_check_report(report: list[tuple[str, bool, str]]) -> str:
         status = " OK" if ok else "DEV"
         lines.append(f"[{status}] {label} ({detail})")
     return "\n".join(lines)
+
+
+# ----------------------------------------------------------------------
+# The figures as the reproduction renders them
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One rendered figure: ``name`` is the artifact stem
+    (``<name>.txt/.csv/.svg``), ``claims`` the
+    :data:`PAPER_EXPECTATIONS` entry printed under its series
+    (``None`` for Figure 11, whose IPC bars carry no encoded claims)."""
+
+    name: str
+    title: str
+    workload: str
+    cpu_model: str = "mipsy"
+    claims: str | None = None
+
+
+#: Figures 4-10 under Mipsy, then Figure 11's three MXS applications.
+FIGURES: dict[str, Figure] = {
+    figure.name: figure
+    for figure in (
+        Figure("fig04_eqntott", "Figure 4 - Eqntott (Mipsy)",
+               "eqntott", claims="fig4"),
+        Figure("fig05_mp3d", "Figure 5 - MP3D (Mipsy)",
+               "mp3d", claims="fig5"),
+        Figure("fig06_ocean", "Figure 6 - Ocean (Mipsy)",
+               "ocean", claims="fig6"),
+        Figure("fig07_volpack", "Figure 7 - Volpack (Mipsy)",
+               "volpack", claims="fig7"),
+        Figure("fig08_ear", "Figure 8 - Ear (Mipsy)",
+               "ear", claims="fig8"),
+        Figure("fig09_fft", "Figure 9 - FFT (Mipsy)",
+               "fft", claims="fig9"),
+        Figure("fig10_multiprog",
+               "Figure 10 - Multiprogramming + OS (Mipsy)",
+               "multiprog", claims="fig10"),
+        *(
+            Figure(f"fig11_{app}_mxs",
+                   f"Figure 11 - {app} (MXS, ideal IPC = 2)", app, "mxs")
+            for app in ("multiprog", "eqntott", "ear")
+        ),
+    )
+}
+
+#: Per-workload memory-config overrides at the figures' operating
+#: point. Ocean runs at the 1/4 cache scale because its
+#: boundary-to-area ratio (the paper's "small amount of communication
+#: at the edges") cannot be preserved on a 1/8-scale grid.
+BENCH_OVERRIDES: dict[str, dict] = {
+    "ocean": {
+        "l1d_size": 4096,
+        "l1i_size": 4096,
+        "l2_size": 512 * 1024,
+    },
+}
+
+#: Hard ceiling so a regression can never hang a figure run.
+BENCH_MAX_CYCLES = 30_000_000
+
+
+def figure_jobs(figures: Iterable[Figure], **policy) -> list[Job]:
+    """One bench-scale job per (figure, paper architecture), figure by
+    figure — the evaluation as a batch. ``policy`` is execution policy
+    (and ``obs_sample``) stamped onto every job."""
+    return [
+        Job(
+            arch=arch,
+            workload=figure.workload,
+            cpu_model=figure.cpu_model,
+            scale="bench",
+            overrides=dict(BENCH_OVERRIDES.get(figure.workload, {})),
+            max_cycles=BENCH_MAX_CYCLES,
+            **policy,
+        )
+        for figure in figures
+        for arch in ARCHITECTURES
+    ]
+
+
+def write_figure(
+    figure: Figure,
+    results: dict[str, ExperimentResult],
+    out_dir: str | Path,
+) -> str:
+    """Format, print and persist one figure's data series:
+    ``<name>.txt`` (the paper's rows plus its claims), ``.csv`` (the
+    machine-readable companion) and ``.svg`` under ``out_dir``."""
+    out_dir = Path(out_dir)
+    mxs = figure.cpu_model == "mxs"
+    lines = [figure.title, "=" * len(figure.title), ""]
+    if mxs:
+        lines.append(format_ipc_table(results))
+    else:
+        lines.append(format_breakdown_table(results))
+        lines.append("")
+        lines.append(format_miss_rate_table(results))
+    times = normalized_times(results)
+    lines.append("")
+    lines.append(
+        "normalized time vs shared-mem: "
+        + "  ".join(f"{arch}={value:.3f}" for arch, value in times.items())
+    )
+    lines.append(
+        "host speed: "
+        + "  ".join(
+            f"{arch}={result.wall_seconds:.2f}s"
+            f"/{result.cycles / max(result.wall_seconds, 1e-9) / 1e6:.1f}Mc/s"
+            for arch, result in results.items()
+        )
+    )
+    if figure.claims is not None:
+        lines.append("")
+        lines.append("paper claims:")
+        lines.append(
+            format_check_report(check_figure(results, figure.claims))
+        )
+    text = "\n".join(lines)
+    print()
+    print(text)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{figure.name}.txt").write_text(text + "\n")
+    with (out_dir / f"{figure.name}.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([
+            "arch", "cycles", "instructions", "ipc",
+            "busy", "istall", "l1d", "l2", "mem", "c2c", "storebuf",
+            "l1r_pct", "l1i_pct", "l2r_pct", "l2i_pct",
+        ])
+        for arch, result in results.items():
+            breakdown = result.stats.aggregate_breakdown()
+            l1 = result.stats.aggregate_caches(".l1d")
+            l2 = result.stats.aggregate_caches(".l2")
+            writer.writerow([
+                arch,
+                result.cycles,
+                result.instructions,
+                f"{result.stats.ipc:.4f}",
+                breakdown.busy,
+                breakdown.istall,
+                breakdown.l1d,
+                breakdown.l2,
+                breakdown.mem,
+                breakdown.c2c,
+                breakdown.storebuf,
+                f"{100 * l1.miss_rate_repl:.3f}",
+                f"{100 * l1.miss_rate_inval:.3f}",
+                f"{100 * l2.miss_rate_repl:.3f}",
+                f"{100 * l2.miss_rate_inval:.3f}",
+            ])
+    try:
+        render_comparison_figure(
+            results, figure.title, out_dir / f"{figure.name}.svg"
+        )
+    except ReproError:
+        pass  # e.g. a single-architecture sweep with no baseline
+    return text

@@ -6,7 +6,9 @@ architectures x seven workloads x two CPU models, plus ablation sweeps
 observation into infrastructure: :class:`Job` (one simulation as
 picklable plain data), :class:`Runner` (a batch over a process pool, or
 serially in process with bit-identical results), :class:`ResultCache`
-(finished results in the content-addressed :mod:`repro.core.store`),
+(finished results in the content-addressed :mod:`repro.core.store` —
+also a batch's completion record: ``python -m repro reproduce`` run
+again after a kill simulates only what had not been published),
 :class:`RunnerSession` (the warm pool and the one completion decision
 the ``repro serve`` scheduler shares) and :class:`RunReport` (per-job
 wall times, cache counts, worker utilization).
@@ -37,6 +39,7 @@ from repro.core.configs import CpuParams, config_for_scale
 from repro.core.experiment import (
     ExperimentResult,
     WorkloadFactory,
+    build_system,
     run_one,
 )
 from repro.core.store import (
@@ -44,8 +47,6 @@ from repro.core.store import (
     address,
     counted,
     default_cache_dir,
-    publish,
-    read_document,
 )
 from repro.errors import ArtifactMiss, ConfigError, JobTimeoutError
 from repro.obs import bus as obs_bus
@@ -235,6 +236,27 @@ class Job:
             )
         return self.run_factory(
             self.resolve_factory(), config, obs, resume_from
+        )
+
+    def build(
+        self, obs: "ObsConfig | None" = None, checkpointing: bool = False
+    ):
+        """This job's machine, built and not yet run — for the caller
+        that needs the live :class:`~repro.core.system.System` (a
+        snapshot at a chosen cycle, an observation's full series) where
+        :meth:`run` returns the result record. Generated lane only: a
+        replayed run builds its trace workload in :meth:`run`."""
+        return build_system(
+            self.arch,
+            self.resolve_factory(),
+            self.scale,
+            self.n_cpus,
+            self.mem_config(),
+            cpu_model=self.cpu_model,
+            cpu_params=self.cpu_params,
+            max_cycles=self.max_cycles,
+            obs=obs,
+            checkpointing=checkpointing,
         )
 
     def run_factory(self, factory, config, obs, resume_from):
@@ -594,62 +616,6 @@ class RunReport:
         return out
 
 
-class BatchManifest:
-    """On-disk record of which jobs of a batch have completed.
-
-    One JSON file mapping :meth:`Job.key` to the finished result
-    payload. The runner records every success as it lands (one atomic
-    :func:`~repro.core.store.publish` per update) and the pre-pass
-    skips jobs already present (``scripts/reproduce_all.py --resume``).
-    Keys include the source fingerprint, so a manifest written by
-    different code never satisfies a resume.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        payload = read_document(self.path)
-        entries = payload.get("jobs")
-        self._entries: dict[str, dict] = (
-            entries if isinstance(entries, dict) else {}
-        )
-        telemetry = payload.get("telemetry")
-        self.telemetry: dict | None = (
-            telemetry if isinstance(telemetry, dict) else None
-        )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, job: Job) -> ExperimentResult | None:
-        """The recorded result for ``job``, or ``None``."""
-        entry = self._entries.get(job.key())
-        if entry is None:
-            return None
-        try:
-            return ExperimentResult.from_dict(entry["result"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def record(self, job: Job, result: ExperimentResult) -> None:
-        """Persist ``job``'s completion (atomic incremental write)."""
-        self._entries[job.key()] = {
-            "label": job.label(),
-            "result": result.to_dict(),
-        }
-        self._write()
-
-    def record_telemetry(self, rollup: dict) -> None:
-        """Persist the batch's telemetry rollup alongside its jobs."""
-        self.telemetry = rollup
-        self._write()
-
-    def _write(self) -> None:
-        payload = {"version": repro.__version__, "jobs": self._entries}
-        if self.telemetry is not None:
-            payload["telemetry"] = self.telemetry
-        publish(self.path, json.dumps(payload, sort_keys=True))
-
-
 class Runner:
     """Executes :class:`Job` batches, in-process or over a process pool.
 
@@ -666,9 +632,9 @@ class Runner:
     ``progress`` is an optional callable receiving one line per job
     event (completion, cache hit, failure, or worker crash).
 
-    ``manifest`` is an optional :class:`BatchManifest`: completed jobs
-    are recorded as they land, and jobs already in the manifest are
-    skipped (reported as cached) — the resumable-batch layer.
+    A cache is also what makes a batch resumable: every success is
+    published as it lands, so re-running a killed batch against the
+    same cache simulates only what had not finished.
 
     Fault tolerance is :meth:`RunnerSession.settle`, shared with the
     ``repro serve`` scheduler: a worker killed mid-job (OOM killer,
@@ -678,7 +644,7 @@ class Runner:
     :class:`JobOutcome`, so the rest of the batch completes (the serial
     path re-raises exceptions other than timeouts: the historical,
     debugging-friendly contract). A finished simulation is delivered
-    whether or not cache and manifest could take it (:meth:`_publish`).
+    whether or not the cache could take it (:meth:`_publish`).
 
     ``bus`` is an optional started :class:`~repro.obs.bus.EventBus`:
     with one attached, the batch emits the fleet event stream (job,
@@ -692,7 +658,6 @@ class Runner:
         jobs: int | None = None,
         cache: ResultCache | None = None,
         progress: Callable[[str], None] | None = None,
-        manifest: BatchManifest | None = None,
         max_retries: int = 2,
         bus: "obs_bus.EventBus | None" = None,
     ) -> None:
@@ -704,7 +669,6 @@ class Runner:
         self.n_jobs = requested
         self.cache = cache
         self.progress = progress
-        self.manifest = manifest
         self.max_retries = max_retries
         self.bus = bus
         self.last_report: RunReport | None = None
@@ -767,26 +731,16 @@ class Runner:
         started = time.perf_counter()
         outcomes: list[JobOutcome | None] = [None] * len(batch)
 
-        def skip(index: int, result: ExperimentResult, source: str) -> None:
-            job = batch[index]
-            outcomes[index] = JobOutcome(job, result, cached=True)
-            if handle is not None:
-                handle.emit("job.cached", job=job.label(), source=source)
-            self._tick(f"[{source}] {job.label()}")
-
         pending: list[tuple[int, Job]] = []
         for index, job in enumerate(batch):
-            done = self.manifest.get(job) if self.manifest else None
-            if done is not None:
-                skip(index, done, "manifest")
-                continue
             cached = self.cache.get(job) if self.cache else None
             if cached is None:
                 pending.append((index, job))
                 continue
-            if self.manifest is not None:
-                self._publish(self.manifest.record, job, cached)
-            skip(index, cached, "cache")
+            outcomes[index] = JobOutcome(job, cached, cached=True)
+            if handle is not None:
+                handle.emit("job.cached", job=job.label(), source="cache")
+            self._tick(f"[cache] {job.label()}")
         hits = len(batch) - len(pending)
 
         workers = min(self.n_jobs, len(pending)) if pending else 1
@@ -847,15 +801,15 @@ class Runner:
         finally:
             session.close()
 
-    def _publish(self, put, job: Job, result: ExperimentResult) -> None:
-        """``put(job, result)`` into the cache or the manifest. A
-        failure (full disk, read-only root) costs the entry, never the
-        finished simulation: counted by the store, ``cache.error`` on
-        the bus, and the caller delivers the result regardless."""
+    def _publish(self, job: Job, result: ExperimentResult) -> None:
+        """Put ``result`` into the cache. A failure (full disk,
+        read-only root) costs the entry, never the finished simulation:
+        counted by the store, ``cache.error`` on the bus, and the
+        caller delivers the result regardless."""
         try:
-            put(job, result)
+            self.cache.put(job, result)
         except OSError as error:
-            sink = type(put.__self__).__name__
+            sink = type(self.cache).__name__
             text = _classify(error)[1]
             obs_bus.emit(
                 "cache.error", job=job.label(), sink=sink, error=text
@@ -871,9 +825,7 @@ class Runner:
     ) -> JobOutcome:
         """Publish, then deliver: the success half of every dispatch."""
         if publish and self.cache is not None:
-            self._publish(self.cache.put, job, result)
-        if publish and self.manifest is not None:
-            self._publish(self.manifest.record, job, result)
+            self._publish(job, result)
         self._tick(f"[{result.wall_seconds:5.1f}s] {job.label()}")
         return JobOutcome(
             job,

@@ -1,8 +1,8 @@
 """Rollups and Prometheus-style text exposition for batch telemetry.
 
 ``rollup_events`` reduces a batch event stream to the counter dict
-threaded through ``RunReport`` → ``BatchManifest`` →
-``bench_runner.json``; ``prometheus_text`` renders the same numbers in
+threaded through ``RunReport.telemetry`` into the
+``bench_runner.json`` entry ``python -m repro reproduce`` appends; ``prometheus_text`` renders the same numbers in
 the text exposition format (``# TYPE`` headers, labelled samples) so a
 scrape-and-diff workflow — or an actual Prometheus textfile collector
 pointed at the results directory — can consume a batch without parsing

@@ -1,6 +1,6 @@
 """Live batch progress view fed by the event bus.
 
-``reproduce_all --live`` hooks a :class:`LiveView` into the collector's
+``python -m repro reproduce --live`` hooks a :class:`LiveView` into the collector's
 ``on_event`` callback: one repainted status line (TTY) or periodic
 status lines (plain stream) showing per-worker state, jobs done/total,
 the cache hit rate, and an ETA extrapolated from the mean wall time of

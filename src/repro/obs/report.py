@@ -123,30 +123,24 @@ def run_observed(
     """
     # Imported lazily: the core packages import repro.obs at module
     # load, so a top-level import here would be circular.
-    from repro.core.configs import config_for_scale
-    from repro.core.system import System
-    from repro.mem.functional import FunctionalMemory
+    from repro.core.runner import Job
     from repro.obs.config import ObsConfig
-    from repro.workloads import WORKLOADS
 
-    factory = WORKLOADS[workload]
-    functional = FunctionalMemory()
-    built = factory(n_cpus, functional, scale)
-    config = config_for_scale(scale, n_cpus)
-    if overrides:
-        config = config.with_overrides(**overrides)
-    obs_config = ObsConfig(
-        sample_interval=sample_interval,
-        events=events_path is not None,
-        events_path=events_path,
-    )
-    system = System(
-        arch,
-        built,
+    job = Job(
+        arch=arch,
+        workload=workload,
         cpu_model=cpu_model,
-        mem_config=config,
+        scale=scale,
+        n_cpus=n_cpus,
+        overrides=dict(overrides or {}),
         max_cycles=max_cycles,
-        obs=obs_config,
+    )
+    system = job.build(
+        obs=ObsConfig(
+            sample_interval=sample_interval,
+            events=events_path is not None,
+            events_path=events_path,
+        )
     )
     stats = system.run()
     if events_path is not None and system.obs is not None:

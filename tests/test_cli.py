@@ -83,8 +83,8 @@ def test_sweep_bad_field_reports_error(capsys):
         "sweep", "-w", "ear", "-s", "test", "--field", "nope",
         "--max-cycles", "3000000", "1",
     ])
-    assert code == 0  # per-value errors are reported, not fatal
-    assert "error" in capsys.readouterr().out
+    assert code == 2  # the one error contract: stderr, exit status 2
+    assert "error: unknown MemConfig field" in capsys.readouterr().err
 
 
 def test_parser_requires_command():

@@ -25,7 +25,7 @@ import pytest
 from conftest import RecordingHandle
 
 from repro.cli import main
-from repro.core.runner import BatchManifest, Job, ResultCache, Runner
+from repro.core.runner import Job, ResultCache, Runner
 from repro.core.sweeps import sweep_mem_field
 from repro.obs import (
     EVENT_KINDS,
@@ -202,16 +202,6 @@ def test_sweep_carries_run_report_telemetry(tmp_path):
     assert result.run_report["result_cache"]["misses"] == 2
     assert "per_job" not in result.run_report
     assert result.to_dict()["run_report"]["jobs"] == 2
-
-
-def test_manifest_records_and_reloads_telemetry(tmp_path):
-    path = tmp_path / "manifest.json"
-    manifest = BatchManifest(path)
-    Runner(jobs=1, manifest=manifest).run([quick_job()])
-    manifest.record_telemetry({"events": 9, "workers": 2})
-    reloaded = BatchManifest(path)
-    assert reloaded.telemetry == {"events": 9, "workers": 2}
-    assert len(reloaded) == 1
 
 
 # ----------------------------------------------------------------------

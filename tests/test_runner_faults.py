@@ -1,4 +1,4 @@
-"""Runner fault tolerance: crashes, timeouts, manifests, torn caches.
+"""Runner fault tolerance: crashes, timeouts, resumed batches, torn caches.
 
 The killing workload factories live in :mod:`tests.ckpt_helpers` (they
 must be module-level to pickle into pool workers) and must only run
@@ -9,14 +9,20 @@ process itself.
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 import ckpt_helpers
 from repro.ckpt import CheckpointStore, snapshot_system
 from repro.core.configs import config_for_scale
-from repro.core.runner import BatchManifest, Job, ResultCache, Runner
+from repro.core.runner import Job, ResultCache, Runner
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.mem.functional import FunctionalMemory
@@ -356,33 +362,31 @@ def test_job_auto_resumes_from_latest_checkpoint(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Batch manifest
+# Resume is the cache: a batch's own ResultCache is its completion record
 
 
-def test_manifest_resume_skips_completed_jobs(tmp_path):
-    path = tmp_path / "manifest.json"
+def test_cache_resume_skips_completed_jobs(tmp_path):
     batch = [normal_job("shared-l1"), normal_job("shared-mem")]
-    first = Runner(jobs=1, manifest=BatchManifest(path)).run(batch)
+    first = Runner(jobs=1, cache=ResultCache(tmp_path)).run(batch)
     assert not first.failures
-    assert len(BatchManifest(path)) == 2
+    assert ResultCache(tmp_path).disk_stats()["entries"] == 2
 
     lines = []
     second = Runner(
         jobs=1,
-        manifest=BatchManifest(path),
+        cache=ResultCache(tmp_path),
         progress=lines.append,
     ).run(batch)
     assert second.cache_hits == 2
     assert all(o.cached for o in second.outcomes)
-    assert all(line.startswith("[manifest]") for line in lines)
+    assert all(line.startswith("[cache]") for line in lines)
     # Skipped jobs still carry full results for figure rendering.
     assert second.outcomes[0].result.stats.to_dict() == \
         first.outcomes[0].result.stats.to_dict()
 
 
-def test_manifest_does_not_record_failures(tmp_path, monkeypatch):
+def test_cache_does_not_record_failures(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TEST_SLEEP", "10")
-    path = tmp_path / "manifest.json"
     job = Job(
         arch="shared-l1",
         workload=ckpt_helpers.sleepy_workload,
@@ -390,22 +394,80 @@ def test_manifest_does_not_record_failures(tmp_path, monkeypatch):
         max_cycles=CAP,
         timeout_s=0.3,
     )
-    report = Runner(jobs=1, manifest=BatchManifest(path)).run([job])
+    report = Runner(jobs=1, cache=ResultCache(tmp_path)).run([job])
     assert report.outcomes[0].timed_out
-    assert len(BatchManifest(path)) == 0
+    assert ResultCache(tmp_path).disk_stats()["entries"] == 0
 
 
-def test_manifest_tolerates_garbage_file(tmp_path):
-    path = tmp_path / "manifest.json"
-    for garbage in ("{not json", "[1, 2]", '{"jobs": 7}'):
-        path.write_text(garbage)
-        manifest = BatchManifest(path)
-        assert len(manifest) == 0
+def test_cache_resume_tolerates_garbage_entries(tmp_path):
     job = normal_job()
-    report = Runner(jobs=1, manifest=manifest).run([job])
+    entry = ResultCache(tmp_path).path_for(job)
+    entry.parent.mkdir(parents=True)
+    for garbage in ("{not json", "[1, 2]", '{"key": 7}'):
+        entry.write_text(garbage)
+        report = Runner(jobs=1, cache=ResultCache(tmp_path)).run([job])
+        assert not report.failures and report.cache_hits == 0
+        # ... and the re-simulated result took the garbage's place.
+        assert ResultCache(tmp_path).get(job) is not None
+
+
+_KILLED_BATCH = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_runner_faults
+from repro.core.runner import ResultCache, Runner
+Runner(jobs=2, cache=ResultCache(sys.argv[2])).run(
+    test_runner_faults.interrupted_batch()
+)
+"""
+
+
+def interrupted_batch() -> list[Job]:
+    """Two quick jobs around one that sleeps ``REPRO_TEST_SLEEP``
+    seconds first (built by the killed child and the re-run alike)."""
+    sleepy = Job(
+        arch="shared-l2",
+        workload=ckpt_helpers.sleepy_workload,
+        scale="test",
+        max_cycles=CAP,
+    )
+    return [normal_job("shared-l1"), sleepy, normal_job("shared-mem")]
+
+
+def test_killed_batch_rerun_simulates_only_what_had_not_finished(
+    tmp_path, monkeypatch
+):
+    """SIGKILL a whole batch (parent and pool) once a result landed;
+    the same batch on the same cache then simulates exactly the rest
+    and ends on an uninterrupted run's statistics."""
+    victim = subprocess.Popen(
+        [
+            sys.executable, "-c", _KILLED_BATCH,
+            str(Path(__file__).parent), str(tmp_path),
+        ],
+        env={**os.environ, "REPRO_TEST_SLEEP": "120"},
+        start_new_session=True,  # so the kill takes the workers too
+    )
+    deadline = time.monotonic() + 60
+    try:
+        while not ResultCache(tmp_path).disk_stats()["entries"]:
+            assert victim.poll() is None, "batch ended before the kill"
+            assert time.monotonic() < deadline, "no result ever landed"
+            time.sleep(0.05)
+    finally:
+        os.killpg(victim.pid, signal.SIGKILL)
+        victim.wait(timeout=30)
+    landed = ResultCache(tmp_path).disk_stats()["entries"]
+    assert 1 <= landed <= 2  # the sleeper cannot have finished
+
+    monkeypatch.setenv("REPRO_TEST_SLEEP", "0")
+    batch = interrupted_batch()
+    report = Runner(jobs=2, cache=ResultCache(tmp_path)).run(batch)
     assert not report.failures
-    payload = json.loads(path.read_text())
-    assert job.key() in payload["jobs"]
+    assert report.cache_hits == landed
+    assert sum(not o.cached for o in report.outcomes) == 3 - landed
+    for job, outcome in zip(batch, report.outcomes):
+        assert outcome.result.stats.to_dict() == job.run().stats.to_dict()
 
 
 # ----------------------------------------------------------------------

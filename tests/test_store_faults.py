@@ -38,7 +38,7 @@ import repro
 from repro.ckpt import CheckpointStore, snapshot_system
 from repro.core.configs import config_for_scale
 from repro.core.experiment import ExperimentResult
-from repro.core.runner import BatchManifest, Job, JobOutcome, ResultCache, Runner
+from repro.core.runner import Job, JobOutcome, ResultCache, Runner
 from repro.core.system import System
 from repro.errors import ArtifactMiss, CheckpointError
 from repro.mem.functional import FunctionalMemory
@@ -493,13 +493,13 @@ def test_stale_format_sidecar_is_rederived_not_an_error(tmp_path, bus):
 # both dispatchers: a failed publish, and the runner's fault policy
 
 
-def dispatch(dispatcher, batch, cache=None, max_retries=2, manifest=None):
+def dispatch(dispatcher, batch, cache=None, max_retries=2):
     """Run ``batch`` through the batch runner (2 workers) or the
     service scheduler (2 workers); returns outcomes in batch order plus
     the dispatcher's own count of simulations that finished."""
     if dispatcher == "batch":
         report = Runner(
-            jobs=2, cache=cache, max_retries=max_retries, manifest=manifest
+            jobs=2, cache=cache, max_retries=max_retries
         ).run(batch)
         finished = sum(1 for o in report.outcomes if not o.failed)
         return report.outcomes, finished
@@ -554,18 +554,13 @@ def test_failed_publish_never_loses_a_finished_simulation(
         assert outcome.result.stats.cycles == job.run().stats.cycles
 
 
-def test_serial_batch_survives_full_disk_in_cache_and_manifest(
+def test_serial_batch_survives_full_disk_in_its_cache(
     tmp_path, failing_writes
 ):
     log = tmp_path / "events.jsonl"
     event_bus = obs_bus.EventBus(log_path=log).start()
     cache = ResultCache(tmp_path / "cache")
-    runner = Runner(
-        jobs=1,
-        cache=cache,
-        manifest=BatchManifest(tmp_path / "manifest.json"),
-        bus=event_bus,
-    )
+    runner = Runner(jobs=1, cache=cache, bus=event_bus)
     failing_writes["errno"] = errno.ENOSPC
     report = runner.run([_plain("shared-l1"), _plain("shared-l2")])
     event_bus.stop()
@@ -573,11 +568,9 @@ def test_serial_batch_survives_full_disk_in_cache_and_manifest(
     assert "2 publish error(s)" in runner.summary()
     assert report.to_dict()["result_cache"]["publish_errors"] == 2
     errors = [e for e in event_bus.events if e.kind == "cache.error"]
-    assert sorted(e.fields["sink"] for e in errors) == [
-        "BatchManifest", "BatchManifest", "ResultCache", "ResultCache",
-    ]
+    assert [e.fields["sink"] for e in errors] == ["ResultCache"] * 2
     assert validate_events(log) == []
-    assert not (tmp_path / "manifest.json").exists()
+    assert cache.disk_stats()["entries"] == 0
 
 
 def _kill_once(monkeypatch, tmp_path):
