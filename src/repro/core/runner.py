@@ -17,12 +17,15 @@ wall times, cache counts, worker utilization).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import itertools
 import json
 import os
 import signal
 import threading
 import time
+import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -49,6 +52,7 @@ from repro.core.store import (
     default_cache_dir,
 )
 from repro.errors import ArtifactMiss, ConfigError, JobTimeoutError
+from repro.mem.topology import get_preset, resolve_topology
 from repro.obs import bus as obs_bus
 
 
@@ -165,8 +169,6 @@ class Job:
     def resolve_topology(self):
         """The concrete :class:`~repro.mem.topology.Topology` this job
         simulates (preset resolved against the scaled config)."""
-        from repro.mem.topology import resolve_topology
-
         return resolve_topology(self.arch, self.mem_config())
 
     def spec(self) -> dict:
@@ -201,8 +203,37 @@ class Job:
         }
 
     def key(self) -> str:
-        """Content address: SHA-256 over the spec + code fingerprint."""
-        return address(self.spec())
+        """Content address: SHA-256 over the spec + code fingerprint.
+
+        Resolved once per distinct job: equal-by-value jobs share one
+        :func:`_address_of` entry, whichever door they came in by, so
+        a re-submitted sweep does not rebuild a ``MemConfig`` and a
+        ``Topology`` per request only to hash them again. Every field
+        :meth:`spec` reads is read on every call — nothing is kept on
+        the (mutable) instance — and a job with an unhashable field is
+        simply computed.
+        """
+        arch = self.arch
+        try:
+            return _address_of(
+                # the registered preset itself, so that re-registering
+                # a name is a new identity
+                get_preset(arch) if isinstance(arch, str) else None,
+                arch,
+                self.workload_key(),
+                self.cpu_model,
+                self.scale,
+                self.n_cpus,
+                self.cpu_params,
+                self.max_cycles,
+                self.obs_sample,
+                self.replay,
+                *itertools.chain.from_iterable(
+                    sorted(self.overrides.items())
+                ),
+            )
+        except TypeError:
+            return address(self.spec())
 
     def run(
         self,
@@ -277,6 +308,29 @@ class Job:
             checkpoint_key=self.key() if self.ckpt_dir else None,
             resume_from=resume_from,
         )
+
+
+#: Distinct jobs :func:`_address_of` remembers: a few figure
+#: sweeps' worth; beyond it the least recently asked-for is recomputed.
+KEY_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=KEY_MEMO_SIZE, typed=True)
+def _address_of(
+    preset, arch, workload, cpu_model, scale, n_cpus, cpu_params,
+    max_cycles, obs_sample, replay, *overrides,
+) -> str:
+    """``address(spec())`` of the job these fields describe (the memo
+    behind :meth:`Job.key`). ``typed``, because ``4`` and ``4.0`` are
+    equal as arguments and different text in a spec; ``preset`` is only
+    there to tell two registrations of one name apart."""
+    del preset
+    job = Job(
+        arch, workload, cpu_model, scale, n_cpus,
+        dict(zip(overrides[::2], overrides[1::2])),
+        cpu_params, max_cycles, obs_sample, replay,
+    )
+    return address(job.spec())
 
 
 #: Extra workload factories registered at runtime (examples, tests).
@@ -370,16 +424,26 @@ def _run_with_timeout(job: Job) -> ExperimentResult:
     The budget is enforced with ``SIGALRM`` (an interval timer raising
     :class:`~repro.errors.JobTimeoutError` inside the running
     simulation), which only works on the main thread of a POSIX
-    process; elsewhere the job runs unbudgeted rather than failing.
+    process. Elsewhere the job still runs, unbudgeted, and says so: a
+    ``RuntimeWarning`` and a ``job.unbudgeted`` bus event.
     The previous handler and timer are restored on every exit path, so
     nesting and reuse of the worker process are safe.
     """
     timeout = job.timeout_s
+    if not timeout:
+        return job.run()
     if (
-        not timeout
-        or not hasattr(signal, "SIGALRM")
+        not hasattr(signal, "SIGALRM")
         or threading.current_thread() is not threading.main_thread()
     ):
+        label = job.label()
+        warnings.warn(
+            f"job {label} runs without its {timeout:g}s budget: SIGALRM "
+            "is only delivered to the main thread of a POSIX process",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        obs_bus.emit("job.unbudgeted", job=label, timeout_s=timeout)
         return job.run()
 
     def _expired(signum, frame):

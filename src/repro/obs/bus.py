@@ -51,8 +51,10 @@ EVENT_KINDS = frozenset({
     # job lifecycle (worker for start/finish/fail/timeout; parent for
     # cached skips, retries, quarantine and cancellation decisions —
     # job.cancelled is the service layer's terminal state for a
-    # client-cancelled job)
+    # client-cancelled job; job.unbudgeted: a timeout_s that nothing
+    # can enforce where the job runs, off the main thread)
     "job.start", "job.finish", "job.fail", "job.timeout",
+    "job.unbudgeted",
     "job.retry", "job.cached", "job.quarantined", "job.cancelled",
     # worker-pool lifecycle
     "worker.spawn", "worker.death", "pool.rebuild",

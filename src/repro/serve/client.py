@@ -45,6 +45,69 @@ class ServiceError(ReproError):
         self.code = code
 
 
+class _Headers(dict):
+    """A response's headers as :func:`wire.read_headers` returns them,
+    answering by any spelling of a name — and ``get_all``, which is how
+    ``HTTPResponse.getheader`` asks."""
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+    def get_all(self, name: str, default=None):
+        value = self.get(name)
+        return default if value is None else [value]
+
+
+class _Response(http.client.HTTPResponse):
+    """``HTTPResponse`` that reads its header block in one pass.
+
+    ``begin()`` is the stdlib's but for who parses the headers:
+    :func:`wire.read_headers`, where ``http.client.parse_headers``
+    hands every line to ``email.parser``. Set as ``response_class`` on
+    the connection, so ``http`` and ``https`` share it.
+    """
+
+    def begin(self) -> None:
+        if self.headers is not None:
+            return  # already begun
+        try:
+            while True:
+                version, status, reason = self._read_status()
+                if status != http.client.CONTINUE:
+                    break
+                wire.read_headers(self.fp)  # the 100 response's own
+            headers = _Headers(wire.read_headers(self.fp))
+        except wire.FramingError as error:
+            raise http.client.HTTPException(str(error)) from error
+        self.code = self.status = status
+        self.reason = reason.strip()
+        if version in ("HTTP/1.0", "HTTP/0.9"):
+            self.version = 10
+        elif version.startswith("HTTP/1."):
+            self.version = 11
+        else:
+            raise http.client.UnknownProtocol(version)
+        self.headers = self.msg = headers
+        self.chunked = (
+            headers.get("transfer-encoding", "").lower() == "chunked"
+        )
+        self.chunk_left = None
+        self.will_close = self._check_close()
+        self.length = None
+        length = headers.get("content-length", "")
+        if not self.chunked and length.isascii() and length.isdigit():
+            self.length = int(length)
+        if (
+            status in (http.client.NO_CONTENT, http.client.NOT_MODIFIED)
+            or 100 <= status < 200
+            or self._method == "HEAD"
+        ):
+            self.length = 0
+        if not self.chunked and self.length is None:
+            # neither framing: the body ends when the connection does
+            self.will_close = True
+
+
 def _close_all(connections: dict, lock: threading.Lock) -> None:
     with lock:
         doomed = list(connections.values())
@@ -115,7 +178,9 @@ class ServiceClient:
             raise ServiceError(
                 f"not an http(s) server URL: {self.server!r}"
             )
-        return factory(host, port, timeout=timeout)
+        connection = factory(host, port, timeout=timeout)
+        connection.response_class = _Response
+        return connection
 
     def _exchange(
         self,

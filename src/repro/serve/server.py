@@ -43,11 +43,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import selectors
 import socket
 import sys
 import threading
 import time
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs
@@ -75,6 +77,13 @@ MAX_HOLD_S = 30.0
 IDLE_TIMEOUT_S = 30.0
 #: Largest request body read; a longer ``Content-Length`` is a 413.
 MAX_BODY_BYTES = 1 << 20
+#: Longest a refused connection is listened to after its answer: what
+#: the client had already sent is taken off the socket first, because
+#: closing over unread input resets the connection and can cost the
+#: client the answer.
+LINGER_S = 1.0
+
+_HTTP_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})")
 
 
 class EventRouter:
@@ -226,7 +235,7 @@ class ServiceDaemon:
                 job = self._apply_policy(
                     wire.job_from_payload(entry["job"])
                 )
-                job.spec()
+                job.key()
             except (ReproError, KeyError):
                 continue
             priority = entry.get("priority", 0)
@@ -306,10 +315,11 @@ class ServiceDaemon:
         job = self._apply_policy(wire.job_from_payload(payload))
         priority = wire.submit_priority(payload)
         try:
-            job.spec()  # semantic validation: workload, topology
+            # The queue files the job under Job.key(), which is also
+            # the semantic validation (scale, overrides, topology).
+            record, deduped = self.queue.submit(job, priority)
         except ReproError as error:
             raise wire.WireError(str(error)) from error
-        record, deduped = self.queue.submit(job, priority)
         if not deduped:
             # Submit-time pre-check: a spec already published by an
             # earlier run (or another daemon sharing the cache
@@ -455,6 +465,16 @@ class ServiceDaemon:
                     "repro_service_http_requests_total"
                     f'{{endpoint="{endpoint}"}} {count}'
                 )
+            lines += [
+                "# HELP repro_service_http_refused_total Requests "
+                "refused with the connection closed, by reason.",
+                "# TYPE repro_service_http_refused_total counter",
+            ]
+            for reason, count in sorted(self._httpd.refused().items()):
+                lines.append(
+                    "repro_service_http_refused_total"
+                    f'{{reason="{reason}"}} {count}'
+                )
         if self.cache is not None:
             lines += [
                 "# HELP repro_service_cache_ops Result-cache counters "
@@ -531,6 +551,9 @@ class _ServeHTTPServer(ThreadingHTTPServer):
         self._open: set[socket.socket] = set()
         self._connections = 0
         self._requests: dict[str, int] = {}
+        self._refused: dict[str, int] = {}
+        #: (epoch second, its ``Date`` header value)
+        self._date: tuple[int, str] = (0, "")
 
     # -- accept loop ----------------------------------------------------
 
@@ -589,15 +612,32 @@ class _ServeHTTPServer(ThreadingHTTPServer):
         with self._lock:
             self._requests[endpoint] = self._requests.get(endpoint, 0) + 1
 
+    def count_refused(self, reason: str) -> None:
+        """Book one request refused with the connection closed."""
+        with self._lock:
+            self._refused[reason] = self._refused.get(reason, 0) + 1
+
     def traffic(self) -> tuple[int, dict[str, int]]:
         """Connections accepted and requests routed per endpoint."""
         with self._lock:
             return self._connections, dict(self._requests)
 
+    def refused(self) -> dict[str, int]:
+        """Requests refused with the connection closed, per reason."""
+        with self._lock:
+            return dict(self._refused)
+
     def open_connections(self) -> int:
         """Client sockets currently open."""
         with self._lock:
             return len(self._open)
+
+    def http_date(self) -> str:
+        """The ``Date`` header value, formatted once a second."""
+        now = int(time.time())
+        if self._date[0] != now:
+            self._date = (now, formatdate(now, usegmt=True))
+        return self._date[1]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -605,7 +645,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     One instance serves one client socket for as long as the client
     keeps it: every path must leave the socket at the start of the next
-    request, or say ``Connection: close``.
+    request, or say ``Connection: close``. The request line and the
+    headers are read here (:meth:`parse_request`), and a message whose
+    framing would have to be guessed at is refused by name
+    (:meth:`_refuse`) — the table is in ``docs/SERVICE.md``.
     """
 
     server: _ServeHTTPServer
@@ -613,10 +656,9 @@ class _Handler(BaseHTTPRequestHandler):
     # Keep-alive with Nagle on stalls every small exchange ~40 ms
     # against the peer's delayed ACK.
     disable_nagle_algorithm = True
-    # Buffered, so headers and body leave in one send when
-    # handle_one_request() flushes after the verb.
-    wbufsize = 1 << 16
     timeout = IDLE_TIMEOUT_S
+    #: lower-cased name -> value, from :func:`wire.read_headers`
+    headers: dict[str, str]
 
     @property
     def service(self) -> ServiceDaemon:
@@ -628,14 +670,81 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing -------------------------------------------------------
 
-    def _send_bytes(self, code: int, body: bytes, content_type: str) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
+    def parse_request(self) -> bool:
+        """Take the request line and the headers, each in one pass.
+
+        What ``handle_one_request`` calls once it has the request line.
+        ``False`` means the request was answered (or, for a blank line,
+        dropped) and the connection is closing.
+        """
+        self.close_connection = True
+        line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            # includes the two-word request line of HTTP/0.9
+            return self._refuse(
+                400, "request_line", f"bad request line: {line[:64]!r}"
+            )
+        version = _HTTP_VERSION.fullmatch(words[2])
+        major = int(version[1]) if version else 0
+        if major < 1:
+            return self._refuse(
+                400, "request_line",
+                f"bad request version: {words[2][:64]!r}",
+            )
+        if major > 1:
+            return self._refuse(
+                505, "http_version",
+                f"HTTP version {words[2][5:]} is not supported",
+            )
+        self.command, self.path, self.request_version = words
+        try:
+            headers = self.headers = wire.read_headers(self.rfile)
+        except wire.FramingError as error:
+            return self._refuse(error.status, error.reason, str(error))
+        persistent = int(version[2]) >= 1
+        connection = headers.get("connection", "").lower()
+        if connection == "keep-alive" or (
+            persistent and connection != "close"
+        ):
+            self.close_connection = False
+        if persistent and headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """What ``handle_one_request`` itself turns away (an over-long
+        request line, a verb with no ``do_`` method), answered like
+        every other refusal instead of with the stdlib's HTML page."""
+        code = int(code)
+        self._refuse(
+            code,
+            {414: "line_too_long", 501: "method"}.get(code, "other"),
+            message or self.responses[code][0],
+        )
+
+    def _head(
+        self, code: int, content_type: str, length: int | None = None
+    ) -> bytes:
+        """Status line and header block of one response; with no
+        ``length`` the body runs until the connection closes."""
+        head = (
+            f"HTTP/1.1 {code} {self.responses[code][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.server.http_date()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+        )
+        if length is not None:
+            head += f"Content-Length: {length}\r\n"
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            head += "Connection: close\r\n"
+        return (head + "\r\n").encode("latin-1")
+
+    def _send_bytes(self, code: int, body: bytes, content_type: str) -> None:
+        """One response, status line to last body byte, in one write."""
+        self.wfile.write(self._head(code, content_type, len(body)) + body)
 
     def _send_json(self, code: int, payload: dict) -> None:
         self._send_bytes(
@@ -646,6 +755,31 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
+
+    def _refuse(self, code: int, reason: str, message: str) -> bool:
+        """Answer a request that will not be read any further and give
+        the connection up; booked under ``reason``. Returns ``False``,
+        which is what :meth:`parse_request` says of such a request."""
+        self.server.count_refused(reason)
+        self.close_connection = True
+        self._error(code, message)
+        # Lingering close: end of answer, then whatever was already on
+        # its way here is taken off the socket so that close() finds
+        # nothing unread.
+        connection = self.connection
+        try:
+            connection.shutdown(socket.SHUT_WR)
+            deadline = time.monotonic() + LINGER_S
+            unread = MAX_BODY_BYTES
+            while unread > 0:
+                connection.settimeout(max(0.0, deadline - time.monotonic()))
+                taken = connection.recv(min(unread, 1 << 16))
+                if not taken:
+                    break
+                unread -= len(taken)
+        except OSError:
+            pass  # timed out, or the client is gone already
+        return False
 
     def _route(self) -> tuple[list[str], str]:
         path, _, query = self.path.partition("?")
@@ -658,25 +792,34 @@ class _Handler(BaseHTTPRequestHandler):
         connection. One that cannot be framed or is too long is refused
         unread — error sent, connection closing, ``None`` returned.
         """
-        header = self.headers.get("Content-Length")
-        if header is None:
-            if self.headers.get("Transfer-Encoding") is None:
-                # No framing header means no body (RFC 7230 §3.3.3);
-                # ``curl -X POST .../cancel`` sends exactly this.
-                return b""
-            refusal = (400, "Transfer-Encoding is not supported; "
-                            "send Content-Length")
-        elif not header.isdigit():
-            refusal = (400, f"bad Content-Length: {header!r}")
-        elif int(header) > MAX_BODY_BYTES:
-            refusal = (413, f"request body over {MAX_BODY_BYTES} bytes")
+        headers = self.headers
+        header = headers.get("content-length")
+        if "transfer-encoding" in headers:
+            # with a Content-Length beside it too: two framings of one
+            # body is how requests are smuggled past a front end
+            refusal = (400, "transfer_encoding", "Transfer-Encoding is "
+                       "not supported; send Content-Length")
+        elif header is None:
+            # No framing header means no body (RFC 7230 §3.3.3);
+            # ``curl -X POST .../cancel`` sends exactly this.
+            return b""
         else:
-            body = self.rfile.read(int(header))
-            if len(body) == int(header):
-                return body
-            refusal = (400, "request body shorter than Content-Length")
-        self.close_connection = True
-        self._error(*refusal)
+            # repeated headers arrive joined: they must all agree
+            lengths = {part.strip() for part in header.split(",")}
+            length = lengths.pop()
+            if lengths or not (length.isascii() and length.isdigit()):
+                refusal = (400, "content_length",
+                           f"bad Content-Length: {header[:64]!r}")
+            elif len(length) > 18 or int(length) > MAX_BODY_BYTES:
+                refusal = (413, "body_too_large",
+                           f"request body over {MAX_BODY_BYTES} bytes")
+            else:
+                body = self.rfile.read(int(length))
+                if len(body) == int(length):
+                    return body
+                refusal = (400, "short_body",
+                           "request body shorter than Content-Length")
+        self._refuse(*refusal)
         return None
 
     def _json_object(self, raw: bytes) -> dict | None:
@@ -829,17 +972,12 @@ class _Handler(BaseHTTPRequestHandler):
         if self.service.queue.get(job_id) is None:
             self._error(404, f"unknown job {job_id}")
             return
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
         # No Content-Length: the stream ends when the job does, and the
         # connection closes with it.
-        self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.flush()
+        self.close_connection = True
+        self.wfile.write(self._head(200, "application/x-ndjson"))
         try:
             for line in self.service.stream_events(job_id):
                 self.wfile.write(line.encode("utf-8") + b"\n")
-                self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             pass
-        self.close_connection = True

@@ -9,6 +9,11 @@ typo like ``"archs"`` can never silently run a default machine), and
 :func:`job_to_payload` is its inverse for the Python client and the
 queue manifest.
 
+Beneath the JSON, :func:`read_headers` is the one pass over an HTTP
+header block that the daemon (requests) and the client (responses)
+share, and :class:`FramingError` what it makes of a block it will not
+guess at.
+
 Deliberately *not* on the wire: execution-policy paths
 (``ckpt_dir``/``trace_dir`` — the daemon decides where its artifact
 stores live), callables (workloads cross the wire by registry name
@@ -17,6 +22,8 @@ parameter overrides; add the field here when one does).
 """
 
 from __future__ import annotations
+
+import re
 
 from repro.core.runner import Job
 from repro.errors import ReproError
@@ -45,8 +52,72 @@ _JOB_FIELDS: dict[str, tuple[tuple[type, ...], object]] = {
 _SUBMIT_FIELDS = frozenset({"priority", "version"})
 
 
+#: Longest request, status or header line taken and most header lines
+#: in one message — the stdlib's limits (``http.client._MAXLINE`` and
+#: ``_MAXHEADERS``).
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+#: ``field-name ":"`` of RFC 7230 §3.2: a token, then the colon with no
+#: space before it. A line that opens with a space (an obs-fold
+#: continuation) or has no colon does not match.
+_FIELD_NAME = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+:")
+
+
 class WireError(ReproError):
     """A malformed or unserviceable wire payload."""
+
+
+class FramingError(ReproError):
+    """An HTTP message whose header block cannot be taken as sent.
+
+    ``status`` is what a server answers it with; ``reason`` is its
+    label on ``repro_service_http_refused_total``.
+    """
+
+    def __init__(self, status: int, reason: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.reason = reason
+
+
+def read_headers(rfile) -> dict[str, str]:
+    """Read one header block off ``rfile``: lower-cased name -> value.
+
+    The one header pass both ends of the service make per message (the
+    stdlib's hands every line to ``email.parser``). Lines end in CRLF
+    or a bare LF; a repeated name joins its values with ``", "`` in
+    arrival order (RFC 7230 §3.2.2). What a lenient parser would guess
+    at is a :class:`FramingError` instead: an over-long line, more than
+    :data:`MAX_HEADERS` lines, a line with no colon, a space before the
+    colon, a folded continuation line.
+    """
+    headers: dict[str, str] = {}
+    readline = rfile.readline
+    for _ in range(MAX_HEADERS + 1):
+        line = readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise FramingError(
+                431, "line_too_long",
+                f"header line over {MAX_LINE_BYTES} bytes",
+            )
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        match = _FIELD_NAME.match(line)
+        if match is None:
+            raise FramingError(
+                400, "header_line",
+                f"malformed header line: {line[:64]!r}",
+            )
+        end = match.end()
+        name = line[:end - 1].decode("ascii").lower()
+        value = line[end:].strip().decode("iso-8859-1")
+        if name in headers:
+            value = f"{headers[name]}, {value}"
+        headers[name] = value
+    raise FramingError(
+        431, "too_many_headers", f"more than {MAX_HEADERS} header lines"
+    )
 
 
 def _require(condition: bool, message: str) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 
 import pytest
@@ -11,16 +13,23 @@ from repro.core.experiment import (
     run_architecture_comparison,
     run_one,
 )
+from repro.ckpt import CheckpointStore
+from repro.core import runner as runner_module
+from repro.core.configs import CpuParams
 from repro.core.runner import (
+    KEY_MEMO_SIZE,
     Job,
     ResultCache,
     Runner,
     register_workload,
     run_jobs,
 )
+from repro.core.store import address
 from repro.core.sweeps import sweep_mem_field
 from repro.errors import ConfigError
-from repro.mem.hierarchy import MemConfig
+from repro.mem import topology as topology_module
+from repro.mem.hierarchy import BusTiming, MemConfig
+from repro.serve.queue import JobQueue
 from repro.sim.stats import SystemStats
 from repro.workloads import WORKLOADS
 
@@ -175,6 +184,167 @@ def test_registered_workload_resolves_by_name():
 def test_register_workload_rejects_bad_name():
     with pytest.raises(ConfigError):
         register_workload("", WORKLOADS["ear"])
+
+
+# ----------------------------------------------------------------------
+# Job identity: resolved once per distinct job, whatever the door
+
+APPS = ("eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "multiprog")
+OCEAN = {"l1d_size": 4096, "l1i_size": 4096, "l2_size": 512 * 1024}
+
+
+def _figure_matrix(**kw) -> list[Job]:
+    """The ledger's 7 applications x 3 presets, built afresh (new
+    instances, equal by value) on every call."""
+    return [
+        Job(
+            arch=arch, workload=app, scale="bench", n_cpus=4,
+            overrides=dict(OCEAN) if app == "ocean" else {},
+            max_cycles=30_000_000, **kw,
+        )
+        for app in APPS
+        for arch in MATRIX
+    ]
+
+
+@pytest.fixture
+def memo():
+    """The identity memo, empty at the start of the test."""
+    runner_module._address_of.cache_clear()
+    return runner_module._address_of
+
+
+@pytest.fixture
+def topologies_resolved(monkeypatch):
+    """Counts ``resolve_topology`` calls made on behalf of jobs."""
+    calls = []
+    real = runner_module.resolve_topology
+
+    def counting(arch, config):
+        calls.append(arch)
+        return real(arch, config)
+
+    monkeypatch.setattr(runner_module, "resolve_topology", counting)
+    return calls
+
+
+def test_ninety_hit_rounds_resolve_each_distinct_job_once(
+    tmp_path, memo, topologies_resolved
+):
+    # every door a re-submitted sweep comes through, 90 times over
+    queue = JobQueue()
+    cache = ResultCache(tmp_path / "cache")
+    checkpoints = CheckpointStore(tmp_path / "ckpt")
+    keys = set()
+    for _ in range(90):
+        for job in _figure_matrix():
+            record, _ = queue.submit(job)
+            assert cache.get(job) is None
+            assert checkpoints.latest(job.key()) is None
+            keys.add(record.id)
+    assert len(keys) == 21
+    # 3 x 1 890 lookups, 21 resolutions (the parent: one per lookup)
+    assert len(topologies_resolved) == 21
+    assert memo.cache_info().currsize == 21
+
+
+def test_key_follows_a_field_mutated_after_the_first_key(memo):
+    job = Job(arch="shared-l1", workload="ear", scale="test")
+    before = job.key()
+    job.scale = "bench"
+    assert job.key() == Job("shared-l1", "ear", scale="bench").key()
+    job.overrides["l2_assoc"] = 4  # in place: nothing hangs off the dict
+    assert job.key() == address(job.spec()) != before
+    job.scale, job.overrides = "test", {}
+    assert job.key() == before
+
+
+def test_key_is_typed_like_the_spec_text(memo):
+    # 4 == 4.0 as a dict key; "4" != "4.0" in the hashed spec
+    whole = Job("shared-l2", "fft", overrides={"l2_assoc": 4})
+    fraction = Job("shared-l2", "fft", overrides={"l2_assoc": 4.0})
+    assert whole.key() == address(whole.spec())
+    assert fraction.key() == address(fraction.spec()) != whole.key()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"overrides": {"bus": BusTiming(mem_latency=70)}},
+        {"cpu_model": "mxs", "cpu_params": CpuParams(rob=64)},
+    ],
+    ids=["override", "cpu_params"],
+)
+def test_unhashable_field_is_computed_and_still_matches(memo, fields):
+    job = Job(arch="shared-mem", workload="fft", **fields)
+    assert job.key() == job.key() == address(job.spec())
+    assert memo.cache_info().currsize == 0  # never entered the memo
+
+
+def test_reregistering_a_preset_name_is_a_new_identity(memo, monkeypatch):
+    # teardown drops the name again
+    monkeypatch.setitem(topology_module._PRESETS, "memo-test", None)
+    base = topology_module.get_preset("shared-l2").factory
+
+    def register(l2_assoc):
+        @topology_module.register_topology(
+            "memo-test", kind="shared-secondary", default_cpus=4,
+            description="identity memo test",
+        )
+        def factory(n_cpus, config):
+            topology = base(n_cpus, config)
+            l1, l2 = topology.levels
+            return dataclasses.replace(
+                topology,
+                name="memo-test",
+                levels=(l1, dataclasses.replace(l2, assoc=l2_assoc)),
+            )
+
+    job = Job(arch="memo-test", workload="fft")
+    register(1)
+    first = job.key()
+    assert first == job.key() == address(job.spec())
+    register(2)
+    assert job.spec()["topology"]["levels"][1]["assoc"] == 2
+    assert job.key() == address(job.spec()) != first
+
+
+def test_memo_is_bounded(memo):
+    for cap in range(KEY_MEMO_SIZE + 40):
+        Job("shared-l1", "ear", max_cycles=cap + 1).key()
+    assert memo.cache_info().currsize == KEY_MEMO_SIZE
+    # the oldest was dropped and is simply resolved again
+    oldest = Job("shared-l1", "ear", max_cycles=1)
+    assert oldest.key() == address(oldest.spec())
+
+
+def test_memoized_keys_are_the_address_of_the_spec(memo):
+    # the ledger's whole job matrix: both lanes, both CPU models, and
+    # the storm's partial-wrapped factory on all five presets
+    storm = functools.partial(WORKLOADS["ear"], 3)
+    jobs = (
+        _figure_matrix()
+        + _figure_matrix(replay=True)
+        + [j for j in _figure_matrix(cpu_model="mxs")
+           if j.workload in ("multiprog", "eqntott", "ear")]
+        + [
+            Job(arch=arch, workload=storm, scale="bench", n_cpus=4,
+                max_cycles=30_000_000)
+            for arch in MATRIX + ("shared-l3", "cluster-l1")
+        ]
+    )
+    expected = [address(job.spec()) for job in jobs]
+    assert len(set(expected)) == len(jobs) == 21 + 21 + 9 + 5
+    assert [job.key() for job in jobs] == expected  # resolving
+    assert [job.key() for job in jobs] == expected  # remembered
+    assert memo.cache_info().hits == len(jobs)
+
+
+def test_unknown_arch_or_scale_is_a_config_error_from_key():
+    with pytest.raises(ConfigError, match="unknown topology"):
+        Job(arch="shared-l9", workload="fft").key()
+    with pytest.raises(ConfigError, match="unknown scale"):
+        Job(arch="shared-l1", workload="fft", scale="huge").key()
 
 
 # ----------------------------------------------------------------------

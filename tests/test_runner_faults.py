@@ -14,7 +14,8 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,37 @@ def test_timeout_parallel(monkeypatch):
     assert all(o.timed_out for o in report.outcomes)
     assert report.worker_crashes == 0
     assert "(2 timed out)" in report.summary()
+
+
+def test_budget_off_the_main_thread_is_loud(tmp_path):
+    # SIGALRM only reaches the main thread: elsewhere the job runs to
+    # completion unbudgeted, and says so instead of dropping the budget
+    from repro.obs import EventBus, validate_events
+
+    job = Job(
+        arch="shared-l1", workload="fft", scale="test", max_cycles=CAP,
+        timeout_s=30.0,
+    )
+    log = tmp_path / "events.jsonl"
+    bus = EventBus(log_path=log).start()
+    with pytest.warns(RuntimeWarning, match="without its 30s budget"):
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            report = pool.submit(
+                Runner(jobs=1, bus=bus).run, [job]
+            ).result(timeout=120)
+    bus.stop()
+    assert not report.failures
+    (event,) = [e for e in bus.events if e.kind == "job.unbudgeted"]
+    assert event.fields["job"] == job.label()
+    assert event.fields["timeout_s"] == 30.0
+    assert validate_events(log) == []
+    kinds = [e.kind for e in bus.events]
+    assert kinds.index("job.start") < kinds.index("job.unbudgeted")
+    assert kinds.index("job.unbudgeted") < kinds.index("job.finish")
+    # on the main thread the same job is budgeted, and quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not Runner(jobs=1).run([job]).failures
 
 
 def test_parallel_failure_is_recorded_not_raised():

@@ -21,9 +21,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core import runner as runner_module
 from repro.core.experiment import ExperimentResult
 from repro.serve import ServiceClient, ServiceDaemon, ServiceError
 from repro.serve import server as serve_server
+from repro.serve import wire
 from repro.serve.queue import JobQueue
 from test_serve import FAST, SLOW, _job, running_daemon
 
@@ -246,6 +248,301 @@ def test_get_with_a_body_is_drained_too(tmp_path):
         assert_health_follows(connection)
         assert daemon._httpd.traffic()[0] == 1
         connection.close()
+
+
+# ----------------------------------------------------------------------
+# the wire-side fault lane: every message the daemon will not guess at
+# is refused by name, in the JSON contract, and costs only its own
+# connection
+
+
+class RawPeer:
+    """A client that writes bytes, not requests: one socket, what was
+    sent on it, and the answers read back off it."""
+
+    def __init__(self, daemon, sent: bytes, half_close: bool = False):
+        self.sock = socket.create_connection(
+            ("127.0.0.1", daemon.port), timeout=10
+        )
+        self.sock.sendall(sent)
+        if half_close:
+            self.sock.shutdown(socket.SHUT_WR)
+        self.reader = self.sock.makefile("rb")
+
+    def answer(self) -> tuple[int, dict, dict]:
+        """The next response: (status, headers, JSON body)."""
+        version, status, _ = self.reader.readline().split(None, 2)
+        assert version == b"HTTP/1.1"
+        headers = {}
+        for line in iter(self.reader.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.lower()] = value.strip()
+        assert headers["content-type"] == "application/json"
+        body = self.reader.read(int(headers["content-length"]))
+        return int(status), headers, json.loads(body)
+
+    def hung_up(self) -> bool:
+        """Whether the daemon has closed its side (blocks until it has,
+        or this socket's timeout fails the test)."""
+        return self.reader.read() == b""
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _post(headers: str, body: str = "{}") -> bytes:
+    return (
+        f"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n{headers}\r\n{body}"
+    ).encode("latin-1")
+
+
+def _get(headers: str = "", target: str = "/v1/health HTTP/1.1") -> bytes:
+    return f"GET {target}\r\nHost: x\r\n{headers}\r\n".encode("latin-1")
+
+
+_LONG = "x" * (wire.MAX_LINE_BYTES + 1)
+
+#: id -> (bytes sent, status, text in the error, refusal label or None
+#: where the request is merely answered, whether the daemon hangs up)
+WIRE_FAULTS = {
+    # framing the e-mail parser let through (first length won, chunked
+    # beside a length was read by length, odd header lines were dropped)
+    "lengths-disagree": (
+        _post("Content-Length: 2\r\nContent-Length: 3\r\n"),
+        400, "bad Content-Length: '2, 3'", "content_length", True,
+    ),
+    "chunked-beside-a-length": (
+        _post("Transfer-Encoding: chunked\r\nContent-Length: 2\r\n"),
+        400, "Transfer-Encoding is not supported", "transfer_encoding", True,
+    ),
+    "space-before-colon": (
+        _get("Accept : */*\r\n"),
+        400, "malformed header line: b'Accept : */*", "header_line", True,
+    ),
+    "folded-continuation": (
+        _get("Accept: a,\r\n  b\r\n"),
+        400, "malformed header line: b'  b", "header_line", True,
+    ),
+    "line-without-colon": (
+        _get("garbage\r\n"),
+        400, "malformed header line: b'garbage", "header_line", True,
+    ),
+    # what the stdlib refused itself, with an HTML page or no status line
+    "http-2": (
+        _get(target="/v1/health HTTP/2.0"),
+        505, "HTTP version 2.0 is not supported", "http_version", True,
+    ),
+    "http-0.9-request-line": (
+        b"GET /v1/health\r\n\r\n",
+        400, "bad request line: 'GET /v1/health'", "request_line", True,
+    ),
+    "version-that-is-not-one": (
+        _get(target="/v1/health HTTP/one"),
+        400, "bad request version: 'HTTP/one'", "request_line", True,
+    ),
+    "request-line-too-long": (
+        _get(target=f"/v1/{_LONG} HTTP/1.1"),
+        414, "Request-URI Too Long", "line_too_long", True,
+    ),
+    "header-line-too-long": (
+        _get(f"Accept: {_LONG}\r\n"),
+        431, "header line over 65536 bytes", "line_too_long", True,
+    ),
+    "too-many-headers": (
+        _get("".join(f"X-{n}: y\r\n" for n in range(wire.MAX_HEADERS))),
+        431, "more than 100 header lines", "too_many_headers", True,
+    ),
+    "verb-the-daemon-does-not-have": (
+        b"BREW /v1/health HTTP/1.1\r\nHost: x\r\n\r\n",
+        501, "Unsupported method ('BREW')", "method", True,
+    ),
+    # refusals the daemon already made, now booked by reason
+    "length-not-a-number": (
+        _post("Content-Length: \xb2\r\n"),
+        400, "bad Content-Length: '\xb2'", "content_length", True,
+    ),
+    "oversized-body": (
+        _post(f"Content-Length: {serve_server.MAX_BODY_BYTES + 1}\r\n"),
+        413, "request body over 1048576 bytes", "body_too_large", True,
+    ),
+    "body-shorter-than-its-length": (
+        _post("Content-Length: 10\r\n"),
+        400, "request body shorter than Content-Length", "short_body", True,
+    ),
+    # answered, not refused: the connection is the client's to keep
+    "bad-wait": (
+        _get(target=f"/v1/jobs/{'f' * 64}?wait=soon HTTP/1.1"),
+        400, "wait must be a number of seconds", None, False,
+    ),
+    "lengths-agree": (
+        _post("Content-Length: 2\r\nContent-Length: 2\r\n"),
+        400, "job payload needs a workload name", None, False,
+    ),
+    "bare-lf-line-endings": (
+        b"GET /v1/health HTTP/1.1\nHost: x\n\n", 200, None, None, False,
+    ),
+    "http-1.0": (
+        _get(target="/v1/health HTTP/1.0"), 200, None, None, True,
+    ),
+    "http-1.0-keep-alive": (
+        _get("Connection: keep-alive\r\n", "/v1/health HTTP/1.0"),
+        200, None, None, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WIRE_FAULTS)
+def test_wire_fault_is_answered_by_name_and_costs_one_connection(
+    tmp_path, case
+):
+    sent, status, text, reason, closes = WIRE_FAULTS[case]
+    with running_daemon(tmp_path) as (daemon, client):
+        peer = RawPeer(
+            daemon, sent, half_close=case == "body-shorter-than-its-length"
+        )
+        got, headers, document = peer.answer()
+        assert got == status
+        if text is None:
+            assert document["ok"] is True
+        else:
+            assert set(document) == {"error"} and text in document["error"]
+        if closes:
+            assert headers["connection"] == "close"
+            assert peer.hung_up()
+        else:
+            assert "connection" not in headers
+            peer.sock.sendall(_get())
+            assert peer.answer()[2]["ok"] is True  # same socket, in step
+        peer.close()
+        # the next connection is served, and the books name the reason
+        assert client.health()["ok"]
+        assert daemon._httpd.refused() == ({reason: 1} if reason else {})
+        booked = re.findall(
+            r"^repro_service_http_refused_total\{reason=\"(\w+)\"\} (\d+)$",
+            client.metrics(),
+            re.M,
+        )
+        assert booked == ([(reason, "1")] if reason else [])
+        assert daemon._httpd.traffic()[0] == 2
+        assert eventually(lambda: daemon.open_connections() == 1)
+
+
+def test_expect_100_continue_is_answered_before_the_body(tmp_path):
+    with running_daemon(tmp_path) as (daemon, _):
+        body = json.dumps(FAST)
+        peer = RawPeer(daemon, _post(
+            f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n",
+            body="",
+        ))
+        # the go-ahead arrives while the daemon still waits for the body
+        assert peer.reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert peer.reader.readline() == b"\r\n"
+        peer.sock.sendall(body.encode())
+        status, _, document = peer.answer()
+        assert status == 202 and document["label"].startswith("fft/")
+        peer.close()
+
+
+def test_no_request_reaches_the_email_parser(tmp_path, monkeypatch):
+    # http.client.parse_headers is the door into email.parser, for the
+    # stdlib's server and client alike: neither end goes through it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("header block handed to email.parser")
+
+    monkeypatch.setattr(http.client, "parse_headers", unreachable)
+    monkeypatch.setattr("email.parser.Parser.parsestr", unreachable)
+    monkeypatch.setattr("email.feedparser.FeedParser.feed", unreachable)
+    with running_daemon(tmp_path) as (daemon, client):
+        job_id = client.submit(FAST)["id"]
+        assert client.wait(job_id, timeout=60)["state"] == "done"
+        first = client.result_payload(job_id)
+        assert client.submit(FAST)["reused"] is True  # the hit path
+        assert client.wait(job_id)["state"] == "done"
+        assert client.result_payload(job_id) == first
+        assert list(client.watch(job_id))[-1]["kind"] == "serve.state"
+        assert "repro_service_http_requests_total" in client.metrics()
+        assert daemon._httpd.traffic()[1]["submit"] == 2
+
+
+def test_hit_rounds_over_http_resolve_each_distinct_job_once(
+    tmp_path, monkeypatch
+):
+    specs = [{**FAST, "workload": name} for name in ("fft", "ear", "mp3d")]
+    with running_daemon(tmp_path) as (daemon, client):
+        ids = [client.submit(spec)["id"] for spec in specs]
+        for job_id in ids:
+            assert client.wait(job_id, timeout=60)["state"] == "done"
+        resolved = []
+        real = runner_module.resolve_topology
+        monkeypatch.setattr(
+            runner_module, "resolve_topology",
+            lambda *args: resolved.append(args) or real(*args),
+        )
+        runner_module._address_of.cache_clear()
+        for _ in range(90):
+            assert [client.submit(spec)["id"] for spec in specs] == ids
+        assert len(resolved) == len(specs)
+        assert daemon.scheduler.executed == len(specs)
+
+
+# ----------------------------------------------------------------------
+# clients that vanish mid-exchange
+
+
+def handler_threads() -> int:
+    """Live per-connection threads of any daemon in this process."""
+    return sum(
+        "process_request_thread" in thread.name
+        for thread in threading.enumerate()
+    )
+
+
+def test_client_dropped_mid_long_poll_is_gone_by_the_end_of_its_hold(
+    tmp_path,
+):
+    with running_daemon(tmp_path, jobs=1) as (daemon, client):
+        client.submit(SLOW)
+        queued_id = client.submit(FAST)["id"]  # behind SLOW: stays put
+        client.close()
+        assert eventually(lambda: handler_threads() == 0)
+        peer = RawPeer(
+            daemon, _get(target=f"/v1/jobs/{queued_id}?wait=1.5 HTTP/1.1")
+        )
+        assert eventually(lambda: daemon.queue.parked == 1)
+        assert handler_threads() == 1
+        peer.close()
+        # nobody is told the client left: its request stays parked, but
+        # no later than its hold, and then thread and socket both go
+        assert eventually(lambda: daemon.queue.parked == 0)
+        assert eventually(lambda: daemon.open_connections() == 0)
+        assert eventually(lambda: handler_threads() == 0)
+        assert daemon._httpd.traffic()[1]["status"] == 1
+        assert client.wait(queued_id, timeout=120)["state"] == "done"
+
+
+def test_client_dropped_mid_event_stream_does_not_delay_shutdown(tmp_path):
+    daemon = ServiceDaemon(port=0, jobs=1, state_dir=tmp_path / "serve")
+    daemon.start()
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{daemon.port}")
+        client.submit(SLOW)
+        queued_id = client.submit(FAST)["id"]
+        client.close()
+        peer = RawPeer(
+            daemon, _get(target=f"/v1/jobs/{queued_id}/events HTTP/1.1")
+        )
+        assert peer.reader.readline() == b"HTTP/1.1 200 OK\r\n"
+        assert eventually(lambda: daemon.open_connections() == 1)
+        peer.close()
+        started = time.monotonic()
+        daemon.shutdown(grace=0.0)
+        # the stream's thread was waiting on the job, not on the client
+        assert time.monotonic() - started < 10
+    finally:
+        daemon.shutdown(grace=0.0)
+    assert eventually(lambda: daemon.open_connections() == 0)
+    assert eventually(lambda: handler_threads() == 0)
 
 
 # ----------------------------------------------------------------------
