@@ -7,8 +7,9 @@ Three coherence disciplines build every machine from its spec, so:
   moves the simulated numbers when it changes;
 * any *legal* perturbation of a preset (Hypothesis draws sizes,
   associativities, banks, latencies, stage lists and 2–16 CPUs) keeps
-  the standing contracts: fast lane on/off bit-identical, per-CPU and
-  per-cache conservation, checkpoint round trip;
+  the standing contracts: fast lane on/off bit-identical, the
+  conservation and protocol oracle (``tests/oracles``), checkpoint
+  round trip;
 * a shape a discipline cannot honour is a ``ConfigError`` naming the
   field, never a silently ignored value.
 """
@@ -22,6 +23,7 @@ import re
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles.conservation import check_run
 
 from repro.ckpt import restore_system, snapshot_system
 from repro.core.configs import build_memory, config_for_scale
@@ -301,49 +303,6 @@ def legal_specs(draw):
     return spec, config
 
 
-def check_conservation(system, stats):
-    """Nothing is lost between levels: what misses in one level is
-    exactly what the next one is asked for (accesses = hits + misses
-    at every cache, with the hits being what never shows up below),
-    and under Mipsy every cycle of a CPU's run is busy or a stall."""
-    memory = system.memory
-    for cache in stats.caches.values():
-        assert 0 <= cache.misses <= cache.accesses, cache.name
-    l1i = stats.aggregate_caches(".l1i")
-    l1d = stats.aggregate_caches(".l1d")
-    l1d_read_misses = l1d.read_misses_repl + l1d.read_misses_inval
-    l1d_write_misses = l1d.write_misses_repl + l1d.write_misses_inval
-    kind = system.topology.kind
-    if kind == "shared-primary":
-        l2 = stats.cache("chip.l2")
-        assert l2.reads == l1d_read_misses + l1i.misses
-        assert l2.writes == l1d_write_misses
-        assert memory.mem.reads == l2.misses
-    elif kind == "shared-memory":
-        l2 = stats.aggregate_caches(".l2")
-        assert l2.reads == l1d_read_misses + l1i.misses
-        assert l2.writes == l1d_write_misses
-        assert memory.bus.mem_reads + memory.bus.c2c_transfers == l2.misses
-    else:
-        # Write-through: every store reaches every level; reads thin
-        # out level by level.
-        reads_below = l1d_read_misses + l1i.misses
-        *deeper, shared = system.topology.levels[1:]
-        for level in deeper:
-            cache = stats.aggregate_caches(f".{level.name}")
-            assert cache.reads == reads_below, level.name
-            assert cache.writes == l1d.writes, level.name
-            reads_below = cache.read_misses_repl + cache.read_misses_inval
-        cache = stats.cache(f"shared.{shared.name}")
-        assert cache.reads == reads_below
-        assert cache.writes == l1d.writes
-        assert memory.mem.reads == cache.misses
-    if system.cpu_model == "mipsy":
-        for cpu, breakdown in zip(system.cpus, stats.breakdowns):
-            assert breakdown.total == cpu.resume <= stats.cycles
-        assert stats.aggregate_breakdown().busy == stats.instructions
-
-
 #: Far above any drawn run's length (a few thousand cycles). Hypothesis
 #: has found one drawn machine — 16 CPUs thrashing a direct-mapped 2 KB
 #: shared L1 behind a 16-cycle interconnect — whose barrier never
@@ -376,7 +335,7 @@ def test_drawn_topologies_keep_the_contracts(drawn, cpu_model, seed):
     stats = whole.run()
     assume(not whole.truncated)
     baseline = stats.to_dict()
-    check_conservation(whole, stats)
+    check_run(whole, stats)
 
     assert fresh(l1_fast_path=False).run().to_dict() == baseline
 
