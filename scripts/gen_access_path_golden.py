@@ -37,7 +37,9 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from _golden import settle, wants_check
 from repro.core.configs import config_for_scale
 from repro.core.system import System
 from repro.mem.bank import BankedResource, Resource
@@ -168,9 +170,7 @@ def case_keys() -> list[str]:
     return [key for key in keys if key not in UNFINISHED]
 
 
-def build_case(
-    key: str, fast_lane: bool = True, checkpointing: bool = False
-) -> System:
+def build_case(key: str, fast_lane: bool = True) -> System:
     machine, workload_name, cpu_model, variant = key.split("/")
     if machine in GOLDEN_SPECS:
         n_cpus, make_spec = GOLDEN_SPECS[machine]
@@ -190,7 +190,6 @@ def build_case(
         cpu_model=cpu_model,
         mem_config=config,
         max_cycles=MAX_CYCLES,
-        checkpointing=checkpointing,
     )
 
 
@@ -278,37 +277,18 @@ def run_case(key: str, fast_lane: bool = True) -> dict:
     return case_result(system, system.run())
 
 
-def render(golden: dict) -> str:
-    return (
-        json.dumps(
-            {"scale": SCALE, "cases": golden},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n"
-    )
-
-
 def main(argv: list[str]) -> int:
-    check = argv == ["--check"]
-    if argv and not check:
-        print(f"usage: {Path(__file__).name} [--check]", file=sys.stderr)
-        return 2
+    check = wants_check(argv)
     golden = {}
     for key in case_keys():
         print(f"running {key} ...", flush=True)
         golden[key] = run_case(key)
-    text = render(golden)
-    if check:
-        if GOLDEN_PATH.read_text(encoding="utf-8") != text:
-            print(f"DRIFT: {GOLDEN_PATH} no longer regenerates from its script")
-            return 1
-        print(f"{GOLDEN_PATH} regenerates bit-identically ({len(golden)} cases)")
-        return 0
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(text, encoding="utf-8")
-    print(f"wrote {GOLDEN_PATH} ({len(golden)} cases)")
-    return 0
+    text = json.dumps(
+        {"scale": SCALE, "cases": golden},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return settle({GOLDEN_PATH: (text + "\n").encode("utf-8")}, check)
 
 
 if __name__ == "__main__":

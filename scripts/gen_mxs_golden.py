@@ -32,20 +32,26 @@ per-preset ``MemorySystem`` classes; the suite asserts the spec-driven
 disciplines that replaced them restore each one and finish on the same
 stats — the frozen ``repro.ckpt/1`` memory section.
 
-Only rerun this script to *extend* the matrix — never to paper over a
-mismatch, which is exactly the regression the suite exists to catch.
+``--check`` regenerates to memory and exits non-zero when a result
+differs from its committed file (the blobs up to the package version
+they embed). Only rerun without it to *extend* the matrix — never to
+paper over a mismatch, which is exactly the regression the suite
+exists to catch.
 """
 
 from __future__ import annotations
 
 import functools
 import gzip
+import io
 import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from _golden import settle, wants_check
 from repro.ckpt import snapshot_system
 from repro.core.configs import CpuParams, config_for_scale
 from repro.core.system import System
@@ -180,35 +186,56 @@ def hierarchy_snapshots() -> dict:
     return cases
 
 
-def _write_blob(path: Path, payload: dict) -> None:
+def _blob(path: Path, payload: dict) -> bytes:
     raw = json.dumps(payload, separators=(",", ":"))
-    # mtime=0 keeps the compressed bytes deterministic.
-    with gzip.GzipFile(path, "wb", mtime=0) as blob:
+    held = io.BytesIO()
+    # mtime=0 keeps the compressed bytes deterministic (the header
+    # also carries the file's name).
+    with gzip.GzipFile(path.name, "wb", fileobj=held, mtime=0) as blob:
         blob.write(raw.encode("utf-8"))
+    return held.getvalue()
 
 
-def main() -> int:
+def _same_blob(committed: bytes, fresh: bytes) -> bool:
+    """Blob equality up to the package version every snapshot embeds
+    (the one field allowed to move between releases)."""
+
+    def unversioned(blob: bytes):
+        state = json.loads(gzip.decompress(blob))
+        for snapshot in (
+            [state]
+            if "meta" in state
+            else [case["snapshot"] for case in state.values()]
+        ):
+            snapshot["meta"]["version"] = None
+        return state
+
+    return unversioned(committed) == unversioned(fresh)
+
+
+def main(argv: list[str]) -> int:
+    check = wants_check(argv)
     golden = {}
     for key in case_keys():
         print(f"running {key} ...", flush=True)
         golden[key] = run_case(key)
-    _DATA.mkdir(parents=True, exist_ok=True)
-    GOLDEN_PATH.write_text(
-        json.dumps(
-            {"scale": SCALE, "n_cpus": N_CPUS, "cases": golden},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        + "\n",
-        encoding="utf-8",
+    text = json.dumps(
+        {"scale": SCALE, "n_cpus": N_CPUS, "cases": golden},
+        sort_keys=True,
+        separators=(",", ":"),
     )
-    print(f"wrote {GOLDEN_PATH} ({len(golden)} cases)")
-    _write_blob(CKPT_PATH, midrun_snapshot())
-    print(f"wrote {CKPT_PATH} ({CKPT_CASE} paused at {CKPT_PAUSE})")
-    _write_blob(HIERARCHY_CKPT_PATH, hierarchy_snapshots())
-    print(f"wrote {HIERARCHY_CKPT_PATH} ({', '.join(HIERARCHY_CKPT_CASES)})")
-    return 0
+    status = settle({GOLDEN_PATH: (text + "\n").encode("utf-8")}, check)
+    return status | settle(
+        {
+            CKPT_PATH: _blob(CKPT_PATH, midrun_snapshot()),
+            HIERARCHY_CKPT_PATH: _blob(
+                HIERARCHY_CKPT_PATH, hierarchy_snapshots()
+            ),
+        },
+        check,
+        same=_same_blob,
+    )
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

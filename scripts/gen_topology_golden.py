@@ -8,9 +8,10 @@ produced by the pre-refactor string-dispatch code; the differential
 suite (``tests/test_topology_regression.py``) asserts the composable
 topology engine reproduces it bit-for-bit.
 
-Only rerun this script to *extend* the matrix (new workloads/scales) —
-never to paper over a mismatch, which is exactly the regression the
-suite exists to catch.
+``--check`` regenerates to memory and exits non-zero when the result
+differs from the committed file. Only rerun without it to *extend* the
+matrix (new workloads/scales) — never to paper over a mismatch, which
+is exactly the regression the suite exists to catch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from _golden import settle, wants_check
 from repro.core.configs import ARCHITECTURES, CPU_MODELS, config_for_scale
 from repro.core.system import System
 from repro.mem.functional import FunctionalMemory
@@ -39,9 +42,8 @@ def run_case(arch: str, cpu_model: str, workload_name: str) -> dict:
     return stats.to_dict()
 
 
-def main() -> int:
-    out_path = Path(__file__).resolve().parent.parent / "tests" / "data"
-    out_path.mkdir(parents=True, exist_ok=True)
+def main(argv: list[str]) -> int:
+    check = wants_check(argv)
     golden: dict[str, dict] = {}
     for arch in ARCHITECTURES:
         for cpu_model in CPU_MODELS:
@@ -49,19 +51,19 @@ def main() -> int:
                 key = f"{arch}/{cpu_model}/{workload_name}"
                 print(f"running {key} ...", flush=True)
                 golden[key] = run_case(arch, cpu_model, workload_name)
-    target = out_path / "topology_golden.json"
-    target.write_text(
-        json.dumps(
-            {"scale": SCALE, "n_cpus": N_CPUS, "cases": golden},
-            indent=1,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    text = json.dumps(
+        {"scale": SCALE, "n_cpus": N_CPUS, "cases": golden},
+        indent=1,
+        sort_keys=True,
     )
-    print(f"wrote {target} ({len(golden)} cases)")
-    return 0
+    target = (
+        Path(__file__).resolve().parent.parent
+        / "tests"
+        / "data"
+        / "topology_golden.json"
+    )
+    return settle({target: (text + "\n").encode("utf-8")}, check)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

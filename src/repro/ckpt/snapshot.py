@@ -28,8 +28,6 @@ in a fresh process → run-to-end* produce bit-identical
 
 from __future__ import annotations
 
-from collections import deque
-
 from repro.errors import CheckpointError
 from repro.cpu.mxs.funits import UNITS
 from repro.isa.instructions import FU_KINDS, Instruction, OpClass
@@ -152,7 +150,7 @@ def _encode_component(value):
     if isinstance(value, WriteBuffer):
         return {
             "pending": list(value._pending),
-            "last_visible": value._last_visible,
+            "last_visible": value.last_visible,
             "full_stalls": value.full_stalls,
             "stores": value.stores,
         }
@@ -219,7 +217,11 @@ def _restore_component(value, data) -> None:
         # columns by reference; import_sets re-stamps the stored (LRU)
         # order, preserving every future replacement decision.
         value.import_sets(sets)
-        value.tracker._invalidated = set(data["invalidated"])
+        # In place too: built paths capture the tracker's set, the
+        # write buffer's deque and the directory's dict below.
+        invalidated = value.tracker._invalidated
+        invalidated.clear()
+        invalidated.update(data["invalidated"])
         return
     if isinstance(value, (Crossbar, MultistageCrossbar)):
         _restore_component(value.banks, data["banks"])
@@ -244,8 +246,9 @@ def _restore_component(value, data) -> None:
         _restore_resource(value, data)
         return
     if isinstance(value, WriteBuffer):
-        value._pending = deque(data["pending"])
-        value._last_visible = data["last_visible"]
+        value._pending.clear()
+        value._pending.extend(data["pending"])
+        value.last_visible = data["last_visible"]
         value.full_stalls = data["full_stalls"]
         value.stores = data["stores"]
         return
@@ -255,7 +258,8 @@ def _restore_component(value, data) -> None:
         value.writes = data["writes"]
         return
     if isinstance(value, Directory):
-        value._holders = {line: mask for line, mask in data["holders"]}
+        value._holders.clear()
+        value._holders.update((line, mask) for line, mask in data["holders"])
         value.invalidations_sent = data["invalidations_sent"]
         return
     if isinstance(value, SnoopyBus):

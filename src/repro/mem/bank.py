@@ -47,6 +47,24 @@ class Resource:
         self.wait_cycles += start - at
         return start
 
+    def make_acquire(self, occupancy: int):
+        """Build ``acquire(at) -> start``: :meth:`acquire` for a fixed
+        ``occupancy`` with the resource captured, for the built access
+        paths (every counter is kept)."""
+        resource = self
+
+        def acquire(at: int) -> int:
+            start = resource.next_free
+            if start < at:
+                start = at
+            resource.next_free = start + occupancy
+            resource.busy_cycles += occupancy
+            resource.requests += 1
+            resource.wait_cycles += start - at
+            return start
+
+        return acquire
+
     def peek_start(self, at: int) -> int:
         """When service would start if requested at ``at`` (no reservation)."""
         return self.next_free if self.next_free > at else at

@@ -302,7 +302,21 @@ class CacheArray:
         return self.tracker.classify(line_addr)
 
     # ------------------------------------------------------------------
-    # specialized probe builders (fast lanes)
+    # specialized builders (fast lanes and built access paths)
+    #
+    # Each returns a closure over the columns, unrolled for one and two
+    # ways; wider arrays get the bound generic method above, which is
+    # also the reference the unrolled forms are tested against
+    # (``tests/test_probe_core.py``). A direct-mapped set has no
+    # recency to keep, so its closures leave the stamps alone.
+
+    @property
+    def invalidated(self) -> set[int]:
+        """The lines a coherence action removed (the tracker's live
+        set). A built path captures it to classify a miss with one
+        membership test; like the columns it is only ever mutated in
+        place, checkpoint restore included."""
+        return self.tracker._invalidated
 
     def make_probe(self) -> Callable[[int], int]:
         """Build an allocation-free LRU-refreshing probe closure.
@@ -317,9 +331,7 @@ class CacheArray:
         stamps = self.stamps
         tick = self._tick
         mask = self._set_mask
-        assoc = self.assoc
-        if assoc == 1:
-            # Direct-mapped: the single way needs no LRU bookkeeping.
+        if self.assoc == 1:
             def probe(line_addr: int) -> int:
                 way = line_addr & mask
                 if tags[way] != line_addr:
@@ -327,32 +339,19 @@ class CacheArray:
                 return states[way]
 
             return probe
-        if assoc == 2:
+        if self.assoc == 2:
             def probe(line_addr: int) -> int:
                 way = (line_addr & mask) << 1
-                if tags[way] == line_addr:
-                    stamps[way] = tick[0]
-                    tick[0] += 1
-                    return states[way]
-                way += 1
-                if tags[way] == line_addr:
-                    stamps[way] = tick[0]
-                    tick[0] += 1
-                    return states[way]
-                return -1
+                if tags[way] != line_addr:
+                    way += 1
+                    if tags[way] != line_addr:
+                        return -1
+                stamps[way] = tick[0]
+                tick[0] += 1
+                return states[way]
 
             return probe
-
-        def probe(line_addr: int) -> int:
-            base = (line_addr & mask) * assoc
-            for way in range(base, base + assoc):
-                if tags[way] == line_addr:
-                    stamps[way] = tick[0]
-                    tick[0] += 1
-                    return states[way]
-            return -1
-
-        return probe
+        return self.probe
 
     def make_probe_modify(self) -> Callable[[int], int]:
         """Build a store-hit probe closure (see :meth:`probe_modify`)."""
@@ -361,8 +360,7 @@ class CacheArray:
         stamps = self.stamps
         tick = self._tick
         mask = self._set_mask
-        assoc = self.assoc
-        if assoc == 1:
+        if self.assoc == 1:
             def probe_modify(line_addr: int) -> int:
                 way = line_addr & mask
                 if tags[way] != line_addr:
@@ -372,7 +370,7 @@ class CacheArray:
                 return previous
 
             return probe_modify
-        if assoc == 2:
+        if self.assoc == 2:
             def probe_modify(line_addr: int) -> int:
                 way = (line_addr & mask) << 1
                 if tags[way] != line_addr:
@@ -386,63 +384,228 @@ class CacheArray:
                 return previous
 
             return probe_modify
+        return self.probe_modify
 
-        def probe_modify(line_addr: int) -> int:
-            base = (line_addr & mask) * assoc
-            for way in range(base, base + assoc):
+    def make_find(self) -> Callable[[int], int]:
+        """Build a :meth:`find` closure: the absolute way holding the
+        line or ``-1``, no LRU touch — what a snoop walk and a state
+        poke (``states[way] = …``) start from."""
+        tags = self.tags
+        mask = self._set_mask
+        if self.assoc == 1:
+            def find(line_addr: int) -> int:
+                way = line_addr & mask
+                return way if tags[way] == line_addr else -1
+
+            return find
+        if self.assoc == 2:
+            def find(line_addr: int) -> int:
+                way = (line_addr & mask) << 1
                 if tags[way] == line_addr:
-                    stamps[way] = tick[0]
-                    tick[0] += 1
-                    previous = states[way]
-                    states[way] = MODIFIED
-                    return previous
-            return -1
+                    return way
+                way += 1
+                return way if tags[way] == line_addr else -1
 
-        return probe_modify
+            return find
+        return self.find
 
-    def make_probe_dirty(self) -> Callable[[int], bool]:
-        """Build a MODIFIED-hit probe closure.
+    def make_evict(self) -> Callable[..., int]:
+        """Build an :meth:`evict` closure: ``evict(line_addr,
+        coherence=True) -> state | -1``. Like the method it bumps
+        :data:`EVICT_EPOCH` on every line it removes and notes a
+        coherence removal for the next miss's classification."""
+        tags = self.tags
+        states = self.states
+        mask = self._set_mask
+        note_invalidation = self.tracker._invalidated.add
+        epoch = EVICT_EPOCH
+        if self.assoc == 1:
+            def evict(line_addr: int, coherence: bool = True) -> int:
+                way = line_addr & mask
+                if tags[way] != line_addr:
+                    return -1
+                tags[way] = -1
+                epoch[0] += 1
+                if coherence:
+                    note_invalidation(line_addr)
+                return states[way]
 
-        ``probe_dirty(line_addr) -> bool``: True (with an LRU refresh)
-        only when the line is resident MODIFIED; any other state — or a
-        miss — declines with nothing touched. This is the write-back
-        store fast lane: E/S hits need upgrade transactions and must
-        take the general path.
+            return evict
+        if self.assoc == 2:
+            def evict(line_addr: int, coherence: bool = True) -> int:
+                way = (line_addr & mask) << 1
+                if tags[way] != line_addr:
+                    way += 1
+                    if tags[way] != line_addr:
+                        return -1
+                tags[way] = -1
+                epoch[0] += 1
+                if coherence:
+                    note_invalidation(line_addr)
+                return states[way]
+
+            return evict
+        return self.evict
+
+    def make_fill(self) -> Callable[[int, int], int]:
+        """Build a :meth:`fill` closure: ``fill(line_addr, state) ->
+        packed victim | -1``, one walk of the set that finds the line,
+        an empty way or the LRU victim."""
+        tags = self.tags
+        states = self.states
+        stamps = self.stamps
+        tick = self._tick
+        mask = self._set_mask
+        note_fill = self.tracker._invalidated.discard
+        if self.assoc == 1:
+            def fill(line_addr: int, state: int) -> int:
+                way = line_addr & mask
+                tag = tags[way]
+                if tag == line_addr:
+                    states[way] = state
+                    return -1
+                packed = (tag << 2) | states[way] if tag >= 0 else -1
+                tags[way] = line_addr
+                states[way] = state
+                note_fill(line_addr)
+                return packed
+
+            return fill
+        if self.assoc == 2:
+            def fill(line_addr: int, state: int) -> int:
+                way = (line_addr & mask) << 1
+                tag = tags[way]
+                other_tag = tags[way + 1]
+                packed = -1
+                if tag == line_addr or other_tag == line_addr:
+                    if tag != line_addr:
+                        way += 1
+                elif tag >= 0:
+                    if other_tag < 0:
+                        way += 1
+                    else:
+                        if stamps[way + 1] < stamps[way]:
+                            way += 1
+                            tag = other_tag
+                        packed = (tag << 2) | states[way]
+                    tags[way] = line_addr
+                    note_fill(line_addr)
+                else:
+                    tags[way] = line_addr
+                    note_fill(line_addr)
+                states[way] = state
+                stamps[way] = tick[0]
+                tick[0] += 1
+                return packed
+
+            return fill
+        return self.fill
+
+    def make_read_lane(self, stats=None) -> Callable[[int, int], int]:
+        """Build a single-cycle read-hit lane over this array.
+
+        ``lane(addr, at) -> at + 1`` when the line holding byte address
+        ``addr`` is resident — LRU refreshed, ``stats.reads`` counted
+        when ``stats`` is given (an I-cache's reads are counted by its
+        CPU) — else ``-1`` with nothing touched. The probe is inlined,
+        so a hit is one Python call: shift, tag compare, stamp, count.
+        """
+        tags = self.tags
+        stamps = self.stamps
+        tick = self._tick
+        mask = self._set_mask
+        shift = self.line_shift
+        if self.assoc == 1:
+            def lane(addr: int, at: int) -> int:
+                line_addr = addr >> shift
+                if tags[line_addr & mask] != line_addr:
+                    return -1
+                if stats is not None:
+                    stats.reads += 1
+                return at + 1
+
+            return lane
+        if self.assoc == 2:
+            def lane(addr: int, at: int) -> int:
+                line_addr = addr >> shift
+                way = (line_addr & mask) << 1
+                if tags[way] != line_addr:
+                    way += 1
+                    if tags[way] != line_addr:
+                        return -1
+                stamps[way] = tick[0]
+                tick[0] += 1
+                if stats is not None:
+                    stats.reads += 1
+                return at + 1
+
+            return lane
+        probe = self.probe
+
+        def lane(addr: int, at: int) -> int:
+            if probe(addr >> shift) < 0:
+                return -1
+            if stats is not None:
+                stats.reads += 1
+            return at + 1
+
+        return lane
+
+    def make_dirty_store_lane(self, stats, post) -> Callable[[int, int], int]:
+        """Build the write-back posted-store lane over this array.
+
+        ``lane(addr, at) -> release + 1`` only when the line is
+        resident MODIFIED: LRU refreshed, ``stats.writes`` counted and
+        the store posted through ``post`` (a
+        :meth:`WriteBuffer.make_post
+        <repro.mem.writebuffer.WriteBuffer.make_post>` closure) to
+        complete next cycle. Any other state — E/S hits need upgrade
+        transactions — or a miss declines with ``-1``, nothing touched.
         """
         tags = self.tags
         states = self.states
         stamps = self.stamps
         tick = self._tick
         mask = self._set_mask
-        assoc = self.assoc
-        if assoc == 2:
-            def probe_dirty(line_addr: int) -> bool:
+        shift = self.line_shift
+        if self.assoc == 1:
+            def lane(addr: int, at: int) -> int:
+                line_addr = addr >> shift
+                way = line_addr & mask
+                if tags[way] != line_addr or states[way] != MODIFIED:
+                    return -1
+                stats.writes += 1
+                return post(at, at + 1) + 1
+
+            return lane
+        if self.assoc == 2:
+            def lane(addr: int, at: int) -> int:
+                line_addr = addr >> shift
                 way = (line_addr & mask) << 1
                 if tags[way] != line_addr:
                     way += 1
                     if tags[way] != line_addr:
-                        return False
+                        return -1
                 if states[way] != MODIFIED:
-                    return False
+                    return -1
                 stamps[way] = tick[0]
                 tick[0] += 1
-                return True
+                stats.writes += 1
+                return post(at, at + 1) + 1
 
-            return probe_dirty
+            return lane
+        find = self.find
 
-        def probe_dirty(line_addr: int) -> bool:
-            base = (line_addr & mask) * assoc
-            for way in range(base, base + assoc):
-                if tags[way] == line_addr:
-                    if states[way] != MODIFIED:
-                        return False
-                    if assoc > 1:
-                        stamps[way] = tick[0]
-                        tick[0] += 1
-                    return True
-            return False
+        def lane(addr: int, at: int) -> int:
+            way = find(addr >> shift)
+            if way < 0 or states[way] != MODIFIED:
+                return -1
+            stamps[way] = tick[0]
+            tick[0] += 1
+            stats.writes += 1
+            return post(at, at + 1) + 1
 
-        return probe_dirty
+        return lane
 
     # ------------------------------------------------------------------
     # legacy byte-address API (tests, reports, cold paths)

@@ -19,6 +19,14 @@ class Directory:
         self._holders: dict[int, int] = {}
         self.invalidations_sent = 0
 
+    @property
+    def masks(self) -> dict[int, int]:
+        """The live ``line address -> holder bitmask`` map (no entry
+        for an empty mask). A built path captures it to record a holder
+        or test for other holders without a call; it is only ever
+        mutated in place, checkpoint restore included."""
+        return self._holders
+
     def add_holder(self, line_addr: int, cpu: int) -> None:
         """Record that ``cpu``'s L1 filled this line."""
         self._holders[line_addr] = self._holders.get(line_addr, 0) | (1 << cpu)

@@ -29,8 +29,21 @@ from repro.mem.cache import MODIFIED, SHARED, CacheArray, LineState
 from repro.sim.stats import CacheStats
 
 
+#: What a read snoop found in the other processors' caches.
+NO_COPY = 0       # nobody caches the line: memory supplies, fill EXCLUSIVE
+CLEAN_COPY = 1    # clean sharers only: memory supplies, fill SHARED
+DIRTY_COPY = 2    # a MODIFIED owner supplies the data cache-to-cache
+
+
 class SnoopController:
-    """Applies MESI state changes across the private cache pairs."""
+    """Applies MESI state changes across the private cache pairs.
+
+    The walks are built once per requester (:meth:`walks`): closures
+    over the *other* processors' resolved finders, evictors and stats,
+    so a snoop never indexes ``self.l2s[cpu]`` or asks who the
+    requester is. The ``snoop_*`` methods are the same walks by
+    requester number.
+    """
 
     def __init__(
         self,
@@ -46,74 +59,114 @@ class SnoopController:
         self.l1d_stats = l1d_stats
         self.l2_stats = l2_stats
         self.n_cpus = len(l1ds)
+        self._walks = [self._make_walks(cpu) for cpu in range(self.n_cpus)]
 
     # ------------------------------------------------------------------
     # snoop actions
 
-    def snoop_read(self, requester: int, line_addr: int) -> str:
-        """A read miss went to the bus; adjust remote states.
+    def walks(self, requester: int) -> tuple:
+        """``requester``'s ``(read, write, upgrade)`` snoop closures.
 
-        Returns ``"c2c"`` if a MODIFIED owner supplies the data, else
-        ``"mem"``. Either way every remote copy ends up SHARED.
+        * ``read(line_addr)`` — a read miss went to the bus: every
+          remote copy drops to SHARED; returns :data:`DIRTY_COPY` if a
+          MODIFIED owner supplies the data, :data:`CLEAN_COPY` if only
+          clean copies exist, else :data:`NO_COPY` — supplier *and*
+          sharer presence from one walk (the L2 tags answer for the
+          pair: L2 includes L1).
+        * ``write(line_addr)`` — a read-for-ownership: every remote
+          copy is invalidated; returns whether a MODIFIED owner
+          supplied the dirty data.
+        * ``upgrade(line_addr)`` — the invalidate-only transaction of
+          a write hit on a SHARED line; returns the number of remote
+          L2 copies invalidated.
         """
-        source = "mem"
-        for cpu in range(self.n_cpus):
-            if cpu == requester:
-                continue
-            l2 = self.l2s[cpu]
-            way = l2.find(line_addr)
-            if way < 0:
-                continue
-            if l2.states[way] == MODIFIED:
-                source = "c2c"
-            l2.states[way] = SHARED
-            l1 = self.l1ds[cpu]
-            l1_way = l1.find(line_addr)
-            if l1_way >= 0:
-                if l1.states[l1_way] == MODIFIED:
-                    source = "c2c"
-                l1.states[l1_way] = SHARED
-        return source
+        return self._walks[requester]
+
+    def _make_walks(self, requester: int) -> tuple:
+        others = [cpu for cpu in range(self.n_cpus) if cpu != requester]
+        readers = tuple(
+            (
+                self.l2s[cpu].make_find(),
+                self.l2s[cpu].states,
+                self.l1ds[cpu].make_find(),
+                self.l1ds[cpu].states,
+            )
+            for cpu in others
+        )
+        writers = tuple(
+            (
+                self.l2s[cpu].make_evict(),
+                self.l2_stats[cpu],
+                self.l1ds[cpu].make_evict(),
+                self.l1d_stats[cpu],
+            )
+            for cpu in others
+        )
+
+        def read(line_addr: int) -> int:
+            found = NO_COPY
+            for l2_find, l2_states, l1_find, l1_states in readers:
+                way = l2_find(line_addr)
+                if way < 0:
+                    continue
+                if l2_states[way] == MODIFIED:
+                    found = DIRTY_COPY
+                elif found == NO_COPY:
+                    found = CLEAN_COPY
+                l2_states[way] = SHARED
+                way = l1_find(line_addr)
+                if way >= 0:
+                    if l1_states[way] == MODIFIED:
+                        found = DIRTY_COPY
+                    l1_states[way] = SHARED
+            return found
+
+        def write(line_addr: int) -> bool:
+            dirty = False
+            for l2_evict, l2_stats, l1_evict, l1_stats in writers:
+                l2_state = l2_evict(line_addr)
+                if l2_state < 0:
+                    continue
+                if l2_state == MODIFIED:
+                    dirty = True
+                l2_stats.invalidations_received += 1
+                l1_state = l1_evict(line_addr)
+                if l1_state >= 0:
+                    if l1_state == MODIFIED:
+                        dirty = True
+                    l1_stats.invalidations_received += 1
+            return dirty
+
+        def upgrade(line_addr: int) -> int:
+            invalidated = 0
+            for l2_evict, l2_stats, l1_evict, l1_stats in writers:
+                if l2_evict(line_addr) >= 0:
+                    l2_stats.invalidations_received += 1
+                    invalidated += 1
+                if l1_evict(line_addr) >= 0:
+                    l1_stats.invalidations_received += 1
+            return invalidated
+
+        return read, write, upgrade
+
+    def snoop_read(self, requester: int, line_addr: int) -> str:
+        """``requester``'s read walk; ``"c2c"`` if a MODIFIED owner
+        supplies the data, else ``"mem"``."""
+        found = self._walks[requester][0](line_addr)
+        return "c2c" if found == DIRTY_COPY else "mem"
 
     def snoop_write(self, requester: int, line_addr: int) -> str:
-        """A write miss (read-for-ownership) went to the bus.
-
-        Invalidates every remote copy; returns ``"c2c"`` if a MODIFIED
-        owner supplied the dirty data, else ``"mem"``.
-        """
-        source = "mem"
-        for cpu in range(self.n_cpus):
-            if cpu == requester:
-                continue
-            l2 = self.l2s[cpu]
-            l2_state = l2.evict(line_addr, coherence=True)
-            if l2_state < 0:
-                continue
-            if l2_state == MODIFIED:
-                source = "c2c"
-            self.l2_stats[cpu].invalidations_received += 1
-            l1_state = self.l1ds[cpu].evict(line_addr, coherence=True)
-            if l1_state >= 0:
-                if l1_state == MODIFIED:
-                    source = "c2c"
-                self.l1d_stats[cpu].invalidations_received += 1
-        return source
+        """``requester``'s write walk; ``"c2c"`` if a MODIFIED owner
+        supplied the dirty data, else ``"mem"``."""
+        return "c2c" if self._walks[requester][1](line_addr) else "mem"
 
     def upgrade(self, requester: int, line_addr: int) -> int:
-        """Invalidate-only transaction for a write hit on a SHARED line.
+        """``requester``'s upgrade walk; the number of remote copies
+        invalidated."""
+        return self._walks[requester][2](line_addr)
 
-        Returns the number of remote copies invalidated.
-        """
-        invalidated = 0
-        for cpu in range(self.n_cpus):
-            if cpu == requester:
-                continue
-            if self.l2s[cpu].evict(line_addr, coherence=True) >= 0:
-                self.l2_stats[cpu].invalidations_received += 1
-                invalidated += 1
-            if self.l1ds[cpu].evict(line_addr, coherence=True) >= 0:
-                self.l1d_stats[cpu].invalidations_received += 1
-        return invalidated
+    # ------------------------------------------------------------------
+    # introspection and invariants (tests and debug runs)
 
     def any_remote_copy(self, requester: int, line_addr: int) -> bool:
         """Does any other processor cache this line (L2 check suffices
@@ -124,9 +177,6 @@ class SnoopController:
             if self.l2s[cpu].find(line_addr) >= 0:
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # invariants (used by tests and debug runs)
 
     def check_invariants(self) -> None:
         """Raise :class:`ProtocolError` on MESI violations.

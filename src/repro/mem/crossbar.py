@@ -236,14 +236,14 @@ class Crossbar(_Interconnect):
     def make_lane(self, port: int, occupancy: int | None = None):
         """Build a specialized ``(addr, at) -> data_ready`` closure.
 
-        The fast-lane twin of :meth:`access` for a fixed port and
-        occupancy: the port resource, bank array and constants are
-        captured, and both acquires are inlined — one Python call per
-        crossbar transit instead of four, and no result tuple. The
-        conflict wait still accumulates in :attr:`wait_cycles`; the obs
-        conflict event is omitted because lanes only run with the fast
-        path enabled, and attaching observability forces the fast path
-        off (see ``System.__init__``).
+        The twin of :meth:`access` for a fixed port and occupancy that
+        the fast lanes and the built access paths ride: the port
+        resource, bank array and constants are captured, and both
+        acquires are inlined — one Python call per crossbar transit
+        instead of four, and no result tuple. A conflict wait
+        accumulates in :attr:`wait_cycles` and, when an observation is
+        attached (read when the conflict happens), emits the same
+        event :meth:`access` does.
         """
         hold = self.occupancy if occupancy is None else occupancy
         latency = self.latency
@@ -268,7 +268,10 @@ class Crossbar(_Interconnect):
             bank.next_free = end
             bank.busy_cycles += hold
             bank.requests += 1
-            xbar.wait_cycles += start - at
+            if start > at:
+                xbar.wait_cycles += start - at
+                if xbar.obs is not None:
+                    xbar._emit_conflict(addr, at, start - at, port)
             return start + latency
 
         return lane
@@ -400,7 +403,10 @@ class MultistageCrossbar(_Interconnect):
             bank.next_free = end
             bank.busy_cycles += hold
             bank.requests += 1
-            xbar.wait_cycles += start - at
+            if start > at:
+                xbar.wait_cycles += start - at
+                if xbar.obs is not None:
+                    xbar._emit_conflict(addr, at, start - at, port)
             return start + latency
 
         return lane

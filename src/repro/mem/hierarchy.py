@@ -21,25 +21,9 @@ from repro.errors import ConfigError
 from repro.mem.bus import BusTiming
 from repro.mem.cache import SHARED, CacheArray
 from repro.mem.mainmem import MainMemory
-from repro.mem.types import AccessKind, AccessResult, StallLevel
+from repro.mem.types import AccessKind, AccessResult, StallLevel, new_result
 from repro.mem.writebuffer import WriteBuffer
-from repro.sim.stats import CacheStats, MissKind, SystemStats
-
-
-def count_miss(
-    cache_stats: CacheStats, miss_kind: MissKind, is_store: bool
-) -> None:
-    """Record a classified miss in the right CacheStats bucket."""
-    if miss_kind == MissKind.MISS_INVALIDATION:
-        if is_store:
-            cache_stats.write_misses_inval += 1
-        else:
-            cache_stats.read_misses_inval += 1
-    else:
-        if is_store:
-            cache_stats.write_misses_repl += 1
-        else:
-            cache_stats.read_misses_repl += 1
+from repro.sim.stats import SystemStats
 
 
 @dataclass
@@ -200,10 +184,11 @@ class MemorySystem:
 
     A hierarchy is a subclass that calls :meth:`_scaffold` with its
     resolved topology, builds what its coherence discipline adds,
-    implements ``_load`` / ``_store`` / ``_refill_ifetch`` and the
-    store lane, declares its busy resources (:meth:`_resources`) and
-    checkpoint components (:meth:`components`), and finishes with
-    :meth:`_build_lanes`. Everything else here is shared. A *proxy*
+    implements the per-CPU path makers (``_make_ifetch_refill`` /
+    ``_make_load_path`` / ``_make_store_path``) and the store lane,
+    declares its busy resources (:meth:`_resources`) and checkpoint
+    components (:meth:`components`), and finishes with
+    :meth:`_build_paths`. Everything else here is shared. A *proxy*
     (the trace recorder, test stubs) skips the scaffold and overrides
     the interface methods it forwards; what it leaves alone declines,
     drains nothing and reports nothing.
@@ -223,13 +208,20 @@ class MemorySystem:
     def __init__(self, config: MemConfig, stats: SystemStats) -> None:
         self.config = config
         self.stats = stats
-        #: attached :class:`~repro.obs.observe.Observation`, or ``None``
-        #: (the default — no hook anywhere fires without it)
-        self.obs = None
+        #: one-slot cell holding the attached observation (see
+        #: :attr:`obs`). The built paths' hooks capture the cell, not
+        #: the system: a closure stored on ``self`` that referred back
+        #: to ``self`` would make every hierarchy — cache columns and
+        #: all — wait for the cyclic collector instead of dying with
+        #: its last reference.
+        self._obs = [None]
         #: private instruction caches, one per CPU
         self.l1i: list[CacheArray] = []
         #: per-CPU write buffers posted stores drain through
         self._buffers: list[WriteBuffer] = []
+        #: per-CPU general paths, each indexed by :class:`AccessKind`
+        #: (a proxy builds none: it overrides :meth:`access`)
+        self._paths: list[tuple] = []
         #: per-CPU ``(ifetch, load, store)`` fast-lane closures
         self._lanes = [(_decline, _decline, _decline)] * config.n_cpus
         #: per-CPU ``(CacheArray, CacheStats)`` of the L1Ds a spinning
@@ -240,6 +232,16 @@ class MemorySystem:
         #: contributes its ``obs_counters()`` to the sampler
         self._link = None
         self._line_shift = config.line_size.bit_length() - 1
+
+    @property
+    def obs(self):
+        """The attached :class:`~repro.obs.observe.Observation`, or
+        ``None`` (the default — no hook anywhere fires without it)."""
+        return self._obs[0]
+
+    @obs.setter
+    def obs(self, obs) -> None:
+        self._obs[0] = obs
 
     def _scaffold(self, topology) -> tuple:
         """Build what every hierarchy has; returns the level specs.
@@ -306,27 +308,70 @@ class MemorySystem:
 
     # ------------------------------------------------------------------
     # the general path
+    #
+    # Like the lanes below, the general paths are per-CPU closures
+    # compiled once from the resolved components: each captures its
+    # CPU's arrays' probes and fills, ports, write buffer, the
+    # discipline's coherence walk and the constants, so an access asks
+    # neither which CPU it is nor what shape the hierarchy has, and a
+    # miss does each thing once. What a path may capture is what
+    # checkpoint restore mutates in place — cache columns, the
+    # invalidation sets, write-buffer deques, the directory's map,
+    # resources and stats objects; an attached ``Observation`` is read
+    # out of the ``_obs`` cell when a hook fires, so attaching one
+    # later is seen.
 
     def access(
         self, cpu: int, kind: AccessKind, addr: int, at: int
     ) -> AccessResult:
         """Perform one access for ``cpu`` starting at cycle ``at``."""
-        if kind == AccessKind.IFETCH:
-            return self._ifetch(cpu, addr, at)
-        if kind == AccessKind.LOAD:
-            return self._load(cpu, addr, at)
-        return self._store(cpu, addr, at, posted=kind == AccessKind.STORE)
+        return self._paths[cpu][kind](addr, at)
 
-    def _ifetch(self, cpu: int, addr: int, at: int) -> AccessResult:
+    def _build_paths(self) -> None:
+        """Compile every CPU's general paths and fast lanes."""
+        cpus = range(self.config.n_cpus)
+        self._paths = [
+            (
+                self._make_ifetch_path(cpu),
+                self._make_load_path(cpu),
+                self._make_store_path(cpu, posted=True),
+                self._make_store_path(cpu, posted=False),
+            )
+            for cpu in cpus
+        ]
+        self._lanes = [
+            (
+                self._make_ifetch_lane(cpu),
+                self._make_load_lane(cpu),
+                self._make_store_lane(cpu),
+            )
+            for cpu in cpus
+        ]
+
+    def _make_ifetch_path(self, cpu: int):
+        """The I-fetch path: the private L1I in front of the
+        discipline's ``refill(addr, line_addr, at) -> (done, level)``."""
         cache = self.l1i[cpu]
-        line_addr = addr >> self._line_shift
-        if cache.probe(line_addr) >= 0:
-            return AccessResult(at + 1, StallLevel.NONE)
-        # Code is never invalidated: every I-miss is a replacement miss.
-        self._l1i_stats[cpu].read_misses_repl += 1
-        done, level = self._refill_ifetch(cpu, addr, line_addr, at + 1)
-        cache.fill(line_addr, SHARED)
-        return AccessResult(done, level)
+        probe = cache.make_probe()
+        fill = cache.make_fill()
+        cache_stats = self._l1i_stats[cpu]
+        refill = self._make_ifetch_refill(cpu)
+        shift = self._line_shift
+        none = StallLevel.NONE
+
+        def ifetch(addr: int, at: int) -> AccessResult:
+            line_addr = addr >> shift
+            at += 1
+            if probe(line_addr) >= 0:
+                return new_result(AccessResult, (at, none, -1))
+            # Code is never invalidated: every I-miss is a replacement
+            # miss.
+            cache_stats.read_misses_repl += 1
+            done, level = refill(addr, line_addr, at)
+            fill(line_addr, SHARED)
+            return new_result(AccessResult, (done, level, -1))
+
+        return ifetch
 
     # ------------------------------------------------------------------
     # L1 hit fast lane
@@ -346,43 +391,15 @@ class MemorySystem:
     # access(); one that cares about speed (the trace recorder) wraps
     # the inner system's lanes in its own ``fast_lanes``.
 
-    def _build_lanes(self) -> None:
-        self._lanes = [
-            (
-                self._make_ifetch_lane(cpu),
-                self._make_load_lane(cpu),
-                self._make_store_lane(cpu),
-            )
-            for cpu in range(self.config.n_cpus)
-        ]
-
     def _make_ifetch_lane(self, cpu: int):
-        probe = self.l1i[cpu].make_probe()
-        shift = self._line_shift
-
-        def fast_ifetch(addr: int, at: int) -> int:
-            if probe(addr >> shift) < 0:
-                return -1
-            return at + 1
-
-        return fast_ifetch
+        return self.l1i[cpu].make_read_lane()
 
     def _make_load_lane(self, cpu: int):
         """A private single-cycle L1D hit. Loads never change coherence
         state on a hit, so the lane is state-blind; a miss returns -1
         with nothing touched (the general path re-probes — a missing
         probe does not mutate, so the double probe is invisible)."""
-        probe = self.l1d[cpu].make_probe()
-        stats = self._l1d_stats[cpu]
-        shift = self._line_shift
-
-        def fast_load(addr: int, at: int) -> int:
-            if probe(addr >> shift) < 0:
-                return -1
-            stats.reads += 1
-            return at + 1
-
-        return fast_load
+        return self.l1d[cpu].make_read_lane(self._l1d_stats[cpu])
 
     def _make_store_lane(self, cpu: int):
         """The posted-store lane; a discipline without one declines."""

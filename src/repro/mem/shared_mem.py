@@ -21,9 +21,9 @@ import dataclasses
 from repro.mem.bank import Resource
 from repro.mem.bus import SnoopyBus
 from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED
-from repro.mem.coherence.mesi import SnoopController
-from repro.mem.hierarchy import MemConfig, MemorySystem, count_miss
-from repro.mem.types import AccessResult, StallLevel
+from repro.mem.coherence.mesi import DIRTY_COPY, SnoopController
+from repro.mem.hierarchy import MemConfig, MemorySystem
+from repro.mem.types import AccessResult, StallLevel, new_result
 from repro.sim.stats import SystemStats
 
 
@@ -91,7 +91,7 @@ class SharedMemorySystem(MemorySystem):
         )
         # Loads are MESI-state-blind, so a spinner may park on its L1D.
         self._spin_ports = list(zip(self.l1d, self._l1d_stats))
-        self._build_lanes()
+        self._build_paths()
 
     def _resources(self, probing: bool = False):
         return [
@@ -123,201 +123,268 @@ class SharedMemorySystem(MemorySystem):
     def _make_store_lane(self, cpu: int):
         # Only an already-MODIFIED line may absorb a posted store
         # without a transaction (E/S states need upgrades).
-        probe_dirty = self.l1d[cpu].make_probe_dirty()
-        stats = self._l1d_stats[cpu]
-        buffer = self._buffers[cpu]
-        shift = self._line_shift
-
-        def fast_store(addr: int, at: int) -> int:
-            if not probe_dirty(addr >> shift):
-                return -1
-            stats.writes += 1
-            release, _stalled = buffer.admit(at)
-            buffer.push(at + 1)
-            return release + 1
-
-        return fast_store
+        return self.l1d[cpu].make_dirty_store_lane(
+            self._l1d_stats[cpu], self._buffers[cpu].make_post()
+        )
 
     # ------------------------------------------------------------------
+    # Built paths. Each CPU's closures hold its own arrays' probes and
+    # fills, its L2 port, the snoop walks over the *other* CPUs and the
+    # bus; victims are packed ``(line_addr << 2) | state``.
 
-    def _refill_ifetch(
-        self, cpu: int, addr: int, line_addr: int, at: int
-    ) -> tuple[int, StallLevel]:
+    def _build_paths(self) -> None:
+        cpus = range(self.config.n_cpus)
+        #: per CPU, shared by its paths: the L2 port's acquire, the L2
+        #: replacement handler and the dirty-L1-victim write-back
+        self._acquire_l2 = [
+            port.make_acquire(self._l2_occupancy) for port in self.l2_ports
+        ]
+        self._l2_evicted = [self._make_l2_eviction(cpu) for cpu in cpus]
+        self._l1_write_back = [self._make_l1_write_back(cpu) for cpu in cpus]
+        super()._build_paths()
+
+    def _make_l2_eviction(self, cpu: int):
+        """``(victim, at)``: an L2 replacement enforces inclusion and
+        writes dirty data back over the bus."""
+        l2_stats = self._l2_stats[cpu]
+        l1_evict = self.l1d[cpu].make_evict()
+        write_back = self.bus.write_back
+
+        def l2_evicted(victim: int, at: int) -> None:
+            l2_stats.evictions += 1
+            # Instruction lines are read-only: the I-cache is exempt
+            # from inclusion (no snoop will ever need its contents).
+            l1_state = l1_evict(victim >> 2, False)
+            if victim & 3 == MODIFIED or l1_state == MODIFIED:
+                l2_stats.writebacks += 1
+                write_back(at)
+
+        return l2_evicted
+
+    def _make_ifetch_refill(self, cpu: int):
         # Instruction lines are read-only: no snoop, memory supplies.
-        start = self.l2_ports[cpu].acquire(at, self._l2_occupancy)
-        self._l2_stats[cpu].reads += 1
+        acquire_port = self._acquire_l2[cpu]
+        l2_stats = self._l2_stats[cpu]
         l2 = self.l2[cpu]
-        if l2.probe(line_addr) >= 0:
-            return start + self._l2_latency, StallLevel.L2
-        miss_kind = l2.classify_line(line_addr)
-        count_miss(self._l2_stats[cpu], miss_kind, is_store=False)
-        done = self.bus.memory_read(start + self._l2_latency)
-        victim = l2.fill(line_addr, SHARED)
-        if victim >= 0:
-            self._handle_l2_eviction(cpu, victim, start)
-        return done, StallLevel.MEM
+        l2_probe = l2.make_probe()
+        l2_fill = l2.make_fill()
+        l2_invalidated = l2.invalidated
+        l2_evicted = self._l2_evicted[cpu]
+        latency = self._l2_latency
+        memory_read = self.bus.memory_read
+        hit, miss = StallLevel.L2, StallLevel.MEM
 
-    def _load(self, cpu: int, addr: int, at: int) -> AccessResult:
-        cache = self.l1d[cpu]
-        cache_stats = self._l1d_stats[cpu]
-        cache_stats.reads += 1
-        line_addr = addr >> self._line_shift
-        if cache.probe(line_addr) >= 0:
-            return AccessResult(at + 1, StallLevel.NONE)
-
-        miss_kind = cache.classify_line(line_addr)
-        count_miss(cache_stats, miss_kind, is_store=False)
-
-        start = self.l2_ports[cpu].acquire(at + 1, self._l2_occupancy)
-        self._l2_stats[cpu].reads += 1
-        l2 = self.l2[cpu]
-        l2_state = l2.probe(line_addr)
-        if l2_state >= 0:
-            done = start + self._l2_latency
-            level = StallLevel.L2
-            l1_state = SHARED if l2_state == SHARED else EXCLUSIVE
-        else:
-            l2_miss = l2.classify_line(line_addr)
-            count_miss(self._l2_stats[cpu], l2_miss, is_store=False)
-            bus_at = start + self._l2_latency
-            remote_copy = self.snoop.any_remote_copy(cpu, line_addr)
-            source = self.snoop.snoop_read(cpu, line_addr)
-            if source == "c2c":
-                done = self.bus.cache_to_cache(bus_at)
-                level = StallLevel.C2C
-                self.stats.c2c_transfers += 1
-                l1_state = SHARED
+        def refill(addr: int, line_addr: int, at: int) -> tuple:
+            start = acquire_port(at)
+            l2_stats.reads += 1
+            if l2_probe(line_addr) >= 0:
+                return start + latency, hit
+            if line_addr in l2_invalidated:
+                l2_stats.read_misses_inval += 1
             else:
-                done = self.bus.memory_read(bus_at)
-                level = StallLevel.MEM
-                l1_state = SHARED if remote_copy else EXCLUSIVE
-            victim = l2.fill(line_addr, l1_state)
+                l2_stats.read_misses_repl += 1
+            done = memory_read(start + latency)
+            victim = l2_fill(line_addr, SHARED)
             if victim >= 0:
-                self._handle_l2_eviction(cpu, victim, bus_at)
+                l2_evicted(victim, start)
+            return done, miss
 
-        victim = cache.fill(line_addr, l1_state)
-        if victim >= 0:
-            self._handle_l1_eviction(cpu, victim, at + 1)
-        return AccessResult(done, level)
+        return refill
 
-    # ------------------------------------------------------------------
+    def _make_l1_write_back(self, cpu: int):
+        """``(line_addr, at)``: a dirty L1 victim writes back into the
+        (inclusive) L2 — the line is present there and already
+        MODIFIED (ownership is mirrored at write time)."""
+        l1_stats = self._l1d_stats[cpu]
+        acquire_port = self._acquire_l2[cpu]
+        l2_find = self.l2[cpu].make_find()
+        l2_states = self.l2[cpu].states
 
-    def _store(
-        self, cpu: int, addr: int, at: int, posted: bool
-    ) -> AccessResult:
-        """Stores post through the write buffer; SCs wait out the path."""
-        self._l1d_stats[cpu].writes += 1
-        if not posted:
-            done, level = self._store_path(cpu, addr, at)
-            return AccessResult(done, level)
+        def write_back(line_addr: int, at: int) -> None:
+            l1_stats.writebacks += 1
+            acquire_port(at)
+            way = l2_find(line_addr)
+            if way >= 0:
+                l2_states[way] = MODIFIED
+
+        return write_back
+
+    def _make_load_path(self, cpu: int):
+        l1, l2 = self.l1d[cpu], self.l2[cpu]
+        l1_stats, l2_stats = self._l1d_stats[cpu], self._l2_stats[cpu]
+        l1_probe, l1_fill = l1.make_probe(), l1.make_fill()
+        l2_probe, l2_fill = l2.make_probe(), l2.make_fill()
+        l1_invalidated, l2_invalidated = l1.invalidated, l2.invalidated
+        l1_write_back = self._l1_write_back[cpu]
+        l2_evicted = self._l2_evicted[cpu]
+        acquire_port = self._acquire_l2[cpu]
+        latency = self._l2_latency
+        snoop_read = self.snoop.walks(cpu)[0]
+        bus = self.bus
+        system_stats = self.stats
+        shift = self._line_shift
+        none, from_l2 = StallLevel.NONE, StallLevel.L2
+        from_mem, from_c2c = StallLevel.MEM, StallLevel.C2C
+
+        def load(addr: int, at: int) -> AccessResult:
+            l1_stats.reads += 1
+            line_addr = addr >> shift
+            at += 1
+            if l1_probe(line_addr) >= 0:
+                return new_result(AccessResult, (at, none, -1))
+            if line_addr in l1_invalidated:
+                l1_stats.read_misses_inval += 1
+            else:
+                l1_stats.read_misses_repl += 1
+            start = acquire_port(at)
+            l2_stats.reads += 1
+            state = l2_probe(line_addr)
+            if state >= 0:
+                done = start + latency
+                level = from_l2
+                if state != SHARED:
+                    state = EXCLUSIVE
+            else:
+                if line_addr in l2_invalidated:
+                    l2_stats.read_misses_inval += 1
+                else:
+                    l2_stats.read_misses_repl += 1
+                bus_at = start + latency
+                found = snoop_read(line_addr)
+                if found == DIRTY_COPY:
+                    done = bus.cache_to_cache(bus_at)
+                    level = from_c2c
+                    system_stats.c2c_transfers += 1
+                    state = SHARED
+                else:
+                    done = bus.memory_read(bus_at)
+                    level = from_mem
+                    state = SHARED if found else EXCLUSIVE
+                victim = l2_fill(line_addr, state)
+                if victim >= 0:
+                    l2_evicted(victim, bus_at)
+            victim = l1_fill(line_addr, state)
+            if victim >= 0:
+                l1_stats.evictions += 1
+                if victim & 3 == MODIFIED:
+                    l1_write_back(victim >> 2, at)
+            return new_result(AccessResult, (done, level, -1))
+
+        return load
+
+    def _make_store_path(self, cpu: int, posted: bool):
+        """Stores post through the write buffer (``posted``); SCs wait
+        out the path."""
+        l1, l2 = self.l1d[cpu], self.l2[cpu]
+        l1_stats, l2_stats = self._l1d_stats[cpu], self._l2_stats[cpu]
+        l1_probe_modify, l1_fill = l1.make_probe_modify(), l1.make_fill()
+        l2_probe_modify, l2_fill = l2.make_probe_modify(), l2.make_fill()
+        l2_find, l2_states = l2.make_find(), l2.states
+        l1_invalidated, l2_invalidated = l1.invalidated, l2.invalidated
+        l1_write_back = self._l1_write_back[cpu]
+        l2_evicted = self._l2_evicted[cpu]
+        acquire_port = self._acquire_l2[cpu]
+        latency = self._l2_latency
+        _read, snoop_write, snoop_upgrade = self.snoop.walks(cpu)
+        bus = self.bus
         buffer = self._buffers[cpu]
-        release, stalled = buffer.admit(at)
-        # The drain enters the memory pipeline now; only the CPU is
-        # held back when the buffer is full.
-        complete, _level = self._store_path(cpu, addr, at)
-        visible = buffer.push(complete)
-        level = StallLevel.STOREBUF if stalled else StallLevel.NONE
-        return AccessResult(release + 1, level, visible=visible)
+        post = buffer.make_post()
+        observer = self._obs
+        system_stats = self.stats
+        shift = self._line_shift
+        none, from_l2 = StallLevel.NONE, StallLevel.L2
+        from_mem, from_c2c = StallLevel.MEM, StallLevel.C2C
+        storebuf = StallLevel.STOREBUF
 
-    def _store_path(
-        self, cpu: int, addr: int, at: int
-    ) -> tuple[int, StallLevel]:
-        cache = self.l1d[cpu]
-        cache_stats = self._l1d_stats[cpu]
-        line_addr = addr >> self._line_shift
-
-        state = cache.probe(line_addr)
-        if state >= 0:
-            if state == MODIFIED:
-                return at + 1, StallLevel.NONE
-            if state == EXCLUSIVE:
-                # Silent E->M upgrade; mirror ownership into the L2 so
-                # snoops (which check the L2 tags) see the dirty line.
-                cache.set_state(line_addr, MODIFIED)
-                self.l2[cpu].set_state(line_addr, MODIFIED)
-                return at + 1, StallLevel.NONE
-            # SHARED: invalidate-only bus transaction.
-            done = self.bus.upgrade(at + 1)
-            self.snoop.upgrade(cpu, line_addr)
-            if self.obs is not None:
-                self.obs.record_coherence(cpu, "upgrade", at + 1)
-            cache.set_state(line_addr, MODIFIED)
-            self.l2[cpu].set_state(line_addr, MODIFIED)
-            return done, StallLevel.MEM
-
-        miss_kind = cache.classify_line(line_addr)
-        count_miss(cache_stats, miss_kind, is_store=True)
-
-        start = self.l2_ports[cpu].acquire(at + 1, self._l2_occupancy)
-        self._l2_stats[cpu].writes += 1
-        l2 = self.l2[cpu]
-        l2_state = l2.probe(line_addr)
-        if l2_state >= 0:
-            if l2_state == SHARED:
-                done = self.bus.upgrade(start + self._l2_latency)
-                self.snoop.upgrade(cpu, line_addr)
-                if self.obs is not None:
-                    self.obs.record_coherence(
-                        cpu, "upgrade", start + self._l2_latency
-                    )
-                level = StallLevel.MEM
+        def store(addr: int, at: int) -> AccessResult:
+            l1_stats.writes += 1
+            line_addr = addr >> shift
+            issued = at
+            at += 1
+            # A hit ends MODIFIED whatever it was, so the probe sets it.
+            state = l1_probe_modify(line_addr)
+            if state >= 0:
+                if state == MODIFIED:
+                    done = at
+                    level = none
+                else:
+                    # Mirror ownership into the L2 so snoops (which
+                    # check the L2 tags) see the dirty line.
+                    way = l2_find(line_addr)
+                    if way >= 0:
+                        l2_states[way] = MODIFIED
+                    if state == EXCLUSIVE:
+                        # Silent E->M upgrade.
+                        done = at
+                        level = none
+                    else:
+                        # SHARED: invalidate-only bus transaction.
+                        done = bus.upgrade(at)
+                        snoop_upgrade(line_addr)
+                        if observer[0] is not None:
+                            observer[0].record_coherence(cpu, "upgrade", at)
+                        level = from_mem
             else:
-                done = start + self._l2_latency
-                level = StallLevel.L2
-            l2.set_state(line_addr, MODIFIED)
-        else:
-            l2_miss = l2.classify_line(line_addr)
-            count_miss(self._l2_stats[cpu], l2_miss, is_store=True)
-            bus_at = start + self._l2_latency
-            source = self.snoop.snoop_write(cpu, line_addr)
-            if self.obs is not None:
-                self.obs.record_coherence(
-                    cpu, "rfo", bus_at, {"source": source}
-                )
-            if source == "c2c":
-                done = self.bus.cache_to_cache(bus_at)
-                level = StallLevel.C2C
-                self.stats.c2c_transfers += 1
-            else:
-                done = self.bus.memory_read(bus_at)
-                level = StallLevel.MEM
-            victim = l2.fill(line_addr, MODIFIED)
-            if victim >= 0:
-                self._handle_l2_eviction(cpu, victim, bus_at)
+                if line_addr in l1_invalidated:
+                    l1_stats.write_misses_inval += 1
+                else:
+                    l1_stats.write_misses_repl += 1
+                start = acquire_port(at)
+                l2_stats.writes += 1
+                bus_at = start + latency
+                state = l2_probe_modify(line_addr)
+                if state >= 0:
+                    if state == SHARED:
+                        done = bus.upgrade(bus_at)
+                        snoop_upgrade(line_addr)
+                        if observer[0] is not None:
+                            observer[0].record_coherence(
+                                cpu, "upgrade", bus_at
+                            )
+                        level = from_mem
+                    else:
+                        done = bus_at
+                        level = from_l2
+                else:
+                    if line_addr in l2_invalidated:
+                        l2_stats.write_misses_inval += 1
+                    else:
+                        l2_stats.write_misses_repl += 1
+                    dirty = snoop_write(line_addr)
+                    if observer[0] is not None:
+                        observer[0].record_coherence(
+                            cpu,
+                            "rfo",
+                            bus_at,
+                            {"source": "c2c" if dirty else "mem"},
+                        )
+                    if dirty:
+                        done = bus.cache_to_cache(bus_at)
+                        level = from_c2c
+                        system_stats.c2c_transfers += 1
+                    else:
+                        done = bus.memory_read(bus_at)
+                        level = from_mem
+                    victim = l2_fill(line_addr, MODIFIED)
+                    if victim >= 0:
+                        l2_evicted(victim, bus_at)
+                victim = l1_fill(line_addr, MODIFIED)
+                if victim >= 0:
+                    l1_stats.evictions += 1
+                    if victim & 3 == MODIFIED:
+                        l1_write_back(victim >> 2, at)
+            if not posted:
+                return new_result(AccessResult, (done, level, -1))
+            # The drain entered the memory pipeline at issue; only the
+            # CPU is held back when the buffer is full.
+            release = post(issued, done)
+            return new_result(
+                AccessResult,
+                (
+                    release + 1,
+                    storebuf if release > issued else none,
+                    buffer.last_visible,
+                ),
+            )
 
-        victim = cache.fill(line_addr, MODIFIED)
-        if victim >= 0:
-            self._handle_l1_eviction(cpu, victim, at + 1)
-        return done, level
-
-    # ------------------------------------------------------------------
-
-    def _handle_l1_eviction(self, cpu: int, victim: int, at: int) -> None:
-        """A dirty L1 victim writes back into the (inclusive) L2.
-
-        ``victim`` is packed ``(line_addr << 2) | state``.
-        """
-        self._l1d_stats[cpu].evictions += 1
-        if victim & 3 != MODIFIED:
-            return
-        self._l1d_stats[cpu].writebacks += 1
-        self.l2_ports[cpu].acquire(at, self._l2_occupancy)
-        # Inclusion guarantees the line is present; ownership is already
-        # MODIFIED there (mirrored at write time).
-        self.l2[cpu].set_state(victim >> 2, MODIFIED)
-
-    def _handle_l2_eviction(self, cpu: int, victim: int, at: int) -> None:
-        """L2 replacement: enforce inclusion, write back dirty data.
-
-        ``victim`` is packed ``(line_addr << 2) | state``.
-        """
-        self._l2_stats[cpu].evictions += 1
-        dirty = victim & 3 == MODIFIED
-        l1_state = self.l1d[cpu].evict(victim >> 2, coherence=False)
-        if l1_state == MODIFIED:
-            dirty = True
-        # Instruction lines are read-only: the I-cache is exempt from
-        # inclusion (no snoop will ever need its contents).
-        if dirty:
-            self._l2_stats[cpu].writebacks += 1
-            self.bus.write_back(at)
+        return store

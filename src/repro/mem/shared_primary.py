@@ -24,8 +24,8 @@ from __future__ import annotations
 from repro.mem.bank import Resource
 from repro.mem.cache import MODIFIED, SHARED, CacheArray
 from repro.mem.crossbar import build_crossbar, crossbar_resources
-from repro.mem.hierarchy import MemConfig, MemorySystem, count_miss
-from repro.mem.types import AccessResult, StallLevel
+from repro.mem.hierarchy import MemConfig, MemorySystem
+from repro.mem.types import AccessResult, StallLevel, new_result
 from repro.sim.stats import SystemStats
 
 
@@ -69,9 +69,6 @@ class SharedPrimarySystem(MemorySystem):
         self._optimistic = (
             config.shared_l1_optimistic and not self.crossbar.switches
         )
-        self._hit_time = (
-            self._optimistic_hit if self._optimistic else self._crossbar_hit
-        )
         # Obs-only shadow crossbar (see attach_obs): measures the bank
         # contention the optimistic timing deliberately ignores, without
         # feeding back into any completion time.
@@ -82,7 +79,7 @@ class SharedPrimarySystem(MemorySystem):
         self._l2_latency = l2.latency
         self._l2_occupancy = l2.occupancy
         self.mem = self._main_memory()
-        self._build_lanes()
+        self._build_paths()
 
     def attach_obs(self, obs) -> None:
         """Wire the crossbar for conflict events.
@@ -103,6 +100,8 @@ class SharedPrimarySystem(MemorySystem):
                 self.config.line_size,
             )
         super().attach_obs(obs)
+        # The paths bind the shadow (or its absence) when built.
+        self._build_paths()
 
     def _resources(self, probing: bool = False):
         # The report reads the crossbar that sets the timing; the
@@ -160,17 +159,14 @@ class SharedPrimarySystem(MemorySystem):
     def _make_store_lane(self, cpu: int):
         probe_modify = self.l1d.make_probe_modify()
         stats = self._l1d_stats
-        buffer_admit = self._buffers[cpu].admit
-        buffer_push = self._buffers[cpu].push
+        post = self._buffers[cpu].make_post()
         shift = self._line_shift
         if self._optimistic:
             def fast_store(addr: int, at: int) -> int:
                 if probe_modify(addr >> shift) < 0:
                     return -1
                 stats.writes += 1
-                release, _stalled = buffer_admit(at)
-                buffer_push(at + 1)
-                return release + 1
+                return post(at, at + 1) + 1
 
             return fast_store
         xbar_lane = self.crossbar.make_lane(cpu)
@@ -179,130 +175,171 @@ class SharedPrimarySystem(MemorySystem):
             if probe_modify(addr >> shift) < 0:
                 return -1
             stats.writes += 1
-            release, _stalled = buffer_admit(at)
-            buffer_push(xbar_lane(addr, at))
-            return release + 1
+            return post(at, xbar_lane(addr, at)) + 1
 
         return fast_store
 
     # ------------------------------------------------------------------
+    # Built paths. The chip below the shared L1 is one L2 and memory,
+    # so its read and write accesses are built once; each CPU's data
+    # path adds its own way into the shared L1 (its crossbar lane, or
+    # the optimistic fiat). Victims are packed ``(line_addr << 2) |
+    # state``.
 
-    def _refill_ifetch(
-        self, cpu: int, addr: int, line_addr: int, at: int
-    ) -> tuple[int, StallLevel]:
-        return self._l2_access(addr, at, is_store=False)
+    def _build_paths(self) -> None:
+        self._l2_read = self._make_l2_access(is_store=False)
+        self._l2_write = self._make_l2_access(is_store=True)
+        super()._build_paths()
 
-    def _load(self, cpu: int, addr: int, at: int) -> AccessResult:
-        self._l1d_stats.reads += 1
-        done, level = self._data_path(cpu, addr, at, is_store=False)
-        return AccessResult(done, level)
+    def _make_l2_access(self, is_store: bool):
+        """``(addr, line_addr, at) -> (done, serving level)`` at the
+        chip-level L2, counting a read or (``is_store``) a write."""
+        l2_stats = self._l2_stats
+        l2 = self.l2
+        probe = l2.make_probe()
+        fill = l2.make_fill()
+        invalidated = l2.invalidated
+        acquire_port = self.l2_port.make_acquire(self._l2_occupancy)
+        latency = self._l2_latency
+        l1_evict = self.l1d.make_evict()
+        mem = self.mem
+        shift = self._line_shift
+        hit, miss = StallLevel.L2, StallLevel.MEM
 
-    def _store(
-        self, cpu: int, addr: int, at: int, posted: bool
-    ) -> AccessResult:
-        """Stores post through the write buffer; SCs wait out the path."""
-        self._l1d_stats.writes += 1
-        if not posted:
-            done, level = self._data_path(cpu, addr, at, is_store=True)
-            return AccessResult(done, level)
-        buffer = self._buffers[cpu]
-        release, stalled = buffer.admit(at)
-        # The drain enters the memory pipeline now; only the CPU is
-        # held back when the buffer is full.
-        complete, _level = self._data_path(cpu, addr, at, is_store=True)
-        visible = buffer.push(complete)
-        level = StallLevel.STOREBUF if stalled else StallLevel.NONE
-        return AccessResult(release + 1, level, visible=visible)
+        def l2_access(addr: int, line_addr: int, at: int) -> tuple:
+            start = acquire_port(at)
+            if is_store:
+                l2_stats.writes += 1
+            else:
+                l2_stats.reads += 1
+            if probe(line_addr) >= 0:
+                return start + latency, hit
+            if line_addr not in invalidated:
+                if is_store:
+                    l2_stats.write_misses_repl += 1
+                else:
+                    l2_stats.read_misses_repl += 1
+            elif is_store:
+                l2_stats.write_misses_inval += 1
+            else:
+                l2_stats.read_misses_inval += 1
+            done = mem.access(addr, start + latency)
+            victim = fill(line_addr, SHARED)
+            if victim >= 0:
+                l2_stats.evictions += 1
+                # Inclusion: the shared L1 data cache may not keep a
+                # line the L2 no longer holds. Replacement-caused, so
+                # it does not count as an invalidation miss later.
+                # Instruction lines are read-only and need no
+                # coherence, so the I-caches are exempt from inclusion
+                # (as in real designs).
+                victim_line = victim >> 2
+                l1_state = l1_evict(victim_line, False)
+                if victim & 3 == MODIFIED or l1_state == MODIFIED:
+                    l2_stats.writebacks += 1
+                    mem.write_back(victim_line << shift, start)
+            return done, miss
 
-    def _crossbar_hit(self, cpu: int, addr: int, at: int) -> int:
-        ready, _wait = self.crossbar.access(addr, at, port=cpu)
-        return ready
+        return l2_access
 
-    def _optimistic_hit(self, cpu: int, addr: int, at: int) -> int:
-        if self._shadow_xbar is not None:
+    def _make_ifetch_refill(self, cpu: int):
+        return self._l2_read
+
+    def _make_hit_time(self, cpu: int):
+        """``(addr, at) -> cycle`` a shared-L1 hit from ``cpu``
+        completes: through its crossbar lane, or one cycle later by the
+        optimistic fiat (with the obs-only shadow driven alongside)."""
+        if not self._optimistic:
+            return self.crossbar.make_lane(cpu)
+        shadow = self._shadow_xbar
+        if shadow is None:
+            return None
+
+        def shadowed(addr: int, at: int) -> int:
             # Observability-only: record the collision the real
             # crossbar would have seen; timing is untouched.
-            self._shadow_xbar.probe(addr, at, port=cpu)
-        return at + 1
+            shadow.probe(addr, at, port=cpu)
+            return at + 1
 
-    def _data_path(
-        self, cpu: int, addr: int, at: int, is_store: bool
-    ) -> tuple[int, StallLevel]:
-        """The shared-L1 access pipeline common to loads and stores."""
-        hit_done = self._hit_time(cpu, addr, at)
+        return shadowed
+
+    def _make_data_path(self, cpu: int, is_store: bool, posted: bool):
+        """The shared-L1 access pipeline common to loads and stores.
+        Stores post through the write buffer (``posted``); SCs wait out
+        the path."""
+        l1_stats = self._l1d_stats
         l1d = self.l1d
-        line_addr = addr >> self._line_shift
-        state = (
-            l1d.probe_modify(line_addr) if is_store else l1d.probe(line_addr)
-        )
-        if state >= 0:
-            level = StallLevel.NONE if hit_done - at <= 1 else StallLevel.L1
-            return hit_done, level
-
-        miss_kind = l1d.classify_line(line_addr)
-        count_miss(self._l1d_stats, miss_kind, is_store)
-        done, level = self._l2_access(addr, hit_done, is_store=is_store)
+        probe = l1d.make_probe_modify() if is_store else l1d.make_probe()
+        fill = l1d.make_fill()
+        invalidated = l1d.invalidated
         fill_state = MODIFIED if is_store else SHARED
-        victim = l1d.fill(line_addr, fill_state)
-        if victim >= 0 and victim & 3 == MODIFIED:
-            # The writeback drains from the victim buffer opportunistically;
-            # reserving the port at the *initiating* time keeps the busy
-            # timeline causal (a future reservation would head-of-line
-            # block demand misses arriving in between).
-            self._write_back_to_l2(
-                (victim >> 2) << self._line_shift, hit_done
+        hit_time = self._make_hit_time(cpu)
+        l2_access = self._l2_write if is_store else self._l2_read
+        acquire_port = self.l2_port.make_acquire(self._l2_occupancy)
+        l2_find, l2_states = self.l2.make_find(), self.l2.states
+        mem = self.mem
+        buffer = self._buffers[cpu]
+        post = buffer.make_post()
+        shift = self._line_shift
+        none, slow_hit = StallLevel.NONE, StallLevel.L1
+        storebuf = StallLevel.STOREBUF
+
+        def data_path(addr: int, at: int) -> AccessResult:
+            if is_store:
+                l1_stats.writes += 1
+            else:
+                l1_stats.reads += 1
+            done = at + 1 if hit_time is None else hit_time(addr, at)
+            line_addr = addr >> shift
+            if probe(line_addr) >= 0:
+                level = none if done - at <= 1 else slow_hit
+            else:
+                if line_addr not in invalidated:
+                    if is_store:
+                        l1_stats.write_misses_repl += 1
+                    else:
+                        l1_stats.read_misses_repl += 1
+                elif is_store:
+                    l1_stats.write_misses_inval += 1
+                else:
+                    l1_stats.read_misses_inval += 1
+                hit_done = done
+                done, level = l2_access(addr, line_addr, hit_done)
+                victim = fill(line_addr, fill_state)
+                if victim >= 0 and victim & 3 == MODIFIED:
+                    # Posted write-back of the dirty victim into the
+                    # L2. It drains from the victim buffer
+                    # opportunistically; reserving the port at the
+                    # *initiating* time keeps the busy timeline causal
+                    # (a future reservation would head-of-line block
+                    # demand misses arriving in between).
+                    l1_stats.writebacks += 1
+                    acquire_port(hit_done)
+                    # Inclusion means the line is normally present; if
+                    # it raced out, the data goes to memory instead.
+                    way = l2_find(victim >> 2)
+                    if way >= 0:
+                        l2_states[way] = MODIFIED
+                    else:
+                        mem.write_back((victim >> 2) << shift, hit_done)
+            if not posted:
+                return new_result(AccessResult, (done, level, -1))
+            # The drain entered the memory pipeline at issue; only the
+            # CPU is held back when the buffer is full.
+            release = post(at, done)
+            return new_result(
+                AccessResult,
+                (
+                    release + 1,
+                    storebuf if release > at else none,
+                    buffer.last_visible,
+                ),
             )
-        return done, level
 
-    # ------------------------------------------------------------------
+        return data_path
 
-    def _l2_access(
-        self, addr: int, at: int, is_store: bool
-    ) -> tuple[int, StallLevel]:
-        """Access the chip-level L2; returns (done, serving level)."""
-        start = self.l2_port.acquire(at, self._l2_occupancy)
-        if is_store:
-            self._l2_stats.writes += 1
-        else:
-            self._l2_stats.reads += 1
-        line_addr = addr >> self._line_shift
-        l2 = self.l2
-        if l2.probe(line_addr) >= 0:
-            return start + self._l2_latency, StallLevel.L2
+    def _make_load_path(self, cpu: int):
+        return self._make_data_path(cpu, is_store=False, posted=False)
 
-        miss_kind = l2.classify_line(line_addr)
-        count_miss(self._l2_stats, miss_kind, is_store)
-        done = self.mem.access(addr, start + self._l2_latency)
-        victim = l2.fill(line_addr, SHARED)
-        if victim >= 0:
-            self._handle_l2_eviction(victim, start)
-        return done, StallLevel.MEM
-
-    def _handle_l2_eviction(self, victim: int, at: int) -> None:
-        """Maintain inclusion and write dirty victims to memory.
-
-        ``victim`` is packed ``(line_addr << 2) | state``.
-        """
-        victim_line = victim >> 2
-        self._l2_stats.evictions += 1
-        dirty = victim & 3 == MODIFIED
-        # Inclusion: the shared L1 data cache may not keep a line the L2
-        # no longer holds. Replacement-caused, so it does not count as
-        # an invalidation miss later. Instruction lines are read-only
-        # and need no coherence, so the I-caches are exempt from
-        # inclusion (as in real designs).
-        l1_state = self.l1d.evict(victim_line, coherence=False)
-        if l1_state == MODIFIED:
-            dirty = True
-        if dirty:
-            self._l2_stats.writebacks += 1
-            self.mem.write_back(victim_line << self._line_shift, at)
-
-    def _write_back_to_l2(self, addr: int, at: int) -> None:
-        """Posted write-back of a dirty shared-L1 victim into the L2."""
-        self._l1d_stats.writebacks += 1
-        self.l2_port.acquire(at, self._l2_occupancy)
-        # Inclusion means the line is normally present; if it raced out,
-        # the data goes to memory instead.
-        if not self.l2.set_state(addr >> self._line_shift, MODIFIED):
-            self.mem.write_back(addr, at)
+    def _make_store_path(self, cpu: int, posted: bool):
+        return self._make_data_path(cpu, is_store=True, posted=posted)

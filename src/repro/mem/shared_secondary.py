@@ -21,10 +21,11 @@ port contention between write traffic and miss refills is exactly the
 effect the paper blames for this architecture's loss on the OS
 workload.
 
-The shape is fixed when the system is built: the refill path is a
-chain of one stage per deeper private level ending in the shared level,
-and the store paths touch the private levels through one per-CPU
-callable, so no access asks how many levels there are.
+The shape is fixed when the system is built: each CPU's refill path is
+a chain of one stage per deeper private level ending in the shared
+level, and its store path touches the private levels through one
+callable, so no access asks how many levels there are or which CPU it
+is.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from repro.mem.bank import Resource
 from repro.mem.cache import MODIFIED, SHARED, CacheArray
 from repro.mem.coherence.directory import Directory
 from repro.mem.crossbar import build_crossbar, crossbar_resources
-from repro.mem.hierarchy import MemConfig, MemorySystem, count_miss
-from repro.mem.types import AccessResult, StallLevel
+from repro.mem.hierarchy import MemConfig, MemorySystem
+from repro.mem.types import AccessResult, StallLevel, new_result
 from repro.sim.stats import SystemStats
 
 
@@ -96,32 +97,11 @@ class SharedSecondarySystem(MemorySystem):
         )
         self._link = self.crossbar
         self.directory = Directory()
-        # An L1 victim stops its CPU being a holder — outright when the
-        # L1 is the only private level, else unless a deeper one keeps
-        # the line.
-        below_l1 = self._private_arrays[1:]
-        self._drop_l1_victim = (
-            (
-                lambda line_addr, cpu: self._drop_holder_unless_held(
-                    cpu, line_addr, below_l1
-                )
-            )
-            if below_l1
-            else self.directory.remove_holder
-        )
         self.mem = self._main_memory()
         self._update = config.l1_coherence == "update"
         if not self._update:
             self._spin_ports = list(zip(self.l1d, self._l1d_stats))
-        # The refill chain, built from the far end: the shared level,
-        # then one stage per deeper private level in front of it.
-        self._refill = self._shared_read
-        for index in range(len(self._private) - 1, 0, -1):
-            self._refill = self._make_refill_stage(index, self._refill)
-        # An I-miss takes the same chain (it just records no holder).
-        self._refill_ifetch = self._refill
-        self._write_private = [self._make_private_write(c) for c in cpus]
-        self._build_lanes()
+        self._build_paths()
 
     def _resources(self, probing: bool = False):
         resources = [
@@ -157,14 +137,221 @@ class SharedSecondarySystem(MemorySystem):
         return out
 
     # ------------------------------------------------------------------
-    # Fast lanes. Loads and I-fetches resolve single-cycle private L1
-    # hits (the scaffold's lanes). The *store* lane covers the whole
-    # write-through path for posted value-less stores — private-level
-    # touches, buffer admission, the drain into the shared level,
-    # directory invalidations — because under write-through every store
-    # takes it; it must mirror _store(posted=True) exactly (the
-    # differential suite runs with the lane off and asserts identical
-    # stats).
+    # Built paths. The shape is fixed here: what the shared level does
+    # on a replacement, a write miss and a coherence walk is built once;
+    # each CPU then gets its refill chain (one stage per deeper private
+    # level ending in the shared level), its load path and its store
+    # path. Victims are packed ``(line_addr << 2) | state``.
+
+    def _build_paths(self) -> None:
+        cpus = range(self.config.n_cpus)
+        #: per CPU: the evict closure of each of its private arrays
+        self._evictors = [
+            tuple(arrays[cpu].make_evict() for arrays in self._private_arrays)
+            for cpu in cpus
+        ]
+        self._shared_evicted = self._make_shared_eviction()
+        self._shared_write_miss = self._make_shared_write_miss()
+        self._invalidate_copies = self._make_invalidate_copies()
+        self._refills = [self._make_refill(cpu) for cpu in cpus]
+        super()._build_paths()
+
+    def _make_shared_eviction(self):
+        """``(victim, at)``: a shared-level replacement invalidates the
+        private copies (inclusion) and writes dirty data to memory."""
+        shared_stats = self._shared_stats
+        clear_holders = self.directory.clear
+        evictors = self._evictors
+        write_back = self.mem.write_back
+        shift = self._line_shift
+
+        def shared_evicted(victim: int, at: int) -> None:
+            shared_stats.evictions += 1
+            victim_line = victim >> 2
+            for cpu in clear_holders(victim_line):
+                # Replacement-caused, not communication: classify later
+                # misses on this line as replacement misses.
+                for evict in evictors[cpu]:
+                    evict(victim_line, False)
+            if victim & 3 == MODIFIED:
+                shared_stats.writebacks += 1
+                write_back(victim_line << shift, at)
+
+        return shared_evicted
+
+    def _make_shared_write_miss(self):
+        """``(addr, line_addr, ready) -> done``: write-allocate in the
+        (write-back) shared level — fetch the line first."""
+        shared_stats = self._shared_stats
+        invalidated = self.shared.invalidated
+        fill = self.shared.make_fill()
+        read_memory = self.mem.access
+        shared_evicted = self._shared_evicted
+
+        def write_miss(addr: int, line_addr: int, ready: int) -> int:
+            if line_addr in invalidated:
+                shared_stats.write_misses_inval += 1
+            else:
+                shared_stats.write_misses_repl += 1
+            done = read_memory(addr, ready)
+            victim = fill(line_addr, MODIFIED)
+            if victim >= 0:
+                shared_evicted(victim, ready)
+            return done
+
+        return write_miss
+
+    def _make_invalidate_copies(self):
+        """``(victims, line_addr, writer, at)``: drop the line from
+        every private level of each CPU in the ``victims`` bitmask (the
+        directory already forgot them)."""
+        evictors = self._evictors
+        l1d_stats = self._l1d_stats
+        observer = self._obs
+
+        def invalidate_copies(
+            victims: int, line_addr: int, writer: int, at: int
+        ) -> None:
+            other = 0
+            while victims:
+                if victims & 1:
+                    hit = False
+                    for evict in evictors[other]:
+                        if evict(line_addr) >= 0:
+                            hit = True
+                    if hit:
+                        l1d_stats[other].invalidations_received += 1
+                        if observer[0] is not None:
+                            observer[0].record_coherence(
+                                other, "inval", at, {"by": writer}
+                            )
+                victims >>= 1
+                other += 1
+
+        return invalidate_copies
+
+    def _make_holder_drop(self, cpu: int, levels: list):
+        """``line_addr -> bool``: clear ``cpu``'s directory bit for the
+        line unless one of its arrays in ``levels`` still caches it
+        (the private levels are not inclusive of each other); returns
+        whether the bit was cleared. A level that just replaced the
+        line passes the *other* levels."""
+        finders = tuple(arrays[cpu].make_find() for arrays in levels)
+        remove_holder = self.directory.remove_holder
+
+        def drop(line_addr: int) -> bool:
+            for find in finders:
+                if find(line_addr) >= 0:
+                    return False
+            remove_holder(line_addr, cpu)
+            return True
+
+        return drop
+
+    def _make_refill(self, cpu: int):
+        """``cpu``'s refill chain ``(addr, line_addr, at) -> (done,
+        level)``, built from the far end: the shared level, then one
+        stage per deeper private level in front of it."""
+        shared_stats = self._shared_stats
+        probe = self.shared.make_probe()
+        fill = self.shared.make_fill()
+        invalidated = self.shared.invalidated
+        cross = self.crossbar.make_lane(cpu)
+        read_memory = self.mem.access
+        shared_evicted = self._shared_evicted
+        hit, miss = StallLevel.L2, StallLevel.MEM
+
+        def refill(addr: int, line_addr: int, at: int) -> tuple:
+            ready = cross(addr, at)
+            shared_stats.reads += 1
+            if probe(line_addr) >= 0:
+                return ready, hit
+            if line_addr in invalidated:
+                shared_stats.read_misses_inval += 1
+            else:
+                shared_stats.read_misses_repl += 1
+            done = read_memory(addr, ready)
+            victim = fill(line_addr, SHARED)
+            if victim >= 0:
+                shared_evicted(victim, ready)
+            return done, miss
+
+        for index in range(len(self._private) - 1, 0, -1):
+            refill = self._make_refill_stage(cpu, index, refill)
+        return refill
+
+    def _make_refill_stage(self, cpu: int, index: int, beyond):
+        """The refill stage of private level ``index`` (> 0): its port
+        and latency are paid per access, its occupancy serializes
+        refills; a miss goes ``beyond`` and fills on the way back."""
+        level, arrays, level_stats, ports = self._private[index]
+        latency = level.latency
+        acquire_port = ports[cpu].make_acquire(level.occupancy)
+        cache_stats = level_stats[cpu]
+        probe = arrays[cpu].make_probe()
+        fill = arrays[cpu].make_fill()
+        invalidated = arrays[cpu].invalidated
+        drop_victim = self._make_holder_drop(
+            cpu, [a for a in self._private_arrays if a is not arrays]
+        )
+        hit = StallLevel.L2
+
+        def refill(addr: int, line_addr: int, at: int) -> tuple:
+            start = acquire_port(at)
+            cache_stats.reads += 1
+            if probe(line_addr) >= 0:
+                return start + latency, hit
+            if line_addr in invalidated:
+                cache_stats.read_misses_inval += 1
+            else:
+                cache_stats.read_misses_repl += 1
+            result = beyond(addr, line_addr, start + latency)
+            victim = fill(line_addr, SHARED)
+            if victim >= 0:
+                cache_stats.evictions += 1
+                drop_victim(victim >> 2)
+            return result
+
+        return refill
+
+    def _make_ifetch_refill(self, cpu: int):
+        # An I-miss takes the same chain (it just records no holder).
+        return self._refills[cpu]
+
+    def _make_load_path(self, cpu: int):
+        cache = self.l1d[cpu]
+        cache_stats = self._l1d_stats[cpu]
+        probe = cache.make_probe()
+        fill = cache.make_fill()
+        invalidated = cache.invalidated
+        holders = self.directory.masks
+        holder_bit = 1 << cpu
+        refill = self._refills[cpu]
+        # An L1 victim stops its CPU being a holder unless a deeper
+        # private level keeps the line.
+        drop_victim = self._make_holder_drop(cpu, self._private_arrays[1:])
+        shift = self._line_shift
+        none = StallLevel.NONE
+
+        def load(addr: int, at: int) -> AccessResult:
+            cache_stats.reads += 1
+            line_addr = addr >> shift
+            at += 1
+            if probe(line_addr) >= 0:
+                return new_result(AccessResult, (at, none, -1))
+            if line_addr in invalidated:
+                cache_stats.read_misses_inval += 1
+            else:
+                cache_stats.read_misses_repl += 1
+            holders[line_addr] = holders.get(line_addr, 0) | holder_bit
+            done, level = refill(addr, line_addr, at)
+            victim = fill(line_addr, SHARED)
+            if victim >= 0:
+                cache_stats.evictions += 1
+                drop_victim(victim >> 2)
+            return new_result(AccessResult, (done, level, -1))
+
+        return load
 
     def _make_private_write(self, cpu: int):
         """``line_addr ->`` touch of ``cpu``'s private levels for one
@@ -188,235 +375,108 @@ class SharedSecondarySystem(MemorySystem):
 
         return write_private
 
-    def _make_store_lane(self, cpu: int):
-        if self._update:
-            # The write-update walk refreshes sharers in place and
-            # charges crossbar word transfers; keep it on the one
-            # general path.
-            return super()._make_store_lane(cpu)
-        shift = self._line_shift
-        l1d_stats = self._l1d_stats[cpu]
-        write_private = self._write_private[cpu]
-        buffer_admit = self._buffers[cpu].admit
-        buffer_push = self._buffers[cpu].push
-        shared_probe_modify = self.shared.make_probe_modify()
-        shared_stats = self._shared_stats
-        xbar_lane = self.crossbar.make_lane(cpu, occupancy=1)
-        invalidate_mask = self.directory.invalidate_for_write_mask
-        write_miss = self._shared_write_miss
-        invalidate_copies = self._invalidate_copies
+    def _make_update_copies(self, cpu: int):
+        """``(addr, line_addr, at)``: write-update — sharers' copies
+        (at every private level) are refreshed in place; the broadcast
+        costs one word transfer on the writer's crossbar port per live
+        sharer."""
+        sharers = self.directory.holders
+        drops = [
+            self._make_holder_drop(other, self._private_arrays)
+            for other in range(self.config.n_cpus)
+        ]
+        l1d_stats = self._l1d_stats
+        cross_word = self.crossbar.make_lane(cpu, occupancy=1)
+        observer = self._obs
 
-        def fast_store(addr: int, at: int) -> int:
-            l1d_stats.writes += 1
-            l1d_stats.write_throughs += 1
-            line_addr = addr >> shift
-            write_private(line_addr)
-            release, _stalled = buffer_admit(at)
-            # The drain enters the shared level's pipeline now; only
-            # the CPU is held back when the buffer is full.
-            ready = xbar_lane(addr, at)
-            shared_stats.writes += 1
-            if shared_probe_modify(line_addr) >= 0:
-                drain_done = ready
-            else:
-                drain_done = write_miss(addr, line_addr, ready)
-            victims = invalidate_mask(line_addr, cpu)
-            if victims:
-                invalidate_copies(victims, line_addr, cpu, at)
-            buffer_push(drain_done)
-            return release + 1
+        def update_copies(addr: int, line_addr: int, at: int) -> None:
+            for other in sharers(line_addr, excluding=cpu):
+                # A sharer that silently dropped the line stops being
+                # updated (and being a holder).
+                if drops[other](line_addr):
+                    continue
+                l1d_stats[other].updates_received += 1
+                cross_word(addr, at)
+                if observer[0] is not None:
+                    observer[0].record_coherence(
+                        other, "update", at, {"by": cpu}
+                    )
 
-        return fast_store
+        return update_copies
 
-    # ------------------------------------------------------------------
-
-    def _load(self, cpu: int, addr: int, at: int) -> AccessResult:
-        cache = self.l1d[cpu]
-        cache_stats = self._l1d_stats[cpu]
-        cache_stats.reads += 1
-        line_addr = addr >> self._line_shift
-        if cache.probe(line_addr) >= 0:
-            return AccessResult(at + 1, StallLevel.NONE)
-
-        miss_kind = cache.classify_line(line_addr)
-        count_miss(cache_stats, miss_kind, is_store=False)
-        self.directory.add_holder(line_addr, cpu)
-        done, level = self._refill(cpu, addr, line_addr, at + 1)
-        victim = cache.fill(line_addr, SHARED)
-        if victim >= 0:
-            cache_stats.evictions += 1
-            self._drop_l1_victim(victim >> 2, cpu)
-        return AccessResult(done, level)
-
-    def _store(
-        self, cpu: int, addr: int, at: int, posted: bool
-    ) -> AccessResult:
+    def _make_store_path(self, cpu: int, posted: bool, lane: bool = False):
         """Write-through, no-allocate store via the per-CPU write buffer.
 
         The CPU is released after one cycle unless the buffer is full,
         in which case it waits for the oldest drain to finish. The value
         becomes visible to other CPUs when the drain reaches the shared
         level (``AccessResult.visible``). Store-conditionals are not
-        posted — the CPU waits for the drain itself.
+        ``posted`` — the CPU waits for the drain itself. Under
+        write-through every store takes this path, so the fast ``lane``
+        is the posted path itself, returning the release cycle as a
+        plain int instead of a result.
         """
-        cache_stats = self._l1d_stats[cpu]
-        cache_stats.writes += 1
-        cache_stats.write_throughs += 1
-        line_addr = addr >> self._line_shift
-        self._write_private[cpu](line_addr)
+        l1d_stats = self._l1d_stats[cpu]
+        write_private = self._make_private_write(cpu)
+        # The drain is a word write — one cycle on the datapath; only a
+        # write-allocate line fetch pays the full line-transfer
+        # occupancy.
+        cross_word = self.crossbar.make_lane(cpu, occupancy=1)
+        shared_stats = self._shared_stats
+        probe_modify = self.shared.make_probe_modify()
+        write_miss = self._shared_write_miss
+        update_copies = (
+            self._make_update_copies(cpu) if self._update else None
+        )
+        holders = self.directory.masks
+        others = ~(1 << cpu)
+        invalidate_mask = self.directory.invalidate_for_write_mask
+        invalidate_copies = self._invalidate_copies
+        buffer = self._buffers[cpu]
+        post = buffer.make_post()
+        shift = self._line_shift
+        none, storebuf = StallLevel.NONE, StallLevel.STOREBUF
+        from_shared = StallLevel.L2
 
-        if posted:
-            release, stalled = self._buffers[cpu].admit(at)
-        else:
-            release, stalled = at, False
-        # The drain enters the shared level's pipeline now; only the
-        # CPU is held back when the buffer is full. It is a word write —
-        # one cycle on the datapath; only a write-allocate line fetch
-        # pays the full line-transfer occupancy.
-        ready, _wait = self.crossbar.access(addr, at, port=cpu, occupancy=1)
-        self._shared_stats.writes += 1
-        if self.shared.probe_modify(line_addr) >= 0:
-            drain_done = ready
-        else:
-            drain_done = self._shared_write_miss(addr, line_addr, ready)
+        def store(addr: int, at: int):
+            l1d_stats.writes += 1
+            l1d_stats.write_throughs += 1
+            line_addr = addr >> shift
+            write_private(line_addr)
+            # The drain enters the shared level's pipeline now; only
+            # the CPU is held back when the buffer is full.
+            done = cross_word(addr, at)
+            shared_stats.writes += 1
+            if probe_modify(line_addr) < 0:
+                done = write_miss(addr, line_addr, done)
+            if update_copies is not None:
+                update_copies(addr, line_addr, at)
+            else:
+                mask = holders.get(line_addr)
+                if mask is not None and mask & others:
+                    invalidate_copies(
+                        invalidate_mask(line_addr, cpu), line_addr, cpu, at
+                    )
+            if lane:
+                return post(at, done) + 1
+            if not posted:
+                return new_result(AccessResult, (done, from_shared, done))
+            release = post(at, done)
+            return new_result(
+                AccessResult,
+                (
+                    release + 1,
+                    storebuf if release > at else none,
+                    buffer.last_visible,
+                ),
+            )
 
+        return store
+
+    def _make_store_lane(self, cpu: int):
         if self._update:
-            self._update_copies(addr, line_addr, cpu, at)
-        else:
-            victims = self.directory.invalidate_for_write_mask(line_addr, cpu)
-            if victims:
-                self._invalidate_copies(victims, line_addr, cpu, at)
-
-        if not posted:
-            return AccessResult(drain_done, StallLevel.L2, visible=drain_done)
-        visible = self._buffers[cpu].push(drain_done)
-        level = StallLevel.STOREBUF if stalled else StallLevel.NONE
-        return AccessResult(release + 1, level, visible=visible)
-
-    def _invalidate_copies(
-        self, victims: int, line_addr: int, writer: int, at: int
-    ) -> None:
-        """Drop the line from every private level of each CPU in the
-        ``victims`` bitmask (the directory already forgot them)."""
-        other = 0
-        while victims:
-            if victims & 1:
-                hit = False
-                for arrays in self._private_arrays:
-                    if arrays[other].evict(line_addr) >= 0:
-                        hit = True
-                if hit:
-                    self._l1d_stats[other].invalidations_received += 1
-                    if self.obs is not None:
-                        self.obs.record_coherence(
-                            other, "inval", at, {"by": writer}
-                        )
-            victims >>= 1
-            other += 1
-
-    def _update_copies(
-        self, addr: int, line_addr: int, writer: int, at: int
-    ) -> None:
-        """Write-update: sharers' copies (at every private level) are
-        refreshed in place; the broadcast costs one word transfer on
-        the writer's crossbar port per live sharer."""
-        for other in self.directory.holders(line_addr, excluding=writer):
-            # A sharer that silently dropped the line stops being
-            # updated (and being a holder).
-            if self._drop_holder_unless_held(
-                other, line_addr, self._private_arrays
-            ):
-                continue
-            self._l1d_stats[other].updates_received += 1
-            self.crossbar.access(addr, at, port=writer, occupancy=1)
-            if self.obs is not None:
-                self.obs.record_coherence(other, "update", at, {"by": writer})
-
-    def _drop_holder_unless_held(
-        self, cpu: int, line_addr: int, levels: list
-    ) -> bool:
-        """Clear ``cpu``'s directory bit for the line unless one of its
-        arrays in ``levels`` still caches it (the private levels are not
-        inclusive of each other); returns whether the bit was cleared.
-        A level that just replaced the line passes the *other* levels."""
-        for arrays in levels:
-            if arrays[cpu].probe_quiet(line_addr) >= 0:
-                return False
-        self.directory.remove_holder(line_addr, cpu)
-        return True
-
-    # ------------------------------------------------------------------
-
-    def _make_refill_stage(self, index: int, beyond):
-        """The refill stage of private level ``index`` (> 0): its port
-        and latency are paid per access, its occupancy serializes
-        refills; a miss goes ``beyond`` and fills on the way back."""
-        level, arrays, level_stats, ports = self._private[index]
-        latency, occupancy = level.latency, level.occupancy
-        elsewhere = [a for a in self._private_arrays if a is not arrays]
-
-        def refill(
-            cpu: int, addr: int, line_addr: int, at: int
-        ) -> tuple[int, StallLevel]:
-            start = ports[cpu].acquire(at, occupancy)
-            cache = arrays[cpu]
-            cache_stats = level_stats[cpu]
-            cache_stats.reads += 1
-            if cache.probe(line_addr) >= 0:
-                return start + latency, StallLevel.L2
-            miss_kind = cache.classify_line(line_addr)
-            count_miss(cache_stats, miss_kind, is_store=False)
-            done, serving = beyond(cpu, addr, line_addr, start + latency)
-            victim = cache.fill(line_addr, SHARED)
-            if victim >= 0:
-                cache_stats.evictions += 1
-                self._drop_holder_unless_held(cpu, victim >> 2, elsewhere)
-            return done, serving
-
-        return refill
-
-    def _shared_read(
-        self, cpu: int, addr: int, line_addr: int, at: int
-    ) -> tuple[int, StallLevel]:
-        """Refill path through the shared level's banks."""
-        ready, _wait = self.crossbar.access(addr, at, port=cpu)
-        self._shared_stats.reads += 1
-        if self.shared.probe(line_addr) >= 0:
-            return ready, StallLevel.L2
-        miss_kind = self.shared.classify_line(line_addr)
-        count_miss(self._shared_stats, miss_kind, is_store=False)
-        done = self.mem.access(addr, ready)
-        victim = self.shared.fill(line_addr, SHARED)
-        if victim >= 0:
-            self._handle_shared_eviction(victim, ready)
-        return done, StallLevel.MEM
-
-    def _shared_write_miss(
-        self, addr: int, line_addr: int, ready: int
-    ) -> int:
-        """Write-allocate in the (write-back) shared level: fetch the
-        line first."""
-        miss_kind = self.shared.classify_line(line_addr)
-        count_miss(self._shared_stats, miss_kind, is_store=True)
-        done = self.mem.access(addr, ready)
-        victim = self.shared.fill(line_addr, MODIFIED)
-        if victim >= 0:
-            self._handle_shared_eviction(victim, ready)
-        return done
-
-    def _handle_shared_eviction(self, victim: int, at: int) -> None:
-        """Shared-level replacement: invalidate private copies
-        (inclusion) and write dirty data to memory.
-
-        ``victim`` is packed ``(line_addr << 2) | state``.
-        """
-        self._shared_stats.evictions += 1
-        victim_line = victim >> 2
-        for cpu in self.directory.clear(victim_line):
-            # Replacement-caused, not communication: classify later
-            # misses on this line as replacement misses.
-            for arrays in self._private_arrays:
-                arrays[cpu].evict(victim_line, coherence=False)
-        if victim & 3 == MODIFIED:
-            self._shared_stats.writebacks += 1
-            self.mem.write_back(victim_line << self._line_shift, at)
+            # The write-update walk refreshes sharers in place and
+            # charges crossbar word transfers; keep it on the one
+            # general path.
+            return super()._make_store_lane(cpu)
+        return self._make_store_path(cpu, posted=True, lane=True)

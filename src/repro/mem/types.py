@@ -55,3 +55,10 @@ class AccessResult(NamedTuple):
     @property
     def visible_cycle(self) -> int:
         return self.done if self.visible < 0 else self.visible
+
+
+#: ``new_result(AccessResult, (done, level, visible))`` is
+#: ``AccessResult(done, level, visible)`` without the Python frame of
+#: the NamedTuple's generated ``__new__`` — how the built access paths
+#: return.
+new_result = tuple.__new__

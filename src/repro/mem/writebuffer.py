@@ -25,20 +25,22 @@ class WriteBuffer:
 
     ``_pending`` is kept as a deque of completion times in
     non-decreasing order — an invariant :meth:`push` maintains by
-    clamping each new time to the monotone ``_last_visible`` before
+    clamping each new time to the monotone ``last_visible`` before
     appending. Retiring the entries already complete at ``at`` is then
     a prefix pop, and the oldest entry is ``_pending[0]`` — no scan,
     no reallocation, on the hottest per-store path in the simulator.
+    ``last_visible`` is the newest store's visibility time (what
+    :meth:`push` returned for it).
     """
 
-    __slots__ = ("depth", "_pending", "_last_visible", "full_stalls", "stores")
+    __slots__ = ("depth", "_pending", "last_visible", "full_stalls", "stores")
 
     def __init__(self, depth: int = 8) -> None:
         if depth <= 0:
             raise ConfigError("write buffer depth must be positive")
         self.depth = depth
         self._pending: deque[int] = deque()
-        self._last_visible = 0
+        self.last_visible = 0
         self.full_stalls = 0
         self.stores = 0
 
@@ -67,12 +69,46 @@ class WriteBuffer:
         globally visible before the release is).
         """
         self.stores += 1
-        if done < self._last_visible:
-            done = self._last_visible
+        if done < self.last_visible:
+            done = self.last_visible
         else:
-            self._last_visible = done
+            self.last_visible = done
         self._pending.append(done)
         return done
+
+    def make_post(self):
+        """Build ``post(at, done) -> release``: :meth:`admit` at ``at``
+        then :meth:`push` of ``done`` as one call, for the lanes and
+        built paths (nothing between the two reads the buffer, so
+        running them back to back changes no outcome).
+
+        ``release`` is the cycle the store enters the buffer; the CPU
+        stalled for a slot exactly when ``release > at``, and the
+        store's visibility time is ``last_visible`` afterwards.
+        The closure captures ``_pending``, which is therefore only ever
+        mutated in place (checkpoint restore included).
+        """
+        pending = self._pending
+        popleft = pending.popleft
+        append = pending.append
+        depth = self.depth
+        buffer = self
+
+        def post(at: int, done: int) -> int:
+            while pending and pending[0] <= at:
+                popleft()
+            if len(pending) >= depth:
+                buffer.full_stalls += 1
+                at = popleft()
+            buffer.stores += 1
+            if done < buffer.last_visible:
+                done = buffer.last_visible
+            else:
+                buffer.last_visible = done
+            append(done)
+            return at
+
+        return post
 
     def drain_time(self, at: int) -> int:
         """Cycle by which everything currently buffered completes."""

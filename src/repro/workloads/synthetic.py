@@ -95,10 +95,13 @@ class SyntheticWorkload(Workload):
             em = ctx.emitter(self.region)
             em.jump(0)
             top = em.label()
-            shared_flags = self.is_shared[cpu_id][phase]
-            store_flags = self.is_store[cpu_id][phase]
-            private_idx = self.private_index[cpu_id][phase]
-            shared_idx = self.shared_index[cpu_id][phase]
+            # One row per phase as plain lists: the unit loop below
+            # then indexes ready-made bools and ints instead of
+            # unboxing four numpy scalars per unit.
+            shared_flags = self.is_shared[cpu_id][phase].tolist()
+            store_flags = self.is_store[cpu_id][phase].tolist()
+            private_idx = self.private_index[cpu_id][phase].tolist()
+            shared_idx = self.shared_index[cpu_id][phase].tolist()
             # The shared region rotates ownership: this phase, this CPU
             # works the slice its left neighbour wrote last phase.
             slice_words = max(self.shared_bytes // _WORD // n_cpus, 1)
@@ -108,11 +111,11 @@ class SyntheticWorkload(Workload):
             for unit in range(self.grain):
                 if shared_flags[unit]:
                     addr = slice_base + (
-                        int(shared_idx[unit]) % slice_words
+                        shared_idx[unit] % slice_words
                     ) * _WORD
                 else:
                     addr = self.private_base[cpu_id] + (
-                        int(private_idx[unit]) * _WORD
+                        private_idx[unit] * _WORD
                     )
                 if store_flags[unit]:
                     yield em.store(addr, src1=1)

@@ -17,8 +17,10 @@ Three coherence disciplines build every machine from its spec, so:
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import re
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
@@ -208,6 +210,24 @@ def test_every_level_field_moves_the_numbers(arch, field, stock):
     changed = dataclasses.replace(moves[field](spec), name="bespoke")
     assert changed != dataclasses.replace(spec, name="bespoke")
     assert run(changed, n_cpus, cpu_model) != stock[arch]
+
+
+@pytest.mark.parametrize("arch", PERTURBATIONS)
+def test_built_paths_do_not_refer_back_to_their_system(arch):
+    """The paths are closures stored on the system; one that captured
+    the system would park every dead hierarchy — megabytes of cache
+    columns at bench scale — until the cyclic collector's next pass."""
+    n_cpus = PERTURBATIONS[arch][0]
+    gc.disable()
+    try:
+        memory = build_memory(
+            arch, config_for_scale("test", n_cpus), SystemStats.for_cpus(n_cpus)
+        )
+        gone = weakref.ref(memory)
+        del memory
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("arch", ("shared-l2", "shared-l3"))

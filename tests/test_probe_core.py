@@ -9,12 +9,20 @@ implicitly elsewhere:
 * write-buffer admission edge cases (the retire race at the exact
   completion cycle, same-line stores, drain at a barrier);
 * :class:`InvalidationTracker` classification across evict/re-fill of
-  the same tag.
+  the same tag;
+* every built closure (``make_probe`` … ``make_fill``, the read and
+  dirty-store lanes, ``WriteBuffer.make_post``) against the generic
+  method it specializes, on twin objects driven by one random stream —
+  same answers, same states, same LRU order, same stamp counter.
 """
 
-from repro.mem.cache import CacheArray, LineState
+import random
+
+import pytest
+
+from repro.mem.cache import EVICT_EPOCH, MODIFIED, SHARED, CacheArray, LineState
 from repro.mem.writebuffer import WriteBuffer
-from repro.sim.stats import MissKind
+from repro.sim.stats import CacheStats, MissKind
 
 
 def make_cache(size=1024, assoc=2, line=32, name="c"):
@@ -175,3 +183,133 @@ def test_capacity_eviction_of_previously_invalidated_line():
     cache.insert(0x040)  # evicts 0x000 (LRU) by capacity
     assert not cache.contains(0x000)
     assert cache.classify_miss(0x000) == MissKind.MISS_REPLACEMENT
+
+
+# ----------------------------------------------------------------------
+# built closures vs the generic methods they specialize
+
+
+def _same_cache(built: CacheArray, reference: CacheArray) -> None:
+    """State, LRU order within every set, the invalidation set and —
+    where recency exists — the stamp counter."""
+    assert built.export_sets() == reference.export_sets()
+    assert built.invalidated == reference.invalidated
+    if built.assoc > 1:
+        assert built._tick == reference._tick
+
+
+@pytest.mark.parametrize("assoc", (1, 2, 4))
+def test_built_primitives_match_the_generic_methods(assoc):
+    """One random stream of probes, stores, fills, evictions and finds
+    through the built closures of one cache and the methods of its
+    twin."""
+    built = make_cache(size=32 * assoc * 4, assoc=assoc)  # 4 sets
+    reference = make_cache(size=32 * assoc * 4, assoc=assoc)
+    closures = {
+        "probe": built.make_probe(),
+        "probe_modify": built.make_probe_modify(),
+        "find": built.make_find(),
+        "evict": built.make_evict(),
+        "fill": built.make_fill(),
+    }
+    rng = random.Random(assoc)
+    for _ in range(4000):
+        line_addr = rng.randrange(4 * assoc * 3)
+        op = rng.choice(("probe", "probe_modify", "find", "evict", "fill"))
+        if op == "fill":
+            args = (line_addr, rng.choice((SHARED, MODIFIED)))
+        elif op == "evict":
+            args = (line_addr, rng.random() < 0.5)
+        else:
+            args = (line_addr,)
+        epoch = EVICT_EPOCH[0]
+        got = closures[op](*args)
+        moved = EVICT_EPOCH[0] - epoch
+        assert got == getattr(reference, op)(*args), (op, args)
+        if op == "evict":
+            # every removal moves the epoch a parked spinner watches
+            assert moved == (1 if got >= 0 else 0)
+        _same_cache(built, reference)
+
+
+@pytest.mark.parametrize("counted", (True, False), ids=("l1d", "l1i"))
+@pytest.mark.parametrize("assoc", (1, 2, 4))
+def test_read_lane_is_a_counted_probe(assoc, counted):
+    """``lane(addr, at)`` is ``probe(addr >> shift)`` plus one
+    ``stats.reads`` on a hit: ``at + 1``, or ``-1`` with nothing
+    touched."""
+    built = make_cache(size=32 * assoc * 4, assoc=assoc)
+    reference = make_cache(size=32 * assoc * 4, assoc=assoc)
+    stats = CacheStats() if counted else None
+    lane = built.make_read_lane(stats)
+    rng = random.Random(7 * assoc)
+    hits = 0
+    for at in range(3000):
+        line_addr = rng.randrange(4 * assoc * 2)
+        if rng.random() < 0.3:
+            built.fill(line_addr, SHARED)
+            reference.fill(line_addr, SHARED)
+        addr = (line_addr << 5) | rng.randrange(32)
+        hit = reference.probe(line_addr) >= 0
+        hits += hit
+        assert lane(addr, at) == (at + 1 if hit else -1)
+        _same_cache(built, reference)
+    assert hits and hits < 3000
+    if counted:
+        assert stats.reads == hits
+
+
+@pytest.mark.parametrize("assoc", (1, 2, 4))
+def test_dirty_store_lane_takes_only_modified_lines(assoc):
+    """The write-back store lane: a MODIFIED hit touches LRU, counts a
+    write and posts the store to complete next cycle; a clean hit or a
+    miss declines with nothing touched."""
+    built = make_cache(size=32 * assoc * 4, assoc=assoc)
+    reference = make_cache(size=32 * assoc * 4, assoc=assoc)
+    stats = CacheStats()
+    buffer, twin = WriteBuffer(depth=2), WriteBuffer(depth=2)
+    lane = built.make_dirty_store_lane(stats, buffer.make_post())
+    rng = random.Random(11 * assoc)
+    taken = 0
+    for at in range(3000):
+        line_addr = rng.randrange(4 * assoc * 2)
+        if rng.random() < 0.3:
+            state = rng.choice((SHARED, MODIFIED))
+            built.fill(line_addr, state)
+            reference.fill(line_addr, state)
+        if reference.probe_quiet(line_addr) == MODIFIED:
+            reference.probe(line_addr)
+            release, _stalled = twin.admit(at)
+            twin.push(at + 1)
+            expected = release + 1
+            taken += 1
+        else:
+            expected = -1
+        assert lane(line_addr << 5, at) == expected
+        _same_cache(built, reference)
+        assert list(buffer._pending) == list(twin._pending)
+    assert taken and stats.writes == taken
+    assert (buffer.stores, buffer.full_stalls) == (twin.stores, twin.full_stalls)
+
+
+def test_post_is_admit_then_push():
+    """``post(at, done)`` is ``admit(at)`` + ``push(done)``: same
+    release, the stall readable as ``release > at``, the visibility
+    time as ``last_visible``, and every counter."""
+    buffer, twin = WriteBuffer(depth=3), WriteBuffer(depth=3)
+    post = buffer.make_post()
+    rng = random.Random(3)
+    at = 0
+    stalls = 0
+    for _ in range(2000):
+        at += rng.randrange(4)
+        done = at + rng.randrange(1, 12)
+        release, stalled = twin.admit(at)
+        visible = twin.push(done)
+        assert post(at, done) == release
+        assert (release > at) == stalled
+        assert buffer.last_visible == visible
+        assert list(buffer._pending) == list(twin._pending)
+        stalls += stalled
+    assert stalls and buffer.full_stalls == twin.full_stalls == stalls
+    assert buffer.stores == twin.stores == 2000

@@ -430,7 +430,11 @@ def test_corrupt_latest_checkpoint_costs_a_restart_not_the_job(tmp_path, bus):
 
 def test_explicit_resume_from_a_corrupt_checkpoint_still_raises(tmp_path):
     job, store, digest = _job_with_damaged_latest(tmp_path)
-    with pytest.raises(CheckpointError, match="content hash|CRC"):
+    # Which check trips on the flipped bit — the inflater, gzip's CRC
+    # or the content hash — depends on the bytes around it (they move
+    # with the package version the snapshot embeds); the store reports
+    # all three the same way.
+    with pytest.raises(CheckpointError, match="is unusable"):
         job.run(resume_from=digest)
 
 
