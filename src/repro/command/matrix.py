@@ -28,6 +28,7 @@ from repro.core.report import (
     format_resource_table,
     normalized_times,
 )
+from repro.core.runner import job_grid
 from repro.core.sweeps import SweepResult, speedup_table
 from repro.errors import ReproError
 from repro.mem.topology import topology_names
@@ -110,6 +111,12 @@ def _title(args: argparse.Namespace, jobs) -> str:
     return text + ")"
 
 
+def _jobs(args: argparse.Namespace, archs, *axes) -> list:
+    """The verb's matrix: the parsed flags over ``archs`` and the grid's
+    other ``axes`` (CPU counts, override sets)."""
+    return job_grid(job_from_args(args, arch=archs[0]), archs, *axes)
+
+
 def _simulate(runner, jobs) -> list:
     """Results in job order; a point that produced none is an error."""
     report = runner.run(jobs)
@@ -132,7 +139,7 @@ def _grid(field: str, rows, columns, results) -> SweepResult:
 
 
 def _compare(args: argparse.Namespace, runner) -> int:
-    jobs = [job_from_args(args, arch=arch) for arch in args.archs]
+    jobs = _jobs(args, args.archs, args.n_cpus)
     title = _title(args, jobs)
     results = dict(zip(args.archs, _simulate(runner, jobs)))
     # Normalize to the paper's shared-memory baseline when it is part
@@ -181,11 +188,10 @@ def _compare(args: argparse.Namespace, runner) -> int:
 
 
 def _sweep(args: argparse.Namespace, runner) -> int:
-    jobs = [
-        job_from_args(args, arch=arch, overrides={args.field: value})
-        for value in args.values
-        for arch in ARCHITECTURES
-    ]
+    jobs = _jobs(
+        args, ARCHITECTURES, args.n_cpus,
+        [{args.field: value} for value in args.values],
+    )
     print(f"sweeping {args.field} over {args.values}: {_title(args, jobs)}")
     results = _simulate(runner, jobs)
     print(_grid(args.field, args.values, ARCHITECTURES, results).table())
@@ -194,11 +200,7 @@ def _sweep(args: argparse.Namespace, runner) -> int:
 
 def _scaling(args: argparse.Namespace, runner) -> int:
     counts = sorted(set(args.counts))
-    jobs = [
-        job_from_args(args, arch=arch, n_cpus=count)
-        for count in counts
-        for arch in args.archs
-    ]
+    jobs = _jobs(args, args.archs, counts)
     setting = f"({args.cpu_model}, {args.scale} scale)"
     print(f"scaling {', '.join(args.archs)} over {counts} cores: "
           f"{args.workload} {setting}")

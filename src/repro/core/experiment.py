@@ -308,7 +308,7 @@ def run_architecture_comparison(
     factory: WorkloadFactory | str,
     cpu_model: str = "mipsy",
     scale: str = "test",
-    n_cpus: int = 4,
+    n_cpus: int | None = None,
     archs: tuple[str, ...] = ARCHITECTURES,
     cpu_params: CpuParams | None = None,
     max_cycles: int | None = None,
@@ -329,29 +329,21 @@ def run_architecture_comparison(
     pass ``runner`` to share a configured runner (result cache,
     progress hooks) across calls. ``factory`` may be a registry name
     (preferred — the spec then pickles as plain data) or a factory
-    callable.
+    callable. ``n_cpus=None`` is each preset's own core count, so the
+    jobs are the ones ``repro compare`` submits for the same flags.
     """
     # Imported here: runner is built on top of this module.
-    from repro.core.runner import Job, Runner
+    from repro.core.runner import Job, Runner, job_grid
 
     if not archs:
         raise ConfigError("need at least one architecture")
-    batch = [
-        Job(
-            arch=arch,
-            workload=factory,
-            cpu_model=cpu_model,
-            scale=scale,
-            n_cpus=n_cpus,
-            overrides=dict(mem_config_overrides or {}),
-            cpu_params=cpu_params,
-            max_cycles=max_cycles,
-            obs_sample=obs_sample,
-        )
-        for arch in archs
-    ]
+    base = Job(
+        archs[0], factory, cpu_model, scale,
+        overrides=dict(mem_config_overrides or {}), cpu_params=cpu_params,
+        max_cycles=max_cycles, obs_sample=obs_sample,
+    )
     active = runner if runner is not None else Runner(jobs=jobs)
-    report = active.run(batch)
+    report = active.run(job_grid(base, archs, n_cpus))
     return {
         outcome.job.arch: outcome.result for outcome in report.outcomes
     }

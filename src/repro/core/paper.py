@@ -40,7 +40,7 @@ from repro.core.report import (
     format_miss_rate_table,
     normalized_times,
 )
-from repro.core.runner import Job
+from repro.core.runner import Job, job_grid
 from repro.errors import ReproError
 
 Check = Callable[[dict[str, ExperimentResult]], tuple[bool, str]]
@@ -423,17 +423,16 @@ def figure_jobs(figures: Iterable[Figure], **policy) -> list[Job]:
     figure — the evaluation as a batch. ``policy`` is execution policy
     (and ``obs_sample``) stamped onto every job."""
     return [
-        Job(
-            arch=arch,
-            workload=figure.workload,
-            cpu_model=figure.cpu_model,
-            scale="bench",
-            overrides=dict(BENCH_OVERRIDES.get(figure.workload, {})),
-            max_cycles=BENCH_MAX_CYCLES,
-            **policy,
-        )
+        job
         for figure in figures
-        for arch in ARCHITECTURES
+        for job in job_grid(
+            Job(
+                ARCHITECTURES[0], figure.workload, figure.cpu_model, "bench",
+                overrides=dict(BENCH_OVERRIDES.get(figure.workload, {})),
+                max_cycles=BENCH_MAX_CYCLES, **policy,
+            ),
+            ARCHITECTURES,
+        )
     ]
 
 

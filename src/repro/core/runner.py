@@ -310,6 +310,31 @@ class Job:
         )
 
 
+def job_grid(
+    base: Job,
+    archs: Sequence[str],
+    n_cpus: int | None | Sequence[int] = None,
+    overrides: Sequence[dict] = ({},),
+) -> list[Job]:
+    """``base`` over a grid of machines, row-major: override sets
+    outermost, then CPU counts, then topologies — the order every table
+    builder zips its results back in. ``n_cpus=None`` is each preset's
+    own ``default_cpus`` (what an omitted ``--cpus`` means); an override
+    set is laid over ``base.overrides``."""
+    counts = n_cpus if isinstance(n_cpus, (list, tuple)) else (n_cpus,)
+    return [
+        dataclasses.replace(
+            base,
+            arch=arch,
+            n_cpus=get_preset(arch).default_cpus if count is None else count,
+            overrides={**base.overrides, **extra},
+        )
+        for extra in overrides
+        for count in counts
+        for arch in archs
+    ]
+
+
 #: Distinct jobs :func:`_address_of` remembers: a few figure
 #: sweeps' worth; beyond it the least recently asked-for is recomputed.
 KEY_MEMO_SIZE = 256

@@ -19,7 +19,7 @@ from typing import Sequence
 from repro.core.configs import ARCHITECTURES
 from repro.core.experiment import ExperimentResult, WorkloadFactory
 from repro.core.report import normalized_times
-from repro.core.runner import Job, Runner
+from repro.core.runner import Job, Runner, job_grid
 from repro.errors import ConfigError
 
 
@@ -85,7 +85,7 @@ def sweep_mem_field(
     values: Sequence,
     cpu_model: str = "mipsy",
     scale: str = "test",
-    n_cpus: int = 4,
+    n_cpus: int | None = None,
     archs: tuple[str, ...] = ARCHITECTURES,
     max_cycles: int | None = 50_000_000,
     base_overrides: dict | None = None,
@@ -98,6 +98,7 @@ def sweep_mem_field(
 
     ``base_overrides`` (applied at every point) lets a sweep run on top
     of a non-default configuration — e.g. Ocean's 1/4-scale caches.
+    ``n_cpus=None`` is each preset's own core count, as at the CLI.
 
     ``replay=True`` runs every point down the trace-replay lane: the
     workload is recorded once and each sweep point re-simulates the
@@ -106,22 +107,14 @@ def sweep_mem_field(
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    batch = []
-    for value in values:
-        overrides = dict(base_overrides or {})
-        overrides[sweep_field] = value
-        for arch in archs:
-            batch.append(Job(
-                arch=arch,
-                workload=factory,
-                cpu_model=cpu_model,
-                scale=scale,
-                n_cpus=n_cpus,
-                overrides=overrides,
-                max_cycles=max_cycles,
-                replay=replay,
-                trace_dir=trace_dir,
-            ))
+    base = Job(
+        archs[0], factory, cpu_model, scale,
+        overrides=dict(base_overrides or {}), max_cycles=max_cycles,
+        replay=replay, trace_dir=trace_dir,
+    )
+    batch = job_grid(
+        base, archs, n_cpus, [{sweep_field: value} for value in values]
+    )
     active = runner if runner is not None else Runner(jobs=jobs)
     report = active.run(batch)
     outcomes = iter(report.outcomes)
@@ -161,25 +154,19 @@ def sweep_cpu_count(
     """
     if not counts:
         raise ConfigError("sweep needs at least one CPU count")
-    batch = [
-        Job(
-            arch=arch,
-            workload=factory,
-            cpu_model=cpu_model,
-            scale=scale,
-            n_cpus=n_cpus,
-            max_cycles=max_cycles,
-            replay=replay,
-            trace_dir=trace_dir,
-        )
-        for arch in archs
-        for n_cpus in counts
-    ]
+    base = Job(
+        archs[0], factory, cpu_model, scale, max_cycles=max_cycles,
+        replay=replay, trace_dir=trace_dir,
+    )
     active = runner if runner is not None else Runner(jobs=jobs)
-    outcomes = iter(active.run(batch).outcomes)
-    table: dict[str, dict[int, ExperimentResult]] = {}
-    for arch in archs:
-        table[arch] = {n_cpus: next(outcomes).result for n_cpus in counts}
+    report = active.run(job_grid(base, archs, list(counts)))
+    outcomes = iter(report.outcomes)
+    table: dict[str, dict[int, ExperimentResult]] = {
+        arch: {} for arch in archs
+    }
+    for n_cpus in counts:
+        for arch in archs:
+            table[arch][n_cpus] = next(outcomes).result
     return table
 
 

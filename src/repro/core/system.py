@@ -13,6 +13,8 @@ loop here only has to notice when another CPU's tick changes that.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.core.configs import CpuParams, build_memory
 from repro.mem.topology import resolve_topology
 from repro.cpu.mipsy import MipsyCpu
@@ -22,7 +24,6 @@ from repro.mem.cache import EVICT_EPOCH
 from repro.mem.functional import NEVER, FunctionalMemory
 from repro.mem.hierarchy import MemConfig
 from repro.obs import ObsConfig, Observation
-from repro.sim.engine import Engine
 from repro.sim.stats import SystemStats
 from repro.workloads.base import Workload
 
@@ -48,7 +49,11 @@ class System:
     ) -> None:
         self.workload = workload
         self.cpu_model = cpu_model
-        config = mem_config if mem_config is not None else MemConfig()
+        # A private copy: the model-specific fields set below are this
+        # system's, never the caller's.
+        config = dataclasses.replace(
+            mem_config if mem_config is not None else MemConfig()
+        )
         if config.n_cpus != workload.n_cpus:
             raise ConfigError(
                 f"memory config has {config.n_cpus} CPUs but the workload "
@@ -65,7 +70,7 @@ class System:
             # ordinary runs, and test_fast_path.py proves lane-off runs
             # are bit-identical, so disabling it here keeps obs-on
             # statistics equal to obs-off statistics.
-            config = config.with_overrides(l1_fast_path=False)
+            config.l1_fast_path = False
         if cpu_model == "mipsy":
             # Section 4: Mipsy deliberately models the shared L1
             # optimistically (1-cycle hit, no bank contention).
@@ -80,7 +85,6 @@ class System:
         self.stats = SystemStats.for_cpus(config.n_cpus)
         self.functional = workload.functional
         self.memory = build_memory(self.topology, config, self.stats)
-        self.engine = Engine()
         self.max_cycles = max_cycles
         self.deadlock_horizon = deadlock_horizon
         #: set when the run stopped at max_cycles instead of completing
@@ -141,7 +145,7 @@ class System:
         (partial) statistics without finalizing the run. Calling
         :meth:`run` again continues exactly where the loop stopped — the
         resumed iteration re-derives the same rotation, sampling and
-        event-queue decisions an uninterrupted run would have made, so
+        fast-forward decisions an uninterrupted run would have made, so
         a paused-and-resumed run is cycle-for-cycle identical.
         """
         cycle = self._cycle
@@ -154,13 +158,8 @@ class System:
         last_progress_cycle = cycle
         last_instruction_count = sum(cpu.instructions for cpu in self.cpus)
         pause = pause_at if pause_at is not None else 1 << 62
-        engine = self.engine
-        # The event queue is almost always empty (deferred work is
-        # rare); binding the list makes the idle check one truth test
-        # instead of a peek_time() call per iteration.
-        equeue = engine._queue
-        # The watchdog needs no per-cycle precision; checking it (and
-        # the engine) every so often keeps sums out of the hot loop.
+        # The watchdog needs no per-cycle precision; checking it every
+        # so often keeps sums out of the hot loop.
         watchdog_stride = 4096
         next_watchdog = cycle + watchdog_stride
         huge = 1 << 62
@@ -203,8 +202,8 @@ class System:
                 break
 
             # Pause before this cycle does any work: the resumed loop
-            # re-runs the whole iteration (obs sampling, engine poll,
-            # CPU ticks) exactly as an uninterrupted run would.
+            # re-runs the whole iteration (obs sampling, CPU ticks)
+            # exactly as an uninterrupted run would.
             if cycle >= pause:
                 self._spin_release(horizon)
                 self.paused = True
@@ -247,9 +246,6 @@ class System:
                 if obs is not None:
                     obs.now = cycle
 
-                if equeue and equeue[0].time <= cycle:
-                    engine.run_until(cycle)
-
                 finished = False
                 # Tick every ready CPU; collect the earliest resume of
                 # the still-running ones in the same pass (the values
@@ -289,10 +285,6 @@ class System:
                 next_cycle = cycle + 1
                 if earliest > next_cycle:
                     next_cycle = earliest
-                if equeue:
-                    pending = engine.peek_time()
-                    if pending is not None and pending < next_cycle:
-                        next_cycle = pending if pending > cycle else cycle + 1
                 cycle = next_cycle
             if not active:
                 break

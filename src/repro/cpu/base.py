@@ -40,7 +40,6 @@ class BaseCpu(ABC):
         "_has_value",
         "_send_value",
         "_started",
-        "_fast_lane",
         "_batchable",
         "_lane_ifetch",
         "_lane_load",
@@ -74,7 +73,6 @@ class BaseCpu(ABC):
         self._has_value = False
         self._send_value: object = None
         self._started = False
-        self._fast_lane = memory.config.l1_fast_path
         self.bind_memory(memory)
         # Hot-loop counters batched as plain ints; folded into the
         # stats objects by flush_stats() at stall/run boundaries.

@@ -142,7 +142,7 @@ class MipsyCpu(BaseCpu):
         fetch_line = inst.pc >> self._line_shift
         if fetch_line != self._fetch_line:
             self._fetch_line = fetch_line
-            if not self._fast_lane or self._lane_ifetch(inst.pc, cycle) < 0:
+            if self._lane_ifetch(inst.pc, cycle) < 0:
                 fetch = self.memory.access(
                     self.cpu_id, AccessKind.IFETCH, inst.pc, cycle
                 )
@@ -180,7 +180,6 @@ class MipsyCpu(BaseCpu):
             ):
                 program = self.program
                 horizon = self._batch_horizon
-                fast = self._fast_lane
                 line_shift = self._line_shift
                 ifetch_lane = self._lane_ifetch
                 batched = 0
@@ -192,7 +191,7 @@ class MipsyCpu(BaseCpu):
                         break
                     line = inst.pc >> line_shift
                     if line != self._fetch_line:
-                        if not fast or ifetch_lane(inst.pc, at) < 0:
+                        if ifetch_lane(inst.pc, at) < 0:
                             self._pending_inst = inst
                             break
                         self._fetch_line = line
@@ -206,63 +205,62 @@ class MipsyCpu(BaseCpu):
             self.resume = at
             return
         if mcode <= 2:  # LOAD / LL
-            if self._fast_lane:
-                done = self._lane_load(inst.addr, exec_start)
-                if done >= 0:
-                    # L1 hit: any cycles beyond one are L1 time (the
-                    # shared-L1 crossbar), matching StallLevel.L1.
-                    stall = done - exec_start - 1
-                    if stall > 0:
-                        self.breakdown.l1d += stall
-                    if mcode == 2:
-                        value = self.functional.load_linked(
-                            self.cpu_id, inst.addr, done
-                        )
-                    elif inst.want_value:
-                        value = self.functional.read(
-                            inst.addr, done, cpu=self.cpu_id
-                        )
-                    else:
-                        self.resume = done
-                        return
-                    if (
-                        inst.__class__ is SpinLoad
-                        and value != inst.until
-                        and done < self._batch_horizon
-                        and inst.back.pc >> self._line_shift
-                        == self._fetch_line
-                        and self._batchable
-                        and self._ckpt_log is None
-                        and self._obs is None
-                    ):
-                        # A failed iteration of a declared spin: the
-                        # back-branch retires here too and the load
-                        # stays armed, so the thread program is only
-                        # resumed with the value that ends the spin.
-                        # Left to the program under the conditions
-                        # that switch compute-run batching off, when
-                        # the branch needs an I-fetch of its own, and
-                        # at the run's horizon (truncation and pause
-                        # see exactly the stepped stream).
-                        self.instructions += 1
-                        self._pending_inst = inst
-                        retries = inst.retries
-                        if retries is not None:
-                            retries[0] += 1
-                        if self._spin_port is None:
-                            self.resume = done + 1
-                        else:
-                            self._spin_park(inst, done)
-                        return
-                    self._has_value = True
-                    self._send_value = value
+            done = self._lane_load(inst.addr, exec_start)
+            if done >= 0:
+                # L1 hit: any cycles beyond one are L1 time (the
+                # shared-L1 crossbar), matching StallLevel.L1.
+                stall = done - exec_start - 1
+                if stall > 0:
+                    self.breakdown.l1d += stall
+                if mcode == 2:
+                    value = self.functional.load_linked(
+                        self.cpu_id, inst.addr, done
+                    )
+                elif inst.want_value:
+                    value = self.functional.read(
+                        inst.addr, done, cpu=self.cpu_id
+                    )
+                else:
                     self.resume = done
                     return
+                if (
+                    inst.__class__ is SpinLoad
+                    and value != inst.until
+                    and done < self._batch_horizon
+                    and inst.back.pc >> self._line_shift
+                    == self._fetch_line
+                    and self._batchable
+                    and self._ckpt_log is None
+                    and self._obs is None
+                ):
+                    # A failed iteration of a declared spin: the
+                    # back-branch retires here too and the load
+                    # stays armed, so the thread program is only
+                    # resumed with the value that ends the spin.
+                    # Left to the program under the conditions
+                    # that switch compute-run batching off, when
+                    # the branch needs an I-fetch of its own, and
+                    # at the run's horizon (truncation and pause
+                    # see exactly the stepped stream).
+                    self.instructions += 1
+                    self._pending_inst = inst
+                    retries = inst.retries
+                    if retries is not None:
+                        retries[0] += 1
+                    if self._spin_port is None:
+                        self.resume = done + 1
+                    else:
+                        self._spin_park(inst, done)
+                    return
+                self._has_value = True
+                self._send_value = value
+                self.resume = done
+                return
             result = self.memory.access(
                 self.cpu_id, AccessKind.LOAD, inst.addr, exec_start
             )
         elif mcode == 3:  # STORE
-            if self._fast_lane and inst.value is None:
+            if inst.value is None:
                 # Value-less posted store: nothing to publish, so the
                 # int-only lane applies. Any cycles beyond one are the
                 # write buffer refusing entry (StallLevel.STOREBUF).

@@ -289,10 +289,7 @@ class MxsCpu(BaseCpu):
                 line = inst.pc >> self._line_shift
                 if line != self._fetch_line:
                     self._fetch_line = line
-                    if (
-                        not self._fast_lane
-                        or self._lane_ifetch(inst.pc, cycle) < 0
-                    ):
+                    if self._lane_ifetch(inst.pc, cycle) < 0:
                         result = self.memory.access(
                             self.cpu_id, AccessKind.IFETCH, inst.pc, cycle
                         )
@@ -432,15 +429,14 @@ class MxsCpu(BaseCpu):
             # an in-flight fill is already resident (fills insert at
             # access time), so probing the tags first would turn a
             # merge into a bogus 1-cycle hit.
-            if self._fast_lane:
-                done = self._lane_load(inst.addr, cycle)
-                if done >= 0:
-                    record.done = done
-                    if done - cycle > 1:
-                        record.extra_hit_latency = True
-                    if inst.want_value or mcode == _LL:
-                        self._resolve_value(record, done)
-                    return True
+            done = self._lane_load(inst.addr, cycle)
+            if done >= 0:
+                record.done = done
+                if done - cycle > 1:
+                    record.extra_hit_latency = True
+                if inst.want_value or mcode == _LL:
+                    self._resolve_value(record, done)
+                return True
             result = memory.access(
                 self.cpu_id, AccessKind.LOAD, inst.addr, cycle
             )
@@ -465,7 +461,7 @@ class MxsCpu(BaseCpu):
             return True
 
         # Stores and SCs.
-        if mcode == _STORE and inst.value is None and self._fast_lane:
+        if mcode == _STORE and inst.value is None:
             # Value-less posted store: the ROB retires it next cycle
             # regardless of the drain, so only the cache/buffer state
             # changes matter — exactly what the fast lane performs.

@@ -328,7 +328,9 @@ class MemorySystem:
         return self._paths[cpu][kind](addr, at)
 
     def _build_paths(self) -> None:
-        """Compile every CPU's general paths and fast lanes."""
+        """Compile every CPU's general paths and, unless the config
+        turns them off, its fast lanes (off, the declining lanes stay:
+        every reference takes :meth:`access`)."""
         cpus = range(self.config.n_cpus)
         self._paths = [
             (
@@ -339,14 +341,15 @@ class MemorySystem:
             )
             for cpu in cpus
         ]
-        self._lanes = [
-            (
-                self._make_ifetch_lane(cpu),
-                self._make_load_lane(cpu),
-                self._make_store_lane(cpu),
-            )
-            for cpu in cpus
-        ]
+        if self.config.l1_fast_path:
+            self._lanes = [
+                (
+                    self._make_ifetch_lane(cpu),
+                    self._make_load_lane(cpu),
+                    self._make_store_lane(cpu),
+                )
+                for cpu in cpus
+            ]
 
     def _make_ifetch_path(self, cpu: int):
         """The I-fetch path: the private L1I in front of the
@@ -382,7 +385,7 @@ class MemorySystem:
     # they return -1 (no state changed) whenever anything beyond the
     # single-probe hit is involved — a miss, an upgrade, a coherence
     # action — and the CPU falls back to :meth:`access`. Lanes must be
-    # behaviorally invisible: with them disabled
+    # behaviorally invisible: with them left declining
     # (``config.l1_fast_path = False``) every statistic and cycle count
     # must come out identical. They are per-CPU closures specialized
     # when the system is built, so nothing on the per-access path asks

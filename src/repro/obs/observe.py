@@ -70,7 +70,7 @@ class Observation:
 
         Order matters: the memory system attaches first (it may build
         obs-only shadow resources), then declares its sampler probes;
-        CPUs, the engine and the workload's sync primitives follow.
+        CPUs and the workload's sync primitives follow.
         """
         system.memory.attach_obs(self)
         sampler = self.sampler
@@ -84,10 +84,11 @@ class Observation:
             cpu.attach_obs(self)
             if sampler is not None:
                 self._add_cpu_probes(cpu)
-        if sampler is not None:
-            engine = system.engine
-            sampler.add_rate("engine.events", lambda e=engine: e.scheduled)
-        self._attach_sync(system.workload)
+        for primitive in system.workload.sync_objects().values():
+            # Locks and barriers time their wait episodes; queues and
+            # counters have no hook.
+            if hasattr(primitive, "obs"):
+                primitive.obs = self
         self.log(
             "run.start",
             arch=system.arch,
@@ -125,37 +126,6 @@ class Observation:
                 f"cpu{cid}.stall.{field}",
                 lambda b=breakdown, f=field: getattr(b, f),
             )
-
-    def _attach_sync(self, workload) -> None:
-        """Set ``obs`` on every lock/barrier the workload holds (same
-        two-level traversal as ``Workload.sync_report``)."""
-        from repro.sync import Barrier, SpinLock
-
-        seen: set[int] = set()
-
-        def visit(obj, depth: int) -> None:
-            if id(obj) in seen or depth > 2:
-                return
-            seen.add(id(obj))
-            if isinstance(obj, SpinLock):
-                obj.obs = self
-            elif isinstance(obj, Barrier):
-                obj.obs = self
-                visit(obj.lock, depth)
-            elif hasattr(obj, "__dict__") and depth < 2:
-                for value in vars(obj).values():
-                    if isinstance(value, (list, tuple)):
-                        for item in value:
-                            visit(item, depth + 1)
-                    else:
-                        visit(value, depth + 1)
-
-        for value in vars(workload).values():
-            if isinstance(value, (list, tuple)):
-                for item in value:
-                    visit(item, 1)
-            else:
-                visit(value, 1)
 
     # ------------------------------------------------------------------
     # event recording (callers guard with ``obs is not None``)

@@ -1,11 +1,11 @@
-"""Discrete-event simulation core.
+"""Simulation core: the counters every component reports into.
 
-The hot path of the simulator (memory accesses) uses per-resource busy
-timelines (:mod:`repro.mem.bank`) rather than a global event loop; the
-:class:`~repro.sim.engine.Engine` here handles the *deferred* actions —
-write-buffer drains, invalidation delivery, barrier releases — and the
-:mod:`~repro.sim.stats` module holds the counters every component reports
-into.
+The simulator has no global event loop: memory accesses use
+per-resource busy timelines (:mod:`repro.mem.bank`), write buffers
+drain by completion time, and the run loop fast-forwards on the CPUs'
+resume times. :mod:`~repro.sim.stats` holds the statistics;
+:class:`~repro.sim.engine.Engine` is a standalone event queue no run
+schedules on, kept for the benchmark ledger's micro-drive.
 """
 
 from repro.sim.engine import Engine, Event

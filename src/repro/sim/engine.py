@@ -1,9 +1,15 @@
 """A small discrete-event engine.
 
-The engine keeps a time-ordered queue of callbacks. The system run loop
-advances simulated time cycle by cycle and calls :meth:`Engine.run_until`
-once per cycle so that any deferred work scheduled for that cycle (or
-earlier) executes before the CPUs tick.
+The engine keeps a time-ordered queue of callbacks; a driver advances
+simulated time and calls :meth:`Engine.run_until` so that any deferred
+work scheduled for that cycle (or earlier) executes.
+
+No simulation run schedules on it: every memory system models
+contention with busy timelines (:mod:`repro.mem.bank`) and the run loop
+(:mod:`repro.core.system`) fast-forwards on the CPUs' resume times
+alone. The module and its tests stay **only** because the benchmark
+ledger's ``drives.sim_engine`` micro-drive imports it; once that drive
+is dropped (ROADMAP), so is this module.
 
 Events scheduled for the same cycle run in FIFO order of scheduling,
 which keeps the simulation deterministic.
@@ -74,11 +80,6 @@ class Engine:
     def __len__(self) -> int:
         return len(self._queue) - self._cancelled
 
-    @property
-    def scheduled(self) -> int:
-        """Total events ever scheduled (cumulative; observability probe)."""
-        return self._seq
-
     def schedule(
         self,
         time: int,
@@ -139,35 +140,6 @@ class Engine:
             event.callback(*event.args)
             executed += 1
         return executed
-
-    # ------------------------------------------------------------------
-    # checkpointing (see repro.ckpt)
-
-    def ckpt_state(self) -> dict:
-        """Serializable engine state for :mod:`repro.ckpt`.
-
-        Callbacks are arbitrary closures and cannot survive a process
-        boundary, so a checkpoint may only be taken when no live events
-        are queued — the system run loop guarantees this by pausing at
-        a cycle boundary after :meth:`run_until` has drained everything
-        due. ``_seq`` is preserved because it feeds the cumulative
-        ``scheduled`` observability probe.
-        """
-        from repro.errors import CheckpointError
-
-        if len(self) != 0:
-            raise CheckpointError(
-                f"cannot checkpoint an engine with {len(self)} pending "
-                "event(s); events hold live callbacks"
-            )
-        return {"now": self.now, "seq": self._seq}
-
-    def ckpt_restore(self, state: dict) -> None:
-        """Restore from :meth:`ckpt_state` (queue starts empty)."""
-        self.now = state["now"]
-        self._seq = state["seq"]
-        self._queue = []
-        self._cancelled = 0
 
     def peek_time(self) -> int | None:
         """Time of the earliest pending event, or ``None`` if idle.

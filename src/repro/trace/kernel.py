@@ -24,6 +24,7 @@ flattened away).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import zlib
 from array import array
@@ -281,7 +282,11 @@ def replay_kernel(
     from repro.core.configs import build_memory
     from repro.mem.topology import resolve_topology
 
-    config = mem_config if mem_config is not None else MemConfig()
+    # System: a private copy, so the model-specific field set below is
+    # this run's and never the caller's.
+    config = dataclasses.replace(
+        mem_config if mem_config is not None else MemConfig()
+    )
     n_cpus = packed.n_cpus
     if config.n_cpus != n_cpus:
         raise ConfigError(
@@ -301,7 +306,6 @@ def replay_kernel(
     l1i = [stats.cache(f"cpu{c}.l1i") for c in range(n_cpus)]
     breakdowns = stats.breakdowns
     line_shift = memory.config.line_size.bit_length() - 1
-    fast = memory.config.l1_fast_path
 
     kinds = packed.kinds
     addrs = packed.addrs
@@ -346,9 +350,7 @@ def replay_kernel(
 
     # System.run: the loop skeleton — truncation checked at the top,
     # rotating tick order over the active list, earliest-resume
-    # fast-forward. The engine queue is omitted: the memory systems
-    # never schedule events, and a replay workload has no sync
-    # primitives to schedule any either.
+    # fast-forward.
     while active:
         if cycle >= limit:
             truncated = True
@@ -380,7 +382,7 @@ def replay_kernel(
                 line = pc >> line_shift
                 if line != fetch_line[c]:
                     fetch_line[c] = line
-                    if not fast or lane_ifetch[c](pc, cycle) < 0:
+                    if lane_ifetch[c](pc, cycle) < 0:
                         fetch = access(c, k_ifetch, pc, cycle)
                         fetch_done = fetch.done
                         if fetch_done - cycle > 1:
@@ -389,28 +391,26 @@ def replay_kernel(
 
                 kind = kind_c[i]
                 if kind == _LOAD:
-                    if fast:
-                        at = lane_load[c](addr, exec_start)
-                        if at >= 0:
-                            stall = at - exec_start - 1
-                            if stall > 0:
-                                breakdowns[c].l1d += stall
-                            resume[c] = at
-                            if at < earliest:
-                                earliest = at
-                            continue
+                    at = lane_load[c](addr, exec_start)
+                    if at >= 0:
+                        stall = at - exec_start - 1
+                        if stall > 0:
+                            breakdowns[c].l1d += stall
+                        resume[c] = at
+                        if at < earliest:
+                            earliest = at
+                        continue
                     result = access(c, k_load, addr, exec_start)
                 elif kind == _STORE:
-                    if fast:
-                        at = lane_store[c](addr, exec_start)
-                        if at >= 0:
-                            stall = at - exec_start - 1
-                            if stall > 0:
-                                breakdowns[c].storebuf += stall
-                            resume[c] = at
-                            if at < earliest:
-                                earliest = at
-                            continue
+                    at = lane_store[c](addr, exec_start)
+                    if at >= 0:
+                        stall = at - exec_start - 1
+                        if stall > 0:
+                            breakdowns[c].storebuf += stall
+                        resume[c] = at
+                        if at < earliest:
+                            earliest = at
+                        continue
                     result = access(c, k_store, addr, exec_start)
                 else:
                     result = access(c, k_sc, addr, exec_start)

@@ -103,46 +103,25 @@ class Workload(ABC):
         override this and raise :class:`WorkloadError` on corruption.
         """
 
-    def sync_report(self) -> dict[str, dict]:
-        """Statistics from every synchronization primitive this
-        workload (or its sub-objects, two levels deep) holds.
-
-        Keys are the primitives' names; values describe their kind and
-        traffic — lock acquires and contended retries, barrier
-        episodes, task-queue pops and steals, SC failures.
-        """
+    def sync_objects(self) -> dict[str, object]:
+        """Name → primitive for every lock, barrier, task queue and
+        atomic counter this workload (or its sub-objects, two levels
+        deep) holds, a barrier's inner lock included — the one walk
+        :meth:`sync_report`, observability and checkpointing share."""
         from repro.sync import AtomicCounter, Barrier, SpinLock, TaskQueue
 
-        report: dict[str, dict] = {}
+        found: dict[str, object] = {}
         seen: set[int] = set()
 
         def visit(obj: object, depth: int) -> None:
             if id(obj) in seen or depth > 2:
                 return
             seen.add(id(obj))
-            if isinstance(obj, SpinLock):
-                report[obj.name] = {
-                    "kind": "lock",
-                    "acquires": obj.acquires,
-                    "contended_retries": obj.contended_retries,
-                }
+            if isinstance(obj, (SpinLock, TaskQueue, AtomicCounter)):
+                found[obj.name] = obj
             elif isinstance(obj, Barrier):
-                report[obj.name] = {
-                    "kind": "barrier",
-                    "episodes": obj.episodes,
-                }
+                found[obj.name] = obj
                 visit(obj.lock, depth)
-            elif isinstance(obj, TaskQueue):
-                report[obj.name] = {
-                    "kind": "taskqueue",
-                    "pops": obj.pops,
-                    "steals": obj.steals,
-                }
-            elif isinstance(obj, AtomicCounter):
-                report[obj.name] = {
-                    "kind": "counter",
-                    "sc_failures": obj.sc_failures,
-                }
             elif hasattr(obj, "__dict__") and depth < 2:
                 for value in vars(obj).values():
                     if isinstance(value, (list, tuple)):
@@ -151,10 +130,37 @@ class Workload(ABC):
                     else:
                         visit(value, depth + 1)
 
-        for value in vars(self).values():
-            if isinstance(value, (list, tuple)):
-                for item in value:
-                    visit(item, 1)
+        visit(self, 0)
+        return found
+
+    def sync_report(self) -> dict[str, dict]:
+        """Statistics from every primitive :meth:`sync_objects` finds.
+
+        Keys are the primitives' names; values describe their kind and
+        traffic — lock acquires and contended retries, barrier
+        episodes, task-queue pops and steals, SC failures.
+        """
+        from repro.sync import Barrier, SpinLock, TaskQueue
+
+        report: dict[str, dict] = {}
+        for name, obj in self.sync_objects().items():
+            if isinstance(obj, SpinLock):
+                report[name] = {
+                    "kind": "lock",
+                    "acquires": obj.acquires,
+                    "contended_retries": obj.contended_retries,
+                }
+            elif isinstance(obj, Barrier):
+                report[name] = {"kind": "barrier", "episodes": obj.episodes}
+            elif isinstance(obj, TaskQueue):
+                report[name] = {
+                    "kind": "taskqueue",
+                    "pops": obj.pops,
+                    "steals": obj.steals,
+                }
             else:
-                visit(value, 1)
+                report[name] = {
+                    "kind": "counter",
+                    "sc_failures": obj.sc_failures,
+                }
         return report

@@ -115,3 +115,15 @@ def test_version_has_a_single_source():
     changelog = (root / "CHANGELOG.md").read_text()
     newest = changelog.split("\n## ", 1)[1].split("\n", 1)[0].strip()
     assert newest == repro.__version__
+
+
+def test_checkpoint_wire_table_is_rendered_from_the_codec_table():
+    # docs/CHECKPOINTING.md §2 shows the table the snapshot walker
+    # reads, not a description of it: regenerate with
+    # ``python scripts/gen_ckpt_wire_table.py`` after changing a row.
+    from conftest import load_script
+
+    generator = load_script("gen_ckpt_wire_table")
+    text = generator.DOC_PATH.read_text(encoding="utf-8")
+    assert generator.committed(text) == generator.render()
+    assert generator.spliced(text) == text

@@ -81,3 +81,52 @@ def test_segment_bases_are_staggered_in_a_direct_mapped_l2():
     l2_way = 256 * 1024
     offsets = {0x0040_0000 % l2_way, DATA_BASE % l2_way, KERNEL_BASE % l2_way}
     assert len(offsets) == 3
+
+
+# ----------------------------------------------------------------------
+# Source layout (grep level): each walk and each layer exists once
+
+
+def _source_lines():
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), 1
+        ):
+            yield relative, number, line
+
+
+def test_one_sync_object_traversal():
+    # Workload.sync_objects() is the walk the report, observability and
+    # checkpointing share; a second ``def visit`` is a second walk.
+    found = [
+        f"{path}:{number}" for path, number, line in _source_lines()
+        if "def visit" in line
+    ]
+    assert found == [f for f in found if f.startswith("workloads/base.py")]
+    assert len(found) == 1, found
+
+
+def test_the_event_engine_is_referenced_only_inside_repro_sim():
+    import re
+
+    mention = re.compile(r"\bEngine\b|\.engine\b")
+    outside = [
+        f"{path}:{number}" for path, number, line in _source_lines()
+        if mention.search(line) and not path.startswith("sim/")
+    ]
+    assert outside == []
+
+
+def test_no_lane_flag_beside_the_declining_lanes():
+    # "No lane" is said one way: MemorySystem keeps its declining lanes.
+    found = [
+        f"{path}:{number}" for path, number, line in _source_lines()
+        if "_fast_lane" in line
+    ]
+    assert found == []

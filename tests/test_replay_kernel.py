@@ -313,3 +313,15 @@ def test_trace_dir_is_policy_not_identity():
         trace_dir="/tmp/elsewhere",
     )
     assert pointed.key() == plain.key()
+
+
+def test_kernel_leaves_the_callers_config_untouched(traces):
+    """The Mipsy-optimistic shared L1 is set on the run's own copy."""
+    import dataclasses
+
+    packed = PackedTrace.from_file(N_CPUS, traces["eqntott"])
+    config = config_for_scale("test", N_CPUS)
+    before = dataclasses.asdict(config)
+    assert config.shared_l1_optimistic is False
+    replay_kernel(packed, "shared-l1", mem_config=config)
+    assert dataclasses.asdict(config) == before

@@ -233,3 +233,48 @@ def test_sync_report_on_queue_workload():
     system.run()
     report = system.workload.sync_report()
     assert report["test.q"]["pops"] == 16
+
+
+# ----------------------------------------------------------------------
+# One walk: the report, observability and checkpointing see one name set
+
+
+def _registered_workloads():
+    from repro.workloads import WORKLOADS
+
+    return sorted(WORKLOADS)
+
+
+@pytest.mark.parametrize("name", _registered_workloads())
+def test_report_obs_and_snapshot_see_the_same_primitives(name):
+    from repro.ckpt import snapshot_system
+    from repro.core.configs import config_for_scale
+    from repro.core.system import System
+    from repro.mem.functional import FunctionalMemory
+    from repro.obs import ObsConfig
+    from repro.sync import Barrier
+    from repro.workloads import WORKLOADS
+
+    workload = WORKLOADS[name](4, FunctionalMemory(), "test")
+    system = System(
+        "shared-l2", workload, mem_config=config_for_scale("test", 4),
+        obs=ObsConfig(sample_interval=256), checkpointing=True,
+    )
+    objects = workload.sync_objects()
+    names = set(objects)
+    # A barrier's inner lock is a primitive of its own everywhere.
+    for primitive in list(objects.values()):
+        if isinstance(primitive, Barrier):
+            assert objects[primitive.lock.name] is primitive.lock
+    assert set(workload.sync_report()) == names
+    # Everything that times its waits got the observation attached.
+    hooked = {n for n, p in objects.items() if hasattr(p, "obs")}
+    assert all(objects[n].obs is system.obs for n in hooked)
+    assert all(
+        report["kind"] in ("lock", "barrier")
+        for n, report in workload.sync_report().items() if n in hooked
+    )
+    system.run(pause_at=400)
+    state = snapshot_system(system)
+    assert set(state["sync"]) == names
+    assert state["sync"] == workload.sync_report()

@@ -100,6 +100,30 @@ def test_system_sets_mipsy_optimism():
     assert not system.config.shared_l1_optimistic
 
 
+def test_system_never_edits_its_callers_config():
+    # Mipsy then MXS from one MemConfig, with and without obs (which
+    # also turns the fast lane off): every model-specific field lands
+    # on the system's own copy, so the second system is not built on
+    # what the first one left behind.
+    import dataclasses
+
+    from repro.obs import ObsConfig
+
+    config = make_test_config(4)
+    before = dataclasses.asdict(config)
+    assert config.shared_l1_optimistic is False and config.l1_fast_path
+    for obs in (None, ObsConfig(sample_interval=256)):
+        for cpu_model, optimistic in (("mipsy", True), ("mxs", False)):
+            system = System(
+                "shared-l1", LoopWorkload(4, FunctionalMemory()),
+                cpu_model=cpu_model, mem_config=config, obs=obs,
+            )
+            assert system.config is not config
+            assert system.config.shared_l1_optimistic is optimistic
+            assert system.config.l1_fast_path is (obs is None)
+            assert dataclasses.asdict(config) == before
+
+
 def test_system_rejects_unknown_cpu_model():
     functional = FunctionalMemory()
     workload = LoopWorkload(4, functional)
