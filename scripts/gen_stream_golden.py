@@ -90,7 +90,7 @@ def _slots(inst) -> bytes:
 class StreamTap:
     """Per-CPU pull counts and stream digests of one workload instance.
 
-    :meth:`install` replaces the instance's ``program`` with a proxy
+    Constructing one replaces the instance's ``program`` with a proxy
     generator that yields what the real thread program yields and
     sends it what the CPU sends.
     """
@@ -102,11 +102,13 @@ class StreamTap:
         # already rendered; keyed by the object, which the dict keeps
         # alive.
         self._rendered: dict = {}
+        #: the real thread programs, by CPU
+        self.programs: dict = {}
         self._program = workload.program
         workload.program = self._tapped
 
     def _tapped(self, cpu_id: int):
-        program = self._program(cpu_id)
+        program = self.programs[cpu_id] = self._program(cpu_id)
         update = self._hashes[cpu_id].update
         rendered = self._rendered
         value = None
@@ -154,7 +156,6 @@ def build_tapped(
     n_cpus: int,
     timing: str,
     max_cycles: int = MAX_CYCLES,
-    **system_options,
 ) -> tuple[System, StreamTap]:
     """The system of one case with the tap on its workload."""
     arch, cpu_model = TIMINGS[timing]
@@ -166,7 +167,6 @@ def build_tapped(
         cpu_model=cpu_model,
         mem_config=config_for_scale(scale, n_cpus),
         max_cycles=max_cycles,
-        **system_options,
     )
     return system, tap
 
@@ -195,15 +195,18 @@ def truncation_point(cases: dict, key: str) -> int:
     return full["cycles"] * int(tenths) // 10
 
 
-def run_truncated(key: str, max_cycles: int) -> dict:
+def build_truncated(key: str, max_cycles: int) -> tuple[System, StreamTap]:
     workload_name, timing, _tenths = key.split("/")
-    system, tap = build_tapped(
+    return build_tapped(
         workload_name, TRUNCATED_SCALE, TRUNCATED_CPUS, timing, max_cycles
     )
+
+
+def run_truncated(system: System, tap: StreamTap) -> dict:
     stats = system.run()
     payload = json.dumps(stats.to_dict(), sort_keys=True)
     return {
-        "max_cycles": max_cycles,
+        "max_cycles": system.max_cycles,
         "truncated": system.truncated,
         "instructions": stats.instructions,
         "stats_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
@@ -220,7 +223,9 @@ def main(argv: list[str]) -> int:
     truncated: dict[str, dict] = {}
     for key in truncated_keys():
         print(f"running truncated {key} ...", flush=True)
-        truncated[key] = run_truncated(key, truncation_point(cases, key))
+        truncated[key] = run_truncated(
+            *build_truncated(key, truncation_point(cases, key))
+        )
     text = json.dumps(
         {"cases": cases, "truncated": truncated}, indent=1, sort_keys=True
     )

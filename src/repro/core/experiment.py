@@ -237,6 +237,7 @@ def run_one(
         # Host-side only: like "checkpoint", not among the keys
         # to_dict() carries into payloads, caches or the wire.
         "spin": system.spin_report(),
+        "generation": workload.generation_report(),
     }
     if ckpt_extras is not None:
         extras["checkpoint"] = ckpt_extras

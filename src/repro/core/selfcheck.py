@@ -12,6 +12,9 @@ must hold for any result out of this simulator to be trustworthy:
 6. Runs are deterministic.
 7. A declared spin loop that Mipsy runs and parks itself leaves every
    statistic where stepping it through the thread program does.
+8. A thread program that replays a stretch of instructions it already
+   generated leaves every statistic where generating it again on every
+   visit does.
 
 Intended for CI and for quickly validating local modifications; the
 full evidence lives in tests/ and benchmarks/.
@@ -239,6 +242,46 @@ def check_spin_elision() -> str:
     return f"{settled} spin iterations settled in bulk, statistics identical"
 
 
+class _Forgetful(dict):
+    """Stretch storage that keeps nothing: every visit generates."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def check_stretch_replay() -> str:
+    """Replaying a value-independent stretch changes nothing simulated.
+
+    Where a stretch is kept is the workload's decision, so the
+    reference is the same workload keeping none: Ear, whose blocks
+    every CPU revisits, with storage that forgets.
+    """
+    outcomes = []
+    reports = []
+    for forget in (False, True):
+        workload = WORKLOADS["ear"](4, FunctionalMemory(), "test")
+        if forget:
+            workload._blocks = _Forgetful()
+        system = System("shared-mem", workload, mem_config=test_config())
+        outcomes.append(system.run().to_dict())
+        reports.append(workload.generation_report())
+    kept, forgot = reports
+    _check(kept["replayed"] > kept["generated"], "ear replayed no block")
+    _check(forgot["replayed"] == 0, "forgetful storage still replayed")
+    _check(
+        kept["generated"] + kept["replayed"] == forgot["generated"],
+        "replaying and regenerating emitted different instruction counts",
+    )
+    _check(
+        outcomes[0] == outcomes[1],
+        "replayed and regenerated stretches disagree",
+    )
+    return (
+        f"{kept['replayed']} instructions replayed from "
+        f"{kept['generated']} generated, statistics identical"
+    )
+
+
 CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("table2", check_table2_latencies),
     ("synchronization", check_synchronization),
@@ -247,6 +290,7 @@ CHECKS: tuple[tuple[str, Callable[[], str]], ...] = (
     ("accounting", check_accounting),
     ("determinism", check_determinism),
     ("spin-elision", check_spin_elision),
+    ("stretch-replay", check_stretch_replay),
 )
 
 

@@ -43,6 +43,11 @@ class CodeRegion:
         # region (Instructions are immutable, so a hot loop body is
         # built once and re-yielded; see repro.isa.stream).
         self._inst_cache: dict = {}
+        #: instructions generated into stretches of this region, and
+        #: instructions replayed from them (host-side tallies for
+        #: Workload.generation_report())
+        self.generated = 0
+        self.replayed = 0
 
     @property
     def limit(self) -> int:
@@ -113,6 +118,9 @@ class CodeSpace:
 
     def __contains__(self, name: str) -> bool:
         return name in self._regions
+
+    def __iter__(self):
+        return iter(self._regions.values())
 
     def __getitem__(self, name: str) -> CodeRegion:
         return self._regions[name]

@@ -15,9 +15,21 @@ so a spin loop or an inner loop body allocates its instructions exactly
 once no matter how many iterations (or CPUs) replay it. The memo is
 capped so data-sweeping loops with unbounded distinct addresses cannot
 grow it without limit.
+
+A whole loop can be data the same way. A *stretch* is a run of emits
+that reads nothing from the simulated machine — no ``want_value`` load,
+no LL/SC, no spin — so visiting it again yields the same instructions
+whatever the other CPUs did in between. :meth:`Emitter.replay` runs
+such a loop's generator once into a tuple and hands the tuple to
+``yield from`` on every visit, so a revisit costs a tuple step per
+instruction instead of the Python that derived it. Where a stretch is
+kept is the thread program's decision — only it knows for how long the
+addresses stay the same.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, NamedTuple
 
 from repro.errors import WorkloadError
 from repro.isa.codegen import CodeRegion
@@ -44,6 +56,18 @@ _FMUL_DP = OpClass.FMUL_DP
 _FMUL_SP = OpClass.FMUL_SP
 _FDIV_DP = OpClass.FDIV_DP
 _FDIV_SP = OpClass.FDIV_SP
+
+
+class Stretch(NamedTuple):
+    """A value-independent run of instructions, generated once."""
+
+    #: the code region the run was emitted in
+    region: CodeRegion
+    #: the emitter cursor slot generation began at: a replay must too
+    start: int
+    #: the slot generation left the cursor on: a replay leaves it there
+    end: int
+    instructions: tuple[Instruction, ...]
 
 
 class Emitter:
@@ -78,6 +102,65 @@ class Emitter:
         pc = self.region.pc_of(self._index)
         self._index += 1
         return pc
+
+    # ------------------------------------------------------------------
+    # value-independent stretches
+
+    def replay(self, kept: dict, key, body, *args) -> tuple[Instruction, ...]:
+        """Emit the stretch ``body(self, *args)`` emits from the current
+        cursor (use with ``yield from``), generating it only if ``kept``
+        has no ``key`` yet.
+
+        ``kept`` is a dict the caller owns and nothing here ever
+        empties: a stretch stays valid exactly as long as its loop
+        would emit the same instructions again, and only the thread
+        program knows that — a local for passes over one buffer, the
+        workload instance for a loop every CPU runs. ``body`` is driven
+        by plain ``next``, so it is never sent a value, and an
+        instruction that asks the machine for one (a ``want_value``
+        load, LL, SC, a spin load) is refused: what follows it may
+        depend on the answer. A replay must start from the slot
+        generation started from — in the same region, though possibly
+        through another thread's emitter — and leaves the cursor where
+        generation left it.
+        """
+        stretch = kept.get(key)
+        if stretch is None:
+            stretch = kept[key] = self._generate(body(self, *args))
+            return stretch.instructions
+        region = stretch.region
+        if self.region is not region or self._index != stretch.start:
+            raise WorkloadError(
+                f"stretch {key!r} of region {region.name!r} was generated "
+                f"from slot {stretch.start}, replayed from slot "
+                f"{self._index} of region {self.region.name!r}"
+            )
+        self._index = stretch.end
+        instructions = stretch.instructions
+        region.replayed += len(instructions)
+        return instructions
+
+    def _generate(self, body: Iterable[Instruction]) -> Stretch:
+        region = self.region
+        start = self._index
+        instructions = []
+        for inst in body:
+            # Checked before ``body`` is resumed: it would be handed
+            # ``None`` where it expects the value.
+            if inst.want_value:
+                raise WorkloadError(
+                    f"stretch in region {region.name!r}: instruction "
+                    f"{len(instructions)} ({inst!r}) reads a value from "
+                    "the machine, so what follows it cannot be replayed"
+                )
+            instructions.append(inst)
+        if self.region is not region:
+            raise WorkloadError(
+                f"stretch in region {region.name!r} ends in region "
+                f"{self.region.name!r}"
+            )
+        region.generated += len(instructions)
+        return Stretch(region, start, self._index, tuple(instructions))
 
     # ------------------------------------------------------------------
     # plain operations

@@ -103,6 +103,16 @@ class Workload(ABC):
         override this and raise :class:`WorkloadError` on corruption.
         """
 
+    def generation_report(self) -> dict[str, int]:
+        """Host-side tallies of the stretches (:mod:`repro.isa.stream`)
+        this workload's thread programs used — never simulation output:
+        instructions ``generated`` into stretches, and instructions
+        ``replayed`` from one instead of being derived again."""
+        return {
+            "generated": sum(region.generated for region in self.code),
+            "replayed": sum(region.replayed for region in self.code),
+        }
+
     def sync_objects(self) -> dict[str, object]:
         """Name → primitive for every lock, barrier, task queue and
         atomic counter this workload (or its sub-objects, two levels

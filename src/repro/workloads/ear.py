@@ -59,40 +59,47 @@ class EarWorkload(Workload):
         # Filter coefficients: read-only, replicated per stage.
         self.coeff_base = self.data.alloc_array(self.taps * 4, _ELEM)
         self.barrier = Barrier("ear.bar", self.code, self.data, n_cpus)
+        # Every CPU runs every block in turn through the same code at
+        # the same addresses, so a block is one stretch for them all.
+        self._blocks: dict = {}
 
     # ------------------------------------------------------------------
 
     def program(self, cpu_id: int):
         """One CPU's filter-cascade thread program."""
         ctx = self.context(cpu_id)
-        chunk = self.chunk
 
         for phase in range(self.phases):
             # Rotating block schedule: this CPU's chunk this phase was
             # written by its neighbour last phase — every phase migrates
             # the whole (small) working set between caches.
             block = (cpu_id + phase) % self.n_cpus
-            lo = block * chunk
             em = ctx.emitter(self.filter_region)
             em.jump(0)
-            top = em.label()
-            for i in range(lo, lo + chunk):
-                state = self.state_base + i * _ELEM
-                neighbour = self.state_base + ((i + 1) % self.channels) * _ELEM
-                yield em.load(state)
-                yield em.load(neighbour)
-                # Cascade of second-order filter sections per channel.
-                for tap in range(self.taps):
-                    yield em.load(self.coeff_base + (tap * 4) * _ELEM)
-                    yield em.fmul(src1=1, src2=2)
-                    yield em.fmul(src1=2)
-                    yield em.fadd(src1=1, src2=3)
-                    yield em.fadd(src1=1)
-                yield em.store(state, src1=1)
-                yield em.store(self.output_base + i * _ELEM, src1=1)
-                last = i == lo + chunk - 1
-                yield em.branch(not last, to=top if not last else None)
+            yield from em.replay(self._blocks, block, self._block, block)
             yield from self.barrier.wait(ctx)
+
+    def _block(self, em, block: int):
+        """The filter loop over one block of channels."""
+        chunk = self.chunk
+        lo = block * chunk
+        top = em.label()
+        for i in range(lo, lo + chunk):
+            state = self.state_base + i * _ELEM
+            neighbour = self.state_base + ((i + 1) % self.channels) * _ELEM
+            yield em.load(state)
+            yield em.load(neighbour)
+            # Cascade of second-order filter sections per channel.
+            for tap in range(self.taps):
+                yield em.load(self.coeff_base + (tap * 4) * _ELEM)
+                yield em.fmul(src1=1, src2=2)
+                yield em.fmul(src1=2)
+                yield em.fadd(src1=1, src2=3)
+                yield em.fadd(src1=1)
+            yield em.store(state, src1=1)
+            yield em.store(self.output_base + i * _ELEM, src1=1)
+            last = i == lo + chunk - 1
+            yield em.branch(not last, to=top if not last else None)
 
 
 def make(n_cpus: int, functional: FunctionalMemory, scale: str = "test"):

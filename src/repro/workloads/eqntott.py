@@ -97,7 +97,7 @@ class EqntottWorkload(Workload):
         vectors = rng.integers(
             0, 2**16, size=(self.pool_size, self.vec_words), dtype=np.int64
         )
-        self.schedule: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+        self.schedule: list[tuple[int, int, list[int], list[int]]] = []
         for _ in range(self.comparisons):
             ia, ib = rng.choice(self.pool_size, size=2, replace=False)
             # The master's sort moves entries: it rewrites a few words
@@ -118,7 +118,11 @@ class EqntottWorkload(Workload):
                 hi = lo + self.quarter
                 diff = np.nonzero(vectors[ia][lo:hi] != vectors[ib][lo:hi])[0]
                 stops[cpu] = (diff[0] + 1) if diff.size else self.quarter
-            self.schedule.append((int(ia), int(ib), positions, stops))
+            # Plain lists: the thread programs index these per
+            # emitted instruction.
+            self.schedule.append(
+                (int(ia), int(ib), positions.tolist(), stops.tolist())
+            )
 
     # ------------------------------------------------------------------
 
@@ -127,6 +131,9 @@ class EqntottWorkload(Workload):
         ctx = self.context(cpu_id)
         quarter = self.quarter
         is_master = cpu_id == 0
+        # The master's bookkeeping loop and its merge touch the same
+        # words at every comparison: one stretch each, the master's own.
+        kept = {}
 
         for ia, ib, positions, stops in self.schedule:
             base_a = self.vec_base[ia]
@@ -137,17 +144,12 @@ class EqntottWorkload(Workload):
                 # entry movement that rewrites vector words.
                 em = ctx.emitter(self.master_region)
                 em.jump(0)
-                top = em.label()
-                for i in range(self.seq_work):
-                    yield em.ialu(src1=1)
-                    if i % 8 == 7:
-                        last = i == self.seq_work - 1
-                        yield em.branch(not last, to=top if not last else None)
+                yield from em.replay(kept, "bookkeeping", self._bookkeeping)
                 for pos in positions:
-                    yield em.load(base_a + _WORD * int(pos), src1=1)
+                    yield em.load(base_a + _WORD * pos, src1=1)
                     yield em.ialu(src1=1)
-                    yield em.store(base_a + _WORD * int(pos), src1=1)
-                    yield em.store(base_b + _WORD * int(pos), src1=2)
+                    yield em.store(base_a + _WORD * pos, src1=1)
+                    yield em.store(base_b + _WORD * pos, src1=2)
 
             yield from self.barrier.wait(ctx)
 
@@ -156,7 +158,7 @@ class EqntottWorkload(Workload):
             em.jump(0)
             top = em.label()
             lo = cpu_id * quarter
-            stop = int(stops[cpu_id])
+            stop = stops[cpu_id]
             for i in range(stop):
                 yield em.load(base_a + _WORD * (lo + i))
                 yield em.load(base_b + _WORD * (lo + i))
@@ -171,9 +173,22 @@ class EqntottWorkload(Workload):
                 # Merge the per-quarter verdicts.
                 em = ctx.emitter(self.merge_region)
                 em.jump(0)
-                for cpu in range(self.n_cpus):
-                    yield em.load(self.result_base + _WORD * cpu)
-                    yield em.ialu(src1=1)
+                yield from em.replay(kept, "merge", self._merge)
+
+    def _bookkeeping(self, em):
+        """The master's sequential compare / pointer-chase loop."""
+        top = em.label()
+        for i in range(self.seq_work):
+            yield em.ialu(src1=1)
+            if i % 8 == 7:
+                last = i == self.seq_work - 1
+                yield em.branch(not last, to=top if not last else None)
+
+    def _merge(self, em):
+        """The master's read of every CPU's verdict word."""
+        for cpu in range(self.n_cpus):
+            yield em.load(self.result_base + _WORD * cpu)
+            yield em.ialu(src1=1)
 
 
 def make(n_cpus: int, functional: FunctionalMemory, scale: str = "test"):

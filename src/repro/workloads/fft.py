@@ -77,6 +77,13 @@ class FftWorkload(Workload):
         self.spectrum_base = self.data.alloc_array(self.n_points, 8)
         self.barrier = Barrier("fft.bar", self.code, self.data, n_cpus)
 
+        # Bit-reversal permutation of the indices, the same for every
+        # transform of the run.
+        bits = self.n_points.bit_length() - 1
+        self._bit_reversed = [
+            int(f"{i:0{bits}b}"[::-1], 2) for i in range(self.n_points)
+        ]
+
         rng = np.random.default_rng(seed)
         self.inputs = rng.normal(
             size=(self.n_ffts, self.n_points)
@@ -144,9 +151,7 @@ class FftWorkload(Workload):
         em = ctx.emitter(self.bitrev_region)
         em.jump(0)
         top = em.label()
-        bits = n.bit_length() - 1
-        for i in range(n):
-            j = int(f"{i:0{bits}b}"[::-1], 2)
+        for i, j in enumerate(self._bit_reversed):
             if j > i:
                 data[i], data[j] = data[j], data[i]
                 yield em.load(self._addr(fft, i))

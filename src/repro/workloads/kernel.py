@@ -59,56 +59,81 @@ class KernelActivity:
         self.runq_lock = SpinLock("kernel.runq", code, kernel_data)
         self.syscalls = 0
         self.sched_ticks = 0
+        self._stretches: dict = {}
 
     # ------------------------------------------------------------------
 
-    def _entry(self, ctx: ThreadContext):
-        """Trap entry/exit overhead: save/restore, dispatch."""
-        em = ctx.emitter(self.entry_region)
+    def _replay(self, ctx: ThreadContext, region, key, body, *args):
+        """Emit the stretch ``body(em, *args)`` generates at the top of
+        ``region``, generating it the first time ``key`` is asked for.
+
+        Kernel text and data are one copy for every CPU, so one stretch
+        serves every thread that passes through with the same operands
+        (use with ``yield from``)."""
+        em = ctx.emitter(region)
         em.jump(0)
+        return em.replay(self._stretches, key, body, *args)
+
+    @staticmethod
+    def _entry(em):
+        """Trap entry/exit overhead: save/restore, dispatch."""
         for _ in range(10):
             yield em.ialu()
         yield em.branch(True, to=0)
 
-    def sys_read(self, ctx: ThreadContext, buffer_id: int, user_addr: int):
-        """Copy one kernel buffer into the caller's user buffer."""
-        self.syscalls += 1
-        yield from self._entry(ctx)
-        yield from self.bcache_lock.acquire(ctx)
-        em = ctx.emitter(self.read_region)
-        em.jump(0)
-        buffer = self.buffers[buffer_id % len(self.buffers)]
+    def _copy(self, em, src: int, dst: int):
+        """Word-by-word copy of one buffer."""
         for w in range(self.buffer_words):
-            yield em.load(buffer + w * _WORD)
-            yield em.store(user_addr + w * _WORD, src1=1)
+            yield em.load(src + w * _WORD)
+            yield em.store(dst + w * _WORD, src1=1)
             yield em.branch(False)
-        yield from self.bcache_lock.release(ctx)
 
-    def sys_write(self, ctx: ThreadContext, buffer_id: int, user_addr: int):
-        """Copy the caller's user buffer into a kernel buffer."""
-        self.syscalls += 1
-        yield from self._entry(ctx)
-        yield from self.bcache_lock.acquire(ctx)
-        em = ctx.emitter(self.write_region)
-        em.jump(0)
-        buffer = self.buffers[buffer_id % len(self.buffers)]
-        for w in range(self.buffer_words):
-            yield em.load(user_addr + w * _WORD)
-            yield em.store(buffer + w * _WORD, src1=1)
-            yield em.branch(False)
-        yield from self.bcache_lock.release(ctx)
-
-    def sched_tick(self, ctx: ThreadContext):
-        """Clock-interrupt scheduler pass over the shared run queue."""
-        self.sched_ticks += 1
-        yield from self._entry(ctx)
-        yield from self.runq_lock.acquire(ctx)
-        em = ctx.emitter(self.sched_region)
-        em.jump(0)
+    def _scan_runqueue(self, em):
         for entry in range(self.runqueue_entries):
             addr = self.runqueue_base + entry * _LINE
             yield em.load(addr)
             yield em.ialu(src1=1)
             yield em.store(addr, src1=1)
             yield em.branch(False)
+
+    def sys_read(self, ctx: ThreadContext, buffer_id: int, user_addr: int):
+        """Copy one kernel buffer into the caller's user buffer."""
+        self.syscalls += 1
+        yield from self._replay(ctx, self.entry_region, "entry", self._entry)
+        yield from self.bcache_lock.acquire(ctx)
+        buffer = self.buffers[buffer_id % len(self.buffers)]
+        yield from self._replay(
+            ctx,
+            self.read_region,
+            ("read", buffer, user_addr),
+            self._copy,
+            buffer,
+            user_addr,
+        )
+        yield from self.bcache_lock.release(ctx)
+
+    def sys_write(self, ctx: ThreadContext, buffer_id: int, user_addr: int):
+        """Copy the caller's user buffer into a kernel buffer."""
+        self.syscalls += 1
+        yield from self._replay(ctx, self.entry_region, "entry", self._entry)
+        yield from self.bcache_lock.acquire(ctx)
+        buffer = self.buffers[buffer_id % len(self.buffers)]
+        yield from self._replay(
+            ctx,
+            self.write_region,
+            ("write", buffer, user_addr),
+            self._copy,
+            user_addr,
+            buffer,
+        )
+        yield from self.bcache_lock.release(ctx)
+
+    def sched_tick(self, ctx: ThreadContext):
+        """Clock-interrupt scheduler pass over the shared run queue."""
+        self.sched_ticks += 1
+        yield from self._replay(ctx, self.entry_region, "entry", self._entry)
+        yield from self.runq_lock.acquire(ctx)
+        yield from self._replay(
+            ctx, self.sched_region, "sched", self._scan_runqueue
+        )
         yield from self.runq_lock.release(ctx)

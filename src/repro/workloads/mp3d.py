@@ -132,24 +132,20 @@ class Mp3dWorkload(Workload):
         cbase = self.cells_base
 
         tile = 48  # particles (lines) per tile: fits a private L1
+        # A tile's move pass and the collision slice walk the same
+        # addresses every time step (only the scatter follows the
+        # particles), so each is one stretch for this thread program.
+        kept = {}
         for step in range(self.steps):
-            cells = self.cell_index[step]
+            cells = self.cell_index[step][lo:hi].tolist()
             for tile_lo in range(lo, hi, tile):
                 tile_hi = min(tile_lo + tile, hi)
                 # Pass 1 — move: integrate each particle in the tile.
                 em = ctx.emitter(self.move_region)
                 em.jump(0)
-                top = em.label()
-                for p in range(tile_lo, tile_hi):
-                    paddr = pbase + p * _PARTICLE_BYTES
-                    yield em.load(paddr)
-                    yield em.load(paddr + 8)
-                    yield em.fadd(src1=1, src2=2)
-                    yield em.fmul(src1=1)
-                    yield em.store(paddr, src1=1)
-                    yield em.store(paddr + 16, src1=2)
-                    last = p == tile_hi - 1
-                    yield em.branch(not last, to=top if not last else None)
+                yield from em.replay(
+                    kept, tile_lo, self._move, tile_lo, tile_hi
+                )
                 # Pass 2 — scatter: re-read each particle (the tile is
                 # the reuse a private L1 keeps and the shared L1 loses
                 # to cross-CPU set conflicts) and update its space cell.
@@ -161,7 +157,7 @@ class Mp3dWorkload(Workload):
                     yield em.load(paddr)
                     yield em.load(paddr + 24)
                     yield em.fmul(src1=1, src2=2)
-                    caddr = cbase + int(cells[p]) * _CELL_BYTES
+                    caddr = cbase + cells[p - lo] * _CELL_BYTES
                     yield em.load(caddr)
                     yield em.fadd(src1=1)
                     yield em.store(caddr, src1=1)
@@ -170,16 +166,36 @@ class Mp3dWorkload(Workload):
             # Collision phase: re-read a slice of cells (more sharing).
             em = ctx.emitter(self.collide_region)
             em.jump(0)
-            top = em.label()
-            chunk = self.n_cells // self.n_cpus
-            for c in range(cpu_id * chunk, (cpu_id + 1) * chunk):
-                caddr = cbase + c * _CELL_BYTES
-                yield em.load(caddr)
-                yield em.fmul(src1=1)
-                yield em.store(caddr, src1=1)
-                last = c == (cpu_id + 1) * chunk - 1
-                yield em.branch(not last, to=top if not last else None)
+            yield from em.replay(kept, "collide", self._collide, cpu_id)
             yield from self.barrier.wait(ctx)
+
+    def _move(self, em, tile_lo: int, tile_hi: int):
+        """The move pass over one tile of particles."""
+        pbase = self.particles_base
+        top = em.label()
+        for p in range(tile_lo, tile_hi):
+            paddr = pbase + p * _PARTICLE_BYTES
+            yield em.load(paddr)
+            yield em.load(paddr + 8)
+            yield em.fadd(src1=1, src2=2)
+            yield em.fmul(src1=1)
+            yield em.store(paddr, src1=1)
+            yield em.store(paddr + 16, src1=2)
+            last = p == tile_hi - 1
+            yield em.branch(not last, to=top if not last else None)
+
+    def _collide(self, em, cpu_id: int):
+        """The collision pass over one CPU's slice of the cells."""
+        cbase = self.cells_base
+        top = em.label()
+        chunk = self.n_cells // self.n_cpus
+        for c in range(cpu_id * chunk, (cpu_id + 1) * chunk):
+            caddr = cbase + c * _CELL_BYTES
+            yield em.load(caddr)
+            yield em.fmul(src1=1)
+            yield em.store(caddr, src1=1)
+            last = c == (cpu_id + 1) * chunk - 1
+            yield em.branch(not last, to=top if not last else None)
 
 
 def make(n_cpus: int, functional: FunctionalMemory, scale: str = "test"):

@@ -139,7 +139,7 @@ class MultiprogWorkload(Workload):
         backend_funcs = self.functions[2 * third :]
 
         for chunk in range(self.chunks):
-            probes = self.lookup_traces[job][chunk]
+            probes = self.lookup_traces[job][chunk].tolist()
             # Read the next piece of source through the kernel.
             yield from self.kernel.sys_read(ctx, job + chunk, input_base)
 
@@ -147,61 +147,88 @@ class MultiprogWorkload(Workload):
             # each compiler phase: long linear bodies (gcc's code
             # paths), revisited a couple of times (its loops), with the
             # full image cycling through over the chunks — the mix that
-            # gives gcc its large instruction working set.
+            # gives gcc its large instruction working set. The passes
+            # of one visit walk the same addresses, so a visit is one
+            # stretch, kept only until its last pass.
             # Lexing: stream over the input, hashing tokens.
             for rot in range(2):
                 region = lexer_funcs[(chunk + rot) % len(lexer_funcs)]
-                em = ctx.emitter(region)
-                for _pass in range(_PASSES):
-                    em.jump(0)
-                    for i in range(0, self.symtab_words, 8):
-                        yield em.load(input_base + i * _WORD)
-                        yield em.ialu(src1=1)
-                        yield em.ialu(src1=1)
-                        probe = int(probes[(rot + i) % len(probes)])
-                        yield em.load(symtab_base + probe * _WORD, src1=1)
-                        yield em.ialu(src1=1)
-                        yield em.branch(False)
+                yield from self._passes(
+                    ctx.emitter(region),
+                    self._lex_pass,
+                    input_base,
+                    symtab_base,
+                    probes,
+                    rot,
+                )
 
             # Parsing: build AST nodes, update the symbol table.
             for rot in range(2):
                 region = parser_funcs[(chunk + rot) % len(parser_funcs)]
-                em = ctx.emitter(region)
-                for _pass in range(_PASSES):
-                    em.jump(0)
-                    for i, probe in enumerate(probes):
-                        yield em.load(symtab_base + int(probe) * _WORD)
-                        yield em.ialu(src1=1)
-                        yield em.ialu(src1=1)
-                        yield em.ialu(src1=1)
-                        yield em.store(
-                            symtab_base + int(probe) * _WORD, src1=1
-                        )
-                        node = (chunk * len(probes) + i) % self.symtab_words
-                        yield em.ialu(src1=1)
-                        yield em.ialu(src1=1)
-                        yield em.store(ast_base + node * _WORD, src1=2)
-                        yield em.branch(False)
+                yield from self._passes(
+                    ctx.emitter(region),
+                    self._parse_pass,
+                    symtab_base,
+                    ast_base,
+                    probes,
+                    chunk,
+                )
 
             # Optimizer + code generation: walk the AST, write output.
             for rot in range(2):
                 region = backend_funcs[(chunk + rot) % len(backend_funcs)]
-                em = ctx.emitter(region)
-                for _pass in range(_PASSES):
-                    em.jump(0)
-                    for i in range(0, self.symtab_words, 8):
-                        yield em.load(ast_base + i * _WORD)
-                        yield em.ialu(src1=1)
-                        yield em.ialu(src1=1)
-                        yield em.ialu(src1=1)
-                        yield em.ialu(src1=1)
-                        yield em.store(output_base + i * _WORD, src1=1)
-                        yield em.branch(False)
+                yield from self._passes(
+                    ctx.emitter(region),
+                    self._backend_pass,
+                    ast_base,
+                    output_base,
+                )
 
             # Write the object-code chunk; take a scheduler tick.
             yield from self.kernel.sys_write(ctx, job + chunk, output_base)
             if chunk % 2 == 1:
                 yield from self.kernel.sched_tick(ctx)
+
+    @staticmethod
+    def _passes(em, one_pass, *args):
+        """``_PASSES`` passes over one function body from its top."""
+        kept = {}
+        for _pass in range(_PASSES):
+            em.jump(0)
+            yield from em.replay(kept, None, one_pass, *args)
+
+    def _lex_pass(self, em, input_base, symtab_base, probes, rot):
+        for i in range(0, self.symtab_words, 8):
+            yield em.load(input_base + i * _WORD)
+            yield em.ialu(src1=1)
+            yield em.ialu(src1=1)
+            probe = probes[(rot + i) % len(probes)]
+            yield em.load(symtab_base + probe * _WORD, src1=1)
+            yield em.ialu(src1=1)
+            yield em.branch(False)
+
+    def _parse_pass(self, em, symtab_base, ast_base, probes, chunk):
+        for i, probe in enumerate(probes):
+            yield em.load(symtab_base + probe * _WORD)
+            yield em.ialu(src1=1)
+            yield em.ialu(src1=1)
+            yield em.ialu(src1=1)
+            yield em.store(symtab_base + probe * _WORD, src1=1)
+            node = (chunk * len(probes) + i) % self.symtab_words
+            yield em.ialu(src1=1)
+            yield em.ialu(src1=1)
+            yield em.store(ast_base + node * _WORD, src1=2)
+            yield em.branch(False)
+
+    def _backend_pass(self, em, ast_base, output_base):
+        for i in range(0, self.symtab_words, 8):
+            yield em.load(ast_base + i * _WORD)
+            yield em.ialu(src1=1)
+            yield em.ialu(src1=1)
+            yield em.ialu(src1=1)
+            yield em.ialu(src1=1)
+            yield em.store(output_base + i * _WORD, src1=1)
+            yield em.branch(False)
 
     def program(self, cpu_id: int):
         """This CPU's share of the compile jobs plus kernel time."""

@@ -86,35 +86,54 @@ class OceanWorkload(Workload):
         ctx = self.context(cpu_id)
         row_block, col_block = divmod(cpu_id, self.cols)
         interior = self.n - 2
-        row_lo = 1 + row_block * interior // self.rows
-        row_hi = 1 + (row_block + 1) * interior // self.rows
-        col_lo = 1 + col_block * interior // self.cols
-        col_hi = 1 + (col_block + 1) * interior // self.cols
+        rows = range(
+            1 + row_block * interior // self.rows,
+            1 + (row_block + 1) * interior // self.rows,
+        )
+        cols = range(
+            1 + col_block * interior // self.cols,
+            1 + (col_block + 1) * interior // self.cols,
+        )
 
         grids = (self.grid_a, self.grid_b)
+        # The grids swap roles every sweep, so sweeps of one parity
+        # walk the same addresses: one stretch per parity, kept for
+        # the life of this thread program.
+        by_parity = {}
         for sweep in range(self.sweeps):
-            src = grids[sweep % 2]
-            dst = grids[1 - sweep % 2]
+            parity = sweep % 2
             em = ctx.emitter(self.sweep_region)
             em.jump(0)
-            top = em.label()
-            for r in range(row_lo, row_hi):
-                for c in range(col_lo, col_hi):
-                    # Five-point stencil. Left/right neighbours were
-                    # just loaded (registers); up/down and centre come
-                    # from memory. Rows owned by the neighbouring CPU
-                    # are the boundary communication.
-                    yield em.load(self._addr(src, r - 1, c))
-                    yield em.load(self._addr(src, r + 1, c))
-                    yield em.load(self._addr(src, r, c))
-                    yield em.fadd(src1=1, src2=2)
-                    yield em.fadd(src1=1, src2=2)
-                    yield em.fmul(src1=1)
-                    yield em.store(self._addr(dst, r, c), src1=1)
-                    yield em.branch(False)
-                last = r == row_hi - 1
-                yield em.branch(not last, to=top if not last else None)
+            yield from em.replay(
+                by_parity,
+                parity,
+                self._sweep,
+                grids[parity],
+                grids[1 - parity],
+                rows,
+                cols,
+            )
             yield from self.barrier.wait(ctx)
+
+    def _sweep(self, em, src: int, dst: int, rows: range, cols: range):
+        """One relaxation sweep of a subgrid from ``src`` into ``dst``."""
+        top = em.label()
+        for r in rows:
+            for c in cols:
+                # Five-point stencil. Left/right neighbours were
+                # just loaded (registers); up/down and centre come
+                # from memory. Rows owned by the neighbouring CPU
+                # are the boundary communication.
+                yield em.load(self._addr(src, r - 1, c))
+                yield em.load(self._addr(src, r + 1, c))
+                yield em.load(self._addr(src, r, c))
+                yield em.fadd(src1=1, src2=2)
+                yield em.fadd(src1=1, src2=2)
+                yield em.fmul(src1=1)
+                yield em.store(self._addr(dst, r, c), src1=1)
+                yield em.branch(False)
+            last = r == rows[-1]
+            yield em.branch(not last, to=top if not last else None)
 
 
 def make(n_cpus: int, functional: FunctionalMemory, scale: str = "test"):

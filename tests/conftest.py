@@ -26,6 +26,32 @@ def load_script(name: str):
     return module
 
 
+#: workload -> whether the loop variables of a thread program that
+#: stands inside a stretch say an earlier visit generated it: ocean's
+#: sweeps 0 and 1 generate the two grid parities, multiprog's first
+#: pass over a function body generates it.
+REVISITING = {
+    "ocean": lambda at: at["sweep"] >= 2,
+    "multiprog": lambda at: at.get("_pass", 0) >= 1,
+}
+
+
+def replaying_cpus(workload_name: str, programs) -> int:
+    """How many of the suspended thread ``programs`` stand inside a
+    replayed stretch: the innermost of the program's chain of
+    ``yield from`` generators is handing out a stretch's tuple, and
+    the chain's merged locals (inner names win) say it is a revisit."""
+    count = 0
+    for inner in programs:
+        at: dict = {}
+        while getattr(inner, "gi_frame", None) is not None:
+            at.update(inner.gi_frame.f_locals)
+            inner = inner.gi_yieldfrom
+        if type(inner).__name__ == "tuple_iterator":
+            count += REVISITING[workload_name](at)
+    return count
+
+
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path, monkeypatch):
     """Point the experiment runner's default cache at a throwaway dir.

@@ -13,7 +13,7 @@ import gzip
 import json
 
 import pytest
-from conftest import load_script
+from conftest import load_script, replaying_cpus
 
 from repro.ckpt import (
     SNAPSHOT_FORMAT,
@@ -162,6 +162,61 @@ def test_checkpoint_resume_with_obs_is_bit_identical(arch, cpu_model):
     assert {n: c.value for n, c in res_obs.registry.counters.items()} == {
         n: c.value for n, c in base_obs.registry.counters.items()
     }
+
+
+def _six_sweep_ocean(n_cpus, functional, scale):
+    """Test-scale ocean has two sweeps — one per grid parity, nothing
+    revisited; six revisit each parity twice, like the bench scale."""
+    workload = WORKLOADS["ocean"](n_cpus, functional, scale)
+    workload.sweeps = 6
+    return workload
+
+
+_REPLAYING = {
+    "ocean": _six_sweep_ocean,
+    "multiprog": WORKLOADS["multiprog"],
+}
+
+
+@pytest.mark.parametrize("cpu_model", CPU_MODELS)
+@pytest.mark.parametrize("workload", sorted(_REPLAYING))
+def test_checkpoint_inside_a_replayed_stretch(workload, cpu_model):
+    """The replay log counts pulls, and a replayed stretch is pulled
+    like a generated one: a snapshot taken while thread programs stand
+    inside a replay restores into a fresh workload — which has
+    generated nothing yet — and finishes like the uninterrupted run."""
+    factory = _REPLAYING[workload]
+
+    def build():
+        return System(
+            "shared-mem",
+            factory(4, FunctionalMemory(), "test"),
+            cpu_model=cpu_model,
+            mem_config=config_for_scale("test", 4),
+            max_cycles=CAP,
+            checkpointing=True,
+        )
+
+    baseline_sys = build()
+    baseline = baseline_sys.run().to_dict()
+    total = baseline_sys._cycle
+
+    partial = build()
+    partial.run(pause_at=total * 6 // 10)
+    assert partial.paused
+    assert replaying_cpus(workload, [cpu.program for cpu in partial.cpus])
+    state = roundtrip(snapshot_system(partial))
+
+    fresh = build()
+    assert fresh.workload.generation_report()["generated"] == 0
+    restore_system(fresh, state)
+    assert fresh.workload.generation_report() == (
+        partial.workload.generation_report()
+    )
+    assert fresh.run().to_dict() == baseline
+    assert fresh.workload.generation_report() == (
+        baseline_sys.workload.generation_report()
+    )
 
 
 def test_chained_checkpoints_are_bit_identical():

@@ -112,8 +112,8 @@ def test_code_space_footprint():
 # emitter
 
 
-def make_emitter(slots=16):
-    return Emitter(CodeRegion("f", 0x2000, slots))
+def make_emitter(slots=16, name="f"):
+    return Emitter(CodeRegion(name, 0x2000, slots))
 
 
 def test_emitter_sequential_pcs():
@@ -199,3 +199,149 @@ def test_emitter_ops_bulk():
     assert all(inst.op is OpClass.IALU for inst in insts)
     pcs = [inst.pc for inst in insts]
     assert pcs == sorted(pcs)
+
+
+# ----------------------------------------------------------------------
+# value-independent stretches
+
+
+def _loop(em, base, count=4):
+    """A small loop body: load, add, store, back-branch."""
+    top = em.label()
+    for i in range(count):
+        yield em.load(base + 4 * i)
+        yield em.ialu(src1=1)
+        yield em.store(base + 4 * i, src1=1)
+        last = i == count - 1
+        yield em.branch(not last, to=top if not last else None)
+
+
+def test_replay_yields_what_generation_yields():
+    em = make_emitter()
+    reference = make_emitter(name="reference")
+    kept = {}
+    for _visit in range(3):
+        em.jump(0)
+        reference.jump(0)
+        replayed = list(em.replay(kept, "loop", _loop, 0x1000))
+        derived = list(_loop(reference, 0x1000))
+        assert [
+            (i.op, i.pc, i.addr, i.taken, i.target, i.src1) for i in replayed
+        ] == [(i.op, i.pc, i.addr, i.taken, i.target, i.src1) for i in derived]
+        # The code after a replay sees the cursor generation left.
+        assert em.label() == reference.label()
+    assert list(kept) == ["loop"]
+    assert isinstance(kept["loop"].instructions, tuple)
+    assert (em.region.generated, em.region.replayed) == (16, 32)
+
+
+def test_replay_generates_once_per_key():
+    em = make_emitter()
+    kept = {}
+    calls = []
+
+    def body(em, base):
+        calls.append(base)
+        yield em.load(base)
+
+    for base in (0x100, 0x200, 0x100, 0x200, 0x100):
+        em.jump(0)
+        (inst,) = em.replay(kept, base, body, base)
+        assert inst.addr == base
+    assert calls == [0x100, 0x200]
+
+
+@pytest.mark.parametrize(
+    "emit",
+    [
+        lambda em: em.load(0x40, want_value=True),
+        lambda em: em.ll(0x40),
+        lambda em: em.sc(0x40, 1),
+        lambda em: em.spin_load(0x40, until=1),
+    ],
+    ids=["want_value", "ll", "sc", "spin_load"],
+)
+def test_stretch_that_reads_the_machine_is_refused(emit):
+    em = make_emitter(name="guarded")
+    resumed = []
+
+    def body(em):
+        yield em.ialu()
+        yield em.ialu()
+        resumed.append((yield emit(em)))
+
+    kept = {}
+    with pytest.raises(WorkloadError, match=r"'guarded'.*instruction 2 "):
+        em.replay(kept, "k", body)
+    # Refused before the body was handed None for the value it wants.
+    assert resumed == [] and kept == {}
+
+
+def test_a_value_sent_into_a_replay_is_not_swallowed():
+    """Generation drives the body with ``next`` alone and a replay is a
+    tuple, so nothing can be sent into a stretch: a consumer that tries
+    fails on the spot instead of the value being dropped."""
+    em = make_emitter()
+    kept = {}
+
+    def program():
+        for _visit in range(2):
+            em.jump(0)
+            yield from em.replay(kept, "loop", _loop, 0x1000)
+
+    thread = program()
+    next(thread)
+    with pytest.raises(AttributeError, match="send"):
+        thread.send(7)
+
+
+def test_replay_from_another_slot_is_refused():
+    em = make_emitter(name="moved")
+    kept = {}
+    em.jump(0)
+    em.replay(kept, "loop", _loop, 0x1000)
+    em.jump(3)
+    with pytest.raises(WorkloadError, match=r"'moved'.*slot 0.*slot 3"):
+        em.replay(kept, "loop", _loop, 0x1000)
+
+
+def test_replay_in_another_region_is_refused():
+    em = make_emitter(name="here")
+    kept = {}
+    em.replay(kept, "loop", _loop, 0x1000)
+    with pytest.raises(WorkloadError, match=r"'here'.*'elsewhere'"):
+        make_emitter(name="elsewhere").replay(kept, "loop", _loop, 0x1000)
+
+
+def test_stretch_that_leaves_its_region_is_refused():
+    space = CodeSpace()
+    em = Emitter(space.region("caller", 8))
+    callee = space.region("callee", 8)
+
+    def body(em):
+        yield em.ialu()
+        yield em.call(callee)
+
+    with pytest.raises(WorkloadError, match="'caller'.*'callee'"):
+        em.replay({}, "k", body)
+
+
+def test_shared_stretch_leaves_every_thread_on_the_recorded_end():
+    """Ear keeps one stretch per block for all CPUs: whichever thread's
+    emitter generated it, every replaying thread's cursor ends on the
+    slot generation ended on."""
+    from repro.mem.functional import FunctionalMemory
+    from repro.workloads.ear import EarWorkload
+
+    workload = EarWorkload(4, FunctionalMemory(), "test")
+    contexts = [workload.context(cpu) for cpu in range(4)]
+    for cpu, ctx in enumerate(contexts):
+        em = ctx.emitter(workload.filter_region)
+        em.jump(0)
+        first = em.replay(workload._blocks, 2, workload._block, 2)
+        stretch = workload._blocks[2]
+        assert first is stretch.instructions
+        assert em.label() == stretch.end != stretch.start
+    assert len(workload._blocks) == 1
+    report = workload.generation_report()
+    assert report["replayed"] == 3 * report["generated"] > 0

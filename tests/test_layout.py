@@ -130,3 +130,25 @@ def test_no_lane_flag_beside_the_declining_lanes():
         if "_fast_lane" in line
     ]
     assert found == []
+
+
+def test_no_process_lifetime_stretch_storage_in_workloads():
+    # A stretch lives as long as the dict ``Emitter.replay`` is handed
+    # to keep it in: a local of the thread program or an attribute of
+    # the instance — never a name bound at module (column 0) or class
+    # (column 4) level, which would outlive the workload and carry one
+    # run's instructions into the next.
+    import re
+    from pathlib import Path
+
+    import repro.workloads
+
+    kept_in = re.compile(r"\.replay\(\s*(?:self\.)?(\w+)")
+    found = 0
+    for path in sorted(Path(repro.workloads.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for name in set(kept_in.findall(text)):
+            found += 1
+            shared = re.search(rf"^(?:    )?{name}\b[^=\n]*=[^=]", text, re.M)
+            assert shared is None, f"{path.name}: {name} outlives its workload"
+    assert found

@@ -198,3 +198,54 @@ def test_ear_rotating_partition():
     for idx in addresses:
         seen_blocks.add(idx // chunk)
     assert len(seen_blocks) >= min(4, workload.phases)
+
+
+# ----------------------------------------------------------------------
+# replayed stretches
+
+
+@pytest.mark.parametrize("name", ["ocean", "multiprog", "ear"])
+def test_revisited_loops_are_mostly_replayed(name):
+    """At bench scale the sweeps, passes and blocks these programs
+    revisit outnumber their first visits."""
+    from repro.core.experiment import run_one
+
+    result = run_one("shared-mem", WORKLOADS[name], scale="bench")
+    report = result.extras["generation"]
+    assert report["replayed"] > report["generated"] > 0
+    # Host-side only, like extras["spin"]: not in the payload caches
+    # and the wire carry, nor in the statistics.
+    payload = result.to_dict()
+    assert "generation" not in payload["extras"]
+    assert "replayed" not in repr(sorted(payload["stats"]))
+
+
+def test_synthetic_replays_nothing():
+    """Every phase draws fresh addresses: nothing to keep."""
+    workload, _ = build("synthetic", "bench")
+    System("shared-mem", workload, mem_config=make_test_config()).run()
+    assert workload.generation_report() == {"generated": 0, "replayed": 0}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_no_stretch_outlives_its_workload(name):
+    """Stretches sit in thread-program locals or on the instance, so
+    they go when the workload does — nothing process-wide keeps one
+    run's instructions for the next."""
+    import gc
+
+    from repro.isa.stream import Stretch
+
+    def live_stretches():
+        gc.collect()
+        return sum(isinstance(obj, Stretch) for obj in gc.get_objects())
+
+    before = live_stretches()
+    workload, _ = build(name)
+    System("shared-mem", workload, mem_config=make_test_config()).run()
+    if name == "ocean":
+        # Its stretches were its thread programs' own.
+        assert workload.generation_report()["generated"] > 0
+        assert live_stretches() == before
+    del workload
+    assert live_stretches() == before
