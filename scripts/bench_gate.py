@@ -16,9 +16,10 @@ landable without first rewriting the baseline).
 The gate also checks the ``python -m repro reproduce`` wall-clock
 trajectory in ``benchmarks/results/bench_runner.json``: the latest
 entry is compared against the most recent earlier entry with the
-*same profile* — (quick, jobs, cache, backend) must all match, so a
-replayed run is never judged against an interpreter baseline (or vice
-versa), and cached runs never race uncached ones. Entries written
+*same profile* — (quick, jobs, cache, backend, batch size) must all
+match, so a replayed run is never judged against an interpreter
+baseline (or vice versa), cached runs never race uncached ones, and a
+batch is never judged against a smaller catalog's. Entries written
 before the backend field existed count as ``interpreter``.
 ``--skip-runner`` disables this check.
 
@@ -122,13 +123,15 @@ def runner_profile(entry: dict) -> tuple:
     The backend defaults to ``interpreter`` for entries written before
     the replay lane existed; replayed and generated runs are different
     experiments at very different speeds, so the gate never compares
-    across backends.
+    across backends — nor across batches of different sizes (the
+    catalog ``repro reproduce`` runs has grown more than once).
     """
     return (
         bool(entry.get("quick")),
         entry.get("jobs"),
         bool(entry.get("cache", True)),
         entry.get("backend", "interpreter"),
+        len(entry.get("per_job", ())),
     )
 
 
@@ -153,7 +156,7 @@ def check_runner_trajectory(
         return []
     latest = entries[-1]
     profile = runner_profile(latest)
-    quick, jobs, cache, backend = profile
+    quick, jobs, cache, backend, _batch_size = profile
     label = (
         f"{'quick' if quick else 'full'}/jobs={jobs}/"
         f"{'cached' if cache else 'uncached'}/{backend}"

@@ -6,7 +6,7 @@ from __future__ import annotations
 import argparse
 
 from repro.core.configs import ARCHITECTURES, CPU_MODELS, SCALES
-from repro.core.paper import FIGURES, PAPER_EXPECTATIONS
+from repro.core.paper import PAPER_EXPECTATIONS, STUDIES
 from repro.mem.topology import get_builder, get_preset, topology_names
 from repro.workloads import WORKLOADS
 
@@ -26,7 +26,7 @@ def register(subparsers) -> None:
     subparsers.add_parser(
         "list",
         help="show workloads, topology presets, CPU models, scales, "
-             "backends and the figure table",
+             "backends and the studies of the evaluation",
     ).set_defaults(run=run)
 
 
@@ -61,13 +61,13 @@ def run(args: argparse.Namespace) -> int:
     print("execution backends:")
     for name, text in _BACKENDS:
         print(f"  {name:<12} {text}")
-    print("figures (repro reproduce):")
-    for figure in FIGURES.values():
-        claims = (
-            len(PAPER_EXPECTATIONS[figure.claims].checks)
-            if figure.claims
+    print("studies (repro reproduce):")
+    for study in STUDIES.values():
+        claims = len(study.checks) + (
+            len(PAPER_EXPECTATIONS[study.claims].checks)
+            if study.claims
             else 0
         )
-        print(f"  {figure.name:<20} {figure.workload:<10} "
-              f"{figure.cpu_model:<6} {claims} claim(s)  {figure.title}")
+        print(f"  {study.name:<26} {len(study.jobs):>2} job(s) "
+              f"{claims:>2} claim(s)  {study.title}")
     return 0

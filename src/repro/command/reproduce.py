@@ -1,21 +1,25 @@
-"""``repro reproduce``: regenerate every figure and the results gallery.
+"""``repro reproduce``: regenerate every table, figure and ablation.
 
-The whole evaluation (:data:`repro.core.paper.FIGURES`) goes to the
-runner as ONE batch — every (figure, architecture) simulation is an
-independent job, so ``--jobs N`` divides the wall clock by roughly the
-core count — and comes back as ``<DIR>/<figure>.{txt,csv,svg}``, the
-one-page ``index.html`` to eyeball against the paper, and one more
-entry of the ``bench_runner.json`` wall-clock trajectory
-(``scripts/bench_gate.py`` reads it). Serial and uncached that is ~20 s
-with ``--quick``, a few minutes in full.
+The whole evaluation (:data:`repro.core.paper.STUDIES`) goes to the
+runner as ONE batch — the union of the studies' jobs, a job two studies
+share once, every one an independent simulation, so ``--jobs N``
+divides the wall clock by roughly the core count — and comes back as
+``<DIR>/<study>.txt`` (``.csv``/``.svg`` too for a figure),
+``paper_claims.txt``, the one-page ``index.html`` to eyeball against
+the paper, and one more entry of the ``bench_runner.json`` wall-clock
+trajectory (``scripts/bench_gate.py`` reads it). Every study's claims
+are evaluated on its results and printed; the exit status is non-zero
+when a simulation failed or a claim reads ``DEV``. Serial and uncached
+that is ~27 s in full, ~20 s with ``--quick``.
 
 Re-running is resuming: finished jobs are published to the result
-cache as they land, so the same command after a kill simulates only
-what had not finished (``--cache-dir`` gives a batch a completion
-record of its own), and ``--checkpoint-every`` lets the job that was
-in flight restart mid-run instead of from cycle 0 — see
-docs/CHECKPOINTING.md. ``--telemetry`` / ``--live`` turn on the batch
-event bus (docs/OBSERVABILITY.md, "Batch telemetry").
+cache as they land, so the same command after a kill — or after an
+edit to one study — simulates only what is not there yet
+(``--cache-dir`` gives a batch a completion record of its own), and
+``--checkpoint-every`` lets the job that was in flight restart mid-run
+instead of from cycle 0 — see docs/CHECKPOINTING.md. ``--telemetry`` /
+``--live`` turn on the batch event bus (docs/OBSERVABILITY.md, "Batch
+telemetry").
 """
 
 from __future__ import annotations
@@ -33,26 +37,31 @@ from repro.command.jobargs import (
     policy_from_args,
     runner_from_args,
 )
-from repro.core.configs import ARCHITECTURES
-from repro.core.paper import FIGURES, figure_jobs, write_figure
+from repro.core.paper import (
+    STUDIES,
+    batch_of,
+    format_check_report,
+    write_paper_claims,
+)
 
 
 def register(subparsers) -> None:
     """Declare ``reproduce``."""
     parser = subparsers.add_parser(
         "reproduce",
-        help="regenerate every table and figure plus an HTML gallery",
+        help="regenerate every table, figure and ablation, check every "
+             "claim, build an HTML gallery",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "out", nargs="?", default="benchmarks/results", metavar="DIR",
-        help="where the figures, index.html and bench_runner.json go "
+        help="where the studies, index.html and bench_runner.json go "
              "(default: benchmarks/results)",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="skip the MXS runs (Figure 11)",
+        help="skip the MXS studies (Figure 11, the multichip ablation)",
     )
     add_flags(parser, POLICY + RUNNER)
     parser.add_argument(
@@ -82,16 +91,16 @@ def register(subparsers) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Simulate the figure batch, render it, record the wall clock."""
+    """Simulate the catalog's batch, render and check every study,
+    record the wall clock."""
     started = time.perf_counter()
     out = Path(args.out)
-    figures = [
-        figure for figure in FIGURES.values()
-        if not (args.quick and figure.cpu_model == "mxs")
+    studies = [
+        study.stamped(obs_sample=args.obs_sample, **policy_from_args(args))
+        for study in STUDIES.values()
+        if not (args.quick and study.mxs)
     ]
-    batch = figure_jobs(
-        figures, obs_sample=args.obs_sample, **policy_from_args(args)
-    )
+    batch = batch_of(studies)
     bus = live = None
     telemetry_dir = Path(args.telemetry_dir or out)
     if args.telemetry or args.telemetry_dir or args.live:
@@ -112,10 +121,11 @@ def run(args: argparse.Namespace) -> int:
         bus=bus,
     )
     print(f"Running {len(batch)} simulations "
-          f"({len(figures)} figures x {len(ARCHITECTURES)} architectures) "
+          f"({len(studies)} studies reading "
+          f"{sum(len(study.jobs) for study in studies)} results) "
           f"on {runner.n_jobs} worker(s)...")
     try:
-        report = runner.run(batch)
+        report = runner.run(list(batch.values()))
     finally:
         if bus is not None:
             bus.stop()
@@ -134,47 +144,65 @@ def run(args: argparse.Namespace) -> int:
         print(f"telemetry: {bus.log_path} + {trace_path} "
               f"({report.telemetry['events']} events, "
               f"{report.telemetry['workers']} worker(s))")
-    print("Rendering figures...")
-    timings = _render(figures, report.outcomes, out)
-    _build_index(figures, out)
+    print("Rendering studies...")
+    out.mkdir(parents=True, exist_ok=True)
+    timings, deviations = _render(
+        studies, dict(zip(batch, report.outcomes)), out
+    )
+    _build_index(studies, out)
     total_wall = time.perf_counter() - started
     _append_baseline(
         out / "bench_runner.json", total_wall, timings, report, args
     )
     print(f"done in {total_wall:.1f}s ({report.summary()})")
-    return 1 if report.failures else 0
+    for study, claim in deviations:
+        print(f"claim does not hold: {study}: {claim}")
+    return 1 if report.failures or deviations else 0
 
 
-def _render(figures, outcomes, out: Path) -> dict[str, float]:
-    """Group per-arch outcomes back into figures and write each one.
+def _render(studies, landed, out: Path):
+    """Hand every study its results (``landed``: job key -> outcome),
+    write it, evaluate its claims.
 
-    Returns per-figure simulation seconds (sum over the three
-    architecture jobs; 0.0 for fully cached figures).
+    Returns per-study simulation seconds (the sum over the jobs it
+    reads; 0.0 where all were cached) and the (study, claim) pairs
+    that do not hold.
     """
     timings: dict[str, float] = {}
-    cursor = iter(outcomes)
-    for figure in figures:
-        results, walls, failed = {}, 0.0, []
-        for arch in ARCHITECTURES:
-            outcome = next(cursor)
-            if outcome.result is None:
-                failed.append(f"{arch}: {outcome.error}")
-                continue
-            results[arch] = outcome.result
-            walls += outcome.wall_seconds
+    deviations: list[tuple[str, str]] = []
+    figure_rows = {}
+    for study in studies:
+        outcomes = [landed[job.key()] for job in study.jobs]
+        failed = [
+            f"{outcome.job.label()}: {outcome.error}"
+            for outcome in outcomes if outcome.failed
+        ]
         if failed:
-            # A figure with a failed architecture cannot be rendered;
-            # report it and keep going so the rest of the gallery
-            # still regenerates.
-            print(f"  [skip  ] {figure.name}: " + "; ".join(failed))
+            # A study with a failed job cannot be rendered; report it
+            # and keep going so the rest of the gallery still
+            # regenerates.
+            print(f"  [skip  ] {study.name}: " + "; ".join(failed))
             continue
-        write_figure(figure, results, out)
-        print(f"  [{walls:5.1f}s] {figure.name}")
-        timings[figure.name] = round(walls, 3)
-    return timings
+        results = study.results(lambda job: landed[job.key()].result)
+        study.write(results, out)
+        claims = study.report(results)
+        if study.checks:
+            # (a figure's text carries the paper's claims already)
+            print("claims:")
+            print(format_check_report(claims[-len(study.checks):]))
+        deviations += [
+            (study.name, label) for label, ok, _detail in claims if not ok
+        ]
+        if study.claims is not None:
+            figure_rows[study.claims] = study.drawn(results)
+        walls = sum(outcome.wall_seconds for outcome in outcomes)
+        print(f"  [{walls:5.1f}s] {study.name}")
+        timings[study.name] = round(walls, 3)
+    write_paper_claims(figure_rows, out)
+    return timings, deviations
 
 
-def _build_index(figures, out: Path) -> None:
+def _build_index(studies, out: Path) -> None:
     parts = [
         "<!doctype html><html><head><meta charset='utf-8'>",
         "<title>repro results</title>",
@@ -186,12 +214,12 @@ def _build_index(figures, out: Path) -> None:
         "<p>Generated by <code>python -m repro reproduce</code>. "
         "Paper-vs-measured commentary lives in EXPERIMENTS.md.</p>",
     ]
-    for figure in figures:
-        parts.append(f"<h2>{html.escape(figure.name)}</h2>")
-        svg = out / f"{figure.name}.svg"
+    for study in studies:
+        parts.append(f"<h2>{html.escape(study.name)}</h2>")
+        svg = out / f"{study.name}.svg"
         if svg.exists():
             parts.append(svg.read_text())
-        txt = out / f"{figure.name}.txt"
+        txt = out / f"{study.name}.txt"
         if txt.exists():
             parts.append(f"<pre>{html.escape(txt.read_text())}</pre>")
     parts.append("</body></html>")

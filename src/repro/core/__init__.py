@@ -6,8 +6,9 @@ model and a workload, run it, and get the paper's statistics back; or
 use :mod:`repro.core.experiment` to run the full architecture matrix
 the way the evaluation section does. :mod:`repro.core.runner` executes
 batches of such runs across worker processes with an on-disk result
-cache; the experiment matrix, the sweeps, the CLI and the benchmark
-harnesses all submit through it.
+cache; the experiment matrix, the sweeps, the CLI and the study
+catalog behind ``repro reproduce`` (:mod:`repro.core.paper`) all submit
+through it.
 """
 
 from repro.core.configs import (

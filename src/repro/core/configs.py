@@ -3,8 +3,8 @@
 Three scales are provided (see DESIGN.md Section 5):
 
 * ``paper_config()`` — the paper's true sizes (16 KB L1s, 2 MB L2);
-* ``bench_config()`` — 1/8 scale, the default for the benchmark
-  harnesses (2 KB L1s, 256 KB L2);
+* ``bench_config()`` — 1/8 scale, the evaluation's operating point
+  (2 KB L1s, 256 KB L2);
 * ``test_config()`` — 1/32 scale for the unit/integration test suite.
 
 Latencies and occupancies are never scaled; they are the design points
@@ -76,7 +76,7 @@ def paper_config(n_cpus: int = 4, **overrides) -> MemConfig:
 
 
 def bench_config(n_cpus: int = 4, **overrides) -> MemConfig:
-    """1/8-scale configuration used by the benchmark harnesses."""
+    """1/8-scale configuration the evaluation's studies run at."""
     return paper_config(n_cpus=n_cpus, **overrides).scaled(8)
 
 

@@ -4,10 +4,15 @@ Figures 4-10 are stacked execution-time breakdowns normalized to the
 shared-memory architecture, with a companion table of L1/L2 miss rates
 split into replacement (L1R/L2R) and invalidation (L1I/L2I) components.
 Figure 11 is an IPC breakdown. The formatters here print those numbers
-so a bench run reproduces the figure's data series directly.
+so a bench run reproduces the figure's data series directly; the
+ablation studies and the paper's two tables declare their columns
+(:class:`Column`, :class:`Table`) and share one renderer.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Hashable, Mapping, Sequence
 
 from repro.core.experiment import ExperimentResult
 from repro.errors import ReproError
@@ -65,25 +70,26 @@ def format_breakdown_table(
     base = results[baseline].cycles
     if base <= 0:
         raise ReproError("baseline run has no cycles")
-    lines = []
-    if title:
-        lines.append(title)
-    header = f"{'arch':<12}{'total':>8}" + "".join(
-        f"{label:>8}" for label, _attr in _BREAKDOWN_COLUMNS
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for arch, result in results.items():
-        breakdown = result.stats.aggregate_breakdown()
+
+    def share(bucket: str):
         # Per-CPU breakdowns sum cycles across CPUs; normalize by the
         # number of CPUs to express them in machine time.
-        n_cpus = max(result.stats.n_cpus, 1)
-        row = f"{arch:<12}{result.cycles / base:>8.3f}"
-        for _label, attr in _BREAKDOWN_COLUMNS:
-            value = getattr(breakdown, attr) / (base * n_cpus)
-            row += f"{value:>8.3f}"
-        lines.append(row)
-    return "\n".join(lines)
+        return lambda result: (
+            getattr(result.stats.aggregate_breakdown(), bucket)
+            / (base * max(result.stats.n_cpus, 1))
+        )
+
+    return Table(
+        [
+            Column("arch", 12, left=True),
+            Column("total", 8, lambda result: result.cycles / base, ".3f"),
+            *(
+                Column(label, 8, share(bucket), ".3f")
+                for label, bucket in _BREAKDOWN_COLUMNS
+            ),
+        ],
+        caption=title, rule=True,
+    ).format(results)
 
 
 def format_miss_rate_table(
@@ -96,28 +102,24 @@ def format_miss_rate_table(
     private ones); L2 rates aggregate every L2. Rates are percentages
     of references to that cache, as in the paper.
     """
-    lines = []
-    if title:
-        lines.append(title)
-    header = (
-        f"{'arch':<12}{'L1R%':>8}{'L1I%':>8}{'L2R%':>8}{'L2I%':>8}"
-        f"{'L1 refs':>12}{'L2 refs':>12}"
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for arch, result in results.items():
-        l1 = result.stats.aggregate_caches(".l1d")
-        l2 = result.stats.aggregate_caches(".l2")
-        lines.append(
-            f"{arch:<12}"
-            f"{100 * l1.miss_rate_repl:>8.2f}"
-            f"{100 * l1.miss_rate_inval:>8.2f}"
-            f"{100 * l2.miss_rate_repl:>8.2f}"
-            f"{100 * l2.miss_rate_inval:>8.2f}"
-            f"{l1.accesses:>12}"
-            f"{l2.accesses:>12}"
+
+    def pooled(level: str, counter: str, percent: float = 1):
+        return lambda result: percent * getattr(
+            result.stats.aggregate_caches(level), counter
         )
-    return "\n".join(lines)
+
+    return Table(
+        [
+            Column("arch", 12, left=True),
+            Column("L1R%", 8, pooled(".l1d", "miss_rate_repl", 100), ".2f"),
+            Column("L1I%", 8, pooled(".l1d", "miss_rate_inval", 100), ".2f"),
+            Column("L2R%", 8, pooled(".l2", "miss_rate_repl", 100), ".2f"),
+            Column("L2I%", 8, pooled(".l2", "miss_rate_inval", 100), ".2f"),
+            Column("L1 refs", 12, pooled(".l1d", "accesses")),
+            Column("L2 refs", 12, pooled(".l2", "accesses")),
+        ],
+        caption=title, rule=True,
+    ).format(results)
 
 
 def format_resource_table(
@@ -205,3 +207,57 @@ def format_ipc_table(
             f"{losses['pipeline']:>10.3f}"
         )
     return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class Column:
+    """One column of a :class:`Table`: its header, field width and
+    alignment, and what each row shows in it — ``read(row)`` formatted
+    by ``fmt`` and followed by ``suffix``, or the row's label when
+    ``read`` is ``None`` (the last part of a tuple label)."""
+
+    header: str
+    width: int
+    read: Callable[[Mapping], object] | None = None
+    fmt: str = ""
+    suffix: str = ""
+    left: bool = False
+
+    def cell(self, text: str) -> str:
+        """``text`` aligned in this column's field."""
+        width = self.width
+        return f"{text:<{width}}" if self.left else f"{text:>{width}}"
+
+    def show(self, label: Hashable, row: Mapping) -> str:
+        """This column's cell of the row ``label`` names."""
+        if self.read is not None:
+            value = self.read(row)
+        else:
+            value = label[-1] if isinstance(label, tuple) else label
+        return self.cell(format(value, self.fmt) + self.suffix)
+
+
+@dataclass(frozen=True)
+class Table:
+    """A header line over one line per row, all cut from the same
+    :class:`Column` declarations. ``rows`` names the rows shown, in
+    order (default: every row there is); ``rule`` draws a dashed line
+    under the header; ``caption`` is a line above it."""
+
+    columns: Sequence[Column]
+    rows: Sequence[Hashable] | None = None
+    caption: str = ""
+    rule: bool = False
+
+    def format(self, results: Mapping[Hashable, Mapping]) -> str:
+        """The table over ``results`` (row label -> row)."""
+        header = "".join(column.cell(column.header) for column in self.columns)
+        lines = [self.caption] if self.caption else []
+        lines.append(header)
+        if self.rule:
+            lines.append("-" * len(header))
+        for label in results if self.rows is None else self.rows:
+            lines.append("".join(
+                column.show(label, results[label]) for column in self.columns
+            ))
+        return "\n".join(lines)

@@ -72,10 +72,15 @@ class Job:
     ``workload`` is normally a registry name (a key of
     :data:`repro.workloads.WORKLOADS`, extendable via
     :func:`register_workload`); the factory is looked up *in the worker
-    process*, so the spec pickles as plain data. A factory callable is
-    also accepted for ad-hoc workloads (tests, notebooks) — it must be
-    picklable (module-level) to run under ``jobs > 1``, and such jobs
-    hash by the callable's qualified name.
+    process*, so the spec pickles as plain data, and ``workload_args``
+    are the keywords it is called with — a parameterised workload
+    (``synthetic`` at a sharing fraction, ``eqntott`` at a vector
+    length) described by value, part of :meth:`spec`. A factory
+    callable is also accepted for ad-hoc workloads (tests, notebooks) —
+    it must be picklable (module-level) to run under ``jobs > 1``, and
+    such jobs hash by the callable's qualified name; one without a
+    module-level name (a closure, a ``functools.partial``) has no
+    identity to hash and is never cached (:attr:`cacheable`).
 
     ``overrides`` are :class:`~repro.mem.hierarchy.MemConfig` field
     overrides, applied on the worker via
@@ -123,6 +128,18 @@ class Job:
     ckpt_every: int = 0
     ckpt_dir: str | None = None
     trace_dir: str | None = None
+    workload_args: dict = field(default_factory=dict)
+
+    @property
+    def cacheable(self) -> bool:
+        """Whether :meth:`key` names this simulation and no other: the
+        workload is a registry name or a module-level callable. Two
+        closures share a qualified name and a partial's ``repr`` holds
+        a memory address, so neither may meet a :class:`ResultCache`."""
+        workload = self.workload
+        return isinstance(workload, str) or "<" not in getattr(
+            workload, "__qualname__", "<"
+        )
 
     def workload_key(self) -> str:
         """Stable identity of the workload for hashing and display."""
@@ -133,30 +150,35 @@ class Job:
         return f"{module}.{qualname or self.workload!r}"
 
     def resolve_factory(self) -> WorkloadFactory:
-        """The workload factory this job runs (registry lookup)."""
-        if not isinstance(self.workload, str):
-            return self.workload
-        from repro.workloads import WORKLOADS
+        """The workload factory this job runs (registry lookup), with
+        ``workload_args`` bound."""
+        factory = self.workload
+        if isinstance(factory, str):
+            from repro.workloads import WORKLOADS
 
-        registry = {**WORKLOADS, **_EXTRA_WORKLOADS}
-        try:
-            return registry[self.workload]
-        except KeyError:
-            raise ConfigError(
-                f"unknown workload {self.workload!r}; expected one of "
-                f"{sorted(registry)}"
-            ) from None
+            registry = {**WORKLOADS, **_EXTRA_WORKLOADS}
+            try:
+                factory = registry[factory]
+            except KeyError:
+                raise ConfigError(
+                    f"unknown workload {self.workload!r}; expected one "
+                    f"of {sorted(registry)}"
+                ) from None
+        if self.workload_args:
+            return functools.partial(factory, **self.workload_args)
+        return factory
 
     def label(self) -> str:
         """Short human-readable description for progress lines."""
         text = f"{self.workload_key()}/{self.arch}/{self.cpu_model}"
         if self.replay:
             text += " (replay)"
-        if self.overrides:
-            text += " " + ",".join(
-                f"{key}={value}"
-                for key, value in sorted(self.overrides.items())
-            )
+        for settings in (self.workload_args, self.overrides):
+            if settings:
+                text += " " + ",".join(
+                    f"{key}={value}"
+                    for key, value in sorted(settings.items())
+                )
         return text
 
     def mem_config(self):
@@ -184,6 +206,10 @@ class Job:
             "arch": topology.name,
             "topology": topology.to_dict(),
             "workload": self.workload_key(),
+            "workload_args": {
+                key: self.workload_args[key]
+                for key in sorted(self.workload_args)
+            },
             "cpu_model": self.cpu_model,
             "scale": self.scale,
             "n_cpus": self.n_cpus,
@@ -214,6 +240,7 @@ class Job:
         simply computed.
         """
         arch = self.arch
+        overrides = self.overrides
         try:
             return _address_of(
                 # the registered preset itself, so that re-registering
@@ -228,8 +255,10 @@ class Job:
                 self.max_cycles,
                 self.obs_sample,
                 self.replay,
+                len(overrides),
                 *itertools.chain.from_iterable(
-                    sorted(self.overrides.items())
+                    sorted(overrides.items())
+                    + sorted(self.workload_args.items())
                 ),
             )
         except TypeError:
@@ -343,17 +372,21 @@ KEY_MEMO_SIZE = 256
 @functools.lru_cache(maxsize=KEY_MEMO_SIZE, typed=True)
 def _address_of(
     preset, arch, workload, cpu_model, scale, n_cpus, cpu_params,
-    max_cycles, obs_sample, replay, *overrides,
+    max_cycles, obs_sample, replay, n_overrides, *settings,
 ) -> str:
     """``address(spec())`` of the job these fields describe (the memo
     behind :meth:`Job.key`). ``typed``, because ``4`` and ``4.0`` are
     equal as arguments and different text in a spec; ``preset`` is only
-    there to tell two registrations of one name apart."""
+    there to tell two registrations of one name apart. ``settings`` is
+    the ``n_overrides`` override items, then the workload arguments,
+    each flattened to ``name, value``."""
     del preset
+    items = list(zip(settings[::2], settings[1::2]))
     job = Job(
         arch, workload, cpu_model, scale, n_cpus,
-        dict(zip(overrides[::2], overrides[1::2])),
+        dict(items[:n_overrides]),
         cpu_params, max_cycles, obs_sample, replay,
+        workload_args=dict(items[n_overrides:]),
     )
     return address(job.spec())
 
@@ -521,7 +554,11 @@ class ResultCache(ArtifactStore):
         return self.path(job.key())
 
     def get(self, job: Job) -> ExperimentResult | None:
-        """The cached result for ``job``, or ``None`` on a miss."""
+        """The cached result for ``job``, or ``None`` on a miss — which
+        a job that is not :attr:`~Job.cacheable` always is."""
+        if not job.cacheable:
+            self.count("misses")
+            return None
         key = job.key()
 
         def check(data: bytes):
@@ -543,7 +580,10 @@ class ResultCache(ArtifactStore):
         return result
 
     def put(self, job: Job, result: ExperimentResult) -> None:
-        """Store ``result`` under ``job``'s content address."""
+        """Store ``result`` under ``job``'s content address (nothing,
+        for a job that is not :attr:`~Job.cacheable`)."""
+        if not job.cacheable:
+            return
         spec = job.spec()
         key = address(spec)
         entry = {

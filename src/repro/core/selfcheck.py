@@ -17,7 +17,7 @@ must hold for any result out of this simulator to be trustworthy:
    visit does.
 
 Intended for CI and for quickly validating local modifications; the
-full evidence lives in tests/ and benchmarks/.
+full evidence lives in tests/ and the ``repro reproduce`` catalog.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from __future__ import annotations
 import time
 from typing import Callable
 
-from repro.core.configs import ARCHITECTURES, build_memory, paper_config
-from repro.core.configs import test_config
+from repro.core.configs import ARCHITECTURES, paper_config, test_config
+from repro.core.probes import idle_latencies
 from repro.core.system import System
 from repro.errors import ReproError
 from repro.mem.functional import FunctionalMemory
-from repro.mem.types import AccessKind
-from repro.sim.stats import SystemStats
+from repro.mem.topology import resolve_topology
 from repro.sync.lock import SpinLock
 from repro.workloads import WORKLOADS
 from repro.workloads.base import Workload
@@ -56,22 +55,12 @@ def check_table2_latencies() -> str:
     first cache level's latency in each paper preset's resolved
     :class:`~repro.mem.topology.Topology` (Table 2's 3 / 1 / 1 cycles),
     so the check also guards the spec against drifting from the built
-    system.
+    system. The measurement is the Table 2 study's own probe.
     """
-    from repro.mem.topology import PAPER_TOPOLOGIES, resolve_topology
-
     measured_all = []
-    for arch in PAPER_TOPOLOGIES:
-        config = paper_config()
-        config.shared_l1_optimistic = False
-        topology = resolve_topology(arch, config)
-        expected = topology.levels[0].latency
-        memory = build_memory(topology, config, SystemStats.for_cpus(4))
-        memory.access(0, AccessKind.LOAD, 0x1000_0000, 0)
-        measured = (
-            memory.access(0, AccessKind.LOAD, 0x1000_0000, 10_000).done
-            - 10_000
-        )
+    for arch in ARCHITECTURES:
+        expected = resolve_topology(arch, paper_config()).levels[0].latency
+        measured = idle_latencies(arch)["l1"]
         _check(
             measured == expected,
             f"{arch} L1 hit measured {measured}, expected {expected}",

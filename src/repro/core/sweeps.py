@@ -2,8 +2,9 @@
 
 The evaluation's ablations all have the same shape: vary one knob, run
 the architecture matrix at each value, collect a table. This module
-makes that a one-liner and returns structured results the CLI, the
-examples, and the benchmark harnesses can all render.
+makes that a one-liner and returns structured results the CLI and the
+examples can render. (The paper's own ablations are declared, claims
+and all, in :mod:`repro.core.paper`.)
 
 Every sweep builds its full (value x architecture) job list up front
 and submits it as one :class:`repro.core.runner.Runner` batch, so

@@ -16,17 +16,21 @@ guess at.
 
 Deliberately *not* on the wire: execution-policy paths
 (``ckpt_dir``/``trace_dir`` — the daemon decides where its artifact
-stores live), callables (workloads cross the wire by registry name
-only) and ``cpu_params`` (no current preset needs per-request CPU
-parameter overrides; add the field here when one does).
+stores live), callables (workloads cross the wire by registry name,
+their parameters as ``workload_args``) and ``cpu_params`` (no current
+preset needs per-request CPU parameter overrides; add the field here
+when one does).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import re
 
 from repro.core.runner import Job
 from repro.errors import ReproError
+from repro.mem.hierarchy import MemConfig
 
 #: Wire-format version, echoed in submissions and manifests so a
 #: future incompatible change can be detected instead of misparsed.
@@ -40,12 +44,22 @@ _JOB_FIELDS: dict[str, tuple[tuple[type, ...], object]] = {
     "cpu_model": ((str,), "mipsy"),
     "scale": ((str,), "test"),
     "n_cpus": ((int,), None),
+    "workload_args": ((dict,), None),
     "overrides": ((dict,), None),
     "max_cycles": ((int,), None),
     "obs_sample": ((int,), 0),
     "replay": ((bool,), False),
     "timeout_s": ((int, float), 0.0),
     "ckpt_every": ((int,), 0),
+}
+
+#: the ``MemConfig`` fields an override may set, by the scalar type
+#: each is declared with (the bus timing record and the model's own
+#: switches stay off the wire)
+_OVERRIDE_TYPES = {
+    field.name: {"int": int, "str": str}[field.type]
+    for field in dataclasses.fields(MemConfig)
+    if field.type in ("int", "str")
 }
 
 #: submission-level fields that are not Job fields
@@ -169,14 +183,33 @@ def job_from_payload(payload: dict) -> Job:
             f"got {value!r}",
         )
         kwargs[name] = value
-    overrides = kwargs.get("overrides")
-    if overrides is not None:
-        for key, value in overrides.items():
+    for key, value in kwargs.get("overrides", {}).items():
+        # an unknown field is MemConfig's to name (Job.spec())
+        kind = _OVERRIDE_TYPES.get(key, int)
+        _require(
+            type(value) is kind,
+            f"override {key!r} must be {kind.__name__}, got {value!r}",
+        )
+    arguments = kwargs.get("workload_args")
+    if arguments:
+        # what the factory takes after (n_cpus, functional, scale);
+        # one with ``**kwargs`` vouches for its own
+        accepted = inspect.signature(WORKLOADS[kwargs["workload"]]).parameters
+        open_ended = any(
+            parameter.kind is parameter.VAR_KEYWORD
+            for parameter in accepted.values()
+        )
+        names = tuple(accepted)[3:]
+        for key, value in arguments.items():
             _require(
-                isinstance(key, str) and isinstance(value, int)
-                and not isinstance(value, bool),
-                f"override {key!r} must map a string field to an "
-                f"integer, got {value!r}",
+                open_ended or key in names,
+                f"workload {kwargs['workload']!r} takes no argument "
+                f"{key!r}",
+            )
+            _require(
+                type(value) in (int, float, str, bool),
+                f"workload argument {key!r} must be a number, a string "
+                f"or a boolean, got {value!r}",
             )
     if "n_cpus" not in kwargs:
         # Like the CLI, default to the preset's natural core count.
@@ -215,7 +248,7 @@ def job_to_payload(job: Job, priority: int = 0) -> dict:
     payload: dict = {"version": WIRE_VERSION}
     for name, (_, default) in _JOB_FIELDS.items():
         value = getattr(job, name)
-        if name == "overrides":
+        if name in ("overrides", "workload_args"):
             if value:
                 payload[name] = dict(value)
         elif name in ("workload", "arch", "n_cpus") or value != default:

@@ -39,8 +39,8 @@ def run_replay(
 
     ``config`` is the job's fully resolved :class:`MemConfig`
     (overrides applied) — the replay target. The trace itself is
-    looked up by the job's workload/scale/CPU count only, so every
-    point of a sweep shares one recording.
+    looked up by the job's workload (and its arguments), scale and CPU
+    count only, so every point of a sweep shares one recording.
     """
     store = TraceStore(job.trace_dir)
     checkpointing = bool(job.ckpt_dir) or resume_from is not None
@@ -49,7 +49,9 @@ def run_replay(
     )
 
     def replay():
-        path = store.get_or_record(job.workload, job.scale, job.n_cpus)
+        path = store.get_or_record(
+            job.workload, job.scale, job.n_cpus, job.workload_args
+        )
         if use_kernel:
             return path, _run_kernel(job, config, path)
         return path, _run_interpreter(

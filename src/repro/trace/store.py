@@ -111,8 +111,12 @@ class TraceStore(ArtifactStore):
     # ------------------------------------------------------------------
     # identity
 
-    def spec(self, workload: str, scale: str, n_cpus: int) -> dict:
-        """The canonical description of one recorded trace."""
+    def spec(
+        self, workload: str, scale: str, n_cpus: int, workload_args=None
+    ) -> dict:
+        """The canonical description of one recorded trace
+        (``workload_args``: a parameterised workload's
+        :attr:`~repro.core.runner.Job.workload_args`)."""
         if not isinstance(workload, str):
             raise ConfigError(
                 "a trace is keyed by its workload's registry name; got "
@@ -122,6 +126,7 @@ class TraceStore(ArtifactStore):
             "kind": "trace",
             "format": TRACE_FORMAT_VERSION,
             "workload": workload,
+            "workload_args": dict(sorted((workload_args or {}).items())),
             "scale": scale,
             "n_cpus": n_cpus,
             "recorded_with": {
@@ -130,21 +135,25 @@ class TraceStore(ArtifactStore):
             },
         }
 
-    def key(self, workload: str, scale: str, n_cpus: int) -> str:
+    def key(
+        self, workload: str, scale: str, n_cpus: int, workload_args=None
+    ) -> str:
         """SHA-256 content address of one trace artifact."""
-        return address(self.spec(workload, scale, n_cpus))
+        return address(self.spec(workload, scale, n_cpus, workload_args))
 
     # ------------------------------------------------------------------
     # lookup and recording
 
-    def get(self, workload: str, scale: str, n_cpus: int) -> Path | None:
+    def get(
+        self, workload: str, scale: str, n_cpus: int, workload_args=None
+    ) -> Path | None:
         """Path of the recorded trace, or ``None`` when there is none.
 
         Recorded means: the meta is there, claims this address, and the
         text is the size it says. Anything less is evicted — except a
         text whose meta is not there *yet* (its recorder is mid-way).
         """
-        key = self.key(workload, scale, n_cpus)
+        key = self.key(workload, scale, n_cpus, workload_args)
         path = self.path(key)
 
         def check(data: bytes) -> None:
@@ -158,17 +167,21 @@ class TraceStore(ArtifactStore):
             return None
         return path
 
-    def get_or_record(self, workload: str, scale: str, n_cpus: int) -> Path:
+    def get_or_record(
+        self, workload: str, scale: str, n_cpus: int, workload_args=None
+    ) -> Path:
         """The recorded trace, recording it first on a miss."""
-        path = self.get(workload, scale, n_cpus)
+        path = self.get(workload, scale, n_cpus, workload_args)
         if path is None:
             self.count("misses")
-            return self.record(workload, scale, n_cpus)
+            return self.record(workload, scale, n_cpus, workload_args)
         self.count("hits")
         obs_bus.emit("trace.hit", key=path.stem, workload=workload)
         return path
 
-    def record(self, workload: str, scale: str, n_cpus: int) -> Path:
+    def record(
+        self, workload: str, scale: str, n_cpus: int, workload_args=None
+    ) -> Path:
         """Record ``workload`` on the reference machine and store it.
 
         One ordinary interpreter run of the generated workload on
@@ -185,8 +198,12 @@ class TraceStore(ArtifactStore):
         from repro.trace.kernel import PackedTrace, seed_packed
         from repro.trace.recorder import record_run
 
-        key = self.key(workload, scale, n_cpus)
-        job = Job(REFERENCE_ARCH, workload, scale=scale, n_cpus=n_cpus)
+        spec = self.spec(workload, scale, n_cpus, workload_args)
+        key = address(spec)
+        job = Job(
+            REFERENCE_ARCH, workload, scale=scale, n_cpus=n_cpus,
+            workload_args=workload_args or {},
+        )
         system = System(
             REFERENCE_ARCH,
             job.resolve_factory()(n_cpus, FunctionalMemory(), scale),
@@ -212,7 +229,7 @@ class TraceStore(ArtifactStore):
         sidecar_bytes = seed_packed(path, stat, packed)
         meta = {
             "key": key,
-            "spec": self.spec(workload, scale, n_cpus),
+            "spec": spec,
             "version": repro.__version__,
             "records": len(recorder),
             "bytes": stat.st_size,

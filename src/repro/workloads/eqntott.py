@@ -49,6 +49,7 @@ class EqntottWorkload(Workload):
         functional: FunctionalMemory,
         scale: str = "test",
         seed: int = 1996,
+        vec_words: int | None = None,
     ) -> None:
         super().__init__(n_cpus, functional)
         try:
@@ -61,6 +62,13 @@ class EqntottWorkload(Workload):
             ) = _SCALES[scale]
         except KeyError:
             raise WorkloadError(f"unknown scale {scale!r}") from None
+        if vec_words is not None:
+            # A swept data set (Section 4.1): fewer comparisons of
+            # longer vectors, so the total work stays comparable.
+            self.comparisons = max(
+                self.comparisons * self.vec_words // vec_words, 12
+            )
+            self.vec_words = vec_words
         self.scale = scale
         if self.vec_words % n_cpus:
             raise WorkloadError("vector length must divide evenly by CPUs")
@@ -191,6 +199,12 @@ class EqntottWorkload(Workload):
             yield em.ialu(src1=1)
 
 
-def make(n_cpus: int, functional: FunctionalMemory, scale: str = "test"):
-    """Factory for the experiment harness."""
-    return EqntottWorkload(n_cpus, functional, scale)
+def make(
+    n_cpus: int,
+    functional: FunctionalMemory,
+    scale: str = "test",
+    vec_words: int | None = None,
+):
+    """Factory for the experiment harness; ``vec_words`` sweeps the
+    vector length away from the scale's own."""
+    return EqntottWorkload(n_cpus, functional, scale, vec_words=vec_words)

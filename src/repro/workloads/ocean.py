@@ -30,7 +30,8 @@ _ELEM = 8  # double-precision grid points
 #: cache scale (4 KB L1s) rather than the default 1/8, because Ocean's
 #: boundary-to-area ratio — the paper's "only a small amount of
 #: communication at the edges" — cannot be preserved on a tiny grid;
-#: the bench harness passes the matching memory configuration.
+#: Figure 6's study passes the matching memory configuration
+#: (``repro.core.paper.BENCH_OVERRIDES``).
 _SCALES = {
     "test": (18, 2),
     "bench": (82, 6),

@@ -150,15 +150,3 @@ def make(
     params.update(overrides)
     return SyntheticWorkload(n_cpus, functional, **params)
 
-
-def make_with(sharing: float, grain: int | None = None, **extra):
-    """A factory-of-factories for sweeps over the sharing axis."""
-
-    def factory(n_cpus, functional, scale):
-        overrides = dict(extra)
-        overrides["sharing"] = sharing
-        if grain is not None:
-            overrides["grain"] = grain
-        return make(n_cpus, functional, scale, **overrides)
-
-    return factory

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -88,6 +89,33 @@ def test_documented_docs_exist():
         "docs/REPRODUCING.md",
     ):
         assert (root / doc).is_file(), doc
+
+
+def test_experiments_and_reproducing_name_catalog_studies():
+    # Every "*Bench:*" line of EXPERIMENTS.md and every row of the
+    # claim table in docs/REPRODUCING.md names studies, and only
+    # studies, of the catalog `repro reproduce` runs; between them the
+    # two documents cover the whole catalog.
+    from repro.core.paper import STUDIES
+
+    root = SRC_ROOT.parent.parent
+    bench_lines = [
+        line
+        for line in (root / "EXPERIMENTS.md").read_text().splitlines()
+        if line.startswith("*Bench:*")
+    ]
+    table = (root / "docs" / "REPRODUCING.md").read_text()
+    table = table.split("| Claim | Study")[1].split("\n\n")[0]
+    claim_rows = [
+        line.rsplit("|", 2)[1] for line in table.splitlines()[2:]
+    ]
+    assert len(bench_lines) >= 18 and len(claim_rows) == 8
+    named = set()
+    for line in bench_lines + claim_rows:
+        studies = re.findall(r"`([a-z0-9_]+)`", line.split("(")[0])
+        assert studies and set(studies) <= set(STUDIES), line
+        named.update(studies)
+    assert named == set(STUDIES)
 
 
 def test_examples_exist_and_are_executable_scripts():

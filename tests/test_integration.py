@@ -1,8 +1,8 @@
 """Cross-architecture integration tests.
 
 These assert the *shape* results the paper reports, at test scale with
-loose thresholds, so the full benchmark harness (benchmarks/) is backed
-by quick regression checks here.
+loose thresholds, so the bench-scale claims of the study catalog
+(``repro reproduce``) are backed by quick regression checks here.
 """
 
 import pytest

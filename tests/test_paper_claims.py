@@ -1,5 +1,5 @@
 """Tests for the paper-claims module (and the claims themselves, at
-test scale where the harness expects them to hold)."""
+test scale where the structural ones are expected to hold)."""
 
 import pytest
 
@@ -62,7 +62,7 @@ def test_structural_claims_hold_at_test_scale(figure, results_cache):
 def test_all_structural_claims_hold_at_test_scale(results_cache):
     """Structural claims (orderings, invariant shapes) are
     scale-independent and must hold everywhere; quantitative bounds
-    are bench-scale claims checked by the benchmark harness."""
+    are bench-scale claims ``repro reproduce`` checks."""
     for figure, expectation in PAPER_EXPECTATIONS.items():
         report = check_figure(
             results_cache(expectation.workload), figure,

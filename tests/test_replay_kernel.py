@@ -268,6 +268,22 @@ def test_store_key_separates_specs(trace_store):
     assert trace_store.key("fft", "test", 4) != base
     assert trace_store.key("eqntott", "test", 8) != base
     assert trace_store.key("eqntott", "small", 4) != base
+    assert trace_store.key("eqntott", "test", 4, {"vec_words": 64}) != base
+    assert trace_store.key("eqntott", "test", 4, {}) == base
+
+
+def test_parameterised_workloads_replay_their_own_recording(tmp_path):
+    def replayed(sharing):
+        return Job(
+            "shared-mem", "synthetic", replay=True,
+            trace_dir=str(tmp_path), workload_args={"sharing": sharing},
+        ).run().stats
+
+    private, shared = replayed(0.0), replayed(0.85)
+    assert len(list(tmp_path.glob("??/*.trace"))) == 2
+    assert private.c2c_transfers < shared.c2c_transfers
+    assert replayed(0.85).to_dict() == shared.to_dict()
+    assert len(list(tmp_path.glob("??/*.trace"))) == 2
 
 
 def test_store_rejects_factory_workloads(trace_store):

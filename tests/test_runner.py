@@ -142,6 +142,46 @@ def test_cache_entry_is_valid_json_with_spec(tmp_path):
     assert payload["result"]["stats"]["cycles"] > 0
 
 
+def _sharing_closure(sharing):
+    def factory(n_cpus, functional, scale):
+        return WORKLOADS["synthetic"](
+            n_cpus, functional, scale, sharing=sharing
+        )
+
+    return factory
+
+
+@pytest.mark.parametrize(
+    "parameterised",
+    [
+        _sharing_closure,
+        lambda sharing: functools.partial(
+            WORKLOADS["synthetic"], sharing=sharing
+        ),
+    ],
+    ids=["closure", "partial"],
+)
+def test_unaddressable_workloads_never_exchange_results(
+    tmp_path, parameterised
+):
+    # Two closures share a qualified name and a partial's repr holds a
+    # memory address: neither is an identity a cache can be keyed on.
+    def run(sharing):
+        job = Job(
+            "shared-mem", parameterised(sharing), scale="test",
+            max_cycles=CAP,
+        )
+        return Runner(jobs=1, cache=ResultCache(tmp_path)).run([job])
+
+    private, shared = run(0.0), run(0.85)
+    assert (shared.cache_hits, run(0.85).cache_hits) == (0, 0)
+    assert not ResultCache(tmp_path).disk_stats()["entries"]
+    assert (
+        private.outcomes[0].result.stats.c2c_transfers
+        < shared.outcomes[0].result.stats.c2c_transfers
+    )
+
+
 # ----------------------------------------------------------------------
 # Job spec
 

@@ -85,6 +85,39 @@ def test_wire_rejects_bad_types():
         job_from_payload({**FAST, "overrides": {"l2_assoc": "big"}})
 
 
+def test_wire_carries_workload_args_both_ways():
+    job = Job(
+        arch="shared-l1", workload="synthetic", scale="bench",
+        workload_args={"sharing": 0.85, "grain": 384},
+        overrides={"l1_coherence": "invalidate"},
+    )
+    payload = job_to_payload(job)
+    assert payload["workload_args"] == {"sharing": 0.85, "grain": 384}
+    restored = job_from_payload(payload)
+    assert restored == job and restored.key() == job.key()
+    assert "workload_args" not in job_to_payload(Job("shared-l1", "fft"))
+
+
+@pytest.mark.parametrize(
+    "fields, named",
+    [
+        ({"workload_args": ["sharing"]}, "workload_args"),
+        ({"workload_args": {"vec_words": 96}}, "takes no argument 'vec_words'"),
+        ({"workload": "eqntott", "workload_args": {"words": 96}},
+         "takes no argument 'words'"),
+        ({"workload": "synthetic", "workload_args": {"sharing": [0.5]}},
+         "workload argument 'sharing'"),
+        ({"workload": "synthetic", "workload_args": {"sharing": None}},
+         "workload argument 'sharing'"),
+        ({"overrides": {"l1_coherence": 1}}, "override 'l1_coherence'"),
+        ({"overrides": {"l1_fast_path": True}}, "override 'l1_fast_path'"),
+    ],
+)
+def test_wire_refuses_workload_args_and_overrides_by_name(fields, named):
+    with pytest.raises(WireError, match=named):
+        job_from_payload({**FAST, **fields})
+
+
 def test_wire_requires_workload_and_arch():
     with pytest.raises(WireError, match="workload"):
         job_from_payload({"arch": "shared-l2"})

@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro.core.configs import ARCHITECTURES
 from repro.core.configs import test_config as make_test_config
-from repro.core.experiment import run_architecture_comparison
 from repro.core.report import normalized_times
+from repro.core.runner import Job, Runner, job_grid
 from repro.core.system import System
 from repro.errors import WorkloadError
 from repro.mem.functional import FunctionalMemory
-from repro.workloads.synthetic import SyntheticWorkload, make, make_with
+from repro.workloads.synthetic import SyntheticWorkload, make
 
 
 def run(arch, **kwargs):
@@ -61,10 +62,14 @@ def test_sharing_axis_moves_the_architecture_gap():
     paper's three classes as a continuum."""
 
     def gap(sharing):
-        results = run_architecture_comparison(
-            make_with(sharing), scale="test", max_cycles=2_000_000
+        point = Job(
+            "shared-l1", "synthetic", max_cycles=2_000_000,
+            workload_args={"sharing": sharing},
         )
-        return normalized_times(results)["shared-l1"]
+        report = Runner(jobs=1).run(job_grid(point, ARCHITECTURES))
+        return normalized_times(
+            dict(zip(ARCHITECTURES, report.results))
+        )["shared-l1"]
 
     independent = gap(0.0)
     communicating = gap(0.7)
@@ -105,8 +110,11 @@ def test_identical_decision_streams_per_seed():
     assert np.array_equal(first.shared_index, second.shared_index)
 
 
-def test_make_with_builds_factories():
-    factory = make_with(0.3, grain=24, store_ratio=0.1)
+def test_workload_args_reach_the_factory():
+    factory = Job(
+        "shared-l1", "synthetic",
+        workload_args={"sharing": 0.3, "grain": 24, "store_ratio": 0.1},
+    ).resolve_factory()
     workload = factory(4, FunctionalMemory(), "test")
     assert workload.sharing == 0.3
     assert workload.grain == 24
