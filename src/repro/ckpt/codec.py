@@ -26,7 +26,8 @@ class Field(NamedTuple):
     """One wire name of a row: its entry in the format table, and its
     passage out (``dump(obj, format)``) and back, in place
     (``load(obj, wire, where, format)``). An ``optional`` field is left
-    out of the wire while empty or ``None``."""
+    out of the wire while empty or ``None``, and loads ``None`` when
+    absent."""
 
     wire: str
     doc: str
@@ -76,21 +77,26 @@ def plains(*names: str) -> tuple:
     return tuple(plain(name) for name in names)
 
 
-def fill(wire, attr=None, dump=_same, load=_same, names=False) -> Field:
+def fill(
+    wire, attr=None, dump=_same, load=_same, names=False, optional=False
+) -> Field:
     """A container that is cleared and refilled, never rebound: built
     paths and lanes capture the deques, dicts, sets and columns.
-    ``names`` refuses a dict whose name set differs."""
+    ``names`` refuses a dict whose name set differs; an ``optional``
+    container is left out of the wire while empty."""
     attr = attr or wire
 
     def refill(obj, data, where, fmt):
-        live, fresh = getattr(obj, attr), load(data)
+        live = getattr(obj, attr)
+        fresh = () if data is None else load(data)
         if names:
             _same_names(where, live, fresh)
         live.clear()
         (live.update if isinstance(live, (dict, set)) else live.extend)(fresh)
 
+    note = " (in place, optional)" if optional else " (in place)"
     return _attribute(
-        wire, attr, lambda value, fmt: dump(value), refill, " (in place)"
+        wire, attr, lambda value, fmt: dump(value), refill, note, optional
     )
 
 

@@ -334,7 +334,9 @@ CODECS: dict[type, Codec] = {
     CacheStats: dataclass_row(CacheStats),
     # observability
     Observation: Codec((
-        plain("now"), plain("run_log", None, _copies, _copies),
+        plain("run_log", None, _copies, _copies),
+        # Open sync-wait episodes; an absent field means none is open.
+        fill("waits", None, _pairs, dict, optional=True),
         part("registry"), part("sampler", optional=True),
         part("timeline", optional=True),
     )),
@@ -376,8 +378,11 @@ _FORMAT = Format(CODECS)
 # thread programs
 
 
-def _replay_program(cpu, advances: int, log: list, finished: bool) -> None:
-    """Re-advance a fresh thread program to its checkpointed position.
+def _replay_program(
+    cpu, advances: int, log: list, finished: bool
+) -> Instruction | None:
+    """Re-advance a fresh thread program to its checkpointed position;
+    returns its last pull (``None`` for a finished program).
 
     Every pull after an instruction that produced a value
     (``want_value`` loads, LL, SC — the emitters set ``want_value`` on
@@ -433,6 +438,24 @@ def _replay_program(cpu, advances: int, log: list, finished: bool) -> None:
             f"{len(log)} logged values; the workload does not match "
             "the checkpoint"
         )
+    return None if finished else previous
+
+
+def _hold_last_pull(cpu: MxsCpu, last: Instruction | None) -> None:
+    """Hand a restored pipeline the replayed program's last pull itself
+    where it holds it (waiting on an I-fetch, or blocking fetch): the
+    wire carries instructions by value, and a declared spin is more."""
+    for holder, attr in (
+        (cpu, "_pending_inst"), (cpu._blocked_record, "inst")
+    ):
+        held = getattr(holder, attr, None)
+        if held is not None:
+            if _encode_inst(held) != _encode_inst(last):
+                raise CheckpointError(
+                    f"cpu {cpu.cpu_id}: the pipeline holds an instruction "
+                    "its replayed program did not pull last"
+                )
+            setattr(holder, attr, last)
 
 
 # ---------------------------------------------------------------------------
@@ -547,25 +570,21 @@ def restore_system(system, state: dict) -> None:
                 "restore target has already executed; build a fresh System"
             )
 
-    cycle = meta["cycle"]
-    if system.obs is not None:
-        # In-flight lock/barrier generators capture ``obs.now`` as their
-        # wait-episode start while being replayed; point it at the
-        # checkpoint cycle so those timestamps are deterministic. All
-        # registry/timeline state the replay touches is overwritten
-        # from the snapshot below.
-        system.obs.now = cycle
+    pulled = []
     for cpu, recorded in zip(system.cpus, state["cpus"]):
         replay = recorded["replay"]
-        _replay_program(
+        pulled.append(_replay_program(
             cpu, replay["advances"], replay["log"], recorded["program_done"]
-        )
+        ))
     # Only now: the walk that finds the sync primitives reads
     # ``vars()`` of the workload and its sub-objects, which costs their
     # attribute reads the interpreter's inline-values fast path — and
     # the replay above is nothing but the thread programs reading them.
     for name, part in _sections(system).items():
         _FORMAT.restore(part, state[name], name)
-    system._cycle = cycle
+    for cpu, last in zip(system.cpus, pulled):
+        if isinstance(cpu, MxsCpu):
+            _hold_last_pull(cpu, last)
+    system._cycle = meta["cycle"]
     system.paused = True
     system.truncated = False

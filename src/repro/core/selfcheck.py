@@ -207,20 +207,22 @@ def check_spin_elision() -> str:
         outcomes = []
         for stepped in (False, True):
             workload = FlagHandoff(4, FunctionalMemory())
-            # Checkpoint recording is one of the conditions under which
-            # every spin iteration goes through the thread program.
             system = System(
                 arch,
                 workload,
                 mem_config=test_config(),
                 max_cycles=1_000_000,
-                checkpointing=stepped,
             )
+            # A CPU that may not run ahead of the loop (what a memory
+            # system that is not batchable asks for) steps every spin
+            # iteration through the thread program.
+            for cpu in system.cpus:
+                cpu._batchable = not stepped
             outcomes.append(system.run().to_dict())
             report = system.spin_report()
             _check(
                 not (stepped and report["parks"]),
-                f"{arch}: a checkpoint-recording run parked a CPU",
+                f"{arch}: a stepped run parked a CPU",
             )
             settled += report["settled_iterations"]
         _check(

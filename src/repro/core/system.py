@@ -64,13 +64,6 @@ class System:
         # (reports, cache keys, snapshot metadata).
         self.topology = resolve_topology(arch, config)
         self.arch = self.topology.name
-        if obs is not None and config.l1_fast_path:
-            # Observability rides the general access path only; the
-            # L1-hit fast lane stays untouched (and therefore fast) for
-            # ordinary runs, and test_fast_path.py proves lane-off runs
-            # are bit-identical, so disabling it here keeps obs-on
-            # statistics equal to obs-off statistics.
-            config.l1_fast_path = False
         if cpu_model == "mipsy":
             # Section 4: Mipsy deliberately models the shared L1
             # optimistically (1-cycle hit, no bank contention).
@@ -164,16 +157,15 @@ class System:
         next_watchdog = cycle + watchdog_stride
         huge = 1 << 62
         max_cycles = self.max_cycles if self.max_cycles is not None else huge
-        # Batching models may retire instructions ahead of the loop but
-        # never at or past a truncation/pause boundary — the batched and
-        # unbatched instruction streams must be identical up to either.
-        horizon = pause if pause < max_cycles else max_cycles
-        for cpu in self.cpus:
-            cpu._batch_horizon = horizon
         parked = self._parked
         obs = self.obs
         sampler = obs.sampler if obs is not None else None
         next_sample = sampler.next_boundary if sampler is not None else huge
+        # Batching models may retire instructions ahead of the loop but
+        # never at or past a truncation, pause or sample boundary — the
+        # batched and unbatched instruction streams must be identical up
+        # to each.
+        horizon = self._set_horizon(min(pause, max_cycles, next_sample))
 
         # Precompute the per-rotation tick orders: the inner loop then
         # walks a ready-made list instead of doing modular index
@@ -209,8 +201,15 @@ class System:
                 self.paused = True
                 break
 
-            if obs is not None and cycle >= next_sample:
+            if cycle >= next_sample:
+                # A sample boundary is a horizon like the pause: parked
+                # CPUs settle to it, so every sampled counter reads what
+                # a stepped run shows there.
+                self._spin_release(horizon)
                 next_sample = sampler.sample_until(cycle)
+                horizon = self._set_horizon(
+                    min(pause, max_cycles, next_sample)
+                )
 
             if cycle >= next_watchdog:
                 next_watchdog = cycle + watchdog_stride
@@ -243,9 +242,6 @@ class System:
             if next_sample < bound:
                 bound = next_sample
             while cycle < bound:
-                if obs is not None:
-                    obs.now = cycle
-
                 finished = False
                 # Tick every ready CPU; collect the earliest resume of
                 # the still-running ones in the same pass (the values
@@ -313,6 +309,12 @@ class System:
             self.workload.validate()
         return self.stats
 
+    def _set_horizon(self, horizon: int) -> int:
+        """Point every CPU's batch horizon at ``horizon``; returns it."""
+        for cpu in self.cpus:
+            cpu._batch_horizon = horizon
+        return horizon
+
     # ------------------------------------------------------------------
     # parked spin loops (see repro.cpu.mipsy)
 
@@ -355,11 +357,11 @@ class System:
         return woken
 
     def _spin_release(self, horizon: int) -> None:
-        """Wake every parked CPU at a truncation or pause, settled to
-        the run's ``horizon`` and never past it. (No sleep outlasts the
-        horizon, so with anyone parked the run stopped exactly there
-        and a resumed run reaches each woken CPU's next iteration on
-        time.)"""
+        """Wake every parked CPU at a truncation, pause or sample
+        boundary, settled to the run's ``horizon`` and never past it.
+        (No sleep outlasts the horizon, so with anyone parked the run
+        stopped exactly there and the loop reaches each woken CPU's next
+        iteration on time.)"""
         for cpu in self._parked:
             cpu.spin_wake(horizon)
         self._parked.clear()

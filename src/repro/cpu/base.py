@@ -13,7 +13,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Generator
 
-from repro.isa.instructions import Instruction, OpClass
+from repro.isa.instructions import Instruction, OpClass, SpinLoad
 from repro.mem.functional import FunctionalMemory
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.types import AccessResult
@@ -80,7 +80,8 @@ class BaseCpu(ABC):
         self._busy_pending = 0
         # Models that retire ahead of the run loop (Mipsy's compute-run
         # batching) must not execute instructions at or past this cycle;
-        # System.run pins it to min(max_cycles, pause_at) each call.
+        # System.run keeps it on the nearest truncation, pause or
+        # sample boundary.
         self._batch_horizon = 1 << 62
         # Attached Observation (None = no instrumentation anywhere).
         self._obs = None
@@ -111,16 +112,20 @@ class BaseCpu(ABC):
         instructions pulled so far plus every value sent back into the
         generator. A fresh workload's generator re-advanced through the
         same (count, values) sequence lands in the identical suspended
-        state. Recording is two list/int updates per instruction and is
-        only enabled on systems built for checkpointing.
+        state. A model that runs ahead writes the log stepping would.
+        Recording is two list/int updates per instruction and is only
+        enabled on systems built for checkpointing.
         """
         self._ckpt_log = []
         self._ckpt_advances = 0
 
     def attach_obs(self, obs) -> None:
         """Attach an :class:`~repro.obs.observe.Observation`; the
-        models' stall branches emit miss/stall events through it."""
+        models' stall branches emit miss/stall events through it.
+        Rebinds the lanes, which the memory system may have rebuilt for
+        the observation (the shared L1's shadow crossbar)."""
         self._obs = obs
+        self.bind_memory(self.memory)
 
     # ------------------------------------------------------------------
     # thread-program protocol
@@ -171,19 +176,20 @@ class BaseCpu(ABC):
         resumed with it).
         """
         op = inst.op
-        if op is OpClass.LOAD:
-            if inst.want_value:
-                self.deliver_value(
-                    self.functional.read(
-                        inst.addr, result.done, cpu=self.cpu_id
-                    )
+        if op is OpClass.LOAD or op is OpClass.LL:
+            if op is OpClass.LL:
+                value = self.functional.load_linked(
+                    self.cpu_id, inst.addr, result.done
                 )
-                return True
-            return False
-        if op is OpClass.LL:
-            self.deliver_value(
-                self.functional.load_linked(self.cpu_id, inst.addr, result.done)
-            )
+            elif inst.want_value:
+                value = self.functional.read(
+                    inst.addr, result.done, cpu=self.cpu_id
+                )
+            else:
+                return False
+            if self._obs is not None:
+                self._spin_read(inst, value, result.done)
+            self.deliver_value(value)
             return True
         if op is OpClass.SC:
             success = self.functional.store_conditional(
@@ -197,6 +203,15 @@ class BaseCpu(ABC):
                 inst.addr, inst.value, result.visible_cycle, cpu=self.cpu_id
             )
         return False
+
+    def _spin_read(self, inst: Instruction, value: object, at: int) -> None:
+        """Report a declared spin's read of ``value`` at cycle ``at`` to
+        the attached observation (callers test for one): the model
+        running the spin sees every iteration, stepped, elided or
+        parked (a parked stretch repeats a read already reported), so
+        sync waits never depend on how."""
+        if inst.__class__ is SpinLoad:
+            self._obs.spin_read(self.cpu_id, inst, value, at)
 
     # ------------------------------------------------------------------
 

@@ -32,7 +32,11 @@ does not re-simulate an iteration that cannot turn out differently:
   (:mod:`repro.core.system`) wakes a parked CPU early when its line
   leaves its L1 or its word gets a new write.
 
-Every counter ends where stepping the loop would have left it.
+Every counter ends where stepping the loop would have left it, and no
+feature turns batching or elision off: observed and checkpoint-recording
+runs see what stepping shows (``DESIGN.md`` §8, rule 10). Only a memory
+system that is not ``batchable`` (a limited trace recorder) makes Mipsy
+step — the path the tests take as their reference.
 """
 
 from __future__ import annotations
@@ -130,8 +134,10 @@ class MipsyCpu(BaseCpu):
             except StopIteration:
                 self.done = True
                 return
-            if self._ckpt_log is not None:
-                self._ckpt_advances += 1
+        # The replay log counts an instruction when it runs, as
+        # stepping would, pulled ahead or not.
+        if self._ckpt_log is not None:
+            self._ckpt_advances += 1
 
         # Instruction fetch: sequential fetches within the current cache
         # line hit by construction; only line crossings and branch
@@ -167,17 +173,11 @@ class MipsyCpu(BaseCpu):
             # ops, and the program's end are left for their own tick at
             # the proper cycle — pulls are unobservable to the program
             # because all cross-CPU communication is value-gated
-            # through the timed functional memory). Gated off when
-            # recording (checkpointing counts advances per tick) and
-            # when observing (sync code reads obs.now at generation
-            # time), and capped at the run's batch horizon so
-            # truncation and pause see exactly the unbatched stream.
+            # through the timed functional memory). Capped at the run's
+            # batch horizon so truncation, pause and sampling see
+            # exactly the unbatched stream.
             at = exec_start + 1
-            if (
-                self._batchable
-                and self._ckpt_log is None
-                and self._obs is None
-            ):
+            if self._batchable:
                 program = self.program
                 horizon = self._batch_horizon
                 line_shift = self._line_shift
@@ -202,6 +202,8 @@ class MipsyCpu(BaseCpu):
                     at += 1
                 if batched:
                     self.instructions += batched
+                    if self._ckpt_log is not None:
+                        self._ckpt_advances += batched
             self.resume = at
             return
         if mcode <= 2:  # LOAD / LL
@@ -212,6 +214,10 @@ class MipsyCpu(BaseCpu):
                 stall = done - exec_start - 1
                 if stall > 0:
                     self.breakdown.l1d += stall
+                    if self._obs is not None:
+                        self._obs.record_stall(
+                            self.cpu_id, StallLevel.L1, exec_start, stall
+                        )
                 if mcode == 2:
                     value = self.functional.load_linked(
                         self.cpu_id, inst.addr, done
@@ -223,35 +229,37 @@ class MipsyCpu(BaseCpu):
                 else:
                     self.resume = done
                     return
-                if (
-                    inst.__class__ is SpinLoad
-                    and value != inst.until
-                    and done < self._batch_horizon
-                    and inst.back.pc >> self._line_shift
-                    == self._fetch_line
-                    and self._batchable
-                    and self._ckpt_log is None
-                    and self._obs is None
-                ):
-                    # A failed iteration of a declared spin: the
-                    # back-branch retires here too and the load
-                    # stays armed, so the thread program is only
-                    # resumed with the value that ends the spin.
-                    # Left to the program under the conditions
-                    # that switch compute-run batching off, when
-                    # the branch needs an I-fetch of its own, and
-                    # at the run's horizon (truncation and pause
-                    # see exactly the stepped stream).
-                    self.instructions += 1
-                    self._pending_inst = inst
-                    retries = inst.retries
-                    if retries is not None:
-                        retries[0] += 1
-                    if self._spin_port is None:
-                        self.resume = done + 1
-                    else:
-                        self._spin_park(inst, done)
-                    return
+                if inst.__class__ is SpinLoad:
+                    if self._obs is not None:
+                        self._spin_read(inst, value, done)
+                    if (
+                        value != inst.until
+                        and done < self._batch_horizon
+                        and inst.back.pc >> self._line_shift
+                        == self._fetch_line
+                        and self._batchable
+                    ):
+                        # A failed iteration of a declared spin: the
+                        # back-branch retires here too (the replay log
+                        # gets its pull and this value) and the load
+                        # stays armed, so the thread program is only
+                        # resumed with the value that ends the spin.
+                        # Left to the program when batching is off,
+                        # when the branch needs an I-fetch of its own,
+                        # and at the run's horizon.
+                        self.instructions += 1
+                        self._pending_inst = inst
+                        if self._ckpt_log is not None:
+                            self._ckpt_log.append(value)
+                            self._ckpt_advances += 1
+                        retries = inst.retries
+                        if retries is not None:
+                            retries[0] += 1
+                        if self._spin_port is None:
+                            self.resume = done + 1
+                        else:
+                            self._spin_park(inst, done)
+                        return
                 self._has_value = True
                 self._send_value = value
                 self.resume = done
@@ -269,6 +277,13 @@ class MipsyCpu(BaseCpu):
                     stall = done - exec_start - 1
                     if stall > 0:
                         self.breakdown.storebuf += stall
+                        if self._obs is not None:
+                            self._obs.record_stall(
+                                self.cpu_id,
+                                StallLevel.STOREBUF,
+                                exec_start,
+                                stall,
+                            )
                     self.resume = done
                     return
             result = self.memory.access(
@@ -339,15 +354,20 @@ class MipsyCpu(BaseCpu):
         """Leave the parked state, accounting for every iteration
         whose load cycle is below ``limit`` as if each had been
         issued: two instructions, one L1D read, one retry, the LRU
-        touch (if the line is still there) and, for ``LL``, the
-        reservation of the last one. The next iteration is issued for
-        real at its own cycle."""
+        touch (if the line is still there), for ``LL`` the reservation
+        of the last one and, when recording, two pulls and the parking
+        iteration's value in the replay log. The next iteration is
+        issued for real at its own cycle."""
         base = self._spin_base
         if base < limit:
             count = (limit - base + 1) >> 1
             base += 2 * count
             inst = self._pending_inst
             self.instructions += 2 * count
+            log = self._ckpt_log
+            if log is not None:
+                log.extend([log[-1]] * count)
+                self._ckpt_advances += 2 * count
             array, stats = self._spin_port
             stats.reads += count
             array.probe(inst.addr >> self._line_shift)

@@ -500,6 +500,8 @@ class MxsCpu(BaseCpu):
             value = self.functional.load_linked(self.cpu_id, inst.addr, done)
         else:
             value = self.functional.read(inst.addr, done, cpu=self.cpu_id)
+        if self._obs is not None:
+            self._spin_read(inst, value, done)
         self.deliver_value(value)
         if record is self._blocked_record:
             self._fetch_unblock = record.done

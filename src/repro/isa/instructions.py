@@ -199,12 +199,13 @@ class SpinLoad(Instruction):
     """The load of a declared two-instruction spin loop.
 
     To every consumer this is the plain ``LOAD want_value`` / ``LL`` it
-    subclasses (same ``op``, same ``mcode``), so MXS, observed and
-    checkpoint-recording runs step the loop through the thread program
-    as they always did. The extra slots let Mipsy run a *failed*
-    iteration itself (:meth:`repro.cpu.mipsy.MipsyCpu.tick`). They live
-    on a subclass because instructions are memoized by the tens of
-    thousands and only a handful per workload are spin loads.
+    subclasses (same ``op``, same ``mcode``), so MXS steps the loop
+    through the thread program as it always did. The extra slots let
+    Mipsy run a *failed* iteration itself
+    (:meth:`repro.cpu.mipsy.MipsyCpu.tick`) and let the CPU models
+    report the loop's wait episodes. They live on a subclass because
+    instructions are memoized by the tens of thousands and only a
+    handful per workload are spin loads.
 
     Attributes:
         until: the value that ends the spin; any other loaded value
@@ -215,6 +216,8 @@ class SpinLoad(Instruction):
         retries: ``None``, or a one-element list the CPU bumps once per
             failed iteration it runs without resuming the program (the
             owning primitive's retry counter).
+        region: the name of the code region the loop lives in — what
+            observability calls its sync-wait episodes.
     """
 
-    __slots__ = ("until", "back", "retries")
+    __slots__ = ("until", "back", "retries", "region")

@@ -423,6 +423,7 @@ class Emitter:
             inst.until = until
             inst.back = back
             inst.retries = retries
+            inst.region = region.name
             if len(cache) < _MEMO_CAP:
                 cache[key] = inst
         return inst

@@ -100,7 +100,8 @@ class SharedPrimarySystem(MemorySystem):
                 self.config.line_size,
             )
         super().attach_obs(obs)
-        # The paths bind the shadow (or its absence) when built.
+        # The paths and lanes bind the shadow (or its absence) when
+        # built; the CPUs rebind the lanes as they attach.
         self._build_paths()
 
     def _resources(self, probing: bool = False):
@@ -129,16 +130,18 @@ class SharedPrimarySystem(MemorySystem):
 
     # ------------------------------------------------------------------
     # L1 hit fast lane: single packed tag probe + LRU stamp, no
-    # dispatch. Must mirror the hit legs of _load/_store exactly — the
+    # dispatch. Must mirror the hit legs of the data path exactly — the
     # differential tests run with the lane off and assert identical
-    # stats. The crossbar acquire commutes with the tag probe (their
-    # state is disjoint), so probing first is safe.
+    # stats. The hit time (crossbar lane or optimistic shadow) commutes
+    # with the tag probe (their state is disjoint), so probing first is
+    # safe; a miss leaves both to the data path.
 
     def _make_load_lane(self, cpu: int):
         probe = self.l1d.make_probe()
         stats = self._l1d_stats
         shift = self._line_shift
-        if self._optimistic:
+        hit_time = self._make_hit_time(cpu)
+        if hit_time is None:
             def fast_load(addr: int, at: int) -> int:
                 if probe(addr >> shift) < 0:
                     return -1
@@ -146,13 +149,12 @@ class SharedPrimarySystem(MemorySystem):
                 return at + 1
 
             return fast_load
-        xbar_lane = self.crossbar.make_lane(cpu)
 
         def fast_load(addr: int, at: int) -> int:
             if probe(addr >> shift) < 0:
                 return -1
             stats.reads += 1
-            return xbar_lane(addr, at)
+            return hit_time(addr, at)
 
         return fast_load
 
@@ -161,7 +163,8 @@ class SharedPrimarySystem(MemorySystem):
         stats = self._l1d_stats
         post = self._buffers[cpu].make_post()
         shift = self._line_shift
-        if self._optimistic:
+        hit_time = self._make_hit_time(cpu)
+        if hit_time is None:
             def fast_store(addr: int, at: int) -> int:
                 if probe_modify(addr >> shift) < 0:
                     return -1
@@ -169,13 +172,12 @@ class SharedPrimarySystem(MemorySystem):
                 return post(at, at + 1) + 1
 
             return fast_store
-        xbar_lane = self.crossbar.make_lane(cpu)
 
         def fast_store(addr: int, at: int) -> int:
             if probe_modify(addr >> shift) < 0:
                 return -1
             stats.writes += 1
-            return post(at, xbar_lane(addr, at)) + 1
+            return post(at, hit_time(addr, at)) + 1
 
         return fast_store
 

@@ -23,11 +23,9 @@ Above the single-System scope sits the **batch telemetry layer**:
   (:mod:`repro.obs.export`) and a **live progress view**
   (:mod:`repro.obs.live`).
 
-The contract: with observability off (the default everywhere), every
-fast lane and hot loop is untouched and results are bit-identical;
-with it on, statistics are still bit-identical (the system routes
-accesses through the general paths, which the fast-path differential
-suite already proves equivalent) and only wall time pays. The bus
+The contract: the observed run is the measured run. On or off, every
+fast lane and hot loop runs and results are bit-identical; on, the
+hooks record what a stepped run would and only wall time pays. The bus
 honours the same contract at batch scope: off means zero events and
 one ``None`` check per hook. See ``docs/OBSERVABILITY.md``.
 """

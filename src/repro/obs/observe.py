@@ -2,11 +2,11 @@
 
 A ``System`` built with an :class:`~repro.obs.config.ObsConfig` owns
 exactly one ``Observation`` and hands it to every instrumented
-component (memory system, interconnects, CPUs, sync primitives). The
-components keep a plain ``obs`` / ``_obs`` attribute that is ``None``
-by default; every hook is a single ``is not None`` check on an
-already-rare path, so runs without observability execute the same
-instructions they always did.
+component (memory system, interconnects, CPUs). The components keep a
+plain ``obs`` / ``_obs`` attribute that is ``None`` by default; every
+hook is a single ``is not None`` check on an already-rare path, and
+none of them chooses how the run proceeds: an observed run is the run
+an unobserved one is.
 
 What it aggregates:
 
@@ -16,11 +16,8 @@ What it aggregates:
   (:mod:`repro.obs.sampler`), fed by probes the memory system and CPUs
   declare;
 * ``timeline`` — Chrome/Perfetto events (:mod:`repro.obs.timeline`);
-* ``run_log`` — structured start/end records for the run.
-
-``now`` is maintained by the system run loop so deep components
-(locks, barriers) can timestamp events without threading a cycle
-argument through every generator.
+* ``run_log`` — structured start/end records for the run;
+* ``waits`` — the open sync-wait episodes (:meth:`spin_read`).
 """
 
 from __future__ import annotations
@@ -58,9 +55,9 @@ class Observation:
         self.timeline = (
             EventTimeline(config.max_events) if config.events else None
         )
-        #: current simulated cycle, maintained by the run loop
-        self.now = 0
         self.run_log: list[dict] = []
+        #: CPU → cycle its open sync-wait episode began
+        self.waits: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # wiring
@@ -70,7 +67,7 @@ class Observation:
 
         Order matters: the memory system attaches first (it may build
         obs-only shadow resources), then declares its sampler probes;
-        CPUs and the workload's sync primitives follow.
+        the CPUs follow and rebind the lanes it may have rebuilt.
         """
         system.memory.attach_obs(self)
         sampler = self.sampler
@@ -84,13 +81,9 @@ class Observation:
             cpu.attach_obs(self)
             if sampler is not None:
                 self._add_cpu_probes(cpu)
-        for primitive in system.workload.sync_objects().values():
-            # Locks and barriers time their wait episodes; queues and
-            # counters have no hook.
-            if hasattr(primitive, "obs"):
-                primitive.obs = self
         self.log(
             "run.start",
+            0,
             arch=system.arch,
             workload=system.workload.name,
             cpu_model=system.cpu_model,
@@ -168,20 +161,30 @@ class Observation:
         if self.timeline is not None:
             self.timeline.emit(f"cpu{cpu}", name, "coherence", ts, 1, args)
 
-    def record_sync_wait(
-        self, cpu: int, name: str, ts: int, dur: int
-    ) -> None:
-        """A lock/barrier wait episode on ``cpu``."""
-        self.registry.histogram("sync.wait").observe(dur)
-        if self.timeline is not None:
-            self.timeline.emit(f"cpu{cpu}", name, "sync", ts, dur)
+    def spin_read(self, cpu: int, spin, value: object, at: int) -> None:
+        """The declared spin ``spin`` on ``cpu`` read ``value`` at
+        ``at``. A sync wait runs from the first iteration that reads
+        a value other than ``spin.until`` to the one that reads it, and
+        is recorded then, named after the spin's code region."""
+        waits = self.waits
+        if value != spin.until:
+            if cpu not in waits:
+                waits[cpu] = at
+        elif cpu in waits:
+            start = waits.pop(cpu)
+            self.registry.histogram("sync.wait").observe(at - start)
+            if self.timeline is not None:
+                self.timeline.emit(
+                    f"cpu{cpu}", spin.region, "sync", start, at - start
+                )
 
     # ------------------------------------------------------------------
     # lifecycle
 
-    def log(self, event: str, **fields) -> None:
-        """Append one structured record to the run log."""
-        record = {"ts": self.now, "event": event}
+    def log(self, event: str, ts: int, **fields) -> None:
+        """Append one structured record, stamped ``ts``, to the run
+        log."""
+        record = {"ts": ts, "event": event}
         record.update(fields)
         self.run_log.append(record)
 
@@ -189,10 +192,11 @@ class Observation:
         """Close out the run: top the sampler up to ``end_cycle`` so
         series lengths equal ``end_cycle // interval``, and log the end
         record."""
-        self.now = end_cycle
         if self.sampler is not None:
             self.sampler.finalize(end_cycle)
-        self.log("run.end", cycles=end_cycle, instructions=instructions)
+        self.log(
+            "run.end", end_cycle, cycles=end_cycle, instructions=instructions
+        )
 
     def rollup(self) -> dict:
         """JSON-serializable summary carried in result extras and

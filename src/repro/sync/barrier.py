@@ -43,28 +43,12 @@ class Barrier:
         self.sense_addr = data.alloc_line()
         self.region = code.region(f"{name}.wait", _WAIT_SLOTS)
         self.episodes = 0
-        #: attached Observation (set by Observation._attach_sync);
-        #: every arrival emits its wait span through it
-        self.obs = None
-
-    def _record_wait(self, cpu_id: int, start: int) -> None:
-        """Emit one barrier-wait event covering ``start``..now."""
-        obs = self.obs
-        wait = obs.now - start
-        obs.record_sync_wait(
-            cpu_id,
-            f"barrier:{self.name}",
-            start,
-            wait if wait > 0 else 1,
-        )
 
     def wait(self, ctx: ThreadContext):
         """Arrive at the barrier and wait for all threads
         (use with ``yield from``)."""
         sense = 1 - ctx.senses.get(self.name, 0)
         ctx.senses[self.name] = sense
-        obs = self.obs
-        start = obs.now if obs is not None else 0
 
         yield from self.lock.acquire(ctx)
         em = ctx.emitter(self.region)
@@ -79,17 +63,13 @@ class Barrier:
             yield em.store(self.count_addr, 0)
             yield from self.lock.release(ctx)
             yield em.store(self.sense_addr, sense)
-            if obs is not None:
-                self._record_wait(ctx.cpu_id, start)
             return
         yield em.store(self.count_addr, count)
         yield from self.lock.release(ctx)
         spin = em.label()
         while True:
-            observed = yield em.spin_load(self.sense_addr, until=sense)
-            if observed == sense:
+            flag = yield em.spin_load(self.sense_addr, until=sense)
+            if flag == sense:
                 yield em.branch(False)
-                if obs is not None:
-                    self._record_wait(ctx.cpu_id, start)
                 return
             yield em.branch(True, to=spin)

@@ -42,9 +42,6 @@ class SpinLock:
         # One-element cell shared with the spin load, so a CPU that
         # runs a held-lock iteration itself still counts the retry.
         self._retries = [0]
-        #: attached Observation (set by Observation._attach_sync);
-        #: contended acquires emit sync-wait events through it
-        self.obs = None
 
     @property
     def contended_retries(self) -> int:
@@ -60,9 +57,6 @@ class SpinLock:
         em = ctx.emitter(self.region)
         em.jump(0)
         top = em.label()
-        obs = self.obs
-        start = obs.now if obs is not None else 0
-        contended = False
         retries = self._retries
         while True:
             value = yield em.spin_load(
@@ -71,7 +65,6 @@ class SpinLock:
             if value:
                 # Held: spin on the cached copy.
                 retries[0] += 1
-                contended = True
                 yield em.branch(True, to=top)
                 continue
             yield em.branch(False)
@@ -79,18 +72,9 @@ class SpinLock:
             if claimed:
                 yield em.branch(False)
                 self.acquires += 1
-                if obs is not None and contended:
-                    wait = obs.now - start
-                    obs.record_sync_wait(
-                        ctx.cpu_id,
-                        f"lock:{self.name}",
-                        start,
-                        wait if wait > 0 else 1,
-                    )
                 return
             # Lost the SC race.
             retries[0] += 1
-            contended = True
             yield em.branch(True, to=top)
 
     def release(self, ctx: ThreadContext):

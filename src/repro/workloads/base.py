@@ -117,7 +117,7 @@ class Workload(ABC):
         """Name → primitive for every lock, barrier, task queue and
         atomic counter this workload (or its sub-objects, two levels
         deep) holds, a barrier's inner lock included — the one walk
-        :meth:`sync_report`, observability and checkpointing share."""
+        :meth:`sync_report` and checkpointing share."""
         from repro.sync import AtomicCounter, Barrier, SpinLock, TaskQueue
 
         found: dict[str, object] = {}

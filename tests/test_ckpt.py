@@ -3,7 +3,10 @@
 The hard guarantee (docs/CHECKPOINTING.md): run-to-end versus
 pause-at-N / snapshot / restore-in-a-fresh-system / run-to-end must
 produce **bit-identical** ``SystemStats`` for every architecture and
-CPU model — including with observability attached.
+CPU model — including with observability attached. A checkpointing
+run is the measured run: Mipsy batches, elides and parks spin loops
+while it records, and the replay log it writes is the one stepping
+would.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import json
 
 import pytest
 from conftest import load_script, replaying_cpus
+from test_spin_elision import Waiters
 
 from repro.ckpt import (
     SNAPSHOT_FORMAT,
@@ -26,6 +30,7 @@ from repro.core.configs import config_for_scale
 from repro.core.experiment import run_one
 from repro.core.system import System
 from repro.errors import CheckpointError
+from repro.isa.instructions import SpinLoad
 from repro.mem.cache import CacheArray
 from repro.mem.coherence.directory import Directory
 from repro.mem.functional import FunctionalMemory
@@ -217,6 +222,76 @@ def test_checkpoint_inside_a_replayed_stretch(workload, cpu_model):
     assert fresh.workload.generation_report() == (
         baseline_sys.workload.generation_report()
     )
+
+
+#: a cycle at which the three Waiters CPUs spin while CPU 0 computes
+WAITING = 600
+
+
+def _waiters(locked=False, obs=None, stepped=False) -> System:
+    system = System(
+        "shared-l2",
+        Waiters(4, FunctionalMemory(), locked=locked),
+        mem_config=config_for_scale("test", 4),
+        max_cycles=CAP,
+        obs=obs,
+        checkpointing=True,
+    )
+    if stepped:
+        # The one stepped path: CPUs that may not run ahead of the loop.
+        for cpu in system.cpus:
+            cpu._batchable = False
+    return system
+
+
+@pytest.mark.parametrize("locked", (False, True), ids=("barrier", "lock"))
+def test_pause_on_an_armed_spin_is_bit_identical(locked):
+    """Recording leaves elision and parking on; a pause that lands on
+    a spin the CPU runs itself snapshots what stepping would have, and
+    the restored CPU pulls the spin — its lock's ``retries`` cell
+    included — from the replayed program."""
+    whole = _waiters(locked)
+    baseline = whole.run().to_dict()
+
+    partial = _waiters(locked)
+    partial.run(pause_at=WAITING)
+    assert partial.spin_report()["parks"] > 0
+    armed = [cpu for cpu in partial.cpus
+             if type(cpu._pending_inst) is SpinLoad]
+    assert armed
+    state = roundtrip(snapshot_system(partial))
+
+    stepped = _waiters(locked, stepped=True)
+    stepped.run(pause_at=WAITING)
+    assert stepped.spin_report()["parks"] == 0
+    assert roundtrip(snapshot_system(stepped)) == state
+
+    fresh = _waiters(locked)
+    restore_system(fresh, state)
+    assert fresh.run().to_dict() == baseline
+    assert fresh.workload.sync_report() == whole.workload.sync_report()
+
+
+def test_resumed_observed_run_times_an_in_flight_wait_from_its_start():
+    """A barrier wait open at the pause is one episode: the resumed run
+    records it from the cycle it began, not from the checkpoint."""
+
+    def build():
+        return _waiters(obs=ObsConfig(sample_interval=128, events=True))
+
+    whole = build()
+    whole.run()
+    partial = build()
+    partial.run(pause_at=WAITING)
+    state = roundtrip(snapshot_system(partial))
+    fresh = build()
+    restore_system(fresh, state)
+    fresh.run()
+    assert fresh.obs.registry.snapshot() == whole.obs.registry.snapshot()
+    assert fresh.obs.timeline._events == whole.obs.timeline._events
+    assert fresh.obs.sampler.series == whole.obs.sampler.series
+    # (the three waiters' episodes were open at the pause)
+    assert [cpu for cpu, _start in state["obs"]["waits"]] == [1, 2, 3]
 
 
 def test_chained_checkpoints_are_bit_identical():

@@ -102,8 +102,8 @@ def _source_lines():
 
 
 def test_one_sync_object_traversal():
-    # Workload.sync_objects() is the walk the report, observability and
-    # checkpointing share; a second ``def visit`` is a second walk.
+    # Workload.sync_objects() is the walk the report and checkpointing
+    # share; a second ``def visit`` is a second walk.
     found = [
         f"{path}:{number}" for path, number, line in _source_lines()
         if "def visit" in line

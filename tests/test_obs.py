@@ -1,13 +1,15 @@
 """Tests for the observability subsystem (repro.obs).
 
-The load-bearing property is the overhead contract: attaching
-observability must not change a single simulated statistic — the
-differential suite below runs every architecture x CPU model with and
-without observation and requires bit-identical ``SystemStats``. On top
-of that: the Perfetto trace must be schema-valid with monotonic
-timestamps per track, the sampler's series must cover exactly
-``cycles // interval`` boundaries, and the shadow crossbar must surface
-the bank contention the optimistic shared-L1 path hides.
+The load-bearing property is the overhead contract: the observed run
+is the measured run. Attaching observability changes neither a
+simulated statistic nor the code path — the L1 fast lane, Mipsy's
+compute-run batching and its spin elision and parking all stay on —
+and what it records equals what the stepped reference run (CPUs that
+may not run ahead of the loop, ``cpu._batchable = False``) records.
+On top of that: the Perfetto trace must be schema-valid with
+monotonic timestamps per track, the sampler's series must cover
+exactly ``cycles // interval`` boundaries, and the shadow crossbar
+must surface the bank contention the optimistic shared-L1 path hides.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import pytest
 
 from conftest import SharingWorkload
+from test_spin_elision import FACTORIES, PARKING
 
 from repro.cli import main
 from repro.core.experiment import run_one
@@ -24,6 +27,7 @@ from repro.core.runner import Job, Runner
 from repro.core.configs import config_for_scale
 from repro.core.system import System
 from repro.mem.functional import FunctionalMemory
+from repro.mem.topology import topology_names
 from repro.obs import (
     DEFAULT_SAMPLE_INTERVAL,
     EventTimeline,
@@ -183,6 +187,74 @@ def test_observation_is_behaviorally_invisible(arch, cpu_model):
     assert "obs" not in plain.extras
 
 
+#: the workloads of the stepped-reference differential: few waits, a
+#: coherence storm with barriers, a lock every CPU fights for
+OBSERVED = ("eqntott", "storm", "locked-counter")
+
+
+def _observed_run(arch, cpu_model, workload, stepped=False, obs=True):
+    system = System(
+        arch,
+        FACTORIES[workload](4, FunctionalMemory(), "test"),
+        cpu_model=cpu_model,
+        mem_config=config_for_scale("test", 4),
+        max_cycles=CAP,
+        obs=ObsConfig(sample_interval=250, events=True) if obs else None,
+    )
+    if stepped:
+        # The one stepped path: CPUs that may not run ahead of the loop.
+        for cpu in system.cpus:
+            cpu._batchable = False
+    system.run()
+    return system
+
+
+def _recorded(system) -> dict:
+    obs = system.obs
+    return {
+        "stats": system.stats.to_dict(),
+        "boundaries": obs.sampler.boundaries,
+        "series": obs.sampler.series,
+        "metrics": obs.registry.snapshot(),
+        "events": obs.timeline._events,
+        "tracks": obs.timeline._tracks,
+        "log": obs.run_log,
+    }
+
+
+@pytest.mark.parametrize("workload", OBSERVED)
+@pytest.mark.parametrize("cpu_model", CPU_MODELS)
+@pytest.mark.parametrize("arch", topology_names())
+def test_observed_run_equals_its_stepped_reference(arch, cpu_model, workload):
+    """Sampling every 250 cycles and recording every event, the
+    default run — lanes, batching, elision and parking on — records
+    exactly what the stepped run does, and simulates what the
+    unobserved run does."""
+    observed = _observed_run(arch, cpu_model, workload)
+    recorded = _recorded(observed)
+    stepped = _observed_run(arch, cpu_model, workload, stepped=True)
+    assert recorded == _recorded(stepped)
+    plain = _observed_run(arch, cpu_model, workload, obs=False)
+    assert recorded["stats"] == plain.stats.to_dict()
+    assert any(event[2] == "sync" for event in recorded["events"])
+    assert observed.obs.waits == {}
+    if cpu_model == "mipsy" and arch in PARKING:
+        assert observed.spin_report()["parks"] > 0
+    assert stepped.spin_report()["parks"] == 0
+
+
+def test_sync_wait_is_a_spin_episode_named_after_its_region():
+    system = _observed_run("shared-mem", "mipsy", "locked-counter")
+    waits = [event for event in system.obs.timeline._events
+             if event[2] == "sync"]
+    assert {event[1] for event in waits} == {"sc.lock.acquire"}
+    hist = system.obs.registry.snapshot()["histograms"]["sync.wait"]
+    assert hist["count"] == len(waits)
+    # Every episode spans at least one failed iteration and the read
+    # that ended it: two cycles or more.
+    assert min(event[4] for event in waits) >= 2
+
+
 def test_obs_rollup_shape_and_series_length():
     system, stats = run_observed(
         "eqntott", "shared-l1", sample_interval=250, max_cycles=CAP
@@ -338,13 +410,48 @@ def test_obs_off_is_the_default():
     assert system.config.l1_fast_path is True
 
 
-def test_obs_forces_fast_lane_off():
+def test_obs_keeps_the_fast_lane():
     system = System(
         "shared-l1",
         WORKLOADS["eqntott"](4, FunctionalMemory(), "test"),
         obs=ObsConfig(sample_interval=500),
     )
-    assert system.config.l1_fast_path is False
+    assert system.config.l1_fast_path is True
+    lanes = system.memory.fast_lanes(0)
+    assert lanes[1] is system.cpus[0]._lane_load
+    # The optimistic lanes were rebuilt around the shadow crossbar.
+    assert system.memory._shadow_xbar is not None
+
+
+def _shadow_counters(fast: bool) -> dict:
+    config = config_for_scale("test", 4, l1_fast_path=fast)
+    system = System(
+        "shared-l1",
+        WORKLOADS["eqntott"](4, FunctionalMemory(), "test"),
+        mem_config=config,
+        max_cycles=CAP,
+        obs=ObsConfig(sample_interval=250),
+    )
+    system.run()
+    shadow = system.memory._shadow_xbar
+    return {
+        "requests": shadow.requests,
+        "conflict_cycles": shadow.conflict_cycles,
+        "banks": [
+            (bank.busy_cycles, bank.requests, bank.next_free)
+            for bank in shadow.banks.banks
+        ],
+        "ports": [
+            (port.busy_cycles, port.requests, port.next_free)
+            for port in shadow.ports
+        ],
+    }
+
+
+def test_shadow_crossbar_counts_the_same_with_the_lane_on_or_off():
+    on = _shadow_counters(fast=True)
+    assert on["requests"] > 0 and on["conflict_cycles"] > 0
+    assert on == _shadow_counters(fast=False)
 
 
 # ----------------------------------------------------------------------

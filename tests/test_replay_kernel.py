@@ -47,7 +47,9 @@ def traces(trace_store):
     }
 
 
-def interpreter_replay_stats(arch, trace_path, cpu_model="mipsy"):
+def interpreter_replay_stats(
+    arch, trace_path, cpu_model="mipsy", **overrides
+):
     """Replay through the ordinary System, as run_replay's slow path does."""
     functional = FunctionalMemory()
     workload = TraceWorkload.from_file(N_CPUS, functional, trace_path)
@@ -55,7 +57,7 @@ def interpreter_replay_stats(arch, trace_path, cpu_model="mipsy"):
         arch,
         workload,
         cpu_model=cpu_model,
-        mem_config=config_for_scale("test", N_CPUS),
+        mem_config=config_for_scale("test", N_CPUS, **overrides),
         max_cycles=50_000_000,
     )
     system.run()
@@ -67,18 +69,25 @@ def interpreter_replay_stats(arch, trace_path, cpu_model="mipsy"):
 # the differential contract
 
 
+@pytest.mark.parametrize("line_size", (32, 64, 128))
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("arch", PRESETS)
-def test_kernel_bit_identical_to_interpreter(arch, workload, traces):
+def test_kernel_bit_identical_to_interpreter(
+    arch, workload, line_size, traces
+):
     """The load-bearing invariant: same trace, same config -> the
-    kernel's stats equal the interpreter's, field for field."""
+    kernel's stats equal the interpreter's, field for field — at every
+    point of the line-size sweep the lane exists for (one recording,
+    replayed under each geometry)."""
     path = traces[workload]
     packed = PackedTrace.from_file(N_CPUS, path)
     outcome = replay_kernel(
-        packed, arch, mem_config=config_for_scale("test", N_CPUS)
+        packed,
+        arch,
+        mem_config=config_for_scale("test", N_CPUS, line_size=line_size),
     )
     assert not outcome.truncated
-    expected = interpreter_replay_stats(arch, path)
+    expected = interpreter_replay_stats(arch, path, line_size=line_size)
     assert outcome.stats.to_dict() == expected.to_dict()
 
 

@@ -2,11 +2,12 @@
 
 Mipsy runs the failed iterations of a *declared* spin loop
 (``Emitter.spin_load``) itself and, on private single-cycle L1s, parks
-the CPU and accounts for the iterations arithmetically. No option
-selects that, so the reference is a run in which the code's own gates
-force every iteration through the thread program: checkpoint recording
-(``System(checkpointing=True)``) or an attached observation. Every
-comparison below is "default run" against one of those.
+the CPU and accounts for the iterations arithmetically. No option or
+feature selects that — observed and checkpoint-recording runs elide
+and park too — so the reference is the one run the code still steps:
+CPUs that may not run ahead of the loop (``cpu._batchable = False``,
+what a memory system that is not ``batchable`` asks for). Every
+comparison below is "default run" against that.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from repro.isa.codegen import CodeRegion
 from repro.isa.instructions import Instruction, OpClass, SpinLoad
 from repro.isa.stream import Emitter
 from repro.mem.functional import NEVER, FunctionalMemory
-from repro.obs import ObsConfig
 from repro.sync.barrier import Barrier
 from repro.sync.lock import SpinLock
 from repro.trace.recorder import TraceRecorder, record_run
@@ -96,21 +96,22 @@ class Waiters(Workload):
         yield from self.barrier.wait(ctx)
 
 
-def _system(arch, factory, *, stepped=False, obs=False, fast=True, **kwargs):
-    """One system; ``stepped``/``obs`` force the thread-program path."""
+def _stepped(system):
+    """``system`` with every spin iteration through the thread program."""
+    for cpu in system.cpus:
+        cpu._batchable = False
+    return system
+
+
+def _system(arch, factory, *, stepped=False, fast=True, **kwargs):
+    """One system; ``stepped`` forces the thread-program path."""
     functional = FunctionalMemory()
     workload = factory(4, functional, "test")
     config = config_for_scale("test", 4)
     if not fast:
         config = config.with_overrides(l1_fast_path=False)
-    return System(
-        arch,
-        workload,
-        mem_config=config,
-        checkpointing=stepped,
-        obs=ObsConfig(sample_interval=0) if obs else None,
-        **kwargs,
-    )
+    system = System(arch, workload, mem_config=config, **kwargs)
+    return _stepped(system) if stepped else system
 
 
 def _outcome(system) -> tuple:
@@ -142,12 +143,10 @@ def test_default_run_equals_stepped_runs(arch, workload, fast):
     default = _system(arch, factory, fast=fast, max_cycles=CAP)
     default.run()
     assert not default.truncated
-    expected = _outcome(default)
-    for forced in ({"stepped": True}, {"obs": True}):
-        plain = _system(arch, factory, fast=fast, max_cycles=CAP, **forced)
-        plain.run()
-        assert plain.spin_report()["parks"] == 0
-        assert _outcome(plain) == expected, forced
+    stepped = _system(arch, factory, stepped=True, fast=fast, max_cycles=CAP)
+    stepped.run()
+    assert stepped.spin_report()["parks"] == 0
+    assert _outcome(stepped) == _outcome(default)
 
 
 @pytest.mark.parametrize("arch", PARKING)
@@ -309,22 +308,26 @@ def test_hung_barrier_pauses_then_raises():
 # recording
 
 
-def _recorded(arch, obs, limit=None):
-    system = _system(arch, FACTORIES["locked-counter"], obs=obs)
-    if limit is None:
+def _recorded(arch, stepped, limit=None):
+    system = _system(arch, FACTORIES["locked-counter"])
+    if limit is None and not stepped:
         return record_run(system), system
-    recorder = TraceRecorder(system.memory).limit(limit)
+    recorder = TraceRecorder(system.memory)
+    if limit is not None:
+        recorder.limit(limit)
     system.memory = recorder
     for cpu in system.cpus:
         cpu.bind_memory(recorder)
+    if stepped:
+        _stepped(system)
     system.run()
     return recorder, system
 
 
 @pytest.mark.parametrize("arch", ("shared-l1", "shared-l2", "shared-mem"))
 def test_recorded_trace_is_byte_identical(arch, tmp_path):
-    elided, system = _recorded(arch, obs=False)
-    plain, _ = _recorded(arch, obs=True)
+    elided, system = _recorded(arch, stepped=False)
+    plain, _ = _recorded(arch, stepped=True)
     assert elided.spin_port(0) is None
     assert system.spin_report()["parks"] == 0
     # The retries the CPUs ran themselves are still references.
@@ -337,8 +340,8 @@ def test_recorded_trace_is_byte_identical(arch, tmp_path):
 
 
 def test_limited_recording_sees_the_same_first_records():
-    limited, _ = _recorded("shared-l2", obs=False, limit=400)
-    plain, _ = _recorded("shared-l2", obs=True, limit=400)
+    limited, _ = _recorded("shared-l2", stepped=False, limit=400)
+    plain, _ = _recorded("shared-l2", stepped=True, limit=400)
     assert len(limited) == 400
     assert limited.kinds == plain.kinds
     assert limited.addrs == plain.addrs

@@ -101,10 +101,10 @@ def test_system_sets_mipsy_optimism():
 
 
 def test_system_never_edits_its_callers_config():
-    # Mipsy then MXS from one MemConfig, with and without obs (which
-    # also turns the fast lane off): every model-specific field lands
-    # on the system's own copy, so the second system is not built on
-    # what the first one left behind.
+    # Mipsy then MXS from one MemConfig, with and without obs: every
+    # model-specific field lands on the system's own copy, so the
+    # second system is not built on what the first one left behind,
+    # and observing one changes nothing about its configuration.
     import dataclasses
 
     from repro.obs import ObsConfig
@@ -120,7 +120,7 @@ def test_system_never_edits_its_callers_config():
             )
             assert system.config is not config
             assert system.config.shared_l1_optimistic is optimistic
-            assert system.config.l1_fast_path is (obs is None)
+            assert system.config.l1_fast_path is True
             assert dataclasses.asdict(config) == before
 
 
