@@ -5,12 +5,12 @@ runner as ONE batch — the union of the studies' jobs, a job two studies
 share once, every one an independent simulation, so ``--jobs N``
 divides the wall clock by roughly the core count — and comes back as
 ``<DIR>/<study>.txt`` (``.csv``/``.svg`` too for a figure),
-``paper_claims.txt``, the one-page ``index.html`` to eyeball against
-the paper, and one more entry of the ``bench_runner.json`` wall-clock
-trajectory (``scripts/bench_gate.py`` reads it). Every study's claims
-are evaluated on its results and printed; the exit status is non-zero
-when a simulation failed or a claim reads ``DEV``. Serial and uncached
-that is ~27 s in full, ~20 s with ``--quick``.
+``paper_claims.txt`` and the one-page ``index.html`` to eyeball against
+the paper — nothing else, so the committed ``benchmarks/results/`` is
+the golden output. Every study's claims are evaluated on its results
+and printed; the exit status is non-zero when a simulation failed or a
+claim reads ``DEV``. Serial and uncached that is ~27 s in full, ~20 s
+with ``--quick``.
 
 Re-running is resuming: finished jobs are published to the result
 cache as they land, so the same command after a kill — or after an
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import html
-import json
 import time
 from pathlib import Path
 
@@ -56,7 +55,7 @@ def register(subparsers) -> None:
     )
     parser.add_argument(
         "out", nargs="?", default="benchmarks/results", metavar="DIR",
-        help="where the studies, index.html and bench_runner.json go "
+        help="where the studies and index.html go "
              "(default: benchmarks/results)",
     )
     parser.add_argument(
@@ -65,16 +64,10 @@ def register(subparsers) -> None:
     )
     add_flags(parser, POLICY + RUNNER)
     parser.add_argument(
-        "--obs-sample", type=int, default=0, metavar="N",
-        help="attach the utilization sampler to every job at this "
-             "interval (0 = off); rollups land in bench_runner.json",
-    )
-    parser.add_argument(
         "--telemetry", action="store_true",
         help="stream batch telemetry over the event bus: writes "
              "batch_events.jsonl + batch_trace.json (Perfetto, one "
-             "track per worker) and records the rollup in "
-             "bench_runner.json",
+             "track per worker)",
     )
     parser.add_argument(
         "--telemetry-dir", metavar="PATH", default=None,
@@ -91,12 +84,11 @@ def register(subparsers) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Simulate the catalog's batch, render and check every study,
-    record the wall clock."""
+    """Simulate the catalog's batch, render and check every study."""
     started = time.perf_counter()
     out = Path(args.out)
     studies = [
-        study.stamped(obs_sample=args.obs_sample, **policy_from_args(args))
+        study.stamped(**policy_from_args(args))
         for study in STUDIES.values()
         if not (args.quick and study.mxs)
     ]
@@ -132,29 +124,19 @@ def run(args: argparse.Namespace) -> int:
             if live is not None:
                 live.finish()
     if bus is not None:
-        from repro.obs import rollup_events, write_batch_trace
+        from repro.obs import write_batch_trace
 
         trace_path = telemetry_dir / "batch_trace.json"
         write_batch_trace(bus.events, trace_path, label="reproduce")
-        report.telemetry = {
-            **bus.rollup(),
-            "rollup": rollup_events(bus.events),
-            "trace_path": str(trace_path),
-        }
         print(f"telemetry: {bus.log_path} + {trace_path} "
               f"({report.telemetry['events']} events, "
               f"{report.telemetry['workers']} worker(s))")
     print("Rendering studies...")
     out.mkdir(parents=True, exist_ok=True)
-    timings, deviations = _render(
-        studies, dict(zip(batch, report.outcomes)), out
-    )
+    deviations = _render(studies, dict(zip(batch, report.outcomes)), out)
     _build_index(studies, out)
-    total_wall = time.perf_counter() - started
-    _append_baseline(
-        out / "bench_runner.json", total_wall, timings, report, args
-    )
-    print(f"done in {total_wall:.1f}s ({report.summary()})")
+    print(f"done in {time.perf_counter() - started:.1f}s "
+          f"({report.summary()})")
     for study, claim in deviations:
         print(f"claim does not hold: {study}: {claim}")
     return 1 if report.failures or deviations else 0
@@ -164,11 +146,8 @@ def _render(studies, landed, out: Path):
     """Hand every study its results (``landed``: job key -> outcome),
     write it, evaluate its claims.
 
-    Returns per-study simulation seconds (the sum over the jobs it
-    reads; 0.0 where all were cached) and the (study, claim) pairs
-    that do not hold.
+    Returns the (study, claim) pairs that do not hold.
     """
-    timings: dict[str, float] = {}
     deviations: list[tuple[str, str]] = []
     figure_rows = {}
     for study in studies:
@@ -197,9 +176,8 @@ def _render(studies, landed, out: Path):
             figure_rows[study.claims] = study.drawn(results)
         walls = sum(outcome.wall_seconds for outcome in outcomes)
         print(f"  [{walls:5.1f}s] {study.name}")
-        timings[study.name] = round(walls, 3)
     write_paper_claims(figure_rows, out)
-    return timings, deviations
+    return deviations
 
 
 def _build_index(studies, out: Path) -> None:
@@ -226,55 +204,3 @@ def _build_index(studies, out: Path) -> None:
     (out / "index.html").write_text("\n".join(parts))
     print(f"gallery: {out / 'index.html'}")
 
-
-def _append_baseline(
-    path: Path,
-    total_wall: float,
-    timings: dict[str, float],
-    report,
-    args: argparse.Namespace,
-) -> None:
-    """Append this run's wall-clock record to ``bench_runner.json``.
-
-    The file accumulates one entry per invocation so future changes to
-    the runner or the simulator have a measured trajectory to compare
-    against.
-    """
-    entry = {
-        "when": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "quick": args.quick,
-        # Which execution backend produced these timings. Replayed and
-        # generated (interpreter) runs are different experiments at
-        # very different speeds; trajectory comparisons (bench_gate)
-        # must never mix the two.
-        "backend": "replay" if args.replay else "interpreter",
-        "jobs": report.workers,
-        "cache": not args.no_cache,
-        "total_wall_seconds": round(total_wall, 3),
-        "sim_seconds": round(report.busy_seconds, 3),
-        "utilization": round(report.utilization(), 3),
-        "cache_hits": report.cache_hits,
-        "cache_misses": report.cache_misses,
-        "failures": len(report.failures),
-        "worker_crashes": report.worker_crashes,
-        "figures": timings,
-        # Per-job host wall time and simulation speed (cycles per host
-        # second; null for cache hits) — the per-run record that makes
-        # hot-path regressions attributable to a specific simulation.
-        "per_job": report.to_dict()["per_job"],
-    }
-    if report.cache_stats is not None:
-        # ResultCache counter rollup (hits/misses/stores/evictions and
-        # bytes moved) for the trajectory record.
-        entry["result_cache"] = report.cache_stats
-    if report.telemetry is not None:
-        entry["telemetry"] = report.telemetry
-    try:
-        history = json.loads(path.read_text())
-        if not isinstance(history, list):
-            history = []
-    except (OSError, ValueError):
-        history = []
-    history.append(entry)
-    path.write_text(json.dumps(history, indent=2) + "\n")
-    print(f"perf baseline appended: {path}")

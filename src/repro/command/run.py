@@ -93,6 +93,22 @@ def print_result_stats(result, title: str) -> None:
     print(f"  wall time     {result.wall_seconds:.2f}s")
 
 
+def _profiled(fn):
+    """``(fn(), report)``: ``fn`` run under cProfile, ``report`` the
+    pstats text of its 30 hottest entries by cumulative time."""
+    import cProfile
+    import io
+    import pstats
+
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn)
+    buffer = io.StringIO()
+    pstats.Stats(profiler, stream=buffer).strip_dirs().sort_stats(
+        "cumulative"
+    ).print_stats(30)
+    return result, buffer.getvalue()
+
+
 def run(args: argparse.Namespace) -> int:
     """Simulate the job the flags describe and print its statistics."""
     job = job_from_args(args, obs_sample=args.sample_interval or 0)
@@ -112,11 +128,7 @@ def run(args: argparse.Namespace) -> int:
     if args.profile or args.profile_out is not None:
         # Profiling wants the simulation in *this* process with no
         # cache shortcut — a cache hit would profile JSON parsing.
-        from repro.perf import profile_call
-
-        result, profile_text = profile_call(
-            lambda: job.run(obs=obs_config)
-        )
+        result, profile_text = _profiled(lambda: job.run(obs=obs_config))
     elif obs_config is not None or args.from_checkpoint is not None:
         # The event file is written by the run itself (and an explicit
         # checkpoint restore changes where the run starts), so these

@@ -260,7 +260,7 @@ class Study:
 
     def stamped(self, **fields) -> "Study":
         """This study with ``fields`` laid over every job: execution
-        policy, an observation interval, another scale."""
+        policy, another scale."""
         return dataclasses.replace(self, rows={
             label: {
                 point: dataclasses.replace(job, **fields)

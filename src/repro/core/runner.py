@@ -692,7 +692,7 @@ class RunReport:
         return "; ".join(parts)
 
     def to_dict(self) -> dict:
-        """JSON-serializable telemetry (perf baselines, dashboards)."""
+        """JSON-serializable account of the batch (sweeps, dashboards)."""
         per_job = []
         for outcome in self.outcomes:
             result = outcome.result
@@ -704,13 +704,6 @@ class RunReport:
                 "wall_seconds": outcome.wall_seconds,
                 "cached": outcome.cached,
                 "cycles": result.stats.cycles if result else None,
-                # Simulation speed; None for cache hits (no host
-                # time was spent simulating this run) and failures.
-                "cycles_per_host_second": (
-                    result.stats.cycles / outcome.wall_seconds
-                    if result is not None and outcome.wall_seconds > 0
-                    else None
-                ),
                 "error": outcome.error,
                 "timed_out": outcome.timed_out,
                 "attempts": outcome.attempts,

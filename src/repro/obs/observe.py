@@ -199,8 +199,8 @@ class Observation:
         )
 
     def rollup(self) -> dict:
-        """JSON-serializable summary carried in result extras and
-        ``bench_runner.json`` (mean/max per sampled series, metric
+        """JSON-serializable summary carried in result extras and the
+        runner's per-job records (mean/max per sampled series, metric
         snapshot, event counts, run log)."""
         out = {
             "sample_interval": (

@@ -90,8 +90,7 @@ class UtilizationSampler:
 
     def rollup(self) -> dict[str, dict[str, float]]:
         """Mean/max per series — the compact summary carried by
-        :class:`~repro.core.experiment.ExperimentResult` extras and
-        ``bench_runner.json``."""
+        :class:`~repro.core.experiment.ExperimentResult` extras."""
         out: dict[str, dict[str, float]] = {}
         for name in sorted(self.series):
             values = self.series[name]

@@ -272,25 +272,39 @@ def test_reproduce_writes_the_gallery_and_a_rerun_only_renders(
         "reproduce", str(out_dir), "--quick", "--jobs", "1",
         "--cache-dir", str(tmp_path / "cache"),
     ]
-    assert main(argv) == 0
+    written = [
+        "fig09_fft.csv", "fig09_fft.svg", "fig09_fft.txt", "index.html",
+        "paper_claims.txt",
+    ]
+
+    def run_and_cached(*flags):
+        # (run, cached) from the RunReport.summary() that ends the run
+        assert main([*argv, *flags]) == 0
+        out = capsys.readouterr().out
+        done = out.splitlines()[-1]
+        assert done.startswith("done in ")
+        counts = re.search(r"; (\d+) run, (\d+) cached", done)
+        return out, (int(counts[1]), int(counts[2]))
+
+    out, cold = run_and_cached()
     first_text = (out_dir / "fig09_fft.txt").read_text()
     first_csv = (out_dir / "fig09_fft.csv").read_text()
     assert "paper claims:" in first_text
     assert "<svg" in (out_dir / "fig09_fft.svg").read_text()
     assert "fig09_fft" in (out_dir / "index.html").read_text()
-    assert "[cache]" not in capsys.readouterr().out
+    assert "[cache]" not in out
+    assert cold == (3, 0)
+    assert sorted(path.name for path in out_dir.iterdir()) == written
 
-    assert main(argv) == 0
-    assert capsys.readouterr().out.count("[cache]") == 3
+    telemetry = tmp_path / "telemetry"
+    out, warm = run_and_cached("--telemetry-dir", str(telemetry))
+    assert out.count("[cache]") == 3
+    assert warm == (0, 3)
+    assert re.search(r"^telemetry: .* \(\d+ events, \d+ worker\(s\)\)$",
+                     out, re.M)
+    assert sorted(path.name for path in telemetry.iterdir()) == [
+        "batch_events.jsonl", "batch_trace.json",
+    ]
     assert (out_dir / "fig09_fft.txt").read_text() == first_text
     assert (out_dir / "fig09_fft.csv").read_text() == first_csv
-    cold, warm = json.loads((out_dir / "bench_runner.json").read_text())
-    assert set(cold) == set(warm) == {
-        "when", "quick", "backend", "jobs", "cache",
-        "total_wall_seconds", "sim_seconds", "utilization",
-        "cache_hits", "cache_misses", "failures", "worker_crashes",
-        "figures", "per_job", "result_cache",
-    }
-    assert (cold["cache_hits"], cold["cache_misses"]) == (0, 3)
-    assert (warm["cache_hits"], warm["cache_misses"]) == (3, 0)
-    assert list(cold["figures"]) == ["fig09_fft"]
+    assert sorted(path.name for path in out_dir.iterdir()) == written

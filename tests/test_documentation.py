@@ -10,6 +10,9 @@ import inspect
 import pathlib
 import pkgutil
 import re
+import subprocess
+
+import pytest
 
 import repro
 
@@ -143,6 +146,55 @@ def test_version_has_a_single_source():
     changelog = (root / "CHANGELOG.md").read_text()
     newest = changelog.split("\n## ", 1)[1].split("\n", 1)[0].strip()
     assert newest == repro.__version__
+
+
+#: the second timing stack, deleted in 1.23.0: the ledger is the one
+#: place host time is measured
+DELETED_TIMING_STACK = re.compile(
+    r"(?<![\w.])micro\.py|bench_gate|serve_bench|microbench\.json"
+    r"|bench_runner\.json|repro\.perf\b|repro/perf\.py"
+)
+#: the top-level documents that describe the program as it is; the
+#: other top-level ones (changelog, roadmap, ...) are history and plans
+CURRENT_DOCS = {"README.md", "CONTRIBUTING.md", "DESIGN.md", "EXPERIMENTS.md"}
+
+
+def _tracked_files(root):
+    try:
+        listed = subprocess.run(
+            ["git", "ls-files", "-z"], cwd=root, capture_output=True,
+            check=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("not a git checkout")
+    return [name for name in listed.decode().split("\0") if name]
+
+
+def test_no_file_names_the_deleted_timing_stack():
+    root = SRC_ROOT.parent.parent
+    named = []
+    for name in _tracked_files(root):
+        if "/" not in name and name.endswith(".md") and (
+            name not in CURRENT_DOCS
+        ):
+            continue
+        if name == "tests/test_documentation.py" or name.startswith(
+            "benchmarks/ledger/"  # edited only with the benchmark itself
+        ):
+            continue
+        path = root / name
+        if not path.is_file():
+            continue  # deleted in the work tree, not yet in the index
+        text = path.read_bytes().decode("utf-8", errors="replace")
+        if name == "docs/PERFORMANCE.md":
+            # §3-§15 are the dated measurements, kept as history
+            head, rest = text.split("\n## 3. ", 1)
+            text = head + "\n" + rest.split("\n## 16. ", 1)[1]
+        named += [
+            f"{name}: {match.group()}"
+            for match in DELETED_TIMING_STACK.finditer(text)
+        ]
+    assert not named, named
 
 
 def test_checkpoint_wire_table_is_rendered_from_the_codec_table():

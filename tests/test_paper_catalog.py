@@ -133,9 +133,7 @@ def test_declared_artefacts_are_the_committed_listing():
         for artefact in study.artefacts
     }
     committed = {path.name for path in RESULTS_DIR.iterdir()}
-    assert declared == committed - {
-        "bench_runner.json", "microbench.json", "index.html",
-    }
+    assert declared == committed - {"index.html"}
 
 
 def test_a_job_two_studies_share_is_simulated_once():

@@ -13,16 +13,20 @@ implicitly elsewhere:
 * every built closure (``make_probe`` … ``make_fill``, the read and
   dirty-store lanes, ``WriteBuffer.make_post``) against the generic
   method it specializes, on twin objects driven by one random stream —
-  same answers, same states, same LRU order, same stamp counter.
+  same answers, same states, same LRU order, same stamp counter;
+* on every preset's built hierarchy, the read lane taking every line
+  ``access()`` made resident.
 """
 
 import random
 
 import pytest
 
+from repro.core.configs import build_memory, config_for_scale
 from repro.mem.cache import EVICT_EPOCH, MODIFIED, SHARED, CacheArray, LineState
+from repro.mem.types import AccessKind
 from repro.mem.writebuffer import WriteBuffer
-from repro.sim.stats import CacheStats, MissKind
+from repro.sim.stats import CacheStats, MissKind, SystemStats
 
 
 def make_cache(size=1024, assoc=2, line=32, name="c"):
@@ -313,3 +317,40 @@ def test_post_is_admit_then_push():
         stalls += stalled
     assert stalls and buffer.full_stalls == twin.full_stalls == stalls
     assert buffer.stores == twin.stores == 2000
+
+
+# ----------------------------------------------------------------------
+# the read lane takes every resident line, on every preset
+
+
+@pytest.mark.parametrize(
+    "arch", ("shared-l1", "shared-l2", "shared-mem", "shared-l3", "cluster-l1")
+)
+def test_read_lane_takes_every_warm_line(arch):
+    """Lines an ``access()`` made resident are all read-lane hits: 8
+    back-to-back lines per CPU, 32 consecutive lines in all, fit every
+    hierarchy's L1 (the 64-line shared one included) in distinct sets.
+    A decline here is a lane that hands hits to the miss path."""
+    n_cpus, hit_lines, line = 4, 8, 32
+    mem = build_memory(
+        arch, config_for_scale("test", n_cpus), SystemStats.for_cpus(n_cpus)
+    )
+    hit_base = [0x10000 + cpu * hit_lines * line for cpu in range(n_cpus)]
+    at = 0
+    for cpu in range(n_cpus):
+        for index in range(hit_lines):
+            at = mem.access(
+                cpu, AccessKind.LOAD, hit_base[cpu] + index * line, at
+            ).done
+    declined = []
+    for _ in range(3):
+        for cpu in range(n_cpus):
+            lane = mem.fast_lanes(cpu)[1]
+            for index in range(hit_lines):
+                addr = hit_base[cpu] + index * line
+                done = lane(addr, at)
+                if done < 0:
+                    declined.append((cpu, hex(addr)))
+                else:
+                    at = done
+    assert declined == []
