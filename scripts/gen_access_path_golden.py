@@ -244,8 +244,8 @@ def component_counters(value):
         }
     if isinstance(value, CacheArray):
         return {
-            "resident": value.resident_count(),
-            "invalidated": len(value.tracker),
+            "resident": sum(tag >= 0 for tag in value.tags),
+            "invalidated": len(value.invalidated),
         }
     return None
 

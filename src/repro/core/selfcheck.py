@@ -213,9 +213,8 @@ def check_spin_elision() -> str:
                 mem_config=test_config(),
                 max_cycles=1_000_000,
             )
-            # A CPU that may not run ahead of the loop (what a memory
-            # system that is not batchable asks for) steps every spin
-            # iteration through the thread program.
+            # A CPU that may not run ahead of the loop steps every spin
+            # iteration through the thread program: the reference.
             for cpu in system.cpus:
                 cpu._batchable = not stepped
             outcomes.append(system.run().to_dict())

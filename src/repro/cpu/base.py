@@ -73,6 +73,10 @@ class BaseCpu(ABC):
         self._has_value = False
         self._send_value: object = None
         self._started = False
+        # Whether the model may retire ahead of the run loop (Mipsy's
+        # compute-run batching and spin elision). Only the stepped
+        # reference run of the tests and ``repro selfcheck`` clears it.
+        self._batchable = True
         self.bind_memory(memory)
         # Hot-loop counters batched as plain ints; folded into the
         # stats objects by flush_stats() at stall/run boundaries.
@@ -93,14 +97,13 @@ class BaseCpu(ABC):
         """Point this CPU at ``memory`` and bind its fast-lane closures.
 
         The models call the bound per-CPU lanes directly on their
-        hottest paths (no ``fast_*(cpu, ...)`` dispatch), so anything
+        hottest paths (no per-access dispatch on the CPU), so anything
         that swaps a CPU's memory system after construction — e.g.
         :func:`~repro.trace.recorder.record_run` wrapping it in a
         recording proxy — must rebind through here, not assign
         ``cpu.memory``.
         """
         self.memory = memory
-        self._batchable = memory.batchable
         lanes = memory.fast_lanes(self.cpu_id)
         self._lane_ifetch, self._lane_load, self._lane_store = lanes
 

@@ -33,10 +33,10 @@ does not re-simulate an iteration that cannot turn out differently:
   leaves its L1 or its word gets a new write.
 
 Every counter ends where stepping the loop would have left it, and no
-feature turns batching or elision off: observed and checkpoint-recording
-runs see what stepping shows (``DESIGN.md`` §8, rule 10). Only a memory
-system that is not ``batchable`` (a limited trace recorder) makes Mipsy
-step — the path the tests take as their reference.
+feature turns batching or elision off: observed, checkpoint-recording
+and trace-recording runs see what stepping shows (``DESIGN.md`` §8,
+rule 10). Only ``cpu._batchable = False`` makes Mipsy step — the
+reference the tests and ``repro selfcheck`` compare against.
 """
 
 from __future__ import annotations

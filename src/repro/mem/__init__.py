@@ -27,7 +27,7 @@ Each is built from the resolved spec alone: every ``CacheLevel`` /
 """
 
 from repro.mem.types import AccessKind, AccessResult, StallLevel
-from repro.mem.cache import CacheArray, CacheLine
+from repro.mem.cache import CacheArray
 from repro.mem.bank import BankedResource, Resource
 from repro.mem.functional import FunctionalMemory
 from repro.mem.hierarchy import MemorySystem
@@ -53,7 +53,6 @@ __all__ = [
     "AccessResult",
     "StallLevel",
     "CacheArray",
-    "CacheLine",
     "BankedResource",
     "Resource",
     "FunctionalMemory",

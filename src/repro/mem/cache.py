@@ -21,40 +21,39 @@ Each cache keeps three flat native ``array`` columns indexed by
   the previous implementation kept (a hit re-inserts at the back;
   eviction pops the front).
 
-The hot primitives (:meth:`probe`, :meth:`fill`, :meth:`evict`,
-:meth:`set_state`, :meth:`find`) work in *line addresses* and return
-packed ints — no per-access object allocation anywhere. The historical
-byte-address object API (:meth:`lookup`, :meth:`insert`,
-:meth:`invalidate`, …) remains as thin wrappers for tests, reports and
-cold paths; the :class:`CacheLine` objects those return are detached
-snapshots — mutating them does not write back into the array.
+There is one interface, in *line addresses* (byte address >>
+``line_shift``): the primitives (:meth:`probe`, :meth:`probe_modify`,
+:meth:`find`, :meth:`fill`, :meth:`evict`) return packed ints — no
+per-access object allocation anywhere — and the ``make_*`` builders
+specialize them into closures for the built paths and fast lanes. The
+primitives are the reference those closures are tested against and
+the fallback for associativity above 2. Residency is read whole
+through :meth:`export_sets` or straight from the columns.
 
-The columns are mutated strictly in place (``flush`` and
-``import_sets`` refill them, never rebind them) and the LRU tick lives
-in a one-element list, so closures built by :meth:`make_probe` /
+The columns are mutated strictly in place (``import_sets`` refills
+them, never rebinds them) and the LRU tick lives in a one-element
+list, so closures built by :meth:`make_probe` /
 :meth:`make_probe_modify` stay valid for the cache's whole lifetime,
 including across checkpoint restore.
 
 Ordering contract
 -----------------
 
-:meth:`lines` and :meth:`flush` iterate sets in index order and, within
-each set, resident lines in LRU order — least recently used first, most
-recently used last. The checkpoint walker relies on this: a snapshot
-stores each set's lines in that order and a restore re-stamps them in
-sequence, which preserves every future replacement decision (only the
-relative recency order within a set matters).
+:meth:`export_sets` lists sets in index order and, within each set,
+resident lines in LRU order — least recently used first, most recently
+used last. The checkpoint walker relies on this: a snapshot stores each
+set's lines in that order and a restore re-stamps them in sequence,
+which preserves every future replacement decision (only the relative
+recency order within a set matters).
 """
 
 from __future__ import annotations
 
 from array import array
 from enum import IntEnum
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import ConfigError
-from repro.mem.classify import InvalidationTracker
-from repro.sim.stats import MissKind
 
 
 class LineState(IntEnum):
@@ -82,27 +81,6 @@ MODIFIED = 3
 EVICT_EPOCH = [0]
 
 
-class CacheLine:
-    """Detached tag-array snapshot for one resident line.
-
-    The packed core does not store these; the legacy byte-address API
-    materializes them on demand. Treat them as read-only views.
-    """
-
-    __slots__ = ("line_addr", "state")
-
-    def __init__(self, line_addr: int, state: LineState) -> None:
-        self.line_addr = line_addr
-        self.state = state
-
-    @property
-    def dirty(self) -> bool:
-        return self.state == LineState.MODIFIED
-
-    def __repr__(self) -> str:
-        return f"<CacheLine {self.line_addr:#x} {self.state.name}>"
-
-
 def _log2_exact(value: int, what: str) -> int:
     if value <= 0 or value & (value - 1):
         raise ConfigError(f"{what} must be a power of two, got {value}")
@@ -112,9 +90,9 @@ def _log2_exact(value: int, what: str) -> int:
 class CacheArray:
     """One cache's tag array: set-associative, LRU, write-back capable.
 
-    Addresses in the packed API are line addresses (byte address >>
-    ``line_shift``); the legacy API takes byte addresses. Statistics are
-    *not* counted here — the memory systems know the access semantics
+    Addresses are line addresses (byte address >> ``line_shift``),
+    except the byte address a built lane takes. Statistics are *not*
+    counted here — the memory systems know the access semantics
     and count into :class:`~repro.sim.stats.CacheStats` themselves; the
     array only answers hit/miss/evict questions and tracks which misses
     are invalidation misses.
@@ -133,7 +111,7 @@ class CacheArray:
         "states",
         "stamps",
         "_tick",
-        "tracker",
+        "invalidated",
     )
 
     def __init__(
@@ -165,18 +143,14 @@ class CacheArray:
         self.stamps = array("q", [0]) * n_ways
         # One-element list so probe closures share the counter.
         self._tick = [0]
-        self.tracker = InvalidationTracker()
-
-    # ------------------------------------------------------------------
-    # address helpers
-
-    def line_addr_of(self, addr: int) -> int:
-        """Line address (byte address without the offset bits)."""
-        return addr >> self.line_shift
-
-    def set_index_of(self, line_addr: int) -> int:
-        """Set index a line address maps to."""
-        return line_addr & self._set_mask
+        #: The lines a coherence action removed (§4's invalidation
+        #: misses, L1I/L2I): the next miss on one is an invalidation
+        #: miss, and a refill forgets it, so a later eviction of the
+        #: refetched line is an ordinary replacement. A built path
+        #: captures the set to classify a miss with one membership
+        #: test; like the columns it is only ever mutated in place,
+        #: checkpoint restore included.
+        self.invalidated: set[int] = set()
 
     # ------------------------------------------------------------------
     # packed primitives (line-address domain, allocation free)
@@ -190,15 +164,6 @@ class CacheArray:
                 tick = self._tick
                 self.stamps[way] = tick[0]
                 tick[0] += 1
-                return self.states[way]
-        return -1
-
-    def probe_quiet(self, line_addr: int) -> int:
-        """The line's state without touching LRU; ``-1`` on a miss."""
-        tags = self.tags
-        base = (line_addr & self._set_mask) * self.assoc
-        for way in range(base, base + self.assoc):
-            if tags[way] == line_addr:
                 return self.states[way]
         return -1
 
@@ -229,14 +194,6 @@ class CacheArray:
             if tags[way] == line_addr:
                 return way
         return -1
-
-    def set_state(self, line_addr: int, state: int) -> bool:
-        """Overwrite a resident line's state (no LRU); False on a miss."""
-        way = self.find(line_addr)
-        if way < 0:
-            return False
-        self.states[way] = state
-        return True
 
     def fill(self, line_addr: int, state: int) -> int:
         """Fill the line, returning the packed victim.
@@ -278,7 +235,7 @@ class CacheArray:
         tick = self._tick
         stamps[way] = tick[0]
         tick[0] += 1
-        self.tracker.note_fill(line_addr)
+        self.invalidated.discard(line_addr)
         return packed
 
     def evict(self, line_addr: int, coherence: bool = True) -> int:
@@ -294,12 +251,8 @@ class CacheArray:
         self.tags[way] = -1
         EVICT_EPOCH[0] += 1
         if coherence:
-            self.tracker.note_invalidation(line_addr)
+            self.invalidated.add(line_addr)
         return self.states[way]
-
-    def classify_line(self, line_addr: int) -> MissKind:
-        """Classify a miss on a line address (after a failed probe)."""
-        return self.tracker.classify(line_addr)
 
     # ------------------------------------------------------------------
     # specialized builders (fast lanes and built access paths)
@@ -309,14 +262,6 @@ class CacheArray:
     # also the reference the unrolled forms are tested against
     # (``tests/test_probe_core.py``). A direct-mapped set has no
     # recency to keep, so its closures leave the stamps alone.
-
-    @property
-    def invalidated(self) -> set[int]:
-        """The lines a coherence action removed (the tracker's live
-        set). A built path captures it to classify a miss with one
-        membership test; like the columns it is only ever mutated in
-        place, checkpoint restore included."""
-        return self.tracker._invalidated
 
     def make_probe(self) -> Callable[[int], int]:
         """Build an allocation-free LRU-refreshing probe closure.
@@ -417,7 +362,7 @@ class CacheArray:
         tags = self.tags
         states = self.states
         mask = self._set_mask
-        note_invalidation = self.tracker._invalidated.add
+        note_invalidation = self.invalidated.add
         epoch = EVICT_EPOCH
         if self.assoc == 1:
             def evict(line_addr: int, coherence: bool = True) -> int:
@@ -456,7 +401,7 @@ class CacheArray:
         stamps = self.stamps
         tick = self._tick
         mask = self._set_mask
-        note_fill = self.tracker._invalidated.discard
+        note_fill = self.invalidated.discard
         if self.assoc == 1:
             def fill(line_addr: int, state: int) -> int:
                 way = line_addr & mask
@@ -608,134 +553,6 @@ class CacheArray:
         return lane
 
     # ------------------------------------------------------------------
-    # legacy byte-address API (tests, reports, cold paths)
-
-    def lookup(self, addr: int, update_lru: bool = True) -> CacheLine | None:
-        """Probe for the line containing byte address ``addr``.
-
-        Returns a detached :class:`CacheLine` snapshot (refreshing LRU
-        unless told not to) or ``None`` on a miss.
-        """
-        line_addr = addr >> self.line_shift
-        state = self.probe(line_addr) if update_lru else self.probe_quiet(
-            line_addr
-        )
-        if state < 0:
-            return None
-        return CacheLine(line_addr, LineState(state))
-
-    def classify_miss(self, addr: int) -> MissKind:
-        """Classify a miss on ``addr`` (call only after a failed lookup)."""
-        return self.tracker.classify(addr >> self.line_shift)
-
-    def insert(
-        self,
-        addr: int,
-        state: LineState = LineState.SHARED,
-    ) -> CacheLine | None:
-        """Fill the line containing ``addr``; return the evicted victim.
-
-        Byte-address wrapper over :meth:`fill`; the victim (``None`` if
-        the set had room) is a detached snapshot.
-        """
-        packed = self.fill(addr >> self.line_shift, state)
-        if packed < 0:
-            return None
-        return CacheLine(packed >> 2, LineState(packed & 3))
-
-    def invalidate(self, addr: int, coherence: bool = True) -> CacheLine | None:
-        """Remove the line containing ``addr`` if resident.
-
-        Byte-address wrapper over :meth:`evict`; returns the removed
-        line as a detached snapshot (so the caller can check dirtiness)
-        or ``None``.
-        """
-        line_addr = addr >> self.line_shift
-        state = self.evict(line_addr, coherence)
-        if state < 0:
-            return None
-        return CacheLine(line_addr, LineState(state))
-
-    def downgrade(self, addr: int) -> CacheLine | None:
-        """Drop the line containing ``addr`` to SHARED if resident.
-
-        Used when a snoop hits a MODIFIED/EXCLUSIVE copy on a remote
-        read: the owner supplies the data and keeps a shared copy.
-        """
-        line_addr = addr >> self.line_shift
-        way = self.find(line_addr)
-        if way < 0:
-            return None
-        self.states[way] = SHARED
-        return CacheLine(line_addr, LineState.SHARED)
-
-    # ------------------------------------------------------------------
-    # introspection (tests, invariant checks, reports)
-
-    def contains(self, addr: int) -> bool:
-        """Residency probe without touching LRU state."""
-        return self.find(addr >> self.line_shift) >= 0
-
-    def state_of(self, addr: int) -> LineState:
-        """The line's MESI state (INVALID when absent); no LRU update."""
-        state = self.probe_quiet(addr >> self.line_shift)
-        return LineState(state) if state >= 0 else LineState.INVALID
-
-    def _set_ways_lru(self, set_index: int) -> list[int]:
-        """Resident ways of one set in LRU order (oldest stamp first)."""
-        base = set_index * self.assoc
-        tags = self.tags
-        stamps = self.stamps
-        ways = [
-            way for way in range(base, base + self.assoc) if tags[way] >= 0
-        ]
-        ways.sort(key=stamps.__getitem__)
-        return ways
-
-    def lines(self) -> Iterator[CacheLine]:
-        """Iterate every resident line (for checks, reports, ckpt).
-
-        Ordering contract: sets in index order; within each set, LRU
-        order — least recently used first. The checkpoint walker
-        round-trips this order (see the module docstring).
-        """
-        tags = self.tags
-        states = self.states
-        for set_index in range(self.n_sets):
-            for way in self._set_ways_lru(set_index):
-                yield CacheLine(tags[way], LineState(states[way]))
-
-    def resident_count(self) -> int:
-        """Number of lines currently resident."""
-        return sum(1 for tag in self.tags if tag >= 0)
-
-    def set_occupancy(self, set_index: int) -> int:
-        """Resident lines in one set (must never exceed the associativity)."""
-        base = set_index * self.assoc
-        return sum(
-            1 for way in range(base, base + self.assoc) if self.tags[way] >= 0
-        )
-
-    def flush(self) -> list[CacheLine]:
-        """Empty the cache, returning the dirty lines (for writeback).
-
-        The dirty lines come back in the :meth:`lines` ordering (sets
-        in index order, LRU within each set). A flush discards the
-        invalidation tracker too: the lines left for a non-coherence
-        reason, so a later miss on a previously invalidated line is a
-        replacement miss, not an invalidation miss.
-        """
-        dirty = [line for line in self.lines() if line.dirty]
-        # In place: probe closures capture these columns by reference.
-        for way in range(len(self.tags)):
-            self.tags[way] = -1
-            self.states[way] = 0
-            self.stamps[way] = 0
-        self._tick[0] = 0
-        self.tracker.clear()
-        return dirty
-
-    # ------------------------------------------------------------------
     # checkpoint support
 
     def export_sets(self) -> list[list[list[int]]]:
@@ -743,14 +560,19 @@ class CacheArray:
 
         This is the ``repro.ckpt/1`` wire format for a cache: the order
         within a set *is* the recency order, exactly as the historical
-        dict-of-lines representation serialized it.
+        dict-of-lines representation serialized it. It is also the one
+        way to read residency whole (tests, invariant checks).
         """
         tags = self.tags
         states = self.states
-        return [
-            [[tags[way], states[way]] for way in self._set_ways_lru(index)]
-            for index in range(self.n_sets)
-        ]
+        stamps = self.stamps
+        assoc = self.assoc
+        sets = []
+        for base in range(0, len(tags), assoc):
+            ways = [way for way in range(base, base + assoc) if tags[way] >= 0]
+            ways.sort(key=stamps.__getitem__)
+            sets.append([[tags[way], states[way]] for way in ways])
+        return sets
 
     def import_sets(self, sets: list) -> None:
         """Rebuild residency from :meth:`export_sets` data.

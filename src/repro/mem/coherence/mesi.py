@@ -188,20 +188,23 @@ class SnoopController:
         owners: dict[int, int] = {}
         holders: dict[int, set[int]] = {}
         for cpu in range(self.n_cpus):
-            for line in self.l2s[cpu].lines():
-                holders.setdefault(line.line_addr, set()).add(cpu)
-                if line.state in (LineState.MODIFIED, LineState.EXCLUSIVE):
-                    if line.line_addr in owners:
+            l2 = self.l2s[cpu]
+            for line_addr, state in zip(l2.tags, l2.states):
+                if line_addr < 0:
+                    continue
+                holders.setdefault(line_addr, set()).add(cpu)
+                if state in (LineState.MODIFIED, LineState.EXCLUSIVE):
+                    if line_addr in owners:
                         raise ProtocolError(
-                            f"line {line.line_addr:#x} owned by both CPU "
-                            f"{owners[line.line_addr]} and CPU {cpu}"
+                            f"line {line_addr:#x} owned by both CPU "
+                            f"{owners[line_addr]} and CPU {cpu}"
                         )
-                    owners[line.line_addr] = cpu
-            for line in self.l1ds[cpu].lines():
-                if self.l2s[cpu].find(line.line_addr) < 0:
+                    owners[line_addr] = cpu
+            for line_addr in self.l1ds[cpu].tags:
+                if line_addr >= 0 and l2.find(line_addr) < 0:
                     raise ProtocolError(
                         f"inclusion violated: CPU {cpu} L1 holds "
-                        f"{line.line_addr:#x} but its L2 does not"
+                        f"{line_addr:#x} but its L2 does not"
                     )
         for line_addr, owner in owners.items():
             others = holders.get(line_addr, set()) - {owner}

@@ -87,10 +87,10 @@ class MemConfig:
     # paid.
     shared_l1_optimistic: bool = False
 
-    # Resolve L1 hits through the single-probe fast lane
-    # (``MemorySystem.fast_load`` / ``fast_ifetch``). Behaviorally
-    # invisible; exists so the differential tests can force the general
-    # path and assert identical statistics.
+    # Resolve L1 hits through the single-probe fast lanes
+    # (``MemorySystem.fast_lanes``). Behaviorally invisible; exists so
+    # the differential tests can force the general path and assert
+    # identical statistics.
     l1_fast_path: bool = True
 
     # Private-cache coherence policy under a directory (Section 2.3:
@@ -196,14 +196,6 @@ class MemorySystem:
 
     #: short name used in reports (the topology's name once scaffolded)
     name: str = "abstract"
-
-    #: whether CPU models may retire runs of compute instructions ahead
-    #: of the run loop (Mipsy's batching, and the back-branch of a
-    #: declared spin loop). True for the real memory systems — their
-    #: fast lanes are pure timing closures — but a proxy that counts
-    #: lane calls in cross-CPU issue order (a limited trace recorder)
-    #: must see the unbatched stream.
-    batchable: bool = True
 
     def __init__(self, config: MemConfig, stats: SystemStats) -> None:
         self.config = config
@@ -409,31 +401,18 @@ class MemorySystem:
         return _decline
 
     def fast_lanes(self, cpu: int) -> tuple:
-        """Per-CPU fast-lane closures ``(ifetch, load, store)``.
+        """Per-CPU fast-lane closures ``(ifetch, load, store)`` — the
+        only way to reach the lanes.
 
         Each closure takes ``(addr, at)`` and returns the completion
-        cycle or -1. The CPU models bind these once at construction so
-        the per-access cost is one call with the probe constants
-        captured as cell variables.
+        cycle or -1 (take :meth:`access`). Only a *posted, value-less*
+        store may take the store lane: its int carries the CPU-release
+        cycle but not the visibility time a value publish would need.
+        The CPU models bind these once at construction so the
+        per-access cost is one call with the probe constants captured
+        as cell variables.
         """
         return self._lanes[cpu]
-
-    def fast_ifetch(self, cpu: int, addr: int, at: int) -> int:
-        """L1 hit fast path for an I-fetch; -1 means take ``access``."""
-        return self._lanes[cpu][0](addr, at)
-
-    def fast_load(self, cpu: int, addr: int, at: int) -> int:
-        """L1 hit fast path for a data load; -1 means take ``access``."""
-        return self._lanes[cpu][1](addr, at)
-
-    def fast_store(self, cpu: int, addr: int, at: int) -> int:
-        """L1 hit fast path for a *posted, value-less* store.
-
-        Only stores with no functional value may take this lane (the
-        int return carries the CPU-release cycle but not the visibility
-        time a value publish would need); -1 means take ``access``.
-        """
-        return self._lanes[cpu][2](addr, at)
 
     def spin_port(self, cpu: int):
         """``(CacheArray, CacheStats)`` of ``cpu``'s L1D when a load

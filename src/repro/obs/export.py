@@ -85,65 +85,67 @@ def rollup_events(events: Iterable[BusEvent | dict]) -> dict:
     }
 
 
+def header(lines: list[str], name: str, kind: str, help_text: str) -> None:
+    """Append metric ``name``'s ``# HELP`` / ``# TYPE`` pair."""
+    lines.append(f"# HELP {name} {help_text}")
+    lines.append(f"# TYPE {name} {kind}")
+
+
+def sample(
+    lines: list[str], name: str, value, labels: dict | None = None
+) -> None:
+    """Append one sample: labels sorted by key, a float as its repr."""
+    label_text = ""
+    if labels:
+        pairs = sorted(labels.items())
+        label_text = "{" + ",".join(f'{k}="{v}"' for k, v in pairs) + "}"
+    rendered = repr(value) if isinstance(value, float) else str(value)
+    lines.append(f"{name}{label_text} {rendered}")
+
+
 def prometheus_text(rollup: dict, prefix: str = "repro") -> str:
     """Render a batch rollup in Prometheus text exposition format."""
     lines: list[str] = []
+    p = f"{prefix}_"
 
-    def header(name: str, kind: str, help_text: str) -> None:
-        lines.append(f"# HELP {prefix}_{name} {help_text}")
-        lines.append(f"# TYPE {prefix}_{name} {kind}")
-
-    def sample(name: str, value, labels: dict | None = None) -> None:
-        label_text = ""
-        if labels:
-            body = ",".join(
-                f'{key}="{val}"' for key, val in sorted(labels.items())
-            )
-            label_text = "{" + body + "}"
-        if isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{prefix}_{name}{label_text} {rendered}")
-
-    header("jobs_total", "counter", "Jobs by terminal status.")
+    header(lines, p + "jobs_total", "counter", "Jobs by terminal status.")
     for status, count in rollup.get("jobs", {}).items():
-        sample("jobs_total", count, {"status": status})
+        sample(lines, p + "jobs_total", count, {"status": status})
 
-    header("cache_ops_total", "counter", "ResultCache operations.")
+    header(lines, p + "cache_ops_total", "counter", "ResultCache operations.")
     for op, count in rollup.get("cache_ops", {}).items():
-        sample("cache_ops_total", count, {"op": op})
+        sample(lines, p + "cache_ops_total", count, {"op": op})
 
-    header("store_ops_total", "counter",
+    header(lines, p + "store_ops_total", "counter",
            "Checkpoint and trace store operations.")
     for label, count in rollup.get("store_ops", {}).items():
         store, op = label.split(".", 1)
-        sample("store_ops_total", count, {"store": store, "op": op})
+        sample(lines, p + "store_ops_total", count, {"store": store, "op": op})
 
-    header("job_retries_total", "counter", "Job retry decisions.")
-    sample("job_retries_total", rollup.get("retries", 0))
+    header(lines, p + "job_retries_total", "counter", "Job retry decisions.")
+    sample(lines, p + "job_retries_total", rollup.get("retries", 0))
 
-    header("pool_rebuilds_total", "counter",
+    header(lines, p + "pool_rebuilds_total", "counter",
            "Worker pool rebuilds after crashes.")
-    sample("pool_rebuilds_total", rollup.get("pool_rebuilds", 0))
+    sample(lines, p + "pool_rebuilds_total", rollup.get("pool_rebuilds", 0))
 
-    header("worker_deaths_total", "counter",
+    header(lines, p + "worker_deaths_total", "counter",
            "Workers observed dead by the parent.")
-    sample("worker_deaths_total", rollup.get("worker_deaths", 0))
+    sample(lines, p + "worker_deaths_total", rollup.get("worker_deaths", 0))
 
-    header("workers", "gauge", "Distinct worker processes seen.")
-    sample("workers", rollup.get("workers", 0))
+    header(lines, p + "workers", "gauge", "Distinct worker processes seen.")
+    sample(lines, p + "workers", rollup.get("workers", 0))
 
-    header("job_wall_seconds", "summary",
+    header(lines, p + "job_wall_seconds", "summary",
            "Wall time of finished (non-cached) jobs.")
-    sample("job_wall_seconds_sum",
+    sample(lines, p + "job_wall_seconds_sum",
            float(rollup.get("job_wall_seconds_sum", 0.0)))
-    sample("job_wall_seconds_count",
+    sample(lines, p + "job_wall_seconds_count",
            rollup.get("job_wall_seconds_count", 0))
 
-    header("batch_wall_seconds", "gauge",
+    header(lines, p + "batch_wall_seconds", "gauge",
            "First-to-last event span of the batch.")
-    sample("batch_wall_seconds",
+    sample(lines, p + "batch_wall_seconds",
            float(rollup.get("batch_wall_seconds", 0.0)))
 
     return "\n".join(lines) + "\n"

@@ -59,7 +59,7 @@ from repro.core.runner import ResultCache, Runner
 from repro.errors import ReproError
 from repro.obs import bus as obs_bus
 from repro.obs.bus import BusEvent, EventBus
-from repro.obs.export import prometheus_text, rollup_events
+from repro.obs.export import header, prometheus_text, rollup_events, sample
 from repro.serve import wire
 from repro.serve.queue import (
     CANCELLED,
@@ -415,76 +415,52 @@ class ServiceDaemon:
     def metrics_text(self) -> str:
         """The ``GET /v1/metrics`` body: batch rollup + service gauges."""
         text = prometheus_text(rollup_events(list(self.bus.events)))
-        lines = [
-            "# HELP repro_service_jobs Jobs by lifecycle state.",
-            "# TYPE repro_service_jobs gauge",
-        ]
+        lines: list[str] = []
+        jobs = "repro_service_jobs"
+        header(lines, jobs, "gauge", "Jobs by lifecycle state.")
         for state, count in self.queue.counts().items():
-            lines.append(
-                f'repro_service_jobs{{state="{state}"}} {count}'
-            )
-        lines += [
-            "# HELP repro_service_accepting Whether POST /v1/jobs is "
-            "admitted.",
-            "# TYPE repro_service_accepting gauge",
-            f"repro_service_accepting {int(self._accepting)}",
-            "# HELP repro_service_workers Warm pool worker slots.",
-            "# TYPE repro_service_workers gauge",
-            f"repro_service_workers {self.runner.n_jobs}",
-            "# HELP repro_service_inflight Jobs dispatched to the pool.",
-            "# TYPE repro_service_inflight gauge",
-            "repro_service_inflight "
-            f"{self.scheduler.inflight() if self.scheduler else 0}",
-            "# HELP repro_service_executed_total Simulations run to "
-            "completion by this daemon.",
-            "# TYPE repro_service_executed_total counter",
-            "repro_service_executed_total "
-            f"{self.scheduler.executed if self.scheduler else 0}",
-            "# HELP repro_service_uptime_seconds Daemon uptime.",
-            "# TYPE repro_service_uptime_seconds gauge",
-            "repro_service_uptime_seconds "
-            f"{(time.time() - self.started_at) if self.started_at else 0.0!r}",
-            "# HELP repro_service_longpoll_parked Status requests held "
-            "by ?wait= right now.",
-            "# TYPE repro_service_longpoll_parked gauge",
-            f"repro_service_longpoll_parked {self.queue.parked}",
-        ]
+            sample(lines, jobs, count, {"state": state})
+        scheduler = self.scheduler
+        for name, kind, help_text, value in (
+            ("accepting", "gauge", "Whether POST /v1/jobs is admitted.",
+             int(self._accepting)),
+            ("workers", "gauge", "Warm pool worker slots.",
+             self.runner.n_jobs),
+            ("inflight", "gauge", "Jobs dispatched to the pool.",
+             scheduler.inflight() if scheduler else 0),
+            ("executed_total", "counter",
+             "Simulations run to completion by this daemon.",
+             scheduler.executed if scheduler else 0),
+            ("uptime_seconds", "gauge", "Daemon uptime.",
+             (time.time() - self.started_at) if self.started_at else 0.0),
+            ("longpoll_parked", "gauge",
+             "Status requests held by ?wait= right now.", self.queue.parked),
+        ):
+            header(lines, f"repro_service_{name}", kind, help_text)
+            sample(lines, f"repro_service_{name}", value)
+        labelled = []
         if self._httpd is not None:
             connections, requests = self._httpd.traffic()
-            lines += [
-                "# HELP repro_service_http_connections_total Client "
-                "connections accepted.",
-                "# TYPE repro_service_http_connections_total counter",
-                f"repro_service_http_connections_total {connections}",
-                "# HELP repro_service_http_requests_total Requests "
-                "routed, by endpoint.",
-                "# TYPE repro_service_http_requests_total counter",
+            name = "repro_service_http_connections_total"
+            header(lines, name, "counter", "Client connections accepted.")
+            sample(lines, name, connections)
+            labelled += [
+                ("http_requests_total", "Requests routed, by endpoint.",
+                 "endpoint", requests),
+                ("http_refused_total", "Requests refused with the "
+                 "connection closed, by reason.", "reason",
+                 self._httpd.refused()),
             ]
-            for endpoint, count in sorted(requests.items()):
-                lines.append(
-                    "repro_service_http_requests_total"
-                    f'{{endpoint="{endpoint}"}} {count}'
-                )
-            lines += [
-                "# HELP repro_service_http_refused_total Requests "
-                "refused with the connection closed, by reason.",
-                "# TYPE repro_service_http_refused_total counter",
-            ]
-            for reason, count in sorted(self._httpd.refused().items()):
-                lines.append(
-                    "repro_service_http_refused_total"
-                    f'{{reason="{reason}"}} {count}'
-                )
         if self.cache is not None:
-            lines += [
-                "# HELP repro_service_cache_ops Result-cache counters "
-                "since daemon start.",
-                "# TYPE repro_service_cache_ops counter",
-            ]
-            for op, count in sorted(self.cache.stats().items()):
-                lines.append(
-                    f'repro_service_cache_ops{{op="{op}"}} {count}'
-                )
+            labelled.append((
+                "cache_ops", "Result-cache counters since daemon start.",
+                "op", self.cache.stats(),
+            ))
+        for name, help_text, label, counts in labelled:
+            name = f"repro_service_{name}"
+            header(lines, name, "counter", help_text)
+            for key, count in sorted(counts.items()):
+                sample(lines, name, count, {label: key})
         return text + "\n".join(lines) + "\n"
 
     # -- event streaming ------------------------------------------------

@@ -12,8 +12,7 @@ The recorder does not forward :meth:`MemorySystem.spin_port
 <repro.mem.hierarchy.MemorySystem.spin_port>` (it keeps the base
 class's ``None``), so no CPU parks on a spin loop while recording:
 every iteration's load still comes through the lanes below and lands
-in the trace, limited or not. (A limited recorder is not batchable,
-which also keeps each iteration in the thread program.)
+in the trace.
 """
 
 from __future__ import annotations
@@ -44,23 +43,6 @@ class TraceRecorder(MemorySystem):
         #: per-CPU addresses (an I-fetch row's address is its pc: the
         #: recorder has no other PC information at this layer)
         self.addrs = [array("q") for _ in range(n_cpus)]
-        self._limit: int | None = None
-
-    def limit(self, max_records: int) -> "TraceRecorder":
-        """Stop recording (but keep simulating) after ``max_records``.
-
-        "The first N" means N in cross-CPU issue order, so a limited
-        recorder is not :attr:`batchable`. Set the limit before the
-        CPUs bind (:func:`record_run` binds them).
-        """
-        self._limit = max_records
-        return self
-
-    @property
-    def batchable(self) -> bool:
-        """Whether CPU models may retire compute runs ahead of the run
-        loop: always, unless a :meth:`limit` counts across CPUs."""
-        return self._limit is None
 
     @property
     def records(self) -> list[TraceRecord]:
@@ -73,16 +55,12 @@ class TraceRecorder(MemorySystem):
             for kind, addr in zip(*columns)
         ]
 
-    def _note(self, cpu: int, kind: int, addr: int) -> None:
-        if self._limit is None or len(self) < self._limit:
-            self.kinds[cpu].append(kind)
-            self.addrs[cpu].append(addr)
-
     def access(
         self, cpu: int, kind: AccessKind, addr: int, at: int
     ) -> AccessResult:
         """Record the reference, then forward it unchanged."""
-        self._note(cpu, kind, addr)
+        self.kinds[cpu].append(kind)
+        self.addrs[cpu].append(addr)
         return self.inner.access(cpu, kind, addr, at)
 
     # The base-class fast lane declines (-1), which would silently
@@ -94,16 +72,8 @@ class TraceRecorder(MemorySystem):
     def fast_lanes(self, cpu):
         """The inner system's bound lanes, each noting what it resolves.
 
-        One extra frame per reference and no allocation. A limited
-        recorder adapts the ``fast_*`` methods below, which check the
-        limit.
+        One extra frame per reference and no allocation.
         """
-        if self._limit is not None:
-            return (
-                lambda addr, at: self.fast_ifetch(cpu, addr, at),
-                lambda addr, at: self.fast_load(cpu, addr, at),
-                lambda addr, at: self.fast_store(cpu, addr, at),
-            )
         note_kind = self.kinds[cpu].append
         note_addr = self.addrs[cpu].append
 
@@ -120,27 +90,6 @@ class TraceRecorder(MemorySystem):
         return tuple(
             map(noting, self.inner.fast_lanes(cpu), (_IFETCH, _LOAD, _STORE))
         )
-
-    def fast_load(self, cpu: int, addr: int, at: int) -> int:
-        """Forward the load fast lane, recording resolved hits."""
-        done = self.inner.fast_load(cpu, addr, at)
-        if done >= 0:
-            self._note(cpu, _LOAD, addr)
-        return done
-
-    def fast_ifetch(self, cpu: int, addr: int, at: int) -> int:
-        """Forward the I-fetch fast lane, recording resolved hits."""
-        done = self.inner.fast_ifetch(cpu, addr, at)
-        if done >= 0:
-            self._note(cpu, _IFETCH, addr)
-        return done
-
-    def fast_store(self, cpu: int, addr: int, at: int) -> int:
-        """Forward the posted-store fast lane, recording resolved hits."""
-        done = self.inner.fast_store(cpu, addr, at)
-        if done >= 0:
-            self._note(cpu, _STORE, addr)
-        return done
 
     def drain(self, at: int) -> int:
         """Forwarded to the wrapped memory system."""

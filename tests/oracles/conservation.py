@@ -1,10 +1,10 @@
 """Conservation and protocol invariants of a finished run.
 
 Everything here reads a ``System`` after ``run()`` through its
-statistics, its resource counters and the caches' introspection API
-(``lines()`` / ``find()``); nothing goes through ``access()``, a lane
-or a built path, so a rewritten path is checked against arithmetic it
-cannot have bent to its own shape.
+statistics, its resource counters and the caches' tag columns (and
+``find()``); nothing goes through ``access()``, a lane or a built
+path, so a rewritten path is checked against arithmetic it cannot have
+bent to its own shape.
 
 :func:`check_run` is the whole oracle; the two halves are usable on
 their own.
@@ -57,7 +57,7 @@ def check_conservation(system, stats):
 
 
 def _resident(cache) -> set[int]:
-    return {line.line_addr for line in cache.lines()}
+    return {tag for tag in cache.tags if tag >= 0}
 
 
 def _code_lines(system) -> range:

@@ -1,10 +1,9 @@
-"""Tests for the set-associative cache array."""
+"""Tests for the set-associative cache array (line-address API)."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.mem.cache import CacheArray, LineState
-from repro.sim.stats import MissKind
+from repro.mem.cache import INVALID, MODIFIED, SHARED, CacheArray
 
 
 def make_cache(size=1024, assoc=2, line=32, name="c"):
@@ -30,136 +29,116 @@ def test_bad_geometry_rejected():
 
 def test_miss_then_hit():
     cache = make_cache()
-    assert cache.lookup(0x100) is None
-    cache.insert(0x100)
-    line = cache.lookup(0x100)
-    assert line is not None
-    assert line.state == LineState.SHARED
+    assert cache.probe(8) == -1
+    assert cache.fill(8, SHARED) == -1
+    assert cache.probe(8) == SHARED
 
 
 def test_same_line_different_offsets_hit():
     cache = make_cache()
-    cache.insert(0x100)
-    assert cache.lookup(0x100 + 31) is not None
-    assert cache.lookup(0x100 + 32) is None
+    cache.fill(0x100 >> cache.line_shift, SHARED)
+    assert cache.find((0x100 + 31) >> cache.line_shift) >= 0
+    assert cache.find((0x100 + 32) >> cache.line_shift) < 0
 
 
 def test_lru_eviction_order():
     cache = make_cache(size=64, assoc=2, line=32)  # 1 set, 2 ways
-    cache.insert(0x000)
-    cache.insert(0x020)
-    # touch 0x000 so 0x020 becomes LRU
-    cache.lookup(0x000)
-    victim = cache.insert(0x040)
-    assert victim is not None
-    assert victim.line_addr == 0x020 >> 5
+    cache.fill(0, SHARED)
+    cache.fill(1, SHARED)
+    cache.probe(0)  # touch line 0 so line 1 becomes LRU
+    assert cache.fill(2, SHARED) == (1 << 2) | SHARED
 
 
 def test_lookup_without_lru_update():
     cache = make_cache(size=64, assoc=2, line=32)
-    cache.insert(0x000)
-    cache.insert(0x020)
-    cache.lookup(0x000, update_lru=False)  # does NOT refresh
-    victim = cache.insert(0x040)
-    assert victim.line_addr == 0x000 >> 5
+    cache.fill(0, SHARED)
+    cache.fill(1, SHARED)
+    assert cache.find(0) >= 0  # does NOT refresh
+    assert cache.fill(2, SHARED) == (0 << 2) | SHARED
 
 
 def test_insert_existing_refreshes_and_sets_state():
     cache = make_cache(size=64, assoc=2, line=32)
-    cache.insert(0x000)
-    cache.insert(0x020)
-    assert cache.insert(0x000, LineState.MODIFIED) is None
-    victim = cache.insert(0x040)
-    assert victim.line_addr == 0x020 >> 5
-    assert cache.state_of(0x000) == LineState.MODIFIED
+    cache.fill(0, SHARED)
+    cache.fill(1, SHARED)
+    assert cache.fill(0, MODIFIED) == -1
+    assert cache.fill(2, SHARED) == (1 << 2) | SHARED
+    assert cache.export_sets() == [[[0, MODIFIED], [2, SHARED]]]
 
 
 def test_capacity_never_exceeded():
     cache = make_cache(size=256, assoc=2, line=32)  # 8 lines
-    for i in range(50):
-        cache.insert(i * 32)
-    assert cache.resident_count() <= 8
+    for line_addr in range(50):
+        cache.fill(line_addr, SHARED)
+    assert sum(tag >= 0 for tag in cache.tags) == 8
 
 
 def test_invalidate_returns_line():
     cache = make_cache()
-    cache.insert(0x100, LineState.MODIFIED)
-    line = cache.invalidate(0x100)
-    assert line is not None and line.dirty
-    assert cache.lookup(0x100) is None
-    assert cache.invalidate(0x100) is None  # already gone
-
-
-def test_invalidation_miss_classification():
-    cache = make_cache()
-    cache.insert(0x100)
-    cache.invalidate(0x100, coherence=True)
-    assert cache.classify_miss(0x100) == MissKind.MISS_INVALIDATION
-    # refetch clears the mark
-    cache.insert(0x100)
-    cache.invalidate(0x100, coherence=False)
-    assert cache.classify_miss(0x100) == MissKind.MISS_REPLACEMENT
-
-
-def test_replacement_miss_classification_for_cold():
-    cache = make_cache()
-    assert cache.classify_miss(0x999900) == MissKind.MISS_REPLACEMENT
+    cache.fill(8, MODIFIED)
+    assert cache.evict(8) == MODIFIED
+    assert cache.probe(8) == -1
+    assert cache.evict(8) == -1  # already gone
 
 
 def test_downgrade():
-    cache = make_cache()
-    cache.insert(0x100, LineState.MODIFIED)
-    line = cache.downgrade(0x100)
-    assert line.state == LineState.SHARED
-    assert cache.downgrade(0x200) is None
+    # A snoop read downgrades in place: find the way, poke its state.
+    cache = make_cache(size=64, assoc=2, line=32)
+    cache.fill(0, MODIFIED)
+    cache.fill(1, SHARED)
+    cache.states[cache.find(0)] = SHARED
+    # Residency and recency are untouched: line 0 is still the victim.
+    assert cache.export_sets() == [[[0, SHARED], [1, SHARED]]]
+    assert cache.fill(2, SHARED) == (0 << 2) | SHARED
+    assert cache.find(5) == -1  # nothing to downgrade
 
 
 def test_state_of_absent_is_invalid():
     cache = make_cache()
-    assert cache.state_of(0x700) == LineState.INVALID
+    assert set(cache.tags) == {-1}
+    assert set(cache.states) == {INVALID}
+    assert cache.probe(0x700 >> cache.line_shift) == -1
+    assert cache.probe_modify(0x700 >> cache.line_shift) == -1
+    # An evicted way is absent whatever its state column still holds.
+    cache.fill(8, MODIFIED)
+    cache.evict(8)
+    assert cache.find(8) == -1
+    assert cache.export_sets() == [[] for _ in range(cache.n_sets)]
 
 
-def test_flush_returns_dirty_lines():
+def test_invalidation_miss_classification():
     cache = make_cache()
-    cache.insert(0x100, LineState.MODIFIED)
-    cache.insert(0x200, LineState.SHARED)
-    dirty = cache.flush()
-    assert [line.line_addr for line in dirty] == [0x100 >> 5]
-    assert cache.resident_count() == 0
+    cache.fill(8, SHARED)
+    cache.evict(8, coherence=True)
+    assert 8 in cache.invalidated
+    # refetch clears the mark
+    cache.fill(8, SHARED)
+    cache.evict(8, coherence=False)
+    assert 8 not in cache.invalidated
 
 
-def test_flush_resets_invalidation_tracker():
-    """A flush empties the cache for a non-coherence reason, so a miss
-    on a line that was coherence-invalidated *before* the flush must
-    classify as a replacement miss, not an invalidation miss."""
+def test_replacement_miss_classification_for_cold():
     cache = make_cache()
-    cache.insert(0x100)
-    cache.invalidate(0x100, coherence=True)
-    assert cache.classify_miss(0x100) == MissKind.MISS_INVALIDATION
-    cache.flush()
-    assert cache.classify_miss(0x100) == MissKind.MISS_REPLACEMENT
-    # The tracker still works for fresh invalidations after a flush.
-    cache.insert(0x100)
-    cache.invalidate(0x100, coherence=True)
-    assert cache.classify_miss(0x100) == MissKind.MISS_INVALIDATION
+    assert 0x999900 >> cache.line_shift not in cache.invalidated
 
 
 def test_set_conflict_behaviour():
-    # Direct-mapped: two addresses one cache-size apart conflict.
+    # Direct-mapped: two lines one cache-size apart conflict.
     cache = make_cache(size=1024, assoc=1, line=32)
-    cache.insert(0x0)
-    victim = cache.insert(0x0 + 1024)
-    assert victim is not None
-    assert cache.lookup(0x0) is None
+    cache.fill(0, SHARED)
+    assert cache.fill(32, SHARED) == (0 << 2) | SHARED
+    assert cache.find(0) < 0
     # 4-way absorbs the same conflict.
     cache4 = make_cache(size=1024, assoc=4, line=32)
-    cache4.insert(0x0)
-    assert cache4.insert(0x0 + 1024) is None
-    assert cache4.lookup(0x0) is not None
+    cache4.fill(0, SHARED)
+    assert cache4.fill(32, SHARED) == -1
+    assert cache4.find(0) >= 0
 
 
-def test_lines_iterates_everything():
+def test_export_sets_lists_every_resident_line():
     cache = make_cache()
-    for i in range(5):
-        cache.insert(i * 64)
-    assert len(list(cache.lines())) == 5
+    for line_addr in range(0, 10, 2):
+        cache.fill(line_addr, SHARED)
+    assert sorted(
+        line for ways in cache.export_sets() for line, _ in ways
+    ) == [0, 2, 4, 6, 8]

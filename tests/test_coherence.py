@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
-from repro.mem.cache import CacheArray, LineState
+from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED, CacheArray
 from repro.mem.coherence.directory import Directory
 from repro.mem.coherence.mesi import SnoopController
 from repro.sim.stats import CacheStats
@@ -68,10 +68,9 @@ def test_directory_remove_holder():
 
 
 # ----------------------------------------------------------------------
-# snoopy MESI (the controller works in line addresses; caches are
-# filled by byte address, so tests shift by the 32-byte line size)
+# snoopy MESI (the controller and the caches work in line addresses)
 
-LINE_OF = lambda addr: addr >> 5
+LINE = 0x100 >> 5  # 32-byte lines
 
 
 def make_snoop(n_cpus=4):
@@ -83,34 +82,34 @@ def make_snoop(n_cpus=4):
     return snoop, l1ds, l2s, l1_stats, l2_stats
 
 
-def fill(l1, l2, addr, state):
-    l2.insert(addr, state)
-    l1.insert(addr, state)
+def fill(l1, l2, state):
+    l2.fill(LINE, state)
+    l1.fill(LINE, state)
 
 
 def test_snoop_read_of_modified_supplies_c2c_and_downgrades():
     snoop, l1ds, l2s, _, _ = make_snoop()
-    fill(l1ds[1], l2s[1], 0x100, LineState.MODIFIED)
-    assert snoop.snoop_read(0, LINE_OF(0x100)) == "c2c"
-    assert l2s[1].state_of(0x100) == LineState.SHARED
-    assert l1ds[1].state_of(0x100) == LineState.SHARED
+    fill(l1ds[1], l2s[1], MODIFIED)
+    assert snoop.snoop_read(0, LINE) == "c2c"
+    assert l2s[1].states[l2s[1].find(LINE)] == SHARED
+    assert l1ds[1].states[l1ds[1].find(LINE)] == SHARED
 
 
 def test_snoop_read_of_clean_copies_uses_memory():
     snoop, l1ds, l2s, _, _ = make_snoop()
-    fill(l1ds[1], l2s[1], 0x100, LineState.EXCLUSIVE)
-    assert snoop.snoop_read(0, LINE_OF(0x100)) == "mem"
+    fill(l1ds[1], l2s[1], EXCLUSIVE)
+    assert snoop.snoop_read(0, LINE) == "mem"
     # E downgraded to S
-    assert l2s[1].state_of(0x100) == LineState.SHARED
+    assert l2s[1].states[l2s[1].find(LINE)] == SHARED
 
 
 def test_snoop_write_invalidates_everyone():
     snoop, l1ds, l2s, l1_stats, l2_stats = make_snoop()
-    fill(l1ds[1], l2s[1], 0x100, LineState.SHARED)
-    fill(l1ds[2], l2s[2], 0x100, LineState.SHARED)
-    assert snoop.snoop_write(0, LINE_OF(0x100)) == "mem"
-    assert not l2s[1].contains(0x100)
-    assert not l1ds[2].contains(0x100)
+    fill(l1ds[1], l2s[1], SHARED)
+    fill(l1ds[2], l2s[2], SHARED)
+    assert snoop.snoop_write(0, LINE) == "mem"
+    assert l2s[1].find(LINE) < 0
+    assert l1ds[2].find(LINE) < 0
     assert l2_stats[1].invalidations_received == 1
     assert l1d_inval_count(l1_stats) == 2
 
@@ -121,51 +120,60 @@ def l1d_inval_count(l1_stats):
 
 def test_snoop_write_of_modified_is_c2c():
     snoop, l1ds, l2s, _, _ = make_snoop()
-    fill(l1ds[3], l2s[3], 0x100, LineState.MODIFIED)
-    assert snoop.snoop_write(0, LINE_OF(0x100)) == "c2c"
-    assert not l2s[3].contains(0x100)
+    fill(l1ds[3], l2s[3], MODIFIED)
+    assert snoop.snoop_write(0, LINE) == "c2c"
+    assert l2s[3].find(LINE) < 0
 
 
 def test_upgrade_counts_invalidations():
     snoop, l1ds, l2s, _, _ = make_snoop()
-    fill(l1ds[1], l2s[1], 0x100, LineState.SHARED)
-    fill(l1ds[2], l2s[2], 0x100, LineState.SHARED)
-    assert snoop.upgrade(0, LINE_OF(0x100)) == 2
+    fill(l1ds[1], l2s[1], SHARED)
+    fill(l1ds[2], l2s[2], SHARED)
+    assert snoop.upgrade(0, LINE) == 2
 
 
 def test_any_remote_copy():
     snoop, l1ds, l2s, _, _ = make_snoop()
-    assert not snoop.any_remote_copy(0, LINE_OF(0x100))
-    l2s[2].insert(0x100, LineState.SHARED)
-    assert snoop.any_remote_copy(0, LINE_OF(0x100))
-    assert not snoop.any_remote_copy(2, LINE_OF(0x100))  # own copy excluded
+    assert not snoop.any_remote_copy(0, LINE)
+    l2s[2].fill(LINE, SHARED)
+    assert snoop.any_remote_copy(0, LINE)
+    assert not snoop.any_remote_copy(2, LINE)  # own copy excluded
 
 
 def test_invariants_catch_double_owner():
     snoop, l1ds, l2s, _, _ = make_snoop()
-    l2s[0].insert(0x100, LineState.MODIFIED)
-    l2s[1].insert(0x100, LineState.MODIFIED)
-    with pytest.raises(ProtocolError):
+    l2s[0].fill(LINE, MODIFIED)
+    l2s[1].fill(LINE, MODIFIED)
+    with pytest.raises(ProtocolError, match="owned by both"):
         snoop.check_invariants()
 
 
 def test_invariants_catch_owner_plus_sharer():
     snoop, l1ds, l2s, _, _ = make_snoop()
-    l2s[0].insert(0x100, LineState.MODIFIED)
-    l2s[1].insert(0x100, LineState.SHARED)
-    with pytest.raises(ProtocolError):
+    l2s[0].fill(LINE, MODIFIED)
+    l2s[1].fill(LINE, SHARED)
+    with pytest.raises(ProtocolError, match="also cached by"):
         snoop.check_invariants()
 
 
 def test_invariants_catch_inclusion_violation():
     snoop, l1ds, l2s, _, _ = make_snoop()
-    l1ds[0].insert(0x100, LineState.SHARED)  # L1 without L2 backing
-    with pytest.raises(ProtocolError):
+    l1ds[0].fill(LINE, SHARED)  # L1 without L2 backing
+    with pytest.raises(ProtocolError, match="inclusion violated"):
         snoop.check_invariants()
+
+
+def test_invariants_ignore_an_evicted_owner():
+    # Eviction frees the way but leaves its state column as it was.
+    snoop, l1ds, l2s, _, _ = make_snoop()
+    l2s[0].fill(LINE, MODIFIED)
+    l2s[0].evict(LINE)
+    l2s[1].fill(LINE, MODIFIED)
+    snoop.check_invariants()
 
 
 def test_invariants_pass_for_clean_sharing():
     snoop, l1ds, l2s, _, _ = make_snoop()
     for cpu in (0, 1, 2):
-        fill(l1ds[cpu], l2s[cpu], 0x100, LineState.SHARED)
+        fill(l1ds[cpu], l2s[cpu], SHARED)
     snoop.check_invariants()

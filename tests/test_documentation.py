@@ -148,11 +148,13 @@ def test_version_has_a_single_source():
     assert newest == repro.__version__
 
 
-#: the second timing stack, deleted in 1.23.0: the ledger is the one
-#: place host time is measured
-DELETED_TIMING_STACK = re.compile(
+#: deleted paths: the second timing stack (1.23.0; the ledger is the
+#: one place host time is measured) and the two smoke scripts (1.24.0;
+#: their checks are tier-1 tests)
+DELETED_PATHS = re.compile(
     r"(?<![\w.])micro\.py|bench_gate|serve_bench|microbench\.json"
     r"|bench_runner\.json|repro\.perf\b|repro/perf\.py"
+    r"|ckpt_smoke\.py|serve_smoke\.py"
 )
 #: the top-level documents that describe the program as it is; the
 #: other top-level ones (changelog, roadmap, ...) are history and plans
@@ -170,7 +172,7 @@ def _tracked_files(root):
     return [name for name in listed.decode().split("\0") if name]
 
 
-def test_no_file_names_the_deleted_timing_stack():
+def test_no_file_names_a_deleted_path():
     root = SRC_ROOT.parent.parent
     named = []
     for name in _tracked_files(root):
@@ -192,7 +194,7 @@ def test_no_file_names_the_deleted_timing_stack():
             text = head + "\n" + rest.split("\n## 16. ", 1)[1]
         named += [
             f"{name}: {match.group()}"
-            for match in DELETED_TIMING_STACK.finditer(text)
+            for match in DELETED_PATHS.finditer(text)
         ]
     assert not named, named
 

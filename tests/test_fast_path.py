@@ -1,7 +1,7 @@
 """Differential proof that the L1 fast lane is behaviorally invisible.
 
-The hot-path methods (``fast_load`` / ``fast_ifetch`` / ``fast_store``)
-must be pure shortcuts: with ``MemConfig.l1_fast_path`` forced off,
+The per-CPU lanes ``MemorySystem.fast_lanes`` hands out must be pure
+shortcuts: with ``MemConfig.l1_fast_path`` forced off,
 every architecture x CPU model x workload must produce *identical*
 statistics — cycle counts, every cache counter, every stall bucket.
 Any divergence means the fast lane changed simulated behavior, which

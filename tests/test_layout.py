@@ -132,6 +132,47 @@ def test_no_lane_flag_beside_the_declining_lanes():
     assert found == []
 
 
+#: the second interface once kept beside each memory seam: CacheArray's
+#: byte-address object API, the per-reference lanes (``fast_lanes`` is
+#: the one way to them) and the limited recorder
+SECOND_INTERFACES = {
+    "cache": (
+        "lookup", "insert", "invalidate", "downgrade", "classify_miss",
+        "contains", "state_of", "lines", "flush", "resident_count",
+        "set_occupancy", "probe_quiet", "set_state", "classify_line",
+        "line_addr_of", "set_index_of",
+    ),
+    "hierarchy": ("fast_ifetch", "fast_load", "fast_store", "batchable"),
+    "recorder": ("limit", "_limit", "batchable"),
+}
+
+
+@pytest.mark.parametrize("seam", sorted(SECOND_INTERFACES))
+def test_one_interface_per_seam(seam):
+    import repro.core.configs  # noqa: F401  (imports every hierarchy)
+    from repro.mem import cache
+    from repro.mem.hierarchy import MemorySystem
+    from repro.trace.recorder import TraceRecorder
+
+    if seam == "cache":
+        owners = [cache.CacheArray]
+        assert not hasattr(cache, "CacheLine")
+    elif seam == "hierarchy":
+        owners = [MemorySystem] + [
+            sub for sub in MemorySystem.__subclasses__()
+            if sub.__module__.startswith("repro.")
+        ]
+    else:
+        owners = [TraceRecorder]
+    found = [
+        f"{owner.__name__}.{name}"
+        for owner in owners
+        for name in SECOND_INTERFACES[seam]
+        if hasattr(owner, name)
+    ]
+    assert found == []
+
+
 def test_no_process_lifetime_stretch_storage_in_workloads():
     # A stretch lives as long as the dict ``Emitter.replay`` is handed
     # to keep it in: a local of the thread program or an attribute of

@@ -9,7 +9,7 @@ from repro.core.configs import test_config as make_test_config
 from repro.core.selfcheck import CHECKS, SelfCheckFailure, run_selfcheck
 from repro.core.system import System
 from repro.errors import ConfigError, ProtocolError, ReproError, WorkloadError
-from repro.mem.cache import LineState
+from repro.mem.cache import MODIFIED, SHARED
 from repro.mem.functional import FunctionalMemory
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
@@ -17,6 +17,7 @@ from repro.workloads.base import Workload
 from repro.workloads.kernel import KernelActivity
 
 ADDR = 0x1000_0000
+LINE = ADDR >> 5  # 32-byte lines
 
 
 # ----------------------------------------------------------------------
@@ -34,14 +35,14 @@ def test_store_miss_with_l2_shared_copy_upgrades():
     t = 400
     for k in range(1, system.l1d[0].assoc + 1):
         t = system.access(0, AccessKind.LOAD, ADDR + k * way, t).done
-    assert not system.l1d[0].contains(ADDR)
-    assert system.l2[0].state_of(ADDR) == LineState.SHARED
+    assert system.l1d[0].find(LINE) < 0
+    assert system.l2[0].states[system.l2[0].find(LINE)] == SHARED
     # The store misses L1, hits L2 in SHARED: an upgrade transaction.
     upgrades_before = system.bus.upgrades
     system.access(0, AccessKind.STORE_COND, ADDR, t + 100)
     assert system.bus.upgrades == upgrades_before + 1
-    assert system.l2[0].state_of(ADDR) == LineState.MODIFIED
-    assert not system.l2[1].contains(ADDR)
+    assert system.l2[0].states[system.l2[0].find(LINE)] == MODIFIED
+    assert system.l2[1].find(LINE) < 0
 
 
 # ----------------------------------------------------------------------

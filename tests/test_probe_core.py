@@ -3,13 +3,12 @@
 Direct coverage for contracts the packed-array probe core leans on
 implicitly elsewhere:
 
-* the documented iteration/flush ordering of :class:`CacheArray`
-  (sets in index order, LRU within each set — the checkpoint walker
-  round-trips exactly this order);
+* the documented :meth:`CacheArray.export_sets` ordering (sets in
+  index order, LRU within each set — the checkpoint walker round-trips
+  exactly this order);
 * write-buffer admission edge cases (the retire race at the exact
   completion cycle, same-line stores, drain at a barrier);
-* :class:`InvalidationTracker` classification across evict/re-fill of
-  the same tag;
+* the invalidation set across evict/re-fill of the same tag;
 * every built closure (``make_probe`` … ``make_fill``, the read and
   dirty-store lanes, ``WriteBuffer.make_post``) against the generic
   method it specializes, on twin objects driven by one random stream —
@@ -23,10 +22,10 @@ import random
 import pytest
 
 from repro.core.configs import build_memory, config_for_scale
-from repro.mem.cache import EVICT_EPOCH, MODIFIED, SHARED, CacheArray, LineState
+from repro.mem.cache import EVICT_EPOCH, MODIFIED, SHARED, CacheArray
 from repro.mem.types import AccessKind
 from repro.mem.writebuffer import WriteBuffer
-from repro.sim.stats import CacheStats, MissKind, SystemStats
+from repro.sim.stats import CacheStats, SystemStats
 
 
 def make_cache(size=1024, assoc=2, line=32, name="c"):
@@ -34,62 +33,47 @@ def make_cache(size=1024, assoc=2, line=32, name="c"):
 
 
 # ----------------------------------------------------------------------
-# lines()/flush() ordering contract
+# export_sets() ordering contract
 
 
-def test_lines_order_is_sets_then_lru():
+def _order(cache):
+    return [[line for line, _ in ways] for ways in cache.export_sets()]
+
+
+def test_export_order_is_sets_then_lru():
     cache = make_cache(size=256, assoc=2, line=32)  # 4 sets, 2 ways
-    cache.insert(0x000)  # line 0 -> set 0
-    cache.insert(0x080)  # line 4 -> set 0
-    cache.insert(0x020)  # line 1 -> set 1
+    cache.fill(0, SHARED)  # set 0
+    cache.fill(4, SHARED)  # set 0
+    cache.fill(1, SHARED)  # set 1
     # Touch line 0: line 4 becomes the set's LRU entry.
-    cache.lookup(0x000)
-    order = [line.line_addr for line in cache.lines()]
-    assert order == [4, 0, 1]
+    cache.probe(0)
+    assert _order(cache) == [[4, 0], [1], [], []]
 
 
 def test_probe_refresh_reorders_lines():
     cache = make_cache(size=64, assoc=2, line=32)  # 1 set, 2 ways
-    cache.insert(0x000)
-    cache.insert(0x020)
-    assert [line.line_addr for line in cache.lines()] == [0, 1]
+    cache.fill(0, SHARED)
+    cache.fill(1, SHARED)
+    assert _order(cache) == [[0, 1]]
     # A packed probe is an LRU touch: the probed line moves to MRU.
     assert cache.probe(0) >= 0
-    assert [line.line_addr for line in cache.lines()] == [1, 0]
+    assert _order(cache) == [[1, 0]]
     # probe_modify refreshes recency too (and dirties the line).
     assert cache.probe_modify(1) >= 0
-    assert [line.line_addr for line in cache.lines()] == [0, 1]
-    assert cache.state_of(0x020) == LineState.MODIFIED
-
-
-def test_flush_returns_dirty_lines_in_lines_order():
-    cache = make_cache(size=256, assoc=2, line=32)  # 4 sets
-    cache.insert(0x040, LineState.MODIFIED)  # line 2 -> set 2
-    cache.insert(0x000, LineState.MODIFIED)  # line 0 -> set 0
-    cache.insert(0x080, LineState.MODIFIED)  # line 4 -> set 0
-    cache.insert(0x020)                      # line 1 -> set 1, clean
-    cache.lookup(0x000)  # set 0 LRU order becomes [4, 0]
-    expected = [
-        line.line_addr for line in cache.lines() if line.dirty
-    ]
-    flushed = [line.line_addr for line in cache.flush()]
-    assert flushed == expected == [4, 0, 2]
-    assert cache.resident_count() == 0
+    assert cache.export_sets() == [[[0, SHARED], [1, MODIFIED]]]
 
 
 def test_export_import_preserves_replacement_decisions():
     original = make_cache(size=64, assoc=2, line=32)  # 1 set, 2 ways
-    original.insert(0x000)
-    original.insert(0x020)
-    original.lookup(0x000)  # line 1 is now the victim-to-be
+    original.fill(0, SHARED)
+    original.fill(1, SHARED)
+    original.probe(0)  # line 1 is now the victim-to-be
 
     clone = make_cache(size=64, assoc=2, line=32)
     clone.import_sets(original.export_sets())
 
-    victim_a = original.insert(0x040)
-    victim_b = clone.insert(0x040)
-    assert victim_a is not None and victim_b is not None
-    assert victim_a.line_addr == victim_b.line_addr == 1
+    victim = (1 << 2) | SHARED
+    assert original.fill(2, SHARED) == clone.fill(2, SHARED) == victim
 
 
 # ----------------------------------------------------------------------
@@ -151,28 +135,28 @@ def test_drain_at_barrier_retires_everything():
 
 def test_refill_resets_invalidation_classification():
     cache = make_cache()
-    cache.insert(0x100)
-    cache.invalidate(0x100)  # coherence action
-    assert cache.classify_miss(0x100) == MissKind.MISS_INVALIDATION
-    # Refetch the line: the tracker forgets the old invalidation, so a
+    cache.fill(8, SHARED)
+    cache.evict(8)  # coherence action
+    assert 8 in cache.invalidated
+    # Refetch the line: the set forgets the old invalidation, so a
     # later non-coherence eviction classifies as replacement again.
-    cache.insert(0x100)
-    cache.invalidate(0x100, coherence=False)
-    assert cache.classify_miss(0x100) == MissKind.MISS_REPLACEMENT
+    cache.fill(8, SHARED)
+    cache.evict(8, coherence=False)
+    assert 8 not in cache.invalidated
 
 
 def test_second_invalidation_of_same_tag_counts_again():
     cache = make_cache()
     line_addr = 0x100 >> cache.line_shift
     for _ in range(2):
-        cache.fill(line_addr, LineState.SHARED)
+        cache.fill(line_addr, SHARED)
         assert cache.evict(line_addr, coherence=True) >= 0
-        assert cache.classify_line(line_addr) == MissKind.MISS_INVALIDATION
+        assert line_addr in cache.invalidated
         # fill() notes the refetch; the stale entry must not linger.
-        cache.fill(line_addr, LineState.SHARED)
-        assert line_addr not in cache.tracker
+        cache.fill(line_addr, SHARED)
+        assert line_addr not in cache.invalidated
         assert cache.evict(line_addr, coherence=False) >= 0
-        assert cache.classify_line(line_addr) == MissKind.MISS_REPLACEMENT
+        assert line_addr not in cache.invalidated
 
 
 def test_capacity_eviction_of_previously_invalidated_line():
@@ -180,13 +164,13 @@ def test_capacity_eviction_of_previously_invalidated_line():
     # capacity pressure: the capacity eviction must classify as a
     # replacement miss even though the tag was once invalidated.
     cache = make_cache(size=64, assoc=2, line=32)  # 1 set, 2 ways
-    cache.insert(0x000)
-    cache.invalidate(0x000)
-    cache.insert(0x000)
-    cache.insert(0x020)
-    cache.insert(0x040)  # evicts 0x000 (LRU) by capacity
-    assert not cache.contains(0x000)
-    assert cache.classify_miss(0x000) == MissKind.MISS_REPLACEMENT
+    cache.fill(0, SHARED)
+    cache.evict(0)
+    cache.fill(0, SHARED)
+    cache.fill(1, SHARED)
+    cache.fill(2, SHARED)  # evicts line 0 (LRU) by capacity
+    assert cache.find(0) < 0
+    assert 0 not in cache.invalidated
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +265,8 @@ def test_dirty_store_lane_takes_only_modified_lines(assoc):
             state = rng.choice((SHARED, MODIFIED))
             built.fill(line_addr, state)
             reference.fill(line_addr, state)
-        if reference.probe_quiet(line_addr) == MODIFIED:
+        way = reference.find(line_addr)
+        if way >= 0 and reference.states[way] == MODIFIED:
             reference.probe(line_addr)
             release, _stalled = twin.admit(at)
             twin.push(at + 1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mem.bank import Resource
-from repro.mem.cache import CacheArray, LineState
+from repro.mem.cache import MODIFIED, SHARED, CacheArray
 from repro.mem.functional import FunctionalMemory
 from repro.mem.mshr import MshrFile
 from repro.mem.writebuffer import WriteBuffer
@@ -59,24 +59,19 @@ def test_cache_matches_reference_lru(operations):
     cache = CacheArray("p", size=512, assoc=2, line_size=32)  # 8 sets
     reference = _ReferenceLru(cache.n_sets, cache.assoc)
     for op, line in operations:
-        addr = line * 32
         if op == "invalidate":
-            cache.invalidate(addr)
+            cache.evict(line)
             reference.invalidate(line)
         else:
-            hit = cache.lookup(addr) is not None
+            hit = cache.probe(line) >= 0
             assert hit == reference.contains(line)
             if not hit:
-                cache.insert(
-                    addr,
-                    LineState.MODIFIED if op == "store" else LineState.SHARED,
-                )
-                reference.touch(line)
-            else:
-                reference.touch(line)
-    resident = {line.line_addr for line in cache.lines()}
-    expected = {line for bucket in reference.sets for line in bucket}
-    assert resident == expected
+                cache.fill(line, MODIFIED if op == "store" else SHARED)
+            reference.touch(line)
+    assert cache.export_sets() == [
+        [[line, cache.states[cache.find(line)]] for line in bucket]
+        for bucket in reference.sets
+    ]
 
 
 @given(_ops)
@@ -84,13 +79,16 @@ def test_cache_matches_reference_lru(operations):
 def test_cache_capacity_invariant(operations):
     cache = CacheArray("p", size=256, assoc=2, line_size=32)
     for op, line in operations:
-        addr = line * 32
         if op == "invalidate":
-            cache.invalidate(addr)
-        elif cache.lookup(addr) is None:
-            cache.insert(addr)
-        for set_index in range(cache.n_sets):
-            assert cache.set_occupancy(set_index) <= cache.assoc
+            cache.evict(line)
+        elif cache.probe(line) < 0:
+            cache.fill(line, SHARED)
+        resident = [
+            (way, tag) for way, tag in enumerate(cache.tags) if tag >= 0
+        ]
+        assert len({tag for _, tag in resident}) == len(resident)
+        for way, tag in resident:
+            assert tag % cache.n_sets == way // cache.assoc
 
 
 # ----------------------------------------------------------------------

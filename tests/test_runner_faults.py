@@ -8,6 +8,7 @@ process itself.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -449,57 +450,70 @@ sys.path.insert(0, sys.argv[1])
 import test_runner_faults
 from repro.core.runner import ResultCache, Runner
 Runner(jobs=2, cache=ResultCache(sys.argv[2])).run(
-    test_runner_faults.interrupted_batch()
+    test_runner_faults.interrupted_batch(*sys.argv[3:])
 )
 """
 
 
-def interrupted_batch() -> list[Job]:
+def interrupted_batch(ckpt_dir: str | None = None) -> list[Job]:
     """Two quick jobs around one that sleeps ``REPRO_TEST_SLEEP``
-    seconds first (built by the killed child and the re-run alike)."""
+    seconds first (built by the killed child and the re-run alike);
+    with ``ckpt_dir`` every job snapshots itself as it runs."""
     sleepy = Job(
         arch="shared-l2",
         workload=ckpt_helpers.sleepy_workload,
         scale="test",
         max_cycles=CAP,
     )
-    return [normal_job("shared-l1"), sleepy, normal_job("shared-mem")]
+    batch = [normal_job("shared-l1"), sleepy, normal_job("shared-mem")]
+    if ckpt_dir:
+        batch = [
+            dataclasses.replace(job, ckpt_every=500, ckpt_dir=ckpt_dir)
+            for job in batch
+        ]
+    return batch
 
 
+@pytest.mark.parametrize("checkpointing", (False, True), ids=("plain", "ckpt"))
 def test_killed_batch_rerun_simulates_only_what_had_not_finished(
-    tmp_path, monkeypatch
+    tmp_path, monkeypatch, checkpointing
 ):
     """SIGKILL a whole batch (parent and pool) once a result landed;
     the same batch on the same cache then simulates exactly the rest
-    and ends on an uninterrupted run's statistics."""
+    and ends on an uninterrupted run's statistics — checkpointing as it
+    went or not."""
+    cache_dir = tmp_path / "cache"
+    ckpt_args = [str(tmp_path / "ckpts")] if checkpointing else []
     victim = subprocess.Popen(
         [
             sys.executable, "-c", _KILLED_BATCH,
-            str(Path(__file__).parent), str(tmp_path),
+            str(Path(__file__).parent), str(cache_dir), *ckpt_args,
         ],
         env={**os.environ, "REPRO_TEST_SLEEP": "120"},
         start_new_session=True,  # so the kill takes the workers too
     )
     deadline = time.monotonic() + 60
     try:
-        while not ResultCache(tmp_path).disk_stats()["entries"]:
+        while not ResultCache(cache_dir).disk_stats()["entries"]:
             assert victim.poll() is None, "batch ended before the kill"
             assert time.monotonic() < deadline, "no result ever landed"
             time.sleep(0.05)
     finally:
         os.killpg(victim.pid, signal.SIGKILL)
         victim.wait(timeout=30)
-    landed = ResultCache(tmp_path).disk_stats()["entries"]
+    landed = ResultCache(cache_dir).disk_stats()["entries"]
     assert 1 <= landed <= 2  # the sleeper cannot have finished
+    if checkpointing:
+        assert any((tmp_path / "ckpts").rglob("*.json.gz"))
 
     monkeypatch.setenv("REPRO_TEST_SLEEP", "0")
-    batch = interrupted_batch()
-    report = Runner(jobs=2, cache=ResultCache(tmp_path)).run(batch)
+    batch = interrupted_batch(*ckpt_args)
+    report = Runner(jobs=2, cache=ResultCache(cache_dir)).run(batch)
     assert not report.failures
     assert report.cache_hits == landed
     assert sum(not o.cached for o in report.outcomes) == 3 - landed
-    for job, outcome in zip(batch, report.outcomes):
-        assert outcome.result.stats.to_dict() == job.run().stats.to_dict()
+    for plain, outcome in zip(interrupted_batch(), report.outcomes):
+        assert outcome.result.stats.to_dict() == plain.run().stats.to_dict()
 
 
 # ----------------------------------------------------------------------

@@ -13,15 +13,24 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.core.runner import Job, ResultCache
 from repro.errors import ReproError
+from repro.obs.bus import validate_events
+from repro.obs.export import prometheus_text, rollup_events
 from repro.serve import (
     ServiceClient,
     ServiceDaemon,
@@ -422,6 +431,61 @@ def test_metrics_and_queue_endpoints(tmp_path):
         assert cache_doc["disk"]["entries"] == 1
 
 
+def test_metrics_body_for_a_fixed_daemon_state(tmp_path):
+    """The ``/v1/metrics`` exposition, byte for byte, for a fixed
+    queue (two queued, one deduped), wire traffic and cache traffic."""
+    daemon = ServiceDaemon(jobs=2, cache=ResultCache(tmp_path))
+    for workload in ("fft", "ear", "fft"):
+        daemon.queue.submit(_job(workload=workload))
+    daemon._accepting = True
+    daemon._httpd = SimpleNamespace(
+        traffic=lambda: (3, {"submit": 3, "status": 2}),
+        refused=lambda: {"header_line": 1},
+    )
+    daemon.cache.get(_job(arch="shared-l1"))
+    body = daemon.metrics_text()
+    rollup = prometheus_text(rollup_events([]))
+    assert body == rollup + FIXED_SERVICE_METRICS
+
+
+FIXED_SERVICE_METRICS = """\
+# HELP repro_service_jobs Jobs by lifecycle state.
+# TYPE repro_service_jobs gauge
+repro_service_jobs{state="queued"} 2
+# HELP repro_service_accepting Whether POST /v1/jobs is admitted.
+# TYPE repro_service_accepting gauge
+repro_service_accepting 1
+# HELP repro_service_workers Warm pool worker slots.
+# TYPE repro_service_workers gauge
+repro_service_workers 2
+# HELP repro_service_inflight Jobs dispatched to the pool.
+# TYPE repro_service_inflight gauge
+repro_service_inflight 0
+# HELP repro_service_executed_total Simulations run to completion by this daemon.
+# TYPE repro_service_executed_total counter
+repro_service_executed_total 0
+# HELP repro_service_uptime_seconds Daemon uptime.
+# TYPE repro_service_uptime_seconds gauge
+repro_service_uptime_seconds 0.0
+# HELP repro_service_longpoll_parked Status requests held by ?wait= right now.
+# TYPE repro_service_longpoll_parked gauge
+repro_service_longpoll_parked 0
+# HELP repro_service_http_connections_total Client connections accepted.
+# TYPE repro_service_http_connections_total counter
+repro_service_http_connections_total 3
+# HELP repro_service_http_requests_total Requests routed, by endpoint.
+# TYPE repro_service_http_requests_total counter
+repro_service_http_requests_total{endpoint="status"} 2
+repro_service_http_requests_total{endpoint="submit"} 3
+# HELP repro_service_http_refused_total Requests refused with the connection closed, by reason.
+# TYPE repro_service_http_refused_total counter
+repro_service_http_refused_total{reason="header_line"} 1
+# HELP repro_service_cache_ops Result-cache counters since daemon start.
+# TYPE repro_service_cache_ops counter
+repro_service_cache_ops{op="misses"} 1
+"""
+
+
 def test_http_error_paths(tmp_path):
     with running_daemon(tmp_path) as (daemon, client):
         with pytest.raises(ServiceError) as excinfo:
@@ -546,3 +610,37 @@ def test_cli_serve_rejects_checkpoint_policy_without_dir(capsys):
     rc = main(["serve", "--checkpoint-every", "1000"])
     assert rc == 2
     assert "--checkpoint-dir" in capsys.readouterr().err
+
+
+def test_serve_process_serves_plain_and_replay_then_stops_clean(tmp_path):
+    """The operator's entry point: a real ``repro serve`` process runs a
+    plain and a replay job, and SIGINT leaves exit status 0, a valid
+    event log and no socket listening."""
+    state = tmp_path / "state"
+    daemon = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--port", "0",
+            "--cache-dir", str(tmp_path / "cache"), "--state-dir",
+            str(state), "--trace-dir", str(tmp_path / "traces"),
+        ],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        port = int(re.search(r":(\d+) ", daemon.stdout.readline())[1])
+        client = ServiceClient(f"http://127.0.0.1:{port}")
+        for spec in (FAST, {**FAST, "workload": "eqntott", "replay": True}):
+            job_id = client.submit(spec)["id"]
+            assert client.wait(job_id, timeout=120)["state"] == "done"
+            assert client.result(job_id).stats.cycles > 0
+    finally:
+        daemon.send_signal(signal.SIGINT)
+        try:
+            daemon.communicate(timeout=60)
+        finally:
+            daemon.kill()
+    assert daemon.returncode == 0
+    assert validate_events(state / "events.jsonl") == []
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=5)

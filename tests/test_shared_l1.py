@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.configs import build_memory
 from repro.core.configs import test_config as make_test_config
+from repro.mem.cache import MODIFIED
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
 
@@ -24,6 +25,7 @@ def optimistic():
 
 
 ADDR = 0x1000_0000
+LINE = ADDR >> 5  # 32-byte lines
 
 
 def warm(system, addr=ADDR, cpu=0):
@@ -67,8 +69,8 @@ def test_l2_hit_after_l1_eviction(system):
     t = 200
     for k in range(1, system.l1d.assoc + 1):
         t = system.access(0, AccessKind.LOAD, ADDR + k * way_span, t).done
-    assert not system.l1d.contains(ADDR)
-    assert system.l2.contains(ADDR)
+    assert system.l1d.find(LINE) < 0
+    assert system.l2.find(LINE) >= 0
     result = system.access(0, AccessKind.LOAD, ADDR, t + 10)
     assert result.level == StallLevel.L2
 
@@ -102,9 +104,7 @@ def test_store_buffer_fills_and_stalls(optimistic):
 
 def test_store_marks_line_dirty_and_writeback_on_eviction(optimistic):
     optimistic.access(0, AccessKind.STORE, ADDR, 0)
-    from repro.mem.cache import LineState
-
-    assert optimistic.l1d.state_of(ADDR) == LineState.MODIFIED
+    assert optimistic.l1d.states[optimistic.l1d.find(LINE)] == MODIFIED
     way_span = optimistic.l1d.n_sets * optimistic.config.line_size
     t = 300
     for k in range(1, optimistic.l1d.assoc + 1):

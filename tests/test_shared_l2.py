@@ -4,10 +4,12 @@ import pytest
 
 from repro.core.configs import build_memory
 from repro.core.configs import test_config as make_test_config
+from repro.mem.cache import MODIFIED
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
 
 ADDR = 0x1000_0000
+LINE = ADDR >> 5  # 32-byte lines
 
 
 @pytest.fixture
@@ -47,9 +49,9 @@ def test_store_releases_cpu_after_one_cycle(system):
 def test_write_invalidates_other_l1_copies(system):
     system.access(0, AccessKind.LOAD, ADDR, 0)
     system.access(1, AccessKind.LOAD, ADDR, 100)
-    assert system.l1d[1].contains(ADDR)
+    assert system.l1d[1].find(LINE) >= 0
     system.access(0, AccessKind.STORE, ADDR, 200)
-    assert not system.l1d[1].contains(ADDR)
+    assert system.l1d[1].find(LINE) < 0
     assert system.stats.cache("cpu1.l1d").invalidations_received == 1
     # The re-read is an invalidation miss.
     system.access(1, AccessKind.LOAD, ADDR, 300)
@@ -59,20 +61,18 @@ def test_write_invalidates_other_l1_copies(system):
 def test_writer_keeps_own_copy(system):
     system.access(0, AccessKind.LOAD, ADDR, 0)
     system.access(0, AccessKind.STORE, ADDR, 100)
-    assert system.l1d[0].contains(ADDR)
+    assert system.l1d[0].find(LINE) >= 0
 
 
 def test_store_miss_does_not_allocate_in_l1(system):
     system.access(0, AccessKind.STORE, ADDR, 0)
-    assert not system.l1d[0].contains(ADDR)
+    assert system.l1d[0].find(LINE) < 0
 
 
 def test_store_allocates_in_l2(system):
     system.access(0, AccessKind.STORE, ADDR, 0)
-    assert system.shared.contains(ADDR)
-    from repro.mem.cache import LineState
-
-    assert system.shared.state_of(ADDR) == LineState.MODIFIED
+    assert system.shared.find(LINE) >= 0
+    assert system.shared.states[system.shared.find(LINE)] == MODIFIED
 
 
 def test_directory_tracks_l1_fills(system):
@@ -90,8 +90,8 @@ def test_l2_replacement_invalidates_l1_copies_as_replacement(system):
         t = system.access(
             0, AccessKind.LOAD, ADDR + k * system.shared.size, t
         ).done
-    assert not system.shared.contains(ADDR)
-    assert not system.l1d[0].contains(ADDR)
+    assert system.shared.find(LINE) < 0
+    assert system.l1d[0].find(LINE) < 0
     # Replacement-caused: the next miss is a replacement miss.
     before = system.stats.cache("cpu0.l1d").read_misses_inval
     system.access(0, AccessKind.LOAD, ADDR, t + 10)

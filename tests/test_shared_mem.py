@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.configs import build_memory
 from repro.core.configs import test_config as make_test_config
-from repro.mem.cache import LineState
+from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED
 from repro.mem.types import AccessKind, StallLevel
 from repro.sim.stats import SystemStats
 
 ADDR = 0x1000_0000
+LINE = ADDR >> 5  # 32-byte lines
 
 
 @pytest.fixture
@@ -25,34 +26,34 @@ def test_cold_load_uses_bus_memory(system):
 
 def test_unshared_fill_is_exclusive(system):
     system.access(0, AccessKind.LOAD, ADDR, 0)
-    assert system.l1d[0].state_of(ADDR) == LineState.EXCLUSIVE
-    assert system.l2[0].state_of(ADDR) == LineState.EXCLUSIVE
+    assert system.l1d[0].states[system.l1d[0].find(LINE)] == EXCLUSIVE
+    assert system.l2[0].states[system.l2[0].find(LINE)] == EXCLUSIVE
 
 
 def test_second_reader_gets_shared_copies(system):
     system.access(0, AccessKind.LOAD, ADDR, 0)
     result = system.access(1, AccessKind.LOAD, ADDR, 200)
     assert result.level == StallLevel.MEM  # clean copy: memory supplies
-    assert system.l1d[0].state_of(ADDR) == LineState.SHARED
-    assert system.l1d[1].state_of(ADDR) == LineState.SHARED
+    assert system.l1d[0].states[system.l1d[0].find(LINE)] == SHARED
+    assert system.l1d[1].states[system.l1d[1].find(LINE)] == SHARED
 
 
 def test_dirty_remote_copy_supplies_cache_to_cache(system):
     system.access(0, AccessKind.STORE, ADDR, 0)
-    assert system.l1d[0].state_of(ADDR) == LineState.MODIFIED
+    assert system.l1d[0].states[system.l1d[0].find(LINE)] == MODIFIED
     result = system.access(1, AccessKind.LOAD, ADDR, 500)
     assert result.level == StallLevel.C2C
     assert system.stats.c2c_transfers == 1
     # The owner keeps a shared copy.
-    assert system.l1d[0].state_of(ADDR) == LineState.SHARED
+    assert system.l1d[0].states[system.l1d[0].find(LINE)] == SHARED
 
 
 def test_write_hit_on_exclusive_is_silent(system):
     system.access(0, AccessKind.LOAD, ADDR, 0)
     result = system.access(0, AccessKind.STORE, ADDR, 200)
     assert result.done == 201
-    assert system.l1d[0].state_of(ADDR) == LineState.MODIFIED
-    assert system.l2[0].state_of(ADDR) == LineState.MODIFIED
+    assert system.l1d[0].states[system.l1d[0].find(LINE)] == MODIFIED
+    assert system.l2[0].states[system.l2[0].find(LINE)] == MODIFIED
     assert system.bus.upgrades == 0
 
 
@@ -61,7 +62,7 @@ def test_write_hit_on_shared_upgrades(system):
     system.access(1, AccessKind.LOAD, ADDR, 200)
     system.access(0, AccessKind.STORE, ADDR, 400)
     assert system.bus.upgrades == 1
-    assert not system.l1d[1].contains(ADDR)
+    assert system.l1d[1].find(LINE) < 0
     # CPU 1's re-read is an invalidation miss serviced cache-to-cache.
     result = system.access(1, AccessKind.LOAD, ADDR, 600)
     assert result.level == StallLevel.C2C
@@ -72,8 +73,8 @@ def test_write_miss_with_remote_dirty_copy(system):
     system.access(0, AccessKind.STORE, ADDR, 0)
     result = system.access(1, AccessKind.STORE, ADDR, 500)
     assert result.visible_cycle > 500
-    assert not system.l1d[0].contains(ADDR)
-    assert system.l1d[1].state_of(ADDR) == LineState.MODIFIED
+    assert system.l1d[0].find(LINE) < 0
+    assert system.l1d[1].states[system.l1d[1].find(LINE)] == MODIFIED
 
 
 def test_stores_are_posted_and_fifo_visible(system):
@@ -97,15 +98,15 @@ def test_private_l2_hit(system):
     t = 200
     for k in range(1, system.l1d[0].assoc + 1):
         t = system.access(0, AccessKind.LOAD, ADDR + k * way_span, t).done
-    assert not system.l1d[0].contains(ADDR)
+    assert system.l1d[0].find(LINE) < 0
     result = system.access(0, AccessKind.LOAD, ADDR, t + 10)
     assert result.level == StallLevel.L2
 
 
 def test_l2s_are_private(system):
     system.access(0, AccessKind.LOAD, ADDR, 0)
-    assert system.l2[0].contains(ADDR)
-    assert not system.l2[1].contains(ADDR)
+    assert system.l2[0].find(LINE) >= 0
+    assert system.l2[1].find(LINE) < 0
 
 
 def test_mesi_invariants_after_traffic(system):

@@ -142,5 +142,7 @@ def test_runs_are_deterministic(steps):
 def test_cache_capacity_respected_during_runs(steps):
     _stats, system = _run("shared-l1", steps)
     cache = system.memory.l1d
-    for set_index in range(cache.n_sets):
-        assert cache.set_occupancy(set_index) <= cache.assoc
+    resident = [(way, tag) for way, tag in enumerate(cache.tags) if tag >= 0]
+    assert len({tag for _, tag in resident}) == len(resident)
+    for way, tag in resident:
+        assert tag % cache.n_sets == way // cache.assoc

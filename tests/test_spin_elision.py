@@ -5,9 +5,8 @@ Mipsy runs the failed iterations of a *declared* spin loop
 the CPU and accounts for the iterations arithmetically. No option or
 feature selects that — observed and checkpoint-recording runs elide
 and park too — so the reference is the one run the code still steps:
-CPUs that may not run ahead of the loop (``cpu._batchable = False``,
-what a memory system that is not ``batchable`` asks for). Every
-comparison below is "default run" against that.
+CPUs that may not run ahead of the loop (``cpu._batchable = False``).
+Every comparison below is "default run" against that.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from repro.isa.stream import Emitter
 from repro.mem.functional import NEVER, FunctionalMemory
 from repro.sync.barrier import Barrier
 from repro.sync.lock import SpinLock
-from repro.trace.recorder import TraceRecorder, record_run
+from repro.trace.recorder import record_run
 from repro.workloads import WORKLOADS, synthetic
 from repro.workloads.base import Workload
 
@@ -308,20 +307,9 @@ def test_hung_barrier_pauses_then_raises():
 # recording
 
 
-def _recorded(arch, stepped, limit=None):
-    system = _system(arch, FACTORIES["locked-counter"])
-    if limit is None and not stepped:
-        return record_run(system), system
-    recorder = TraceRecorder(system.memory)
-    if limit is not None:
-        recorder.limit(limit)
-    system.memory = recorder
-    for cpu in system.cpus:
-        cpu.bind_memory(recorder)
-    if stepped:
-        _stepped(system)
-    system.run()
-    return recorder, system
+def _recorded(arch, stepped):
+    system = _system(arch, FACTORIES["locked-counter"], stepped=stepped)
+    return record_run(system), system
 
 
 @pytest.mark.parametrize("arch", ("shared-l1", "shared-l2", "shared-mem"))
@@ -337,14 +325,6 @@ def test_recorded_trace_is_byte_identical(arch, tmp_path):
     assert (tmp_path / "elided.trace").read_bytes() == (
         tmp_path / "plain.trace"
     ).read_bytes()
-
-
-def test_limited_recording_sees_the_same_first_records():
-    limited, _ = _recorded("shared-l2", stepped=False, limit=400)
-    plain, _ = _recorded("shared-l2", stepped=True, limit=400)
-    assert len(limited) == 400
-    assert limited.kinds == plain.kinds
-    assert limited.addrs == plain.addrs
 
 
 # ----------------------------------------------------------------------

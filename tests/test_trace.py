@@ -90,16 +90,6 @@ def test_recorder_captures_all_kinds():
     assert AccessKind.IFETCH in kinds
 
 
-def test_recorder_limit():
-    system = build_system("shared-l1", LoopWorkload, iterations=5)
-    recorder = TraceRecorder(system.memory).limit(10)
-    system.memory = recorder
-    for cpu in system.cpus:
-        cpu.memory = recorder
-    system.run()
-    assert len(recorder) == 10
-
-
 def test_recorder_save_and_reload(tmp_path):
     system = build_system("shared-l1", LoopWorkload, iterations=2)
     recorder = record_run(system, tmp_path / "run.trace")
@@ -270,7 +260,7 @@ def test_replay_uses_recorded_fetch_pcs(tmp_path):
 
 
 class _FastHitMemory(MemorySystem):
-    """Stub whose fast lane resolves loads/ifetches and declines stores."""
+    """Stub whose fast lanes resolve loads/ifetches and decline stores."""
 
     name = "fast-stub"
 
@@ -283,17 +273,15 @@ class _FastHitMemory(MemorySystem):
         self.access_calls += 1
         return AccessResult(at + 2, StallLevel.NONE)
 
-    def fast_load(self, cpu, addr, at):
-        self.fast_calls += 1
-        return at + 1
+    def fast_lanes(self, cpu):
+        def lane(done):
+            def fast(addr, at):
+                self.fast_calls += 1
+                return at + 1 if done else -1
 
-    def fast_ifetch(self, cpu, addr, at):
-        self.fast_calls += 1
-        return at + 1
+            return fast
 
-    def fast_store(self, cpu, addr, at):
-        self.fast_calls += 1
-        return -1
+        return lane(True), lane(True), lane(False)
 
     def drain(self, at):
         return at
@@ -302,27 +290,17 @@ class _FastHitMemory(MemorySystem):
 def test_recorder_forwards_and_records_the_fast_lane():
     inner = _FastHitMemory()
     recorder = TraceRecorder(inner)
-    assert recorder.fast_load(0, 0x100, 10) == 11
-    assert recorder.fast_ifetch(1, 0x400000, 10) == 11
+    assert recorder.fast_lanes(0)[1](0x100, 10) == 11
+    assert recorder.fast_lanes(1)[0](0x400000, 10) == 11
     # A decline is forwarded but NOT recorded: the CPU retries it via
     # access(), which records it once.
-    assert recorder.fast_store(2, 0x200, 10) == -1
+    assert recorder.fast_lanes(2)[2](0x200, 10) == -1
     assert inner.fast_calls == 3
     assert [(r.cpu, r.kind, r.addr) for r in recorder.records] == [
         (0, AccessKind.LOAD, 0x100),
         (1, AccessKind.IFETCH, 0x400000),
     ]
     assert recorder.records[1].pc == 0x400000
-
-
-def test_recorder_fast_lane_respects_limit():
-    inner = _FastHitMemory()
-    recorder = TraceRecorder(inner).limit(1)
-    assert recorder.fast_load(0, 0x100, 10) == 11
-    assert recorder.fast_load(0, 0x200, 12) == 13
-    # Still forwarded (simulation unchanged) but no longer recorded.
-    assert inner.fast_calls == 2
-    assert len(recorder.records) == 1
 
 
 def _recorded_stream(fast: bool):
@@ -340,7 +318,7 @@ def _recorded_stream(fast: bool):
 
 def test_recording_identical_with_fast_lane_on_or_off():
     """Regression: recording used to silently disable the fast lane
-    (the base-class fast_* methods decline). Forwarding must keep the
+    (the base-class lanes decline). Forwarding must keep the
     captured stream — count *and* content — identical either way."""
     with_lane, stats_on = _recorded_stream(fast=True)
     without_lane, stats_off = _recorded_stream(fast=False)

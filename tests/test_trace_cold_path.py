@@ -4,7 +4,9 @@
 recorder, writes the canonical text from the columns and publishes the
 decode (binary sidecar + per-process memo) in the same step. What must
 hold: the text is the same bytes however the recording run was driven
-(batched or not, fast lane or not); the first ``load_packed`` after a
+(batched or not, fast lane or not), and a batched recording keeps each
+CPU's references in the order a stepped run issues them; the first
+``load_packed`` after a
 recording — here or in another process — parses no text; the published
 decode is exactly what a parse of the text gives; and the size/mtime
 guard still retires both caches when the text changes.
@@ -53,10 +55,9 @@ def build(arch, workload, fast_lane=True):
     return System(arch, built, mem_config=config, max_cycles=50_000_000)
 
 
-def record(system, recorder=None, batched=True):
-    """``record_run`` with the knobs the tests turn."""
-    if recorder is None:
-        recorder = TraceRecorder(system.memory)
+def record(system, batched=True):
+    """``record_run`` with the knob the tests turn."""
+    recorder = TraceRecorder(system.memory)
     system.memory = recorder
     for cpu in system.cpus:
         cpu.bind_memory(recorder)
@@ -234,65 +235,59 @@ def test_concurrent_recorders_leave_a_loadable_trace(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# (d) limit(n): the first n references in cross-CPU issue order
+# (d) a batched recording keeps each CPU's references in issue order
 
 
 class IssueOrderLog(MemorySystem):
-    """An independent proxy that logs every reference in the order
-    the run loop issues them (unbatched, like a limited recorder)."""
+    """An independent proxy that logs every reference in the order the
+    run loop issues them; it steps its CPUs itself, so that order is
+    the cross-CPU one."""
 
-    batchable = False
-
-    def __init__(self, inner):
+    def __init__(self, system):
+        inner = system.memory
         super().__init__(inner.config, inner.stats)
         self.name = inner.name
         self.inner = inner
         self.log = []
+        system.memory = self
+        for cpu in system.cpus:
+            cpu.bind_memory(self)
+            cpu._batchable = False
 
     def access(self, cpu, kind, addr, at):
         self.log.append((cpu, int(kind), addr))
         return self.inner.access(cpu, kind, addr, at)
 
-    def _lane(self, lane, cpu, kind, addr, at):
-        done = lane(cpu, addr, at)
-        if done >= 0:
-            self.log.append((cpu, kind, addr))
-        return done
+    def fast_lanes(self, cpu):
+        def logging(lane, kind):
+            def fast(addr, at):
+                done = lane(addr, at)
+                if done >= 0:
+                    self.log.append((cpu, kind, addr))
+                return done
 
-    def fast_ifetch(self, cpu, addr, at):
-        return self._lane(self.inner.fast_ifetch, cpu, 0, addr, at)
+            return fast
 
-    def fast_load(self, cpu, addr, at):
-        return self._lane(self.inner.fast_load, cpu, 1, addr, at)
-
-    def fast_store(self, cpu, addr, at):
-        return self._lane(self.inner.fast_store, cpu, 2, addr, at)
+        return tuple(map(logging, self.inner.fast_lanes(cpu), (0, 1, 2)))
 
     def drain(self, at):
         return self.inner.drain(at)
 
 
 @pytest.mark.parametrize("fast_lane", (True, False))
-def test_limit_keeps_the_first_n_in_issue_order(fast_lane):
+def test_recording_keeps_each_cpus_references_in_issue_order(fast_lane):
     logged = build("shared-l2", "sharing", fast_lane=fast_lane)
-    issue_order = record(logged, IssueOrderLog(logged.memory)).log
+    issue_order = IssueOrderLog(logged).log
+    logged.run()
 
-    n = len(issue_order) // 3
-    limited = build("shared-l2", "sharing", fast_lane=fast_lane)
-    recorder = TraceRecorder(limited.memory).limit(n)
-    assert not recorder.batchable
-    record(limited, recorder)
-    assert not any(cpu._batchable for cpu in limited.cpus)
-    assert limited.stats.to_dict() == logged.stats.to_dict()
+    recorded = build("shared-l2", "sharing", fast_lane=fast_lane)
+    recorder = record(recorded)
+    assert all(cpu._batchable for cpu in recorded.cpus)
+    assert recorded.stats.to_dict() == logged.stats.to_dict()
 
-    assert len(recorder) == n
     kept = [(r.cpu, int(r.kind), r.addr) for r in recorder.records]
-    assert kept == sorted(issue_order[:n], key=lambda ref: ref[0])
-    # both routes into the recorder were taken
-    if fast_lane:
-        assert {kind for _, kind, _ in kept} >= {0, 1, 2}
-
-    assert TraceRecorder(build("shared-l2", "sharing").memory).batchable
+    assert kept == sorted(issue_order, key=lambda ref: ref[0])
+    assert {kind for _, kind, _ in kept} >= {0, 1, 2}
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.mem.types import AccessKind
 from repro.sim.stats import SystemStats
 
 ADDR = 0x1000_0000
+LINE = ADDR >> 5  # 32-byte lines
 
 
 def make_update_system():
@@ -33,7 +34,7 @@ def test_update_keeps_remote_copies():
     system.access(1, AccessKind.LOAD, ADDR, 100)
     system.access(0, AccessKind.STORE, ADDR, 200)
     # Under write-update the sharer keeps its line...
-    assert system.l1d[1].contains(ADDR)
+    assert system.l1d[1].find(LINE) >= 0
     assert system.stats.cache("cpu1.l1d").updates_received == 1
     assert system.stats.cache("cpu1.l1d").invalidations_received == 0
     # ...and its next read is a hit.
@@ -59,7 +60,7 @@ def test_update_drops_dead_sharers_from_directory():
     t = 100
     for k in range(1, system.l1d[1].assoc + 1):
         t = system.access(1, AccessKind.LOAD, ADDR + k * way, t).done
-    assert not system.l1d[1].contains(ADDR)
+    assert system.l1d[1].find(LINE) < 0
     system.access(0, AccessKind.STORE, ADDR, t + 10)
     line_addr = ADDR // system.config.line_size
     assert not system.directory.is_holder(line_addr, 1)
