@@ -201,35 +201,46 @@ def check_determinism() -> str:
 
 
 def check_spin_elision() -> str:
-    """A parked spin loop costs exactly what the stepped one does."""
-    settled = 0
-    for arch in ARCHITECTURES:
-        outcomes = []
-        for stepped in (False, True):
-            workload = FlagHandoff(4, FunctionalMemory())
-            system = System(
-                arch,
-                workload,
-                mem_config=test_config(),
-                max_cycles=1_000_000,
-            )
-            # A CPU that may not run ahead of the loop steps every spin
-            # iteration through the thread program: the reference.
-            for cpu in system.cpus:
-                cpu._batchable = not stepped
-            outcomes.append(system.run().to_dict())
-            report = system.spin_report()
+    """A parked spin loop costs exactly what the stepped one does, on
+    both CPU models."""
+    settled = {}
+    for cpu_model in ("mipsy", "mxs"):
+        settled[cpu_model] = 0
+        for arch in ARCHITECTURES:
+            outcomes = []
+            for stepped in (False, True):
+                workload = FlagHandoff(4, FunctionalMemory())
+                system = System(
+                    arch,
+                    workload,
+                    cpu_model=cpu_model,
+                    mem_config=test_config(),
+                    max_cycles=1_000_000,
+                )
+                # A CPU that may not run ahead of the loop steps every
+                # spin iteration through the thread program: the
+                # reference.
+                for cpu in system.cpus:
+                    cpu._batchable = not stepped
+                outcomes.append(system.run().to_dict())
+                report = system.spin_report()
+                _check(
+                    not (stepped and report["parks"]),
+                    f"{arch}/{cpu_model}: a stepped run parked a CPU",
+                )
+                settled[cpu_model] += report["settled_iterations"]
             _check(
-                not (stepped and report["parks"]),
-                f"{arch}: a stepped run parked a CPU",
+                outcomes[0] == outcomes[1],
+                f"{arch}/{cpu_model}: parked and stepped spin loops disagree",
             )
-            settled += report["settled_iterations"]
         _check(
-            outcomes[0] == outcomes[1],
-            f"{arch}: parked and stepped spin loops disagree",
+            settled[cpu_model] > 0,
+            f"{cpu_model}: no spin iteration was ever settled in bulk",
         )
-    _check(settled > 0, "no spin iteration was ever settled in bulk")
-    return f"{settled} spin iterations settled in bulk, statistics identical"
+    return (
+        f"{settled['mipsy']} (Mipsy) and {settled['mxs']} (MXS) spin "
+        "iterations settled in bulk, statistics identical"
+    )
 
 
 class _Forgetful(dict):

@@ -7,8 +7,9 @@ systematically wins ties for shared resources. When every CPU is
 stalled, the loop fast-forwards to the earliest resume time — long
 memory stalls cost no host time beyond the instructions actually
 executed, and neither does a declared spin loop whose next iterations
-are already decided: its CPU *parks* (:mod:`repro.cpu.mipsy`) and the
-loop here only has to notice when another CPU's tick changes that.
+are already decided: its CPU *parks* (:class:`repro.cpu.base.BaseCpu`,
+either model) and the loop here only has to notice when another CPU's
+tick changes that.
 """
 
 from __future__ import annotations
@@ -93,12 +94,15 @@ class System:
         # or a restore).
         self._cycle = 0
 
-        # Mipsy CPUs parked on a declared spin loop, and the write
-        # count / eviction epoch last looked at while any were.
-        self._parked: list[MipsyCpu] = []
+        # CPUs parked on a declared spin loop, and the write count /
+        # eviction epoch last looked at while any were.
+        self._parked: list = []
         self._spin_seq = 0
         self._spin_epoch = 0
         self._spin_wakes = {"disturbed": 0, "deadline": 0}
+        # Whether the current run() has neither a cycle cap nor a pause
+        # (only such a run can hang on parked CPUs).
+        self._open_ended = False
 
         self.cpus = []
         for cpu_id in range(config.n_cpus):
@@ -107,7 +111,6 @@ class System:
                 cpu = MipsyCpu(
                     cpu_id, self.memory, self.functional, self.stats, program
                 )
-                cpu._spin_parked = self._parked
             else:
                 cpu = MxsCpu(
                     cpu_id,
@@ -117,6 +120,7 @@ class System:
                     program,
                     params=cpu_params or CpuParams(),
                 )
+            cpu._spin_parked = self._parked
             self.cpus.append(cpu)
         if checkpointing:
             for cpu in self.cpus:
@@ -151,6 +155,7 @@ class System:
         last_progress_cycle = cycle
         last_instruction_count = sum(cpu.instructions for cpu in self.cpus)
         pause = pause_at if pause_at is not None else 1 << 62
+        self._open_ended = pause_at is None and self.max_cycles is None
         # The watchdog needs no per-cycle precision; checking it every
         # so often keeps sums out of the hot loop.
         watchdog_stride = 4096
@@ -204,7 +209,11 @@ class System:
             if cycle >= next_sample:
                 # A sample boundary is a horizon like the pause: parked
                 # CPUs settle to it, so every sampled counter reads what
-                # a stepped run shows there.
+                # a stepped run shows there. Unless it is the only thing
+                # they wait for: then the run hangs as it would with no
+                # boundary (their settled iterations are no progress).
+                if self._spin_hung():
+                    raise self._spin_deadlock()
                 self._spin_release(horizon)
                 next_sample = sampler.sample_until(cycle)
                 horizon = self._set_horizon(
@@ -316,7 +325,7 @@ class System:
         return horizon
 
     # ------------------------------------------------------------------
-    # parked spin loops (see repro.cpu.mipsy)
+    # parked spin loops (see repro.cpu.base)
 
     def _spin_tick(self, cpu, cycle: int, order: list) -> int:
         """Tick ``cpu`` at ``cycle`` while some CPU is parked.
@@ -337,6 +346,11 @@ class System:
             parked.remove(cpu)
             self._spin_wakes["deadline"] += 1
         cpu.tick(cycle)
+        if cpu._spin_base >= 0 and self._spin_hung():
+            # The last live CPU just parked: a sample boundary need not
+            # find them all asleep (one may be handing the value that
+            # straddles it to its program), so look now.
+            raise self._spin_deadlock()
         woken = NEVER
         seq = self.functional._seq
         epoch = EVICT_EPOCH[0]
@@ -366,11 +380,22 @@ class System:
             cpu.spin_wake(horizon)
         self._parked.clear()
 
+    def _spin_hung(self) -> bool:
+        """Every live CPU is parked on a word nothing recorded will
+        change, and the run has no cap or pause to stop at: stepped,
+        it would retire instructions forever."""
+        parked = self._parked
+        return (
+            self._open_ended
+            and len(parked) == sum(not cpu.done for cpu in self.cpus)
+            and all(cpu._spin_until == NEVER for cpu in parked)
+        )
+
     def _spin_deadlock(self) -> DeadlockError:
         """Every live CPU is parked with no write pending anywhere."""
         waits = ", ".join(
-            f"cpu{cpu.cpu_id} on {cpu._pending_inst.addr:#x}"
-            for cpu in self._parked
+            f"cpu{cpu.cpu_id} on {cpu._spin_load.addr:#x}"
+            for cpu in sorted(self._parked, key=lambda cpu: cpu.cpu_id)
         )
         return DeadlockError(
             max(cpu._spin_base for cpu in self._parked),
@@ -388,10 +413,9 @@ class System:
         ``deadline_wakes``: sleeps ended by another CPU's eviction or
         write, against those that ran to the cycle the sleeper chose.
         """
-        cpus = self.cpus if self.cpu_model == "mipsy" else ()
         return {
-            "parks": sum(cpu.spin_parks for cpu in cpus),
-            "settled_iterations": sum(cpu.spin_settled for cpu in cpus),
+            "parks": sum(cpu.spin_parks for cpu in self.cpus),
+            "settled_iterations": sum(cpu.spin_settled for cpu in self.cpus),
             "disturbed_wakes": self._spin_wakes["disturbed"],
             "deadline_wakes": self._spin_wakes["deadline"],
         }

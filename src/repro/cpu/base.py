@@ -50,6 +50,15 @@ class BaseCpu(ABC):
         "_obs",
         "_ckpt_log",
         "_ckpt_advances",
+        "_spin_port",
+        "_spin_parked",
+        "_spin_base",
+        "_spin_load",
+        "_spin_until",
+        "_spin_seq",
+        "_spin_way",
+        "spin_parks",
+        "spin_settled",
     )
 
     def __init__(
@@ -73,10 +82,27 @@ class BaseCpu(ABC):
         self._has_value = False
         self._send_value: object = None
         self._started = False
-        # Whether the model may retire ahead of the run loop (Mipsy's
-        # compute-run batching and spin elision). Only the stepped
-        # reference run of the tests and ``repro selfcheck`` clears it.
+        # Whether the model may run ahead of the thread program
+        # (Mipsy's compute-run batching, both models' spin elision).
+        # Only the stepped reference run of the tests and ``repro
+        # selfcheck`` clears it.
         self._batchable = True
+        # Spin-wait parking (see "spin-wait parking" below). The system
+        # hands every CPU the one list of parked CPUs it watches;
+        # without it (a CPU driven outside a System) nothing parks.
+        self._spin_parked: list | None = None
+        #: first cycle not yet accounted for while parked, -1 otherwise
+        self._spin_base = -1
+        # The parked spin's load, the first cycle its word can read
+        # otherwise (NEVER: nothing recorded will change it), and
+        # functional._seq and the line's way in the L1D at park time.
+        self._spin_load: SpinLoad | None = None
+        self._spin_until = 0
+        self._spin_seq = 0
+        self._spin_way = -1
+        #: host-side tallies for System.spin_report()
+        self.spin_parks = 0
+        self.spin_settled = 0
         self.bind_memory(memory)
         # Hot-loop counters batched as plain ints; folded into the
         # stats objects by flush_stats() at stall/run boundaries.
@@ -106,6 +132,7 @@ class BaseCpu(ABC):
         self.memory = memory
         lanes = memory.fast_lanes(self.cpu_id)
         self._lane_ifetch, self._lane_load, self._lane_store = lanes
+        self._spin_port = memory.spin_port(self.cpu_id)
 
     def enable_ckpt_recording(self) -> None:
         """Start recording the thread-program interaction for replay.
@@ -215,6 +242,65 @@ class BaseCpu(ABC):
         sync waits never depend on how."""
         if inst.__class__ is SpinLoad:
             self._obs.spin_read(self.cpu_id, inst, value, at)
+
+    # ------------------------------------------------------------------
+    # spin-wait parking
+    #
+    # A model that runs the failed iterations of a declared spin itself
+    # may *park* where the memory system declares the L1D private and
+    # single-cycle (MemorySystem.spin_port): it sleeps until the first
+    # cycle that something already recorded could make different, and
+    # its spin_wake(limit) accounts for the iterations below ``limit``
+    # arithmetically. The run loop (repro.core.system) wakes a parked
+    # CPU early when its line leaves its L1D or its word gets a new
+    # write, and at every truncation, pause and sample boundary.
+
+    def _spin_sleep(self, inst: SpinLoad, base: int, until: int) -> None:
+        """Park on ``inst``: ``base`` is the first cycle not accounted
+        for, ``until`` the first cycle its word can read otherwise."""
+        self._spin_base = base
+        self._spin_load = inst
+        self._spin_until = until
+        self._spin_seq = self.functional._seq
+        self._spin_way = self._spin_port[0].find(
+            inst.addr >> self._line_shift
+        )
+        self.spin_parks += 1
+        self._spin_parked.append(self)
+
+    def spin_disturbed(self, wrote: bool) -> bool:
+        """Whether a parked CPU's next iteration may no longer repeat
+        the last: its line left the L1D or (looked at only when some
+        write was recorded, ``wrote``) its word got a new write."""
+        addr = self._spin_load.addr
+        if self._spin_port[0].tags[self._spin_way] != addr >> self._line_shift:
+            return True
+        return wrote and self.functional.written_since(addr, self._spin_seq)
+
+    def _spin_account(
+        self, loads: int, iterations: int, linked_at: int
+    ) -> None:
+        """The model-independent part of settling: ``loads`` settled
+        loads of the parked spin are that many L1D reads and one LRU
+        touch (for ``LL`` the reservation moves to the last one's
+        ``linked_at``), and ``iterations`` failed iterations are that
+        many retries and logged values (the parking iteration's)."""
+        inst = self._spin_load
+        if loads:
+            array, stats = self._spin_port
+            stats.reads += loads
+            array.probe(inst.addr >> self._line_shift)
+            if inst.mcode == 2:
+                self.functional.relink(self.cpu_id, linked_at)
+        if iterations:
+            retries = inst.retries
+            if retries is not None:
+                retries[0] += iterations
+            log = self._ckpt_log
+            if log is not None:
+                log.extend([log[-1]] * iterations)
+            self.spin_settled += iterations
+        self._spin_base = -1
 
     # ------------------------------------------------------------------
 

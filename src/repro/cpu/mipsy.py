@@ -55,13 +55,6 @@ class MipsyCpu(BaseCpu):
         "_pending_inst",
         "_exhausted",
         "_flushed_instructions",
-        "_spin_port",
-        "_spin_parked",
-        "_spin_base",
-        "_spin_seq",
-        "_spin_way",
-        "spin_parks",
-        "spin_settled",
     )
 
     def __init__(self, *args, **kwargs) -> None:
@@ -77,24 +70,6 @@ class MipsyCpu(BaseCpu):
         # counters at once — two attribute increments saved per
         # instruction on the hottest path in the simulator.
         self._flushed_instructions = 0
-        # Spin-wait parking (see the module docstring). The system
-        # hands every CPU the one list of parked CPUs it watches;
-        # without it (a CPU driven outside a System) nothing parks.
-        self._spin_parked: list | None = None
-        #: load cycle of the first iteration not yet accounted for
-        #: while parked, -1 otherwise
-        self._spin_base = -1
-        # functional._seq and the line's way in the L1D at park time
-        self._spin_seq = 0
-        self._spin_way = -1
-        #: host-side tallies for System.spin_report()
-        self.spin_parks = 0
-        self.spin_settled = 0
-
-    def bind_memory(self, memory) -> None:
-        """Bind the lanes and ask ``memory`` for this CPU's spin port."""
-        super().bind_memory(memory)
-        self._spin_port = memory.spin_port(self.cpu_id)
 
     def tick(self, cycle: int) -> None:
         """Execute at most one instruction starting at ``cycle``.
@@ -329,22 +304,12 @@ class MipsyCpu(BaseCpu):
         the horizon; all before it fail alike.
         """
         resume = done + 1
-        parked = self._spin_parked
-        if parked is not None:
-            functional = self.functional
-            horizon = self._batch_horizon
-            limit = functional.stable_until(inst.addr, done, self.cpu_id)
-            if horizon < limit:
-                limit = horizon
+        if self._spin_parked is not None:
+            until = self.functional.stable_until(inst.addr, done, self.cpu_id)
+            limit = min(until, self._batch_horizon)
             skipped = (limit - resume) >> 1
             if skipped > 0:
-                self._spin_base = resume
-                self._spin_seq = functional._seq
-                self._spin_way = self._spin_port[0].find(
-                    inst.addr >> self._line_shift
-                )
-                self.spin_parks += 1
-                parked.append(self)
+                self._spin_sleep(inst, resume, until)
                 # (NEVER exactly, so the run loop can tell "nothing
                 # pending" from a far deadline.)
                 resume = NEVER if limit == NEVER else resume + 2 * skipped
@@ -359,35 +324,13 @@ class MipsyCpu(BaseCpu):
         iteration's value in the replay log. The next iteration is
         issued for real at its own cycle."""
         base = self._spin_base
-        if base < limit:
-            count = (limit - base + 1) >> 1
-            base += 2 * count
-            inst = self._pending_inst
-            self.instructions += 2 * count
-            log = self._ckpt_log
-            if log is not None:
-                log.extend([log[-1]] * count)
-                self._ckpt_advances += 2 * count
-            array, stats = self._spin_port
-            stats.reads += count
-            array.probe(inst.addr >> self._line_shift)
-            retries = inst.retries
-            if retries is not None:
-                retries[0] += count
-            if inst.mcode == 2:
-                self.functional.relink(self.cpu_id, base - 1)
-            self.spin_settled += count
+        count = (limit - base + 1) >> 1 if base < limit else 0
+        base += 2 * count
+        self.instructions += 2 * count
+        if self._ckpt_log is not None:
+            self._ckpt_advances += 2 * count
+        self._spin_account(count, count, base - 1)
         self.resume = base
-        self._spin_base = -1
-
-    def spin_disturbed(self, wrote: bool) -> bool:
-        """Whether a parked CPU's next iteration may no longer repeat
-        the last: its line left the L1D or (looked at only when some
-        write was recorded, ``wrote``) its word got a new write."""
-        addr = self._pending_inst.addr
-        if self._spin_port[0].tags[self._spin_way] != addr >> self._line_shift:
-            return True
-        return wrote and self.functional.written_since(addr, self._spin_seq)
 
     def busy_cycles(self) -> int:
         """Busy cycles so far: one per instruction, flushed or not."""

@@ -78,3 +78,10 @@ class BranchTargetBuffer:
         if (entry.counter >= 2) != taken:
             return False
         return not taken or entry.target == target
+
+    def entry(self, pc: int) -> tuple[int, int, int]:
+        """``(tag, target, counter)`` of the entry ``pc`` maps to, read
+        without counting anything: :meth:`correct` for a taken branch
+        is ``tag == pc and counter >= 2 and target == its target``."""
+        entry = self._table[(pc >> 2) & self._mask]
+        return entry.tag, entry.target, entry.counter

@@ -16,6 +16,31 @@ head (or, with an empty ROB, the fetch stage) is blocked —
 instruction-cache stall, data-cache stall, or pipeline stall. The extra
 shared-L1 hit latency and bank contention appear as pipeline stalls,
 exactly as the paper counts them.
+
+Spin-wait elision
+-----------------
+
+A waiting CPU still fetches, issues and graduates a load and a branch
+every iteration of a declared spin
+(:class:`~repro.isa.instructions.SpinLoad`), cycle for cycle, and the
+value-dependent fetch still serializes it (``EXPERIMENTS.md``
+deviation 5). The host does not re-simulate what cannot turn out
+differently where the memory system declares the L1D private and
+single-cycle (:meth:`~repro.mem.hierarchy.MemorySystem.spin_port`;
+elsewhere every iteration goes through the thread program):
+
+* a failed iteration (loaded value is not the exit value) is fetched
+  by the CPU itself — the back-branch and the load again, when both fit
+  the fetch group — so the thread program is resumed only with the
+  value that ends the spin;
+* an iteration whose pipeline state repeats the last one's, relative
+  to its cycle and sequence number, has the CPU record one more period
+  tick by tick and then *park* (:class:`~repro.cpu.base.BaseCpu`).
+  :meth:`MxsCpu.spin_wake` settles whole periods by multiplication and
+  restores the recorded state at the wake cycle's place in the period.
+
+Only ``cpu._batchable = False`` makes MXS step every iteration through
+the thread program — the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -26,7 +51,14 @@ from repro.cpu.base import BaseCpu
 from repro.cpu.mxs.btb import BranchTargetBuffer
 from repro.cpu.mxs.funits import UNITS, FunctionalUnits
 from repro.errors import SimulationError
-from repro.isa.instructions import FU_INDEX, FU_LATENCY, Instruction, OpClass
+from repro.isa.instructions import (
+    FU_INDEX,
+    FU_LATENCY,
+    Instruction,
+    OpClass,
+    SpinLoad,
+)
+from repro.mem.functional import NEVER
 from repro.mem.mshr import MshrFile
 from repro.mem.types import AccessKind, StallLevel
 
@@ -52,6 +84,47 @@ _BRANCH_LATENCY = FU_LATENCY[_BRANCH]
 
 #: ``Instruction.mcode`` values.
 _LOAD, _LL, _STORE, _SC = 1, 2, 3, 4
+
+#: ``(part, attribute)`` of every counter a tick adds to, ``part`` an
+#: attribute of the CPU or ``None`` for the CPU itself. ``mxs.fetched``
+#: and ``mxs.graduated`` fold from ``_seq`` and ``instructions`` at
+#: flush; the L1D reads of a spin's loads are the base class's.
+_TICK_COUNTERS = (
+    *(
+        ("mxs", name)
+        for name in (
+            "cycles",
+            "slots_lost_icache",
+            "slots_lost_dcache",
+            "slots_lost_pipeline",
+            "branches",
+            "mispredicts",
+            "squashed",
+            "issued",
+            "window_occupancy_sum",
+            "fetch_stall_cycles",
+        )
+    ),
+    (None, "instructions"),
+    (None, "_seq"),
+    (None, "_ckpt_advances"),
+    (None, "_ifetch_pending"),
+    ("fus", "structural_stalls"),
+    ("btb", "lookups"),
+    ("btb", "hits"),
+    ("mshrs", "merges"),
+    ("mshrs", "allocations"),
+    ("mshrs", "full_stalls"),
+)
+
+
+def _after(at: int, cycle: int) -> int | None:
+    """``at`` relative to ``cycle`` (``None`` for "not yet known")."""
+    return None if at >= _INF else at - cycle
+
+
+def _at(after: int | None, cycle: int) -> int:
+    return _INF if after is None else after + cycle
 
 
 class _Record:
@@ -90,6 +163,31 @@ class _Record:
         return self.done != _INF
 
 
+class _SpinWatch:
+    """A declared spin the CPU runs itself, watched for a period to
+    park on: the state after the tick that began an iteration (relative
+    to its cycle and sequence number) and — once an iteration began in
+    the same state — the counters there, the period's length, fetched
+    records and ticks as they run."""
+
+    __slots__ = (
+        "spin", "cycle", "seq", "state", "counters", "reads",
+        "period", "dseq", "ticks",
+    )
+
+    def __init__(self, spin, cycle, seq, state) -> None:
+        self.spin = spin
+        self.cycle = cycle
+        self.seq = seq
+        self.state = state
+        self.counters = ()
+        self.reads = 0
+        self.period = 0
+        self.dseq = 0
+        #: ``(offset, counters, reads, state)`` per tick while recording
+        self.ticks: list | None = None
+
+
 class MxsCpu(BaseCpu):
     """2-way dynamic superscalar with non-blocking data cache."""
 
@@ -114,6 +212,9 @@ class MxsCpu(BaseCpu):
         "_blocked_record",
         "_pending_inst",
         "_program_done",
+        "_spin_failed",
+        "_spin_watch",
+        "_spin_period",
     )
 
     def __init__(self, *args, params=None, **kwargs) -> None:
@@ -149,6 +250,12 @@ class MxsCpu(BaseCpu):
         self._blocked_record: _Record | None = None
         self._pending_inst: Instruction | None = None
         self._program_done = False
+        # Spin-wait elision (see the module docstring): the declared
+        # spin whose failed value is pending delivery, the watch for a
+        # period to park on, and the recorded period while parked.
+        self._spin_failed: SpinLoad | None = None
+        self._spin_watch: _SpinWatch | None = None
+        self._spin_period: tuple | None = None
 
     # ------------------------------------------------------------------
 
@@ -164,6 +271,9 @@ class MxsCpu(BaseCpu):
         mxs = self.mxs
         rob = self.rob
         width = self._width
+        # The declared spin whose iteration this tick began, where the
+        # CPU may park on it.
+        began = None
         mxs.cycles += 1
         mxs.window_occupancy_sum += len(rob)
 
@@ -277,7 +387,18 @@ class MxsCpu(BaseCpu):
                             value, self._send_value = self._send_value, None
                             if ckpt_log is not None:
                                 ckpt_log.append(value)
-                            inst = self.program.send(value)
+                            spin = self._spin_failed
+                            self._spin_failed = None
+                            if spin is not None and self._spin_rerun(
+                                spin, budget - fetched
+                            ):
+                                inst = spin.back
+                                pending = spin
+                                if self._spin_parked is not None:
+                                    began = spin
+                            else:
+                                self._spin_watch = None
+                                inst = self.program.send(value)
                         else:
                             self._started = True
                             inst = next(self.program)
@@ -355,24 +476,26 @@ class MxsCpu(BaseCpu):
 
         if graduated or issued or fetched:
             self.resume = cycle + 1
-            return
-
-        # Nothing happened: fast-forward to the next event, attributing
-        # the skipped cycles' graduation slots to the same cause.
-        next_event = self._next_event_time(cycle)
-        if next_event <= cycle + 1:
-            self.resume = cycle + 1
-            return
-        span = next_event - cycle - 1
-        mxs.cycles += span
-        mxs.window_occupancy_sum += len(rob) * span
-        if lost_reason == _LOST_ICACHE:
-            mxs.slots_lost_icache += width * span
-        elif lost_reason == _LOST_DCACHE:
-            mxs.slots_lost_dcache += width * span
         else:
-            mxs.slots_lost_pipeline += width * span
-        self.resume = next_event
+            # Nothing happened: fast-forward to the next event,
+            # attributing the skipped cycles' graduation slots to the
+            # same cause.
+            next_event = self._next_event_time(cycle)
+            if next_event <= cycle + 1:
+                self.resume = cycle + 1
+            else:
+                span = next_event - cycle - 1
+                mxs.cycles += span
+                mxs.window_occupancy_sum += len(rob) * span
+                if lost_reason == _LOST_ICACHE:
+                    mxs.slots_lost_icache += width * span
+                elif lost_reason == _LOST_DCACHE:
+                    mxs.slots_lost_dcache += width * span
+                else:
+                    mxs.slots_lost_pipeline += width * span
+                self.resume = next_event
+        if began is not None or self._spin_watch is not None:
+            self._spin_step(cycle, began)
 
     # ------------------------------------------------------------------
     # issue
@@ -502,10 +625,288 @@ class MxsCpu(BaseCpu):
             value = self.functional.read(inst.addr, done, cpu=self.cpu_id)
         if self._obs is not None:
             self._spin_read(inst, value, done)
+        if (
+            inst.__class__ is SpinLoad
+            and value != inst.until
+            and self._spin_port is not None
+            and self._batchable
+        ):
+            # A failed iteration where the CPU may park: fetch may run
+            # the next one itself.
+            self._spin_failed = inst
         self.deliver_value(value)
         if record is self._blocked_record:
             self._fetch_unblock = record.done
             self._blocked_record = None
+
+    # ------------------------------------------------------------------
+    # spin-wait elision
+
+    def _spin_rerun(self, spin: SpinLoad, room: int) -> bool:
+        """Whether fetch runs the failed iteration of ``spin`` itself:
+        its back-branch and the load again, which it does when both fit
+        this fetch group — room for two, the branch on the current
+        fetch line (no I-fetch of its own) and predicted taken to the
+        load. The replay log then gets the load's pull here (the value
+        and the branch's pull are logged as for any pull) and the
+        owning primitive its retry."""
+        back = spin.back
+        if room < 2 or back.pc >> self._line_shift != self._fetch_line:
+            return False
+        tag, target, counter = self.btb.entry(back.pc)
+        if tag != back.pc or counter < 2 or target != back.target:
+            return False
+        if self._ckpt_log is not None:
+            self._ckpt_advances += 1
+        retries = spin.retries
+        if retries is not None:
+            retries[0] += 1
+        return True
+
+    def _spin_counters(self) -> tuple:
+        return tuple(
+            getattr(self if part is None else getattr(self, part), name)
+            for part, name in _TICK_COUNTERS
+        )
+
+    def _spin_state(self, spin: SpinLoad, cycle: int, seq: int) -> tuple:
+        """The pipeline relative to ``cycle`` and ``seq``: records
+        (producer links by sequence number, or a producer's completion
+        once it left the ROB), fetch state, the cycle's claimed units,
+        MSHRs, ``resume`` and the back-branch's BTB entry."""
+        rob = self.rob
+        first = rob[0].seq if rob else seq
+
+        def link(producer):
+            if producer is None:
+                return None
+            if producer.seq >= first:
+                return producer.seq - seq
+            return (_after(producer.done, cycle),)
+
+        blocked = self._blocked_record
+        fus = self.fus
+        return (
+            tuple(
+                (
+                    record.seq - seq,
+                    record.inst,
+                    _after(record.done, cycle),
+                    record.dcache_miss,
+                    record.extra_hit_latency,
+                    record.mispredicted,
+                    link(record.dep1),
+                    link(record.dep2),
+                )
+                for record in rob
+            ),
+            tuple(record.seq - seq for record in self._unissued),
+            None if blocked is None else blocked.seq - seq,
+            self._fetch_line,
+            _after(self._fetch_unblock, cycle),
+            self._fetch_reason,
+            self._pending_inst,
+            self._has_value,
+            self._send_value,
+            self._spin_failed,
+            self.resume - cycle,
+            fus.cycle - cycle,
+            tuple(fus.free),
+            tuple(sorted(
+                (line, done - cycle)
+                for line, done in self.mshrs._entries.items()
+            )),
+            self.btb.entry(spin.back.pc),
+        )
+
+    def _spin_restore(self, state: tuple, cycle: int, seq: int) -> None:
+        """Put back a :meth:`_spin_state` taken relative to another
+        cycle and sequence number, here relative to these."""
+        (
+            rows, unissued, blocked, self._fetch_line, unblock,
+            self._fetch_reason, self._pending_inst, self._has_value,
+            self._send_value, self._spin_failed, resume, fus_cycle, free,
+            entries, _btb,
+        ) = state
+        records = {}
+
+        def link(held):
+            if held is None:
+                return None
+            if held.__class__ is int:
+                return records[held + seq]
+            gone = _Record(-1, None)
+            gone.done = _at(held[0], cycle)
+            return gone
+
+        rob = self.rob
+        rob.clear()
+        for rel, inst, done, miss, extra, mispredicted, dep1, dep2 in rows:
+            record = _Record(rel + seq, inst)
+            record.done = _at(done, cycle)
+            record.dcache_miss = miss
+            record.extra_hit_latency = extra
+            record.mispredicted = mispredicted
+            record.dep1 = link(dep1)
+            record.dep2 = link(dep2)
+            records[record.seq] = record
+            rob.append(record)
+        self._unissued[:] = [records[rel + seq] for rel in unissued]
+        self._blocked_record = (
+            None if blocked is None else records[blocked + seq]
+        )
+        self._fetch_unblock = _at(unblock, cycle)
+        self.resume = resume + cycle
+        self.fus.cycle = fus_cycle + cycle
+        self.fus.free[:] = free
+        self.mshrs.load({line: done + cycle for line, done in entries})
+
+    def _spin_step(self, cycle: int, began: SpinLoad | None) -> None:
+        """Watch the spin this CPU runs itself for a period to park on;
+        runs after a tick that ``began`` an iteration (fetched its
+        back-branch) and after every tick while a watch is open.
+
+        An iteration that begins in the state the previous one began
+        in, relative to cycle and sequence number, opens the record of
+        one period: every tick's counters and relative state up to the
+        next iteration. If that one begins in the same state again, the
+        CPU parks (:meth:`_spin_park`)."""
+        watch = self._spin_watch
+        if began is None:
+            if watch.ticks is not None:
+                offset = cycle - watch.cycle
+                if offset < watch.period:
+                    watch.ticks.append((
+                        offset,
+                        self._spin_counters(),
+                        self._spin_port[1].reads,
+                        self._spin_state(watch.spin, watch.cycle, watch.seq),
+                    ))
+                else:
+                    self._spin_watch = None
+            return
+        seq = self._seq
+        state = self._spin_state(began, cycle, seq)
+        fresh = _SpinWatch(began, cycle, seq, state)
+        if watch is not None and watch.spin is began and watch.state == state:
+            if watch.ticks is None:
+                # A repeat: record the period that starts here.
+                fresh.counters = self._spin_counters()
+                fresh.reads = self._spin_port[1].reads
+                fresh.period = cycle - watch.cycle
+                fresh.dseq = seq - watch.seq
+                fresh.ticks = []
+            elif (cycle - watch.cycle, seq - watch.seq) == (
+                watch.period, watch.dseq
+            ):
+                watch.ticks.append((
+                    watch.period,
+                    self._spin_counters(),
+                    self._spin_port[1].reads,
+                    self._spin_state(began, watch.cycle, watch.seq),
+                ))
+                if self._spin_park(cycle, watch):
+                    return
+        self._spin_watch = fresh
+
+    def _spin_park(self, cycle: int, watch: _SpinWatch) -> bool:
+        """Park at the end of a recorded period if the periods after it
+        are decided; returns whether it did.
+
+        The period must issue the spin's load exactly once, at some
+        offset; later periods issue it at ``cycle + k * period +
+        offset`` and read the word one cycle later (``spin_port``). The
+        first that may read otherwise is the first whose read is at or
+        past the earlier of the word's next change and the horizon,
+        and it is issued for real."""
+        previous = watch.reads
+        load = 0
+        for offset, _counters, reads, _state in watch.ticks:
+            if reads != previous:
+                if load or reads != previous + 1:
+                    return False
+                load = offset
+            previous = reads
+        spin = watch.spin
+        if not load or self._spin_port[0].find(
+            spin.addr >> self._line_shift
+        ) < 0:
+            # (The line can leave between the period's load and now.)
+            return False
+        period = watch.period
+        until = self.functional.stable_until(
+            spin.addr, cycle - period + load + 1, self.cpu_id
+        )
+        horizon = self._batch_horizon
+        if until == NEVER:
+            resume = horizon
+        else:
+            first = cycle + load
+            periods = max(0, -(-(until - first - 1) // period))
+            resume = min(first + periods * period, horizon)
+        if resume <= cycle + period:
+            return False
+        start = watch.counters
+        self._spin_period = (
+            cycle,
+            self._seq,
+            watch.ticks[-1][1],
+            [
+                (offset, [a - b for a, b in zip(counters, start)], state)
+                for offset, counters, _reads, state in watch.ticks
+            ],
+            period,
+            watch.dseq,
+            load,
+        )
+        self._spin_watch = None
+        self._spin_sleep(spin, cycle + 1, until)
+        # (NEVER exactly when nothing is pending, so the run loop can
+        # tell a hang from a far deadline.)
+        self.resume = resume
+        return True
+
+    def spin_wake(self, limit: int) -> None:
+        """Leave the parked state, settled as if every tick below
+        ``limit`` had run: whole periods by multiplication, then the
+        recorded tick the last one repeats, whose relative state is
+        restored at its place — the pipeline resumes exactly where
+        stepping would be. Ticks after the park run at ``cycle + m *
+        period + offset`` for the recorded offsets in ``(0, period]``;
+        the one at ``period`` begins the next iteration."""
+        cycle, seq, counters, ticks, period, dseq, load = self._spin_period
+        self._spin_period = None
+        last = limit - 1 - cycle
+        if last >= 1:
+            periods, last = divmod(last - 1, period)
+            last += 1
+        else:
+            periods = last = 0
+        index = len(ticks) - 1
+        while index >= 0 and ticks[index][0] > last:
+            index -= 1
+        if index < 0:
+            # The last tick below ``limit`` began the period.
+            periods -= 1
+            index = len(ticks) - 1
+        offset, deltas, state = ticks[index]
+        full = ticks[-1][1]
+        for (part, name), value, whole, prefix in zip(
+            _TICK_COUNTERS, counters, full, deltas
+        ):
+            setattr(
+                self if part is None else getattr(self, part),
+                name,
+                value + periods * whole + prefix,
+            )
+        base = cycle + periods * period
+        self._spin_restore(state, base, seq + periods * dseq)
+        loaded = offset >= load
+        self._spin_account(
+            periods + loaded,
+            periods + (offset == period),
+            base + load + 1 - (0 if loaded else period),
+        )
 
     # ------------------------------------------------------------------
 
@@ -530,8 +931,10 @@ class MxsCpu(BaseCpu):
         Each record is one fetched instruction and one I-fetch, each
         graduation one retired instruction, so the deltas of ``_seq``
         and ``instructions`` since the last flush feed those counters
-        (the stalled-fetch I-fetches ride ``_ifetch_pending``).
+        (the stalled-fetch I-fetches ride ``_ifetch_pending``). An open
+        spin watch closes: it records counters a flush moves.
         """
+        self._spin_watch = None
         delta = self._seq - self._flushed_seq
         if delta:
             self._flushed_seq = self._seq

@@ -199,11 +199,11 @@ class SpinLoad(Instruction):
     """The load of a declared two-instruction spin loop.
 
     To every consumer this is the plain ``LOAD want_value`` / ``LL`` it
-    subclasses (same ``op``, same ``mcode``), so MXS steps the loop
-    through the thread program as it always did. The extra slots let
-    Mipsy run a *failed* iteration itself
-    (:meth:`repro.cpu.mipsy.MipsyCpu.tick`) and let the CPU models
-    report the loop's wait episodes. They live on a subclass because
+    subclasses (same ``op``, same ``mcode``), so the thread program and
+    the pipeline see the loop they always did. The extra slots let the
+    CPU models run a *failed* iteration themselves
+    (:meth:`repro.cpu.mipsy.MipsyCpu.tick`, MXS's fetch where it may
+    park) and report the loop's wait episodes. They live on a subclass because
     instructions are memoized by the tens of thousands and only a
     handful per workload are spin loads.
 

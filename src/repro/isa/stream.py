@@ -389,8 +389,8 @@ class Emitter:
         The instruction is the ordinary value-returning load (an
         ``LL`` with ``linked``) and may come back with any value, so
         the loop must keep handling a mismatch; declaring the exit
-        value lets Mipsy run mismatching iterations without resuming
-        the program. ``retries`` is a one-element counter cell bumped
+        value lets the CPU models run mismatching iterations without
+        resuming the program. ``retries`` is a one-element counter cell bumped
         once for each iteration the program is not shown (bound when
         the slot's instruction is first built).
         """

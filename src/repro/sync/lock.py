@@ -15,10 +15,10 @@ traffic, until the release store invalidates the line (or, in the
 shared-L1 architecture, simply updates the one shared copy).
 
 The ``ll``/``bnez`` pair is a declared spin
-(:meth:`~repro.isa.stream.Emitter.spin_load`): Mipsy may run an
-iteration that finds the lock held without resuming :meth:`acquire`,
-bumping the lock's retry counter itself, so ``contended_retries``
-reads the same either way.
+(:meth:`~repro.isa.stream.Emitter.spin_load`): either CPU model may
+run an iteration that finds the lock held without resuming
+:meth:`acquire`, bumping the lock's retry counter itself, so
+``contended_retries`` reads the same either way.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ The hard guarantee (docs/CHECKPOINTING.md): run-to-end versus
 pause-at-N / snapshot / restore-in-a-fresh-system / run-to-end must
 produce **bit-identical** ``SystemStats`` for every architecture and
 CPU model — including with observability attached. A checkpointing
-run is the measured run: Mipsy batches, elides and parks spin loops
-while it records, and the replay log it writes is the one stepping
-would.
+run is the measured run: both models elide and park spin loops while
+they record (Mipsy batches too), and the replay log they write is the
+one stepping would.
 """
 
 from __future__ import annotations
@@ -228,10 +228,11 @@ def test_checkpoint_inside_a_replayed_stretch(workload, cpu_model):
 WAITING = 600
 
 
-def _waiters(locked=False, obs=None, stepped=False) -> System:
+def _waiters(locked=False, obs=None, stepped=False, cpu_model="mipsy"):
     system = System(
         "shared-l2",
         Waiters(4, FunctionalMemory(), locked=locked),
+        cpu_model=cpu_model,
         mem_config=config_for_scale("test", 4),
         max_cycles=CAP,
         obs=obs,
@@ -268,6 +269,40 @@ def test_pause_on_an_armed_spin_is_bit_identical(locked):
 
     fresh = _waiters(locked)
     restore_system(fresh, state)
+    assert fresh.run().to_dict() == baseline
+    assert fresh.workload.sync_report() == whole.workload.sync_report()
+
+
+#: a cycle at which the three Waiters CPUs are parked under MXS
+MXS_PARKED = 500
+
+
+def _blob(system) -> bytes:
+    return json.dumps(snapshot_system(system), sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("locked", (False, True), ids=("barrier", "lock"))
+def test_snapshot_of_a_parked_mxs_cpu_is_the_stepped_one(locked):
+    """A pause settles a parked MXS pipeline to the pause cycle's place
+    in its recorded period: the snapshot is the stepped run's, byte for
+    byte, and resumes to the uninterrupted run."""
+    whole = _waiters(locked, cpu_model="mxs")
+    baseline = whole.run().to_dict()
+
+    partial = _waiters(locked, cpu_model="mxs")
+    partial.run(pause_at=MXS_PARKED)
+    report = partial.spin_report()
+    # (what no sleeper's own wake ended, the pause did: all three)
+    assert report["parks"] - report["disturbed_wakes"] == 3
+    blob = _blob(partial)
+
+    stepped = _waiters(locked, stepped=True, cpu_model="mxs")
+    stepped.run(pause_at=MXS_PARKED)
+    assert stepped.spin_report()["parks"] == 0
+    assert _blob(stepped) == blob
+
+    fresh = _waiters(locked, cpu_model="mxs")
+    restore_system(fresh, json.loads(blob))
     assert fresh.run().to_dict() == baseline
     assert fresh.workload.sync_report() == whole.workload.sync_report()
 
