@@ -281,8 +281,9 @@ class BaseCpu(ABC):
         self, loads: int, iterations: int, linked_at: int
     ) -> None:
         """The model-independent part of settling: ``loads`` settled
-        loads of the parked spin are that many L1D reads and one LRU
-        touch (for ``LL`` the reservation moves to the last one's
+        loads of the parked spin are that many L1D reads, one LRU touch
+        and one :meth:`~repro.mem.hierarchy.MemorySystem.spin_settled`
+        (for ``LL`` the reservation moves to the last one's
         ``linked_at``), and ``iterations`` failed iterations are that
         many retries and logged values (the parking iteration's)."""
         inst = self._spin_load
@@ -290,6 +291,7 @@ class BaseCpu(ABC):
             array, stats = self._spin_port
             stats.reads += loads
             array.probe(inst.addr >> self._line_shift)
+            self.memory.spin_settled(self.cpu_id, inst.addr, loads)
             if inst.mcode == 2:
                 self.functional.relink(self.cpu_id, linked_at)
         if iterations:

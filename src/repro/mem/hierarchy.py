@@ -433,6 +433,12 @@ class MemorySystem:
         """
         return self._spin_ports[cpu] if self._spin_ports else None
 
+    def spin_settled(self, cpu: int, addr: int, loads: int) -> None:
+        """``loads`` reads of ``addr`` that ``cpu``'s parked spin loop
+        settled on its :meth:`spin_port` instead of issuing through the
+        load lane. The port already counted them; nothing to do here —
+        a proxy that notes references (the trace recorder) does."""
+
     def line_addr(self, addr: int) -> int:
         """Line address of a byte address under this configuration."""
         return addr >> self._line_shift

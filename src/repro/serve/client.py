@@ -24,7 +24,7 @@ from repro.core.experiment import ExperimentResult
 from repro.core.runner import Job
 from repro.errors import ReproError
 from repro.serve import wire
-from repro.serve.queue import TERMINAL_STATES
+from repro.serve.queue import CACHED, DONE, TERMINAL_STATES
 
 DEFAULT_SERVER = "http://127.0.0.1:8765"
 
@@ -35,6 +35,9 @@ HOLD_SHARE = 0.8
 #: Floor on one round of :meth:`ServiceClient.wait` when the daemon
 #: answers ahead of the hold (it predates ``?wait=``, or is draining).
 EARLY_ANSWER_PACE_S = 0.2
+#: The terminal states with a result: a content-addressed job in one
+#: never changes again (a failure may be retried by a resubmit).
+_FINAL_STATES = (DONE, CACHED)
 
 
 class ServiceError(ReproError):
@@ -108,6 +111,31 @@ class _Response(http.client.HTTPResponse):
             self.will_close = True
 
 
+class _Connection(http.client.HTTPConnection):
+    """``HTTPConnection`` whose request leaves in one ``send()``, head
+    and body together, and whose responses are :class:`_Response`.
+
+    ``_send_output`` is the stdlib's own, but for one ``send()`` where
+    it sends the head and then the body: on a no-delay socket those
+    are two segments, two system calls here and two reads at the
+    daemon.
+    """
+
+    response_class = _Response
+
+    def _send_output(self, message_body=None, encode_chunked=False):
+        if message_body.__class__ is not bytes or encode_chunked:
+            return super()._send_output(message_body, encode_chunked)
+        self._buffer.extend((b"", message_body))
+        request = b"\r\n".join(self._buffer)
+        del self._buffer[:]
+        self.send(request)
+
+
+class _SecureConnection(_Connection, http.client.HTTPSConnection):
+    """:class:`_Connection` over TLS."""
+
+
 def _close_all(connections: dict, lock: threading.Lock) -> None:
     with lock:
         doomed = list(connections.values())
@@ -135,6 +163,8 @@ class ServiceClient:
     connection, opened on first use and kept until :meth:`close` (also
     the context-manager exit, and what happens when the client is
     garbage-collected), so one instance may be shared between threads.
+    Each thread also keeps the answer to its last :meth:`submit`, which
+    is all :meth:`wait` needs when that answer was already final.
     """
 
     def __init__(
@@ -148,6 +178,8 @@ class ServiceClient:
         self._lock = threading.Lock()
         #: thread ident -> that thread's connection
         self._connections: dict[int, http.client.HTTPConnection] = {}
+        #: per thread: ``submitted``, its last submit's answer
+        self._local = threading.local()
         weakref.finalize(self, _close_all, self._connections, self._lock)
 
     def close(self) -> None:
@@ -167,8 +199,8 @@ class ServiceClient:
     ) -> http.client.HTTPConnection:
         # http.client sets TCP_NODELAY on every socket it connects.
         factory = {
-            "http": http.client.HTTPConnection,
-            "https": http.client.HTTPSConnection,
+            "http": _Connection,
+            "https": _SecureConnection,
         }.get(self._url.scheme)
         try:
             host, port = self._url.hostname, self._url.port
@@ -178,9 +210,7 @@ class ServiceClient:
             raise ServiceError(
                 f"not an http(s) server URL: {self.server!r}"
             )
-        connection = factory(host, port, timeout=timeout)
-        connection.response_class = _Response
-        return connection
+        return factory(host, port, timeout=timeout)
 
     def _exchange(
         self,
@@ -254,10 +284,12 @@ class ServiceClient:
     def submit(self, job: Job | dict, priority: int = 0) -> dict:
         """Submit a job (or raw wire payload); returns the response.
 
-        The response carries the content-addressed job ``id`` plus its
-        current ``state`` — ``cached`` means the result is already
-        available, ``reused: true`` means an identical spec was
-        already in flight and this submission attached to it.
+        The response is the job's status document (what
+        :meth:`status` returns: the content-addressed ``id``, its
+        current ``state`` and the rest) plus ``reused`` — ``cached``
+        means the result is already available, ``reused: true`` means
+        an identical spec was already known and this submission
+        attached to it.
         """
         if isinstance(job, Job):
             payload = wire.job_to_payload(job, priority)
@@ -265,7 +297,9 @@ class ServiceClient:
             payload = dict(job)
             if priority:
                 payload["priority"] = priority
-        return self._request("POST", "/v1/jobs", payload)
+        response = self._request("POST", "/v1/jobs", payload)
+        self._local.submitted = response
+        return response
 
     # -- status ---------------------------------------------------------
 
@@ -276,11 +310,22 @@ class ServiceClient:
     def wait(self, job_id: str, timeout: float | None = None) -> dict:
         """Block until ``job_id`` is terminal; returns the final status.
 
-        Long-polls: each status request carries ``?wait=S`` and the
-        daemon answers when the job ends or the hold ``S`` runs out, so
-        a job of any length within one hold costs one request. Raises
-        :class:`ServiceError` when ``timeout`` (seconds) expires first.
+        When this thread's last :meth:`submit` of ``job_id`` answered
+        ``done`` or ``cached`` — final for a content-addressed job —
+        that answer is the final status and no request is made.
+        Otherwise it long-polls: each status request carries ``?wait=S``
+        and the daemon answers when the job ends or the hold ``S`` runs
+        out, so a job of any length within one hold costs one request.
+        Raises :class:`ServiceError` when ``timeout`` (seconds) expires
+        first.
         """
+        submitted = getattr(self._local, "submitted", None)
+        if (
+            submitted is not None
+            and submitted["id"] == job_id
+            and submitted["state"] in _FINAL_STATES
+        ):
+            return submitted
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
@@ -331,7 +376,7 @@ class ServiceClient:
         """
         job_id = self.submit(job, priority)["id"]
         status = self.wait(job_id, timeout=timeout)
-        if status["state"] not in ("done", "cached"):
+        if status["state"] not in _FINAL_STATES:
             raise ServiceError(
                 f"job {job_id} ended {status['state']}"
                 + (

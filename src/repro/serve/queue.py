@@ -31,6 +31,7 @@ import heapq
 import json
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,13 +132,23 @@ class JobQueue:
 
     # -- submission -----------------------------------------------------
 
-    def submit(self, job: Job, priority: int = 0) -> tuple[JobRecord, bool]:
+    def submit(
+        self,
+        job: Job,
+        priority: int = 0,
+        served: Callable[[JobRecord], object] | None = None,
+    ) -> tuple[JobRecord, bool]:
         """Accept ``job``; returns ``(record, deduped)``.
 
         ``deduped=True`` means an existing record absorbed the
         submission — the spec is already queued, running, or finished
         with a result. Failed/cancelled/quarantined records are
         replaced by a fresh queued one (a resubmit is a retry).
+
+        ``served(record)``, given, is called on a fresh record before
+        :meth:`claim` can see it (the daemon's result-cache look); a
+        record it finished never reaches the heap, so the look and the
+        dispatcher's own cannot both serve it.
         """
         key = job.key()
         with self._cond:
@@ -152,9 +163,15 @@ class JobQueue:
                 id=key, job=job, priority=priority, seq=self._seq
             )
             self._records[key] = record
-            heapq.heappush(self._heap, (priority, record.seq, key))
-            self._cond.notify_all()
-            return record, False
+        try:
+            if served is not None:
+                served(record)
+        finally:
+            with self._cond:
+                if record.state == QUEUED:
+                    heapq.heappush(self._heap, (priority, record.seq, key))
+                self._cond.notify_all()
+        return record, False
 
     # -- scheduler side -------------------------------------------------
 

@@ -307,7 +307,9 @@ class ServiceDaemon:
         return dataclasses.replace(job, **updates) if updates else job
 
     def submit(self, payload: dict) -> dict:
-        """Admit one wire payload; returns the submission response.
+        """Admit one wire payload; returns the submission response:
+        the job's status document (as ``GET /v1/jobs/{id}`` answers
+        it) plus ``reused``, whether an existing record absorbed it.
 
         Raises :class:`~repro.serve.wire.WireError` for malformed or
         semantically invalid payloads (the handler's 400 path).
@@ -317,22 +319,16 @@ class ServiceDaemon:
         try:
             # The queue files the job under Job.key(), which is also
             # the semantic validation (scale, overrides, topology).
-            record, deduped = self.queue.submit(job, priority)
-        except ReproError as error:
-            raise wire.WireError(str(error)) from error
-        if not deduped:
             # Submit-time pre-check: a spec already published by an
             # earlier run (or another daemon sharing the cache
-            # directory) returns instantly, touching no worker.
-            self.scheduler.serve_cached(record, "submit")
-        return {
-            "id": record.id,
-            "state": record.state,
-            "label": record.job.label(),
-            "reused": deduped,
-            "submits": record.submits,
-            "priority": record.priority,
-        }
+            # directory) is answered ``cached``, touching no worker.
+            record, deduped = self.queue.submit(
+                job, priority,
+                lambda fresh: self.scheduler.serve_cached(fresh, "submit"),
+            )
+        except ReproError as error:
+            raise wire.WireError(str(error)) from error
+        return {**record.status(), "reused": deduped}
 
     def cancel(self, job_id: str) -> dict | None:
         """Cancel a job; ``None`` for unknown ids."""

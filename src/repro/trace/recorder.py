@@ -8,11 +8,13 @@ accumulates. Per-CPU issue order is all a trace keeps — the canonical
 file groups by CPU and replay splits by CPU — so the recorder needs no
 cross-CPU order and the CPU models may batch compute runs as usual.
 
-The recorder does not forward :meth:`MemorySystem.spin_port
-<repro.mem.hierarchy.MemorySystem.spin_port>` (it keeps the base
-class's ``None``), so no CPU parks on a spin loop while recording:
-every iteration's load still comes through the lanes below and lands
-in the trace.
+The recorder forwards :meth:`MemorySystem.spin_port
+<repro.mem.hierarchy.MemorySystem.spin_port>` too, so a CPU parks on a
+spin loop while recording as it does otherwise. The loads a parked
+CPU settles never reach the lanes; it reports them through
+:meth:`~repro.mem.hierarchy.MemorySystem.spin_settled`, and the
+recorder notes them as the LOAD rows the load lane would have noted,
+at the same place in that CPU's columns.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ class TraceRecorder(MemorySystem):
         return tuple(
             map(noting, self.inner.fast_lanes(cpu), (_IFETCH, _LOAD, _STORE))
         )
+
+    def spin_port(self, cpu: int):
+        """Forwarded to the wrapped memory system."""
+        return self.inner.spin_port(cpu)
+
+    def spin_settled(self, cpu: int, addr: int, loads: int) -> None:
+        """Note a parked spin's settled loads as that many LOAD rows."""
+        self.kinds[cpu].extend(array("b", (_LOAD,)) * loads)
+        self.addrs[cpu].extend(array("q", (addr,)) * loads)
 
     def drain(self, at: int) -> int:
         """Forwarded to the wrapped memory system."""

@@ -1,7 +1,9 @@
 """Tests for the service's wire path: keep-alive, long-poll, lifecycle.
 
-Everything here runs a real :class:`ServiceDaemon` and real sockets.
-What the wire path saves is asserted on the daemon's own counters
+Everything here runs a real :class:`ServiceDaemon` and real sockets,
+but for the pins of the client's own logic and of the two http.client
+internals it overrides, which take canned answers. What the wire path
+saves is asserted on the daemon's own counters
 (connections accepted, requests routed per endpoint, requests parked),
 never on a latency threshold; the few clock checks only bound a wait
 that used to be a fixed timer from above, with room to spare.
@@ -11,19 +13,24 @@ from __future__ import annotations
 
 import gc
 import http.client
+import io
 import json
 import re
 import socket
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core import runner as runner_module
 from repro.core.experiment import ExperimentResult
+from repro.core.runner import ResultCache, Runner
+from repro.obs.bus import read_events
 from repro.serve import ServiceClient, ServiceDaemon, ServiceError
+from repro.serve import client as serve_client
 from repro.serve import server as serve_server
 from repro.serve import wire
 from repro.serve.queue import JobQueue
@@ -113,11 +120,210 @@ def test_one_connection_and_one_status_request_per_wait(tmp_path):
             assert client.result_payload(job_id)["result"] == first
         connections, again = traffic(client)
         assert connections == 1
+        # a repeat is submit + result: submit answered "done", which
+        # is final, so wait asked nothing
+        assert again["status"] - requests["status"] == 0
         assert sum(
             again[endpoint] - requests[endpoint]
             for endpoint in ("submit", "status", "result")
-        ) == 63
+        ) == 42
         assert daemon.scheduler.executed == 21
+
+
+def exchanges(client) -> Counter:
+    """Requests the daemon has answered, by endpoint, the metrics
+    scrapes that count them left out."""
+    counts = Counter(traffic(client)[1])
+    del counts["metrics"]
+    return counts
+
+
+def test_submit_answers_with_the_status_document_plus_reused(tmp_path):
+    with running_daemon(tmp_path) as (daemon, client):
+        fresh = client.submit(FAST)
+        assert fresh["reused"] is False
+        assert set(fresh) == set(client.status(fresh["id"])) | {"reused"}
+        client.wait(fresh["id"], timeout=60)
+        again = client.submit(FAST)
+        assert again == {**client.status(fresh["id"]), "reused": True}
+        assert again["state"] == "done" and again["submits"] == 2
+
+
+def test_cached_run_is_two_requests(tmp_path):
+    cache_dir = tmp_path / "shared-cache"
+    with running_daemon(tmp_path, cache_dir=cache_dir) as (_, client):
+        local = client.run(FAST, timeout=60)
+    with running_daemon(
+        tmp_path, cache_dir=cache_dir, state=tmp_path / "serve2"
+    ) as (daemon, client):
+        # first sight (served from the store at submit), then a repeat
+        # (attached to the daemon's record): submit + result each
+        for _ in range(2):
+            before = exchanges(client)
+            served = client.run(FAST)
+            assert exchanges(client) - before == Counter(
+                submit=1, result=1
+            )
+            assert served.stats.to_dict() == local.stats.to_dict()
+        assert daemon.scheduler.executed == 0
+
+
+def test_first_sight_cached_specs_are_read_from_the_cache_once(tmp_path):
+    cache_dir = tmp_path / "cache"
+    Runner(jobs=2, cache=ResultCache(cache_dir)).run(
+        [wire.job_from_payload(spec) for spec in MATRIX]
+    )
+    state = tmp_path / "serve"
+    with running_daemon(tmp_path, cache_dir=cache_dir, state=state) as (
+        daemon, client
+    ):
+        ids = [client.submit(spec)["id"] for spec in MATRIX]
+        assert {client.status(job_id)["state"] for job_id in ids} == {
+            "cached"
+        }
+    # (read once the dispatcher has stopped: a second look would have
+    # been the dispatcher's)
+    assert daemon.cache.hits == len(MATRIX) == 21
+    assert daemon.scheduler.executed == 0
+    cached = Counter(
+        event.fields["tag"]
+        for event in read_events(state / "events.jsonl")
+        if event.kind == "job.cached"
+    )
+    assert cached == Counter(ids)
+
+
+def test_wait_trusts_only_this_threads_final_submit_answer():
+    client = ServiceClient("http://127.0.0.1:9")  # never connected
+    asked = []
+    answer = {}
+
+    def canned(method, path, payload=None):
+        asked.append(method)
+        return dict(answer) if method == "POST" else {
+            "id": answer["id"], "state": "done"
+        }
+
+    client._request = canned
+    for state in (
+        "done", "cached", "failed", "quarantined", "cancelled",
+        "queued", "running",
+    ):
+        answer.update(id="job", state=state)
+        client.submit(FAST)
+        asked.clear()
+        assert client.wait("job")["state"] in ("done", "cached")
+        # a failure is terminal but a resubmit retries it: ask
+        assert asked == ([] if state in ("done", "cached") else ["GET"])
+
+    answer.update(id="job", state="done")
+    client.submit(FAST)
+    asked.clear()
+    elsewhere = threading.Thread(target=client.wait, args=("job",))
+    elsewhere.start()
+    elsewhere.join()
+    assert asked == ["GET"]  # another thread's submit says nothing
+    answer.update(id="other", state="queued")
+    client.submit(FAST)
+    asked.clear()
+    client.wait("job")
+    assert asked == ["GET"]  # one slot: the last submit only
+
+
+# ----------------------------------------------------------------------
+# the two http.client internals serve.client overrides, pinned
+
+
+def test_a_post_leaves_in_one_send(tmp_path, monkeypatch):
+    sent = []
+    real = http.client.HTTPConnection.send
+
+    def counting(self, data):
+        sent.append(bytes(data))
+        return real(self, data)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "send", counting)
+    with running_daemon(tmp_path) as (daemon, client):
+        client.health()  # connected outside the count
+        sent.clear()
+        job_id = client.submit(FAST)["id"]
+        (segment,) = sent
+        head, body = segment.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"POST /v1/jobs HTTP/1.1\r\n")
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert json.loads(body) == FAST
+        sent.clear()
+        client.wait(job_id, timeout=60)
+        assert len(sent) == 1  # a GET is one send, as before
+
+
+def test_one_send_is_the_stdlib_request_byte_for_byte():
+    # serve.client overrides HTTPConnection._send_output and fills its
+    # _buffer: if a Python release moves either, this fails here
+    def sent_by(factory, method, body):
+        connection = factory("127.0.0.1", 9)
+        segments = []
+        connection.send = segments.append
+        connection.request(
+            method, "/v1/jobs", body=body,
+            headers={"Accept": "application/json"},
+        )
+        return segments
+
+    for method, body in (
+        ("POST", b'{"workload": "fft"}'), ("POST", b""), ("GET", None),
+    ):
+        stock = sent_by(http.client.HTTPConnection, method, body)
+        ours = sent_by(serve_client._Connection, method, body)
+        assert len(ours) == 1
+        assert ours[0] == b"".join(stock)
+
+
+class Canned:
+    """A socket whose peer has already sent ``data``."""
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def makefile(self, mode):
+        return io.BytesIO(self.data)
+
+
+CANNED = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 2\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b"2\r\n{}\r\n0\r\n\r\n",
+    b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
+    b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\n"
+    b"Content-Length: 2\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\n\r\nunframed",
+    b"HTTP/1.1 100 Continue\r\nX-A: 1\r\n\r\n"
+    b"HTTP/1.1 204 No Content\r\n\r\n",
+    b"HTTP/1.1 409 Conflict\r\ncontent-length: 3\r\n"
+    b"Connection: Keep-Alive\r\n\r\n{}\n",
+)
+
+
+@pytest.mark.parametrize("method", ("GET", "HEAD"))
+@pytest.mark.parametrize("data", CANNED)
+def test_response_begin_reads_what_the_stdlib_reads(data, method):
+    # serve.client's HTTPResponse.begin leans on _read_status,
+    # _check_close, _method and the framing attributes: if a Python
+    # release moves one, this fails here, not in a daemon exchange
+    stock = http.client.HTTPResponse(Canned(data), method=method)
+    ours = serve_client._Response(Canned(data), method=method)
+    stock.begin()
+    ours.begin()
+    for name in (
+        "version", "status", "reason", "chunked", "length", "will_close",
+    ):
+        assert getattr(ours, name) == getattr(stock, name), name
+    assert dict(ours.getheaders()) == {
+        name.lower(): value for name, value in stock.getheaders()
+    }
+    assert ours.read() == stock.read()
 
 
 def test_result_body_is_encoded_once_and_matches_local_run(tmp_path):
@@ -504,6 +710,9 @@ def test_client_dropped_mid_long_poll_is_gone_by_the_end_of_its_hold(
     with running_daemon(tmp_path, jobs=1) as (daemon, client):
         client.submit(SLOW)
         queued_id = client.submit(FAST)["id"]  # behind SLOW: stays put
+        # the pool forks its worker for SLOW; a fork after the raw
+        # socket below exists would hold a copy of it open past close
+        assert eventually(lambda: daemon.scheduler.session.pids())
         client.close()
         assert eventually(lambda: handler_threads() == 0)
         peer = RawPeer(

@@ -30,10 +30,15 @@ from repro.core.system import System
 from repro.mem.functional import FunctionalMemory
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.topology import topology_names
+from repro.obs import ObsConfig
 from repro.trace import kernel
 from repro.trace.kernel import PackedTrace, load_packed
 from repro.trace.recorder import TraceRecorder
-from repro.trace.store import TraceStore
+from repro.trace.store import (
+    REFERENCE_ARCH,
+    REFERENCE_CPU_MODEL,
+    TraceStore,
+)
 
 APPS = ("eqntott", "mp3d", "ocean", "volpack", "ear", "fft", "multiprog")
 N_CPUS = 4
@@ -144,6 +149,40 @@ def test_text_identical_batched_or_not_and_lane_or_not(
     assert unbatched == reference
     no_lane = recorded_text(build(arch, workload, fast_lane=False), tmp_path)
     assert no_lane == reference
+
+
+def reference(app, obs=None):
+    """What ``TraceStore.record`` runs for ``app`` at test scale."""
+    job = Job(REFERENCE_ARCH, app, n_cpus=N_CPUS)
+    return System(
+        REFERENCE_ARCH,
+        job.resolve_factory()(N_CPUS, FunctionalMemory(), "test"),
+        cpu_model=REFERENCE_CPU_MODEL,
+        mem_config=job.mem_config(),
+        obs=obs,
+    )
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_recording_parks_and_keeps_the_stepped_bytes(app, tmp_path):
+    # the recorder forwards the spin port: a parked CPU's settled loads
+    # are noted as the LOAD rows stepping issues through the lane
+    stepped = record(reference(app), batched=False)
+    store = TraceStore(tmp_path)
+    path = store.record(app, "test", N_CPUS)
+    stepped_path = tmp_path / "stepped.trace"
+    stepped.save(stepped_path)
+    assert path.read_bytes() == stepped_path.read_bytes()
+    assert same_columns(
+        load_packed(N_CPUS, path),
+        PackedTrace.from_columns(stepped.kinds, stepped.addrs),
+    )
+    for obs in (None, ObsConfig(sample_interval=500)):
+        system = reference(app, obs)
+        noted = record(system)
+        assert (noted.kinds, noted.addrs) == (stepped.kinds, stepped.addrs)
+        if app == "eqntott":
+            assert system.spin_report()["parks"] > 0
 
 
 # ----------------------------------------------------------------------
