@@ -13,8 +13,9 @@ Usage:
     python examples/custom_workload.py
 """
 
-from repro.core.experiment import run_architecture_comparison
 from repro.core.report import format_breakdown_table, normalized_times
+from repro.core.runner import Job
+from repro.core.sweeps import run_architecture_comparison
 from repro.mem.functional import FunctionalMemory
 from repro.sync.lock import SpinLock
 from repro.workloads.base import Workload
@@ -119,9 +120,10 @@ def make(n_cpus, functional, scale="test"):
 
 def main() -> int:
     print("Producer/consumer pipeline across the three architectures")
-    results = run_architecture_comparison(
-        make, cpu_model="mipsy", scale="test", max_cycles=10_000_000
-    )
+    results = run_architecture_comparison(Job(
+        arch="shared-mem", workload=make, cpu_model="mipsy", scale="test",
+        max_cycles=10_000_000,
+    ))
     print()
     print(format_breakdown_table(
         results, title="pipeline: execution time (shared-mem = 1.0)"

@@ -18,23 +18,23 @@ Usage:
 
 import sys
 
-from repro.core.experiment import run_architecture_comparison
 from repro.core.report import (
     format_breakdown_table,
     format_ipc_table,
     normalized_times,
 )
-from repro.workloads import WORKLOADS
+from repro.core.runner import Job
+from repro.core.sweeps import run_architecture_comparison
 
 
 def main() -> int:
     scale = sys.argv[1] if len(sys.argv) > 1 else "test"
 
     print("Step 1: the simple in-order model (Mipsy, shared-L1 optimism)")
-    mipsy = run_architecture_comparison(
-        WORKLOADS["ear"], cpu_model="mipsy", scale=scale,
+    mipsy = run_architecture_comparison(Job(
+        arch="shared-mem", workload="ear", cpu_model="mipsy", scale=scale,
         max_cycles=30_000_000,
-    )
+    ))
     print(format_breakdown_table(mipsy, title="Ear under Mipsy"))
     mipsy_times = normalized_times(mipsy)
 
@@ -42,10 +42,10 @@ def main() -> int:
     print("Step 2: the dynamic superscalar model (MXS, 2-way issue,")
     print("32-entry window/ROB, 1024-entry BTB, 4 MSHRs, real 3-cycle")
     print("shared-L1 hits + bank contention)")
-    mxs = run_architecture_comparison(
-        WORKLOADS["ear"], cpu_model="mxs", scale=scale,
+    mxs = run_architecture_comparison(Job(
+        arch="shared-mem", workload="ear", cpu_model="mxs", scale=scale,
         max_cycles=30_000_000,
-    )
+    ))
     print(format_ipc_table(mxs, title="Ear under MXS (ideal IPC = 2)"))
     mxs_times = normalized_times(mxs)
 

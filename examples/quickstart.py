@@ -15,12 +15,13 @@ Usage:
 
 import sys
 
-from repro.core.experiment import run_architecture_comparison
 from repro.core.report import (
     format_breakdown_table,
     format_miss_rate_table,
     normalized_times,
 )
+from repro.core.runner import Job
+from repro.core.sweeps import run_architecture_comparison
 from repro.workloads import WORKLOADS
 
 
@@ -34,12 +35,13 @@ def main() -> int:
 
     print(f"Running {workload!r} at {scale!r} scale on all three "
           "architectures (Mipsy CPU model)...")
-    results = run_architecture_comparison(
-        WORKLOADS[workload],
+    results = run_architecture_comparison(Job(
+        arch="shared-mem",
+        workload=workload,
         cpu_model="mipsy",
         scale=scale,
         max_cycles=30_000_000,
-    )
+    ))
 
     print()
     print(format_breakdown_table(

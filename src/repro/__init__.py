@@ -23,13 +23,13 @@ The public surface:
 
 Quickstart::
 
-    from repro.core import run_architecture_comparison, normalized_times
-    from repro.workloads import WORKLOADS
+    from repro.core import Job, normalized_times, run_architecture_comparison
 
-    results = run_architecture_comparison(WORKLOADS["eqntott"], scale="test")
+    job = Job(arch="shared-mem", workload="eqntott", scale="test")
+    results = run_architecture_comparison(job)
     print(normalized_times(results))
 """
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 __all__ = ["__version__"]

@@ -6,8 +6,9 @@ fills a ``Job`` field — and the three that configure the ``Runner``
 around it — is declared once, in :func:`_declarations`, under the name
 of the field it fills; a verb composes the groups it honours with
 :func:`add_flags` and reads them back with :func:`job_from_args`,
-:func:`policy_from_args` and :func:`runner_from_args`. Those alone turn
-an omitted ``--cpus`` / ``--max-cycles`` into a value and alone refuse
+:func:`policy_from_args` and :func:`runner_from_args`. An omitted flag
+is an omitted field — ``Job`` alone decides what an omitted ``--cpus``
+/ ``--max-cycles`` means — and these alone refuse
 ``--checkpoint-every`` without a directory, so equal flags mean an
 equal ``Job`` — one content address — at every door.
 """
@@ -18,9 +19,15 @@ import argparse
 import dataclasses
 
 from repro.core.configs import CPU_MODELS, SCALES
-from repro.core.runner import Job, ResultCache, Runner, default_cache_dir
+from repro.core.runner import (
+    MAX_CYCLES,
+    Job,
+    ResultCache,
+    Runner,
+    default_cache_dir,
+)
 from repro.errors import ConfigError
-from repro.mem.topology import get_preset, topology_names
+from repro.mem.topology import topology_names
 from repro.workloads import WORKLOADS
 
 #: which simulation
@@ -32,9 +39,6 @@ MACHINE = (
 POLICY = ("replay", "trace_dir", "timeout_s", "ckpt_every", "ckpt_dir")
 #: the Runner (or daemon pool) around the jobs
 RUNNER = ("jobs", "no_cache", "cache_dir")
-
-#: what an omitted ``--max-cycles`` means
-MAX_CYCLES = 50_000_000
 
 _JOB_FIELDS = frozenset(field.name for field in dataclasses.fields(Job))
 
@@ -162,20 +166,18 @@ def policy_from_args(args: argparse.Namespace) -> dict:
 
 def job_from_args(args: argparse.Namespace, **fields) -> Job:
     """The ``Job`` the parsed flags describe. ``fields`` are ``Job``
-    fields a verb decides itself — one preset of ``--archs``, a sweep
-    point's override, the machine a checkpoint recorded — and win over
-    the namespace."""
+    fields a verb decides itself — one preset of ``--archs``, the
+    machine a checkpoint recorded — and win over the namespace. A flag
+    left unset (``None``) is left out, so ``Job`` fills it in."""
     spec = {
         **_present(args, _JOB_FIELDS - set(POLICY)),
         **policy_from_args(args),
         **fields,
     }
-    if spec.get("n_cpus") is None:
-        spec["n_cpus"] = get_preset(spec["arch"]).default_cpus
-    if spec.get("max_cycles") is None:
-        spec["max_cycles"] = MAX_CYCLES
     spec["overrides"] = dict(spec.get("overrides", ()))
-    return Job(**spec)
+    return Job(**{
+        name: value for name, value in spec.items() if value is not None
+    })
 
 
 def cache_from_args(args: argparse.Namespace) -> ResultCache | None:

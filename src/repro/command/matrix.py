@@ -3,9 +3,10 @@ matrix of machines, each point a job of one runner batch.
 
 ``compare`` runs the chosen topology presets side by side, ``sweep``
 one ``MemConfig`` field over values on the paper's three, ``scaling``
-the chosen presets over core counts. Every point is the parsed flags
-with one field replaced, so an omitted ``--cpus`` is each preset's own
-natural count.
+the chosen presets over core counts. Each verb hands the parsed flags'
+``Job`` and its grid axes to the library helper in
+:mod:`repro.core.sweeps`, so an omitted ``--cpus`` is each preset's own
+natural count and a failed point is an error.
 """
 
 from __future__ import annotations
@@ -29,8 +30,13 @@ from repro.core.report import (
     normalized_times,
 )
 from repro.core.runner import job_grid
-from repro.core.sweeps import SweepResult, speedup_table
-from repro.errors import ReproError
+from repro.core.sweeps import (
+    SweepResult,
+    run_architecture_comparison,
+    speedup_table,
+    sweep_cpu_count,
+    sweep_mem_field,
+)
 from repro.mem.topology import topology_names
 
 
@@ -101,47 +107,24 @@ def run(args: argparse.Namespace) -> int:
     return code
 
 
-def _title(args: argparse.Namespace, jobs) -> str:
+def _title(args: argparse.Namespace, base, archs) -> str:
     """``workload (cpu, scale)``, with each topology's CPU count when
     the presets' counts differ."""
     text = f"{args.workload} ({args.cpu_model}, {args.scale} scale"
-    counts = {job.arch: job.n_cpus for job in jobs}
+    counts = {
+        job.arch: job.n_cpus for job in job_grid(base, archs, args.n_cpus)
+    }
     if len(set(counts.values())) > 1:
         text += "; " + " ".join(f"{a}@{n}" for a, n in counts.items())
     return text + ")"
 
 
-def _jobs(args: argparse.Namespace, archs, *axes) -> list:
-    """The verb's matrix: the parsed flags over ``archs`` and the grid's
-    other ``axes`` (CPU counts, override sets)."""
-    return job_grid(job_from_args(args, arch=archs[0]), archs, *axes)
-
-
-def _simulate(runner, jobs) -> list:
-    """Results in job order; a point that produced none is an error."""
-    report = runner.run(jobs)
-    if report.failures:
-        raise ReproError("; ".join(
-            f"{outcome.job.label()}: {outcome.error}"
-            for outcome in report.failures
-        ))
-    return report.results
-
-
-def _grid(field: str, rows, columns, results) -> SweepResult:
-    """Row-major ``results`` as the library's rows x columns table."""
-    cursor = iter(results)
-    return SweepResult(
-        field=field,
-        values=list(rows),
-        runs={row: {col: next(cursor) for col in columns} for row in rows},
-    )
-
-
 def _compare(args: argparse.Namespace, runner) -> int:
-    jobs = _jobs(args, args.archs, args.n_cpus)
-    title = _title(args, jobs)
-    results = dict(zip(args.archs, _simulate(runner, jobs)))
+    base = job_from_args(args, arch=args.archs[0])
+    title = _title(args, base, args.archs)
+    results = run_architecture_comparison(
+        base, args.archs, args.n_cpus, runner
+    )
     # Normalize to the paper's shared-memory baseline when it is part
     # of the matrix; otherwise to the first topology requested.
     baseline = (
@@ -188,28 +171,28 @@ def _compare(args: argparse.Namespace, runner) -> int:
 
 
 def _sweep(args: argparse.Namespace, runner) -> int:
-    jobs = _jobs(
-        args, ARCHITECTURES, args.n_cpus,
-        [{args.field: value} for value in args.values],
+    base = job_from_args(args, arch=ARCHITECTURES[0])
+    print(f"sweeping {args.field} over {args.values}: "
+          f"{_title(args, base, ARCHITECTURES)}")
+    sweep = sweep_mem_field(
+        base, args.field, args.values, ARCHITECTURES, args.n_cpus, runner
     )
-    print(f"sweeping {args.field} over {args.values}: {_title(args, jobs)}")
-    results = _simulate(runner, jobs)
-    print(_grid(args.field, args.values, ARCHITECTURES, results).table())
+    print(sweep.table())
     return 0
 
 
 def _scaling(args: argparse.Namespace, runner) -> int:
     counts = sorted(set(args.counts))
-    jobs = _jobs(args, args.archs, counts)
     setting = f"({args.cpu_model}, {args.scale} scale)"
     print(f"scaling {', '.join(args.archs)} over {counts} cores: "
           f"{args.workload} {setting}")
-    grid = _grid("cores", counts, args.archs, _simulate(runner, jobs))
-    print(grid.table())
-    table = {
-        arch: {count: grid.runs[count][arch] for count in counts}
-        for arch in args.archs
-    }
+    table = sweep_cpu_count(
+        job_from_args(args, arch=args.archs[0]), counts, args.archs, runner
+    )
+    print(SweepResult("cores", counts, {
+        count: {arch: table[arch][count] for arch in args.archs}
+        for count in counts
+    }).table())
     speedups = speedup_table(table)
     print(f"{'speedup':>14}" + "".join(
         f"{speedups[arch][counts[-1]]:>12.2f}x" for arch in args.archs

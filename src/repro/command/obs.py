@@ -103,7 +103,7 @@ def _events(path: str) -> list:
 
 
 def _report(args: argparse.Namespace) -> int:
-    from repro.obs import format_phase_table, format_rollup, run_observed
+    from repro.obs import ObsConfig, format_phase_table, format_rollup
 
     if args.batch is not None:
         return _batch_report(args.batch)
@@ -113,18 +113,17 @@ def _report(args: argparse.Namespace) -> int:
             "(or --batch EVENTS for a batch summary)"
         )
     job = job_from_args(args)
-    system, stats = run_observed(
-        job.workload,
-        job.arch,
-        cpu_model=job.cpu_model,
-        scale=job.scale,
-        n_cpus=job.n_cpus,
-        sample_interval=args.sample_interval,
-        events_path=args.events,
-        max_cycles=job.max_cycles,
-        overrides=job.overrides,
-    )
+    # The live system, not the result record: the phase table needs
+    # the sampler's full series, which a result carries only rolled up.
+    system = job.build(obs=ObsConfig(
+        sample_interval=args.sample_interval, events_path=args.events
+    ))
+    stats = system.run()
     obs = system.obs
+    if args.events is not None:
+        obs.write_events(
+            args.events, label=f"{job.workload}/{job.arch}/{job.cpu_model}"
+        )
     print(f"{job.workload} on {job.arch} ({job.cpu_model}, {job.scale}): "
           f"{stats.cycles} cycles, {stats.instructions} instructions")
     print()

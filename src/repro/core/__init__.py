@@ -3,12 +3,12 @@
 This is the public face of the library: build a
 :class:`~repro.core.system.System` from an architecture name, a CPU
 model and a workload, run it, and get the paper's statistics back; or
-use :mod:`repro.core.experiment` to run the full architecture matrix
-the way the evaluation section does. :mod:`repro.core.runner` executes
-batches of such runs across worker processes with an on-disk result
-cache; the experiment matrix, the sweeps, the CLI and the study
-catalog behind ``repro reproduce`` (:mod:`repro.core.paper`) all submit
-through it.
+describe one simulation as a :class:`~repro.core.runner.Job` and run it
+across the full architecture matrix the way the evaluation section
+does (:mod:`repro.core.sweeps`). :mod:`repro.core.runner` executes
+batches of jobs across worker processes with an on-disk result cache;
+the matrix, the sweeps, the CLI and the study catalog behind ``repro
+reproduce`` (:mod:`repro.core.paper`) all submit through it.
 """
 
 from repro.core.configs import (
@@ -21,11 +21,7 @@ from repro.core.configs import (
     test_config,
 )
 from repro.core.system import System
-from repro.core.experiment import (
-    ExperimentResult,
-    run_architecture_comparison,
-    run_one,
-)
+from repro.core.experiment import ExperimentResult
 from repro.core.report import (
     format_bar_chart,
     format_breakdown_table,
@@ -51,6 +47,7 @@ from repro.core.runner import (
 )
 from repro.core.sweeps import (
     SweepResult,
+    run_architecture_comparison,
     speedup_table,
     sweep_cpu_count,
     sweep_mem_field,
@@ -68,7 +65,6 @@ __all__ = [
     "System",
     "ExperimentResult",
     "run_architecture_comparison",
-    "run_one",
     "format_bar_chart",
     "format_breakdown_table",
     "format_ipc_table",

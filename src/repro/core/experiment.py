@@ -1,27 +1,18 @@
-"""Experiment harness: run workloads across the architecture matrix.
+"""The record of one simulation: what a run returns and the cache keeps.
 
-This is how the paper's evaluation section is regenerated: one workload
-run on each of the three architectures with the same inputs and scale,
-then compared against the shared-memory baseline (Figures 4-10) or in
-absolute IPC (Figure 11).
+One workload on one architecture under one CPU model is described and
+run by :class:`repro.core.runner.Job`; the paper's matrix of such runs
+(Figures 4-10 against the shared-memory baseline, Figure 11 in
+absolute IPC) is :mod:`repro.core.sweeps` and :mod:`repro.core.paper`.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.core.configs import (
-    ARCHITECTURES,
-    CpuParams,
-    config_for_scale,
-)
-from repro.core.system import System
-from repro.errors import ConfigError
 from repro.mem.functional import FunctionalMemory
-from repro.mem.hierarchy import MemConfig
 from repro.sim.stats import SystemStats
 from repro.workloads.base import Workload
 
@@ -140,211 +131,3 @@ class ExperimentResult:
             wall_seconds=data.get("wall_seconds", 0.0),
             extras=dict(data.get("extras", {})),
         )
-
-
-def build_system(
-    arch: str,
-    factory: WorkloadFactory,
-    scale: str = "test",
-    n_cpus: int = 4,
-    mem_config: MemConfig | None = None,
-    **system_options,
-) -> System:
-    """The one place a job description becomes a machine: a fresh
-    functional memory, the workload built on it at ``scale``, the
-    scale's own ``mem_config`` unless one is given, and the
-    :class:`System` around them (``system_options`` are its keywords:
-    CPU model and parameters, cycle cap, observability,
-    checkpointing). :func:`run_one` and
-    :meth:`repro.core.runner.Job.build` both come through here."""
-    workload = factory(n_cpus, FunctionalMemory(), scale)
-    config = (
-        mem_config
-        if mem_config is not None
-        else config_for_scale(scale, n_cpus)
-    )
-    return System(arch, workload, mem_config=config, **system_options)
-
-
-def run_one(
-    arch: str,
-    factory: WorkloadFactory,
-    cpu_model: str = "mipsy",
-    scale: str = "test",
-    n_cpus: int = 4,
-    mem_config: MemConfig | None = None,
-    cpu_params: CpuParams | None = None,
-    max_cycles: int | None = None,
-    obs: "ObsConfig | None" = None,
-    checkpoint_every: int = 0,
-    checkpoint_dir: str | None = None,
-    checkpoint_key: str | None = None,
-    resume_from: str | None = None,
-) -> ExperimentResult:
-    """Build and run one system; returns the result record.
-
-    With ``obs`` set the run carries an attached
-    :class:`~repro.obs.observe.Observation`; its rollup lands in
-    ``extras["obs"]`` and, when ``obs.events_path`` is set, the event
-    timeline is written there as Chrome/Perfetto trace JSON.
-
-    ``checkpoint_every`` > 0 pauses the run at every multiple of that
-    cycle count and snapshots it into the
-    :class:`~repro.ckpt.CheckpointStore` at ``checkpoint_dir`` (updating
-    the ``checkpoint_key`` latest pointer, if given, so a killed run can
-    be picked up where it left off). ``resume_from`` restores the named
-    checkpoint digest from the same store before running. Checkpointed
-    and resumed runs produce bit-identical statistics to uninterrupted
-    ones — see ``docs/CHECKPOINTING.md``. Checkpoint progress lands in
-    ``extras["checkpoint"]``.
-    """
-    checkpointing = bool(checkpoint_every) or resume_from is not None
-    if checkpointing and checkpoint_dir is None:
-        raise ConfigError(
-            "checkpoint_every/resume_from require checkpoint_dir"
-        )
-    system = build_system(
-        arch,
-        factory,
-        scale,
-        n_cpus,
-        mem_config,
-        cpu_model=cpu_model,
-        cpu_params=cpu_params,
-        max_cycles=max_cycles,
-        obs=obs,
-        checkpointing=checkpointing,
-    )
-    workload = system.workload
-    started = time.perf_counter()
-    if checkpointing:
-        stats, ckpt_extras = _run_checkpointed(
-            system,
-            every=checkpoint_every,
-            ckpt_dir=checkpoint_dir,
-            key=checkpoint_key,
-            resume_from=resume_from,
-            extra_meta={"scale": scale},
-        )
-    else:
-        stats = system.run()
-        ckpt_extras = None
-    elapsed = time.perf_counter() - started
-    extras = {
-        "resources": system.memory.resource_report(max(stats.cycles, 1)),
-        "truncated": system.truncated,
-        "sync": workload.sync_report(),
-        # Host-side only: like "checkpoint", not among the keys
-        # to_dict() carries into payloads, caches or the wire.
-        "spin": system.spin_report(),
-        "generation": workload.generation_report(),
-    }
-    if ckpt_extras is not None:
-        extras["checkpoint"] = ckpt_extras
-    if system.obs is not None:
-        extras["obs"] = system.obs.rollup()
-        if obs.events_path:
-            system.obs.write_events(
-                obs.events_path,
-                label=f"{workload.name}/{arch}/{cpu_model}",
-            )
-    return ExperimentResult(
-        arch=arch,
-        workload=workload.name,
-        cpu_model=cpu_model,
-        scale=scale,
-        stats=stats,
-        wall_seconds=elapsed,
-        extras=extras,
-    )
-
-
-def _run_checkpointed(
-    system: System,
-    every: int,
-    ckpt_dir: str,
-    key: str | None,
-    resume_from: str | None,
-    extra_meta: dict | None = None,
-) -> tuple[SystemStats, dict]:
-    """Drive ``system`` in checkpoint-sized segments.
-
-    The run pauses at every multiple of ``every`` cycles (aligned to
-    absolute cycle numbers, so a resumed run checkpoints at the same
-    boundaries an uninterrupted one would), snapshots, and continues.
-    On completion the ``key`` latest pointer is cleared — a finished
-    job never resumes.
-    """
-    from repro.ckpt import CheckpointStore, restore_system, snapshot_system
-
-    store = CheckpointStore(ckpt_dir)
-    last_digest = None
-    if resume_from is not None:
-        state = store.load(resume_from)
-        restore_system(system, state)
-        last_digest = resume_from
-    saved = 0
-    while True:
-        if every:
-            pause_at = (system._cycle // every + 1) * every
-            stats = system.run(pause_at=pause_at)
-        else:
-            stats = system.run()
-        if not system.paused:
-            break
-        state = snapshot_system(system, extra_meta=extra_meta)
-        last_digest = store.save(state, key=key)
-        saved += 1
-    if key is not None:
-        store.clear_latest(key)
-    return stats, {
-        "every": every,
-        "saved": saved,
-        "resumed_from": resume_from,
-        "last_digest": last_digest,
-    }
-
-
-def run_architecture_comparison(
-    factory: WorkloadFactory | str,
-    cpu_model: str = "mipsy",
-    scale: str = "test",
-    n_cpus: int | None = None,
-    archs: tuple[str, ...] = ARCHITECTURES,
-    cpu_params: CpuParams | None = None,
-    max_cycles: int | None = None,
-    mem_config_overrides: dict | None = None,
-    jobs: int = 1,
-    runner: "Runner | None" = None,
-    obs_sample: int = 0,
-) -> dict[str, ExperimentResult]:
-    """Run one workload on every architecture; returns results by name.
-
-    Each architecture gets a *fresh* workload instance (same parameters,
-    same synthetic data seeding) and a fresh functional memory, exactly
-    as the paper restarts each run from the same checkpoint.
-
-    This is a thin batch submission on top of
-    :class:`repro.core.runner.Runner`: one :class:`~repro.core.runner.Job`
-    per architecture. ``jobs`` > 1 runs them in worker processes;
-    pass ``runner`` to share a configured runner (result cache,
-    progress hooks) across calls. ``factory`` may be a registry name
-    (preferred — the spec then pickles as plain data) or a factory
-    callable. ``n_cpus=None`` is each preset's own core count, so the
-    jobs are the ones ``repro compare`` submits for the same flags.
-    """
-    # Imported here: runner is built on top of this module.
-    from repro.core.runner import Job, Runner, job_grid
-
-    if not archs:
-        raise ConfigError("need at least one architecture")
-    base = Job(
-        archs[0], factory, cpu_model, scale,
-        overrides=dict(mem_config_overrides or {}), cpu_params=cpu_params,
-        max_cycles=max_cycles, obs_sample=obs_sample,
-    )
-    active = runner if runner is not None else Runner(jobs=jobs)
-    report = active.run(job_grid(base, archs, n_cpus))
-    return {
-        outcome.job.arch: outcome.result for outcome in report.outcomes
-    }

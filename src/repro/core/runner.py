@@ -39,21 +39,23 @@ from typing import Callable, Sequence
 
 import repro
 from repro.core.configs import CpuParams, config_for_scale
-from repro.core.experiment import (
-    ExperimentResult,
-    WorkloadFactory,
-    build_system,
-    run_one,
-)
+from repro.core.experiment import ExperimentResult, WorkloadFactory
 from repro.core.store import (
     ArtifactStore,
     address,
     counted,
     default_cache_dir,
 )
+from repro.core.system import System
 from repro.errors import ArtifactMiss, ConfigError, JobTimeoutError
-from repro.mem.topology import get_preset, resolve_topology
+from repro.mem.functional import FunctionalMemory
+from repro.mem.topology import Topology, get_preset, resolve_topology
 from repro.obs import bus as obs_bus
+
+
+#: what an omitted ``max_cycles`` means: a safety cap no test- or
+#: bench-scale run reaches (``None`` is uncapped)
+MAX_CYCLES = 50_000_000
 
 
 def default_jobs() -> int:
@@ -112,16 +114,23 @@ class Job:
     plain one. With ``ckpt_dir`` set, :meth:`run` automatically resumes
     from the job's latest checkpoint when one exists (a retry after a
     crash picks up mid-run instead of restarting from cycle 0).
+
+    What an omitted field means is decided here and nowhere else, so
+    the same description is the same simulation at every door (flags,
+    the wire, Python): an omitted ``n_cpus`` is the preset's natural
+    ``default_cpus`` (a :class:`~repro.mem.topology.Topology` object's
+    own count), resolved at construction; an omitted ``max_cycles`` is
+    :data:`MAX_CYCLES`, and an explicit ``None`` is uncapped.
     """
 
-    arch: str
+    arch: str | Topology
     workload: str | WorkloadFactory
     cpu_model: str = "mipsy"
     scale: str = "test"
-    n_cpus: int = 4
+    n_cpus: int | None = None
     overrides: dict = field(default_factory=dict)
     cpu_params: CpuParams | None = None
-    max_cycles: int | None = None
+    max_cycles: int | None = MAX_CYCLES
     obs_sample: int = 0
     replay: bool = False
     timeout_s: float = 0.0
@@ -129,6 +138,14 @@ class Job:
     ckpt_dir: str | None = None
     trace_dir: str | None = None
     workload_args: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.n_cpus is None:
+            arch = self.arch
+            self.n_cpus = (
+                arch.n_cpus if isinstance(arch, Topology)
+                else get_preset(arch).default_cpus
+            )
 
     @property
     def cacheable(self) -> bool:
@@ -306,12 +323,18 @@ class Job:
         snapshot at a chosen cycle, an observation's full series) where
         :meth:`run` returns the result record. Generated lane only: a
         replayed run builds its trace workload in :meth:`run`."""
-        return build_system(
+        return self._system(
+            self.resolve_factory(), self.mem_config(), obs, checkpointing
+        )
+
+    def _system(self, factory, config, obs, checkpointing) -> System:
+        """The one place a job becomes a machine: a fresh functional
+        memory, ``factory``'s workload built on it, and the
+        :class:`~repro.core.system.System` around them."""
+        return System(
             self.arch,
-            self.resolve_factory(),
-            self.scale,
-            self.n_cpus,
-            self.mem_config(),
+            factory(self.n_cpus, FunctionalMemory(), self.scale),
+            mem_config=config,
             cpu_model=self.cpu_model,
             cpu_params=self.cpu_params,
             max_cycles=self.max_cycles,
@@ -320,23 +343,114 @@ class Job:
         )
 
     def run_factory(self, factory, config, obs, resume_from):
-        """:func:`run_one` over ``factory`` with this job's machine and
-        execution policy (the replay lane runs its trace this way)."""
-        return run_one(
-            self.arch,
-            factory,
+        """Build this job's machine around ``factory`` and ``config``
+        and run it under this job's execution policy; returns the
+        result record. :meth:`run` comes through here, and so does the
+        replay lane with its trace workload.
+
+        With ``obs`` set the run carries an attached
+        :class:`~repro.obs.observe.Observation`; its rollup lands in
+        ``extras["obs"]`` and, when ``obs.events_path`` is set, the
+        event timeline is written there as Chrome/Perfetto trace JSON.
+
+        With ``ckpt_dir`` set, ``ckpt_every`` > 0 pauses the run at
+        every multiple of that cycle count and snapshots it into the
+        :class:`~repro.ckpt.CheckpointStore` there (updating this job's
+        latest pointer, so a killed run is picked up where it left
+        off); ``resume_from`` restores the named checkpoint digest from
+        the same store before running. Checkpointed and resumed runs
+        produce bit-identical statistics to uninterrupted ones — see
+        ``docs/CHECKPOINTING.md``. Checkpoint progress lands in
+        ``extras["checkpoint"]``.
+        """
+        every = self.ckpt_every if self.ckpt_dir else 0
+        checkpointing = bool(every) or resume_from is not None
+        if checkpointing and self.ckpt_dir is None:
+            raise ConfigError("resume_from requires ckpt_dir")
+        system = self._system(factory, config, obs, checkpointing)
+        workload = system.workload
+        started = time.perf_counter()
+        if checkpointing:
+            stats, ckpt_extras = _run_checkpointed(
+                system, every, self.ckpt_dir, self.key(), resume_from,
+                extra_meta={"scale": self.scale},
+            )
+        else:
+            stats = system.run()
+            ckpt_extras = None
+        elapsed = time.perf_counter() - started
+        extras = {
+            "resources": system.memory.resource_report(max(stats.cycles, 1)),
+            "truncated": system.truncated,
+            "sync": workload.sync_report(),
+            # Host-side only: like "checkpoint", not among the keys
+            # to_dict() carries into payloads, caches or the wire.
+            "spin": system.spin_report(),
+            "generation": workload.generation_report(),
+        }
+        if ckpt_extras is not None:
+            extras["checkpoint"] = ckpt_extras
+        if system.obs is not None:
+            extras["obs"] = system.obs.rollup()
+            if obs.events_path:
+                system.obs.write_events(
+                    obs.events_path,
+                    label=f"{workload.name}/{self.arch}/{self.cpu_model}",
+                )
+        return ExperimentResult(
+            arch=self.arch,
+            workload=workload.name,
             cpu_model=self.cpu_model,
             scale=self.scale,
-            n_cpus=self.n_cpus,
-            mem_config=config,
-            cpu_params=self.cpu_params,
-            max_cycles=self.max_cycles,
-            obs=obs,
-            checkpoint_every=self.ckpt_every if self.ckpt_dir else 0,
-            checkpoint_dir=self.ckpt_dir,
-            checkpoint_key=self.key() if self.ckpt_dir else None,
-            resume_from=resume_from,
+            stats=stats,
+            wall_seconds=elapsed,
+            extras=extras,
         )
+
+
+def _run_checkpointed(
+    system: System,
+    every: int,
+    ckpt_dir: str,
+    key: str,
+    resume_from: str | None,
+    extra_meta: dict,
+) -> tuple:
+    """Drive ``system`` in checkpoint-sized segments; returns its stats
+    and the ``extras["checkpoint"]`` record.
+
+    The run pauses at every multiple of ``every`` cycles (aligned to
+    absolute cycle numbers, so a resumed run checkpoints at the same
+    boundaries an uninterrupted one would), snapshots, and continues.
+    On completion the ``key`` latest pointer is cleared — a finished
+    job never resumes.
+    """
+    from repro.ckpt import CheckpointStore, restore_system, snapshot_system
+
+    store = CheckpointStore(ckpt_dir)
+    last_digest = None
+    if resume_from is not None:
+        restore_system(system, store.load(resume_from))
+        last_digest = resume_from
+    saved = 0
+    while True:
+        if every:
+            pause_at = (system._cycle // every + 1) * every
+            stats = system.run(pause_at=pause_at)
+        else:
+            stats = system.run()
+        if not system.paused:
+            break
+        state = snapshot_system(system, extra_meta=extra_meta)
+        last_digest = store.save(state, key=key)
+        saved += 1
+    store.clear_latest(key)
+    return stats, {
+        "every": every,
+        "saved": saved,
+        "resumed_from": resume_from,
+        "last_digest": last_digest,
+    }
 
 
 def job_grid(
@@ -348,14 +462,14 @@ def job_grid(
     """``base`` over a grid of machines, row-major: override sets
     outermost, then CPU counts, then topologies — the order every table
     builder zips its results back in. ``n_cpus=None`` is each preset's
-    own ``default_cpus`` (what an omitted ``--cpus`` means); an override
-    set is laid over ``base.overrides``."""
+    own ``default_cpus`` (``Job``'s own meaning of an omitted count);
+    an override set is laid over ``base.overrides``."""
     counts = n_cpus if isinstance(n_cpus, (list, tuple)) else (n_cpus,)
     return [
         dataclasses.replace(
             base,
             arch=arch,
-            n_cpus=get_preset(arch).default_cpus if count is None else count,
+            n_cpus=count,
             overrides={**base.overrides, **extra},
         )
         for extra in overrides

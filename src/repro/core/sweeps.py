@@ -1,15 +1,18 @@
-"""First-class parameter sweeps.
+"""The architecture matrix and the one-knob sweeps over it.
 
-The evaluation's ablations all have the same shape: vary one knob, run
-the architecture matrix at each value, collect a table. This module
-makes that a one-liner and returns structured results the CLI and the
-examples can render. (The paper's own ablations are declared, claims
-and all, in :mod:`repro.core.paper`.)
+The evaluation's figures and ablations all have the same shape: one
+base :class:`~repro.core.runner.Job` over a grid of machines — every
+architecture, at each value of one knob — collected into a table. The
+three helpers here take that base job, the grid's axes and a
+:class:`~repro.core.runner.Runner`, and nothing else: every other
+setting is a field of the job. ``repro compare`` / ``sweep`` /
+``scaling`` call them, and the paper's own studies are declared, claims
+and all, in :mod:`repro.core.paper`.
 
-Every sweep builds its full (value x architecture) job list up front
-and submits it as one :class:`repro.core.runner.Runner` batch, so
-``jobs=N`` parallelizes across the *whole* sweep, not just within one
-matrix.
+Each helper builds its full job list up front and submits it as one
+runner batch, so a ``Runner(jobs=N)`` parallelizes across the *whole*
+grid, and a point that produced no result is an error, whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.configs import ARCHITECTURES
-from repro.core.experiment import ExperimentResult, WorkloadFactory
+from repro.core.experiment import ExperimentResult
 from repro.core.report import normalized_times
 from repro.core.runner import Job, Runner, job_grid
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 
 
 @dataclass
@@ -32,9 +35,6 @@ class SweepResult:
     values: list = field(default_factory=list)
     #: value -> {arch -> ExperimentResult}
     runs: dict = field(default_factory=dict)
-    #: batch telemetry of the run that produced this sweep
-    #: (:meth:`repro.core.runner.RunReport.to_dict` sans per-job list)
-    run_report: dict | None = None
 
     def cycles(self, value, arch: str) -> int:
         """Cycle count for one (value, architecture) point."""
@@ -64,7 +64,7 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         """JSON-serializable summary of the sweep."""
-        out = {
+        return {
             "field": self.field,
             "values": list(self.values),
             "cycles": {
@@ -75,99 +75,99 @@ class SweepResult:
                 for value in self.values
             },
         }
-        if self.run_report is not None:
-            out["run_report"] = dict(self.run_report)
-        return out
+
+
+def _results(runner: Runner | None, batch: list[Job]) -> list:
+    """``batch``'s results in job order, on ``runner`` (a serial one
+    by default); a job that produced none is a :class:`ReproError`
+    naming every such job by its label."""
+    report = (runner or Runner(jobs=1)).run(batch)
+    if report.failures:
+        raise ReproError("; ".join(
+            f"{outcome.job.label()}: {outcome.error}"
+            for outcome in report.failures
+        ))
+    return report.results
+
+
+def run_architecture_comparison(
+    base: Job,
+    archs: Sequence[str] = ARCHITECTURES,
+    n_cpus: int | None = None,
+    runner: Runner | None = None,
+) -> dict[str, ExperimentResult]:
+    """``base`` on every architecture in ``archs``; results by name.
+
+    Each architecture gets a *fresh* workload instance (same parameters,
+    same synthetic data seeding) and a fresh functional memory, exactly
+    as the paper restarts each run from the same checkpoint.
+    ``n_cpus`` sets every point's core count in place of
+    ``base.n_cpus``; ``None`` is each preset's own, so these are the
+    jobs ``repro compare`` runs for the same flags.
+    """
+    if not archs:
+        raise ConfigError("need at least one architecture")
+    return dict(zip(
+        archs, _results(runner, job_grid(base, archs, n_cpus))
+    ))
 
 
 def sweep_mem_field(
-    factory: WorkloadFactory | str,
+    base: Job,
     sweep_field: str,
     values: Sequence,
-    cpu_model: str = "mipsy",
-    scale: str = "test",
+    archs: Sequence[str] = ARCHITECTURES,
     n_cpus: int | None = None,
-    archs: tuple[str, ...] = ARCHITECTURES,
-    max_cycles: int | None = 50_000_000,
-    base_overrides: dict | None = None,
-    jobs: int = 1,
     runner: Runner | None = None,
-    replay: bool = False,
-    trace_dir: str | None = None,
 ) -> SweepResult:
-    """Sweep one :class:`~repro.mem.hierarchy.MemConfig` field.
+    """``base`` on every architecture at each value of one
+    :class:`~repro.mem.hierarchy.MemConfig` field.
 
-    ``base_overrides`` (applied at every point) lets a sweep run on top
-    of a non-default configuration — e.g. Ocean's 1/4-scale caches.
-    ``n_cpus=None`` is each preset's own core count, as at the CLI.
-
-    ``replay=True`` runs every point down the trace-replay lane: the
-    workload is recorded once and each sweep point re-simulates the
-    same reference stream — the record-once/replay-many shape this
-    sweep module exists for (see ``docs/REPLAY.md`` for validity).
+    Each point's override is laid over ``base.overrides``, so a sweep
+    runs on top of a non-default configuration (Ocean's 1/4-scale
+    caches, say). With ``base.replay`` every point runs down the
+    trace-replay lane: the workload is recorded once and each point
+    re-simulates the same reference stream — the record-once /
+    replay-many shape sweeps exist for (``docs/REPLAY.md``).
     """
     if not values:
         raise ConfigError("sweep needs at least one value")
-    base = Job(
-        archs[0], factory, cpu_model, scale,
-        overrides=dict(base_overrides or {}), max_cycles=max_cycles,
-        replay=replay, trace_dir=trace_dir,
-    )
-    batch = job_grid(
+    results = iter(_results(runner, job_grid(
         base, archs, n_cpus, [{sweep_field: value} for value in values]
+    )))
+    return SweepResult(
+        field=sweep_field,
+        values=list(values),
+        runs={
+            value: {arch: next(results) for arch in archs}
+            for value in values
+        },
     )
-    active = runner if runner is not None else Runner(jobs=jobs)
-    report = active.run(batch)
-    outcomes = iter(report.outcomes)
-    result = SweepResult(field=sweep_field, values=list(values))
-    for value in values:
-        result.runs[value] = {
-            arch: next(outcomes).result for arch in archs
-        }
-    # Batch-level telemetry rides along (cache/bus rollups included),
-    # minus the per-job list the sweep table already encodes.
-    summary = report.to_dict()
-    summary.pop("per_job", None)
-    result.run_report = summary
-    return result
 
 
 def sweep_cpu_count(
-    factory: WorkloadFactory | str,
+    base: Job,
     counts: Sequence[int] = (1, 2, 4),
-    cpu_model: str = "mipsy",
-    scale: str = "test",
-    archs: tuple[str, ...] = ARCHITECTURES,
-    max_cycles: int | None = 50_000_000,
-    jobs: int = 1,
+    archs: Sequence[str] = ARCHITECTURES,
     runner: Runner | None = None,
-    replay: bool = False,
-    trace_dir: str | None = None,
 ) -> dict[str, dict[int, ExperimentResult]]:
-    """Run each architecture at several CPU counts.
+    """``base`` on every architecture at several CPU counts.
 
     Returns ``{arch: {n_cpus: result}}``; self-relative speedups are
-    ``result[arch][1].cycles / result[arch][n].cycles``.
-
-    Note that under ``replay=True`` each CPU count still records its
-    own reference trace (a 2-CPU stream is not an 8-CPU stream), so
-    replay only pays off here across the *architecture* axis.
+    ``result[arch][1].cycles / result[arch][n].cycles``
+    (:func:`speedup_table`). Under ``base.replay`` each CPU count
+    records its own reference trace (a 2-CPU stream is not an 8-CPU
+    stream), so replay only pays off across the architecture axis.
     """
     if not counts:
         raise ConfigError("sweep needs at least one CPU count")
-    base = Job(
-        archs[0], factory, cpu_model, scale, max_cycles=max_cycles,
-        replay=replay, trace_dir=trace_dir,
-    )
-    active = runner if runner is not None else Runner(jobs=jobs)
-    report = active.run(job_grid(base, archs, list(counts)))
-    outcomes = iter(report.outcomes)
+    results = iter(_results(runner, job_grid(base, archs, list(counts))))
     table: dict[str, dict[int, ExperimentResult]] = {
         arch: {} for arch in archs
     }
     for n_cpus in counts:
         for arch in archs:
-            table[arch][n_cpus] = next(outcomes).result
+            table[arch][n_cpus] = next(results)
     return table
 
 

@@ -55,7 +55,6 @@ from repro.obs.report import (
     format_phase_table,
     format_rollup,
     phase_means,
-    run_observed,
 )
 from repro.obs.sampler import UtilizationSampler
 from repro.obs.spans import build_batch_trace, write_batch_trace
@@ -77,7 +76,6 @@ __all__ = [
     "format_phase_table",
     "format_rollup",
     "phase_means",
-    "run_observed",
     "EVENT_KINDS",
     "BusEvent",
     "BusHandle",

@@ -29,7 +29,7 @@ class ObsConfig:
 
     ``sample_interval`` is the utilization sampler's period in cycles
     (0 disables sampling entirely); ``events`` turns on the event
-    timeline, and ``events_path`` is where :func:`repro.core.experiment.run_one`
+    timeline, and ``events_path`` is where :meth:`repro.core.runner.Job.run`
     writes the Chrome/Perfetto trace JSON after the run (``None`` keeps
     the timeline in memory only). ``max_events`` bounds the timeline's
     memory; events past the cap are counted as dropped, never silently

@@ -101,50 +101,3 @@ def format_rollup(rollup: dict, top: int = 12) -> str:
             f"mean={hist['mean']:.1f}"
         )
     return "\n".join(lines) if lines else "(no observability data)"
-
-
-def run_observed(
-    workload: str,
-    arch: str,
-    cpu_model: str = "mipsy",
-    scale: str = "test",
-    n_cpus: int = 4,
-    sample_interval: int = 1000,
-    events_path: str | None = None,
-    max_cycles: int | None = None,
-    overrides: dict | None = None,
-):
-    """Run one simulation in-process with observability attached.
-
-    Returns ``(system, stats)`` — the live system keeps its
-    :class:`~repro.obs.observe.Observation` (full series, timeline)
-    for rendering, unlike the runner path which only carries the
-    rollup. Used by ``repro obs report`` and the tests.
-    """
-    # Imported lazily: the core packages import repro.obs at module
-    # load, so a top-level import here would be circular.
-    from repro.core.runner import Job
-    from repro.obs.config import ObsConfig
-
-    job = Job(
-        arch=arch,
-        workload=workload,
-        cpu_model=cpu_model,
-        scale=scale,
-        n_cpus=n_cpus,
-        overrides=dict(overrides or {}),
-        max_cycles=max_cycles,
-    )
-    system = job.build(
-        obs=ObsConfig(
-            sample_interval=sample_interval,
-            events=events_path is not None,
-            events_path=events_path,
-        )
-    )
-    stats = system.run()
-    if events_path is not None and system.obs is not None:
-        system.obs.write_events(
-            events_path, label=f"{workload}/{arch}/{cpu_model}"
-        )
-    return system, stats

@@ -36,21 +36,27 @@ from repro.mem.hierarchy import MemConfig
 #: future incompatible change can be detected instead of misparsed.
 WIRE_VERSION = 1
 
-#: field name -> (expected types, default) for the Job subset that
-#: crosses the wire.
-_JOB_FIELDS: dict[str, tuple[tuple[type, ...], object]] = {
-    "workload": ((str,), None),
-    "arch": ((str,), None),
-    "cpu_model": ((str,), "mipsy"),
-    "scale": ((str,), "test"),
-    "n_cpus": ((int,), None),
-    "workload_args": ((dict,), None),
-    "overrides": ((dict,), None),
-    "max_cycles": ((int,), None),
-    "obs_sample": ((int,), 0),
-    "replay": ((bool,), False),
-    "timeout_s": ((int, float), 0.0),
-    "ckpt_every": ((int,), 0),
+#: field name -> expected types, for the Job subset that crosses the
+#: wire
+_JOB_FIELDS: dict[str, tuple[type, ...]] = {
+    "workload": (str,),
+    "arch": (str,),
+    "cpu_model": (str,),
+    "scale": (str,),
+    "n_cpus": (int,),
+    "workload_args": (dict,),
+    "overrides": (dict,),
+    "max_cycles": (int,),
+    "obs_sample": (int,),
+    "replay": (bool,),
+    "timeout_s": (int, float),
+    "ckpt_every": (int,),
+}
+
+#: ``Job``'s defaults, read once: a field at its default is left off
+#: the wire, because an omitted field means what it means on a ``Job``
+_DEFAULTS = {
+    field.name: field.default for field in dataclasses.fields(Job)
 }
 
 #: the ``MemConfig`` fields an override may set, by the scalar type
@@ -143,10 +149,9 @@ def _require(condition: bool, message: str) -> None:
 def job_from_payload(payload: dict) -> Job:
     """Build a validated :class:`Job` from a client JSON payload.
 
-    Unknown fields, wrong types, missing required fields and unknown
-    workload names raise :class:`WireError`; topology resolution is
-    left to ``Job.spec()`` so the service layer can report bad arch
-    names with the same 400 path.
+    Unknown fields, wrong types, missing required fields, unknown
+    workload names and an unknown arch raise :class:`WireError`; an
+    omitted field is left to ``Job``, which decides what it means.
     """
     _require(isinstance(payload, dict), "job payload must be an object")
     unknown = set(payload) - set(_JOB_FIELDS) - _SUBMIT_FIELDS
@@ -170,9 +175,11 @@ def job_from_payload(payload: dict) -> Job:
         "job payload needs an arch/topology preset name (string)",
     )
     kwargs: dict = {}
-    for name, (types, default) in _JOB_FIELDS.items():
-        value = payload.get(name, default)
+    for name, types in _JOB_FIELDS.items():
+        value = payload.get(name)
         if value is None:
+            if name == "max_cycles" and name in payload:
+                kwargs[name] = None  # an explicit null: uncapped
             continue
         _require(
             isinstance(value, types) and not (
@@ -211,15 +218,10 @@ def job_from_payload(payload: dict) -> Job:
                 f"workload argument {key!r} must be a number, a string "
                 f"or a boolean, got {value!r}",
             )
-    if "n_cpus" not in kwargs:
-        # Like the CLI, default to the preset's natural core count.
-        from repro.mem.topology import get_preset
-
-        try:
-            kwargs["n_cpus"] = get_preset(kwargs["arch"]).default_cpus
-        except ReproError:
-            kwargs["n_cpus"] = 4  # Job.spec() will report the bad arch
-    return Job(**kwargs)
+    try:
+        return Job(**kwargs)
+    except ReproError as error:  # the natural count of an unknown arch
+        raise WireError(str(error)) from None
 
 
 def submit_priority(payload: dict) -> int:
@@ -246,12 +248,12 @@ def job_to_payload(job: Job, priority: int = 0) -> dict:
         "only registry-named workloads can be submitted over the wire",
     )
     payload: dict = {"version": WIRE_VERSION}
-    for name, (_, default) in _JOB_FIELDS.items():
+    for name in _JOB_FIELDS:
         value = getattr(job, name)
         if name in ("overrides", "workload_args"):
             if value:
                 payload[name] = dict(value)
-        elif name in ("workload", "arch", "n_cpus") or value != default:
+        elif value != _DEFAULTS[name]:
             payload[name] = value
     if priority:
         payload["priority"] = priority

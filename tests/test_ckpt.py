@@ -27,7 +27,7 @@ from repro.ckpt import (
     snapshot_system,
 )
 from repro.core.configs import config_for_scale
-from repro.core.experiment import run_one
+from repro.core.runner import Job
 from repro.core.system import System
 from repro.errors import CheckpointError
 from repro.isa.instructions import SpinLoad
@@ -618,39 +618,38 @@ def test_sanitize_key_is_filename_safe():
 
 
 # ----------------------------------------------------------------------
-# run_one integration
+# Job.run integration
 
 
-def test_run_one_checkpoint_every_matches_uninterrupted(tmp_path):
-    base = run_one("shared-l2", WORKLOADS["fft"], max_cycles=CAP)
-    ck = run_one(
+def test_job_run_checkpoint_every_matches_uninterrupted(tmp_path):
+    base = Job("shared-l2", WORKLOADS["fft"], max_cycles=CAP).run()
+    job = Job(
         "shared-l2",
         WORKLOADS["fft"],
         max_cycles=CAP,
-        checkpoint_every=700,
-        checkpoint_dir=str(tmp_path),
-        checkpoint_key="fft-seg",
+        ckpt_every=700,
+        ckpt_dir=str(tmp_path),
     )
+    ck = job.run()
     assert ck.stats.to_dict() == base.stats.to_dict()
     assert ck.extras["checkpoint"]["saved"] > 0
     # A completed job never resumes: its latest pointer is cleared.
-    assert CheckpointStore(tmp_path).latest("fft-seg") is None
+    assert CheckpointStore(tmp_path).latest(job.key()) is None
 
 
-def test_run_one_resume_from_matches_uninterrupted(tmp_path):
-    base = run_one("shared-mem", WORKLOADS["fft"], cpu_model="mxs",
-                   max_cycles=CAP)
+def test_job_run_resume_from_matches_uninterrupted(tmp_path):
+    base = Job("shared-mem", WORKLOADS["fft"], cpu_model="mxs",
+               max_cycles=CAP).run()
     store = CheckpointStore(tmp_path)
     partial = build_system("shared-mem", "mxs")
     partial.run(pause_at=900)
     digest = store.save(snapshot_system(partial))
-    resumed = run_one(
+    resumed = Job(
         "shared-mem",
         WORKLOADS["fft"],
         cpu_model="mxs",
         max_cycles=CAP,
-        checkpoint_dir=str(tmp_path),
-        resume_from=digest,
-    )
+        ckpt_dir=str(tmp_path),
+    ).run(resume_from=digest)
     assert resumed.stats.to_dict() == base.stats.to_dict()
     assert resumed.extras["checkpoint"]["resumed_from"] == digest

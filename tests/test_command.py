@@ -18,18 +18,11 @@ import re
 import pytest
 
 from repro.command import build_parser, main, reproduce
-from repro.command.jobargs import (
-    MACHINE,
-    MAX_CYCLES,
-    POLICY,
-    RUNNER,
-    job_from_args,
-)
-from repro.core.experiment import run_one
+from repro.command.jobargs import MACHINE, POLICY, RUNNER, job_from_args
 from repro.core.paper import STUDIES
-from repro.core.runner import Job, ResultCache
+from repro.core.runner import MAX_CYCLES, Job, ResultCache
 from repro.mem.topology import topology_names
-from repro.obs.report import run_observed
+from repro.obs import ObsConfig
 from repro.serve import ServiceDaemon, job_from_payload, job_to_payload
 from repro.workloads import WORKLOADS
 
@@ -119,19 +112,31 @@ DOORS = {
     "obs report": ["obs", "report"],
 }
 
+#: name -> (flags, the same fields as ``Job`` keywords, flag doors)
 FLAG_SETS = {
-    "plain": (["-w", "fft", "-a", "shared-l2"], tuple(DOORS)),
+    "plain": (
+        ["-w", "fft", "-a", "shared-l2"],
+        {"workload": "fft", "arch": "shared-l2"},
+        tuple(DOORS),
+    ),
     "mxs-8-override": (
         ["-w", "fft", "-a", "shared-l2", "--cpu", "mxs", "-n", "8",
          "--set", "l2_assoc=2"],
+        {"workload": "fft", "arch": "shared-l2", "cpu_model": "mxs",
+         "n_cpus": 8, "overrides": {"l2_assoc": 2}},
         tuple(DOORS),
     ),
     # only the doors with an execution-policy group take --replay
     "replay": (
         ["-w", "fft", "-a", "shared-l2", "--replay"],
+        {"workload": "fft", "arch": "shared-l2", "replay": True},
         ("run", "client submit"),
     ),
-    "natural-cpus": (["-w", "fft", "-a", "cluster-l1"], tuple(DOORS)),
+    "natural-cpus": (
+        ["-w", "fft", "-a", "cluster-l1"],
+        {"workload": "fft", "arch": "cluster-l1"},
+        tuple(DOORS),
+    ),
 }
 
 
@@ -144,8 +149,12 @@ def job_at(door: str, flags: list[str]) -> Job:
 
 @pytest.mark.parametrize("name", FLAG_SETS)
 def test_front_doors_build_the_same_job(name):
-    flags, doors = FLAG_SETS[name]
+    flags, fields, doors = FLAG_SETS[name]
     jobs = {door: job_at(door, flags) for door in doors}
+    # ... and the doors that take no flags: Python, and a raw JSON
+    # client that sends these fields and nothing else
+    jobs["python"] = Job(**fields)
+    jobs["raw wire"] = job_from_payload(json.loads(json.dumps(fields)))
     reference = jobs["run"]
     assert reference.max_cycles == MAX_CYCLES
     for door, job in jobs.items():
@@ -153,9 +162,6 @@ def test_front_doors_build_the_same_job(name):
         assert job.key() == reference.key(), door
     if name == "natural-cpus":
         assert reference.n_cpus == 16
-    # ... and a raw JSON client keeps the wire's own defaults.
-    raw = job_from_payload({"workload": "fft", "arch": "shared-l2"})
-    assert raw.max_cycles is None and raw.n_cpus == 4
 
 
 # ----------------------------------------------------------------------
@@ -164,22 +170,22 @@ def test_front_doors_build_the_same_job(name):
 
 @pytest.mark.parametrize("cpu_model", ("mipsy", "mxs"))
 @pytest.mark.parametrize("arch", topology_names())
-def test_job_build_is_run_one(arch, cpu_model):
-    job = Job(arch=arch, workload="eqntott", cpu_model=cpu_model)
-    direct = run_one(
+def test_job_build_runs_what_job_run_runs(arch, cpu_model):
+    job = Job(arch=arch, workload="eqntott", cpu_model=cpu_model, n_cpus=4)
+    direct = Job(
         arch, WORKLOADS["eqntott"], cpu_model=cpu_model, scale="test",
         n_cpus=4,
-    )
+    ).run()
     built = job.build().run()
     assert built.to_dict() == direct.stats.to_dict()
     assert built.to_dict() == job.run().stats.to_dict()
 
 
-def test_run_observed_returns_a_live_system_with_the_plain_stats():
-    system, stats = run_observed(
-        "fft", "shared-l2", sample_interval=500,
-        overrides={"l2_assoc": 2},
-    )
+def test_an_observed_build_is_a_live_system_with_the_plain_stats():
+    system = Job(
+        arch="shared-l2", workload="fft", overrides={"l2_assoc": 2}
+    ).build(obs=ObsConfig(sample_interval=500))
+    stats = system.run()
     assert system.obs is not None and system.obs.sampler.n_samples > 0
     plain = Job(
         arch="shared-l2", workload="fft", overrides={"l2_assoc": 2}

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.configs import config_for_scale
-from repro.core.experiment import run_one
+from repro.core.runner import Job
 from repro.workloads import WORKLOADS
 
 ARCHS = ("shared-l1", "shared-l2", "shared-mem")
@@ -23,17 +23,14 @@ CAP = 2_000_000
 
 
 def _run_stats(arch: str, cpu_model: str, workload: str, fast: bool):
-    config = config_for_scale("test", 4)
-    if not fast:
-        config = config.with_overrides(l1_fast_path=False)
-    result = run_one(
+    result = Job(
         arch,
         WORKLOADS[workload],
         cpu_model=cpu_model,
         scale="test",
-        mem_config=config,
+        overrides={} if fast else {"l1_fast_path": False},
         max_cycles=CAP,
-    )
+    ).run()
     return result.stats
 
 

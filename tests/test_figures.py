@@ -6,12 +6,13 @@ import pytest
 
 from conftest import LoopWorkload
 
-from repro.core.experiment import run_architecture_comparison
 from repro.core.figures import (
     render_breakdown_svg,
     render_comparison_figure,
     render_ipc_svg,
 )
+from repro.core.runner import Job
+from repro.core.sweeps import run_architecture_comparison
 from repro.errors import ReproError
 
 _SVG = "{http://www.w3.org/2000/svg}"
@@ -23,13 +24,15 @@ def _loop_factory(n_cpus, functional, scale):
 
 @pytest.fixture(scope="module")
 def mipsy_results():
-    return run_architecture_comparison(_loop_factory, scale="test")
+    return run_architecture_comparison(
+        Job("shared-mem", _loop_factory, scale="test")
+    )
 
 
 @pytest.fixture(scope="module")
 def mxs_results():
     return run_architecture_comparison(
-        _loop_factory, cpu_model="mxs", scale="test"
+        Job("shared-mem", _loop_factory, cpu_model="mxs", scale="test")
     )
 
 

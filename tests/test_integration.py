@@ -7,17 +7,18 @@ loose thresholds, so the bench-scale claims of the study catalog
 
 import pytest
 
-from repro.core.experiment import run_architecture_comparison, run_one
 from repro.core.report import normalized_times
+from repro.core.runner import Job
+from repro.core.sweeps import run_architecture_comparison
 from repro.mem.types import AccessKind, StallLevel
 from repro.workloads import WORKLOADS
 
 
-def compare(name, **kwargs):
-    return run_architecture_comparison(
-        WORKLOADS[name], cpu_model="mipsy", scale="test",
-        max_cycles=3_000_000, **kwargs
-    )
+def compare(name, cpu_model="mipsy"):
+    return run_architecture_comparison(Job(
+        "shared-mem", WORKLOADS[name], cpu_model=cpu_model, scale="test",
+        max_cycles=3_000_000,
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -119,24 +120,16 @@ def test_shared_mem_pays_cache_to_cache_for_sharing():
 
 
 def test_mp3d_l2_conflicts_drop_with_associativity():
-    direct = run_one(
+    direct = Job(
         "shared-l1", WORKLOADS["mp3d"], scale="test", max_cycles=3_000_000
-    )
-    four_way = run_one(
+    ).run()
+    four_way = Job(
         "shared-l1", WORKLOADS["mp3d"], scale="test", max_cycles=3_000_000,
-        mem_config=_assoc4(),
-    )
+        overrides={"l2_assoc": 4},
+    ).run()
     rate_dm = direct.stats.aggregate_caches(".l2").miss_rate
     rate_4w = four_way.stats.aggregate_caches(".l2").miss_rate
     assert rate_4w < rate_dm
-
-
-def _assoc4():
-    from repro.core.configs import test_config as make_test_config
-
-    config = make_test_config()
-    config.l2_assoc = 4
-    return config
 
 
 # ----------------------------------------------------------------------
@@ -159,12 +152,7 @@ def test_multiprog_shares_only_kernel_lines():
 
 def test_shared_l1_advantage_shrinks_under_mxs():
     mipsy = normalized_times(compare("eqntott"))
-    mxs = normalized_times(
-        run_architecture_comparison(
-            WORKLOADS["eqntott"], cpu_model="mxs", scale="test",
-            max_cycles=3_000_000,
-        )
-    )
+    mxs = normalized_times(compare("eqntott", cpu_model="mxs"))
     assert mxs["shared-l1"] > mipsy["shared-l1"] * 0.9
 
 

@@ -22,7 +22,6 @@ from conftest import SharingWorkload
 from test_spin_elision import FACTORIES, PARKING
 
 from repro.cli import main
-from repro.core.experiment import run_one
 from repro.core.runner import Job, Runner
 from repro.core.configs import config_for_scale
 from repro.core.system import System
@@ -36,12 +35,22 @@ from repro.obs import (
     UtilizationSampler,
     validate_trace,
 )
-from repro.obs.report import format_phase_table, phase_means, run_observed
+from repro.obs.report import format_phase_table, phase_means
 from repro.workloads import WORKLOADS
 
 ARCHS = ("shared-l1", "shared-l2", "shared-mem")
 CPU_MODELS = ("mipsy", "mxs")
 CAP = 2_000_000
+
+#: eqntott on the shared L1, the observed run these tests look at
+EQNTOTT_L1 = Job("shared-l1", "eqntott", max_cycles=CAP)
+
+
+def _observed(sample_interval):
+    """The live observed system (full sampler series, not the rollup
+    a result carries) and its statistics."""
+    system = EQNTOTT_L1.build(obs=ObsConfig(sample_interval=sample_interval))
+    return system, system.run()
 
 
 # ----------------------------------------------------------------------
@@ -163,14 +172,13 @@ def test_validate_trace_flags_broken_files(tmp_path):
 
 
 def _stats(arch, cpu_model, obs):
-    result = run_one(
+    result = Job(
         arch,
         WORKLOADS["eqntott"],
         cpu_model=cpu_model,
         scale="test",
         max_cycles=CAP,
-        obs=obs,
-    )
+    ).run(obs=obs)
     return result
 
 
@@ -256,9 +264,7 @@ def test_sync_wait_is_a_spin_episode_named_after_its_region():
 
 
 def test_obs_rollup_shape_and_series_length():
-    system, stats = run_observed(
-        "eqntott", "shared-l1", sample_interval=250, max_cycles=CAP
-    )
+    system, stats = _observed(250)
     sampler = system.obs.sampler
     expected = stats.cycles // 250
     assert sampler.n_samples == expected
@@ -277,9 +283,7 @@ def test_shadow_crossbar_reports_hidden_contention():
     # optimistic timing never consults the crossbar, so non-zero
     # conflict and bank-occupancy numbers can only come from the
     # obs-only shadow crossbar.
-    system, stats = run_observed(
-        "eqntott", "shared-l1", sample_interval=250, max_cycles=CAP
-    )
+    system, stats = _observed(250)
     util = system.obs.rollup()["utilization"]
     assert util["l1.xbar.conflict"]["mean"] > 0
     assert util["l1.xbar.grants"]["mean"] > 0
@@ -287,21 +291,15 @@ def test_shadow_crossbar_reports_hidden_contention():
         util[f"l1.bank{i}.busy"]["mean"] for i in range(4)
     ) > 0
     # ... and none of it altered the simulated machine.
-    plain = run_one(
+    plain = Job(
         "shared-l1", WORKLOADS["eqntott"], scale="test", max_cycles=CAP
-    )
+    ).run()
     assert stats.to_dict() == plain.stats.to_dict()
 
 
 def test_observed_trace_is_perfetto_valid(tmp_path):
     path = tmp_path / "events.json"
-    run_observed(
-        "eqntott",
-        "shared-l1",
-        sample_interval=500,
-        events_path=str(path),
-        max_cycles=CAP,
-    )
+    EQNTOTT_L1.run(obs=ObsConfig(sample_interval=500, events_path=str(path)))
     assert validate_trace(path) == []
     data = json.loads(path.read_text())
     xs = [ev for ev in data["traceEvents"] if ev["ph"] == "X"]
@@ -338,9 +336,7 @@ def test_sync_waits_recorded_for_contended_barrier():
 
 
 def test_phase_means_partition_the_run():
-    system, _stats = run_observed(
-        "eqntott", "shared-l1", sample_interval=250, max_cycles=CAP
-    )
+    system, _stats = _observed(250)
     sampler = system.obs.sampler
     ends, means = phase_means(sampler, 4)
     assert len(ends) <= 4
@@ -398,9 +394,9 @@ def test_obs_rollup_survives_the_result_cache(tmp_path):
 
 
 def test_obs_off_is_the_default():
-    result = run_one(
+    result = Job(
         "shared-l1", WORKLOADS["eqntott"], scale="test", max_cycles=CAP
-    )
+    ).run()
     assert "obs" not in result.extras
     system = System(
         "shared-l1",
@@ -498,9 +494,7 @@ def test_cli_obs_report(capsys):
 
 def test_cli_obs_validate(tmp_path, capsys):
     good = tmp_path / "good.json"
-    run_observed(
-        "eqntott", "shared-l1", events_path=str(good), max_cycles=CAP
-    )
+    EQNTOTT_L1.run(obs=ObsConfig(sample_interval=1000, events_path=str(good)))
     assert main(["obs", "validate", str(good)]) == 0
     assert "valid trace" in capsys.readouterr().out
     bad = tmp_path / "bad.json"

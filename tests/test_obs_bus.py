@@ -191,17 +191,19 @@ def test_bus_off_emits_zero_events_and_identical_stats(tmp_path):
     assert len(bus.events) == before
 
 
-def test_sweep_carries_run_report_telemetry(tmp_path):
+def test_a_sweeps_telemetry_is_its_runners_last_report(tmp_path):
+    runner = Runner(jobs=1, cache=ResultCache(tmp_path / "cache"))
     result = sweep_mem_field(
-        "fft", "l1d_size", [4096, 8192],
-        archs=("shared-l1",), n_cpus=2, max_cycles=CAP,
-        runner=Runner(jobs=1, cache=ResultCache(tmp_path / "cache")),
+        Job("shared-l1", "fft", max_cycles=CAP), "l1d_size", [4096, 8192],
+        archs=("shared-l1",), n_cpus=2, runner=runner,
     )
-    assert result.run_report is not None
-    assert result.run_report["jobs"] == 2
-    assert result.run_report["result_cache"]["misses"] == 2
-    assert "per_job" not in result.run_report
-    assert result.to_dict()["run_report"]["jobs"] == 2
+    report = runner.last_report.to_dict()
+    assert report is not None
+    assert report["jobs"] == 2
+    assert report["result_cache"]["misses"] == 2
+    assert len(report["per_job"]) == 2
+    # the sweep's own summary is its table, not a copy of the batch's
+    assert "run_report" not in result.to_dict()
 
 
 # ----------------------------------------------------------------------

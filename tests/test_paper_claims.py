@@ -3,12 +3,13 @@ test scale where the structural ones are expected to hold)."""
 
 import pytest
 
-from repro.core.experiment import run_architecture_comparison
 from repro.core.paper import (
     PAPER_EXPECTATIONS,
     check_figure,
     format_check_report,
 )
+from repro.core.runner import Job
+from repro.core.sweeps import run_architecture_comparison
 from repro.errors import ReproError
 from repro.workloads import WORKLOADS
 
@@ -19,10 +20,10 @@ def results_cache():
 
     def get(workload):
         if workload not in cache:
-            cache[workload] = run_architecture_comparison(
-                WORKLOADS[workload], cpu_model="mipsy", scale="test",
-                max_cycles=3_000_000,
-            )
+            cache[workload] = run_architecture_comparison(Job(
+                "shared-mem", WORKLOADS[workload], cpu_model="mipsy",
+                scale="test", max_cycles=3_000_000,
+            ))
         return cache[workload]
 
     return get

@@ -4,11 +4,13 @@ import pytest
 
 from conftest import LoopWorkload, build_system
 
-from repro.core.experiment import ExperimentResult, run_architecture_comparison
+from repro.core.experiment import ExperimentResult
 from repro.core.report import (
     format_bar_chart,
     format_resource_table,
 )
+from repro.core.runner import Job
+from repro.core.sweeps import run_architecture_comparison
 from repro.errors import ReproError
 from repro.sim.stats import SystemStats
 
@@ -90,7 +92,9 @@ def test_resource_table_handles_missing_data():
 
 
 def test_experiment_results_carry_resource_reports():
-    results = run_architecture_comparison(_loop_factory, scale="test")
+    results = run_architecture_comparison(
+        Job("shared-mem", _loop_factory, scale="test")
+    )
     for arch, result in results.items():
         report = result.extras["resources"]
         assert isinstance(report, dict)

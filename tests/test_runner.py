@@ -8,11 +8,7 @@ import json
 
 import pytest
 
-from repro.core.experiment import (
-    ExperimentResult,
-    run_architecture_comparison,
-    run_one,
-)
+from repro.core.experiment import ExperimentResult
 from repro.ckpt import CheckpointStore
 from repro.core import runner as runner_module
 from repro.core.configs import CpuParams
@@ -25,7 +21,7 @@ from repro.core.runner import (
     run_jobs,
 )
 from repro.core.store import address
-from repro.core.sweeps import sweep_mem_field
+from repro.core.sweeps import run_architecture_comparison, sweep_mem_field
 from repro.errors import ConfigError
 from repro.mem import topology as topology_module
 from repro.mem.hierarchy import BusTiming, MemConfig
@@ -67,15 +63,15 @@ def test_parallel_matches_serial_exactly():
     assert _payloads(serial) == _payloads(parallel)
 
 
-def test_serial_runner_matches_run_one():
+def test_serial_runner_matches_job_build_run():
     report = Runner(jobs=1).run(_batch())
     for outcome in report.outcomes:
-        direct = run_one(
+        direct = Job(
             outcome.job.arch,
             WORKLOADS["eqntott"],
             scale="test",
             max_cycles=CAP,
-        )
+        ).build().run()
         assert outcome.result.cycles == direct.cycles
         assert outcome.result.instructions == direct.instructions
 
@@ -340,8 +336,8 @@ def test_reregistering_a_preset_name_is_a_new_identity(memo, monkeypatch):
                 levels=(l1, dataclasses.replace(l2, assoc=l2_assoc)),
             )
 
-    job = Job(arch="memo-test", workload="fft")
     register(1)
+    job = Job(arch="memo-test", workload="fft")
     first = job.key()
     assert first == job.key() == address(job.spec())
     register(2)
@@ -421,8 +417,8 @@ def test_runner_rejects_zero_workers():
 
 
 def test_experiment_result_round_trips_through_dict():
-    result = run_one("shared-l2", WORKLOADS["ear"], scale="test",
-                     max_cycles=CAP)
+    result = Job("shared-l2", WORKLOADS["ear"], scale="test",
+                 max_cycles=CAP).run()
     clone = ExperimentResult.from_dict(result.to_dict())
     assert clone.to_dict() == result.to_dict()
     assert clone.stats.aggregate_breakdown().as_dict() == \
@@ -430,8 +426,8 @@ def test_experiment_result_round_trips_through_dict():
 
 
 def test_experiment_result_round_trips_through_json():
-    result = run_one("shared-l1", WORKLOADS["ear"], cpu_model="mxs",
-                     scale="test", max_cycles=CAP)
+    result = Job("shared-l1", WORKLOADS["ear"], cpu_model="mxs",
+                 scale="test", max_cycles=CAP).run()
     clone = ExperimentResult.from_dict(json.loads(result.to_json()))
     assert clone.cycles == result.cycles
     assert clone.per_cpu_ipc == result.per_cpu_ipc
@@ -440,8 +436,8 @@ def test_experiment_result_round_trips_through_json():
 
 
 def test_system_stats_round_trip_preserves_caches():
-    result = run_one("shared-mem", WORKLOADS["ear"], scale="test",
-                     max_cycles=CAP)
+    result = Job("shared-mem", WORKLOADS["ear"], scale="test",
+                 max_cycles=CAP).run()
     stats = SystemStats.from_dict(result.stats.to_dict())
     assert set(stats.caches) == set(result.stats.caches)
     l1 = stats.aggregate_caches(".l1d")
@@ -474,12 +470,9 @@ def test_with_overrides_leaves_original_untouched():
 
 
 def test_comparison_parallel_matches_serial():
-    serial = run_architecture_comparison(
-        "ear", scale="test", max_cycles=CAP, jobs=1,
-    )
-    parallel = run_architecture_comparison(
-        "ear", scale="test", max_cycles=CAP, jobs=4,
-    )
+    ear = Job("shared-l1", "ear", scale="test", max_cycles=CAP)
+    serial = run_architecture_comparison(ear, runner=Runner(jobs=1))
+    parallel = run_architecture_comparison(ear, runner=Runner(jobs=4))
     for arch in MATRIX:
         a, b = serial[arch].to_dict(), parallel[arch].to_dict()
         a.pop("wall_seconds")
@@ -489,22 +482,18 @@ def test_comparison_parallel_matches_serial():
 
 def test_comparison_shares_runner_cache(tmp_path):
     runner = Runner(jobs=1, cache=ResultCache(tmp_path))
-    run_architecture_comparison(
-        "ear", scale="test", max_cycles=CAP, runner=runner,
-    )
-    run_architecture_comparison(
-        "ear", scale="test", max_cycles=CAP, runner=runner,
-    )
+    ear = Job("shared-l1", "ear", scale="test", max_cycles=CAP)
+    run_architecture_comparison(ear, runner=runner)
+    run_architecture_comparison(ear, runner=runner)
     assert runner.last_report is not None
     assert runner.last_report.cache_hits == len(MATRIX)
 
 
 def test_sweep_by_name_parallel_matches_serial():
-    serial = sweep_mem_field(
-        "ear", "l2_assoc", (1, 4), scale="test", max_cycles=CAP, jobs=1,
-    )
+    ear = Job("shared-l1", "ear", scale="test", max_cycles=CAP)
+    serial = sweep_mem_field(ear, "l2_assoc", (1, 4), runner=Runner(jobs=1))
     parallel = sweep_mem_field(
-        "ear", "l2_assoc", (1, 4), scale="test", max_cycles=CAP, jobs=4,
+        ear, "l2_assoc", (1, 4), runner=Runner(jobs=4)
     )
     for value in (1, 4):
         for arch in MATRIX:

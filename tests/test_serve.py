@@ -57,7 +57,11 @@ SLOW = {"workload": "ocean", "arch": "shared-l2", "scale": "bench",
 # wire format
 
 
-def test_wire_round_trip_preserves_identity():
+@pytest.mark.parametrize(
+    "cap", ({}, {"max_cycles": None}, {"max_cycles": 123}),
+    ids=("default-cap", "uncapped", "own-cap"),
+)
+def test_wire_round_trip_preserves_identity(cap):
     job = Job(
         arch="cluster-l1",
         workload="ear",
@@ -65,8 +69,10 @@ def test_wire_round_trip_preserves_identity():
         n_cpus=8,
         overrides={"l2_assoc": 4},
         timeout_s=30.0,
+        **cap,
     )
     restored = job_from_payload(job_to_payload(job, priority=2))
+    assert restored.max_cycles == job.max_cycles
     assert restored.key() == job.key()
     assert restored.overrides == {"l2_assoc": 4}
     assert restored.timeout_s == 30.0
@@ -76,6 +82,7 @@ def test_wire_payload_omits_defaults():
     payload = job_to_payload(Job(arch="shared-l2", workload="fft"))
     assert payload["workload"] == "fft"
     assert "overrides" not in payload
+    assert "max_cycles" not in payload
     assert "replay" not in payload
     assert "priority" not in payload
 

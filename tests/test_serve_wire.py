@@ -782,6 +782,23 @@ def test_wait_value_that_is_not_a_number_is_a_400(tmp_path):
         client.wait(job_id, timeout=60)
 
 
+@pytest.mark.parametrize("fields", ({}, {"n_cpus": 4}), ids=("natural", "4"))
+def test_an_unknown_arch_is_a_400_that_names_it(tmp_path, fields):
+    # Without a CPU count the preset is looked up as the Job is built
+    # (its natural count), with one as the Job is keyed: the
+    # submitter's mistake either way, answered by name.
+    payload = {"workload": "fft", "arch": "no-such-preset", **fields}
+    with running_daemon(tmp_path) as (daemon, _):
+        connection = raw_connection(daemon)
+        status, document, _ = exchange(
+            connection, "POST", "/v1/jobs", body=json.dumps(payload)
+        )
+        assert status == 400
+        assert "unknown topology 'no-such-preset'" in document["error"]
+        assert_health_follows(connection)
+        connection.close()
+
+
 def test_wait_timeout_is_honoured_mid_hold(tmp_path):
     with running_daemon(tmp_path, jobs=1) as (daemon, client):
         job_id = client.submit(SLOW)["id"]

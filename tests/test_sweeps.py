@@ -4,23 +4,26 @@ import pytest
 
 from conftest import LoopWorkload
 
+from repro.core.runner import Job, Runner
 from repro.core.sweeps import (
     SweepResult,
+    run_architecture_comparison,
     speedup_table,
     sweep_cpu_count,
     sweep_mem_field,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 
 
 def _loop_factory(n_cpus, functional, scale):
     return LoopWorkload(n_cpus, functional, iterations=4, array_words=64)
 
 
+LOOP = Job("shared-l1", _loop_factory, scale="test")
+
+
 def test_sweep_mem_field_covers_values_and_archs():
-    sweep = sweep_mem_field(
-        _loop_factory, "l2_assoc", (1, 4), scale="test",
-    )
+    sweep = sweep_mem_field(LOOP, "l2_assoc", (1, 4))
     assert sweep.values == [1, 4]
     for value in (1, 4):
         assert set(sweep.runs[value]) == {
@@ -31,8 +34,7 @@ def test_sweep_mem_field_covers_values_and_archs():
 
 def test_sweep_l1_size_reduces_misses():
     sweep = sweep_mem_field(
-        _loop_factory, "l1d_size", (128, 4096), scale="test",
-        archs=("shared-mem",),
+        LOOP, "l1d_size", (128, 4096), archs=("shared-mem",),
     )
     small = sweep.runs[128]["shared-mem"].stats.aggregate_caches(".l1d")
     large = sweep.runs[4096]["shared-mem"].stats.aggregate_caches(".l1d")
@@ -40,14 +42,14 @@ def test_sweep_l1_size_reduces_misses():
 
 
 def test_sweep_table_renders():
-    sweep = sweep_mem_field(_loop_factory, "l2_assoc", (1, 2), scale="test")
+    sweep = sweep_mem_field(LOOP, "l2_assoc", (1, 2))
     table = sweep.table()
     assert "l2_assoc" in table
     assert "shared-l1" in table
 
 
 def test_sweep_series_and_normalized():
-    sweep = sweep_mem_field(_loop_factory, "l2_assoc", (1, 2), scale="test")
+    sweep = sweep_mem_field(LOOP, "l2_assoc", (1, 2))
     series = sweep.series("shared-l2")
     assert len(series) == 2
     times = sweep.normalized(1)
@@ -55,10 +57,7 @@ def test_sweep_series_and_normalized():
 
 
 def test_sweep_to_dict():
-    sweep = sweep_mem_field(
-        _loop_factory, "l2_assoc", (1,), scale="test",
-        archs=("shared-l1",),
-    )
+    sweep = sweep_mem_field(LOOP, "l2_assoc", (1,), archs=("shared-l1",))
     data = sweep.to_dict()
     assert data["field"] == "l2_assoc"
     assert "shared-l1" in data["cycles"]["1"]
@@ -66,25 +65,21 @@ def test_sweep_to_dict():
 
 def test_sweep_base_overrides_compose():
     sweep = sweep_mem_field(
-        _loop_factory, "l2_assoc", (1,), scale="test",
-        archs=("shared-l1",),
-        base_overrides={"l1d_size": 256},
+        Job("shared-l1", _loop_factory, overrides={"l1d_size": 256}),
+        "l2_assoc", (1,), archs=("shared-l1",),
     )
     assert sweep.cycles(1, "shared-l1") > 0
 
 
 def test_sweep_rejects_empty_values():
     with pytest.raises(ConfigError):
-        sweep_mem_field(_loop_factory, "l2_assoc", (), scale="test")
+        sweep_mem_field(LOOP, "l2_assoc", ())
     with pytest.raises(ConfigError):
-        sweep_cpu_count(_loop_factory, counts=())
+        sweep_cpu_count(LOOP, counts=())
 
 
 def test_cpu_count_sweep_and_speedups():
-    results = sweep_cpu_count(
-        _loop_factory, counts=(1, 2), scale="test",
-        archs=("shared-l2",),
-    )
+    results = sweep_cpu_count(LOOP, counts=(1, 2), archs=("shared-l2",))
     speedups = speedup_table(results)
     assert speedups["shared-l2"][1] == 1.0
     # Independent per-CPU loops: two CPUs are no slower than one.
@@ -93,7 +88,7 @@ def test_cpu_count_sweep_and_speedups():
 
 def test_unknown_field_raises():
     with pytest.raises(ConfigError):
-        sweep_mem_field(_loop_factory, "warp_drive", (1,), scale="test")
+        sweep_mem_field(LOOP, "warp_drive", (1,))
 
 
 class _SweepResultUnit:
@@ -165,22 +160,18 @@ def test_job_grid_is_row_major_and_resolves_preset_core_counts():
 def test_library_comparison_submits_the_cli_compare_jobs(monkeypatch):
     # The library used to hard-code four cores for every preset: a
     # 4-core cluster-l1 where ``repro compare`` simulates 16.
-    from repro.core.experiment import run_architecture_comparison
-
     archs = ("cluster-l1", "shared-l1")
     cli = _cli_jobs(
         monkeypatch,
         ["compare", "-w", "fft", "-s", "test", "--archs", *archs],
     )
-    library = _library_jobs(
-        run_architecture_comparison, "fft", scale="test", archs=archs,
-        max_cycles=cli[0].max_cycles,
-    )
+    fft = Job(archs[0], "fft", scale="test")
+    library = _library_jobs(run_architecture_comparison, fft, archs)
     assert [job.n_cpus for job in library] == [16, 4]
     assert [job.key() for job in library] == [job.key() for job in cli]
     # An explicit count still means that count on every preset.
     pinned = _library_jobs(
-        run_architecture_comparison, "fft", archs=archs, n_cpus=8
+        run_architecture_comparison, Job(archs[0], "fft"), archs, n_cpus=8
     )
     assert [job.n_cpus for job in pinned] == [8, 8]
 
@@ -190,10 +181,8 @@ def test_library_sweeps_submit_the_cli_sweep_and_scaling_jobs(monkeypatch):
         monkeypatch,
         ["sweep", "-w", "fft", "-s", "test", "--field", "l2_assoc", "1", "2"],
     )
-    library = _library_jobs(
-        sweep_mem_field, "fft", "l2_assoc", (1, 2), scale="test",
-        max_cycles=cli[0].max_cycles,
-    )
+    fft = Job("shared-l1", "fft", scale="test")
+    library = _library_jobs(sweep_mem_field, fft, "l2_assoc", (1, 2))
     assert len(cli) == 6
     assert [job.key() for job in library] == [job.key() for job in cli]
 
@@ -203,7 +192,35 @@ def test_library_sweeps_submit_the_cli_sweep_and_scaling_jobs(monkeypatch):
          "--archs", "shared-l2", "cluster-l1"],
     )
     library = _library_jobs(
-        sweep_cpu_count, "fft", counts=(2, 4), scale="test",
-        archs=("shared-l2", "cluster-l1"), max_cycles=cli[0].max_cycles,
+        sweep_cpu_count, fft, counts=(2, 4),
+        archs=("shared-l2", "cluster-l1"),
     )
     assert [job.key() for job in library] == [job.key() for job in cli]
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_a_failed_grid_point_is_an_error_at_every_worker_count(jobs):
+    # A 3-way L2 is refused by MemConfig. Under a pool the helpers used
+    # to hand back None for such a point (and a table that could not
+    # render); serially they raised. Now every helper raises at every
+    # worker count, naming each failed job and only those.
+    fft = Job("shared-l1", "fft")
+    three_way = Job("shared-l1", "fft", overrides={"l2_assoc": 3})
+    calls = {
+        "compare": lambda runner: run_architecture_comparison(
+            three_way, runner=runner
+        ),
+        "sweep": lambda runner: sweep_mem_field(
+            fft, "l2_assoc", (1, 3), runner=runner
+        ),
+        "scaling": lambda runner: sweep_cpu_count(
+            three_way, (2, 4), runner=runner
+        ),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ReproError) as caught:
+            call(Runner(jobs=jobs))
+        if jobs > 1:  # serially the worker's own error propagates
+            text = str(caught.value)
+            assert "fft/shared-l2/mipsy l2_assoc=3: ConfigError" in text
+            assert "l2_assoc=1" not in text, name

@@ -13,7 +13,8 @@ from repro.core.configs import (
     paper_config,
 )
 from repro.core.configs import test_config as make_test_config
-from repro.core.experiment import run_architecture_comparison, run_one
+from repro.core.runner import Job
+from repro.core.sweeps import run_architecture_comparison
 from repro.core.report import (
     format_breakdown_table,
     format_ipc_table,
@@ -231,32 +232,35 @@ def _loop_factory(n_cpus, functional, scale):
     return LoopWorkload(n_cpus, functional, iterations=4)
 
 
-def test_run_one_returns_result():
-    result = run_one("shared-l2", _loop_factory, scale="test")
+LOOP = Job("shared-mem", _loop_factory, scale="test")
+
+
+def test_job_run_returns_result():
+    result = Job("shared-l2", _loop_factory, scale="test").run()
     assert result.arch == "shared-l2"
     assert result.cycles > 0
     assert result.wall_seconds >= 0
 
 
 def test_comparison_covers_all_architectures():
-    results = run_architecture_comparison(_loop_factory, scale="test")
+    results = run_architecture_comparison(LOOP)
     assert set(results) == set(ARCHITECTURES)
 
 
 def test_comparison_applies_overrides():
     results = run_architecture_comparison(
-        _loop_factory, scale="test", mem_config_overrides={"l2_assoc": 4}
+        Job("shared-mem", _loop_factory, overrides={"l2_assoc": 4})
     )
     for result in results.values():
         assert result.cycles > 0
     with pytest.raises(ConfigError):
         run_architecture_comparison(
-            _loop_factory, scale="test", mem_config_overrides={"zzz": 1}
+            Job("shared-mem", _loop_factory, overrides={"zzz": 1})
         )
 
 
 def test_normalized_times_and_speedups():
-    results = run_architecture_comparison(_loop_factory, scale="test")
+    results = run_architecture_comparison(LOOP)
     times = normalized_times(results)
     assert times["shared-mem"] == 1.0
     ratios = speedups(results)
@@ -265,15 +269,13 @@ def test_normalized_times_and_speedups():
 
 
 def test_normalized_times_requires_baseline():
-    results = run_architecture_comparison(
-        _loop_factory, scale="test", archs=("shared-l1",)
-    )
+    results = run_architecture_comparison(LOOP, archs=("shared-l1",))
     with pytest.raises(ReproError):
         normalized_times(results)
 
 
 def test_report_tables_render():
-    results = run_architecture_comparison(_loop_factory, scale="test")
+    results = run_architecture_comparison(LOOP)
     breakdown = format_breakdown_table(results, title="t")
     misses = format_miss_rate_table(results, title="m")
     assert "shared-l1" in breakdown and "total" in breakdown
@@ -284,7 +286,7 @@ def test_report_tables_render():
 
 def test_ipc_table_with_mxs_results():
     results = run_architecture_comparison(
-        _loop_factory, cpu_model="mxs", scale="test"
+        Job("shared-mem", _loop_factory, cpu_model="mxs")
     )
     table = format_ipc_table(results)
     assert "n/a" not in table
@@ -316,7 +318,7 @@ def test_shared_l1_capacity_scales_with_cpus():
 def test_result_to_dict_round_trips_through_json():
     import json
 
-    result = run_one("shared-l2", _loop_factory, scale="test")
+    result = Job("shared-l2", _loop_factory, scale="test").run()
     data = json.loads(result.to_json())
     assert data["arch"] == "shared-l2"
     assert data["cycles"] == result.cycles
@@ -325,8 +327,8 @@ def test_result_to_dict_round_trips_through_json():
 
 
 def test_result_to_dict_includes_mxs_fields():
-    result = run_one("shared-l2", _loop_factory, cpu_model="mxs",
-                     scale="test")
+    result = Job("shared-l2", _loop_factory, cpu_model="mxs",
+                 scale="test").run()
     data = result.to_dict()
     assert "per_cpu_ipc" in data
     assert data["mxs"], "per-CPU MXS summaries expected"

@@ -221,8 +221,11 @@ def test_scaling_figure_through_runner(tmp_path):
     from repro.core.figures import render_scaling_svg
     from repro.core.sweeps import speedup_table, sweep_cpu_count
 
+    from repro.core.runner import Job
+
     table = sweep_cpu_count(
-        "fft", counts=(2, 4), archs=("cluster-l1", "shared-l3")
+        Job("cluster-l1", "fft"), counts=(2, 4),
+        archs=("cluster-l1", "shared-l3"),
     )
     speedups = speedup_table(table)
     assert set(speedups) == {"cluster-l1", "shared-l3"}

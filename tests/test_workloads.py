@@ -208,9 +208,9 @@ def test_ear_rotating_partition():
 def test_revisited_loops_are_mostly_replayed(name):
     """At bench scale the sweeps, passes and blocks these programs
     revisit outnumber their first visits."""
-    from repro.core.experiment import run_one
+    from repro.core.runner import Job
 
-    result = run_one("shared-mem", WORKLOADS[name], scale="bench")
+    result = Job("shared-mem", WORKLOADS[name], scale="bench").run()
     report = result.extras["generation"]
     assert report["replayed"] > report["generated"] > 0
     # Host-side only, like extras["spin"]: not in the payload caches
