@@ -145,14 +145,8 @@ GOLDEN_SPECS = {
 SPEC_WORKLOAD = "storm11"
 
 
-#: Never finishes: four MXS CPUs thrashing a direct-mapped shared L1
-#: keep losing mp3d's cell-lock reservations (the LL/SC livelock the
-#: ROADMAP's oracle item tracks; the same before and after this pin).
-UNFINISHED = {"shared-l1/mp3d/mxs/l1d_assoc1"}
-
-
 def case_keys() -> list[str]:
-    keys = [
+    return [
         f"{arch}/{workload}/{cpu_model}/{variant}"
         for arch in topology_names()
         for workload in GOLDEN_WORKLOADS
@@ -161,13 +155,11 @@ def case_keys() -> list[str]:
         # write-update needs a directory
         if variant != "update"
         or get_preset(arch).kind == "shared-secondary"
-    ]
-    keys += [
+    ] + [
         f"{machine}/{SPEC_WORKLOAD}/{cpu_model}/stock"
         for machine in GOLDEN_SPECS
         for cpu_model in ("mipsy", "mxs")
     ]
-    return [key for key in keys if key not in UNFINISHED]
 
 
 def build_case(key: str, fast_lane: bool = True) -> System:

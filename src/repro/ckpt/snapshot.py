@@ -292,6 +292,15 @@ CODECS: dict[type, Codec] = {
             lambda rows: {(cpu, addr): (value, visible_at)
                           for cpu, addr, value, visible_at in rows},
         ),
+        # Words a successful SC holds until its write lands; the
+        # snapshot drops the landed ones first, so it is mostly empty.
+        fill(
+            "held", "_held",
+            lambda held: [[addr, cpu, until]
+                          for addr, (cpu, until) in sorted(held.items())],
+            lambda rows: {addr: (cpu, until) for addr, cpu, until in rows},
+            optional=True,
+        ),
         plain("seq", "_seq"),
     )),
     # CPUs: the shared base, then what each model adds
@@ -384,12 +393,12 @@ def _replay_program(
     """Re-advance a fresh thread program to its checkpointed position;
     returns its last pull (``None`` for a finished program).
 
-    Every pull after an instruction that produced a value
-    (``want_value`` loads, LL, SC — the emitters set ``want_value`` on
-    all of them) is a ``send`` of the next logged value; every other
-    pull is a plain ``next``. For a finished program one extra terminal
-    pull runs the generator's trailing code (result computation that
-    ``Workload.validate`` checks) to ``StopIteration``.
+    Every pull after a ``want_value`` instruction (a value-returning
+    load, every LL and SC — replayed trace SCs included) is a ``send``
+    of the next logged value; every other pull is a plain ``next``. For
+    a finished program one extra terminal pull runs the generator's
+    trailing code (result computation that ``Workload.validate``
+    checks) to ``StopIteration``.
     """
     program = cpu.program
     cursor = 0
@@ -524,6 +533,8 @@ def snapshot_system(system, extra_meta: dict | None = None) -> dict:
     if extra_meta:
         meta.update(extra_meta)
     state = {"meta": meta, "engine": dict(_ENGINE)}
+    # Every SC from here on completes at or after this cycle.
+    system.functional.drop_landed(system._cycle)
     for name, part in _sections(system).items():
         state[name] = _FORMAT.encode(part)
     return state

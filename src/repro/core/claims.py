@@ -3,11 +3,11 @@
 A claim (:data:`Check`) is a labelled question put to measurements —
 one row of results (what ran -> its result) or a whole study's (row
 label -> row) — answered with whether it holds and the numbers that
-say so. The figure claims of :mod:`repro.core.paper` are built from
-the named builders below (:func:`faster_than`,
-:func:`normalized_within`, ...); the studies' further claims relate
-named :class:`Quantity` values (:func:`holds`, :func:`within`), which
-also fill the columns of their tables.
+say so. Every claim — the paper's figure claims of
+:mod:`repro.core.paper` and the studies' further ones alike — relates
+named :class:`Quantity` values (:func:`holds`, :func:`within`): a
+relative time, a miss counter, a share of time. The same quantities
+fill the columns of the studies' tables.
 """
 
 from __future__ import annotations
@@ -23,13 +23,9 @@ from repro.core.report import normalized_times
 Row = Mapping[Hashable, object]
 #: A study's measurements: row label -> row.
 Results = Mapping[Hashable, Row]
-#: A claim: evaluated over a row (the figure claims below) or over a
+#: A claim: evaluated over a row (a figure's claims) or over a
 #: study's results, it answers whether it holds and with what numbers.
 Check = Callable[[Mapping], tuple[bool, str]]
-
-
-def _times(results):
-    return normalized_times(results)
 
 
 def tagged(check: Check, label: str, quantitative: bool) -> Check:
@@ -39,161 +35,6 @@ def tagged(check: Check, label: str, quantitative: bool) -> Check:
     #: operating point); structural claims hold at any scale.
     check.quantitative = quantitative
     return check
-
-
-def faster_than(arch: str, other: str) -> Check:
-    """Claim: ``arch`` finishes in less time than ``other``."""
-
-    def check(results):
-        times = _times(results)
-        ok = times[arch] < times[other]
-        return ok, f"{arch}={times[arch]:.3f} vs {other}={times[other]:.3f}"
-
-    return tagged(check, f"{arch} faster than {other}", quantitative=False)
-
-
-def normalized_within(arch: str, low: float, high: float) -> Check:
-    """Claim: ``arch``'s normalized time falls inside ``[low, high]``."""
-
-    def check(results):
-        value = _times(results)[arch]
-        return low <= value <= high, f"{arch}={value:.3f} in [{low},{high}]"
-
-    return tagged(
-        check,
-        f"{arch} normalized time within [{low}, {high}]",
-        quantitative=True,
-    )
-
-
-def no_invalidation_misses(arch: str) -> Check:
-    """Claim: ``arch`` takes no invalidation misses at all."""
-
-    def check(results):
-        l1 = results[arch].stats.aggregate_caches(".l1d")
-        l2 = results[arch].stats.aggregate_caches(".l2")
-        total = l1.misses_inval + l2.misses_inval
-        return total == 0, f"{arch} invalidation misses = {total}"
-
-    return tagged(
-        check, f"{arch} has no invalidation misses", quantitative=False
-    )
-
-
-def l2_invalidation_dominated(arch: str) -> Check:
-    """Claim: invalidations outnumber replacements in ``arch``'s L2."""
-
-    def check(results):
-        l2 = results[arch].stats.aggregate_caches(".l2")
-        ok = l2.misses_inval > l2.misses_repl
-        return ok, (
-            f"{arch} L2I={l2.misses_inval} vs L2R={l2.misses_repl}"
-        )
-
-    return tagged(
-        check,
-        f"{arch} L2 misses dominated by invalidations",
-        quantitative=True,
-    )
-
-
-def l2_invalidation_share_at_least(arch: str, floor: float) -> Check:
-    """Claim: at least ``floor`` of ``arch``'s L2 misses are invalidations."""
-
-    def check(results):
-        l2 = results[arch].stats.aggregate_caches(".l2")
-        misses = max(l2.misses, 1)
-        share = l2.misses_inval / misses
-        return share >= floor, (
-            f"{arch} L2I share {share:.2f} >= {floor}"
-        )
-
-    return tagged(
-        check,
-        f"{arch} L2 invalidation share at least {100 * floor:.0f}%",
-        quantitative=True,
-    )
-
-
-def l1_replacement_dominated(arch: str) -> Check:
-    """Claim: replacements outnumber invalidations in ``arch``'s L1."""
-
-    def check(results):
-        l1 = results[arch].stats.aggregate_caches(".l1d")
-        ok = l1.misses_repl > l1.misses_inval
-        return ok, f"{arch} L1R={l1.misses_repl} vs L1I={l1.misses_inval}"
-
-    return tagged(
-        check,
-        f"{arch} L1 misses dominated by replacements",
-        quantitative=False,
-    )
-
-
-def l1_replacement_rate_at_most(arch: str, limit: float) -> Check:
-    """Claim: ``arch``'s L1 replacement miss rate is at most ``limit``."""
-
-    def check(results):
-        rate = results[arch].stats.aggregate_caches(".l1d").miss_rate_repl
-        return rate <= limit, f"{arch} L1R={100 * rate:.2f}% <= {100 * limit}%"
-
-    return tagged(
-        check, f"{arch} L1R at most {100 * limit:.0f}%", quantitative=True
-    )
-
-
-def l1_replacement_rate_at_least(arch: str, floor: float) -> Check:
-    """Claim: ``arch``'s L1 replacement miss rate is at least ``floor``."""
-
-    def check(results):
-        rate = results[arch].stats.aggregate_caches(".l1d").miss_rate_repl
-        return rate >= floor, f"{arch} L1R={100 * rate:.2f}% >= {100 * floor}%"
-
-    return tagged(
-        check, f"{arch} L1R at least {100 * floor:.0f}%", quantitative=True
-    )
-
-
-def memory_stall_share_below(arch: str, limit: float) -> Check:
-    """Claim: ``arch`` spends under ``limit`` of its time in memory stalls."""
-
-    def check(results):
-        breakdown = results[arch].stats.aggregate_breakdown()
-        share = breakdown.memory_stall / max(breakdown.total, 1)
-        return share <= limit, f"{arch} stall share {share:.2f} <= {limit}"
-
-    return tagged(
-        check,
-        f"{arch} memory stalls below {100 * limit:.0f}% of time",
-        quantitative=True,
-    )
-
-
-def uses_cache_to_cache(arch: str) -> Check:
-    """Claim: ``arch`` performed cache-to-cache transfers (bus sharing)."""
-
-    def check(results):
-        transfers = results[arch].stats.c2c_transfers
-        return transfers > 0, f"{arch} c2c transfers = {transfers}"
-
-    return tagged(
-        check, f"{arch} communicates cache-to-cache", quantitative=False
-    )
-
-
-def istall_share_at_least(arch: str, floor: float) -> Check:
-    """Claim: instruction stalls take at least ``floor`` of ``arch``'s time."""
-
-    def check(results):
-        breakdown = results[arch].stats.aggregate_breakdown()
-        share = breakdown.istall / max(breakdown.total, 1)
-        return share >= floor, f"{arch} istall share {share:.2f} >= {floor}"
-
-    return tagged(
-        check,
-        f"{arch} instruction stalls at least {100 * floor:.0f}%",
-        quantitative=True,
-    )
 
 
 def evaluate(
@@ -248,6 +89,9 @@ class Quantity:
             lambda results: combine(self(results), other(results)),
         )
 
+    def __add__(self, other) -> "Quantity":
+        return self._with("+", operator.add, other)
+
     def __sub__(self, other) -> "Quantity":
         return self._with("-", operator.sub, other)
 
@@ -283,7 +127,7 @@ def cycles(point: Hashable) -> Quantity:
 
 def rel_time(arch: str) -> Quantity:
     """``arch``'s time relative to the row's shared-memory machine."""
-    return Quantity(f"{arch} time", cycles(arch) / cycles("shared-mem"))
+    return Quantity(f"{arch} time", lambda row: normalized_times(row)[arch])
 
 
 def ipc(arch: str) -> Quantity:
@@ -292,29 +136,36 @@ def ipc(arch: str) -> Quantity:
 
 
 #: What :func:`cache` reads, in the paper's notation (L1R/L1I/L2R/L2I:
-#: replacement and invalidation misses): name -> (caches, counter).
+#: replacement and invalidation misses): name -> (caches, reader).
 _CACHE_COUNTERS = {
-    "L1R rate": ("l1d", "miss_rate_repl"),
-    "L1I rate": ("l1d", "miss_rate_inval"),
-    "L1R misses": ("l1d", "misses_repl"),
-    "L1I misses": ("l1d", "misses_inval"),
-    "L1 updates": ("l1d", "updates_received"),
-    "L2R rate": ("l2", "miss_rate_repl"),
-    "L2I rate": ("l2", "miss_rate_inval"),
-    "L2I misses": ("l2", "misses_inval"),
-    "L2 miss rate": ("l2", "miss_rate"),
+    "L1R rate": ("l1d", operator.attrgetter("miss_rate_repl")),
+    "L1I rate": ("l1d", operator.attrgetter("miss_rate_inval")),
+    "L1R misses": ("l1d", operator.attrgetter("misses_repl")),
+    "L1I misses": ("l1d", operator.attrgetter("misses_inval")),
+    "L1 updates": ("l1d", operator.attrgetter("updates_received")),
+    "L2R rate": ("l2", operator.attrgetter("miss_rate_repl")),
+    "L2I rate": ("l2", operator.attrgetter("miss_rate_inval")),
+    "L2R misses": ("l2", operator.attrgetter("misses_repl")),
+    "L2I misses": ("l2", operator.attrgetter("misses_inval")),
+    "L2I share": ("l2", lambda l2: l2.misses_inval / max(l2.misses, 1)),
+    "L2 miss rate": ("l2", operator.attrgetter("miss_rate")),
 }
 
 
 def cache(point: Hashable, what: str) -> Quantity:
     """A miss counter or rate of the run at ``point``, pooled over its
     data L1s or its L2s (``what`` is a :data:`_CACHE_COUNTERS` name)."""
-    level, counter = _CACHE_COUNTERS[what]
+    level, read = _CACHE_COUNTERS[what]
     return Quantity(
         f"{point} {what}",
-        lambda row: getattr(
-            row[point].stats.aggregate_caches("." + level), counter
-        ),
+        lambda row: read(row[point].stats.aggregate_caches("." + level)),
+    )
+
+
+def c2c_transfers(arch: str) -> Quantity:
+    """How many cache-to-cache transfers ``arch``'s run made."""
+    return Quantity(
+        f"{arch} c2c transfers", lambda row: row[arch].stats.c2c_transfers
     )
 
 

@@ -3,8 +3,10 @@
 Every figure discussion in Section 4 makes specific claims — who wins,
 which miss component dominates, which architecture pays which cost.
 This module encodes those claims as data
-(:data:`PAPER_EXPECTATIONS`) and provides :func:`check_figure`, which
-evaluates a result set against them and reports which claims hold.
+(:data:`PAPER_EXPECTATIONS`), each a relation between named quantities
+of :mod:`repro.core.claims` (``shared-l1 time < shared-l2 time``), and
+provides :func:`check_figure`, which evaluates a result set against
+them and reports which claims hold.
 Beside them sits the catalog of *studies* (:data:`STUDIES`): Tables 1
 and 2, Figures 4-11 and the eight ablation and crossover studies, each
 declaring by value the jobs it needs (:func:`repro.core.runner.job_grid`
@@ -22,6 +24,11 @@ Users running their own configurations can evaluate the figure claims:
     report = check_figure(results, "fig4")
     for claim, ok, detail in report:
         print("OK " if ok else "DEV", claim, "-", detail)
+
+which prints, at bench scale, lines such as
+
+    OK  shared-l1 time < shared-l2 time - 0.2682 < 0.504
+    OK  shared-mem L2I misses > shared-mem L2R misses - 2060 > 253
 
 (`DEV` marks a deviation, not an error: EXPERIMENTS.md documents the
 known ones and why they appear at reduced scale.)
@@ -43,27 +50,17 @@ from repro.core.claims import (
     Results,
     Row,
     at,
+    c2c_transfers,
     cache,
     cell,
     cycles,
     evaluate,
-    faster_than,
     format_check_report,
     holds,
     ipc,
-    istall_share_at_least,
-    l1_replacement_dominated,
-    l1_replacement_rate_at_least,
-    l1_replacement_rate_at_most,
-    l2_invalidation_dominated,
-    l2_invalidation_share_at_least,
-    memory_stall_share_below,
-    no_invalidation_misses,
-    normalized_within,
     rel_time,
     tagged,
     time_share,
-    uses_cache_to_cache,
     within,
 )
 from repro.core.configs import ARCHITECTURES, config_for_scale
@@ -83,6 +80,9 @@ from repro.errors import ReproError
 from repro.isa.instructions import FU_LATENCY, OpClass
 
 
+_SL1, _SL2, _SM = ARCHITECTURES
+
+
 @dataclass
 class FigureExpectation:
     """One figure's claims from the paper's Section 4 discussion."""
@@ -100,12 +100,15 @@ PAPER_EXPECTATIONS: dict[str, FigureExpectation] = {
         "shared-L1 wins substantially; communication dominates the "
         "shared-memory machine's L2 misses",
         [
-            faster_than("shared-l1", "shared-l2"),
-            faster_than("shared-l2", "shared-mem"),
-            normalized_within("shared-l1", 0.0, 0.9),
-            l2_invalidation_dominated("shared-mem"),
-            no_invalidation_misses("shared-l1"),
-            uses_cache_to_cache("shared-mem"),
+            holds(rel_time(_SL1), "<", rel_time(_SL2), quantitative=False),
+            holds(rel_time(_SL2), "<", rel_time(_SM), quantitative=False),
+            within(rel_time(_SL1), 0.0, 0.9),
+            holds(cache(_SM, "L2I misses"), ">", cache(_SM, "L2R misses")),
+            holds(
+                cache(_SL1, "L1I misses") + cache(_SL1, "L2I misses"),
+                "==", 0, quantitative=False,
+            ),
+            holds(c2c_transfers(_SM), ">", 0, quantitative=False),
         ],
     ),
     "fig5": FigureExpectation(
@@ -114,12 +117,18 @@ PAPER_EXPECTATIONS: dict[str, FigureExpectation] = {
         "the shared-L1 advantage collapses (paper: 16% worse); "
         "L1 misses are replacement-dominated everywhere",
         [
-            normalized_within("shared-l1", 0.85, 1.3),
-            l1_replacement_dominated("shared-l1"),
-            l1_replacement_dominated("shared-mem"),
+            within(rel_time(_SL1), 0.85, 1.3),
+            holds(
+                cache(_SL1, "L1R misses"), ">", cache(_SL1, "L1I misses"),
+                quantitative=False,
+            ),
+            holds(
+                cache(_SM, "L1R misses"), ">", cache(_SM, "L1I misses"),
+                quantitative=False,
+            ),
             # "heavy communication requirements": a large invalidation
             # component in the shared-memory machine's L2.
-            l2_invalidation_share_at_least("shared-mem", 0.25),
+            holds(cache(_SM, "L2I share"), ">=", 0.25),
         ],
     ),
     "fig6": FigureExpectation(
@@ -128,11 +137,11 @@ PAPER_EXPECTATIONS: dict[str, FigureExpectation] = {
         "large L1R everywhere, small communication; shared-L1 slightly "
         "ahead, shared-L2 behind it",
         [
-            l1_replacement_rate_at_least("shared-l1", 0.03),
-            l1_replacement_rate_at_least("shared-mem", 0.03),
-            faster_than("shared-l1", "shared-l2"),
-            normalized_within("shared-l1", 0.7, 1.05),
-            normalized_within("shared-l2", 0.85, 1.15),
+            holds(cache(_SL1, "L1R rate"), ">=", 0.03),
+            holds(cache(_SM, "L1R rate"), ">=", 0.03),
+            holds(rel_time(_SL1), "<", rel_time(_SL2), quantitative=False),
+            within(rel_time(_SL1), 0.7, 1.05),
+            within(rel_time(_SL2), 0.85, 1.15),
         ],
     ),
     "fig7": FigureExpectation(
@@ -141,9 +150,9 @@ PAPER_EXPECTATIONS: dict[str, FigureExpectation] = {
         "small working set; the two shared caches close together, "
         "both ahead of shared memory",
         [
-            l1_replacement_rate_at_most("shared-l1", 0.04),
-            normalized_within("shared-l1", 0.0, 1.0),
-            normalized_within("shared-l2", 0.0, 1.0),
+            holds(cache(_SL1, "L1R rate"), "<=", 0.04),
+            within(rel_time(_SL1), 0.0, 1.0),
+            within(rel_time(_SL2), 0.0, 1.0),
         ],
     ),
     "fig8": FigureExpectation(
@@ -152,10 +161,13 @@ PAPER_EXPECTATIONS: dict[str, FigureExpectation] = {
         "shared-L1 has almost no memory stalls; private caches pay the "
         "suite's highest invalidation rate",
         [
-            faster_than("shared-l1", "shared-l2"),
-            faster_than("shared-l2", "shared-mem"),
-            memory_stall_share_below("shared-l1", 0.15),
-            no_invalidation_misses("shared-l1"),
+            holds(rel_time(_SL1), "<", rel_time(_SL2), quantitative=False),
+            holds(rel_time(_SL2), "<", rel_time(_SM), quantitative=False),
+            holds(time_share(_SL1, "memory_stall"), "<=", 0.15),
+            holds(
+                cache(_SL1, "L1I misses") + cache(_SL1, "L2I misses"),
+                "==", 0, quantitative=False,
+            ),
         ],
     ),
     "fig9": FigureExpectation(
@@ -163,8 +175,8 @@ PAPER_EXPECTATIONS: dict[str, FigureExpectation] = {
         "fft",
         "all three fairly similar; shared caches slightly ahead",
         [
-            normalized_within("shared-l1", 0.6, 1.1),
-            normalized_within("shared-l2", 0.6, 1.15),
+            within(rel_time(_SL1), 0.6, 1.1),
+            within(rel_time(_SL2), 0.6, 1.15),
         ],
     ),
     "fig10": FigureExpectation(
@@ -173,19 +185,13 @@ PAPER_EXPECTATIONS: dict[str, FigureExpectation] = {
         "shared-L1 close to shared memory, shared-L2 behind both; "
         "instruction stalls visible; the pooled L1 pays no extra L1R",
         [
-            normalized_within("shared-l1", 0.7, 1.1),
+            within(rel_time(_SL1), 0.7, 1.1),
             # The paper's "pooled L1 holds the working sets" only holds
             # when the shared cache is big enough for the process count
             # — a capacity claim, hence quantitative.
-            tagged(
-                lambda results: faster_than("shared-l1", "shared-l2")(
-                    results
-                ),
-                "shared-l1 faster than shared-l2",
-                quantitative=True,
-            ),
-            istall_share_at_least("shared-l1", 0.05),
-            istall_share_at_least("shared-mem", 0.05),
+            holds(rel_time(_SL1), "<", rel_time(_SL2)),
+            holds(time_share(_SL1, "istall"), ">=", 0.05),
+            holds(time_share(_SM, "istall"), ">=", 0.05),
         ],
     ),
 }
@@ -417,7 +423,6 @@ BENCH_OVERRIDES: dict[str, dict] = {
 #: Hard ceiling so a regression can never hang a figure run.
 BENCH_MAX_CYCLES = 30_000_000
 
-_SL1, _SL2, _SM = ARCHITECTURES
 
 
 def _bench(workload: str, cpu_model: str = "mipsy", **fields) -> Job:
@@ -707,8 +712,10 @@ STUDIES: dict[str, Study] = {
         _figure11(
             "eqntott",
             # "the three architectures stay in the same order"
-            at("mxs", faster_than(_SL1, _SL2)),
-            at("mxs", faster_than(_SL2, _SM)),
+            at("mxs", holds(rel_time(_SL1), "<", rel_time(_SL2),
+                            quantitative=False)),
+            at("mxs", holds(rel_time(_SL2), "<", rel_time(_SM),
+                            quantitative=False)),
             at("mxs", holds(rel_time(_SL1), "<", 1.0)),
         ),
         _figure11(

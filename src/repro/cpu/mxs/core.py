@@ -455,11 +455,7 @@ class MxsCpu(BaseCpu):
                         self._fetch_unblock = _INF
                         self._fetch_reason = _BLOCK_BRANCH
                         break
-                elif (
-                    inst.want_value
-                    or inst.mcode == _LL
-                    or inst.mcode == _SC
-                ):
+                elif inst.want_value:
                     # The program needs this value to generate what
                     # follows.
                     self._blocked_record = record
@@ -545,7 +541,7 @@ class MxsCpu(BaseCpu):
                 mshrs.allocate(line, pending)  # counts the merge
                 record.done = pending
                 record.dcache_miss = True
-                if inst.want_value or mcode == _LL:
+                if inst.want_value:
                     self._resolve_value(record, pending)
                 return True
             # L1 hit fast lane. Only after the MSHR probe: a line with
@@ -557,7 +553,7 @@ class MxsCpu(BaseCpu):
                 record.done = done
                 if done - cycle > 1:
                     record.extra_hit_latency = True
-                if inst.want_value or mcode == _LL:
+                if inst.want_value:
                     self._resolve_value(record, done)
                 return True
             result = memory.access(
@@ -579,7 +575,7 @@ class MxsCpu(BaseCpu):
             elif result.level == StallLevel.L1:
                 record.extra_hit_latency = True
             record.done = result.done
-            if inst.want_value or mcode == _LL:
+            if inst.want_value:
                 self._resolve_value(record, result.done)
             return True
 

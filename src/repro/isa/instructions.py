@@ -85,6 +85,10 @@ _MEMORY_OPS = frozenset(
     (OpClass.LOAD, OpClass.STORE, OpClass.LL, OpClass.SC)
 )
 
+#: Ops whose every execution returns a value to the thread program
+#: (the loaded word, the SC's success).
+_VALUE_OPS = frozenset((OpClass.LL, OpClass.SC))
+
 #: Functional-unit kinds in pool-index order (the MXS pool's
 #: per-cycle counters are indexed by position here).
 FU_KINDS = ("mem", "ialu", "imul", "idiv", "branch", "fadd", "fmul", "fdiv")
@@ -123,9 +127,10 @@ class Instruction:
         addr: effective byte address for memory operations, else 0.
         taken: for branches, the actual outcome.
         target: for branches, the actual next pc after the branch.
-        want_value: for loads/LL, the thread program needs the loaded
-            value to decide control flow (synchronization spins); the
-            CPU sends the value back into the generator.
+        want_value: this pull returns a value to the thread program:
+            a load whose value decides control flow (synchronization
+            spins), and every LL and SC (set here for them); the CPU
+            sends the value back into the generator.
         value: for stores/SC, the value to publish to the timed
             functional memory when the store completes; ``None`` for
             pure data stores whose values the simulation never reads.
@@ -165,7 +170,7 @@ class Instruction:
         self.addr = addr
         self.taken = taken
         self.target = target
-        self.want_value = want_value
+        self.want_value = want_value or op in _VALUE_OPS
         self.value = value
         self.src1 = src1
         self.src2 = src2

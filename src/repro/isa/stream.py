@@ -360,9 +360,7 @@ class Emitter:
         cache = region._inst_cache
         inst = cache.get(key)
         if inst is None:
-            inst = Instruction(
-                _LL, pc=region.pc_of(index), addr=addr, want_value=True
-            )
+            inst = Instruction(_LL, pc=region.pc_of(index), addr=addr)
             if len(cache) < _MEMO_CAP:
                 cache[key] = inst
         return inst
@@ -438,11 +436,7 @@ class Emitter:
         inst = cache.get(key)
         if inst is None:
             inst = Instruction(
-                _SC,
-                pc=region.pc_of(index),
-                addr=addr,
-                value=value,
-                want_value=True,
+                _SC, pc=region.pc_of(index), addr=addr, value=value
             )
             if len(cache) < _MEMO_CAP:
                 cache[key] = inst

@@ -13,7 +13,10 @@ architecture.
 Load-linked / store-conditional follow the MIPS semantics the paper's
 synchronization primitives rely on: an SC succeeds only if no other
 write to the address completed between the LL and the SC, which
-reproduces genuine lock contention and retry traffic.
+reproduces genuine lock contention and retry traffic. An SC is decided
+when it issues, so a successful SC *holds* its word until its write
+becomes visible: another CPU's SC that would complete inside that
+window fails, as it would have behind the first SC's write.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ class FunctionalMemory:
         # write, forwarded to its own reads while still in flight
         # (read-own-write consistency through the store buffer).
         self._own: dict[tuple[int, int], tuple[int, int]] = {}
+        # addr -> (cpu, visible_at): the last successful SC to the
+        # word; another CPU's SC completing before visible_at fails.
+        self._held: dict[int, tuple[int, int]] = {}
         self._seq = 0
 
     # ------------------------------------------------------------------
@@ -157,13 +163,17 @@ class FunctionalMemory:
         self, cpu: int, addr: int, value: int, at: int
     ) -> bool:
         """SC: write iff no write to ``addr`` that the LL did not
-        observe has become visible by ``at``. Clears the reservation
-        either way."""
+        observe has become visible by ``at``, and no other CPU's
+        successful SC to ``addr`` is still in flight then. Clears the
+        reservation either way."""
         reservation = self._reservations.pop(cpu, None)
         if reservation is None:
             return False
         res_addr, ll_time, observed_seq = reservation
         if res_addr != addr or at < ll_time:
+            return False
+        held = self._held.get(addr)
+        if held is not None and held[0] != cpu and at < held[1]:
             return False
         history = self._history.get(addr)
         if history:
@@ -186,7 +196,15 @@ class FunctionalMemory:
         if own is not None and own[1] > write_at:
             write_at = own[1]
         self.write(addr, value, visible_at=write_at, cpu=cpu)
+        self._held[addr] = (cpu, write_at)
         return True
+
+    def drop_landed(self, at: int) -> None:
+        """Forget every held word whose SC write is visible by ``at``:
+        no SC completing at or after ``at`` can fall inside its window."""
+        for addr in [a for a, (_cpu, until) in self._held.items()
+                     if until <= at]:
+            del self._held[addr]
 
     def has_reservation(self, cpu: int) -> bool:
         """Whether ``cpu`` holds a live LL reservation."""

@@ -11,6 +11,7 @@ one stepping would.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import gzip
 import json
@@ -653,3 +654,43 @@ def test_job_run_resume_from_matches_uninterrupted(tmp_path):
     ).run(resume_from=digest)
     assert resumed.stats.to_dict() == base.stats.to_dict()
     assert resumed.extras["checkpoint"]["resumed_from"] == digest
+
+
+# ----------------------------------------------------------------------
+# Replay jobs: a replayed trace program is resumed like any other
+
+
+def _replay_job(tmp_path, arch, cpu_model, **fields) -> Job:
+    return Job(
+        arch, "eqntott", cpu_model=cpu_model, replay=True,
+        trace_dir=str(tmp_path / "traces"), **fields,
+    )
+
+
+@pytest.mark.parametrize(
+    "arch, cpu_model", (("shared-l2", "mipsy"), ("shared-mem", "mxs"))
+)
+def test_every_checkpoint_of_a_replay_job_resumes_to_the_plain_replay(
+    tmp_path, arch, cpu_model
+):
+    """A replayed SC hands its outcome back to the trace program like
+    every SC does, so the replay log holds a value for it and a
+    restore re-advances the program past it."""
+    plain = _replay_job(tmp_path, arch, cpu_model).run().stats.to_dict()
+    ckpt_dir = tmp_path / "ckpt"
+    job = _replay_job(tmp_path, arch, cpu_model, ckpt_dir=str(ckpt_dir))
+    saved = dataclasses.replace(job, ckpt_every=1000).run()
+    assert saved.stats.to_dict() == plain
+    digests = sorted(
+        path.name.split(".")[0] for path in ckpt_dir.rglob("*.json.gz")
+    )
+    assert len(digests) == saved.extras["checkpoint"]["saved"] > 1
+    for digest in digests:
+        resumed = job.run(resume_from=digest)
+        assert resumed.stats.to_dict() == plain, digest
+
+
+def test_observed_replay_job_is_the_plain_replay(tmp_path):
+    plain = _replay_job(tmp_path, "shared-l2", "mipsy").run()
+    observed = _replay_job(tmp_path, "shared-l2", "mipsy", obs_sample=250)
+    assert observed.run().stats.to_dict() == plain.stats.to_dict()

@@ -161,3 +161,23 @@ def test_lock_handoff_sequence(functional):
     assert functional.load_linked(1, 0x500, 31) == 0
     assert functional.store_conditional(1, 0x500, 1, 33)
     assert functional.read(0x500, 33) == 1
+
+
+def test_sc_fails_while_another_cpus_successful_sc_is_in_flight(functional):
+    """Two SCs to one word cannot both succeed. CPU 0's SC succeeds but
+    its write is visible only when it completes; CPU 1's LL still reads
+    the word free, and its SC completes inside that window."""
+    assert functional.load_linked(0, 0x800, 10) == 0
+    assert functional.store_conditional(0, 0x800, 1, 60)
+    assert functional.load_linked(1, 0x800, 20) == 0
+    assert not functional.store_conditional(1, 0x800, 2, 25)
+    assert functional.read(0x800, 60) == 1
+
+
+def test_held_word_is_released_once_its_write_lands(functional):
+    functional.load_linked(0, 0x900, 10)
+    assert functional.store_conditional(0, 0x900, 1, 60)
+    functional.write(0x900, 0, visible_at=70)
+    # LL after both writes landed: nothing in flight, nothing held.
+    assert functional.load_linked(1, 0x900, 80) == 0
+    assert functional.store_conditional(1, 0x900, 1, 85)

@@ -23,7 +23,7 @@ import re
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles.conservation import check_run
 
@@ -323,13 +323,28 @@ def legal_specs(draw):
     return spec, config
 
 
-#: Far above any drawn run's length (a few thousand cycles). Hypothesis
-#: has found one drawn machine — 16 CPUs thrashing a direct-mapped 2 KB
-#: shared L1 behind a 16-cycle interconnect — whose barrier never
-#: releases under Mipsy, before and after the hierarchy became
-#: spec-built alike (ROADMAP, oracles item); such a run is discarded
-#: here rather than left spinning.
+#: Far above any drawn run's length (a few thousand cycles): a drawn
+#: run that reaches it never finishes, which is a bug.
 CAP = 400_000
+
+
+def _thrashed_cluster():
+    """The drawn machine that once lost a barrier-count update: 16 CPUs
+    on a direct-mapped 2 KB pooled L1 behind an (8, 8) two-stage link,
+    where two CPUs' SCs to the barrier lock both succeeded."""
+    config = config_for_scale("test", 16)
+    spec = resolve_topology("cluster-l1", config)
+    l1, *lower = spec.levels
+    l1 = dataclasses.replace(
+        l1, size=2048, assoc=1, latency=16, banks=1, occupancy=1
+    )
+    link = Interconnect(
+        kind="multistage", stage_latencies=(8, 8), occupancy=1
+    )
+    spec = dataclasses.replace(
+        spec, name="drawn", levels=(l1, *lower), interconnect=link
+    )
+    return spec, config
 
 
 @given(
@@ -337,6 +352,7 @@ CAP = 400_000
     st.sampled_from(("mipsy", "mxs")),
     st.integers(min_value=0, max_value=2**16),
 )
+@example(_thrashed_cluster(), "mipsy", 1)
 @settings(max_examples=25, deadline=None)
 def test_drawn_topologies_keep_the_contracts(drawn, cpu_model, seed):
     spec, config = drawn
@@ -353,7 +369,7 @@ def test_drawn_topologies_keep_the_contracts(drawn, cpu_model, seed):
 
     whole = fresh()
     stats = whole.run()
-    assume(not whole.truncated)
+    assert not whole.truncated
     baseline = stats.to_dict()
     check_run(whole, stats)
 

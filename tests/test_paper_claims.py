@@ -78,3 +78,31 @@ def test_quantitative_flag_present_on_every_check():
         for check in expectation.checks:
             assert hasattr(check, "quantitative")
             assert hasattr(check, "label")
+
+
+#: Each figure claim's (verdict, quantitative) at test scale, in
+#: order: a rewording of a claim must not move any of them. The eight
+#: that do not hold are all quantitative (tuned for bench scale).
+CLAIM_VERDICTS_AT_TEST_SCALE = {
+    "fig4": [(True, False), (True, False), (True, True), (True, True),
+             (True, False), (True, False)],
+    "fig5": [(True, True), (True, False), (True, False), (False, True)],
+    "fig6": [(True, True), (True, True), (True, False), (False, True),
+             (False, True)],
+    "fig7": [(True, True), (True, True), (True, True)],
+    "fig8": [(True, False), (True, False), (False, True), (True, False)],
+    "fig9": [(False, True), (False, True)],
+    "fig10": [(False, True), (False, True), (True, True), (True, True)],
+}
+
+
+@pytest.mark.parametrize("figure", sorted(CLAIM_VERDICTS_AT_TEST_SCALE))
+def test_each_figure_claim_keeps_its_verdict_at_test_scale(
+    figure, results_cache
+):
+    expectation = PAPER_EXPECTATIONS[figure]
+    report = check_figure(results_cache(expectation.workload), figure)
+    assert [
+        (ok, check.quantitative)
+        for (_label, ok, _detail), check in zip(report, expectation.checks)
+    ] == CLAIM_VERDICTS_AT_TEST_SCALE[figure], format_check_report(report)
