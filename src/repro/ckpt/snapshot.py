@@ -72,6 +72,7 @@ from repro.obs.sampler import UtilizationSampler
 from repro.obs.timeline import EventTimeline
 from repro.sim.stats import CacheStats, CycleBreakdown, MxsStats, SystemStats
 from repro.sync import AtomicCounter, Barrier, SpinLock, TaskQueue
+from repro.trace.replay import TraceCpu
 
 #: Snapshot wire-format identifier; bumped on any incompatible change.
 SNAPSHOT_FORMAT = "repro.ckpt/1"
@@ -311,6 +312,14 @@ CODECS: dict[type, Codec] = {
     MxsCpu: Codec((
         *_CPU, plain("program_done", "_program_done"),
         sub("mxs", *_PIPELINE),
+    )),
+    # A trace CPU's program is its columns: the cursor into them,
+    # ``instructions``, is all of its position.
+    TraceCpu: Codec((
+        plain("done"),
+        plain("instructions", also="_flushed_instructions"),
+        plain("resume"),
+        plain("fetch_line", "_fetch_line"),
     )),
     BranchTargetBuffer: Codec((
         hook("entries", _btb_rows, _load_btb), *plains("lookups", "hits"),
@@ -583,6 +592,9 @@ def restore_system(system, state: dict) -> None:
 
     pulled = []
     for cpu, recorded in zip(system.cpus, state["cpus"]):
+        if isinstance(cpu, TraceCpu):
+            pulled.append(None)  # no thread program to re-advance
+            continue
         replay = recorded["replay"]
         pulled.append(_replay_program(
             cpu, replay["advances"], replay["log"], recorded["program_done"]

@@ -10,14 +10,13 @@ from repro.core.paper import PAPER_EXPECTATIONS, STUDIES
 from repro.mem.topology import get_builder, get_preset, topology_names
 from repro.workloads import WORKLOADS
 
-#: ``Job.spec()["backend"]`` values and the engine behind each
-#: (:mod:`repro.trace.backend` picks the replay engine per job).
+#: ``Job.spec()["backend"]`` values and what each runs.
 _BACKENDS = (
     ("interpreter", "the workload's program executed on the target "
                     "machine (default; every CPU model)"),
-    ("replay", "--replay: its recorded reference stream re-simulated — "
-               "by the batch kernel for plain mipsy jobs, by the trace "
-               "interpreter for mxs and observed or checkpointed runs"),
+    ("replay", "--replay: its recorded reference stream re-simulated on "
+               "the target machine (every CPU model; plain, observed or "
+               "checkpointed)"),
 )
 
 

@@ -9,8 +9,9 @@ divides the wall clock by roughly the core count — and comes back as
 the paper — nothing else, so the committed ``benchmarks/results/`` is
 the golden output. Every study's claims are evaluated on its results
 and printed; the exit status is non-zero when a simulation failed or a
-claim reads ``DEV``. Serial and uncached that is ~27 s in full, ~20 s
-with ``--quick``.
+claim reads ``DEV``. Under ``--replay`` the studies that measure what a
+trace freezes run generated, and are named. Serial and uncached that
+is ~27 s in full, ~20 s with ``--quick``.
 
 Re-running is resuming: finished jobs are published to the result
 cache as they land, so the same command after a kill — or after an
@@ -87,11 +88,16 @@ def run(args: argparse.Namespace) -> int:
     """Simulate the catalog's batch, render and check every study."""
     started = time.perf_counter()
     out = Path(args.out)
+    policy = policy_from_args(args)
     studies = [
-        study.stamped(**policy_from_args(args))
+        study.stamped(**policy)
         for study in STUDIES.values()
         if not (args.quick and study.mxs)
     ]
+    if policy.get("replay"):
+        print("Not replayable, run generated: " + ", ".join(
+            study.name for study in studies if not study.replayable
+        ))
     batch = batch_of(studies)
     bus = live = None
     telemetry_dir = Path(args.telemetry_dir or out)

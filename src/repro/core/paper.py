@@ -235,6 +235,9 @@ class Study:
     drawn as the paper draws it (``.txt``/``.csv``/``.svg``), with the
     :data:`PAPER_EXPECTATIONS` entry ``claims`` reported under the
     series. ``checks`` are further claims, over the study's results.
+    A study that is not ``replayable`` measures what a trace freezes
+    (timing that feeds back into the reference stream): it runs
+    generated even when stamped ``replay=True``.
     """
 
     name: str
@@ -246,6 +249,7 @@ class Study:
     tables: Sequence[Table] = ()
     checks: Sequence[Check] = ()
     claims: str | None = None
+    replayable: bool = True
 
     @property
     def jobs(self) -> list[Job]:
@@ -266,7 +270,10 @@ class Study:
 
     def stamped(self, **fields) -> "Study":
         """This study with ``fields`` laid over every job: execution
-        policy, another scale."""
+        policy, another scale (``replay`` only where it is
+        :attr:`replayable`)."""
+        if not self.replayable:
+            fields.pop("replay", None)
         return dataclasses.replace(self, rows={
             label: {
                 point: dataclasses.replace(job, **fields)
@@ -466,11 +473,14 @@ def _figure(
 
 def _figure11(app: str, *checks: Check) -> Study:
     """A Figure 11 application: the MXS runs that are drawn, and the
-    Mipsy runs (its Figure 4-10 jobs) some claims compare them with."""
+    Mipsy runs (its Figure 4-10 jobs) some claims compare them with.
+    Not replayable: a trace holds the interleaving of the in-order
+    recording, where MXS timing would have fed back into it."""
     return Study(
         f"fig11_{app}_mxs", f"Figure 11 - {app} (MXS, ideal IPC = 2)",
         {model: _compare(_bench(app, model)) for model in ("mxs", "mipsy")},
         checks=checks,
+        replayable=False,
     )
 
 
@@ -745,6 +755,9 @@ STUDIES: dict[str, Study] = {
                     for size in (16, 32, 64)
                 ),
             ],
+            # The invalidations false sharing causes ride on spin
+            # traffic whose length a trace freezes (docs/REPLAY.md).
+            replayable=False,
         ),
         Study(
             "ablation_mp3d_l2assoc",
@@ -808,6 +821,8 @@ STUDIES: dict[str, Study] = {
                       quantitative=False),
                 holds(cycles(_SL1).at(5), ">", 1.03 * cycles(_SL1).at(3)),
             ],
+            # MXS timing, as in Figure 11
+            replayable=False,
         ),
         Study(
             "ablation_update_coherence",

@@ -321,11 +321,15 @@ class Job:
         """This job's machine, built and not yet run — for the caller
         that needs the live :class:`~repro.core.system.System` (a
         snapshot at a chosen cycle, an observation's full series) where
-        :meth:`run` returns the result record. Generated lane only: a
-        replayed run builds its trace workload in :meth:`run`."""
-        return self._system(
-            self.resolve_factory(), self.mem_config(), obs, checkpointing
-        )
+        :meth:`run` returns the result record. A replayed job's machine
+        runs its recorded trace (recorded first on a miss)."""
+        if self.replay:
+            from repro.trace.backend import resolve_trace, trace_factory
+
+            factory = trace_factory(resolve_trace(self)[1])
+        else:
+            factory = self.resolve_factory()
+        return self._system(factory, self.mem_config(), obs, checkpointing)
 
     def _system(self, factory, config, obs, checkpointing) -> System:
         """The one place a job becomes a machine: a fresh functional

@@ -104,22 +104,24 @@ class System:
         # (only such a run can hang on parked CPUs).
         self._open_ended = False
 
+        # (imported here: the trace package imports the core)
+        from repro.trace.replay import TraceCpu, TraceWorkload
+
         self.cpus = []
         for cpu_id in range(config.n_cpus):
-            program = workload.program(cpu_id)
-            if cpu_model == "mipsy":
-                cpu = MipsyCpu(
-                    cpu_id, self.memory, self.functional, self.stats, program
-                )
-            else:
+            args = (cpu_id, self.memory, self.functional, self.stats)
+            if cpu_model == "mxs":
                 cpu = MxsCpu(
-                    cpu_id,
-                    self.memory,
-                    self.functional,
-                    self.stats,
-                    program,
+                    *args,
+                    workload.program(cpu_id),
                     params=cpu_params or CpuParams(),
                 )
+            elif isinstance(workload, TraceWorkload):
+                # A trace is a program source: the CPU reads its
+                # columns, no generator in between.
+                cpu = TraceCpu(*args, workload.packed)
+            else:
+                cpu = MipsyCpu(*args, workload.program(cpu_id))
             cpu._spin_parked = self._parked
             self.cpus.append(cpu)
         if checkpointing:
@@ -258,8 +260,7 @@ class System:
                 earliest = huge
                 order = orders[cycle % n_cpus]
                 for cpu in order:
-                    if cpu.done:
-                        continue
+                    # (A CPU leaves ``orders`` in the cycle it finishes.)
                     if cpu.resume <= cycle:
                         if parked:
                             woken = self._spin_tick(cpu, cycle, order)

@@ -8,18 +8,22 @@ This package provides both halves:
 * :class:`~repro.trace.recorder.TraceRecorder` wraps any memory system
   and records every access (cpu, kind, address, issue cycle) while the
   simulation runs normally;
-* :class:`~repro.trace.replay.TraceWorkload` turns a recorded trace
-  back into per-CPU thread programs, so the same reference stream can
-  be replayed against a different architecture or configuration;
+* :class:`~repro.trace.replay.TraceWorkload` makes a recorded trace a
+  workload again, so the same reference stream can be replayed against
+  a different architecture or configuration by the ordinary
+  :class:`~repro.core.system.System` — under Mipsy each CPU is a
+  :class:`~repro.trace.replay.TraceCpu` reading its packed columns,
+  under MXS a thread program re-issues them;
 * :mod:`~repro.trace.format` defines the compact text format
   (one record per line) used on disk;
 * :class:`~repro.trace.store.TraceStore` keeps traces as
   content-addressed artifacts, recorded automatically on first use —
   the record-once half of the runner's ``replay=True`` lane;
-* :func:`~repro.trace.kernel.replay_kernel` replays a
-  :class:`~repro.trace.kernel.PackedTrace` (flat per-CPU ``array``
-  columns) through a batch-specialized Mipsy engine, bit-identical to
-  interpreter replay and several times faster.
+* :class:`~repro.trace.kernel.PackedTrace` is a trace decoded into
+  flat per-CPU ``array`` columns, which
+  :func:`~repro.trace.kernel.load_packed` serves from a memo or a
+  binary sidecar; :func:`~repro.trace.kernel.replay_kernel` names a
+  plain Mipsy replay of one.
 
 Replay loses value-dependent behaviour (synchronization spins replay
 the *recorded* number of iterations rather than re-resolving), which is
@@ -37,12 +41,13 @@ from repro.trace.format import (
 )
 from repro.trace.kernel import KernelRun, PackedTrace, replay_kernel
 from repro.trace.recorder import TraceRecorder
-from repro.trace.replay import TraceWorkload
+from repro.trace.replay import TraceCpu, TraceWorkload
 from repro.trace.store import TraceStore, default_trace_dir
 
 __all__ = [
     "KernelRun",
     "PackedTrace",
+    "TraceCpu",
     "TraceRecord",
     "TraceRecorder",
     "TraceStore",

@@ -13,8 +13,8 @@ starting with ``#`` are comments.
 In memory a stream lives either as :class:`TraceRecord` tuples or as
 *per-CPU columns* — one ``array`` of kind codes and one of addresses
 per CPU, I-fetch rows included (their address is the fetch pc). The
-columns are what the recorder fills, what both replay engines are
-built from, and — each CPU's stream in issue order, CPU after CPU —
+columns are what the recorder fills, what replay is built from,
+and — each CPU's stream in issue order, CPU after CPU —
 exactly the canonical order of the file.
 """
 
@@ -94,7 +94,7 @@ def per_cpu_columns(
     """Split ``rows`` into per-CPU ``(kinds, addrs)`` columns.
 
     The one place a row from outside (a trace file, a caller's record
-    list) is checked before a replay engine sees it: a CPU id outside
+    list) is checked before replay sees it: a CPU id outside
     ``[0, n_cpus)`` or an address that does not fit the 64-bit column
     is a :class:`~repro.errors.WorkloadError` naming the row. An
     I-fetch row keeps its pc in the address column; the pc of any

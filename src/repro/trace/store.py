@@ -11,8 +11,8 @@ on the fixed reference machine); every subsequent replay job, whatever
 its architecture or ``MemConfig``, reuses the file.
 
 A facade over :class:`~repro.core.store.ArtifactStore`:
-``<key>.trace``, the hidden ``.packed`` decode sidecar the replay
-kernel loads, and — published last, so its presence says the others
+``<key>.trace``, the hidden ``.packed`` decode sidecar replay
+loads, and — published last, so its presence says the others
 are complete — a ``.json`` meta with the text's byte count and
 SHA-256, which :meth:`TraceStore.get` and :func:`check_text` hold the
 text to, so a damaged trace is recorded again instead of replaying as

@@ -23,14 +23,17 @@ from conftest import LoopWorkload
 from test_ckpt import build_system
 
 from repro.ckpt import restore_system, snapshot_system
+from repro.ckpt.codec import Format
 from repro.ckpt.snapshot import CODECS
 from repro.core.configs import config_for_scale
 from repro.core.system import System
+from repro.cpu.mipsy import MipsyCpu
 from repro.cpu.mxs.core import _Record
 from repro.errors import CheckpointError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.topology import get_preset, topology_names
 from repro.obs import ObsConfig
+from repro.trace.replay import TraceCpu
 
 MATRIX = [
     (arch, cpu_model, observed)
@@ -139,10 +142,15 @@ def test_every_reachable_class_has_a_row(arch, cpu_model, observed):
 
 
 def test_rows_are_by_exact_class():
-    # One row per class: lookup is by exact type, so no row can shadow
-    # (or silently stand in for) another class's.
+    # Lookup is by exact type, so no row can shadow (or silently stand
+    # in for) another class's — not even its base's: a subclass travels
+    # by a row of its own (TraceCpu's beside MipsyCpu's) or is refused.
+    walker = Format(CODECS)
     for cls in CODECS:
-        assert [c for c in CODECS if c is not cls and issubclass(c, cls)] == []
+        unlisted = type(f"Unlisted{cls.__name__}", (cls,), {})
+        with pytest.raises(CheckpointError, match="it has no codec row"):
+            walker.encode(unlisted.__new__(unlisted))
+    assert CODECS[TraceCpu] is not CODECS[MipsyCpu]
 
 
 def test_a_class_without_a_row_is_refused_by_name(monkeypatch):

@@ -153,8 +153,9 @@ def test_version_has_a_single_source():
 #: one place host time is measured), the two smoke scripts (1.24.0;
 #: their checks are tier-1 tests) and the two functions that re-spelled
 #: a ``Job`` as keywords (1.27.0; ``Job.run`` / ``Job.build`` are the
-#: one spelling), and the eleven figure-claim builders (1.28.0; every
-#: claim is a ``holds`` / ``within`` over named quantities)
+#: one spelling), the eleven figure-claim builders (1.28.0; every
+#: claim is a ``holds`` / ``within`` over named quantities), and the
+#: replay lane's engine switch (1.29.0; a replay runs through ``System``)
 DELETED_PATHS = re.compile(
     r"(?<![\w.])micro\.py|bench_gate|serve_bench|microbench\.json"
     r"|bench_runner\.json|repro\.perf\b|repro/perf\.py"
@@ -163,6 +164,7 @@ DELETED_PATHS = re.compile(
     r"|\b(?:faster_than|normalized_within|no_invalidation_misses"
     r"|l[12]_(?:replacement|invalidation)_\w+|memory_stall_share_below"
     r"|uses_cache_to_cache|istall_share_at_least)\b"
+    r"|\b(?:use_kernel|_run_kernel|_run_interpreter)\b"
 )
 #: the top-level documents that describe the program as it is; the
 #: other top-level ones (changelog, roadmap, ...) are history and plans

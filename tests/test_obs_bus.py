@@ -451,7 +451,9 @@ def test_trace_store_metrics_and_replay_event(tmp_path):
     assert replayed.extras["backend"] == "replay"
     replay_events = [f for k, f in handle.events if k == "trace.replay"]
     assert len(replay_events) == 1
-    assert replay_events[0]["engine"] == "kernel"
+    assert replay_events[0]["workload"] == "fft"
+    assert replay_events[0]["trace"] == first.name
+    assert "engine" not in replay_events[0]
 
 
 # ----------------------------------------------------------------------

@@ -171,3 +171,39 @@ def test_a_claim_that_does_not_hold_fails_reproduce(
     assert (tmp_path / "table2_latencies.txt").read_bytes() == (
         RESULTS_DIR / "table2_latencies.txt"
     ).read_bytes()
+
+
+def test_what_a_trace_freezes_is_not_replayable():
+    assert {
+        name for name, study in STUDIES.items() if not study.replayable
+    } == {
+        "fig11_multiprog_mxs", "fig11_eqntott_mxs", "fig11_ear_mxs",
+        "ablation_linesize", "ablation_multichip_l1",
+    }
+    stamped = STUDIES["ablation_linesize"].stamped(replay=True)
+    assert stamped.jobs and not any(job.replay for job in stamped.jobs)
+    assert all(job.replay for job in STUDIES["fig04_eqntott"].stamped(
+        replay=True
+    ).jobs)
+
+
+def test_reproduce_replay_runs_a_study_that_is_not_replayable_generated(
+    tmp_path, monkeypatch, capsys
+):
+    names = ("fig04_eqntott", "ablation_linesize")
+    monkeypatch.setattr(reproduce, "STUDIES", {
+        name: STUDIES[name].stamped(scale="test") for name in names
+    })
+    main([
+        "reproduce", str(tmp_path / "out"), "--replay",
+        "--trace-dir", str(tmp_path / "traces"), "--no-cache",
+        "--jobs", "1",
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "Not replayable, run generated: ablation_linesize"
+    jobs = [line for line in lines if "eqntott/" in line]
+    assert sum("(replay)" in line for line in jobs) == 3
+    assert [line for line in jobs if "line_size=" in line]
+    assert not [
+        line for line in jobs if "line_size=" in line and "(replay)" in line
+    ]

@@ -1,12 +1,15 @@
-"""Differential contract of the batch replay kernel.
+"""Differential contract of Mipsy trace replay.
 
-The kernel (``repro.trace.kernel``) claims *bit-identical*
-``SystemStats`` with interpreter-mode replay of the same trace — that
-contract is what makes it safe to route sweeps through the fast path
-silently. This suite pins it on every preset topology for both traced
-workloads, plus the surrounding plumbing: the content-addressed
-:class:`TraceStore`, the ``Job(replay=True)`` lane and its cache-key
-separation, and record -> replay -> record determinism.
+Under Mipsy a replayed CPU is a :class:`TraceCpu`: its tick reads the
+packed trace columns instead of pulling instructions from a generator.
+It claims *bit-identical* ``SystemStats`` with a stock
+:class:`~repro.cpu.mipsy.MipsyCpu` running the same trace as a thread
+program (``TraceWorkload.program``, through a workload that exposes
+only that) — two ticks that share no code. This suite pins it on every
+preset topology for both traced workloads, plus the surrounding
+plumbing: the content-addressed :class:`TraceStore`, the
+``Job(replay=True)`` lane and its cache-key separation, and
+record -> replay -> record determinism.
 """
 
 from __future__ import annotations
@@ -18,14 +21,17 @@ from conftest import LoopWorkload
 from repro.core.configs import config_for_scale
 from repro.core.runner import Job
 from repro.core.system import System
+from repro.cpu.mipsy import MipsyCpu
 from repro.errors import ConfigError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.topology import topology_names
+from repro.obs import ObsConfig
 from repro.trace.format import canonical_order, read_trace, write_trace
 from repro.trace.kernel import PackedTrace, load_packed, replay_kernel
 from repro.trace.recorder import record_run
-from repro.trace.replay import TraceWorkload
+from repro.trace.replay import TraceCpu, TraceWorkload
 from repro.trace.store import TraceStore
+from repro.workloads.base import Workload
 
 PRESETS = topology_names()
 WORKLOADS = ("eqntott", "fft")
@@ -47,21 +53,33 @@ def traces(trace_store):
     }
 
 
-def interpreter_replay_stats(
-    arch, trace_path, cpu_model="mipsy", **overrides
-):
-    """Replay through the ordinary System, as run_replay's slow path does."""
-    functional = FunctionalMemory()
-    workload = TraceWorkload.from_file(N_CPUS, functional, trace_path)
+class ProgramOnly(Workload):
+    """A trace as nothing but thread programs, so ``System`` runs it on
+    stock CPUs (a :class:`TraceWorkload` gets trace CPUs)."""
+
+    name = TraceWorkload.name
+
+    def __init__(self, trace: TraceWorkload) -> None:
+        super().__init__(trace.n_cpus, trace.functional)
+        self.trace = trace
+
+    def program(self, cpu_id: int):
+        return self.trace.program(cpu_id)
+
+
+def reference_stats(arch, trace_path, cpu_model="mipsy", **overrides):
+    """Replay through stock CPUs running ``TraceWorkload.program``."""
+    trace = TraceWorkload.from_file(N_CPUS, FunctionalMemory(), trace_path)
     system = System(
         arch,
-        workload,
+        ProgramOnly(trace),
         cpu_model=cpu_model,
         mem_config=config_for_scale("test", N_CPUS, **overrides),
         max_cycles=50_000_000,
     )
     system.run()
     assert not system.truncated
+    assert all(type(cpu) is not TraceCpu for cpu in system.cpus)
     return system.stats
 
 
@@ -72,13 +90,14 @@ def interpreter_replay_stats(
 @pytest.mark.parametrize("line_size", (32, 64, 128))
 @pytest.mark.parametrize("workload", WORKLOADS)
 @pytest.mark.parametrize("arch", PRESETS)
-def test_kernel_bit_identical_to_interpreter(
+def test_trace_cpu_bit_identical_to_stock_mipsy(
     arch, workload, line_size, traces
 ):
-    """The load-bearing invariant: same trace, same config -> the
-    kernel's stats equal the interpreter's, field for field — at every
-    point of the line-size sweep the lane exists for (one recording,
-    replayed under each geometry)."""
+    """The load-bearing invariant: same trace, same config -> a
+    replay on trace CPUs equals stock Mipsy CPUs running the trace as
+    thread programs, field for field — at every point of the
+    line-size sweep the lane exists for (one recording, replayed under
+    each geometry)."""
     path = traces[workload]
     packed = PackedTrace.from_file(N_CPUS, path)
     outcome = replay_kernel(
@@ -87,8 +106,45 @@ def test_kernel_bit_identical_to_interpreter(
         mem_config=config_for_scale("test", N_CPUS, line_size=line_size),
     )
     assert not outcome.truncated
-    expected = interpreter_replay_stats(arch, path, line_size=line_size)
+    expected = reference_stats(arch, path, line_size=line_size)
     assert outcome.stats.to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("arch", PRESETS)
+def test_trace_cpu_fires_the_stock_observation_hooks(arch, traces):
+    """Observed, the two replays also emit the same telemetry: every
+    miss and stall event, the histograms and the sampled series."""
+    def observed(workload):
+        system = System(
+            arch, workload, mem_config=config_for_scale("test", N_CPUS),
+            obs=ObsConfig(sample_interval=250, events=True),
+        )
+        system.run()
+        return system.obs.rollup(), system.obs.timeline._events
+
+    def trace():
+        return TraceWorkload.from_file(
+            N_CPUS, FunctionalMemory(), traces["eqntott"]
+        )
+
+    rollup, events = observed(trace())
+    assert events and rollup["metrics"]
+    assert (rollup, events) == observed(ProgramOnly(trace()))
+
+
+def test_a_trace_workload_runs_on_trace_cpus_under_mipsy_only(trace_store):
+    """Plain, observed or checkpointed: there is no engine to select."""
+    def cpus(cpu_model, **build):
+        system = Job(
+            "shared-l2", "fft", cpu_model=cpu_model, scale="test",
+            n_cpus=N_CPUS, replay=True, trace_dir=str(trace_store.root),
+        ).build(**build)
+        return {type(cpu) for cpu in system.cpus}
+
+    for build in ({}, {"obs": ObsConfig()}, {"checkpointing": True}):
+        assert cpus("mipsy", **build) == {TraceCpu}
+        assert TraceCpu not in cpus("mxs", **build)
+    assert issubclass(TraceCpu, MipsyCpu)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -96,8 +152,8 @@ def test_kernel_bit_identical_to_interpreter(
 def test_mxs_replay_lane_matches_direct_interpreter(
     arch, workload, traces, trace_store
 ):
-    """MXS has no kernel: the lane must fall back to the interpreter
-    and produce exactly what a hand-built replay run produces."""
+    """Under MXS the lane runs the trace's thread programs, and must
+    produce exactly what a hand-built replay run produces."""
     job = Job(
         arch=arch,
         workload=workload,
@@ -108,15 +164,13 @@ def test_mxs_replay_lane_matches_direct_interpreter(
         trace_dir=str(trace_store.root),
     )
     result = job.run()
-    expected = interpreter_replay_stats(
-        arch, traces[workload], cpu_model="mxs"
-    )
+    expected = reference_stats(arch, traces[workload], cpu_model="mxs")
     assert result.stats.to_dict() == expected.to_dict()
     assert result.extras["backend"] == "replay"
-    assert result.extras["replay"]["engine"] == "interpreter"
+    assert "engine" not in result.extras["replay"]
 
 
-def test_mipsy_replay_lane_uses_the_kernel(traces, trace_store):
+def test_mipsy_replay_lane_matches_the_reference(traces, trace_store):
     job = Job(
         arch="shared-l2",
         workload="eqntott",
@@ -127,14 +181,46 @@ def test_mipsy_replay_lane_uses_the_kernel(traces, trace_store):
     )
     result = job.run()
     assert result.extras["backend"] == "replay"
-    assert result.extras["replay"]["engine"] == "kernel"
+    assert result.extras["replay"] == {
+        "trace": traces["eqntott"].name,
+        "references": len(load_packed(N_CPUS, traces["eqntott"])),
+    }
     assert result.workload == "eqntott"
-    expected = interpreter_replay_stats("shared-l2", traces["eqntott"])
+    expected = reference_stats("shared-l2", traces["eqntott"])
     assert result.stats.to_dict() == expected.to_dict()
 
 
+@pytest.mark.parametrize("cpu_model", ("mipsy", "mxs"))
+def test_a_built_replay_job_runs_what_job_run_runs(cpu_model, trace_store):
+    """``build()`` and ``run()`` share one path in the replay lane too:
+    the built machine replays the job's recorded trace."""
+    job = Job(
+        arch="shared-l1",
+        workload="fft",
+        cpu_model=cpu_model,
+        scale="test",
+        n_cpus=N_CPUS,
+        replay=True,
+        trace_dir=str(trace_store.root),
+    )
+    system = job.build()
+    assert isinstance(system.workload, TraceWorkload)
+    assert system.run().to_dict() == job.run().stats.to_dict()
+
+
+def test_replay_kernel_runs_a_system_and_holds_no_loop_of_its_own():
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(replay_kernel))
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.While, ast.comprehension))
+    ]
+
+
 def test_kernel_identical_with_fast_lane_off(traces):
-    """The fast lane is a pure host optimization in the kernel too."""
+    """The fast lane is a pure host optimization under replay too."""
     path = traces["eqntott"]
     packed = PackedTrace.from_file(N_CPUS, path)
     with_lane = replay_kernel(
@@ -148,8 +234,9 @@ def test_kernel_identical_with_fast_lane_off(traces):
 
 
 def test_kernel_rejects_cpu_count_mismatch(traces):
+    """``System``'s own check: the trace was packed for four CPUs."""
     packed = PackedTrace.from_file(N_CPUS, traces["eqntott"])
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="built for 4"):
         replay_kernel(
             packed, "shared-l2", mem_config=config_for_scale("test", 8)
         )

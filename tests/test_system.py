@@ -25,7 +25,9 @@ from repro.core.report import (
 from repro.core.system import System
 from repro.errors import ConfigError, DeadlockError, ReproError
 from repro.mem.functional import FunctionalMemory
+from repro.mem.types import AccessKind
 from repro.sim.stats import SystemStats
+from repro.trace import TraceRecord, TraceWorkload
 from repro.workloads.base import Workload
 
 
@@ -186,6 +188,54 @@ def test_run_is_deterministic():
         return stats.cycles, stats.instructions
 
     assert run_once() == run_once()
+
+
+def _uneven_trace(functional):
+    """A replayed stream whose CPUs hold 1, 6, 11 and 16 loads."""
+    return TraceWorkload(4, functional, [
+        TraceRecord(cpu, AccessKind.LOAD, 0x1000_0000 * (cpu + 1) + 64 * i, 0)
+        for cpu in range(4)
+        for i in range(5 * cpu + 1)
+    ])
+
+
+@pytest.mark.parametrize("cpu_model", ("mipsy", "mxs"))
+@pytest.mark.parametrize("workload", ("generated", "replayed"))
+def test_a_finished_cpu_is_never_ticked_again(cpu_model, workload):
+    """The run loop drops a CPU from its tick order in the cycle it
+    finishes (and a resumed run starts without it), so the loop never
+    asks a CPU whether it is done."""
+    functional = FunctionalMemory()
+    system = System(
+        "shared-l2",
+        _uneven_trace(functional) if workload == "replayed"
+        else LoopWorkload(4, functional, iterations=3),
+        cpu_model=cpu_model,
+        mem_config=make_test_config(4),
+    )
+    late_ticks, finished_at = [], {}
+    for cpu in system.cpus:
+        model = type(cpu)
+
+        def tick(self, cycle, model=model):
+            if self.done:
+                late_ticks.append((self.cpu_id, cycle))
+            model.tick(self, cycle)
+            if self.done:
+                finished_at.setdefault(self.cpu_id, cycle)
+
+        cpu.__class__ = type(
+            f"Watched{model.__name__}", (model,),
+            {"__slots__": (), "tick": tick},
+        )
+    pauses = 0
+    while system.run(pause_at=50 * (pauses + 1)) and system.paused:
+        pauses += 1
+    assert pauses > 1 and not system.truncated
+    assert late_ticks == []
+    # some CPU finished while others ran on, across a pause too
+    assert len(finished_at) == 4
+    assert min(finished_at.values()) // 50 < max(finished_at.values()) // 50
 
 
 class _StuckWorkload(Workload):

@@ -111,7 +111,7 @@ def test_replay_reissues_the_stream(tmp_path):
     replayed = replay_trace(
         tmp_path / "run.trace", "shared-l2", mem_config=make_test_config()
     )
-    assert replayed.workload.replayed == data_refs
+    assert replayed.stats.instructions == data_refs
     assert not replayed.truncated
 
 
