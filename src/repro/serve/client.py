@@ -163,8 +163,10 @@ class ServiceClient:
     connection, opened on first use and kept until :meth:`close` (also
     the context-manager exit, and what happens when the client is
     garbage-collected), so one instance may be shared between threads.
-    Each thread also keeps the answer to its last :meth:`submit`, which
-    is all :meth:`wait` needs when that answer was already final.
+    Each thread also keeps its last status answer (from :meth:`submit`,
+    :meth:`status` or :meth:`wait`) in one slot. When that answer was
+    final it is all :meth:`wait` needs, and the result it carried is
+    handed to :meth:`result_payload` once, with no request.
     """
 
     def __init__(
@@ -178,7 +180,8 @@ class ServiceClient:
         self._lock = threading.Lock()
         #: thread ident -> that thread's connection
         self._connections: dict[int, http.client.HTTPConnection] = {}
-        #: per thread: ``submitted``, its last submit's answer
+        #: per thread: ``last``, its last status answer and the result
+        #: that answer carried (``None`` once handed out)
         self._local = threading.local()
         weakref.finalize(self, _close_all, self._connections, self._lock)
 
@@ -279,6 +282,19 @@ class ServiceClient:
         )
         return json.loads(self._exchange(method, path, body))
 
+    def _status_request(
+        self,
+        method: str,
+        path: str,
+        payload: dict | None = None,
+    ) -> dict:
+        """A request answered with a status document; the ``result`` a
+        final answer carries goes to this thread's slot, not to the
+        caller."""
+        answer = self._request(method, path, payload)
+        self._local.last = (answer, answer.pop("result", None))
+        return answer
+
     # -- submission -----------------------------------------------------
 
     def submit(self, job: Job | dict, priority: int = 0) -> dict:
@@ -297,20 +313,18 @@ class ServiceClient:
             payload = dict(job)
             if priority:
                 payload["priority"] = priority
-        response = self._request("POST", "/v1/jobs", payload)
-        self._local.submitted = response
-        return response
+        return self._status_request("POST", "/v1/jobs", payload)
 
     # -- status ---------------------------------------------------------
 
     def status(self, job_id: str) -> dict:
         """Current lifecycle status of ``job_id``."""
-        return self._request("GET", f"/v1/jobs/{job_id}")
+        return self._status_request("GET", f"/v1/jobs/{job_id}")
 
     def wait(self, job_id: str, timeout: float | None = None) -> dict:
         """Block until ``job_id`` is terminal; returns the final status.
 
-        When this thread's last :meth:`submit` of ``job_id`` answered
+        When this thread's last status answer was about ``job_id`` and
         ``done`` or ``cached`` — final for a content-addressed job —
         that answer is the final status and no request is made.
         Otherwise it long-polls: each status request carries ``?wait=S``
@@ -319,13 +333,13 @@ class ServiceClient:
         Raises :class:`ServiceError` when ``timeout`` (seconds) expires
         first.
         """
-        submitted = getattr(self._local, "submitted", None)
+        last, _ = getattr(self._local, "last", (None, None))
         if (
-            submitted is not None
-            and submitted["id"] == job_id
-            and submitted["state"] in _FINAL_STATES
+            last is not None
+            and last["id"] == job_id
+            and last["state"] in _FINAL_STATES
         ):
-            return submitted
+            return last
         deadline = (
             None if timeout is None else time.monotonic() + timeout
         )
@@ -334,7 +348,7 @@ class ServiceClient:
             hold = self.timeout * HOLD_SHARE
             if deadline is not None:
                 hold = max(0.0, min(hold, deadline - asked))
-            status = self._request(
+            status = self._status_request(
                 "GET", f"/v1/jobs/{job_id}?wait={hold:.3f}"
             )
             if status["state"] in TERMINAL_STATES:
@@ -353,7 +367,16 @@ class ServiceClient:
     # -- results --------------------------------------------------------
 
     def result_payload(self, job_id: str) -> dict:
-        """The raw ``/result`` document (result JSON + metadata)."""
+        """The raw ``/result`` document (result JSON + metadata).
+
+        The result this thread's last answer carried, if that answer was
+        about ``job_id``, is handed out once with no request; otherwise
+        (or from a daemon whose answers carry none) it is fetched.
+        """
+        last, result = getattr(self._local, "last", (None, None))
+        if result is not None and last["id"] == job_id:
+            self._local.last = (last, None)  # handed out once
+            return result
         return self._request("GET", f"/v1/jobs/{job_id}/result")
 
     def result(self, job_id: str) -> ExperimentResult:
@@ -368,7 +391,9 @@ class ServiceClient:
         priority: int = 0,
         timeout: float | None = None,
     ) -> ExperimentResult:
-        """Submit, wait for completion, and fetch the result.
+        """Submit, wait for completion, and fetch the result: one
+        exchange for a job that is already final, two for one that ends
+        within a hold.
 
         The blocking convenience path — the service-side equivalent of
         :meth:`Job.run`. Raises :class:`ServiceError` if the job ends

@@ -66,7 +66,8 @@ class JobRecord:
     retries. ``result_body`` is populated on ``done``/``cached``: the
     ``GET /v1/jobs/{id}/result`` document, encoded once when the
     result lands — a record that has one never changes again, so every
-    fetch sends the same bytes.
+    fetch, and every final status answer that carries it, sends the
+    same bytes.
     """
 
     id: str

@@ -34,6 +34,10 @@ job to a :class:`~repro.serve.queue.QueueManifest` for
 ``repro serve --resume``, and flushes the event bus so the telemetry
 log is complete.
 
+A job's status document, whichever endpoint answers with it, carries
+the job's ``result`` once it has one (:meth:`ServiceDaemon.encode_status`),
+so a finished job's result needs no exchange of its own.
+
 Connections are HTTP/1.1 keep-alive: one handler thread per client
 socket, ``TCP_NODELAY`` set, each response leaving in one send, idle
 sockets dropped after :data:`IDLE_TIMEOUT_S`.
@@ -62,7 +66,9 @@ from repro.obs.bus import BusEvent, EventBus
 from repro.obs.export import header, prometheus_text, rollup_events, sample
 from repro.serve import wire
 from repro.serve.queue import (
+    CACHED,
     CANCELLED,
+    DONE,
     QUEUED,
     JobQueue,
     QueueManifest,
@@ -363,6 +369,22 @@ class ServiceDaemon:
             job_id, min(wait, MAX_HOLD_S), self._stopping
         )
         return None if record is None else record.status()
+
+    def encode_status(self, document: dict) -> bytes:
+        """A status document (:meth:`submit`'s or :meth:`status`'s) as
+        it goes on the wire.
+
+        Once the job is ``done`` or ``cached`` the answer also carries
+        ``result``: the record's ``/result`` body, spliced in as the
+        bytes :meth:`JobQueue.finish` encoded, never encoded again. A
+        record lands its body before its state, and one with a body is
+        never replaced, so a final document always finds it.
+        """
+        body = json.dumps(document, sort_keys=True).encode("utf-8")
+        if document["state"] not in (DONE, CACHED):
+            return body
+        result = self.queue.get(document["id"]).result_body
+        return b"".join((body[:-1], b', "result": ', result, b"}"))
 
     def open_connections(self) -> int:
         """Client sockets the HTTP front end currently holds open."""
@@ -725,6 +747,11 @@ class _Handler(BaseHTTPRequestHandler):
             "application/json",
         )
 
+    def _send_status(self, code: int, document: dict) -> None:
+        self._send_bytes(
+            code, self.service.encode_status(document), "application/json"
+        )
+
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
 
@@ -845,7 +872,7 @@ class _Handler(BaseHTTPRequestHandler):
             code = 200 if response["reused"] or response[
                 "state"
             ] == "cached" else 202
-            self._send_json(code, response)
+            self._send_status(code, response)
             return
         if (
             len(parts) == 4
@@ -897,7 +924,7 @@ class _Handler(BaseHTTPRequestHandler):
             if status is None:
                 self._error(404, f"unknown job {parts[2]}")
                 return
-            self._send_json(200, status)
+            self._send_status(200, status)
             return
         if len(parts) == 4 and parts[:2] == ["v1", "jobs"]:
             if parts[3] == "result":

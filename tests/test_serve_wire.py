@@ -17,6 +17,7 @@ import io
 import json
 import re
 import socket
+import struct
 import sys
 import threading
 import time
@@ -108,9 +109,11 @@ def test_one_connection_and_one_status_request_per_wait(tmp_path):
             digests.append(client.result_payload(job_id)["result"])
         connections, requests = traffic(client)
         assert connections == 1
-        # however long each job simulated, its wait was one request
+        # however long each job simulated, its wait was one request,
+        # and the answer that saw it end carried its result
         assert requests["status"] == len(MATRIX) == 21
-        assert requests["submit"] == requests["result"] == 21
+        assert requests["submit"] == 21
+        assert requests.get("result", 0) == 0
         assert daemon.scheduler.executed == 21
 
         for spec, first in zip(MATRIX, digests):
@@ -120,13 +123,13 @@ def test_one_connection_and_one_status_request_per_wait(tmp_path):
             assert client.result_payload(job_id)["result"] == first
         connections, again = traffic(client)
         assert connections == 1
-        # a repeat is submit + result: submit answered "done", which
-        # is final, so wait asked nothing
+        # a repeat is one submit: it answered "done", which is final,
+        # with the result, so neither wait nor result_payload asked
         assert again["status"] - requests["status"] == 0
         assert sum(
-            again[endpoint] - requests[endpoint]
+            again.get(endpoint, 0) - requests.get(endpoint, 0)
             for endpoint in ("submit", "status", "result")
-        ) == 42
+        ) == again["submit"] - requests["submit"] == 21
         assert daemon.scheduler.executed == 21
 
 
@@ -149,7 +152,7 @@ def test_submit_answers_with_the_status_document_plus_reused(tmp_path):
         assert again["state"] == "done" and again["submits"] == 2
 
 
-def test_cached_run_is_two_requests(tmp_path):
+def test_cached_run_is_one_request(tmp_path):
     cache_dir = tmp_path / "shared-cache"
     with running_daemon(tmp_path, cache_dir=cache_dir) as (_, client):
         local = client.run(FAST, timeout=60)
@@ -157,15 +160,307 @@ def test_cached_run_is_two_requests(tmp_path):
         tmp_path, cache_dir=cache_dir, state=tmp_path / "serve2"
     ) as (daemon, client):
         # first sight (served from the store at submit), then a repeat
-        # (attached to the daemon's record): submit + result each
+        # (attached to the daemon's record): one submit each, answered
+        # with the result
         for _ in range(2):
             before = exchanges(client)
             served = client.run(FAST)
-            assert exchanges(client) - before == Counter(
-                submit=1, result=1
-            )
+            assert exchanges(client) - before == Counter(submit=1)
             assert served.stats.to_dict() == local.stats.to_dict()
         assert daemon.scheduler.executed == 0
+
+
+# ----------------------------------------------------------------------
+# a final answer carries its result
+
+#: the keys of a status document, as every client has always read them
+STATUS_KEYS = {
+    "id", "label", "backend", "state", "priority", "attempts", "submits",
+    "cached", "error", "timed_out", "cancel_requested", "submitted_at",
+    "started_at", "finished_at",
+}
+
+
+def raw_body(connection, method, path, body=None) -> bytes:
+    """One request on a plain ``http.client`` connection; the body as
+    it came off the wire."""
+    connection.request(method, path, body=body)
+    response = connection.getresponse()
+    assert response.status in (200, 202), response.status
+    return response.read()
+
+
+def test_a_final_answer_splices_the_result_body_and_encodes_it_never(
+    tmp_path, monkeypatch
+):
+    with running_daemon(tmp_path) as (daemon, client):
+        job_id = client.submit(FAST)["id"]
+        client.wait(job_id, timeout=60)
+        record = daemon.queue.get(job_id)
+        dumped = []
+        real_dumps = json.dumps
+
+        def spying(obj, *args, **kwargs):
+            dumped.append(obj)
+            return real_dumps(obj, *args, **kwargs)
+
+        def refused(self):
+            raise AssertionError("a finished result was encoded again")
+
+        monkeypatch.setattr(json, "dumps", spying)
+        monkeypatch.setattr(ExperimentResult, "to_dict", refused)
+        connection = raw_connection(daemon)
+        result = raw_body(connection, "GET", f"/v1/jobs/{job_id}/result")
+        answers = {
+            "submit": raw_body(connection, "POST", "/v1/jobs",
+                               real_dumps(FAST)),
+            "status": raw_body(connection, "GET", f"/v1/jobs/{job_id}"),
+            "long-poll": raw_body(
+                connection, "GET", f"/v1/jobs/{job_id}?wait=5"
+            ),
+        }
+        connection.close()
+        assert result == record.result_body
+        for endpoint, answer in answers.items():
+            # the /result body, byte for byte, as the last member
+            assert answer.endswith(b', "result": ' + result + b"}"), endpoint
+            document = json.loads(answer)
+            assert document.pop("result") == json.loads(result)
+            assert set(document) - {"reused"} == STATUS_KEYS, endpoint
+        assert not [
+            obj for obj in dumped
+            if isinstance(obj, dict) and "result" in obj
+        ]
+
+
+def test_an_answer_before_a_result_carries_none_and_result_asks(tmp_path):
+    daemon = ServiceDaemon(port=0, jobs=1)  # never started: encoding only
+    queue = daemon.queue
+    landed = {
+        "queued": lambda record: None,
+        "running": lambda record: queue.mark_running(record),
+        "failed": lambda record: queue.fail(record, "boom"),
+        "quarantined": lambda record: queue.fail(
+            record, "boom", quarantined=True
+        ),
+        "cancelled": lambda record: queue.cancel(record.id),
+        "done": lambda record: queue.finish(record, _job().run()),
+    }
+    for n, (state, land) in enumerate(landed.items()):
+        record, _ = queue.submit(_job(max_cycles=10_000 + n))
+        land(record)
+        document = record.status()
+        assert document["state"] == state
+        answer = json.loads(daemon.encode_status(document))
+        assert ("result" in answer) is (state == "done"), state
+        answer.pop("result", None)
+        assert answer == document
+
+    with running_daemon(tmp_path, jobs=1) as (daemon, client):
+        client.submit(SLOW)
+        queued = client.submit(FAST)  # behind SLOW: stays queued
+        assert queued["state"] == "queued"
+        assert client.cancel(queued["id"])["state"] == "cancelled"
+        assert client.wait(queued["id"])["state"] == "cancelled"
+        before = exchanges(client)
+        with pytest.raises(ServiceError) as excinfo:
+            client.result_payload(queued["id"])
+        assert excinfo.value.code == 409
+        assert exchanges(client) - before == Counter(result=1)
+
+
+def test_a_held_result_goes_to_its_thread_for_its_id_once(tmp_path):
+    other = {**FAST, "workload": "ear"}
+    with running_daemon(tmp_path) as (daemon, client):
+        expected = client.run(FAST, timeout=60).stats.to_dict()
+        other_id = client.submit(other)["id"]
+        client.wait(other_id, timeout=60)
+        job_id = client.submit(FAST)["id"]  # final: carries the result
+        before = exchanges(client)
+
+        def elsewhere(fetch):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                return pool.submit(fetch).result(timeout=60)
+
+        # another thread holds nothing of this thread's
+        assert elsewhere(lambda: client.result_payload(job_id))["id"] == (
+            job_id
+        )
+        assert exchanges(client) - before == Counter(result=1)
+        # another id asks, and leaves the held result where it is
+        assert client.result_payload(other_id)["id"] == other_id
+        assert exchanges(client) - before == Counter(result=2)
+        held = client.result_payload(job_id)
+        assert exchanges(client) - before == Counter(result=2)
+        assert ExperimentResult.from_dict(
+            held["result"]
+        ).stats.to_dict() == expected
+        # handed out once: a second call asks
+        assert client.result_payload(job_id) == held
+        assert exchanges(client) - before == Counter(result=3)
+
+
+def test_four_threads_on_one_client_receive_only_their_own_results(
+    tmp_path,
+):
+    specs = [
+        {**FAST, "workload": workload}
+        for workload in ("fft", "ear", "mp3d", "eqntott")
+    ]
+    rounds = 10
+    with running_daemon(tmp_path) as (daemon, client):
+        expected = {}
+        for spec in specs:
+            job_id = client.submit(spec)["id"]
+            client.wait(job_id, timeout=120)
+            expected[job_id] = client.result_payload(job_id)
+        before = exchanges(client)
+        barrier = threading.Barrier(len(specs))
+
+        def drive(spec):
+            barrier.wait(timeout=30)
+            served = []
+            for _ in range(rounds):
+                job_id = client.submit(spec)["id"]
+                client.wait(job_id)
+                served.append((job_id, client.result_payload(job_id)))
+            return served
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+                served = list(pool.map(drive, specs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for spec, answers in zip(specs, served):
+            for job_id, payload in answers:
+                assert payload == expected[job_id]
+                assert payload["result"]["workload"] == spec["workload"]
+        assert exchanges(client) - before == Counter(
+            submit=len(specs) * rounds
+        )
+
+
+def test_returned_documents_keep_their_keys_and_a_fresh_run_is_two(
+    tmp_path,
+):
+    with running_daemon(tmp_path) as (daemon, client):
+        before = exchanges(client)
+        client.run(FAST, timeout=60)  # fresh: ends within one hold
+        assert exchanges(client) - before == Counter(submit=1, status=1)
+        fresh = client.submit({**FAST, "workload": "ear"})
+        waited = client.wait(fresh["id"], timeout=60)
+        assert waited["state"] == "done"
+        again = client.submit(FAST)
+        status = client.status(fresh["id"])
+        assert set(fresh) == set(again) == STATUS_KEYS | {"reused"}
+        assert set(waited) == set(status) == STATUS_KEYS
+        # the held results are still there to hand out
+        before = exchanges(client)
+        assert client.result_payload(fresh["id"])["id"] == fresh["id"]
+        assert exchanges(client) - before == Counter()
+
+
+def test_no_other_document_carries_a_result(tmp_path):
+    with running_daemon(tmp_path) as (daemon, client):
+        job_id = client.submit(FAST)["id"]
+        client.wait(job_id, timeout=60)
+        assert "result" not in daemon.queue.get(job_id).status()
+        jobs = client.queue()["jobs"]
+        assert [job["id"] for job in jobs] == [job_id]
+        assert "result" not in jobs[0]
+        events = list(client.watch(job_id))
+        assert events[-1]["kind"] == "serve.state"
+        assert not [event for event in events if "result" in event]
+        connection = raw_connection(daemon)
+        assert b'"result": ' in raw_body(
+            connection, "GET", f"/v1/jobs/{job_id}"
+        )
+        connection.close()
+
+
+# ----------------------------------------------------------------------
+# either end may be the older one
+
+
+def without_results(monkeypatch):
+    """Make the daemon answer as it did before its answers carried
+    results."""
+    monkeypatch.setattr(
+        ServiceDaemon, "encode_status",
+        lambda self, document: json.dumps(
+            document, sort_keys=True
+        ).encode("utf-8"),
+    )
+
+
+def test_a_daemon_without_results_costs_the_requests_it_always_did(
+    tmp_path, monkeypatch
+):
+    without_results(monkeypatch)
+    with running_daemon(tmp_path) as (daemon, client):
+        before = exchanges(client)
+        fresh = client.run(FAST, timeout=60)
+        assert exchanges(client) - before == Counter(
+            submit=1, status=1, result=1
+        )
+        before = exchanges(client)
+        cached = client.run(FAST)
+        assert exchanges(client) - before == Counter(submit=1, result=1)
+    assert fresh.stats.to_dict() == cached.stats.to_dict()
+
+
+def test_a_client_that_ignores_unknown_keys_still_works(tmp_path):
+    # the requests a client that predates results in answers makes:
+    # submit, its final answer trusted, then /result
+    with running_daemon(tmp_path) as (daemon, client):
+        client.run(FAST, timeout=60)
+        connection = raw_connection(daemon)
+        status, answer, _ = exchange(
+            connection, "POST", "/v1/jobs", json.dumps(FAST),
+            {"Content-Type": "application/json"},
+        )
+        assert status == 200 and answer["state"] == "done"
+        assert set(answer) - STATUS_KEYS == {"reused", "result"}
+        status, document, _ = exchange(
+            connection, "GET", f"/v1/jobs/{answer['id']}/result"
+        )
+        assert status == 200 and document == answer["result"]
+        assert ExperimentResult.from_dict(
+            document["result"]
+        ).stats.to_dict() == _job().run().stats.to_dict()
+        connection.close()
+
+
+def test_cli_submit_wait_and_result_are_one_request_each_printing_as_before(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.cli import main
+
+    flags = ["-w", "fft", "-a", "shared-l2", "-s", "test"]
+    with running_daemon(tmp_path) as (daemon, client):
+        server = ["--server", client.server]
+        assert main(["client", "submit", *flags, "--wait", *server]) == 0
+        job_id = re.search(r"^job (\w+)$", capsys.readouterr().out, re.M)[1]
+
+        def printed(*argv):
+            before = exchanges(client)
+            assert main(["client", *argv, *server]) == 0
+            return capsys.readouterr().out, exchanges(client) - before
+
+        with monkeypatch.context() as patched:
+            without_results(patched)
+            old_submit, asked = printed("submit", *flags, "--wait")
+            assert asked == Counter(submit=1, result=1)
+            old_result, asked = printed("result", job_id)
+            assert asked == Counter(status=1, result=1)
+        new_submit, asked = printed("submit", *flags, "--wait")
+        assert asked == Counter(submit=1)
+        new_result, asked = printed("result", job_id)
+        assert asked == Counter(status=1)
+    assert new_submit == old_submit and "cycles" in new_submit
+    assert new_result == old_result and "cycles" in new_result
 
 
 def test_first_sight_cached_specs_are_read_from_the_cache_once(tmp_path):
@@ -961,7 +1256,7 @@ def test_bad_server_url_is_a_service_error():
             ServiceClient(server).health()
 
 
-def test_dropped_clients_leak_no_socket_and_no_thread(tmp_path):
+def test_dropped_clients_leak_no_socket_and_no_thread(tmp_path, capfd):
     with running_daemon(tmp_path) as (daemon, client):
         job_id = client.submit(FAST)["id"]
         client.wait(job_id, timeout=60)
@@ -972,11 +1267,28 @@ def test_dropped_clients_leak_no_socket_and_no_thread(tmp_path):
             own.wait(job_id)
             return own.result_payload(job_id)["id"]
 
+        def ask_and_vanish(request: bytes):
+            # gone before the answer, the result inside it, is read:
+            # the close resets the connection
+            peer = socket.create_connection(("127.0.0.1", daemon.port))
+            peer.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            peer.sendall(request)
+            peer.close()
+
         threads_before = threading.active_count()
         for _ in range(5):
             assert use_and_drop() == job_id
+        body = json.dumps(FAST)
+        for request in (
+            _post(f"Content-Length: {len(body)}\r\n", body),
+            _get(target=f"/v1/jobs/{job_id} HTTP/1.1"),
+            _get(target=f"/v1/jobs/{job_id}?wait=5 HTTP/1.1"),
+        ):
+            ask_and_vanish(request)
         gc.collect()
-        assert daemon._httpd.traffic()[0] == 1 + 5
+        assert eventually(lambda: daemon._httpd.traffic()[0] == 1 + 5 + 3)
         # only the fixture's client is still connected
         assert eventually(lambda: daemon.open_connections() == 1)
         assert eventually(
@@ -986,6 +1298,7 @@ def test_dropped_clients_leak_no_socket_and_no_thread(tmp_path):
             assert scoped.health()["ok"]
             assert daemon.open_connections() == 2
         assert eventually(lambda: daemon.open_connections() == 1)
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_shutdown_releases_a_parked_request_with_the_current_status(
