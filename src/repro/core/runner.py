@@ -49,7 +49,12 @@ from repro.core.store import (
 from repro.core.system import System
 from repro.errors import ArtifactMiss, ConfigError, JobTimeoutError
 from repro.mem.functional import FunctionalMemory
-from repro.mem.topology import Topology, get_preset, resolve_topology
+from repro.mem.topology import (
+    Topology,
+    get_preset,
+    natural_cpus,
+    resolve_topology,
+)
 from repro.obs import bus as obs_bus
 
 
@@ -141,11 +146,7 @@ class Job:
 
     def __post_init__(self) -> None:
         if self.n_cpus is None:
-            arch = self.arch
-            self.n_cpus = (
-                arch.n_cpus if isinstance(arch, Topology)
-                else get_preset(arch).default_cpus
-            )
+            self.n_cpus = natural_cpus(self.arch)
 
     @property
     def cacheable(self) -> bool:

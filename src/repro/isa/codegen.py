@@ -39,6 +39,11 @@ class CodeRegion:
         self.name = name
         self.base = base
         self.size = size
+        # One int per slot, shared by every instruction emitted at it:
+        # a stretch built fresh holds its pcs, not copies of them.
+        self._pcs = tuple(
+            range(base, base + size * INSTRUCTION_BYTES, INSTRUCTION_BYTES)
+        )
         # Emitted-instruction memo, shared by every Emitter walking this
         # region (Instructions are immutable, so a hot loop body is
         # built once and re-yielded; see repro.isa.stream).
@@ -59,9 +64,10 @@ class CodeRegion:
 
         Wrapping models a loop body that is longer than the region by
         re-entering at the top, keeping fetch addresses inside the
-        function's footprint.
+        function's footprint. Every index of one slot gets the same
+        int object.
         """
-        return self.base + (index % self.size) * INSTRUCTION_BYTES
+        return self._pcs[index % self.size]
 
     def contains(self, pc: int) -> bool:
         """Whether ``pc`` falls inside this region."""

@@ -14,7 +14,12 @@ automatically: every emit is memoized per region on (slot, operands),
 so a spin loop or an inner loop body allocates its instructions exactly
 once no matter how many iterations (or CPUs) replay it. The memo is
 capped so data-sweeping loops with unbounded distinct addresses cannot
-grow it without limit.
+grow it without limit. It holds nothing its owner already holds: a
+load or store emitted while a stretch (below) is generated is built
+but not entered, since the stretch keeps it, while the stretch's
+compute and branch instructions, which repeat slot by slot, are. Every
+instruction emitted at one slot carries that slot's one pc int
+(:meth:`~repro.isa.codegen.CodeRegion.pc_of`).
 
 A whole loop can be data the same way. A *stretch* is a run of emits
 that reads nothing from the simulated machine — no ``want_value`` load,
@@ -80,12 +85,15 @@ class Emitter:
     large programs their I-cache footprint.
     """
 
-    __slots__ = ("region", "_index", "_stack")
+    __slots__ = ("region", "_index", "_stack", "_generating")
 
     def __init__(self, region: CodeRegion, start_index: int = 0) -> None:
         self.region = region
         self._index = start_index
         self._stack: list[tuple[CodeRegion, int]] = []
+        #: whether a stretch is being generated: its loads and stores
+        #: are held by the stretch, so they stay out of the memo
+        self._generating = False
 
     # ------------------------------------------------------------------
     # cursor control
@@ -144,16 +152,22 @@ class Emitter:
         region = self.region
         start = self._index
         instructions = []
-        for inst in body:
-            # Checked before ``body`` is resumed: it would be handed
-            # ``None`` where it expects the value.
-            if inst.want_value:
-                raise WorkloadError(
-                    f"stretch in region {region.name!r}: instruction "
-                    f"{len(instructions)} ({inst!r}) reads a value from "
-                    "the machine, so what follows it cannot be replayed"
-                )
-            instructions.append(inst)
+        outer = self._generating
+        self._generating = True
+        try:
+            for inst in body:
+                # Checked before ``body`` is resumed: it would be handed
+                # ``None`` where it expects the value.
+                if inst.want_value:
+                    raise WorkloadError(
+                        f"stretch in region {region.name!r}: instruction "
+                        f"{len(instructions)} ({inst!r}) reads a value "
+                        "from the machine, so what follows it cannot be "
+                        "replayed"
+                    )
+                instructions.append(inst)
+        finally:
+            self._generating = outer
         if self.region is not region:
             raise WorkloadError(
                 f"stretch in region {region.name!r} ends in region "
@@ -317,7 +331,7 @@ class Emitter:
                 want_value=want_value,
                 src1=src1,
             )
-            if len(cache) < _MEMO_CAP:
+            if not self._generating and len(cache) < _MEMO_CAP:
                 cache[key] = inst
         return inst
 
@@ -347,7 +361,7 @@ class Emitter:
                 value=value,
                 src1=src1,
             )
-            if len(cache) < _MEMO_CAP:
+            if not self._generating and len(cache) < _MEMO_CAP:
                 cache[key] = inst
         return inst
 

@@ -316,6 +316,15 @@ def get_preset(name: str) -> TopologyPreset:
         ) from None
 
 
+def natural_cpus(arch) -> int:
+    """What an omitted CPU count means for ``arch``: a
+    :class:`Topology` object's own count, else its preset's natural
+    ``default_cpus``."""
+    if isinstance(arch, Topology):
+        return arch.n_cpus
+    return get_preset(arch).default_cpus
+
+
 def resolve_topology(arch, config: MemConfig) -> Topology:
     """Resolve an architecture selector into a concrete spec.
 

@@ -32,6 +32,10 @@ _CODES = "ILSC"  # indexed by AccessKind value
 _CODE_TO_KIND = {code: value for value, code in enumerate(_CODES)}
 _IFETCH = int(AccessKind.IFETCH)
 
+#: rows :func:`write_columns` formats per write: the text of a whole
+#: column is never held at once, whatever the trace's length
+_CHUNK_ROWS = 1 << 12
+
 #: a :class:`TraceRecord`'s four fields as a plain tuple, the kind a
 #: plain ``int`` (what the bulk paths move instead of record objects)
 Row = tuple[int, int, int, int]
@@ -95,11 +99,11 @@ def per_cpu_columns(
 
     The one place a row from outside (a trace file, a caller's record
     list) is checked before replay sees it: a CPU id outside
-    ``[0, n_cpus)`` or an address that does not fit the 64-bit column
-    is a :class:`~repro.errors.WorkloadError` naming the row. An
-    I-fetch row keeps its pc in the address column; the pc of any
-    other row is dropped, since replay executes every reference at the
-    pc of the most recent fetch.
+    ``[0, n_cpus)``, a negative address or pc, or an address that does
+    not fit the 64-bit column is a :class:`~repro.errors.WorkloadError`
+    naming the row. An I-fetch row keeps its pc in the address column;
+    the pc of any other row is dropped, since replay executes every
+    reference at the pc of the most recent fetch.
     """
     if n_cpus <= 0:
         raise WorkloadError("n_cpus must be positive")
@@ -110,6 +114,11 @@ def per_cpu_columns(
             raise WorkloadError(
                 f"trace row {_describe(cpu, kind, addr, pc)} references "
                 f"cpu {cpu} but the machine has {n_cpus}"
+            )
+        if addr < 0 or pc < 0:
+            raise WorkloadError(
+                f"trace row {_describe(cpu, kind, addr, pc)}: an address "
+                "or pc is negative"
             )
         try:
             addrs[cpu].append(pc if kind == _IFETCH and pc else addr)
@@ -158,8 +167,9 @@ def write_columns(
     """Write per-CPU columns to ``path``; returns the count written.
 
     Byte-identical to ``write_trace(path, canonical_order(records))``
-    of the same stream recorded as tuples, one bulk-formatted block
-    per CPU. An I-fetch row's pc is its address; other rows carry 0.
+    of the same stream recorded as tuples, bulk-formatted
+    :data:`_CHUNK_ROWS` rows at a time. An I-fetch row's pc is its
+    address; other rows carry 0.
     """
     with Path(path).open("w") as handle:
         handle.write(_HEADER)
@@ -168,15 +178,19 @@ def write_columns(
                 f"{cpu} {code} %x " + ("%x\n" if code == "I" else "0\n")
                 for code in _CODES
             ]
-            handle.write(
-                "".join(
-                    [
-                        templates[kind]
-                        % ((addr, addr) if kind == _IFETCH else addr)
-                        for kind, addr in zip(cpu_kinds, cpu_addrs)
-                    ]
+            for start in range(0, len(cpu_kinds), _CHUNK_ROWS):
+                stop = start + _CHUNK_ROWS
+                handle.write(
+                    "".join(
+                        [
+                            templates[kind]
+                            % ((addr, addr) if kind == _IFETCH else addr)
+                            for kind, addr in zip(
+                                cpu_kinds[start:stop], cpu_addrs[start:stop]
+                            )
+                        ]
+                    )
                 )
-            )
     return sum(map(len, kinds))
 
 

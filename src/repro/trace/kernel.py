@@ -40,11 +40,14 @@ class PackedTrace:
     """A decoded trace as flat per-CPU reference columns.
 
     I-fetch records are folded into a ``pc`` column: each executed
-    reference carries the pc of the most recent recorded fetch. The pc
-    stays constant until the next one, so a replaying CPU's
-    line-crossing probe fires exactly where the recorded stream
-    fetched — the I-cache sees the recorded stream, nothing more, at
-    *any* line size.
+    reference carries the pc of the most recent recorded fetch, and a
+    replaying CPU probes the I-cache where that pc enters a new line.
+    So of adjacent fetch rows — a run of fetches with no load or store
+    between them, where the recorded program crossed lines in compute
+    and branches — only the last is replayed, and a fetch after a
+    CPU's last reference is not replayed at all. The I-cache sees a
+    subset of the recorded fetches, never one the recording lacks
+    (docs/REPLAY.md, "Determinism and the format").
     """
 
     __slots__ = ("n_cpus", "n_records", "kinds", "addrs", "pcs")

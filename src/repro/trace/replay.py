@@ -9,7 +9,8 @@ straight off its columns; under MXS a thread program re-issues the same
 columns as :class:`~repro.isa.instructions.Instruction` records. Loads
 and stores are re-issued at their recorded addresses, and each executes
 at the pc of the most recent recorded fetch, so the I-cache sees the
-recorded fetch stream.
+recorded fetch stream less the fetches the fold drops (of adjacent
+fetch rows only the last; see :class:`~repro.trace.kernel.PackedTrace`).
 
 Timing comes entirely from the *replaying* machine — the trace carries
 no cycles — which is what makes replay useful for cache-geometry
@@ -25,6 +26,8 @@ from typing import Iterable
 from repro.cpu.mipsy import MipsyCpu
 from repro.isa.instructions import Instruction, OpClass
 from repro.mem.functional import FunctionalMemory
+from repro.mem.hierarchy import MemConfig
+from repro.mem.topology import natural_cpus
 from repro.mem.types import AccessKind, StallLevel
 from repro.trace.format import Row
 from repro.trace.kernel import PackedTrace, load_packed
@@ -203,16 +206,27 @@ class TraceCpu(MipsyCpu):
 def replay_trace(
     path: str | Path,
     arch: str,
-    n_cpus: int = 4,
+    n_cpus: int | None = None,
     mem_config=None,
     max_cycles: int | None = 50_000_000,
 ):
     """Convenience: replay a trace file on an architecture.
 
-    Returns the finished :class:`~repro.core.system.System`.
+    An omitted ``n_cpus`` is ``mem_config``'s count, or without one the
+    preset's natural count (as for a :class:`~repro.core.runner.Job`);
+    an omitted ``mem_config`` is the default
+    :class:`~repro.mem.hierarchy.MemConfig` at that count. Returns the
+    finished :class:`~repro.core.system.System`.
     """
     from repro.core.system import System
 
+    if n_cpus is None:
+        n_cpus = (
+            mem_config.n_cpus if mem_config is not None
+            else natural_cpus(arch)
+        )
+    if mem_config is None:
+        mem_config = MemConfig(n_cpus=n_cpus)
     system = System(
         arch,
         TraceWorkload.from_file(n_cpus, FunctionalMemory(), path),

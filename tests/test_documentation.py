@@ -91,6 +91,7 @@ def test_documented_docs_exist():
         "docs/MODEL.md",
         "docs/WORKLOADS.md",
         "docs/REPRODUCING.md",
+        "docs/CLI.md",
     ):
         assert (root / doc).is_file(), doc
 
@@ -120,6 +121,20 @@ def test_experiments_and_reproducing_name_catalog_studies():
         assert studies and set(studies) <= set(STUDIES), line
         named.update(studies)
     assert named == set(STUDIES)
+
+
+def test_cli_reference_is_current():
+    """``docs/CLI.md`` is what ``scripts/gen_cli_doc.py`` renders from
+    the parser: a flag added, renamed or re-documented without
+    regenerating the page fails here."""
+    import sys
+
+    root = SRC_ROOT.parent.parent
+    checked = subprocess.run(
+        [sys.executable, str(root / "scripts" / "gen_cli_doc.py"), "--check"],
+        capture_output=True, text=True,
+    )
+    assert checked.returncode == 0, checked.stdout + checked.stderr
 
 
 def test_examples_exist_and_are_executable_scripts():

@@ -25,6 +25,7 @@ from repro.cpu.mipsy import MipsyCpu
 from repro.errors import ConfigError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.topology import topology_names
+from repro.mem.types import AccessKind
 from repro.obs import ObsConfig
 from repro.trace.format import canonical_order, read_trace, write_trace
 from repro.trace.kernel import PackedTrace, load_packed, replay_kernel
@@ -261,8 +262,10 @@ def test_kernel_truncation(traces):
 def test_record_replay_record_byte_identical(arch, tmp_path):
     """Replaying a canonical trace and re-recording it reproduces the
     file byte for byte, on every preset (cluster-l1 at its full 16
-    CPUs). Constant-pc replay plus canonical per-CPU ordering make the
-    trace a fixed point of the record cycle."""
+    CPUs). Constant-pc replay plus canonical per-CPU ordering make a
+    trace with no adjacent fetch rows — ``LoopWorkload``'s has none —
+    a fixed point of the record cycle (a fold keeps only the last of
+    adjacent fetches: see the tests below)."""
     n_cpus = 16 if arch == "cluster-l1" else 4
     config = config_for_scale("test", n_cpus)
     functional = FunctionalMemory()
@@ -288,6 +291,59 @@ def test_record_replay_record_byte_identical(arch, tmp_path):
     write_trace(second, canonical_order(re_recorder.records))
 
     assert first.read_bytes() == second.read_bytes()
+
+
+def _fetch_rows(recorder) -> list[tuple[int, int]]:
+    return [
+        (record.cpu, record.pc)
+        for record in recorder.records
+        if record.kind == AccessKind.IFETCH
+    ]
+
+
+def test_adjacent_fetches_fold_to_the_last(tmp_path):
+    """Replay probes the I-cache at the last of adjacent fetch rows
+    only: two fetches on different lines, then a load, replay one
+    I-fetch — of the second line."""
+    path = tmp_path / "fetches.trace"
+    path.write_text("0 I 400000 400000\n0 I 400040 400040\n0 L 1000 0\n")
+    replay = System(
+        "shared-mem",
+        TraceWorkload.from_file(1, FunctionalMemory(), path),
+        mem_config=config_for_scale("test", 1),
+    )
+    recorder = record_run(replay)
+    assert _fetch_rows(recorder) == [(0, 0x400040)]
+    assert replay.stats.aggregate_caches(".l1i").accesses == 1
+
+
+def test_rerecording_drops_only_folded_fetches_then_holds(traces, tmp_path):
+    """A generated recording has adjacent fetch rows (fft's compute
+    between references crosses lines); re-recording its replay keeps
+    every data reference and drops those fetches, and from there the
+    record cycle is a fixed point."""
+    config = config_for_scale("test", N_CPUS)
+
+    def rerecord(path):
+        system = System(
+            "shared-mem",
+            TraceWorkload.from_file(N_CPUS, FunctionalMemory(), path),
+            mem_config=config,
+        )
+        return record_run(system, tmp_path / f"re-{path.name}")
+
+    first = rerecord(traces["fft"])
+    second = rerecord(tmp_path / f"re-{traces['fft'].name}")
+    original = list(read_trace(traces["fft"]))
+
+    def data(records):
+        return [r for r in records if r.kind != AccessKind.IFETCH]
+
+    assert data(canonical_order(first.records)) == data(original)
+    assert len(_fetch_rows(first)) < sum(
+        r.kind == AccessKind.IFETCH for r in original
+    )
+    assert canonical_order(second.records) == canonical_order(first.records)
 
 
 # ----------------------------------------------------------------------

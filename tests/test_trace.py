@@ -8,7 +8,7 @@ from repro.core.configs import test_config as make_test_config
 from repro.core.system import System
 from repro.errors import ReproError, WorkloadError
 from repro.mem.functional import FunctionalMemory
-from repro.mem.hierarchy import MemorySystem
+from repro.mem.hierarchy import MemConfig, MemorySystem
 from repro.mem.types import AccessKind, AccessResult, StallLevel
 from repro.sim.stats import SystemStats
 from repro.trace import (
@@ -124,6 +124,40 @@ def test_replay_on_a_different_architecture(tmp_path):
     assert replayed.stats.instructions > 0
 
 
+def _write_rows(path, n_cpus):
+    path.write_text(
+        "".join(
+            f"{cpu} I 400000 400000\n{cpu} L {0x1000 + 64 * cpu:x} 0\n"
+            for cpu in range(n_cpus)
+        )
+    )
+    return path
+
+
+@pytest.mark.parametrize("n_cpus", [1, 8])
+def test_replay_trace_takes_its_cpu_count_from_either_argument(
+    n_cpus, tmp_path
+):
+    """An ``n_cpus`` alone sizes the default config; a ``mem_config``
+    alone sets the count (both used to raise ``ConfigError`` unless the
+    other said 4)."""
+    path = _write_rows(tmp_path / "rows.trace", n_cpus)
+    by_count = replay_trace(path, "shared-mem", n_cpus=n_cpus)
+    by_config = replay_trace(
+        path, "shared-mem", mem_config=MemConfig(n_cpus=n_cpus)
+    )
+    for system in (by_count, by_config):
+        assert system.config.n_cpus == n_cpus
+        assert system.stats.instructions == n_cpus
+    assert by_count.stats.to_dict() == by_config.stats.to_dict()
+
+
+def test_replay_trace_defaults_to_the_presets_count(tmp_path):
+    path = _write_rows(tmp_path / "rows.trace", 2)
+    assert replay_trace(path, "shared-l2").config.n_cpus == 4
+    assert replay_trace(path, "cluster-l1").config.n_cpus == 16
+
+
 def test_replay_cache_sweep_shows_geometry_effects(tmp_path):
     """The classic use: one trace, two cache sizes, fewer misses with
     the bigger cache."""
@@ -196,6 +230,11 @@ HOSTILE_ENTRIES = {
         # to replay, unpacked, as an address no machine has)
         ("0 L 8000000000000000 0", WorkloadError),
         ("0 I 400000 8000000000000000", WorkloadError),
+        # int(x, 16) takes a sign: these used to replay as address -31
+        # and fetch pc -4
+        ("0 L -1f 0", WorkloadError),
+        ("0 I 400000 -4", WorkloadError),
+        ("0 S 1000 -4", WorkloadError),
     ],
 )
 def test_hostile_rows_get_typed_errors_naming_the_row(
@@ -205,6 +244,23 @@ def test_hostile_rows_get_typed_errors_naming_the_row(
         HOSTILE_ENTRIES[entry](line + "\n", tmp_path)
     assert line in str(raised.value)
     assert isinstance(raised.value, ReproError)  # never a bare builtin
+
+
+@pytest.mark.parametrize(
+    "row",
+    [(0, int(AccessKind.LOAD), -0x1F, 0), (0, int(AccessKind.IFETCH), 0, -4)],
+)
+def test_programmatic_rows_with_a_negative_address_or_pc_rejected(row):
+    with pytest.raises(WorkloadError, match="negative"):
+        TraceWorkload(4, FunctionalMemory(), records=[row])
+
+
+def test_replay_trace_of_a_negative_address_raises(tmp_path):
+    """A one-line trace of address -0x1f used to replay for 61 cycles."""
+    path = tmp_path / "negative.trace"
+    path.write_text("0 L -1f 0\n")
+    with pytest.raises(WorkloadError, match="'0 L -1f 0'"):
+        replay_trace(path, "shared-mem")
 
 
 def test_sync_heavy_stream_replays_with_same_kind_sequence(tmp_path):
