@@ -46,7 +46,7 @@ from repro.mem.bank import BankedResource, Resource
 from repro.mem.bus import SnoopyBus
 from repro.mem.cache import CacheArray
 from repro.mem.coherence.directory import Directory
-from repro.mem.crossbar import Crossbar, MultistageCrossbar
+from repro.mem.crossbar import Crossbar
 from repro.mem.functional import FunctionalMemory
 from repro.mem.mainmem import MainMemory
 from repro.mem.topology import (
@@ -203,7 +203,7 @@ def component_counters(value):
         return _resource_counters(value)
     if isinstance(value, BankedResource):
         return [_resource_counters(bank) for bank in value.banks]
-    if isinstance(value, (Crossbar, MultistageCrossbar)):
+    if isinstance(value, Crossbar):
         return {
             "wait_cycles": value.wait_cycles,
             "ports": [_resource_counters(port) for port in value.ports],

@@ -30,6 +30,6 @@ Quickstart::
     print(normalized_times(results))
 """
 
-__version__ = "1.31.0"
+__version__ = "1.32.0"
 
 __all__ = ["__version__"]

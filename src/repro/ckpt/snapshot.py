@@ -61,7 +61,7 @@ from repro.mem.bank import BankedResource, Resource
 from repro.mem.bus import SnoopyBus
 from repro.mem.cache import CacheArray
 from repro.mem.coherence.directory import Directory
-from repro.mem.crossbar import Crossbar, MultistageCrossbar
+from repro.mem.crossbar import Crossbar
 from repro.mem.functional import FunctionalMemory
 from repro.mem.mainmem import MainMemory
 from repro.mem.mshr import MshrFile
@@ -72,7 +72,7 @@ from repro.obs.sampler import UtilizationSampler
 from repro.obs.timeline import EventTimeline
 from repro.sim.stats import CacheStats, CycleBreakdown, MxsStats, SystemStats
 from repro.sync import AtomicCounter, Barrier, SpinLock, TaskQueue
-from repro.trace.replay import TraceCpu
+from repro.trace.replay import TraceCpu, TraceWorkload
 
 #: Snapshot wire-format identifier; bumped on any incompatible change.
 SNAPSHOT_FORMAT = "repro.ckpt/1"
@@ -205,11 +205,6 @@ def _fus_free(used: dict) -> list:
 # ---------------------------------------------------------------------------
 # the table: one row per stateful class
 
-_INTERCONNECT = Codec((
-    part("banks"), part("ports"), part("switches", optional=True),
-    plain("wait_cycles"),
-))
-
 _CPU = (
     plain("done"),
     # Delta-folding models derive busy/ifetch counts from the
@@ -247,8 +242,11 @@ CODECS: dict[type, Codec] = {
         "positional",
     ),
     BankedResource: Codec((part("banks"),), "bare"),
-    Crossbar: _INTERCONNECT,
-    MultistageCrossbar: _INTERCONNECT,
+    # a one-stage crossbar has no switch columns, and sends none
+    Crossbar: Codec((
+        part("banks"), part("ports"), part("switches", optional=True),
+        plain("wait_cycles"),
+    )),
     WriteBuffer: Codec((
         fill("pending", "_pending", list),
         *plains("last_visible", "full_stalls", "stores"),
@@ -497,12 +495,20 @@ def _sections(system) -> dict:
 
 
 def _identity(system) -> dict:
-    """What a checkpoint and its restore target must agree on."""
+    """What a checkpoint and its restore target must agree on. A
+    replay is its trace, named by content: two traces can share a
+    workload name (``synthetic`` at other arguments), and a
+    generated run names none (``None``, left out of its meta)."""
+    workload = system.workload
     return {
         "arch": system.arch,
         "cpu_model": system.cpu_model,
         "n_cpus": system.config.n_cpus,
-        "workload": system.workload.name,
+        "workload": workload.name,
+        "trace": (
+            workload.packed.digest()
+            if isinstance(workload, TraceWorkload) else None
+        ),
     }
 
 
@@ -527,7 +533,11 @@ def snapshot_system(system, extra_meta: dict | None = None) -> dict:
         "format": SNAPSHOT_FORMAT,
         "version": __version__,
         "cycle": system._cycle,
-        **_identity(system),
+        **{
+            key: value
+            for key, value in _identity(system).items()
+            if value is not None
+        },
         "obs": (
             {
                 "sample_interval": (

@@ -99,8 +99,8 @@ class Job:
     the cache — the interval is part of the spec, so observed and
     unobserved runs never share an entry).
 
-    ``replay=True`` routes the job down the trace-replay lane
-    (:mod:`repro.trace.backend`): the workload's reference stream is
+    ``replay=True`` makes the job's workload its recorded trace
+    (:meth:`resolve_factory`): the workload's reference stream is
     recorded once on the fixed reference machine (automatically, into
     the :class:`~repro.trace.store.TraceStore` at ``trace_dir``) and
     re-simulated on this job's architecture/config instead of
@@ -168,8 +168,28 @@ class Job:
         return f"{module}.{qualname or self.workload!r}"
 
     def resolve_factory(self) -> WorkloadFactory:
-        """The workload factory this job runs (registry lookup), with
-        ``workload_args`` bound."""
+        """The workload factory this job runs: the registry's (or the
+        given callable), with ``workload_args`` bound — or, for a
+        replayed job, one building a
+        :class:`~repro.trace.replay.TraceWorkload` over the job's
+        recorded trace, recorded first on a miss (by the generated
+        job, so this does not recurse)."""
+        if self.replay:
+            from repro.trace.replay import TraceWorkload
+            from repro.trace.store import TraceStore
+
+            path, packed = TraceStore(self.trace_dir).resolve(
+                self.workload, self.scale, self.n_cpus, self.workload_args
+            )
+            name = self.workload_key()
+            obs_bus.emit("trace.replay", workload=name, trace=path.name)
+
+            def replayed(n_cpus, functional, scale):
+                return TraceWorkload.from_packed(
+                    functional, packed, name=name, source=path.name
+                )
+
+            return replayed
         factory = self.workload
         if isinstance(factory, str):
             from repro.workloads import WORKLOADS
@@ -287,17 +307,29 @@ class Job:
         obs: "ObsConfig | None" = None,
         resume_from: str | None = None,
     ) -> ExperimentResult:
-        """Execute this job in the current process.
+        """Execute this job in the current process; returns the result
+        record.
 
         ``obs`` overrides the observability configuration (the CLI's
         in-process ``--events`` path, which needs an output file the
         picklable spec cannot carry); by default ``obs_sample`` > 0
-        enables sampling-only observability. ``resume_from`` names an
-        explicit checkpoint digest to restore before running; without
-        it, a job with ``ckpt_dir`` resumes from its latest checkpoint
-        automatically when one exists.
+        enables sampling-only observability. With ``obs`` set the run
+        carries an attached :class:`~repro.obs.observe.Observation`;
+        its rollup lands in ``extras["obs"]`` and, when
+        ``obs.events_path`` is set, the event timeline is written there
+        as Chrome/Perfetto trace JSON.
+
+        With ``ckpt_dir`` set, ``ckpt_every`` > 0 pauses the run at
+        every multiple of that cycle count and snapshots it into the
+        :class:`~repro.ckpt.CheckpointStore` there (updating this job's
+        latest pointer, so a killed run is picked up where it left
+        off); ``resume_from`` names a checkpoint digest in the same
+        store to restore before running, and without it the job resumes
+        from its latest checkpoint when one exists. Checkpointed and
+        resumed runs produce bit-identical statistics to uninterrupted
+        ones — see ``docs/CHECKPOINTING.md``. Checkpoint progress lands
+        in ``extras["checkpoint"]``.
         """
-        config = self.mem_config()
         if obs is None and self.obs_sample > 0:
             from repro.obs import ObsConfig
 
@@ -306,73 +338,11 @@ class Job:
             from repro.ckpt import CheckpointStore
 
             resume_from = CheckpointStore(self.ckpt_dir).latest(self.key())
-        if self.replay:
-            from repro.trace.backend import run_replay
-
-            return run_replay(
-                self, config, obs=obs, resume_from=resume_from
-            )
-        return self.run_factory(
-            self.resolve_factory(), config, obs, resume_from
-        )
-
-    def build(
-        self, obs: "ObsConfig | None" = None, checkpointing: bool = False
-    ):
-        """This job's machine, built and not yet run — for the caller
-        that needs the live :class:`~repro.core.system.System` (a
-        snapshot at a chosen cycle, an observation's full series) where
-        :meth:`run` returns the result record. A replayed job's machine
-        runs its recorded trace (recorded first on a miss)."""
-        if self.replay:
-            from repro.trace.backend import resolve_trace, trace_factory
-
-            factory = trace_factory(resolve_trace(self)[1])
-        else:
-            factory = self.resolve_factory()
-        return self._system(factory, self.mem_config(), obs, checkpointing)
-
-    def _system(self, factory, config, obs, checkpointing) -> System:
-        """The one place a job becomes a machine: a fresh functional
-        memory, ``factory``'s workload built on it, and the
-        :class:`~repro.core.system.System` around them."""
-        return System(
-            self.arch,
-            factory(self.n_cpus, FunctionalMemory(), self.scale),
-            mem_config=config,
-            cpu_model=self.cpu_model,
-            cpu_params=self.cpu_params,
-            max_cycles=self.max_cycles,
-            obs=obs,
-            checkpointing=checkpointing,
-        )
-
-    def run_factory(self, factory, config, obs, resume_from):
-        """Build this job's machine around ``factory`` and ``config``
-        and run it under this job's execution policy; returns the
-        result record. :meth:`run` comes through here, and so does the
-        replay lane with its trace workload.
-
-        With ``obs`` set the run carries an attached
-        :class:`~repro.obs.observe.Observation`; its rollup lands in
-        ``extras["obs"]`` and, when ``obs.events_path`` is set, the
-        event timeline is written there as Chrome/Perfetto trace JSON.
-
-        With ``ckpt_dir`` set, ``ckpt_every`` > 0 pauses the run at
-        every multiple of that cycle count and snapshots it into the
-        :class:`~repro.ckpt.CheckpointStore` there (updating this job's
-        latest pointer, so a killed run is picked up where it left
-        off); ``resume_from`` restores the named checkpoint digest from
-        the same store before running. Checkpointed and resumed runs
-        produce bit-identical statistics to uninterrupted ones — see
-        ``docs/CHECKPOINTING.md``. Checkpoint progress lands in
-        ``extras["checkpoint"]``.
-        """
         every = self.ckpt_every if self.ckpt_dir else 0
         checkpointing = bool(every) or resume_from is not None
         if checkpointing and self.ckpt_dir is None:
             raise ConfigError("resume_from requires ckpt_dir")
-        system = self._system(factory, config, obs, checkpointing)
+        system = self.build(obs, checkpointing)
         workload = system.workload
         started = time.perf_counter()
         if checkpointing:
@@ -402,6 +372,7 @@ class Job:
                     obs.events_path,
                     label=f"{workload.name}/{self.arch}/{self.cpu_model}",
                 )
+        extras.update(workload.result_extras())
         return ExperimentResult(
             arch=self.arch,
             workload=workload.name,
@@ -410,6 +381,31 @@ class Job:
             stats=stats,
             wall_seconds=elapsed,
             extras=extras,
+        )
+
+    def build(
+        self, obs: "ObsConfig | None" = None, checkpointing: bool = False
+    ) -> System:
+        """This job's machine, built and not yet run — what :meth:`run`
+        runs, and for the caller that needs the live
+        :class:`~repro.core.system.System` (a snapshot at a chosen
+        cycle, an observation's full series) where :meth:`run` returns
+        the result record: a fresh functional memory, the workload of
+        :meth:`resolve_factory` built on it, and the machine around
+        them."""
+        # Before the workload: a bad override fails before a replayed
+        # job records its trace.
+        config = self.mem_config()
+        factory = self.resolve_factory()
+        return System(
+            self.arch,
+            factory(self.n_cpus, FunctionalMemory(), self.scale),
+            mem_config=config,
+            cpu_model=self.cpu_model,
+            cpu_params=self.cpu_params,
+            max_cycles=self.max_cycles,
+            obs=obs,
+            checkpointing=checkpointing,
         )
 
 
@@ -1246,13 +1242,21 @@ class RunnerSession:
         if pool is None:
             return
         if force:
-            victims = list((getattr(pool, "_processes", None) or {}))
+            victims = list(
+                (getattr(pool, "_processes", None) or {}).values()
+            )
             pool.shutdown(wait=False, cancel_futures=True)
-            for pid in victims:
+            for process in victims:
                 try:
-                    os.kill(pid, signal.SIGKILL)
+                    os.kill(process.pid, signal.SIGKILL)
                 except (ProcessLookupError, PermissionError):
                     pass
+            # Reap them before returning: a closed session leaves no
+            # zombie, and the workers' CPU time is in this process's
+            # RUSAGE_CHILDREN by then, not whenever the pool's manager
+            # thread gets round to joining them.
+            for process in victims:
+                process.join(timeout=5.0)
         else:
             pool.shutdown(wait=True)
 

@@ -106,11 +106,6 @@ class Emitter:
         """Move the cursor without emitting (e.g. after an unrolled exit)."""
         self._index = label
 
-    def _pc(self) -> int:
-        pc = self.region.pc_of(self._index)
-        self._index += 1
-        return pc
-
     # ------------------------------------------------------------------
     # value-independent stretches
 

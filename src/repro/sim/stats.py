@@ -241,10 +241,6 @@ class MxsStats:
         }
 
     @property
-    def mispredict_rate(self) -> float:
-        return self.mispredicts / self.branches if self.branches else 0.0
-
-    @property
     def mean_window_occupancy(self) -> float:
         """Average instructions resident in the window/ROB per cycle."""
         return (

@@ -18,7 +18,9 @@ This package provides both halves:
   (one record per line) used on disk;
 * :class:`~repro.trace.store.TraceStore` keeps traces as
   content-addressed artifacts, recorded automatically on first use —
-  the record-once half of the runner's ``replay=True`` lane;
+  the record-once half of a ``Job(replay=True)``, whose
+  :meth:`~repro.core.runner.Job.resolve_factory` builds a
+  :class:`~repro.trace.replay.TraceWorkload` over the trace;
 * :class:`~repro.trace.kernel.PackedTrace` is a trace decoded into
   flat per-CPU ``array`` columns, which
   :func:`~repro.trace.kernel.load_packed` serves from a memo or a

@@ -15,7 +15,9 @@ the end.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import sys
 import zlib
 from array import array
 from pathlib import Path
@@ -50,7 +52,7 @@ class PackedTrace:
     (docs/REPLAY.md, "Determinism and the format").
     """
 
-    __slots__ = ("n_cpus", "n_records", "kinds", "addrs", "pcs")
+    __slots__ = ("n_cpus", "n_records", "kinds", "addrs", "pcs", "_digest")
 
     def __init__(self, n_cpus: int, records: Iterable[Row] = ()) -> None:
         self._fold(*per_cpu_columns(n_cpus, records))
@@ -80,6 +82,7 @@ class PackedTrace:
         references that follow them."""
         self.n_cpus = len(kinds)
         self.n_records = sum(map(len, kinds))
+        self._digest = None
         if self.n_records == 0:
             raise WorkloadError("empty trace")
         #: per-CPU reference kinds (AccessKind values; IFETCH folded)
@@ -104,6 +107,22 @@ class PackedTrace:
     def __len__(self) -> int:
         """Executed (non-fetch) references across all CPUs."""
         return sum(len(kinds) for kinds in self.kinds)
+
+    def digest(self) -> str:
+        """SHA-256 of the columns, little-endian on every host: which
+        stream this is, whatever file or recording it came from. The
+        columns never change, so it is computed once."""
+        if self._digest is None:
+            digest = hashlib.sha256(b"%d" % self.n_cpus)
+            for columns in (self.kinds, self.addrs, self.pcs):
+                for column in columns:
+                    if sys.byteorder != "little":
+                        column = array(column.typecode, column)
+                        column.byteswap()
+                    digest.update(b"%d:" % len(column))
+                    digest.update(column)
+            self._digest = digest.hexdigest()
+        return self._digest
 
 
 #: Small per-process memo of decoded traces: a sweep replays one
@@ -154,6 +173,7 @@ def _read_sidecar(path: Path, n_cpus: int, stat) -> "PackedTrace | None":
                 at += width
         packed = PackedTrace.__new__(PackedTrace)
         packed.n_cpus, packed.n_records = n_cpus, n_records
+        packed._digest = None
         packed.kinds = columns[0::3]
         packed.addrs = columns[1::3]
         packed.pcs = columns[2::3]

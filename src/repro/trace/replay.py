@@ -42,9 +42,16 @@ _OPS = (None, OpClass.LOAD, OpClass.STORE, OpClass.SC)
 
 
 class TraceWorkload(Workload):
-    """A recorded reference stream, replayed CPU by CPU."""
+    """A recorded reference stream, replayed CPU by CPU.
+
+    ``name`` is the recorded workload's where the caller knows it (a
+    replayed :class:`~repro.core.runner.Job` does), so its result and
+    its checkpoints say what was replayed; ``source`` names the trace
+    file it came from, if any.
+    """
 
     name = "trace-replay"
+    source = None
 
     def __init__(
         self,
@@ -58,12 +65,19 @@ class TraceWorkload(Workload):
 
     @classmethod
     def from_packed(
-        cls, functional: FunctionalMemory, packed: PackedTrace
+        cls,
+        functional: FunctionalMemory,
+        packed: PackedTrace,
+        name: str | None = None,
+        source: str | None = None,
     ) -> "TraceWorkload":
         """Replay an already decoded trace (shared, never modified)."""
         self = cls.__new__(cls)
         Workload.__init__(self, packed.n_cpus, functional)
         self.packed = packed
+        if name is not None:
+            self.name = name
+        self.source = source
         return self
 
     @classmethod
@@ -73,6 +87,13 @@ class TraceWorkload(Workload):
         """Replay the trace at ``path`` (decoded by
         :func:`~repro.trace.kernel.load_packed`)."""
         return cls.from_packed(functional, load_packed(n_cpus, path))
+
+    def result_extras(self) -> dict:
+        """A replayed run says so, and which trace it replayed."""
+        return {
+            "backend": "replay",
+            "replay": {"trace": self.source, "references": len(self.packed)},
+        }
 
     def program(self, cpu_id: int):
         """Re-issue this CPU's references as instructions — what an MXS

@@ -26,7 +26,7 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import repro
 from repro.core.store import (
@@ -38,6 +38,9 @@ from repro.core.store import (
 )
 from repro.errors import ArtifactMiss, ConfigError, ReproError
 from repro.obs import bus as obs_bus
+
+if TYPE_CHECKING:
+    from repro.trace.kernel import PackedTrace
 
 #: The fixed reference machine every trace is recorded on. The
 #: baseline architecture keeps the recorded stream topology-neutral,
@@ -166,6 +169,24 @@ class TraceStore(ArtifactStore):
         except ArtifactMiss:
             return None
         return path
+
+    def resolve(
+        self, workload: str, scale: str, n_cpus: int, workload_args=None
+    ) -> tuple[Path, PackedTrace]:
+        """The recorded trace and its packed columns, recording it
+        first on a miss. The trace is keyed by the workload (and its
+        arguments), scale and CPU count only, so every point of a sweep
+        shares one recording."""
+        from repro.trace.kernel import load_packed
+
+        try:
+            path = self.get_or_record(workload, scale, n_cpus, workload_args)
+            return path, load_packed(n_cpus, path)
+        except ArtifactMiss:
+            # The text failed its digest where load_packed went to
+            # parse it and is evicted already: record it afresh, once.
+            path = self.get_or_record(workload, scale, n_cpus, workload_args)
+            return path, load_packed(n_cpus, path)
 
     def get_or_record(
         self, workload: str, scale: str, n_cpus: int, workload_args=None

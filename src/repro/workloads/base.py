@@ -113,6 +113,12 @@ class Workload(ABC):
             "replayed": sum(region.replayed for region in self.code),
         }
 
+    def result_extras(self) -> dict:
+        """What a run's result record carries about this workload
+        beyond its statistics and reports (nothing, for a generated
+        one)."""
+        return {}
+
     def sync_objects(self) -> dict[str, object]:
         """Name → primitive for every lock, barrier, task queue and
         atomic counter this workload (or its sub-objects, two levels

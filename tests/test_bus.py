@@ -1,5 +1,8 @@
 """Tests for the snoopy bus, crossbar, and main-memory models."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.mem.bus import BusTiming, SnoopyBus
 from repro.mem.crossbar import Crossbar
 from repro.mem.mainmem import MainMemory
@@ -47,7 +50,8 @@ def test_bus_upgrade_and_writeback_counted():
 
 def make_xbar(**kwargs):
     defaults = dict(
-        name="x", n_banks=4, line_size=32, latency=14, occupancy=4, n_ports=4
+        name="x", n_banks=4, line_size=32, stage_latencies=(14,),
+        occupancy=4, n_ports=4,
     )
     defaults.update(kwargs)
     return Crossbar(**defaults)
@@ -55,47 +59,121 @@ def make_xbar(**kwargs):
 
 def test_crossbar_latency():
     xbar = make_xbar()
-    ready, wait = xbar.access(0, at=10, port=0)
-    assert ready == 24
-    assert wait == 0
+    assert xbar.make_lane(0)(0, 10) == 24
+    assert xbar.wait_cycles == 0
 
 
 def test_crossbar_bank_conflict():
     xbar = make_xbar()
-    xbar.access(0, at=0, port=0)
-    ready, wait = xbar.access(0, at=0, port=1)  # same bank, other port
-    assert wait == 4
+    xbar.make_lane(0)(0, 0)
+    ready = xbar.make_lane(1)(0, 0)  # same bank, other port
+    assert xbar.wait_cycles == 4
     assert ready == 4 + 14
 
 
 def test_crossbar_port_conflict():
     xbar = make_xbar()
-    xbar.access(0, at=0, port=0)
-    ready, wait = xbar.access(32, at=0, port=0)  # other bank, same port
-    assert wait == 4
+    lane = xbar.make_lane(0)
+    lane(0, 0)
+    lane(32, 0)  # other bank, same port
+    assert xbar.wait_cycles == 4
 
 
 def test_crossbar_disjoint_port_bank_pairs_do_not_conflict():
     xbar = make_xbar()
-    xbar.access(0, at=0, port=0)
-    ready, wait = xbar.access(32, at=0, port=1)
-    assert wait == 0
-    assert ready == 14
+    xbar.make_lane(0)(0, 0)
+    assert xbar.make_lane(1)(32, 0) == 14
+    assert xbar.wait_cycles == 0
 
 
 def test_crossbar_word_write_occupancy_override():
     xbar = make_xbar()
-    xbar.access(0, at=0, port=0, occupancy=1)
-    ready, wait = xbar.access(0, at=0, port=1)
-    assert wait == 1  # only one cycle held, not four
+    xbar.make_lane(0, occupancy=1)(0, 0)
+    xbar.make_lane(1)(0, 0)
+    assert xbar.wait_cycles == 1  # only one cycle held, not four
 
 
 def test_crossbar_conflict_cycles_accounted():
     xbar = make_xbar()
-    xbar.access(0, at=0, port=0)
-    xbar.access(0, at=0, port=1)
-    assert xbar.conflict_cycles == 4
+    xbar.make_lane(0)(0, 0)
+    xbar.make_lane(1)(0, 0)
+    assert xbar.wait_cycles == 4
     assert xbar.requests == 2
+
+
+def _reference_transits(stages, n_ports, n_banks, line, requests):
+    """The crossbar timing rule, written out on its own: a request's
+    route is its port, one switch per stage before the last (CPUs
+    grouped ``4**(s + 1)`` per stage-``s`` switch) and its bank; it
+    starts when the whole route is free and holds each hop ``hold``
+    cycles. Returns each data-ready cycle, the total wait and every
+    touched hop's ``[busy, requests, next_free]``."""
+    hops, ready, waited = {}, [], 0
+    for port, addr, at, hold in requests:
+        route = [("port", port)] + [
+            ("sw", s, (port // 4 ** (s + 1)) % max(n_ports // 4 ** (s + 1), 1))
+            for s in range(len(stages) - 1)
+        ] + [("bank", (addr // line) % n_banks)]
+        start = max([at] + [hops.get(hop, [0, 0, 0])[2] for hop in route])
+        for hop in route:
+            busy, count, _ = hops.get(hop, [0, 0, 0])
+            hops[hop] = [busy + hold, count + 1, start + hold]
+        waited += start - at
+        ready.append(start + sum(stages))
+    return ready, waited, hops
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stages=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+    n_ports=st.sampled_from((4, 16, 64)),
+    occupancy=st.integers(1, 4),
+    data=st.data(),
+)
+def test_crossbar_lane_matches_a_reference_model(
+    stages, n_ports, occupancy, data
+):
+    requests = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, n_ports - 1),
+            st.integers(0, 1023),
+            st.integers(0, 60),
+            st.sampled_from((None, 1, 2, 5)),
+        ),
+        max_size=40,
+    ))
+    xbar = make_xbar(
+        stage_latencies=stages, occupancy=occupancy, n_ports=n_ports
+    )
+    lanes = {}
+    ready = []
+    for port, addr, at, hold in requests:
+        if (port, hold) not in lanes:
+            lanes[port, hold] = xbar.make_lane(port, hold)
+        ready.append(lanes[port, hold](addr, at))
+    held = [
+        (port, addr, at, occupancy if hold is None else hold)
+        for port, addr, at, hold in requests
+    ]
+    expected, waited, hops = _reference_transits(
+        stages, n_ports, 4, 32, held
+    )
+    assert ready == expected
+    assert xbar.wait_cycles == waited
+    live = {("port", i): res for i, res in enumerate(xbar.ports)}
+    live.update(
+        (("bank", i), res) for i, res in enumerate(xbar.banks.banks)
+    )
+    live.update(
+        (("sw", s, i), res)
+        for s, column in enumerate(xbar.switches)
+        for i, res in enumerate(column)
+    )
+    assert len(xbar.switches) == len(stages) - 1
+    for hop, res in live.items():
+        assert [res.busy_cycles, res.requests, res.next_free] == hops.get(
+            hop, [0, 0, 0]
+        ), hop
 
 
 # ----------------------------------------------------------------------

@@ -698,3 +698,65 @@ def test_observed_replay_job_is_the_plain_replay(tmp_path, arch):
     observed = _replay_job(tmp_path, arch, "mipsy", obs_sample=250).run()
     assert observed.extras["obs"]
     assert observed.stats.to_dict() == plain.stats.to_dict()
+
+
+def _paused_snapshot(job: Job, at: int = 2000) -> dict:
+    system = job.build(checkpointing=True)
+    system.run(pause_at=at)
+    assert system.paused
+    return snapshot_system(system)
+
+
+def _traced(tmp_path, workload, replay=True, **fields) -> Job:
+    return Job(
+        "shared-l2", workload, replay=replay,
+        trace_dir=str(tmp_path / "traces"), **fields,
+    )
+
+
+@pytest.mark.parametrize(
+    "source, target, field",
+    (
+        (dict(workload="fft"), dict(workload="eqntott"), "workload"),
+        (
+            dict(workload="synthetic", workload_args={"sharing": 0.1}),
+            dict(workload="synthetic", workload_args={"sharing": 0.5}),
+            "trace",
+        ),
+        (dict(workload="fft"), dict(workload="fft", replay=False), "trace"),
+        (dict(workload="fft", replay=False), dict(workload="fft"), "trace"),
+        (
+            dict(workload="fft", cpu_model="mxs"),
+            dict(workload="fft", cpu_model="mxs", replay=False),
+            "trace",
+        ),
+    ),
+    ids=("fft-to-eqntott", "synthetic-args", "replay-to-generated",
+         "generated-to-replay", "mxs-replay-to-generated"),
+)
+def test_restore_refuses_a_target_replaying_another_trace(
+    tmp_path, source, target, field
+):
+    """A replayed checkpoint names the workload it replays and its
+    trace by content, so it restores only into a machine replaying that
+    very stream — not another workload's, not the same workload's at
+    other arguments, and not a generated run of that workload (nor a
+    generated checkpoint into its replay)."""
+    state = _paused_snapshot(_traced(tmp_path, **source))
+    wrong = _traced(tmp_path, **target).build(checkpointing=True)
+    with pytest.raises(CheckpointError, match=f"mismatch on {field}:"):
+        restore_system(wrong, state)
+
+
+def test_a_replayed_checkpoint_names_its_workload_and_trace(tmp_path):
+    job = _traced(tmp_path, "synthetic", workload_args={"sharing": 0.1})
+    state = _paused_snapshot(job)
+    assert state["meta"]["workload"] == "synthetic"
+    same = job.build(checkpointing=True)
+    assert state["meta"]["trace"] == same.workload.packed.digest()
+    restore_system(same, state)
+    assert same.run().to_dict() == job.run().stats.to_dict()
+    other = _paused_snapshot(
+        _traced(tmp_path, "synthetic", workload_args={"sharing": 0.5})
+    )
+    assert other["meta"]["trace"] != state["meta"]["trace"]

@@ -180,6 +180,8 @@ DELETED_PATHS = re.compile(
     r"|l[12]_(?:replacement|invalidation)_\w+|memory_stall_share_below"
     r"|uses_cache_to_cache|istall_share_at_least)\b"
     r"|\b(?:use_kernel|_run_kernel|_run_interpreter)\b"
+    r"|\b(?:MultistageCrossbar|_Interconnect|run_replay|trace_factory"
+    r"|resolve_trace)\b|trace[./]backend"
 )
 #: the top-level documents that describe the program as it is; the
 #: other top-level ones (changelog, roadmap, ...) are history and plans

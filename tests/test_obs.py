@@ -432,7 +432,7 @@ def _shadow_counters(fast: bool) -> dict:
     shadow = system.memory._shadow_xbar
     return {
         "requests": shadow.requests,
-        "conflict_cycles": shadow.conflict_cycles,
+        "wait_cycles": shadow.wait_cycles,
         "banks": [
             (bank.busy_cycles, bank.requests, bank.next_free)
             for bank in shadow.banks.banks
@@ -446,7 +446,7 @@ def _shadow_counters(fast: bool) -> dict:
 
 def test_shadow_crossbar_counts_the_same_with_the_lane_on_or_off():
     on = _shadow_counters(fast=True)
-    assert on["requests"] > 0 and on["conflict_cycles"] > 0
+    assert on["requests"] > 0 and on["wait_cycles"] > 0
     assert on == _shadow_counters(fast=False)
 
 

@@ -583,6 +583,24 @@ def test_runner_session_incremental_submit_and_rebuild(tmp_path):
         session.submit(_job())
 
 
+def test_forced_close_reaps_its_workers_before_returning():
+    """A SIGKILLed worker is waited for inside ``close``: none is left
+    a zombie for the pool's manager thread to reap later, so the
+    caller's RUSAGE_CHILDREN already holds the workers' CPU time."""
+    from repro.core.runner import Runner
+
+    session = Runner(jobs=2).session()
+    futures = [session.submit(_job())[0] for _ in range(2)]
+    for future in futures:
+        assert future.result(timeout=120).stats.cycles > 0
+    pids = session.pids()
+    assert pids
+    session.close(force=True)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 # ----------------------------------------------------------------------
 # CLI integration
 

@@ -14,7 +14,7 @@ import pytest
 from repro.core.configs import build_memory, config_for_scale
 from repro.core.system import System
 from repro.errors import ConfigError
-from repro.mem.crossbar import Crossbar, MultistageCrossbar
+from repro.mem.crossbar import Crossbar
 from repro.mem.functional import FunctionalMemory
 from repro.mem.shared_mem import SharedMemorySystem
 from repro.mem.shared_primary import SharedPrimarySystem
@@ -178,7 +178,7 @@ def test_cluster_uses_multistage_crossbar():
         config,
         SystemStats.for_cpus(16),
     )
-    assert isinstance(memory.crossbar, MultistageCrossbar)
+    assert isinstance(memory.crossbar, Crossbar)
     assert len(memory.crossbar.switches) == 1  # two stages, one column
     assert memory.l1d.size == config.l1d_size * 16
 
@@ -191,6 +191,7 @@ def test_shared_l3_has_three_levels():
         SystemStats.for_cpus(4),
     )
     assert isinstance(memory.crossbar, Crossbar)
+    assert memory.crossbar.switches == []  # one stage, no columns
     levels = memory.components()
     assert len(levels["l1d"]) == 4 and len(levels["l2"]) == 4
     assert levels["l3"].size == config.l3_size

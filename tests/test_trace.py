@@ -381,3 +381,25 @@ def test_recording_identical_with_fast_lane_on_or_off():
     assert len(with_lane) == len(without_lane)
     assert with_lane == without_lane
     assert stats_on.to_dict() == stats_off.to_dict()
+
+
+def test_packed_digest_is_little_endian_and_computed_once():
+    """A trace's identity is the same bytes on every host (the columns
+    hashed little-endian) and is hashed once per decode."""
+    import hashlib
+    import struct
+    from array import array
+
+    from repro.trace.kernel import _DEFAULT_PC
+
+    load, store = int(AccessKind.LOAD), int(AccessKind.STORE)
+    packed = PackedTrace.from_columns(
+        [array("b", [load, store])], [array("q", [0x1000, 0x2008])]
+    )
+    expected = hashlib.sha256(b"1")
+    expected.update(b"2:" + bytes([load, store]))
+    expected.update(b"2:" + struct.pack("<2q", 0x1000, 0x2008))
+    expected.update(b"2:" + struct.pack("<2q", _DEFAULT_PC, _DEFAULT_PC))
+    assert packed.digest() == expected.hexdigest()
+    packed.addrs[0][0] = 0
+    assert packed.digest() == expected.hexdigest()
