@@ -78,6 +78,7 @@ from repro.core.report import (
 from repro.core.runner import Job, job_grid
 from repro.errors import ReproError
 from repro.isa.instructions import FU_LATENCY, OpClass
+from repro.sim.stats import CycleBreakdown
 
 
 _SL1, _SL2, _SM = ARCHITECTURES
@@ -382,7 +383,7 @@ def _write_figure(study: Study, results: Row, out_dir: Path) -> str:
         writer = csv.writer(handle)
         writer.writerow([
             "arch", "cycles", "instructions", "ipc",
-            "busy", "istall", "l1d", "l2", "mem", "c2c", "storebuf",
+            *CycleBreakdown._FIELDS,
             "l1r_pct", "l1i_pct", "l2r_pct", "l2i_pct",
         ])
         for arch, result in results.items():
@@ -394,13 +395,7 @@ def _write_figure(study: Study, results: Row, out_dir: Path) -> str:
                 result.cycles,
                 result.instructions,
                 f"{result.stats.ipc:.4f}",
-                breakdown.busy,
-                breakdown.istall,
-                breakdown.l1d,
-                breakdown.l2,
-                breakdown.mem,
-                breakdown.c2c,
-                breakdown.storebuf,
+                *breakdown.as_dict().values(),
                 f"{100 * l1.miss_rate_repl:.3f}",
                 f"{100 * l1.miss_rate_inval:.3f}",
                 f"{100 * l2.miss_rate_repl:.3f}",

@@ -82,7 +82,8 @@ class MipsyCpu(BaseCpu):
         over :meth:`next_instruction`), the L1-hit fast lane resolves
         loads and I-fetches without the general dispatch, and the busy
         and I-fetch counters batch in plain slots
-        (:meth:`~repro.cpu.base.BaseCpu.flush_stats`).
+        (:meth:`~repro.cpu.base.BaseCpu.flush_stats`). Every stall is
+        charged through :meth:`_ifetch_miss` or :meth:`_stall`.
         """
         # Inlined next_instruction(): take the batched-ahead pending
         # instruction if one exists, else pull the next one, delivering
@@ -124,16 +125,7 @@ class MipsyCpu(BaseCpu):
         if fetch_line != self._fetch_line:
             self._fetch_line = fetch_line
             if self._lane_ifetch(inst.pc, cycle) < 0:
-                fetch = self.memory.access(
-                    self.cpu_id, AccessKind.IFETCH, inst.pc, cycle
-                )
-                if fetch.done - cycle > 1:
-                    self.breakdown.istall += fetch.done - cycle - 1
-                    exec_start = fetch.done - 1
-                    if self._obs is not None:
-                        self._obs.record_ifetch_miss(
-                            self.cpu_id, cycle, fetch.done - cycle
-                        )
+                exec_start = self._ifetch_miss(inst.pc, cycle)
 
         self.instructions += 1
 
@@ -185,14 +177,10 @@ class MipsyCpu(BaseCpu):
             done = self._lane_load(inst.addr, exec_start)
             if done >= 0:
                 # L1 hit: any cycles beyond one are L1 time (the
-                # shared-L1 crossbar), matching StallLevel.L1.
+                # shared-L1 crossbar).
                 stall = done - exec_start - 1
                 if stall > 0:
-                    self.breakdown.l1d += stall
-                    if self._obs is not None:
-                        self._obs.record_stall(
-                            self.cpu_id, StallLevel.L1, exec_start, stall
-                        )
+                    self._stall(StallLevel.L1, exec_start, stall)
                 if mcode == 2:
                     value = self.functional.load_linked(
                         self.cpu_id, inst.addr, done
@@ -251,14 +239,7 @@ class MipsyCpu(BaseCpu):
                 if done >= 0:
                     stall = done - exec_start - 1
                     if stall > 0:
-                        self.breakdown.storebuf += stall
-                        if self._obs is not None:
-                            self._obs.record_stall(
-                                self.cpu_id,
-                                StallLevel.STOREBUF,
-                                exec_start,
-                                stall,
-                            )
+                        self._stall(StallLevel.STOREBUF, exec_start, stall)
                     self.resume = done
                     return
             result = self.memory.access(
@@ -269,26 +250,37 @@ class MipsyCpu(BaseCpu):
                 self.cpu_id, AccessKind.STORE_COND, inst.addr, exec_start
             )
 
-        breakdown = self.breakdown
         stall = result.done - exec_start - 1
         if stall > 0:
-            level = result.level
-            if level == StallLevel.L2:
-                breakdown.l2 += stall
-            elif level == StallLevel.MEM:
-                breakdown.mem += stall
-            elif level == StallLevel.C2C:
-                breakdown.c2c += stall
-            elif level == StallLevel.L1:
-                breakdown.l1d += stall
-            elif level == StallLevel.STOREBUF:
-                breakdown.storebuf += stall
-            else:
-                breakdown.l1d += stall
-            if self._obs is not None:
-                self._obs.record_stall(self.cpu_id, level, exec_start, stall)
+            self._stall(result.level, exec_start, stall)
         self.apply_memory_semantics(inst, result)
         self.resume = result.done
+
+    # ------------------------------------------------------------------
+    # stalls: the one way a Mipsy-family CPU charges one
+
+    def _ifetch_miss(self, pc: int, cycle: int) -> int:
+        """Fetch ``pc`` through the general path at ``cycle`` (the
+        I-cache lane missed); charge any time beyond one cycle to
+        ``istall`` and return the cycle the instruction executes."""
+        done = self.memory.access(
+            self.cpu_id, AccessKind.IFETCH, pc, cycle
+        ).done
+        if done - cycle <= 1:
+            return cycle
+        self.breakdown.istall += done - cycle - 1
+        if self._obs is not None:
+            self._obs.record_ifetch_miss(self.cpu_id, cycle, done - cycle)
+        return done - 1
+
+    def _stall(self, level: StallLevel, at: int, cycles: int) -> None:
+        """A data access issued at ``at`` stalled ``cycles`` beyond its
+        one cycle, served at ``level``: charge the breakdown
+        (:meth:`~repro.sim.stats.CycleBreakdown.charge`) and tell an
+        attached observation."""
+        self.breakdown.charge(level, cycles)
+        if self._obs is not None:
+            self._obs.record_stall(self.cpu_id, level, at, cycles)
 
     # ------------------------------------------------------------------
     # spin-wait elision

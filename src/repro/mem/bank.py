@@ -65,20 +65,9 @@ class Resource:
 
         return acquire
 
-    def peek_start(self, at: int) -> int:
-        """When service would start if requested at ``at`` (no reservation)."""
-        return self.next_free if self.next_free > at else at
-
     def utilization(self, cycles: int) -> float:
         """Fraction of ``cycles`` this resource spent busy."""
         return self.busy_cycles / cycles if cycles else 0.0
-
-    def reset(self) -> None:
-        """Clear the timeline and counters."""
-        self.next_free = 0
-        self.busy_cycles = 0
-        self.requests = 0
-        self.wait_cycles = 0
 
     def __repr__(self) -> str:
         return f"<Resource {self.name!r} next_free={self.next_free}>"
@@ -132,11 +121,6 @@ class BankedResource:
     @property
     def requests(self) -> int:
         return sum(bank.requests for bank in self.banks)
-
-    def reset(self) -> None:
-        """Clear every bank's timeline and counters."""
-        for bank in self.banks:
-            bank.reset()
 
     def __repr__(self) -> str:
         return f"<BankedResource {self.name!r} banks={len(self.banks)}>"

@@ -79,7 +79,6 @@ class MemConfig:
     n_l2_banks: int = 4
     n_mem_banks: int = 1
     write_buffer_depth: int = 8
-    mshr_entries: int = 4
 
     # Mipsy runs the shared-L1 architecture optimistically (1-cycle hit,
     # no bank contention) per Section 4; MXS turns this off. Applies to

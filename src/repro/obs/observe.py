@@ -114,7 +114,7 @@ class Observation:
             f"cpu{cid}.busy", lambda c=cpu: c.busy_cycles()
         )
         breakdown = cpu.breakdown
-        for field in ("istall", "l1d", "l2", "mem", "c2c", "storebuf"):
+        for field in breakdown._FIELDS[1:]:  # every stall bucket
             sampler.add_rate(
                 f"cpu{cid}.stall.{field}",
                 lambda b=breakdown, f=field: getattr(b, f),

@@ -12,9 +12,7 @@ from repro.sim.engine import Engine, Event
 from repro.sim.stats import (
     CacheStats,
     CycleBreakdown,
-    MissKind,
     MxsStats,
-    StallReason,
     SystemStats,
 )
 
@@ -23,8 +21,6 @@ __all__ = [
     "Event",
     "CacheStats",
     "CycleBreakdown",
-    "MissKind",
     "MxsStats",
-    "StallReason",
     "SystemStats",
 ]

@@ -10,33 +10,14 @@ Two reporting views matter for the paper:
   instruction-cache stalls, data-cache stalls, and pipeline stalls.
 
 The containers here are plain attribute bags — the CPU and cache models
-increment attributes directly in their hot loops.
+increment attributes directly in their hot loops, except that a Mipsy
+data stall is charged through :meth:`CycleBreakdown.charge`, the one
+map from serving level to bucket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from enum import IntEnum
-
-
-class StallReason(IntEnum):
-    """Where a Mipsy stall cycle is attributed."""
-
-    BUSY = 0        # executing instructions (includes synchronization spin)
-    ISTALL = 1      # instruction fetch miss, any serving level
-    L1D = 2         # extra L1 data hit latency beyond one cycle
-    L2 = 3          # data miss serviced by the L2 cache
-    MEM = 4         # data miss serviced by main memory
-    C2C = 5         # data miss serviced cache-to-cache over the bus
-    STOREBUF = 6    # stalled on a full store (write) buffer
-
-
-class MissKind(IntEnum):
-    """Classification of a cache access outcome."""
-
-    HIT = 0
-    MISS_REPLACEMENT = 1    # cold, capacity, or conflict
-    MISS_INVALIDATION = 2   # line was removed by a coherence action
 
 
 @dataclass
@@ -138,35 +119,28 @@ class CycleBreakdown:
 
     _FIELDS = ("busy", "istall", "l1d", "l2", "mem", "c2c", "storebuf")
 
+    #: The one map from serving level to bucket, indexed by
+    #: :class:`~repro.mem.types.StallLevel` (NONE, L1, L2, MEM, C2C,
+    #: STOREBUF; positional because ``repro.mem`` imports this
+    #: module): time beyond one cycle that no deeper level explains
+    #: is L1 time. An instruction-fetch miss is ``istall`` whatever
+    #: served it, and ``busy`` is one cycle per instruction.
+    _BUCKET = ("l1d", "l1d", "l2", "mem", "c2c", "storebuf")
+
     @property
     def total(self) -> int:
-        return (
-            self.busy + self.istall + self.l1d + self.l2
-            + self.mem + self.c2c + self.storebuf
-        )
+        return sum(getattr(self, name) for name in self._FIELDS)
 
     @property
     def memory_stall(self) -> int:
         """All stall cycles, i.e. everything but CPU-busy time."""
         return self.total - self.busy
 
-    def add(self, reason: StallReason, cycles: int) -> None:
-        """Attribute ``cycles`` to ``reason`` (slow path; hot loops
-        increment attributes directly)."""
-        if reason == StallReason.BUSY:
-            self.busy += cycles
-        elif reason == StallReason.ISTALL:
-            self.istall += cycles
-        elif reason == StallReason.L1D:
-            self.l1d += cycles
-        elif reason == StallReason.L2:
-            self.l2 += cycles
-        elif reason == StallReason.MEM:
-            self.mem += cycles
-        elif reason == StallReason.C2C:
-            self.c2c += cycles
-        else:
-            self.storebuf += cycles
+    def charge(self, level: int, cycles: int) -> None:
+        """Charge ``cycles`` of data-access stall to the bucket of the
+        :class:`~repro.mem.types.StallLevel` that served the access."""
+        bucket = self._BUCKET[level]
+        setattr(self, bucket, getattr(self, bucket) + cycles)
 
     def as_dict(self) -> dict[str, int]:
         """The breakdown as a plain dict (reporting/serialization)."""

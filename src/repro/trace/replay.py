@@ -117,7 +117,9 @@ class TraceCpu(MipsyCpu):
 
     :meth:`tick` is :meth:`MipsyCpu.tick` for the one instruction a
     trace holds — a load, store or SC at a recorded address — read
-    from the columns instead of pulled from a generator. Its cursor is
+    from the columns instead of pulled from a generator, its stalls
+    charged through the same :meth:`~MipsyCpu._ifetch_miss` and
+    :meth:`~MipsyCpu._stall`. Its cursor is
     ``instructions`` (a checkpoint needs nothing else to resume it),
     and the lanes are read off ``self`` each tick, so an observation's
     :meth:`~repro.cpu.base.BaseCpu.attach_obs` rebinding applies.
@@ -150,27 +152,14 @@ class TraceCpu(MipsyCpu):
         if fetch_line != self._fetch_line:
             self._fetch_line = fetch_line
             if self._lane_ifetch(pc, cycle) < 0:
-                fetch = self.memory.access(
-                    self.cpu_id, AccessKind.IFETCH, pc, cycle
-                )
-                if fetch.done - cycle > 1:
-                    self.breakdown.istall += fetch.done - cycle - 1
-                    exec_start = fetch.done - 1
-                    if self._obs is not None:
-                        self._obs.record_ifetch_miss(
-                            self.cpu_id, cycle, fetch.done - cycle
-                        )
+                exec_start = self._ifetch_miss(pc, cycle)
 
         if kind == _LOAD:
             done = self._lane_load(addr, exec_start)
             if done >= 0:
                 stall = done - exec_start - 1
                 if stall > 0:
-                    self.breakdown.l1d += stall
-                    if self._obs is not None:
-                        self._obs.record_stall(
-                            self.cpu_id, StallLevel.L1, exec_start, stall
-                        )
+                    self._stall(StallLevel.L1, exec_start, stall)
                 self.resume = done
                 return
             result = self.memory.access(
@@ -181,12 +170,7 @@ class TraceCpu(MipsyCpu):
             if done >= 0:
                 stall = done - exec_start - 1
                 if stall > 0:
-                    self.breakdown.storebuf += stall
-                    if self._obs is not None:
-                        self._obs.record_stall(
-                            self.cpu_id, StallLevel.STOREBUF, exec_start,
-                            stall,
-                        )
+                    self._stall(StallLevel.STOREBUF, exec_start, stall)
                 self.resume = done
                 return
             result = self.memory.access(
@@ -197,24 +181,9 @@ class TraceCpu(MipsyCpu):
                 self.cpu_id, AccessKind.STORE_COND, addr, exec_start
             )
 
-        breakdown = self.breakdown
         stall = result.done - exec_start - 1
         if stall > 0:
-            level = result.level
-            if level == StallLevel.L2:
-                breakdown.l2 += stall
-            elif level == StallLevel.MEM:
-                breakdown.mem += stall
-            elif level == StallLevel.C2C:
-                breakdown.c2c += stall
-            elif level == StallLevel.L1:
-                breakdown.l1d += stall
-            elif level == StallLevel.STOREBUF:
-                breakdown.storebuf += stall
-            else:
-                breakdown.l1d += stall
-            if self._obs is not None:
-                self._obs.record_stall(self.cpu_id, level, exec_start, stall)
+            self._stall(result.level, exec_start, stall)
         if kind == _SC:
             # With no recorded reservation the SC fails and writes
             # nothing; the recorded stream holds the original retries.

@@ -35,21 +35,6 @@ def test_busy_accounting_and_utilization():
     assert res.utilization(16) == 0.5
 
 
-def test_peek_start_does_not_reserve():
-    res = Resource("r")
-    res.acquire(0, 5)
-    assert res.peek_start(2) == 5
-    assert res.next_free == 5  # unchanged
-
-
-def test_reset():
-    res = Resource("r")
-    res.acquire(0, 5)
-    res.reset()
-    assert res.next_free == 0
-    assert res.busy_cycles == 0
-
-
 def test_banked_resource_bank_selection_interleaves_lines():
     banks = BankedResource("b", n_banks=4, line_size=32)
     assert banks.bank_index(0) == 0
@@ -76,8 +61,6 @@ def test_banked_resource_aggregates():
     banks.acquire(32, 0, 3)
     assert banks.busy_cycles == 6
     assert banks.requests == 2
-    banks.reset()
-    assert banks.busy_cycles == 0
 
 
 def test_banked_resource_rejects_bad_geometry():

@@ -182,6 +182,8 @@ DELETED_PATHS = re.compile(
     r"|\b(?:use_kernel|_run_kernel|_run_interpreter)\b"
     r"|\b(?:MultistageCrossbar|_Interconnect|run_replay|trace_factory"
     r"|resolve_trace)\b|trace[./]backend"
+    r"|\b(?:StallReason|MissKind|peek_start)\b|tests/oracles"
+    r"|oracles\.conservation"
 )
 #: the top-level documents that describe the program as it is; the
 #: other top-level ones (changelog, roadmap, ...) are history and plans

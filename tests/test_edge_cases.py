@@ -28,7 +28,7 @@ def test_scaled_config_preserves_bus_timing():
     config = paper_config()
     scaled = config.scaled(8)
     assert scaled.bus.c2c_latency == config.bus.c2c_latency
-    assert scaled.mshr_entries == config.mshr_entries
+    assert scaled.write_buffer_depth == config.write_buffer_depth
 
 
 def test_scaled_rejects_nonpositive_divisor():

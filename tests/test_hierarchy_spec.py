@@ -8,7 +8,7 @@ Three coherence disciplines build every machine from its spec, so:
 * any *legal* perturbation of a preset (Hypothesis draws sizes,
   associativities, banks, latencies, stage lists and 2–16 CPUs) keeps
   the standing contracts: fast lane on/off bit-identical, the
-  conservation and protocol oracle (``tests/oracles``), checkpoint
+  conservation and protocol oracle (``repro.core.selfcheck``), checkpoint
   round trip;
 * a shape a discipline cannot honour is a ``ConfigError`` naming the
   field, never a silently ignored value.
@@ -25,10 +25,10 @@ import weakref
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles.conservation import check_run
 
 from repro.ckpt import restore_system, snapshot_system
 from repro.core.configs import build_memory, config_for_scale
+from repro.core.selfcheck import check_run
 from repro.core.system import System
 from repro.errors import ConfigError
 from repro.mem.functional import FunctionalMemory

@@ -2,8 +2,6 @@
 
 from conftest import LoopWorkload, SharingWorkload, build_system
 
-from repro.sim.stats import StallReason  # noqa: F401  (documentation import)
-
 
 def test_loop_workload_runs_to_completion():
     system = build_system("shared-mem", LoopWorkload, iterations=5)

@@ -166,6 +166,24 @@ def test_selfcheck_failure_is_reported(monkeypatch, capsys):
     assert "deliberately broken" in out
 
 
+def test_conservation_check_fails_when_a_stall_cycle_goes_missing(
+    monkeypatch,
+):
+    """The shipped ``conservation`` item is not vacuous: a Mipsy stall
+    helper that books one cycle too few makes it fail, naming the CPU
+    whose breakdown no longer sums to its run."""
+    from repro.cpu.mipsy import MipsyCpu
+
+    stall = MipsyCpu._stall
+
+    def short(self, level, at, cycles):
+        stall(self, level, at, cycles - 1)
+
+    monkeypatch.setattr(MipsyCpu, "_stall", short)
+    with pytest.raises(SelfCheckFailure, match="breakdown sums to"):
+        dict(CHECKS)["conservation"]()
+
+
 # ----------------------------------------------------------------------
 # trace of synchronizing workloads
 

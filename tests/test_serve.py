@@ -101,6 +101,29 @@ def test_wire_rejects_bad_types():
         job_from_payload({**FAST, "overrides": {"l2_assoc": "big"}})
 
 
+def test_a_retired_memconfig_field_is_refused_at_both_doors(
+    tmp_path, capsys
+):
+    """``mshr_entries`` sized nothing (MXS sizes its MSHR file from
+    ``CpuParams.mshrs``) and is gone: ``--set`` and a wire override of
+    it are refused, naming the field, before anything runs."""
+    from repro.cli import main
+
+    assert main([
+        "run", "-w", "fft", "-a", "shared-l2", "-s", "test",
+        "--cache-dir", str(tmp_path / "cache"), "--set", "mshr_entries=8",
+    ]) == 2
+    assert "unknown MemConfig field 'mshr_entries'" in (
+        capsys.readouterr().err
+    )
+    daemon = ServiceDaemon(jobs=1, cache=ResultCache(tmp_path / "served"))
+    with pytest.raises(
+        WireError, match="unknown MemConfig field 'mshr_entries'"
+    ):
+        daemon.submit({**FAST, "overrides": {"mshr_entries": 8}})
+    assert not daemon.queue.records()
+
+
 def test_wire_carries_workload_args_both_ways():
     job = Job(
         arch="shared-l1", workload="synthetic", scale="bench",

@@ -1,10 +1,12 @@
 """Tests for the statistics containers."""
 
+import pytest
+
+from repro.mem.types import StallLevel
 from repro.sim.stats import (
     CacheStats,
     CycleBreakdown,
     MxsStats,
-    StallReason,
     SystemStats,
 )
 
@@ -40,15 +42,36 @@ def test_cache_stats_merge():
     assert a.reads == 10
 
 
-def test_breakdown_total_and_add():
-    breakdown = CycleBreakdown()
-    breakdown.add(StallReason.BUSY, 10)
-    breakdown.add(StallReason.ISTALL, 5)
-    breakdown.add(StallReason.L2, 3)
-    breakdown.add(StallReason.MEM, 2)
+def test_breakdown_total_and_charge():
+    breakdown = CycleBreakdown(busy=10, istall=5)
+    breakdown.charge(StallLevel.L2, 3)
+    breakdown.charge(StallLevel.MEM, 2)
     assert breakdown.total == 20
     assert breakdown.memory_stall == 10
     assert breakdown.as_dict()["busy"] == 10
+
+
+#: the paper's attribution, written out independently of the map: time
+#: beyond one cycle that no deeper level explains is L1 time
+_BUCKET_OF = {
+    StallLevel.NONE: "l1d",
+    StallLevel.L1: "l1d",
+    StallLevel.L2: "l2",
+    StallLevel.MEM: "mem",
+    StallLevel.C2C: "c2c",
+    StallLevel.STOREBUF: "storebuf",
+}
+
+
+@pytest.mark.parametrize("level", list(StallLevel), ids=lambda l: l.name)
+def test_charge_books_each_level_to_its_bucket_only(level):
+    breakdown = CycleBreakdown(busy=1, istall=2)
+    breakdown.charge(level, 7)
+    breakdown.charge(level, 4)
+    expected = {name: 0 for name in CycleBreakdown._FIELDS}
+    expected.update(busy=1, istall=2)
+    expected[_BUCKET_OF[level]] += 11
+    assert breakdown.as_dict() == expected
 
 
 def test_breakdown_merge():
