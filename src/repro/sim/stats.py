@@ -70,23 +70,13 @@ class CacheStats:
         return self.misses_inval / accesses if accesses else 0.0
 
     def merged_with(self, other: "CacheStats") -> "CacheStats":
-        """Return a new ``CacheStats`` summing this one with ``other``."""
-        merged = CacheStats(name=self.name)
-        for attr in (
-            "reads",
-            "writes",
-            "read_misses_repl",
-            "read_misses_inval",
-            "write_misses_repl",
-            "write_misses_inval",
-            "writebacks",
-            "evictions",
-            "invalidations_received",
-            "updates_received",
-            "write_throughs",
-        ):
-            setattr(merged, attr, getattr(self, attr) + getattr(other, attr))
-        return merged
+        """Return a new ``CacheStats`` summing every counter of this one
+        with ``other`` (the name is this one's)."""
+        return CacheStats(name=self.name, **{
+            f.name: getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)
+            if f.name != "name"
+        })
 
     def to_dict(self) -> dict:
         """Every counter, keyed by field name (cache/IPC round-trips)."""

@@ -22,7 +22,8 @@ This package provides both halves:
   :meth:`~repro.core.runner.Job.resolve_factory` builds a
   :class:`~repro.trace.replay.TraceWorkload` over the trace;
 * :class:`~repro.trace.kernel.PackedTrace` is a trace decoded into
-  flat per-CPU ``array`` columns, which
+  flat per-CPU ``array`` columns — 9 bytes a reference, addresses and
+  pcs 32-bit wherever the whole trace fits — which
   :func:`~repro.trace.kernel.load_packed` serves from a memo or a
   binary sidecar; :func:`~repro.trace.kernel.replay_kernel` names a
   plain Mipsy replay of one.

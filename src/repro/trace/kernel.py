@@ -1,9 +1,11 @@
 """Packed trace columns: the decode every replay reads.
 
 :class:`PackedTrace` decodes a trace once into flat per-CPU ``array``
-columns (kind, addr, pc); :func:`load_packed` serves that decode from a
-per-process memo or a binary sidecar beside the trace, so a recorded
-trace pays the text parse at most once. Both CPU models replay from
+columns (kind, addr, pc) — 9 bytes a reference whenever every address
+and pc of the trace fits 32 bits, 17 when one does not;
+:func:`load_packed` serves that decode from a per-process memo or a
+binary sidecar beside the trace, so a recorded trace pays the text
+parse at most once. Both CPU models replay from
 these columns (:mod:`repro.trace.replay`): under Mipsy each CPU is a
 :class:`~repro.trace.replay.TraceCpu` reading them directly, under MXS
 a thread program re-issues them as instructions.
@@ -37,6 +39,12 @@ _IFETCH = int(AccessKind.IFETCH)
 #: pc of the references recorded before any fetch
 _DEFAULT_PC = 0x0040_0000
 
+#: address/pc column type of a trace whose every value fits 32 bits
+#: (every stock workload's); a trace with one that does not is packed
+#: ``q``, 8 bytes wide
+_NARROW = "I"
+assert array(_NARROW).itemsize == 4
+
 
 class PackedTrace:
     """A decoded trace as flat per-CPU reference columns.
@@ -50,6 +58,10 @@ class PackedTrace:
     CPU's last reference is not replayed at all. The I-cache sees a
     subset of the recorded fetches, never one the recording lacks
     (docs/REPLAY.md, "Determinism and the format").
+
+    The ``addrs`` and ``pcs`` columns are 4-byte unsigned (``I``) when
+    every value of the trace fits, else 8-byte ``q``: the data picks
+    the width, and the :meth:`digest` does not see it.
     """
 
     __slots__ = ("n_cpus", "n_records", "kinds", "addrs", "pcs", "_digest")
@@ -85,12 +97,20 @@ class PackedTrace:
         self._digest = None
         if self.n_records == 0:
             raise WorkloadError("empty trace")
+        try:
+            self._fold_as(_NARROW, kinds, addrs)
+        except OverflowError:  # a value past 32 bits: the whole trace wide
+            self._fold_as("q", kinds, addrs)
+
+    def _fold_as(
+        self, code: str, kinds: list[array], addrs: list[array]
+    ) -> None:
         #: per-CPU reference kinds (AccessKind values; IFETCH folded)
         self.kinds = [array("b") for _ in kinds]
         #: per-CPU effective addresses
-        self.addrs = [array("q") for _ in kinds]
+        self.addrs = [array(code) for _ in kinds]
         #: per-CPU fetch pc of each reference
-        self.pcs = [array("q") for _ in kinds]
+        self.pcs = [array(code) for _ in kinds]
         for cpu, (cpu_kinds, cpu_addrs) in enumerate(zip(kinds, addrs)):
             keep_kind = self.kinds[cpu].append
             keep_addr = self.addrs[cpu].append
@@ -109,16 +129,20 @@ class PackedTrace:
         return sum(len(kinds) for kinds in self.kinds)
 
     def digest(self) -> str:
-        """SHA-256 of the columns, little-endian on every host: which
+        """SHA-256 of the columns, little-endian on every host and each
+        address and pc as an int64 whatever width stores it: which
         stream this is, whatever file or recording it came from. The
         columns never change, so it is computed once."""
         if self._digest is None:
             digest = hashlib.sha256(b"%d" % self.n_cpus)
-            for columns in (self.kinds, self.addrs, self.pcs):
+            for code, columns in (
+                ("b", self.kinds), ("q", self.addrs), ("q", self.pcs)
+            ):
                 for column in columns:
-                    if sys.byteorder != "little":
-                        column = array(column.typecode, column)
-                        column.byteswap()
+                    if column.typecode != code or sys.byteorder != "little":
+                        column = array(code, column)
+                        if sys.byteorder != "little":
+                            column.byteswap()
                     digest.update(b"%d:" % len(column))
                     digest.update(column)
             self._digest = digest.hexdigest()
@@ -133,8 +157,12 @@ _DECODE_CACHE: dict = {}
 _DECODE_CACHE_CAP = 8
 
 #: sidecar format marker, bumped with the layout (another version's
-#: sidecar is stale, not an error: re-derived over)
-_SIDECAR_MAGIC = b"repro-packed-v2\n"
+#: sidecar is stale, not an error: re-derived over); v3 records the
+#: address/pc column width in its header
+_SIDECAR_MAGIC = b"repro-packed-v3\n"
+
+#: address/pc column type by the width a v3 sidecar header records
+_CODE_OF_WIDTH = {array(code).itemsize: code for code in (_NARROW, "q")}
 
 
 def _sidecar_path(path: Path, n_cpus: int) -> Path:
@@ -158,14 +186,16 @@ def _read_sidecar(path: Path, n_cpus: int, stat) -> "PackedTrace | None":
         if zlib.crc32(body) != int.from_bytes(data[head:head + 4], "little"):
             raise ValueError("sidecar fails its CRC")
         header = array("q")
-        header.frombytes(body[:8 * (4 + n_cpus)])
-        size, mtime_ns, cpus, n_records = header[:4]
+        header.frombytes(body[:8 * (5 + n_cpus)])
+        size, mtime_ns, cpus, n_records, value_width = header[:5]
         if (size, mtime_ns, cpus) != (stat.st_size, stat.st_mtime_ns, n_cpus):
             return None
+        value_code = _CODE_OF_WIDTH[value_width]
         columns = []
         at = 8 * len(header)
-        for count in header[4:]:
-            for code in "bqq":  # kinds, addrs, pcs of one CPU
+        for count in header[5:]:
+            # kinds, addrs, pcs of one CPU
+            for code in ("b", value_code, value_code):
                 column = array(code)
                 width = count * column.itemsize
                 column.frombytes(body[at:at + width])
@@ -197,6 +227,7 @@ def _write_sidecar(
         stat.st_mtime_ns,
         n_cpus,
         packed.n_records,
+        packed.addrs[0].itemsize,
         *map(len, packed.kinds),
     ])
     body = [header]

@@ -97,11 +97,29 @@ def test_parser_validates_choices():
         build_parser().parse_args(["run", "-w", "quake", "-a", "shared-l1"])
 
 
-def test_selfcheck_command(capsys):
+def test_selfcheck_command(monkeypatch, capsys):
+    """The verb's wiring and exit status, over stub checks (the full
+    battery runs once, in ``test_misc_paths.test_selfcheck_passes``)."""
+    import repro.core.selfcheck as sc
+
+    def passing():
+        return "stub holds"
+
+    def failing():
+        raise sc.SelfCheckFailure("stub broke")
+
+    monkeypatch.setattr(sc, "CHECKS", (("stub-ok", passing),))
     assert main(["selfcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "table2" in out
-    assert "FAIL" not in out
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("[  ok] stub-ok") and "stub holds" in line
+
+    monkeypatch.setattr(
+        sc, "CHECKS", (("stub-ok", passing), ("stub-bad", failing))
+    )
+    assert main(["selfcheck"]) == 1
+    ok, bad = capsys.readouterr().out.splitlines()
+    assert ok.startswith("[  ok] stub-ok") and "stub holds" in ok
+    assert bad.startswith("[FAIL] stub-bad") and "stub broke" in bad
 
 
 def test_trace_command(capsys):

@@ -3,8 +3,10 @@
 A stretch (:meth:`repro.isa.stream.Emitter.replay`) holds the loads
 and stores it was generated with, so the emitter memo does not hold
 them a second time; every instruction emitted at one slot shares that
-slot's pc int; and a trace's text is written a bounded chunk at a
-time, never a whole column at once.
+slot's pc int; a trace's text is written a bounded chunk at a
+time, never a whole column at once; and a decoded trace holds 9 bytes
+a reference (kind, 32-bit address, 32-bit pc), in memory and in its
+sidecar.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ from repro.isa.codegen import CodeRegion
 from repro.isa.instructions import OpClass
 from repro.isa.stream import Emitter
 from repro.mem.types import AccessKind
+from repro.trace import kernel
 from repro.trace.format import write_columns
+from repro.trace.store import TraceStore
+from repro.workloads import WORKLOADS
 
 _MEMORY_OPS = (OpClass.LOAD, OpClass.STORE)
 
@@ -164,3 +169,22 @@ def test_write_columns_peak_does_not_grow_with_the_trace(tmp_path):
     small = _write_peak(tmp_path, 20_000)
     large = _write_peak(tmp_path, 80_000)
     assert large <= small + 64 * 1024
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_recording_packs_at_nine_bytes_a_reference(name, tmp_path):
+    """Every stock address and pc fits 32 bits, so a decoded recording
+    is a 1-byte kind and two 4-byte columns a reference — the memo's
+    copy, each replaying CPU's, and the sidecar's body."""
+    n_cpus = 4
+    path = TraceStore(tmp_path).record(name, "test", n_cpus)
+    packed = kernel.load_packed(n_cpus, path)
+    held = sum(
+        column.itemsize * len(column)
+        for columns in (packed.kinds, packed.addrs, packed.pcs)
+        for column in columns
+    )
+    assert held <= 9 * len(packed)
+    header = len(kernel._SIDECAR_MAGIC) + 4 + 8 * (5 + n_cpus)
+    sidecar = kernel._sidecar_path(path, n_cpus)
+    assert sidecar.stat().st_size <= header + 9 * len(packed)

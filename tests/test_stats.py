@@ -1,5 +1,7 @@
 """Tests for the statistics containers."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.mem.types import StallLevel
@@ -40,6 +42,21 @@ def test_cache_stats_merge():
     assert merged.writebacks == 2
     # originals untouched
     assert a.reads == 10
+
+
+def test_cache_stats_merge_sums_every_counter_field():
+    """The merge walks the dataclass: a counter added later is summed
+    too, without this test or ``merged_with`` naming it."""
+    counters = [f.name for f in fields(CacheStats) if f.type in (int, "int")]
+    assert len(counters) == len(fields(CacheStats)) - 1  # all but name
+    a = CacheStats(name="a", **{n: i + 1 for i, n in enumerate(counters)})
+    b = CacheStats(
+        name="b", **{n: 100 * (i + 1) for i, n in enumerate(counters)}
+    )
+    merged = a.merged_with(b)
+    assert merged.name == "a"
+    for index, name in enumerate(counters):
+        assert getattr(merged, name) == 101 * (index + 1), name
 
 
 def test_breakdown_total_and_charge():

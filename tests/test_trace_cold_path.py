@@ -8,8 +8,10 @@ hold: the text is the same bytes however the recording run was driven
 CPU's references in the order a stepped run issues them; the first
 ``load_packed`` after a
 recording — here or in another process — parses no text; the published
-decode is exactly what a parse of the text gives; and the size/mtime
-guard still retires both caches when the text changes.
+decode is exactly what a parse of the text gives; the size/mtime
+guard still retires both caches when the text changes; and the columns
+are 32-bit wherever the whole trace fits, 64-bit where it does not,
+with one digest and one replay either way.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -30,9 +33,11 @@ from repro.core.system import System
 from repro.mem.functional import FunctionalMemory
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.topology import topology_names
+from repro.mem.types import AccessKind
 from repro.obs import ObsConfig
 from repro.trace import kernel
-from repro.trace.kernel import PackedTrace, load_packed
+from repro.trace.format import TraceRecord, write_trace
+from repro.trace.kernel import PackedTrace, load_packed, replay_kernel
 from repro.trace.recorder import TraceRecorder
 from repro.trace.store import (
     REFERENCE_ARCH,
@@ -344,3 +349,83 @@ def test_seeded_memo_never_exceeds_its_cap(tmp_path, monkeypatch):
         # the newest recording is the one still seeded
         assert any(key[0] == os.fspath(path) for key in kernel._DECODE_CACHE)
     assert len(kernel._DECODE_CACHE) == kernel._DECODE_CACHE_CAP
+
+
+# ----------------------------------------------------------------------
+# (f) column width: 32 bits wherever the whole trace fits
+
+
+def widened(packed: PackedTrace) -> PackedTrace:
+    """The same stream with its address and pc columns 8 bytes wide."""
+    wide = PackedTrace.__new__(PackedTrace)
+    wide.n_cpus, wide.n_records = packed.n_cpus, packed.n_records
+    wide._digest = None
+    wide.kinds = packed.kinds
+    wide.addrs = [array("q", column) for column in packed.addrs]
+    wide.pcs = [array("q", column) for column in packed.pcs]
+    return wide
+
+
+def widths(packed: PackedTrace) -> set[str]:
+    return {column.typecode for column in (*packed.addrs, *packed.pcs)}
+
+
+@pytest.mark.parametrize("past", ("addr", "pc"))
+def test_a_trace_past_32_bits_packs_wide_replays_and_round_trips(
+    tmp_path, monkeypatch, past
+):
+    """One address (or fetch pc) at 2**32 or above, late in the
+    stream, has the whole trace folded 8 bytes wide — every value, not
+    just the ones after it — and the sidecar brings the width back."""
+    monkeypatch.setattr(kernel, "_DECODE_CACHE", {})
+    far = 1 << 32
+    fetch, load, store = AccessKind.IFETCH, AccessKind.LOAD, AccessKind.STORE
+    records, expected = [], {cpu: ([], [], []) for cpu in range(N_CPUS)}
+    for step in range(40):
+        cpu = step % N_CPUS
+        pc = 0x0040_0000 + 0x40 * step
+        addr = 0x1000_0000 + 0x20 * step
+        if step == 35:
+            pc, addr = (pc, far + addr) if past == "addr" else (far + pc, addr)
+        kind = load if step % 3 else store
+        records += [
+            TraceRecord(cpu, fetch, pc, pc),
+            TraceRecord(cpu, kind, addr, pc),
+        ]
+        for column, value in zip(expected[cpu], (int(kind), addr, pc)):
+            column.append(value)
+    path = tmp_path / "far.trace"
+    write_trace(path, records)
+
+    packed = load_packed(N_CPUS, path)
+    assert widths(packed) == {"q"}
+    for cpu, (kinds, addrs, pcs) in expected.items():
+        assert list(packed.kinds[cpu]) == kinds
+        assert list(packed.addrs[cpu]) == addrs
+        assert list(packed.pcs[cpu]) == pcs
+    run = replay_kernel(packed, "shared-l2")
+    assert not run.truncated
+    assert run.stats.aggregate_caches(".l1d").accesses == len(packed)
+
+    sidecar = kernel._read_sidecar(path, N_CPUS, os.stat(path))
+    assert sidecar is not None and widths(sidecar) == {"q"}
+    assert same_columns(sidecar, packed)
+    assert sidecar.digest() == packed.digest()
+
+
+def test_narrow_and_wide_packing_are_one_stream(tmp_path):
+    """A stock recording packs 4 bytes wide; the same columns held
+    8 bytes wide hash to the same digest and replay to the same
+    ``SystemStats``."""
+    path = TraceStore(tmp_path).record("eqntott", "test", N_CPUS)
+    narrow = load_packed(N_CPUS, path)
+    assert widths(narrow) == {kernel._NARROW}
+    sidecar = kernel._read_sidecar(path, N_CPUS, os.stat(path))
+    assert widths(sidecar) == {kernel._NARROW}
+    wide = widened(narrow)
+    assert widths(wide) == {"q"}
+    assert wide.digest() == narrow.digest()
+    assert (
+        replay_kernel(wide, "shared-l2").stats.to_dict()
+        == replay_kernel(narrow, "shared-l2").stats.to_dict()
+    )
