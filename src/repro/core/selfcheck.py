@@ -9,9 +9,10 @@ must hold for any result out of this simulator to be trustworthy:
 3. The FFT workload's computation validates against numpy.
 4. A finished run is legal on every preset under both CPU models:
    nothing is lost between levels, every Mipsy cycle is busy or a
-   stall and busy cycles equal instructions, and the coherence end
-   state is one the discipline allows (:func:`check_run`, the
-   conservation and protocol oracle).
+   stall and busy cycles equal instructions, every MXS graduation
+   slot is filled or lost and graduations equal instructions, and the
+   coherence end state is one the discipline allows
+   (:func:`check_run`, the conservation and protocol oracle).
 5. Runs are deterministic.
 6. A declared spin loop that Mipsy runs and parks itself leaves every
    statistic where stepping it through the thread program does.
@@ -63,8 +64,10 @@ def _check(condition: bool, message: str) -> None:
 def check_conservation(system, stats) -> None:
     """Nothing is lost between levels: what misses in one level is
     exactly what the next one is asked for (accesses = hits + misses
-    at every cache, with the hits being what never shows up below),
-    and under Mipsy every cycle of a CPU's run is busy or a stall."""
+    at every cache, with the hits being what never shows up below).
+    Under Mipsy every cycle of a CPU's run is busy or a stall; under
+    MXS every graduation slot of every cycle is filled or lost to a
+    cause, and what graduated is what the run retired."""
     memory = system.memory
     for cache in stats.caches.values():
         _check(
@@ -128,6 +131,18 @@ def check_conservation(system, stats) -> None:
         _check(
             busy == stats.instructions,
             f"{busy} busy cycles for {stats.instructions} instructions",
+        )
+    else:
+        for cpu, mxs in zip(system.cpus, stats.mxs):
+            _check(
+                mxs.slots_total == cpu.params.width * mxs.cycles,
+                f"cpu{cpu.cpu_id} graduated or lost {mxs.slots_total} "
+                f"slots in {mxs.cycles} cycles {cpu.params.width} wide",
+            )
+        graduated = sum(mxs.graduated for mxs in stats.mxs)
+        _check(
+            graduated == stats.instructions,
+            f"{graduated} graduated for {stats.instructions} instructions",
         )
 
 

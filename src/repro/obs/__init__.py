@@ -44,7 +44,6 @@ from repro.obs.config import (
     ObsConfig,
 )
 from repro.obs.export import (
-    export_prometheus,
     prometheus_text,
     rollup_events,
 )
@@ -86,6 +85,5 @@ __all__ = [
     "write_batch_trace",
     "rollup_events",
     "prometheus_text",
-    "export_prometheus",
     "LiveView",
 ]

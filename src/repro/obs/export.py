@@ -11,10 +11,9 @@ JSON. No client library involved: the format is five lines of spec.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable
 
-from repro.obs.bus import BusEvent, read_events
+from repro.obs.bus import BusEvent
 
 #: job terminator kind → status label on repro_jobs_total
 _JOB_STATUS = {
@@ -149,10 +148,3 @@ def prometheus_text(rollup: dict, prefix: str = "repro") -> str:
            float(rollup.get("batch_wall_seconds", 0.0)))
 
     return "\n".join(lines) + "\n"
-
-
-def export_prometheus(
-    source: str | Path, prefix: str = "repro"
-) -> str:
-    """Read a JSONL event log and render its Prometheus exposition."""
-    return prometheus_text(rollup_events(read_events(source)), prefix)

@@ -12,7 +12,8 @@ identical specs from any number of clients dedup to a single
 simulation and previously published results return instantly from the
 :class:`~repro.core.runner.ResultCache`.
 
-Module map: :mod:`~repro.serve.wire` (the JSON job subset),
+Module map: :mod:`~repro.serve.wire` (the JSON job subset, and the
+HTTP framing both ends use),
 :mod:`~repro.serve.queue` (records, priority queue, shutdown
 manifest), :mod:`~repro.serve.scheduler` (dispatch loop + crash
 policy), :mod:`~repro.serve.server` (daemon + HTTP front),

@@ -1,8 +1,10 @@
 """Python client for the ``repro serve`` daemon.
 
 :class:`ServiceClient` wraps the JSON HTTP API in plain method calls
-built on ``http.client`` (stdlib only, matching the daemon's
-no-new-dependencies rule): submit a :class:`~repro.core.runner.Job` or
+over a small connection class of its own (stdlib sockets only,
+matching the daemon's no-new-dependencies rule), whose messages are
+framed by :mod:`repro.serve.wire`, the one framing module both ends
+use: submit a :class:`~repro.core.runner.Job` or
 a raw wire payload, read status, block until terminal, fetch the full
 :class:`~repro.core.experiment.ExperimentResult`, cancel, and follow
 the live NDJSON event stream. The ``repro client`` CLI subcommands are
@@ -11,14 +13,14 @@ thin shells over this class.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
+import ssl
 import threading
 import time
 import weakref
 from typing import Iterator
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 from repro.core.experiment import ExperimentResult
 from repro.core.runner import Job
@@ -48,92 +50,63 @@ class ServiceError(ReproError):
         self.code = code
 
 
-class _Headers(dict):
-    """A response's headers as :func:`wire.read_headers` returns them,
-    answering by any spelling of a name — and ``get_all``, which is how
-    ``HTTPResponse.getheader`` asks."""
+class _Connection:
+    """One socket to the daemon, opened on first use, and the buffered
+    reader :func:`wire.read_response` takes its responses from for as
+    long as it lives. A request leaves in one ``sendall``: head and
+    body sent apart on a no-delay socket are two segments, and two
+    reads at the daemon."""
 
-    def get(self, name: str, default=None):
-        return super().get(name.lower(), default)
+    def __init__(self, url: SplitResult, timeout: float | None) -> None:
+        self.url, self.timeout = url, timeout
+        self.sock = self.rfile = None
 
-    def get_all(self, name: str, default=None):
-        value = self.get(name)
-        return default if value is None else [value]
-
-
-class _Response(http.client.HTTPResponse):
-    """``HTTPResponse`` that reads its header block in one pass.
-
-    ``begin()`` is the stdlib's but for who parses the headers:
-    :func:`wire.read_headers`, where ``http.client.parse_headers``
-    hands every line to ``email.parser``. Set as ``response_class`` on
-    the connection, so ``http`` and ``https`` share it.
-    """
-
-    def begin(self) -> None:
-        if self.headers is not None:
-            return  # already begun
+    def _open(self) -> None:
+        url = self.url
+        default = {"http": 80, "https": 443}.get(url.scheme)
         try:
-            while True:
-                version, status, reason = self._read_status()
-                if status != http.client.CONTINUE:
-                    break
-                wire.read_headers(self.fp)  # the 100 response's own
-            headers = _Headers(wire.read_headers(self.fp))
-        except wire.FramingError as error:
-            raise http.client.HTTPException(str(error)) from error
-        self.code = self.status = status
-        self.reason = reason.strip()
-        if version in ("HTTP/1.0", "HTTP/0.9"):
-            self.version = 10
-        elif version.startswith("HTTP/1."):
-            self.version = 11
-        else:
-            raise http.client.UnknownProtocol(version)
-        self.headers = self.msg = headers
-        self.chunked = (
-            headers.get("transfer-encoding", "").lower() == "chunked"
+            port = url.port or default
+        except ValueError:  # a port that is not a number
+            port = None
+        if not (default and port and url.hostname):
+            raise ServiceError(f"not an http(s) server URL: {url.geturl()!r}")
+        sock = socket.create_connection((url.hostname, port), self.timeout)
+        # Nagle's algorithm would stall each exchange ~40 ms
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if url.scheme == "https":  # a failed handshake closes the socket
+            sock = ssl.create_default_context().wrap_socket(
+                sock, server_hostname=url.hostname
+            )
+        self.sock, self.rfile = sock, sock.makefile("rb")
+
+    def send(
+        self, method: str, target: str, accept: str, body: bytes | None
+    ) -> None:
+        """Send one request, connecting first if there is no socket."""
+        head = (
+            f"{method} {target} HTTP/1.1\r\nHost: {self.url.netloc}\r\n"
+            f"Accept: {accept}\r\n"
         )
-        self.chunk_left = None
-        self.will_close = self._check_close()
-        self.length = None
-        length = headers.get("content-length", "")
-        if not self.chunked and length.isascii() and length.isdigit():
-            self.length = int(length)
-        if (
-            status in (http.client.NO_CONTENT, http.client.NOT_MODIFIED)
-            or 100 <= status < 200
-            or self._method == "HEAD"
-        ):
-            self.length = 0
-        if not self.chunked and self.length is None:
-            # neither framing: the body ends when the connection does
-            self.will_close = True
+        if body is not None:
+            head += (
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        if self.sock is None:
+            self._open()
+        self.sock.sendall((head + "\r\n").encode("latin-1") + (body or b""))
 
-
-class _Connection(http.client.HTTPConnection):
-    """``HTTPConnection`` whose request leaves in one ``send()``, head
-    and body together, and whose responses are :class:`_Response`.
-
-    ``_send_output`` is the stdlib's own, but for one ``send()`` where
-    it sends the head and then the body: on a no-delay socket those
-    are two segments, two system calls here and two reads at the
-    daemon.
-    """
-
-    response_class = _Response
-
-    def _send_output(self, message_body=None, encode_chunked=False):
-        if message_body.__class__ is not bytes or encode_chunked:
-            return super()._send_output(message_body, encode_chunked)
-        self._buffer.extend((b"", message_body))
-        request = b"\r\n".join(self._buffer)
-        del self._buffer[:]
-        self.send(request)
-
-
-class _SecureConnection(_Connection, http.client.HTTPSConnection):
-    """:class:`_Connection` over TLS."""
+    def close(self) -> None:
+        if self.sock is not None:
+            # Say goodbye on the wire: close() alone tells the daemon
+            # nothing while a forked child holds a copy of the socket.
+            try:
+                self.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            self.rfile.close()
+            self.sock.close()
+            self.sock = self.rfile = None
 
 
 def _close_all(connections: dict, lock: threading.Lock) -> None:
@@ -141,13 +114,6 @@ def _close_all(connections: dict, lock: threading.Lock) -> None:
         doomed = list(connections.values())
         connections.clear()
     for connection in doomed:
-        if connection.sock is not None:
-            # Say goodbye on the wire: close() alone tells the daemon
-            # nothing while a forked child holds a copy of the socket.
-            try:
-                connection.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
         connection.close()
 
 
@@ -179,7 +145,7 @@ class ServiceClient:
         self._url = urlsplit(self.server)
         self._lock = threading.Lock()
         #: thread ident -> that thread's connection
-        self._connections: dict[int, http.client.HTTPConnection] = {}
+        self._connections: dict[int, _Connection] = {}
         #: per thread: ``last``, its last status answer and the result
         #: that answer carried (``None`` once handed out)
         self._local = threading.local()
@@ -197,24 +163,6 @@ class ServiceClient:
 
     # -- transport ------------------------------------------------------
 
-    def _new_connection(
-        self, timeout: float | None
-    ) -> http.client.HTTPConnection:
-        # http.client sets TCP_NODELAY on every socket it connects.
-        factory = {
-            "http": _Connection,
-            "https": _SecureConnection,
-        }.get(self._url.scheme)
-        try:
-            host, port = self._url.hostname, self._url.port
-        except ValueError:  # a port that is not a number
-            host = None
-        if factory is None or not host:
-            raise ServiceError(
-                f"not an http(s) server URL: {self.server!r}"
-            )
-        return factory(host, port, timeout=timeout)
-
     def _exchange(
         self,
         method: str,
@@ -227,26 +175,19 @@ class ServiceClient:
         Raises :class:`ServiceError` for a transport failure or an
         error status (``code`` set, with the daemon's ``error`` text).
         """
-        headers = {"Accept": accept}
-        if body is not None:
-            headers["Content-Type"] = "application/json"
         ident = threading.get_ident()
         connection = self._connections.get(ident)
         if connection is None:
-            connection = self._new_connection(self.timeout)
+            connection = _Connection(self._url, self.timeout)
             with self._lock:
                 self._connections[ident] = connection
         while True:
             kept = connection.sock is not None
             try:
-                connection.request(
-                    method, self._url.path + path, body=body,
-                    headers=headers,
-                )
-                response = connection.getresponse()
-                raw = response.read()
+                connection.send(method, self._url.path + path, accept, body)
+                status, raw, persistent = wire.read_response(connection.rfile)
                 break
-            except (http.client.HTTPException, OSError) as error:
+            except (wire.FramingError, OSError) as error:
                 connection.close()
                 # A kept socket the daemon has since dropped (idle
                 # timeout, restart) fails on its next use: go again,
@@ -257,16 +198,18 @@ class ServiceClient:
                 raise ServiceError(
                     f"cannot reach {self.server}: {error}"
                 ) from error
-        if response.status >= 400:
+        if not persistent:
+            connection.close()
+        if status >= 400:
             detail = ""
             try:
                 detail = json.loads(raw).get("error", "")
             except (ValueError, AttributeError):
                 pass  # body may not be JSON
             raise ServiceError(
-                f"{method} {path} failed: HTTP {response.status}"
+                f"{method} {path} failed: HTTP {status}"
                 + (f" — {detail}" if detail else ""),
-                code=response.status,
+                code=status,
             )
         return raw
 
@@ -428,28 +371,23 @@ class ServiceClient:
         state. The stream has a connection of its own, open for the
         job's lifetime, so no socket timeout is applied.
         """
-        connection = self._new_connection(None)
+        connection = _Connection(self._url, None)
         try:
-            connection.request(
-                "GET",
-                f"{self._url.path}/v1/jobs/{job_id}/events",
-                headers={"Accept": "application/x-ndjson"},
+            connection.send(
+                "GET", f"{self._url.path}/v1/jobs/{job_id}/events",
+                "application/x-ndjson", None,
             )
-            response = connection.getresponse()
-            if response.status != 200:
+            status, _, _ = wire.read_response(connection.rfile, stream=True)
+            if status != 200:
                 raise ServiceError(
-                    f"watch {job_id} failed: HTTP {response.status}",
-                    code=response.status,
+                    f"watch {job_id} failed: HTTP {status}", code=status
                 )
-            for raw in response:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
+            for line in connection.rfile:
                 try:
                     yield json.loads(line)
-                except ValueError:
+                except ValueError:  # a blank or torn line
                     continue
-        except (http.client.HTTPException, OSError) as error:
+        except (wire.FramingError, OSError) as error:
             raise ServiceError(
                 f"cannot reach {self.server}: {error}"
             ) from error

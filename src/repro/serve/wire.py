@@ -9,10 +9,12 @@ typo like ``"archs"`` can never silently run a default machine), and
 :func:`job_to_payload` is its inverse for the Python client and the
 queue manifest.
 
-Beneath the JSON, :func:`read_headers` is the one pass over an HTTP
-header block that the daemon (requests) and the client (responses)
-share, and :class:`FramingError` what it makes of a block it will not
-guess at.
+Beneath the JSON, this is the one framing module both ends use:
+:func:`read_headers` is the one pass over an HTTP header block that the
+daemon (requests) and the client (responses) share,
+:func:`read_response` the client's reader of a whole response around
+it, and :class:`FramingError` what either makes of a message it will
+not guess at.
 
 Deliberately *not* on the wire: execution-policy paths
 (``ckpt_dir``/``trace_dir`` — the daemon decides where its artifact
@@ -78,6 +80,9 @@ _SUBMIT_FIELDS = frozenset({"priority", "version"})
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
 
+#: ``HTTP/1.x NNN reason``: the status line of a response
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?: [^\r\n]*)?\r?\n")
+
 #: ``field-name ":"`` of RFC 7230 §3.2: a token, then the colon with no
 #: space before it. A line that opens with a space (an obs-fold
 #: continuation) or has no colon does not match.
@@ -89,10 +94,11 @@ class WireError(ReproError):
 
 
 class FramingError(ReproError):
-    """An HTTP message whose header block cannot be taken as sent.
+    """An HTTP message whose framing cannot be taken as sent.
 
-    ``status`` is what a server answers it with; ``reason`` is its
-    label on ``repro_service_http_refused_total``.
+    ``status`` is what a server answers it with (502, a gateway's
+    answer, for a response); ``reason`` is its label on
+    ``repro_service_http_refused_total``.
     """
 
     def __init__(self, status: int, reason: str, message: str) -> None:
@@ -138,6 +144,67 @@ def read_headers(rfile) -> dict[str, str]:
     raise FramingError(
         431, "too_many_headers", f"more than {MAX_HEADERS} header lines"
     )
+
+
+def read_response(
+    rfile, stream: bool = False
+) -> tuple[int, bytes | None, bool]:
+    """Read one response off ``rfile``: ``(status, body, persistent)``.
+
+    Interim 1xx responses are skipped. The body is ``Content-Length``
+    bytes, none for 204 and 304, or everything until the connection
+    closes (the event stream), which ``stream`` leaves on ``rfile``
+    (body ``None``). ``persistent`` is false after ``Connection:
+    close``, HTTP/1.0 without keep-alive and a close-delimited body.
+    EOF before the status line is a :class:`ConnectionError` (a kept
+    socket the peer dropped); a bad status line, a
+    ``Transfer-Encoding``, a bad ``Content-Length`` and a short body
+    are each a :class:`FramingError` by name.
+    """
+    status = 100
+    while status < 200:
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if not line:
+            raise ConnectionError("connection closed before the status line")
+        if len(line) > MAX_LINE_BYTES:
+            raise FramingError(
+                502, "line_too_long",
+                f"status line over {MAX_LINE_BYTES} bytes",
+            )
+        match = _STATUS_LINE.fullmatch(line)
+        if match is None:
+            raise FramingError(
+                502, "status_line", f"bad status line: {line[:64]!r}"
+            )
+        status = int(match[2])
+        headers = read_headers(rfile)
+    if "transfer-encoding" in headers:
+        raise FramingError(
+            502, "transfer_encoding",
+            f"Transfer-Encoding {headers['transfer-encoding'][:64]!r} is "
+            "not supported",
+        )
+    connection = headers.get("connection", "").lower()
+    if match[1] == b"0":  # HTTP/1.0
+        persistent = connection == "keep-alive"
+    else:
+        persistent = connection != "close"
+    length = headers.get("content-length")
+    if status in (204, 304):
+        return status, b"", persistent
+    if length is None:
+        return status, None if stream else rfile.read(), False
+    if not (length.isascii() and length.isdigit()):
+        raise FramingError(
+            502, "content_length", f"bad Content-Length: {length[:64]!r}"
+        )
+    body = rfile.read(int(length))
+    if len(body) < int(length):
+        raise FramingError(
+            502, "short_body",
+            f"body ended after {len(body)} of {length} bytes",
+        )
+    return status, body, persistent
 
 
 def _require(condition: bool, message: str) -> None:

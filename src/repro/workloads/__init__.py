@@ -10,7 +10,7 @@ Each module provides a ``make(n_cpus, functional, scale)`` factory; the
 factories for the experiment harness.
 """
 
-from repro.workloads.base import ThreadContext, Workload, WorkloadParams
+from repro.workloads.base import ThreadContext, Workload
 from repro.workloads.layout import AddressSpace
 
 from repro.workloads import eqntott as _eqntott
@@ -40,6 +40,5 @@ __all__ = [
     "AddressSpace",
     "ThreadContext",
     "Workload",
-    "WorkloadParams",
     "WORKLOADS",
 ]

@@ -16,7 +16,6 @@ state synchronization primitives need (e.g. the barrier sense).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import WorkloadError
@@ -58,20 +57,6 @@ class ThreadContext:
             emitter = Emitter(region)
             self._emitters[region.name] = emitter
         return emitter
-
-
-@dataclass
-class WorkloadParams:
-    """Base class for per-workload parameter sets.
-
-    ``scale`` names the preset: ``"test"`` (unit tests, tiny),
-    ``"bench"`` (default experiments, 1/8 of the paper's sizes) or
-    ``"paper"`` (full size). Concrete workloads define the actual
-    dimensions per preset.
-    """
-
-    scale: str = "bench"
-    extras: dict = field(default_factory=dict)
 
 
 class Workload(ABC):

@@ -183,7 +183,7 @@ DELETED_PATHS = re.compile(
     r"|\b(?:MultistageCrossbar|_Interconnect|run_replay|trace_factory"
     r"|resolve_trace)\b|trace[./]backend"
     r"|\b(?:StallReason|MissKind|peek_start)\b|tests/oracles"
-    r"|oracles\.conservation"
+    r"|oracles\.conservation|\b(?:export_prometheus|WorkloadParams)\b"
 )
 #: the top-level documents that describe the program as it is; the
 #: other top-level ones (changelog, roadmap, ...) are history and plans

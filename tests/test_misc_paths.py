@@ -184,6 +184,27 @@ def test_conservation_check_fails_when_a_stall_cycle_goes_missing(
         dict(CHECKS)["conservation"]()
 
 
+@pytest.mark.parametrize("cpu", (0, 3))
+def test_conservation_check_fails_when_an_mxs_slot_goes_missing(cpu):
+    """Under MXS the oracle counts graduation slots: one lost slot
+    taken from a finished run's stats fails it, naming the CPU, and
+    so does one graduation the run never retired."""
+    from repro.core.runner import Job
+    from repro.core.selfcheck import check_run
+
+    system = Job(arch="shared-l2", workload="ear", cpu_model="mxs").build()
+    stats = system.run()
+    check_run(system, stats)
+    stats.mxs[cpu].slots_lost_pipeline -= 1
+    with pytest.raises(SelfCheckFailure, match=f"^cpu{cpu} graduated or"):
+        check_run(system, stats)
+    stats.mxs[cpu].slots_lost_pipeline += 1
+    stats.mxs[cpu].graduated += 1
+    stats.mxs[cpu].slots_lost_pipeline -= 1  # the slot count still holds
+    with pytest.raises(SelfCheckFailure, match="graduated for"):
+        check_run(system, stats)
+
+
 # ----------------------------------------------------------------------
 # trace of synchronizing workloads
 

@@ -1,9 +1,9 @@
 """Tests for the service's wire path: keep-alive, long-poll, lifecycle.
 
 Everything here runs a real :class:`ServiceDaemon` and real sockets,
-but for the pins of the client's own logic and of the two http.client
-internals it overrides, which take canned answers. What the wire path
-saves is asserted on the daemon's own counters
+but for the pins of the client's own logic and of its response reader,
+which take canned answers. What the wire path saves is asserted on the
+daemon's own counters
 (connections accepted, requests routed per endpoint, requests parked),
 never on a latency threshold; the few clock checks only bound a wait
 that used to be a fixed timer from above, with room to spare.
@@ -526,52 +526,89 @@ def test_wait_trusts_only_this_threads_final_submit_answer():
 
 
 # ----------------------------------------------------------------------
-# the two http.client internals serve.client overrides, pinned
+# the client's transport: one sendall per request, wire.read_response
+# the reader, the stdlib's http.client the oracle (public names only)
 
 
 def test_a_post_leaves_in_one_send(tmp_path, monkeypatch):
     sent = []
-    real = http.client.HTTPConnection.send
+    real = socket.socket.sendall
 
-    def counting(self, data):
-        sent.append(bytes(data))
-        return real(self, data)
+    def counting(self, data, *flags):
+        sent.append((self, bytes(data)))
+        return real(self, data, *flags)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "send", counting)
+    monkeypatch.setattr(socket.socket, "sendall", counting)
     with running_daemon(tmp_path) as (daemon, client):
         client.health()  # connected outside the count
+        (connection,) = client._connections.values()
+
+        def ours():  # the daemon's answers are sendall calls too
+            return [data for sock, data in sent if sock is connection.sock]
+
         sent.clear()
         job_id = client.submit(FAST)["id"]
-        (segment,) = sent
+        (segment,) = ours()
         head, body = segment.split(b"\r\n\r\n", 1)
         assert head.startswith(b"POST /v1/jobs HTTP/1.1\r\n")
         assert f"Content-Length: {len(body)}".encode() in head
         assert json.loads(body) == FAST
         sent.clear()
         client.wait(job_id, timeout=60)
-        assert len(sent) == 1  # a GET is one send, as before
+        assert len(ours()) == 1  # a GET is one send too
 
 
-def test_one_send_is_the_stdlib_request_byte_for_byte():
-    # serve.client overrides HTTPConnection._send_output and fills its
-    # _buffer: if a Python release moves either, this fails here
-    def sent_by(factory, method, body):
-        connection = factory("127.0.0.1", 9)
-        segments = []
-        connection.send = segments.append
-        connection.request(
-            method, "/v1/jobs", body=body,
-            headers={"Accept": "application/json"},
-        )
-        return segments
+def _read_request(rfile) -> tuple[bytes, dict[str, str], bytes]:
+    """A request as the daemon takes it: line, headers, body."""
+    line = rfile.readline()
+    headers = wire.read_headers(rfile)
+    return line, headers, rfile.read(int(headers.get("content-length", 0)))
 
-    for method, body in (
-        ("POST", b'{"workload": "fft"}'), ("POST", b""), ("GET", None),
-    ):
-        stock = sent_by(http.client.HTTPConnection, method, body)
-        ours = sent_by(serve_client._Connection, method, body)
-        assert len(ours) == 1
-        assert ours[0] == b"".join(stock)
+
+def test_the_daemon_reads_the_stdlib_request_from_ours():
+    # what http.client sends and the daemon does without: an
+    # Accept-Encoding of identity, and a Content-Length of 0 on a
+    # bodiless POST (no framing header means no body)
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+    url = serve_client.urlsplit(f"http://127.0.0.1:{port}")
+    ours = serve_client._Connection(url, timeout=10)
+    stock = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        for method, target, body in (
+            ("POST", "/v1/jobs", b'{"workload": "fft"}'),
+            ("POST", "/v1/jobs", b""),
+            ("POST", "/v1/jobs/abc/cancel", None),
+            ("GET", "/v1/jobs/abc?wait=8.000", None),
+        ):
+            read = []
+            for send in (
+                lambda: ours.send(method, target, "application/json", body),
+                lambda: stock.request(
+                    method, target, body=body,
+                    headers={"Accept": "application/json"} | (
+                        {} if body is None
+                        else {"Content-Type": "application/json"}
+                    ),
+                ),
+            ):
+                send()
+                peer, _ = listener.accept()
+                with peer, peer.makefile("rb") as rfile:
+                    read.append(_read_request(rfile))
+                ours.close()
+                stock.close()
+            (line, headers, got), (stock_line, stock_headers, stock_got) = read
+            assert line == stock_line == (
+                f"{method} {target} HTTP/1.1\r\n".encode()
+            )
+            assert got == stock_got == (body or b"")
+            del stock_headers["accept-encoding"]
+            if body is None and method == "POST":
+                assert stock_headers.pop("content-length") == "0"
+            assert headers == stock_headers
+    finally:
+        listener.close()
 
 
 class Canned:
@@ -584,11 +621,11 @@ class Canned:
         return io.BytesIO(self.data)
 
 
+#: responses with every framing a client meets from an HTTP/1.x server
+#: but chunked, which the daemon never sends and the client refuses
 CANNED = (
     b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
     b"Content-Length: 2\r\n\r\n{}",
-    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
-    b"2\r\n{}\r\n0\r\n\r\n",
     b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}",
     b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\n"
     b"Content-Length: 2\r\n\r\n{}",
@@ -598,27 +635,86 @@ CANNED = (
     b"HTTP/1.1 204 No Content\r\n\r\n",
     b"HTTP/1.1 409 Conflict\r\ncontent-length: 3\r\n"
     b"Connection: Keep-Alive\r\n\r\n{}\n",
+    b"HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 2\r\nConnection: close\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+    b"Connection: close\r\n\r\n{\"kind\": \"a\"}\n{\"kind\": \"b\"}\n",
 )
 
 
-@pytest.mark.parametrize("method", ("GET", "HEAD"))
 @pytest.mark.parametrize("data", CANNED)
-def test_response_begin_reads_what_the_stdlib_reads(data, method):
-    # serve.client's HTTPResponse.begin leans on _read_status,
-    # _check_close, _method and the framing attributes: if a Python
-    # release moves one, this fails here, not in a daemon exchange
-    stock = http.client.HTTPResponse(Canned(data), method=method)
-    ours = serve_client._Response(Canned(data), method=method)
+def test_read_response_reads_what_the_stdlib_reads(data):
+    stock = http.client.HTTPResponse(Canned(data), method="GET")
     stock.begin()
-    ours.begin()
-    for name in (
-        "version", "status", "reason", "chunked", "length", "will_close",
-    ):
-        assert getattr(ours, name) == getattr(stock, name), name
-    assert dict(ours.getheaders()) == {
-        name.lower(): value for name, value in stock.getheaders()
-    }
-    assert ours.read() == stock.read()
+    ours = wire.read_response(io.BytesIO(data))
+    assert ours == (stock.status, stock.read(), not stock.will_close)
+
+
+def test_a_streamed_body_is_left_on_the_reader():
+    rfile = io.BytesIO(CANNED[-1])
+    status, body, persistent = wire.read_response(rfile, stream=True)
+    assert (status, body, persistent) == (200, None, False)
+    assert list(rfile) == [b'{"kind": "a"}\n', b'{"kind": "b"}\n']
+
+
+@pytest.fixture
+def canned_server():
+    """Answers each connection with one canned response, then hangs up;
+    yields a setter for the response and the server URL."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    answer = []
+
+    def serve():
+        while True:
+            try:
+                peer, _ = listener.accept()
+            except OSError:
+                return  # the listener closed
+            with peer, peer.makefile("rb") as rfile:
+                try:
+                    _read_request(rfile)
+                    peer.sendall(answer[0])
+                    peer.shutdown(socket.SHUT_WR)
+                    peer.recv(1)  # until the client hangs up too
+                except OSError:
+                    pass  # the client gave up reading first
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield answer.append, f"http://127.0.0.1:{listener.getsockname()[1]}"
+    listener.close()
+    thread.join(timeout=5)
+
+
+@pytest.mark.parametrize(
+    "response, fault",
+    (
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"2\r\n{}\r\n0\r\n\r\n", "Transfer-Encoding 'chunked' is not"),
+        (b"HTTP/1.1 200 " + b"x" * wire.MAX_LINE_BYTES + b"\r\n\r\n",
+         f"status line over {wire.MAX_LINE_BYTES} bytes"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}",
+         "body ended after 2 of 10 bytes"),
+        (b"HTTP/2 200\r\n\r\n", "bad status line"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n",
+         "bad Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nX-A : 1\r\n\r\n", "malformed header line"),
+    ),
+    ids=(
+        "transfer_encoding", "line_too_long", "short_body", "status_line",
+        "content_length", "header_line",
+    ),
+)
+def test_a_response_that_cannot_be_framed_is_a_service_error_by_name(
+    canned_server, response, fault
+):
+    answer, server = canned_server
+    answer(response)
+    with ServiceClient(server, timeout=10) as client:
+        with pytest.raises(ServiceError, match=re.escape(fault)):
+            client.health()
+        with pytest.raises(ServiceError, match=re.escape(fault)):
+            list(client.watch("abc"))
 
 
 def test_result_body_is_encoded_once_and_matches_local_run(tmp_path):
