@@ -145,7 +145,7 @@ def _batch_report(path: str) -> int:
     rollup = rollup_events(events)
     print(f"batch report: {path}")
     print(
-        f"  {len(events)} event(s) across {rollup['workers']} "
+        f"  {rollup['events']} event(s) across {rollup['workers']} "
         f"worker(s), {rollup['batch_wall_seconds']:.2f}s wall"
     )
     jobs = rollup["jobs"]
@@ -226,32 +226,31 @@ def _event_line(event, t0: float) -> str:
 
 
 def _tail(args: argparse.Namespace) -> int:
-    from repro.obs import read_events
+    from repro.obs.bus import parse_events
 
-    events = _events(args.path)
-    t0 = events[0].ts if events else 0.0
-    shown = events[-args.lines:] if args.lines > 0 else events
-    for event in shown:
-        print(_event_line(event, t0))
-    if not args.follow:
-        return 0
-    seen = len(events)
-    ended = any(event.kind == "batch.end" for event in events)
-    while not ended:
-        time.sleep(0.2)
-        try:
-            events = read_events(args.path)
-        except OSError:
-            break
-        if not events:
-            continue
-        if t0 == 0.0:
-            t0 = events[0].ts
-        for event in events[seen:]:
-            print(_event_line(event, t0), flush=True)
-            if event.kind == "batch.end":
-                ended = True
-        seen = len(events)
+    try:
+        log = open(args.path, "rb")
+    except OSError as error:
+        raise ReproError(str(error)) from None
+    with log:
+        data = log.read()
+        # a follow holds an unfinished last line until its newline lands
+        head, _, partial = data.rpartition(b"\n")
+        events = parse_events(head if args.follow else data)
+        t0 = events[0].ts if events else 0.0
+        shown = events[-args.lines:] if args.lines > 0 else events
+        for event in shown:
+            print(_event_line(event, t0))
+        ended = any(event.kind == "batch.end" for event in events)
+        while args.follow and not ended:
+            time.sleep(0.2)
+            head, _, partial = (partial + log.read()).rpartition(b"\n")
+            events = parse_events(head)
+            if events and t0 == 0.0:
+                t0 = events[0].ts
+            for event in events:
+                print(_event_line(event, t0), flush=True)
+                ended = ended or event.kind == "batch.end"
     return 0
 
 

@@ -130,10 +130,11 @@ def run(args: argparse.Namespace) -> int:
             if live is not None:
                 live.finish()
     if bus is not None:
-        from repro.obs import write_batch_trace
+        from repro.obs import read_events, write_batch_trace
 
         trace_path = telemetry_dir / "batch_trace.json"
-        write_batch_trace(bus.events, trace_path, label="reproduce")
+        events = read_events(bus.log_path)
+        write_batch_trace(events, trace_path, label="reproduce")
         print(f"telemetry: {bus.log_path} + {trace_path} "
               f"({report.telemetry['events']} events, "
               f"{report.telemetry['workers']} worker(s))")

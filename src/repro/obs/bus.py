@@ -8,8 +8,9 @@ emit structured events (job started/finished/retried/timed-out,
 cache hit/miss/store, checkpoint save/load, trace record/replay,
 worker spawn/death, pool rebuilds) over a ``multiprocessing`` manager
 queue to a collector thread in the parent, which assigns a total order
-(``seq``), appends each event to a JSONL log as it arrives, and feeds
-any live subscriber.
+(``seq``), appends each event to a JSONL log as it arrives, counts it
+in a running :class:`~repro.obs.export.Tally` (keeping no event list),
+and feeds any live subscriber.
 
 Durability properties the fault-injection suite relies on:
 
@@ -24,9 +25,9 @@ Durability properties the fault-injection suite relies on:
   so a killed *parent* leaves a readable prefix.
 
 The bus is off by default everywhere. Instrumented library code
-(stores, the replay backend) emits through the module-level
-:func:`emit`, which is a single ``is not None`` check on the
-process-current handle when telemetry is off — the same contract the
+(the artifact stores, ``Job.resolve_factory``) emits through the
+module-level :func:`emit`, which is a single ``is not None`` check on
+the process-current handle when telemetry is off — the same contract the
 single-System observability hooks honour. With the bus off, zero
 events are produced and simulated statistics are byte-identical
 (``tests/test_obs_bus.py`` enforces both).
@@ -64,6 +65,17 @@ EVENT_KINDS = frozenset({
     "ckpt.save", "ckpt.load", "ckpt.evict",
     "trace.record", "trace.hit", "trace.replay", "trace.evict",
 })
+
+#: Each event kind that ends a job → its terminal status (the
+#: ``status`` label on ``repro_jobs_total``).
+JOB_STATUS = {
+    "job.finish": "ok",
+    "job.fail": "failed",
+    "job.timeout": "timeout",
+    "job.cached": "cached",
+    "job.quarantined": "quarantined",
+    "job.cancelled": "cancelled",
+}
 
 #: Event kinds that must carry a ``job`` label.
 _JOB_KINDS = frozenset(
@@ -165,8 +177,8 @@ def emit(kind: str, **fields) -> None:
     """Emit through the process-current handle; no-op when none is set.
 
     This is the hook instrumented library code (the artifact stores,
-    the replay backend) calls — one global ``None`` check when the bus
-    is off.
+    ``Job.resolve_factory``) calls — one global ``None`` check when the
+    bus is off.
     """
     handle = _CURRENT
     if handle is not None:
@@ -202,7 +214,11 @@ class EventBus:
     ) -> None:
         self.log_path = Path(log_path) if log_path else None
         self.on_event = on_event
-        self.events: list[BusEvent] = []
+        from repro.obs.export import Tally  # export imports this module
+
+        self._tally = Tally()
+        # HTTP threads scrape the tally while the collector adds to it
+        self._tally_lock = threading.Lock()
         self._manager = None
         self._queue = None
         self._thread: threading.Thread | None = None
@@ -310,7 +326,8 @@ class EventBus:
             except (KeyError, TypeError):
                 continue
             event.seq = self._seq
-            self.events.append(event)
+            with self._tally_lock:
+                self._tally.add(event)
             if self._log_file is not None:
                 self._log_file.write(event.to_json_line() + "\n")
                 self._log_file.flush()
@@ -323,50 +340,33 @@ class EventBus:
     # -- summaries ------------------------------------------------------
 
     def rollup(self) -> dict:
-        """JSON-serializable account of everything collected."""
-        by_kind: dict[str, int] = {}
-        workers: set[int] = set()
-        for event in self.events:
-            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
-            if event.kind in ("job.start", "worker.spawn"):
-                workers.add(event.pid)
-        return {
-            "events": len(self.events),
-            "by_kind": dict(sorted(by_kind.items())),
-            "workers": len(workers),
-            "log_path": str(self.log_path) if self.log_path else None,
-        }
+        """The running tally's counters plus ``log_path``."""
+        with self._tally_lock:
+            out = self._tally.snapshot()
+        out["log_path"] = str(self.log_path) if self.log_path else None
+        return out
 
 
 # ----------------------------------------------------------------------
 # reading and validating JSONL event logs
 
 
-def read_events(
-    source: str | Path, strict: bool = False
-) -> list[BusEvent]:
-    """Parse a JSONL event log into :class:`BusEvent` records.
-
-    Non-strict mode (the default, used by ``obs tail`` while a batch
-    is still writing) skips unparseable lines — a partially written
-    final line is expected mid-batch. ``strict=True`` raises
-    ``ValueError`` instead.
-    """
-    events: list[BusEvent] = []
-    text = Path(source).read_text(encoding="utf-8")
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
+def parse_events(data: bytes) -> list[BusEvent]:
+    """The bus events in a run of JSONL log lines, skipping each line
+    that is not one (blank, foreign, or torn by a write in flight)."""
+    events = []
+    for line in data.split(b"\n"):
         try:
-            data = json.loads(line)
-            events.append(BusEvent.from_dict(data))
-        except (ValueError, KeyError, TypeError) as error:
-            if strict:
-                raise ValueError(
-                    f"line {number} is not a bus event: {error}"
-                ) from error
+            events.append(BusEvent.from_dict(json.loads(line)))
+        except (ValueError, KeyError, TypeError):
+            continue
     return events
+
+
+def read_events(source: str | Path) -> list[BusEvent]:
+    """Parse a JSONL event log into :class:`BusEvent` records (see
+    :func:`parse_events`)."""
+    return parse_events(Path(source).read_bytes())
 
 
 def validate_events(source: str | Path | Iterable[dict]) -> list[str]:

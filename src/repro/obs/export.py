@@ -1,87 +1,90 @@
 """Rollups and Prometheus-style text exposition for batch telemetry.
 
-``rollup_events`` reduces a batch event stream to the counter dict
-``repro obs report --batch`` prints and the daemon's ``/v1/metrics``
-serves; ``prometheus_text`` renders the same numbers in
-the text exposition format (``# TYPE`` headers, labelled samples) so a
-scrape-and-diff workflow — or an actual Prometheus textfile collector
-pointed at the results directory — can consume a batch without parsing
-JSON. No client library involved: the format is five lines of spec.
+:class:`Tally` is the one fold of a batch event stream (the bus, the
+live view and ``rollup_events`` all count through it);
+``prometheus_text`` renders its counters in the text exposition format
+(``# TYPE`` headers, labelled samples) so a scrape-and-diff workflow —
+or an actual Prometheus textfile collector pointed at the results
+directory — can consume a batch without parsing JSON. No client
+library involved: the format is five lines of spec.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
-from repro.obs.bus import BusEvent
+from repro.obs.bus import JOB_STATUS, BusEvent
 
-#: job terminator kind → status label on repro_jobs_total
-_JOB_STATUS = {
-    "job.finish": "ok",
-    "job.fail": "failed",
-    "job.timeout": "timeout",
-    "job.cached": "cached",
-    "job.quarantined": "quarantined",
-    "job.cancelled": "cancelled",
-}
+
+class Tally:
+    """Running counters over a bus event stream, one event at a time:
+    counts by kind (:meth:`snapshot` reads every other counter off
+    them), worker pids, finished-job wall time and the time span."""
+
+    def __init__(self) -> None:
+        self.by_kind: dict[str, int] = {}
+        self.workers: set[int] = set()
+        self.wall_sum = 0.0
+        self.wall_count = 0
+        self._t_min = math.inf
+        self._t_max = -math.inf
+
+    def add(self, event: BusEvent) -> None:
+        """Fold one event in."""
+        kind = event.kind
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self._t_min = min(self._t_min, event.ts)
+        self._t_max = max(self._t_max, event.ts)
+        if kind == "job.finish":
+            wall = event.fields.get("wall_seconds")
+            if isinstance(wall, (int, float)):
+                self.wall_sum += wall
+                self.wall_count += 1
+        elif kind in ("job.start", "worker.spawn"):
+            self.workers.add(event.pid)
+
+    def snapshot(self) -> dict:
+        """The JSON-serializable counters (fresh dicts, keys sorted)."""
+        by_kind = dict(sorted(self.by_kind.items()))
+        return {
+            "events": sum(by_kind.values()),
+            "by_kind": by_kind,
+            "jobs": dict(sorted(
+                (JOB_STATUS[kind], count)
+                for kind, count in by_kind.items() if kind in JOB_STATUS
+            )),
+            # op label on repro_cache_ops_total: hit, miss, store, ...
+            "cache_ops": {
+                kind.partition(".")[2]: count
+                for kind, count in by_kind.items()
+                if kind.startswith("cache.")
+            },
+            "store_ops": {
+                kind: count for kind, count in by_kind.items()
+                if kind.startswith(("ckpt.", "trace."))
+            },
+            "retries": by_kind.get("job.retry", 0),
+            "pool_rebuilds": by_kind.get("pool.rebuild", 0),
+            "worker_deaths": by_kind.get("worker.death", 0),
+            "workers": len(self.workers),
+            "job_wall_seconds_sum": self.wall_sum,
+            "job_wall_seconds_count": self.wall_count,
+            "batch_wall_seconds": (
+                self._t_max - self._t_min if by_kind else 0.0
+            ),
+        }
 
 
 def rollup_events(events: Iterable[BusEvent | dict]) -> dict:
-    """Reduce a batch event stream to JSON-serializable counters."""
-    jobs: dict[str, int] = {}
-    cache_ops: dict[str, int] = {}
-    store_ops: dict[str, int] = {}
-    retries = 0
-    rebuilds = 0
-    deaths = 0
-    workers: set[int] = set()
-    wall_sum = 0.0
-    wall_count = 0
-    t_min: float | None = None
-    t_max: float | None = None
-
+    """Reduce a finished batch event stream to :class:`Tally`'s
+    counters."""
+    tally = Tally()
     for event in events:
         if isinstance(event, dict):
             event = BusEvent.from_dict(event)
-        kind = event.kind
-        t_min = event.ts if t_min is None else min(t_min, event.ts)
-        t_max = event.ts if t_max is None else max(t_max, event.ts)
-        if kind in _JOB_STATUS:
-            status = _JOB_STATUS[kind]
-            jobs[status] = jobs.get(status, 0) + 1
-            wall = event.fields.get("wall_seconds")
-            if kind == "job.finish" and isinstance(wall, (int, float)):
-                wall_sum += wall
-                wall_count += 1
-        elif kind.startswith("cache."):
-            # op label on repro_cache_ops_total: hit, miss, store, ...
-            op = kind.partition(".")[2]
-            cache_ops[op] = cache_ops.get(op, 0) + 1
-        elif kind.startswith(("ckpt.", "trace.")):
-            store_ops[kind] = store_ops.get(kind, 0) + 1
-        elif kind == "job.retry":
-            retries += 1
-        elif kind == "pool.rebuild":
-            rebuilds += 1
-        elif kind == "worker.death":
-            deaths += 1
-        if kind in ("job.start", "worker.spawn"):
-            workers.add(event.pid)
-
-    return {
-        "jobs": dict(sorted(jobs.items())),
-        "cache_ops": dict(sorted(cache_ops.items())),
-        "store_ops": dict(sorted(store_ops.items())),
-        "retries": retries,
-        "pool_rebuilds": rebuilds,
-        "worker_deaths": deaths,
-        "workers": len(workers),
-        "job_wall_seconds_sum": wall_sum,
-        "job_wall_seconds_count": wall_count,
-        "batch_wall_seconds": (
-            (t_max - t_min) if t_min is not None else 0.0
-        ),
-    }
+        tally.add(event)
+    return tally.snapshot()
 
 
 def header(lines: list[str], name: str, kind: str, help_text: str) -> None:
@@ -121,19 +124,16 @@ def prometheus_text(rollup: dict, prefix: str = "repro") -> str:
         store, op = label.split(".", 1)
         sample(lines, p + "store_ops_total", count, {"store": store, "op": op})
 
-    header(lines, p + "job_retries_total", "counter", "Job retry decisions.")
-    sample(lines, p + "job_retries_total", rollup.get("retries", 0))
-
-    header(lines, p + "pool_rebuilds_total", "counter",
-           "Worker pool rebuilds after crashes.")
-    sample(lines, p + "pool_rebuilds_total", rollup.get("pool_rebuilds", 0))
-
-    header(lines, p + "worker_deaths_total", "counter",
-           "Workers observed dead by the parent.")
-    sample(lines, p + "worker_deaths_total", rollup.get("worker_deaths", 0))
-
-    header(lines, p + "workers", "gauge", "Distinct worker processes seen.")
-    sample(lines, p + "workers", rollup.get("workers", 0))
+    for name, kind, help_text, key in (
+        ("job_retries_total", "counter", "Job retry decisions.", "retries"),
+        ("pool_rebuilds_total", "counter",
+         "Worker pool rebuilds after crashes.", "pool_rebuilds"),
+        ("worker_deaths_total", "counter",
+         "Workers observed dead by the parent.", "worker_deaths"),
+        ("workers", "gauge", "Distinct worker processes seen.", "workers"),
+    ):
+        header(lines, p + name, kind, help_text)
+        sample(lines, p + name, rollup.get(key, 0))
 
     header(lines, p + "job_wall_seconds", "summary",
            "Wall time of finished (non-cached) jobs.")

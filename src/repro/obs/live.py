@@ -15,14 +15,14 @@ import sys
 import time
 from typing import Callable, TextIO
 
-from repro.obs.bus import BusEvent
-
-_TERMINALS = {"job.finish", "job.fail", "job.timeout",
-              "job.cached", "job.quarantined"}
+from repro.obs.bus import JOB_STATUS, BusEvent
+from repro.obs.export import Tally
 
 
 class LiveView:
-    """Terminal progress renderer over the batch event stream."""
+    """Terminal progress renderer over the batch event stream: counts
+    from its own :class:`~repro.obs.export.Tally`, plus what each
+    worker pid is running."""
 
     def __init__(
         self,
@@ -35,17 +35,9 @@ class LiveView:
         self.stream = stream if stream is not None else sys.stderr
         self.interval = interval
         self.clock = clock
-        self.done = 0
-        self.failed = 0
-        self.cached = 0
-        self.retries = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.wall_sum = 0.0
-        self.wall_count = 0
+        self.tally = Tally()
         #: pid -> job label currently executing there
         self.busy: dict[int, str] = {}
-        self._started = clock()
         self._last_paint = 0.0
         self._is_tty = bool(getattr(self.stream, "isatty", lambda: False)())
 
@@ -53,42 +45,42 @@ class LiveView:
 
     def on_event(self, event: BusEvent) -> None:
         """Collector callback: fold one event in, repaint if due."""
-        kind = event.kind
-        if kind == "job.start":
+        self.tally.add(event)
+        if event.kind == "job.start":
             self.busy[event.pid] = event.fields.get("job", "?")
-        elif kind in _TERMINALS:
-            self.busy.pop(event.pid, None)
-            self.done += 1
-            if kind == "job.cached":
-                self.cached += 1
-            elif kind in ("job.fail", "job.timeout", "job.quarantined"):
-                self.failed += 1
-            wall = event.fields.get("wall_seconds")
-            if kind == "job.finish" and isinstance(wall, (int, float)):
-                self.wall_sum += wall
-                self.wall_count += 1
-        elif kind == "job.retry":
-            self.retries += 1
-        elif kind == "cache.hit":
-            self.cache_hits += 1
-        elif kind == "cache.miss":
-            self.cache_misses += 1
-        elif kind == "worker.death":
+        elif event.kind in JOB_STATUS or event.kind == "worker.death":
             self.busy.pop(event.pid, None)
         now = self.clock()
         if now - self._last_paint >= self.interval:
             self._last_paint = now
             self.paint()
 
+    def _count(self, *kinds: str) -> int:
+        return sum(self.tally.by_kind.get(kind, 0) for kind in kinds)
+
+    @property
+    def done(self) -> int:
+        """Jobs that reached a terminal status."""
+        return self._count(*JOB_STATUS)
+
+    @property
+    def cached(self) -> int:
+        return self._count("job.cached")
+
+    @property
+    def failed(self) -> int:
+        return self._count("job.fail", "job.timeout", "job.quarantined")
+
     # -- rendering ------------------------------------------------------
 
     def eta_seconds(self) -> float | None:
         """Remaining-time estimate from the mean finished-job wall."""
         remaining = self.total - self.done
-        if remaining <= 0 or self.wall_count == 0:
+        if remaining <= 0 or self.tally.wall_count == 0:
             return None
         lanes = max(1, len(self.busy))
-        return remaining * (self.wall_sum / self.wall_count) / lanes
+        mean = self.tally.wall_sum / self.tally.wall_count
+        return remaining * mean / lanes
 
     def render(self) -> str:
         """The one-line status summary."""
@@ -97,11 +89,13 @@ class LiveView:
             parts.append(f"{self.cached} cached")
         if self.failed:
             parts.append(f"{self.failed} failed")
-        if self.retries:
-            parts.append(f"{self.retries} retries")
-        probes = self.cache_hits + self.cache_misses
+        retries = self._count("job.retry")
+        if retries:
+            parts.append(f"{retries} retries")
+        hits = self._count("cache.hit")
+        probes = hits + self._count("cache.miss")
         if probes:
-            rate = 100.0 * self.cache_hits / probes
+            rate = 100.0 * hits / probes
             parts.append(f"cache {rate:.0f}% hit")
         parts.append(f"{len(self.busy)} busy")
         eta = self.eta_seconds()

@@ -21,23 +21,22 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.obs.bus import BusEvent
+from repro.obs.bus import JOB_STATUS, BusEvent
 
 TRACE_PID = 1
 RUNNER_TID = 1
 _WORKER_TID_BASE = 10
 
-#: job.* terminators that close an open span on the worker's track
-_CLOSERS = {
-    "job.finish": "ok",
-    "job.fail": "failed",
-    "job.timeout": "timeout",
-}
-
 #: parent-side events drawn as instants on the runner track
 _RUNNER_INSTANTS = {
     "job.cached", "job.retry", "job.quarantined", "job.cancelled",
     "worker.death", "pool.rebuild", "batch.start", "batch.end",
+}
+
+#: the job ends a worker emits: each closes the open span on its track
+_CLOSERS = {
+    kind: status for kind, status in JOB_STATUS.items()
+    if kind not in _RUNNER_INSTANTS
 }
 
 

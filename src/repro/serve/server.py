@@ -63,7 +63,7 @@ from repro.core.runner import ResultCache, Runner
 from repro.errors import ReproError
 from repro.obs import bus as obs_bus
 from repro.obs.bus import BusEvent, EventBus
-from repro.obs.export import header, prometheus_text, rollup_events, sample
+from repro.obs.export import header, prometheus_text, sample
 from repro.serve import wire
 from repro.serve.queue import (
     CACHED,
@@ -432,7 +432,7 @@ class ServiceDaemon:
 
     def metrics_text(self) -> str:
         """The ``GET /v1/metrics`` body: batch rollup + service gauges."""
-        text = prometheus_text(rollup_events(list(self.bus.events)))
+        text = prometheus_text(self.bus.rollup())
         lines: list[str] = []
         jobs = "repro_service_jobs"
         header(lines, jobs, "gauge", "Jobs by lifecycle state.")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -112,15 +113,42 @@ def test_validate_events_accepts_a_real_log(tmp_path):
 
 
 def test_flush_is_a_collection_barrier():
-    bus = EventBus().start()
+    collected = []
+    bus = EventBus(on_event=collected.append).start()
     try:
         handle = bus.handle()
         for index in range(20):
             handle.emit("batch.start", jobs=index)
         assert bus.flush(timeout=10.0)
-        assert len(bus.events) == 20
+        assert len(collected) == 20
+        assert bus.rollup()["events"] == 20
     finally:
         bus.stop()
+
+
+def test_the_bus_keeps_counts_not_events():
+    """A long-lived bus (the daemon's) holds running counters, so what
+    it keeps does not grow with the events it has collected."""
+    bus = EventBus().start()
+    try:
+        bus.emit("batch.start", jobs=0)  # warm the manager connection
+        assert bus.flush()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for attempt in range(20_000):
+                bus.emit("job.retry", job="fft/shared-l2/mipsy",
+                         attempt=attempt)
+            assert bus.flush(timeout=120.0)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert bus.rollup()["by_kind"] == {
+            "batch.start": 1, "job.retry": 20_000,
+        }
+    finally:
+        bus.stop()
+    assert grown < 512 * 1024
 
 
 def test_unknown_event_kinds_are_rejected_by_validator():
@@ -178,17 +206,22 @@ def test_bus_off_emits_zero_events_and_identical_stats(tmp_path):
     assert obs_bus.current() is None
     plain = Runner(jobs=1).run([job]).outcomes[0].result
 
-    bus = EventBus(log_path=tmp_path / "events.jsonl").start()
+    collected = []
+    bus = EventBus(
+        log_path=tmp_path / "events.jsonl", on_event=collected.append
+    ).start()
     observed = Runner(jobs=1, bus=bus).run([job]).outcomes[0].result
-    bus.stop()
     assert obs_bus.current() is None  # restored after the batch
 
     assert plain.stats.to_dict() == observed.stats.to_dict()
-    assert len(bus.events) > 0
-    # and a bus-off run after a bus-on one emits nothing new
-    before = len(bus.events)
+    assert len(collected) > 0
+    # and a bus-off run after a bus-on one emits nothing new, even
+    # with that bus still collecting
+    before = len(collected)
     Runner(jobs=1).run([job])
-    assert len(bus.events) == before
+    assert bus.flush()
+    bus.stop()
+    assert len(collected) == before
 
 
 def test_a_sweeps_telemetry_is_its_runners_last_report(tmp_path):
@@ -369,7 +402,7 @@ def test_live_view_never_breaks_collection():
     try:
         bus.handle().emit("job.start", job="a")
         assert bus.flush()
-        assert len(bus.events) == 1  # collection survived the OSError
+        assert bus.rollup()["events"] == 1  # collection survived the OSError
     finally:
         bus.stop()
 
@@ -466,7 +499,10 @@ def run_small_batch(tmp_path):
         jobs=1, cache=ResultCache(tmp_path / "cache"), bus=bus
     ).run([quick_job()])
     bus.stop()
-    write_batch_trace(bus.events, tmp_path / "batch_trace.json")
+    write_batch_trace(
+        read_events(tmp_path / "events.jsonl"),
+        tmp_path / "batch_trace.json",
+    )
     return tmp_path / "events.jsonl", tmp_path / "batch_trace.json"
 
 
@@ -492,6 +528,44 @@ def test_cli_tail_prints_events(tmp_path, capsys):
     assert main(["obs", "tail", str(log), "--lines", "1"]) == 0
     out = capsys.readouterr().out
     assert "batch.end" in out and "batch.start" not in out
+
+
+def test_cli_tail_follow_prints_what_is_appended_between_polls(
+    tmp_path, capsys, monkeypatch
+):
+    """``--follow`` picks up each poll's appended lines once, holds a
+    line torn across two polls until it is whole, and stops at
+    ``batch.end``."""
+    from repro.command import obs as obs_command
+
+    lines = [
+        json.dumps({"seq": seq, "ts": 10.0 + seq, "pid": 7,
+                    "kind": kind, **fields}) + "\n"
+        for seq, (kind, fields) in enumerate((
+            ("batch.start", {"jobs": 1}),
+            ("job.start", {"job": "a/b/c", "attempt": 1}),
+            ("job.finish", {"job": "a/b/c", "attempt": 1}),
+            ("batch.end", {"jobs": 1}),
+        ), start=1)
+    ]
+    log = tmp_path / "events.jsonl"
+    log.write_text(lines[0])
+    torn = lines[2]
+    appends = iter([lines[1] + torn[:20], "", torn[20:], lines[3]])
+    polls = []
+
+    def poll(seconds):
+        polls.append(seconds)
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(next(appends))
+
+    monkeypatch.setattr(obs_command.time, "sleep", poll)
+    assert main(["obs", "tail", str(log), "--follow"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in printed] == ["#1", "#2", "#3", "#4"]
+    assert "job.finish" in printed[2] and "attempt=1" in printed[2]
+    assert "+   3.000s" in printed[3]  # timed from the first event
+    assert len(polls) == 4  # ended by batch.end, not by running dry
 
 
 def test_cli_export_prometheus_and_json(tmp_path, capsys):

@@ -100,7 +100,8 @@ def test_events_survive_a_sigkilled_worker(tmp_path, monkeypatch):
     dead worker's ``job.start`` survives even though no terminator ever
     arrives, and the batch trace closes its span as ``killed``."""
     from repro.obs import (
-        EventBus, build_batch_trace, validate_events, validate_trace,
+        EventBus, build_batch_trace, read_events, rollup_events,
+        validate_events, validate_trace,
     )
 
     monkeypatch.setenv("REPRO_TEST_KILL_DIR", str(tmp_path))
@@ -119,10 +120,11 @@ def test_events_survive_a_sigkilled_worker(tmp_path, monkeypatch):
     assert not report.failures
     assert report.worker_crashes >= 1
     assert validate_events(log) == []
-    kinds = [event.kind for event in bus.events]
+    events = read_events(log)
+    kinds = [event.kind for event in events]
     # the first (killed) attempt's start is in the stream...
     killer_starts = [
-        event for event in bus.events
+        event for event in events
         if event.kind == "job.start"
         and event.fields["job"].startswith("ckpt_helpers.")
     ]
@@ -137,7 +139,7 @@ def test_events_survive_a_sigkilled_worker(tmp_path, monkeypatch):
     # every job that finished carries a finish event
     assert kinds.count("job.finish") == 3
 
-    trace = build_batch_trace(bus.events, label="fault smoke")
+    trace = build_batch_trace(events, label="fault smoke")
     assert validate_trace(trace) == []
     spans = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
     # the murdered attempt is visible, and the retry span is marked
@@ -146,6 +148,10 @@ def test_events_survive_a_sigkilled_worker(tmp_path, monkeypatch):
     )
     assert any(s["cat"] == "retry" for s in spans)
     assert report.telemetry["by_kind"]["pool.rebuild"] >= 1
+    # the bus's running tally is the fold of the log it wrote
+    telemetry = dict(report.telemetry)
+    assert telemetry.pop("log_path") == str(log)
+    assert telemetry == rollup_events(events)
 
 
 def test_collector_drains_before_pool_rebuild_is_recorded(
@@ -166,24 +172,25 @@ def test_collector_drains_before_pool_rebuild_is_recorded(
         ),
         normal_job("shared-l2"),
     ]
-    bus = EventBus().start()
+    events = []
+    bus = EventBus(on_event=events.append).start()
     report = Runner(jobs=2, bus=bus).run(batch)
     bus.stop()
     assert not report.failures
 
-    rebuilds = [e for e in bus.events if e.kind == "pool.rebuild"]
+    rebuilds = [e for e in events if e.kind == "pool.rebuild"]
     assert rebuilds
     first_rebuild = rebuilds[0].seq
     # the killed attempt's start was emitted from the dead pool, yet
     # its seq precedes the rebuild marker
     killed_start = next(
-        e for e in bus.events
+        e for e in events
         if e.kind == "job.start" and e.fields["attempt"] == 1
         and e.fields["job"].startswith("ckpt_helpers.")
     )
     assert killed_start.seq < first_rebuild
     # and the worker.death marker immediately precedes the rebuild
-    deaths = [e.seq for e in bus.events if e.kind == "worker.death"]
+    deaths = [e.seq for e in events if e.kind == "worker.death"]
     assert any(seq < first_rebuild for seq in deaths)
 
 
@@ -203,23 +210,24 @@ def test_quarantine_lands_on_the_bus(tmp_path, monkeypatch):
         )
         for arch in ("shared-l1", "shared-l2")
     ]
-    bus = EventBus().start()
+    events = []
+    bus = EventBus(on_event=events.append).start()
     report = Runner(jobs=2, max_retries=1, bus=bus).run(batch)
     bus.stop()
 
     assert len(report.failures) == 2
     quarantined = [
-        e for e in bus.events if e.kind == "job.quarantined"
+        e for e in events if e.kind == "job.quarantined"
     ]
     assert len(quarantined) == 2
     assert all(e.fields["attempts"] == 2 for e in quarantined)
-    rollup = rollup_events(bus.events)
+    rollup = rollup_events(events)
     assert rollup["jobs"]["quarantined"] == 2
     assert rollup["pool_rebuilds"] >= 2
     assert rollup["worker_deaths"] >= 2
     # batch.end still closes the stream after all the carnage
-    assert bus.events[-1].kind == "batch.end"
-    assert bus.events[-1].fields["failures"] == 2
+    assert events[-1].kind == "batch.end"
+    assert events[-1].fields["failures"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +275,7 @@ def test_timeout_parallel(monkeypatch):
 def test_budget_off_the_main_thread_is_loud(tmp_path):
     # SIGALRM only reaches the main thread: elsewhere the job runs to
     # completion unbudgeted, and says so instead of dropping the budget
-    from repro.obs import EventBus, validate_events
+    from repro.obs import EventBus, read_events, validate_events
 
     job = Job(
         arch="shared-l1", workload="fft", scale="test", max_cycles=CAP,
@@ -282,11 +290,12 @@ def test_budget_off_the_main_thread_is_loud(tmp_path):
             ).result(timeout=120)
     bus.stop()
     assert not report.failures
-    (event,) = [e for e in bus.events if e.kind == "job.unbudgeted"]
+    events = read_events(log)
+    (event,) = [e for e in events if e.kind == "job.unbudgeted"]
     assert event.fields["job"] == job.label()
     assert event.fields["timeout_s"] == 30.0
     assert validate_events(log) == []
-    kinds = [e.kind for e in bus.events]
+    kinds = [e.kind for e in events]
     assert kinds.index("job.start") < kinds.index("job.unbudgeted")
     assert kinds.index("job.unbudgeted") < kinds.index("job.finish")
     # on the main thread the same job is budgeted, and quiet

@@ -29,7 +29,7 @@ import pytest
 import repro
 from repro.core.runner import Job, ResultCache
 from repro.errors import ReproError
-from repro.obs.bus import validate_events
+from repro.obs.bus import read_events, validate_events
 from repro.obs.export import prometheus_text, rollup_events
 from repro.serve import (
     ServiceClient,
@@ -476,6 +476,41 @@ def test_metrics_body_for_a_fixed_daemon_state(tmp_path):
     body = daemon.metrics_text()
     rollup = prometheus_text(rollup_events([]))
     assert body == rollup + FIXED_SERVICE_METRICS
+
+
+def test_metrics_rollup_is_the_fold_of_the_event_log(tmp_path):
+    """The batch half of ``/v1/metrics`` on a started daemon with a
+    non-empty stream is the fold of its own event log, byte for byte."""
+    job = "fft/shared-l2/mipsy"
+    with running_daemon(tmp_path, jobs=1) as (daemon, _client):
+        handle = daemon.bus.handle()
+        for kind, fields in (
+            ("cache.miss", {"key": "k"}),
+            ("job.start", {"job": job, "attempt": 1}),
+            ("ckpt.save", {"digest": "d", "bytes": 10}),
+            ("job.finish", {"job": job, "attempt": 1,
+                            "wall_seconds": 0.1 + 0.2}),
+            ("cache.store", {"key": "k", "bytes": 10}),
+            ("cache.hit", {"key": "k", "bytes": 10}),
+            ("job.cached", {"job": job, "source": "cache"}),
+            ("job.retry", {"job": job, "attempt": 1}),
+            ("pool.rebuild", {"requeued": 1}),
+            ("worker.death", {"crashes": 1}),
+        ):
+            handle.emit(kind, **fields)
+        assert daemon.bus.flush()
+        body = daemon.metrics_text()
+        log = read_events(tmp_path / "serve" / "events.jsonl")
+    batch = body[: body.index("# HELP repro_service_jobs ")]
+    assert batch == prometheus_text(rollup_events(log))
+    for line in ('repro_jobs_total{status="ok"} 1',
+                 'repro_cache_ops_total{op="hit"} 1',
+                 'repro_store_ops_total{op="save",store="ckpt"} 1',
+                 "repro_job_retries_total 1",
+                 "repro_pool_rebuilds_total 1",
+                 "repro_worker_deaths_total 1",
+                 "repro_job_wall_seconds_sum 0.30000000000000004"):
+        assert line in batch.splitlines()
 
 
 FIXED_SERVICE_METRICS = """\

@@ -571,7 +571,9 @@ def test_serial_batch_survives_full_disk_in_its_cache(
     assert not report.failures and len(report.results) == 2
     assert "2 publish error(s)" in runner.summary()
     assert report.to_dict()["result_cache"]["publish_errors"] == 2
-    errors = [e for e in event_bus.events if e.kind == "cache.error"]
+    errors = [
+        e for e in obs_bus.read_events(log) if e.kind == "cache.error"
+    ]
     assert [e.fields["sink"] for e in errors] == ["ResultCache"] * 2
     assert validate_events(log) == []
     assert cache.disk_stats()["entries"] == 0
