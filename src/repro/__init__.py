@@ -30,6 +30,6 @@ Quickstart::
     print(normalized_times(results))
 """
 
-__version__ = "1.36.0"
+__version__ = "1.37.0"
 
 __all__ = ["__version__"]

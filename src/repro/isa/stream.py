@@ -190,108 +190,29 @@ class Emitter:
                 cache[key] = inst
         return inst
 
-    # The single-class emitters inline :meth:`op`'s memo body rather
-    # than delegating — these run once per simulated compute
-    # instruction, and the extra call frame is measurable.
-
     def ialu(self, src1: int = 0, src2: int = 0) -> Instruction:
         """Emit an integer ALU instruction."""
-        region = self.region
-        index = self._index
-        self._index = index + 1
-        key = (index % region.size, _IALU, src1, src2)
-        cache = region._inst_cache
-        inst = cache.get(key)
-        if inst is None:
-            inst = Instruction(
-                _IALU, pc=region.pc_of(index), src1=src1, src2=src2
-            )
-            if len(cache) < _MEMO_CAP:
-                cache[key] = inst
-        return inst
+        return self.op(_IALU, src1, src2)
 
     def imul(self, src1: int = 0, src2: int = 0) -> Instruction:
         """Emit an integer multiply."""
-        region = self.region
-        index = self._index
-        self._index = index + 1
-        key = (index % region.size, _IMUL, src1, src2)
-        cache = region._inst_cache
-        inst = cache.get(key)
-        if inst is None:
-            inst = Instruction(
-                _IMUL, pc=region.pc_of(index), src1=src1, src2=src2
-            )
-            if len(cache) < _MEMO_CAP:
-                cache[key] = inst
-        return inst
+        return self.op(_IMUL, src1, src2)
 
     def idiv(self, src1: int = 0, src2: int = 0) -> Instruction:
         """Emit an integer divide."""
-        region = self.region
-        index = self._index
-        self._index = index + 1
-        key = (index % region.size, _IDIV, src1, src2)
-        cache = region._inst_cache
-        inst = cache.get(key)
-        if inst is None:
-            inst = Instruction(
-                _IDIV, pc=region.pc_of(index), src1=src1, src2=src2
-            )
-            if len(cache) < _MEMO_CAP:
-                cache[key] = inst
-        return inst
+        return self.op(_IDIV, src1, src2)
 
     def fadd(self, dp: bool = True, src1: int = 0, src2: int = 0) -> Instruction:
         """Emit a floating-point add (double precision by default)."""
-        opclass = _FADD_DP if dp else _FADD_SP
-        region = self.region
-        index = self._index
-        self._index = index + 1
-        key = (index % region.size, opclass, src1, src2)
-        cache = region._inst_cache
-        inst = cache.get(key)
-        if inst is None:
-            inst = Instruction(
-                opclass, pc=region.pc_of(index), src1=src1, src2=src2
-            )
-            if len(cache) < _MEMO_CAP:
-                cache[key] = inst
-        return inst
+        return self.op(_FADD_DP if dp else _FADD_SP, src1, src2)
 
     def fmul(self, dp: bool = True, src1: int = 0, src2: int = 0) -> Instruction:
         """Emit a floating-point multiply."""
-        opclass = _FMUL_DP if dp else _FMUL_SP
-        region = self.region
-        index = self._index
-        self._index = index + 1
-        key = (index % region.size, opclass, src1, src2)
-        cache = region._inst_cache
-        inst = cache.get(key)
-        if inst is None:
-            inst = Instruction(
-                opclass, pc=region.pc_of(index), src1=src1, src2=src2
-            )
-            if len(cache) < _MEMO_CAP:
-                cache[key] = inst
-        return inst
+        return self.op(_FMUL_DP if dp else _FMUL_SP, src1, src2)
 
     def fdiv(self, dp: bool = True, src1: int = 0, src2: int = 0) -> Instruction:
         """Emit a floating-point divide."""
-        opclass = _FDIV_DP if dp else _FDIV_SP
-        region = self.region
-        index = self._index
-        self._index = index + 1
-        key = (index % region.size, opclass, src1, src2)
-        cache = region._inst_cache
-        inst = cache.get(key)
-        if inst is None:
-            inst = Instruction(
-                opclass, pc=region.pc_of(index), src1=src1, src2=src2
-            )
-            if len(cache) < _MEMO_CAP:
-                cache[key] = inst
-        return inst
+        return self.op(_FDIV_DP if dp else _FDIV_SP, src1, src2)
 
     def ops(self, opclass: OpClass, count: int):
         """Emit ``count`` independent instructions of one class."""

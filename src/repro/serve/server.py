@@ -6,26 +6,9 @@ a :class:`~repro.serve.scheduler.Scheduler` driving the warm
 :class:`~repro.core.runner.RunnerSession` pool, the content-addressed
 :class:`~repro.core.runner.ResultCache` and the batch
 :class:`~repro.obs.bus.EventBus` — behind a small JSON HTTP API served
-by the stdlib ``ThreadingHTTPServer`` (no new dependencies):
-
-====================================  =================================
-``POST /v1/jobs``                     submit a job (wire payload);
-                                      idempotent — identical specs
-                                      dedup to one record, cached specs
-                                      return instantly
-``GET  /v1/jobs/{id}``                lifecycle status + attempt count;
-                                      ``?wait=S`` parks the request
-                                      until the job is terminal or
-                                      ``S`` seconds pass
-``GET  /v1/jobs/{id}/result``         the full ExperimentResult JSON
-``POST /v1/jobs/{id}/cancel``         cancel (queued: immediately;
-                                      running: result discarded)
-``GET  /v1/jobs/{id}/events``         live NDJSON event stream
-``GET  /v1/queue``                    per-state counts + job listing
-``GET  /v1/metrics``                  Prometheus text exposition
-``GET  /v1/cache``                    result-cache counters + disk use
-``GET  /v1/health``                   liveness + version probe
-====================================  =================================
+on stdlib ``socketserver`` threads (no new dependencies). Requests are
+framed by :mod:`repro.serve.wire` and routed by :data:`_ROUTES`; each
+endpoint is described in ``docs/SERVICE.md``.
 
 Graceful shutdown (:meth:`ServiceDaemon.shutdown`, wired to
 SIGINT/SIGTERM by the CLI) stops accepting, lets in-flight work drain
@@ -47,14 +30,14 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import selectors
 import socket
+import socketserver
 import sys
 import threading
 import time
 from email.utils import formatdate
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from urllib.parse import parse_qs
 
@@ -74,6 +57,7 @@ from repro.serve.queue import (
     QueueManifest,
 )
 from repro.serve.scheduler import Scheduler
+from repro.serve.wire import MAX_BODY_BYTES
 
 #: Longest a ``?wait=`` request is held before it is answered with the
 #: job's current (non-terminal) status; clients ask again.
@@ -81,15 +65,14 @@ MAX_HOLD_S = 30.0
 #: Seconds a keep-alive socket may sit between requests before its
 #: handler thread gives it up.
 IDLE_TIMEOUT_S = 30.0
-#: Largest request body read; a longer ``Content-Length`` is a 413.
-MAX_BODY_BYTES = 1 << 20
 #: Longest a refused connection is listened to after its answer: what
 #: the client had already sent is taken off the socket first, because
 #: closing over unread input resets the connection and can cost the
 #: client the answer.
 LINGER_S = 1.0
 
-_HTTP_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})")
+#: The ``Server`` value of every response
+_SERVER = f"repro/{repro.__version__}"
 
 
 class EventRouter:
@@ -523,8 +506,8 @@ class ServiceDaemon:
             self.router.wait(job_id, cursor, poll)
 
 
-class _ServeHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server carrying a reference to its daemon.
+class _ServeHTTPServer(socketserver.ThreadingTCPServer):
+    """Threading TCP server carrying a reference to its daemon.
 
     Also the keeper of the connection books: which client sockets are
     open (so shutdown can hang up on them) and how many connections and
@@ -596,9 +579,7 @@ class _ServeHTTPServer(ThreadingHTTPServer):
 
     def handle_error(self, request, client_address) -> None:
         """A client that hung up mid-exchange is not worth a traceback."""
-        if not isinstance(
-            sys.exc_info()[1], (ConnectionError, TimeoutError)
-        ):
+        if not isinstance(sys.exc_info()[1], ConnectionError):
             super().handle_error(request, client_address)
 
     def count(self, endpoint: str) -> None:
@@ -634,90 +615,75 @@ class _ServeHTTPServer(ThreadingHTTPServer):
         return self._date[1]
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes the ``/v1`` API onto :class:`ServiceDaemon` methods.
+class _Handler(socketserver.StreamRequestHandler):
+    """Serves the ``/v1`` API on one client socket.
 
-    One instance serves one client socket for as long as the client
-    keeps it: every path must leave the socket at the start of the next
-    request, or say ``Connection: close``. The request line and the
-    headers are read here (:meth:`parse_request`), and a message whose
-    framing would have to be guessed at is refused by name
-    (:meth:`_refuse`) — the table is in ``docs/SERVICE.md``.
+    One instance serves the socket for as long as the client keeps it:
+    every exchange must leave the socket at the start of the next
+    request, or say ``Connection: close``. A request is framed by
+    :func:`wire.read_request` and :func:`wire.read_body` and routed by
+    :data:`_ROUTES`; a message whose framing would have to be guessed
+    at is refused by name (:meth:`_refuse`) — the table is in
+    ``docs/SERVICE.md``.
     """
 
     server: _ServeHTTPServer
-    protocol_version = "HTTP/1.1"
     # Keep-alive with Nagle on stalls every small exchange ~40 ms
     # against the peer's delayed ACK.
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_S
-    #: lower-cased name -> value, from :func:`wire.read_headers`
-    headers: dict[str, str]
+    #: whether the connection stays open after this exchange's answer
+    keep_alive = False
 
     @property
     def service(self) -> ServiceDaemon:
         """The daemon this server front-ends."""
         return self.server.service
 
-    def log_message(self, format, *args):  # noqa: A002
-        """Silence the default per-request stderr chatter."""
+    def handle(self) -> None:
+        """Answer requests until one is the last, the client goes or the
+        socket idles past :attr:`timeout`."""
+        try:
+            while self._exchange():
+                pass
+        except TimeoutError:
+            pass  # idle, or a client that stopped reading
+
+    def _exchange(self) -> bool:
+        """Read, answer and route one request; whether another may
+        follow on this socket."""
+        self.keep_alive = False
+        try:
+            request = wire.read_request(self.rfile)
+            if request is None:
+                return False
+            method, target, headers, self.keep_alive = request
+            if method not in _VERBS:
+                raise wire.FramingError(
+                    501, "method", f"Unsupported method ({method!r})"
+                )
+            if headers.get("expect", "").lower() == "100-continue":
+                self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            body = wire.read_body(self.rfile, headers)
+        except wire.FramingError as error:
+            self._refuse(error.status, error.reason, str(error))
+            return False
+        path, _, query = target.partition("?")
+        parts = [part for part in path.split("/") if part]
+        job_id = ""
+        if parts[:2] == ["v1", "jobs"] and len(parts) > 2:
+            job_id, parts[2] = parts[2], "{id}"
+        endpoint, serve = _ROUTES.get(
+            (method, "/" + "/".join(parts)), ("other", None)
+        )
+        self.server.count(endpoint)
+        if serve is None:
+            self._error(404, f"no such endpoint: {method} {target}")
+        else:
+            serve(self, job_id, query, body)
+        return self.keep_alive
 
     # -- plumbing -------------------------------------------------------
-
-    def parse_request(self) -> bool:
-        """Take the request line and the headers, each in one pass.
-
-        What ``handle_one_request`` calls once it has the request line.
-        ``False`` means the request was answered (or, for a blank line,
-        dropped) and the connection is closing.
-        """
-        self.close_connection = True
-        line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = line.split()
-        if not words:
-            return False
-        if len(words) != 3:
-            # includes the two-word request line of HTTP/0.9
-            return self._refuse(
-                400, "request_line", f"bad request line: {line[:64]!r}"
-            )
-        version = _HTTP_VERSION.fullmatch(words[2])
-        major = int(version[1]) if version else 0
-        if major < 1:
-            return self._refuse(
-                400, "request_line",
-                f"bad request version: {words[2][:64]!r}",
-            )
-        if major > 1:
-            return self._refuse(
-                505, "http_version",
-                f"HTTP version {words[2][5:]} is not supported",
-            )
-        self.command, self.path, self.request_version = words
-        try:
-            headers = self.headers = wire.read_headers(self.rfile)
-        except wire.FramingError as error:
-            return self._refuse(error.status, error.reason, str(error))
-        persistent = int(version[2]) >= 1
-        connection = headers.get("connection", "").lower()
-        if connection == "keep-alive" or (
-            persistent and connection != "close"
-        ):
-            self.close_connection = False
-        if persistent and headers.get("expect", "").lower() == "100-continue":
-            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        return True
-
-    def send_error(self, code, message=None, explain=None) -> None:
-        """What ``handle_one_request`` itself turns away (an over-long
-        request line, a verb with no ``do_`` method), answered like
-        every other refusal instead of with the stdlib's HTML page."""
-        code = int(code)
-        self._refuse(
-            code,
-            {414: "line_too_long", 501: "method"}.get(code, "other"),
-            message or self.responses[code][0],
-        )
 
     def _head(
         self, code: int, content_type: str, length: int | None = None
@@ -725,14 +691,14 @@ class _Handler(BaseHTTPRequestHandler):
         """Status line and header block of one response; with no
         ``length`` the body runs until the connection closes."""
         head = (
-            f"HTTP/1.1 {code} {self.responses[code][0]}\r\n"
-            f"Server: {self.version_string()}\r\n"
+            f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\n"
+            f"Server: {_SERVER}\r\n"
             f"Date: {self.server.http_date()}\r\n"
             f"Content-Type: {content_type}\r\n"
         )
         if length is not None:
             head += f"Content-Length: {length}\r\n"
-        if self.close_connection:
+        if not self.keep_alive:
             head += "Connection: close\r\n"
         return (head + "\r\n").encode("latin-1")
 
@@ -755,12 +721,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _error(self, code: int, message: str) -> None:
         self._send_json(code, {"error": message})
 
-    def _refuse(self, code: int, reason: str, message: str) -> bool:
+    def _refuse(self, code: int, reason: str, message: str) -> None:
         """Answer a request that will not be read any further and give
-        the connection up; booked under ``reason``. Returns ``False``,
-        which is what :meth:`parse_request` says of such a request."""
+        the connection up; booked under ``reason``."""
         self.server.count_refused(reason)
-        self.close_connection = True
+        self.keep_alive = False
         self._error(code, message)
         # Lingering close: end of answer, then whatever was already on
         # its way here is taken off the socket so that close() finds
@@ -778,48 +743,6 @@ class _Handler(BaseHTTPRequestHandler):
                 unread -= len(taken)
         except OSError:
             pass  # timed out, or the client is gone already
-        return False
-
-    def _route(self) -> tuple[list[str], str]:
-        path, _, query = self.path.partition("?")
-        return [p for p in path.split("/") if p], query
-
-    def _drain_body(self) -> bytes | None:
-        """Take the request body off the socket, whatever the route.
-
-        A body left unread would be parsed as the next request on this
-        connection. One that cannot be framed or is too long is refused
-        unread — error sent, connection closing, ``None`` returned.
-        """
-        headers = self.headers
-        header = headers.get("content-length")
-        if "transfer-encoding" in headers:
-            # with a Content-Length beside it too: two framings of one
-            # body is how requests are smuggled past a front end
-            refusal = (400, "transfer_encoding", "Transfer-Encoding is "
-                       "not supported; send Content-Length")
-        elif header is None:
-            # No framing header means no body (RFC 7230 §3.3.3);
-            # ``curl -X POST .../cancel`` sends exactly this.
-            return b""
-        else:
-            # repeated headers arrive joined: they must all agree
-            lengths = {part.strip() for part in header.split(",")}
-            length = lengths.pop()
-            if lengths or not (length.isascii() and length.isdigit()):
-                refusal = (400, "content_length",
-                           f"bad Content-Length: {header[:64]!r}")
-            elif len(length) > 18 or int(length) > MAX_BODY_BYTES:
-                refusal = (413, "body_too_large",
-                           f"request body over {MAX_BODY_BYTES} bytes")
-            else:
-                body = self.rfile.read(int(length))
-                if len(body) == int(length):
-                    return body
-                refusal = (400, "short_body",
-                           "request body shorter than Content-Length")
-        self._refuse(*refusal)
-        return None
 
     def _json_object(self, raw: bytes) -> dict | None:
         try:
@@ -846,99 +769,41 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return max(0.0, hold)
 
-    # -- verbs ----------------------------------------------------------
+    # -- endpoints: (job id, query, body) -> one answer ------------------
 
-    def do_POST(self) -> None:
-        """``POST /v1/jobs`` and ``POST /v1/jobs/{id}/cancel``."""
-        body = self._drain_body()
-        if body is None:
+    def _submit(self, _job_id: str, _query: str, body: bytes) -> None:
+        payload = self._json_object(body)
+        if payload is None:
             return
-        parts, _ = self._route()
-        if parts == ["v1", "jobs"]:
-            self.server.count("submit")
-            payload = self._json_object(body)
-            if payload is None:
-                return
-            if not self.service.accepting:
-                self._error(
-                    503, "daemon is shutting down; not accepting jobs"
-                )
-                return
-            try:
-                response = self.service.submit(payload)
-            except wire.WireError as error:
-                self._error(400, str(error))
-                return
-            code = 200 if response["reused"] or response[
-                "state"
-            ] == "cached" else 202
-            self._send_status(code, response)
+        if not self.service.accepting:
+            self._error(503, "daemon is shutting down; not accepting jobs")
             return
-        if (
-            len(parts) == 4
-            and parts[:2] == ["v1", "jobs"]
-            and parts[3] == "cancel"
-        ):
-            self.server.count("cancel")
-            response = self.service.cancel(parts[2])
-            if response is None:
-                self._error(404, f"unknown job {parts[2]}")
-                return
-            self._send_json(200, response)
+        try:
+            response = self.service.submit(payload)
+        except wire.WireError as error:
+            self._error(400, str(error))
             return
-        self.server.count("other")
-        self._error(404, f"no such endpoint: POST {self.path}")
+        fresh = not response["reused"] and response["state"] != CACHED
+        self._send_status(202 if fresh else 200, response)
 
-    def do_GET(self) -> None:
-        """All ``GET /v1/...`` read endpoints."""
-        if self._drain_body() is None:
+    def _cancel(self, job_id: str, *_) -> None:
+        response = self.service.cancel(job_id)
+        if response is None:
+            self._error(404, f"unknown job {job_id}")
             return
-        parts, query = self._route()
-        count = self.server.count
-        if parts == ["v1", "health"]:
-            count("health")
-            self._send_json(200, self.service.health())
-            return
-        if parts == ["v1", "queue"]:
-            count("queue")
-            self._send_json(200, self.service.queue_info())
-            return
-        if parts == ["v1", "cache"]:
-            count("cache")
-            self._send_json(200, self.service.cache_info())
-            return
-        if parts == ["v1", "metrics"]:
-            count("metrics")
-            self._send_bytes(
-                200,
-                self.service.metrics_text().encode("utf-8"),
-                "text/plain; version=0.0.4",
-            )
-            return
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            count("status")
-            hold = self._hold_seconds(query)
-            if hold is None:
-                return
-            status = self.service.status(parts[2], wait=hold)
-            if status is None:
-                self._error(404, f"unknown job {parts[2]}")
-                return
-            self._send_status(200, status)
-            return
-        if len(parts) == 4 and parts[:2] == ["v1", "jobs"]:
-            if parts[3] == "result":
-                count("result")
-                self._get_result(parts[2])
-                return
-            if parts[3] == "events":
-                count("events")
-                self._get_events(parts[2])
-                return
-        count("other")
-        self._error(404, f"no such endpoint: GET {self.path}")
+        self._send_json(200, response)
 
-    def _get_result(self, job_id: str) -> None:
+    def _status(self, job_id: str, query: str, _body: bytes) -> None:
+        hold = self._hold_seconds(query)
+        if hold is None:
+            return
+        status = self.service.status(job_id, wait=hold)
+        if status is None:
+            self._error(404, f"unknown job {job_id}")
+            return
+        self._send_status(200, status)
+
+    def _result(self, job_id: str, *_) -> None:
         record = self.service.queue.get(job_id)
         if record is None:
             self._error(404, f"unknown job {job_id}")
@@ -947,36 +812,60 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_bytes(200, record.result_body, "application/json")
             return
         if record.terminal:
-            self._send_json(
-                409,
-                {
-                    "id": record.id,
-                    "state": record.state,
-                    "error": record.error
-                    or f"job ended {record.state} without a result",
-                },
+            error = record.error or (
+                f"job ended {record.state} without a result"
             )
-            return
+        else:
+            error = f"job has not finished; poll /v1/jobs/{job_id} for status"
         self._send_json(
-            409,
-            {
-                "id": record.id,
-                "state": record.state,
-                "error": "job has not finished; poll "
-                f"/v1/jobs/{job_id} for status",
-            },
+            409, {"id": record.id, "state": record.state, "error": error}
         )
 
-    def _get_events(self, job_id: str) -> None:
+    def _events(self, job_id: str, *_) -> None:
         if self.service.queue.get(job_id) is None:
             self._error(404, f"unknown job {job_id}")
             return
         # No Content-Length: the stream ends when the job does, and the
         # connection closes with it.
-        self.close_connection = True
+        self.keep_alive = False
         self.wfile.write(self._head(200, "application/x-ndjson"))
         try:
             for line in self.service.stream_events(job_id):
                 self.wfile.write(line.encode("utf-8") + b"\n")
         except (BrokenPipeError, ConnectionResetError):
             pass
+
+    def _health(self, *_) -> None:
+        self._send_json(200, self.service.health())
+
+    def _queue(self, *_) -> None:
+        self._send_json(200, self.service.queue_info())
+
+    def _cache(self, *_) -> None:
+        self._send_json(200, self.service.cache_info())
+
+    def _metrics(self, *_) -> None:
+        self._send_bytes(
+            200,
+            self.service.metrics_text().encode("utf-8"),
+            "text/plain; version=0.0.4",
+        )
+
+
+#: (method, path shape) -> (endpoint label on
+#: ``repro_service_http_requests_total``, the handler that answers);
+#: a shape names the job id ``{id}``. A request matching no row is a
+#: 404, booked ``other``.
+_ROUTES = {
+    ("POST", "/v1/jobs"): ("submit", _Handler._submit),
+    ("POST", "/v1/jobs/{id}/cancel"): ("cancel", _Handler._cancel),
+    ("GET", "/v1/jobs/{id}"): ("status", _Handler._status),
+    ("GET", "/v1/jobs/{id}/result"): ("result", _Handler._result),
+    ("GET", "/v1/jobs/{id}/events"): ("events", _Handler._events),
+    ("GET", "/v1/queue"): ("queue", _Handler._queue),
+    ("GET", "/v1/metrics"): ("metrics", _Handler._metrics),
+    ("GET", "/v1/cache"): ("cache", _Handler._cache),
+    ("GET", "/v1/health"): ("health", _Handler._health),
+}
+#: the verbs any route takes; another is a 501, refused unread
+_VERBS = frozenset(method for method, _ in _ROUTES)

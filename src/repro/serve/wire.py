@@ -12,9 +12,10 @@ queue manifest.
 Beneath the JSON, this is the one framing module both ends use:
 :func:`read_headers` is the one pass over an HTTP header block that the
 daemon (requests) and the client (responses) share,
-:func:`read_response` the client's reader of a whole response around
-it, and :class:`FramingError` what either makes of a message it will
-not guess at.
+:func:`read_request` and :func:`read_body` the daemon's reader of a
+request around it, :func:`read_response` the client's reader of a
+response, and :class:`FramingError` what either makes of a message it
+will not guess at.
 
 Deliberately *not* on the wire: execution-policy paths
 (``ckpt_dir``/``trace_dir`` — the daemon decides where its artifact
@@ -79,9 +80,13 @@ _SUBMIT_FIELDS = frozenset({"priority", "version"})
 #: ``_MAXHEADERS``).
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
+#: Largest request body read; a longer ``Content-Length`` is a 413.
+MAX_BODY_BYTES = 1 << 20
 
 #: ``HTTP/1.x NNN reason``: the status line of a response
 _STATUS_LINE = re.compile(rb"HTTP/1\.(\d) ([1-9]\d\d)(?: [^\r\n]*)?\r?\n")
+#: ``HTTP/<major>.<minor>``: the last word of a request line
+_HTTP_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})")
 
 #: ``field-name ":"`` of RFC 7230 §3.2: a token, then the colon with no
 #: space before it. A line that opens with a space (an obs-fold
@@ -144,6 +149,91 @@ def read_headers(rfile) -> dict[str, str]:
     raise FramingError(
         431, "too_many_headers", f"more than {MAX_HEADERS} header lines"
     )
+
+
+def read_request(rfile) -> tuple[str, str, dict[str, str], bool] | None:
+    """Read one request head off ``rfile``: ``(method, target, headers,
+    persistent)``, or ``None`` at EOF or on a blank line, which end the
+    connection unanswered.
+
+    ``persistent`` is false for HTTP/1.0 without ``Connection:
+    keep-alive`` and after ``Connection: close``; an HTTP/1.0 request's
+    ``Expect`` is dropped (RFC 7231 §5.1.1). A request line over
+    :data:`MAX_LINE_BYTES`, one that is not three words (the two-word
+    HTTP/0.9 form among them) and a version that is not ``HTTP/1.x``
+    are each a :class:`FramingError` by name, as is what
+    :func:`read_headers` refuses.
+    """
+    raw = rfile.readline(MAX_LINE_BYTES + 1)
+    if len(raw) > MAX_LINE_BYTES:
+        raise FramingError(414, "line_too_long", "Request-URI Too Long")
+    line = str(raw, "iso-8859-1").rstrip("\r\n")
+    words = line.split()
+    if not words:
+        return None
+    if len(words) != 3:
+        raise FramingError(
+            400, "request_line", f"bad request line: {line[:64]!r}"
+        )
+    method, target, version = words
+    match = _HTTP_VERSION.fullmatch(version)
+    major = int(match[1]) if match else 0
+    if major < 1:
+        raise FramingError(
+            400, "request_line", f"bad request version: {version[:64]!r}"
+        )
+    if major > 1:
+        raise FramingError(
+            505, "http_version",
+            f"HTTP version {version[5:]} is not supported",
+        )
+    headers = read_headers(rfile)
+    connection = headers.get("connection", "").lower()
+    if int(match[2]) >= 1:
+        persistent = connection != "close"
+    else:  # HTTP/1.0
+        persistent = connection == "keep-alive"
+        headers.pop("expect", None)
+    return method, target, headers, persistent
+
+
+def read_body(rfile, headers: dict[str, str]) -> bytes:
+    """Read the body of a request with ``headers`` off ``rfile``.
+
+    Neither framing header means no body (RFC 7230 §3.3.3; ``curl -X
+    POST .../cancel`` sends exactly this). Any ``Transfer-Encoding``, a
+    ``Content-Length`` that is not one decimal number, one over
+    :data:`MAX_BODY_BYTES` and a body that ends short are each a
+    :class:`FramingError` by name; all but the last leave the body
+    unread.
+    """
+    if "transfer-encoding" in headers:
+        # with a Content-Length beside it too: two framings of one
+        # body is how requests are smuggled past a front end
+        raise FramingError(
+            400, "transfer_encoding",
+            "Transfer-Encoding is not supported; send Content-Length",
+        )
+    header = headers.get("content-length")
+    if header is None:
+        return b""
+    # repeated headers arrive joined: they must all agree
+    lengths = {part.strip() for part in header.split(",")}
+    length = lengths.pop()
+    if lengths or not (length.isascii() and length.isdigit()):
+        raise FramingError(
+            400, "content_length", f"bad Content-Length: {header[:64]!r}"
+        )
+    if len(length) > 18 or int(length) > MAX_BODY_BYTES:
+        raise FramingError(
+            413, "body_too_large", f"request body over {MAX_BODY_BYTES} bytes"
+        )
+    body = rfile.read(int(length))
+    if len(body) < int(length):
+        raise FramingError(
+            400, "short_body", "request body shorter than Content-Length"
+        )
+    return body
 
 
 def read_response(

@@ -184,6 +184,7 @@ DELETED_PATHS = re.compile(
     r"|resolve_trace)\b|trace[./]backend"
     r"|\b(?:StallReason|MissKind|peek_start)\b|tests/oracles"
     r"|oracles\.conservation|\b(?:export_prometheus|WorkloadParams)\b"
+    r"|_Handler\.parse_request\b|\b_drain_body\b"
 )
 #: the top-level documents that describe the program as it is; the
 #: other top-level ones (changelog, roadmap, ...) are history and plans

@@ -1,10 +1,13 @@
 """Tests for the MXS dynamic superscalar model."""
 
+import pytest
 from conftest import LoopWorkload, SharingWorkload, build_system
 
+from repro.core.runner import Job
 from repro.cpu.mxs.btb import BranchTargetBuffer
 from repro.cpu.mxs.funits import FunctionalUnits
 from repro.isa.instructions import OpClass
+from repro.mem.topology import topology_names
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +162,21 @@ def test_mxs_slot_accounting_is_complete():
     width = 2
     for mxs in stats.mxs:
         assert mxs.slots_total == width * mxs.cycles
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="MxsCpu.tick counts the tick that only finds its ROB drained "
+    "(mxs.cycles += 1 before done is set), so the last CPU to finish "
+    "counts stats.cycles + 1; the fix moves Figure 11",
+)
+@pytest.mark.parametrize("arch", topology_names())
+@pytest.mark.parametrize("workload", ("eqntott", "ear"))
+def test_no_mxs_cpu_counts_a_cycle_past_the_run(workload, arch):
+    stats = Job(
+        workload=workload, arch=arch, cpu_model="mxs", scale="test"
+    ).build().run()
+    assert max(mxs.cycles for mxs in stats.mxs) <= stats.cycles
 
 
 def test_mxs_rob_bounded():

@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro
 from repro.core import runner as runner_module
 from repro.core.experiment import ExperimentResult
 from repro.core.runner import ResultCache, Runner
@@ -558,13 +559,6 @@ def test_a_post_leaves_in_one_send(tmp_path, monkeypatch):
         assert len(ours()) == 1  # a GET is one send too
 
 
-def _read_request(rfile) -> tuple[bytes, dict[str, str], bytes]:
-    """A request as the daemon takes it: line, headers, body."""
-    line = rfile.readline()
-    headers = wire.read_headers(rfile)
-    return line, headers, rfile.read(int(headers.get("content-length", 0)))
-
-
 def test_the_daemon_reads_the_stdlib_request_from_ours():
     # what http.client sends and the daemon does without: an
     # Accept-Encoding of identity, and a Content-Length of 0 on a
@@ -595,13 +589,15 @@ def test_the_daemon_reads_the_stdlib_request_from_ours():
                 send()
                 peer, _ = listener.accept()
                 with peer, peer.makefile("rb") as rfile:
-                    read.append(_read_request(rfile))
+                    *line, headers, kept = wire.read_request(rfile)
+                    got = wire.read_body(rfile, headers)
+                    read.append((line, headers, kept, got))
                 ours.close()
                 stock.close()
-            (line, headers, got), (stock_line, stock_headers, stock_got) = read
-            assert line == stock_line == (
-                f"{method} {target} HTTP/1.1\r\n".encode()
-            )
+            (line, headers, kept, got), theirs = read
+            stock_line, stock_headers, stock_kept, stock_got = theirs
+            assert line == stock_line == [method, target]
+            assert kept is stock_kept is True
             assert got == stock_got == (body or b"")
             del stock_headers["accept-encoding"]
             if body is None and method == "POST":
@@ -672,7 +668,7 @@ def canned_server():
                 return  # the listener closed
             with peer, peer.makefile("rb") as rfile:
                 try:
-                    _read_request(rfile)
+                    wire.read_body(rfile, wire.read_request(rfile)[2])
                     peer.sendall(answer[0])
                     peer.shutdown(socket.SHUT_WR)
                     peer.recv(1)  # until the client hangs up too
@@ -1023,6 +1019,88 @@ def test_wire_fault_is_answered_by_name_and_costs_one_connection(
         assert booked == ([(reason, "1")] if reason else [])
         assert daemon._httpd.traffic()[0] == 2
         assert eventually(lambda: daemon.open_connections() == 1)
+
+
+@pytest.mark.parametrize("case", WIRE_FAULTS)
+def test_a_request_frames_as_its_row_says_without_a_socket(case):
+    # the request-side twin of the response reader's pins: each row
+    # through the daemon's own reader, over bytes
+    sent, status, text, reason, closes = WIRE_FAULTS[case]
+    rfile = io.BytesIO(sent)
+    try:
+        method, _, headers, persistent = wire.read_request(rfile)
+        wire.read_body(rfile, headers)
+    except wire.FramingError as error:
+        assert (error.status, error.reason) == (status, reason)
+        assert text in str(error)
+        return
+    if reason == "method":  # framed; no route takes the verb
+        assert (method, status) == ("BREW", 501)
+    else:
+        assert reason is None and persistent is not closes
+    assert rfile.read() == b""  # the next request starts here
+
+
+def _response_head(daemon, sent: bytes):
+    """Send ``sent`` on a fresh socket; the answer's status line, its
+    header names in order with their values, and its body (read by
+    ``Content-Length``, or to the hang-up without one)."""
+    with socket.create_connection(
+        ("127.0.0.1", daemon.port), timeout=10
+    ) as sock, sock.makefile("rb") as reader:
+        sock.sendall(sent)
+        status = reader.readline()
+        fields = [
+            line.decode("latin-1").rstrip("\r\n").split(": ", 1)
+            for line in iter(reader.readline, b"\r\n")
+        ]
+        values = dict(fields)
+        length = values.get("Content-Length")
+        body = reader.read(int(length)) if length else reader.read()
+    return status, [name for name, _ in fields], values, body
+
+
+def test_response_heads_keep_their_status_lines_and_header_order(tmp_path):
+    # the five kinds of answer: a document, a fresh submit, an answer
+    # that is an error, a refusal, and the event stream, which has no
+    # length and ends with the connection
+    framed = ["Server", "Date", "Content-Type", "Content-Length"]
+    with running_daemon(tmp_path) as (daemon, client):
+        body = json.dumps(FAST)
+        heads = {
+            "health": _response_head(daemon, _get()),
+            "submit": _response_head(
+                daemon, _post(f"Content-Length: {len(body)}\r\n", body)
+            ),
+            "unknown": _response_head(
+                daemon, _get(target=f"/v1/jobs/{'f' * 64} HTTP/1.1")
+            ),
+            "refusal": _response_head(
+                daemon, _post("Transfer-Encoding: chunked\r\n", "")
+            ),
+        }
+        job_id = json.loads(heads["submit"][3])["id"]
+        assert client.wait(job_id, timeout=60)["state"] == "done"
+        heads["events"] = _response_head(
+            daemon, _get(target=f"/v1/jobs/{job_id}/events HTTP/1.1")
+        )
+    assert {case: head[:2] for case, head in heads.items()} == {
+        "health": (b"HTTP/1.1 200 OK\r\n", framed),
+        "submit": (b"HTTP/1.1 202 Accepted\r\n", framed),
+        "unknown": (b"HTTP/1.1 404 Not Found\r\n", framed),
+        "refusal": (b"HTTP/1.1 400 Bad Request\r\n", framed + ["Connection"]),
+        "events": (
+            b"HTTP/1.1 200 OK\r\n",
+            ["Server", "Date", "Content-Type", "Connection"],
+        ),
+    }
+    for case, (_, _, values, _) in heads.items():
+        assert values["Server"] == f"repro/{repro.__version__}", case
+    _, _, refusal, _ = heads["refusal"]
+    _, _, values, body = heads["events"]
+    assert refusal["Connection"] == values["Connection"] == "close"
+    assert values["Content-Type"] == "application/x-ndjson"
+    assert json.loads(body.splitlines()[-1])["kind"] == "serve.state"
 
 
 def test_expect_100_continue_is_answered_before_the_body(tmp_path):
